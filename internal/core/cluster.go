@@ -52,8 +52,7 @@ type ClusterSMA struct {
 
 	z      []float32 // cluster average model (nil with one server)
 	zPrev  []float32
-	delta  []float32
-	state  []bool
+	state  stateRanges
 	alphaG float32
 	muG    float32
 
@@ -101,15 +100,7 @@ func NewClusterSMA(cfg ClusterSMAConfig, w0 []float32, servers [][]int) *Cluster
 	if len(c.servers) > 1 {
 		c.z = append([]float32(nil), w0...)
 		c.zPrev = append([]float32(nil), w0...)
-		c.delta = make([]float32, len(w0))
-		if len(cfg.StateRanges) > 0 {
-			c.state = make([]bool, len(w0))
-			for _, rg := range cfg.StateRanges {
-				for i := rg[0]; i < rg[1] && i < len(w0); i++ {
-					c.state[i] = true
-				}
-			}
-		}
+		c.state = newStateRanges(cfg.StateRanges, len(w0))
 	}
 	return c
 }
@@ -171,7 +162,7 @@ func (c *ClusterSMA) Step(ws, gs [][]float32) {
 	for si, s := range c.smas {
 		refs[si] = s.Average()
 	}
-	smaExchange(refs, c.z, c.zPrev, c.delta, c.state, c.alphaG, c.muG)
+	smaExchange(refs, c.z, c.zPrev, c.state, c.alphaG, c.muG)
 }
 
 // Restart re-initialises the averaging process from the cluster average

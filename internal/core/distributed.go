@@ -88,7 +88,7 @@ type DistClusterSMA struct {
 
 	z, zPrev []float32 // cluster average model, replicated across nodes
 	buf      []float32 // all-reduce scratch
-	state    []bool
+	state    stateRanges
 	alphaG   float32 // 0 → 1/participants, resolved per round
 	muG      float32
 
@@ -129,6 +129,7 @@ func NewDistClusterSMA(cfg ClusterSMAConfig, w0 []float32, k int, ex GlobalExcha
 		buf:    make([]float32, len(w0)),
 		alphaG: cfg.AlphaGlobal,
 		muG:    muG,
+		state:  newStateRanges(cfg.StateRanges, len(w0)),
 	}
 	if cfg.OverlapGlobal {
 		// Degrade silently when the exchanger has no asynchronous path:
@@ -136,14 +137,6 @@ func NewDistClusterSMA(cfg ClusterSMAConfig, w0 []float32, k int, ex GlobalExcha
 		// without hiding it behind computation.
 		if a, ok := ex.(AsyncGlobalExchanger); ok {
 			d.async = a
-		}
-	}
-	if len(cfg.StateRanges) > 0 {
-		d.state = make([]bool, len(w0))
-		for _, rg := range cfg.StateRanges {
-			for i := rg[0]; i < rg[1] && i < len(w0); i++ {
-				d.state[i] = true
-			}
 		}
 	}
 	return d
@@ -305,57 +298,57 @@ func (d *DistClusterSMA) exchangeFrom(attempt int) {
 // apply folds a completed round's consensus sum into the cluster average
 // model and the local reference model.
 func (d *DistClusterSMA) apply(r ExchangeRound) {
-	ref := d.sma.Average()
 	n := float32(r.Participants)
 	alphaG := d.alphaG
 	if alphaG == 0 {
 		alphaG = 1 / n
 	}
-	sum := d.buf
-	if r.Restart {
-		// Membership changed: z may not be replicated across the
-		// participants any more (an aborted round updated some nodes, a
-		// rejoiner carries a snapshot-seeded model), so re-derive it from
-		// the one value that is — the consensus sum — and clear the
-		// momentum history. Then pull the local reference model toward
-		// the fresh consensus with a plain correction. Cold starts never
-		// come through here: all nodes boot with z = w0 from the shared
-		// seed, so the incremental update below is already replicated.
-		for i := range d.z {
-			zn := sum[i] / n
-			d.z[i] = zn
-			d.zPrev[i] = zn
-			if d.state == nil || !d.state[i] {
-				ref[i] -= alphaG * (ref[i] - zn)
-			}
-		}
-		d.rounds++
+	d.rounds++
+	if serialWalk(len(d.z)) {
+		d.applyRange(r.Restart, alphaG, n, 0, len(d.z))
 		return
 	}
-	// Steady state: the ClusterSMA global tier, factored through the sum.
-	zv, zp := d.z, d.zPrev
-	st, mu := d.state, d.muG
-	apply := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			zOld := zv[i]
-			if st != nil && st[i] {
-				// State (batch-norm statistics): the cluster average model
-				// carries the server average, no corrections.
-				zv[i] = sum[i] / n
-				zp[i] = zOld
-				continue
+	tensor.ParallelFor(len(d.z), smaGrain, func(lo, hi int) { d.applyRange(r.Restart, alphaG, n, lo, hi) })
+}
+
+func (d *DistClusterSMA) applyRange(restart bool, alphaG, n float32, lo, hi int) {
+	ref, z, zPrev, sum := d.sma.Average(), d.z, d.zPrev, d.buf
+	for seg := d.state.segments(lo, hi); ; {
+		a, b, state, ok := seg.next()
+		if !ok {
+			return
+		}
+		switch {
+		case restart:
+			// Membership changed: z may not be replicated across the
+			// participants any more (an aborted round updated some nodes, a
+			// rejoiner carries a snapshot-seeded model), so re-derive it from
+			// the one value that is — the consensus sum — and clear the
+			// momentum history. Then pull the local reference model toward
+			// the fresh consensus with a plain correction. Cold starts never
+			// come through here: all nodes boot with z = w0 from the shared
+			// seed, so the incremental update below is already replicated.
+			for i := a; i < b; i++ {
+				zn := sum[i] / n
+				z[i] = zn
+				zPrev[i] = zn
+				if !state {
+					ref[i] -= alphaG * (ref[i] - zn)
+				}
 			}
-			ref[i] -= alphaG * (ref[i] - zOld)
-			zv[i] = zOld + alphaG*(sum[i]-n*zOld) + mu*(zOld-zp[i])
-			zp[i] = zOld
+		case state:
+			// State (batch-norm statistics): the cluster average model
+			// carries the server average, no corrections.
+			for i := a; i < b; i++ {
+				zPrev[i] = z[i]
+				z[i] = sum[i] / n
+			}
+		default:
+			// Steady state: the ClusterSMA global tier, factored through
+			// the sum.
+			tensor.SMADistFold(ref[a:b], z[a:b], zPrev[a:b], sum[a:b], alphaG, n, d.muG)
 		}
 	}
-	if tensor.Parallelism() == 1 {
-		apply(0, len(zv))
-	} else {
-		tensor.ParallelFor(len(zv), 16384, apply)
-	}
-	d.rounds++
 }
 
 // Restart re-initialises the averaging process from the cluster average

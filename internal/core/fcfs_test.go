@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"crossbow/internal/nn"
 	"crossbow/internal/tensor"
 )
 
@@ -83,13 +84,25 @@ func TestFCFSLearnsLikeLockstep(t *testing.T) {
 // model. This is the property that lets the two schedulers share one
 // optimiser.
 func TestContributeApplyMatchesExchange(t *testing.T) {
-	const k, n = 3, 4097 // odd size to cross ParallelFor chunk boundaries
+	const n = 4097 // four whole blocks and a one-element tail
 	r := tensor.NewRNG(11)
 	w0 := make([]float32, n)
 	for i := range w0 {
 		w0[i] = float32(r.NormFloat64())
 	}
-	state := [][2]int{{100, 140}, {n - 7, n}}
+	t.Run("synthetic", func(t *testing.T) {
+		contributeApplyMatchesExchange(t, w0, [][2]int{{100, 140}, {n - 7, n}})
+	})
+	// The benchmark's model with the network's own batch-norm ranges.
+	t.Run("resnet32", func(t *testing.T) {
+		w0, state := benchModel(nn.ResNet32)
+		contributeApplyMatchesExchange(t, w0, state)
+	})
+}
+
+func contributeApplyMatchesExchange(t *testing.T, w0 []float32, state [][2]int) {
+	const k = 3
+	n := len(w0)
 	mk := func(seed uint64) (*SMA, [][]float32, [][]float32) {
 		s := NewSMA(SMAConfig{
 			LearnRate: 0.1, Momentum: 0.9, LocalMomentum: 0.6, StateRanges: state,

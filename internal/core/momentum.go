@@ -37,30 +37,19 @@ func (s *SMA) StepNesterov(ws, gs [][]float32) {
 	}
 	s.iter++
 	if s.iter%s.cfg.Tau != 0 {
-		for j := range ws {
-			s.localStep(j, ws[j], gs[j])
-		}
+		s.localSteps(ws, gs)
 		return
 	}
 	mu := s.cfg.Momentum
-	// Look-ahead position overwrites delta as scratch first.
-	la := s.delta
-	for i := range s.z {
-		la[i] = s.z[i] + mu*(s.z[i]-s.zPrev[i])
-	}
-	// Corrections against the look-ahead; replicas updated as usual. zNew
-	// is struct-owned scratch so the steady-state loop does not allocate.
-	zNew := s.zNew
-	copy(zNew, la)
-	for j := range ws {
-		w := ws[j]
-		for i := range w {
-			c := s.alpha * (w[i] - la[i])
-			zNew[i] += c
+	for i, z := range s.z {
+		la := z + mu*(z-s.zPrev[i])
+		zNew := la
+		for _, w := range ws {
+			c := s.alpha * (w[i] - la)
+			zNew += c
 			w[i] -= c
 		}
-		s.localStep(j, w, gs[j])
+		s.zPrev[i], s.z[i] = z, zNew
 	}
-	copy(s.zPrev, s.z)
-	copy(s.z, zNew)
+	s.localSteps(ws, gs)
 }

@@ -44,10 +44,8 @@ type SMA struct {
 
 	z      []float32   // central average model
 	zPrev  []float32   // z at the beginning of the previous iteration
-	delta  []float32   // scratch: Σ corrections + momentum term
-	zNew   []float32   // scratch: next z during Nesterov steps
 	vel    [][]float32 // per-learner local momentum velocity
-	state  []bool      // state mask: true entries are exempt from corrections
+	state  stateRanges // segments exempt from corrections
 	iter   int
 	rounds int // consensus exchanges folded into z (z's version)
 }
@@ -69,46 +67,13 @@ func NewSMA(cfg SMAConfig, w0 []float32, k int) *SMA {
 		cfg: cfg, k: k, alpha: alpha,
 		z:     append([]float32(nil), w0...),
 		zPrev: append([]float32(nil), w0...),
-		delta: make([]float32, len(w0)),
-		zNew:  make([]float32, len(w0)),
 		vel:   make([][]float32, k),
+		state: newStateRanges(cfg.StateRanges, len(w0)),
 	}
 	for j := range s.vel {
 		s.vel[j] = make([]float32, len(w0))
 	}
-	if len(cfg.StateRanges) > 0 {
-		s.state = make([]bool, len(w0))
-		for _, rg := range cfg.StateRanges {
-			for i := rg[0]; i < rg[1] && i < len(w0); i++ {
-				s.state[i] = true
-			}
-		}
-	}
 	return s
-}
-
-// localStep applies learner j's gradient with local momentum:
-// v ← µL·v − γ·g; w ← w + v. With µL = 0 this is the plain step of Alg 1
-// line 8/10. The serial fast path avoids materialising the chunk closure —
-// learner steps run every iteration, and with one kernel worker the hot
-// loop stays allocation-free (same body, same bits).
-func (s *SMA) localStep(j int, w, g []float32) {
-	lr, mu := s.cfg.LearnRate, s.cfg.LocalMomentum
-	v := s.vel[j]
-	if tensor.Parallelism() == 1 {
-		localStepRange(v, w, g, lr, mu, 0, len(w))
-		return
-	}
-	tensor.ParallelFor(len(w), 16384, func(lo, hi int) {
-		localStepRange(v, w, g, lr, mu, lo, hi)
-	})
-}
-
-func localStepRange(v, w, g []float32, lr, mu float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v[i] = mu*v[i] - lr*g[i]
-		w[i] += v[i]
-	}
 }
 
 // K returns the learner count.
@@ -148,6 +113,31 @@ func (s *SMA) SnapshotCentral(dst []float32) (round int) {
 	return s.rounds
 }
 
+// The optimiser's passes over the model are walks in blocks of smaBlock
+// elements: a block of every vector a step touches fits in L1 together with
+// the block-sized correction sum, so each element is loaded from beyond L1
+// once per step. Every walk partitions the model over disjoint index ranges
+// and keeps per-index operations in replica order, so results are
+// bit-identical at any worker count. The block loop is written out in each
+// walk: handing the per-replica pass to one shared loop as a func value
+// heap-allocates the closure once per segment and made the step 1.5× slower.
+//
+// smaGrain is the smallest range worth handing to a second kernel worker.
+// The kernels stream ~1 element/ns, so a model under a few hundred
+// thousand parameters is done before a borrowed goroutine has been woken:
+// on the 2-vCPU reference box a two-replica Step over 180 000 parameters
+// took 233 µs on one worker and 270–290 µs split over two, and only at
+// 360 000 did the split win (414 vs 540 µs).
+const (
+	smaBlock = 1024
+	smaGrain = 1 << 18
+)
+
+// serialWalk reports whether a walk over n parameters runs on the calling
+// goroutine; callers then invoke their range function directly, so the
+// chunk closure is never materialised.
+func serialWalk(n int) bool { return n <= smaGrain || tensor.Parallelism() == 1 }
+
 // Step performs one iteration of Algorithm 1 (lines 4-13). ws[j] is learner
 // j's replica and gs[j] the raw loss gradient ∇ℓ_Bj(wj) the learner just
 // computed; Step applies the learning rate internally. On non-sync
@@ -158,88 +148,154 @@ func (s *SMA) Step(ws, gs [][]float32) {
 		panic(fmt.Sprintf("core: SMA.Step with %d/%d vectors, want %d", len(ws), len(gs), s.k))
 	}
 	s.iter++
-	sync := s.iter%s.cfg.Tau == 0
-	if !sync {
-		for j := range ws {
-			s.localStep(j, ws[j], gs[j])
-		}
+	if s.iter%s.cfg.Tau != 0 {
+		s.localSteps(ws, gs)
 		return
 	}
-	// Corrections are computed on the replicas as they stood at the
-	// iteration start (line 9), so the exchange runs before the gradient
-	// steps; each replica takes correction and gradient in one iteration
-	// (line 10).
-	smaExchange(ws, s.z, s.zPrev, s.delta, s.state, s.alpha, s.cfg.Momentum)
 	s.rounds++
-	for j := range ws {
-		s.localStep(j, ws[j], gs[j])
+	if serialWalk(len(s.z)) {
+		s.stepRange(ws, gs, 0, len(s.z))
+		return
+	}
+	tensor.ParallelFor(len(s.z), smaGrain, func(lo, hi int) { s.stepRange(ws, gs, lo, hi) })
+}
+
+// localSteps applies every learner's gradient with local momentum:
+// v ← µL·v − γ·g; w ← w + v. With µL = 0 this is the plain step of Alg 1
+// line 8/10.
+func (s *SMA) localSteps(ws, gs [][]float32) {
+	if serialWalk(len(s.z)) {
+		s.localStepsRange(ws, gs, 0, len(s.z))
+		return
+	}
+	tensor.ParallelFor(len(s.z), smaGrain, func(lo, hi int) { s.localStepsRange(ws, gs, lo, hi) })
+}
+
+func (s *SMA) localStepsRange(ws, gs [][]float32, lo, hi int) {
+	lr, muL := s.cfg.LearnRate, s.cfg.LocalMomentum
+	for j, w := range ws {
+		tensor.SMALocalStep(w[lo:hi], gs[j][lo:hi], s.vel[j][lo:hi], lr, muL)
 	}
 }
 
-// smaExchange is the SMA consensus update of Alg 1 lines 8-13, shared by
-// every averaging tier (learner replicas against an average model, server
-// reference models against the cluster average model): each replica's
-// correction c_j = α(w_j − z) accumulates into delta (line 12's first
-// component) and applies to the replica, then z follows the summed
-// corrections with momentum, z ← z + Σ c_j + µ (z − z_prev) (lines
-// 11-13). State entries (batch-norm statistics) are exempt from
+// stepRange is the τ-boundary iteration over [lo, hi) in one traversal.
+// Per block, every replica takes its correction c_j = α(w_j − z) — computed
+// against z as it stood at the iteration start (line 9) — and its gradient
+// step in one fused pass (line 10), the corrections summing in replica
+// order into a block-sized scratch; then z follows the sum with momentum,
+// z ← z + Σ c_j + µ(z − z_prev) (lines 11-13). Fusing the gradient step
+// into the correction pass is exact: learner j's step reads nothing the
+// other replicas' corrections write. State segments (batch-norm
+// statistics) are exempt from corrections: z carries the replica average
+// and the replicas take the plain step.
+func (s *SMA) stepRange(ws, gs [][]float32, lo, hi int) {
+	var scratch [smaBlock]float32
+	alpha, mu := s.alpha, s.cfg.Momentum
+	lr, muL := s.cfg.LearnRate, s.cfg.LocalMomentum
+	for seg := s.state.segments(lo, hi); ; {
+		a, b, state, ok := seg.next()
+		if !ok {
+			return
+		}
+		if state {
+			averageState(s.z, s.zPrev, ws, a, b)
+			s.localStepsRange(ws, gs, a, b)
+			continue
+		}
+		for ; a < b; a += smaBlock {
+			e := min(a+smaBlock, b)
+			delta := scratch[:e-a]
+			clear(delta)
+			for j, w := range ws {
+				tensor.SMACorrectStep(w[a:e], gs[j][a:e], s.vel[j][a:e], s.z[a:e], delta, alpha, lr, muL)
+			}
+			tensor.SMAFold(s.z[a:e], s.zPrev[a:e], delta, mu)
+		}
+	}
+}
+
+// averageState is the state-segment form of the consensus update over
+// [lo, hi): z carries the average of the vectors (replica statistics, or
+// the values ContributeStep handed over), summed in index order.
+func averageState(z, zPrev []float32, vs [][]float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var sum float32
+		for _, v := range vs {
+			sum += v[i]
+		}
+		zPrev[i] = z[i]
+		z[i] = sum / float32(len(vs))
+	}
+}
+
+// foldBlocks folds per-replica contributions into z over the plain segment
+// [lo, hi): per block, delta = Σ_j vs[j] accumulated from zero in index
+// order, then z ← z + delta + µ(z − z_prev).
+func foldBlocks(z, zPrev []float32, vs [][]float32, mu float32, lo, hi int) {
+	var scratch [smaBlock]float32
+	for ; lo < hi; lo += smaBlock {
+		e := min(lo+smaBlock, hi)
+		delta := scratch[:e-lo]
+		clear(delta)
+		for _, v := range vs {
+			tensor.AccumAdd(delta, v[lo:e])
+		}
+		tensor.SMAFold(z[lo:e], zPrev[lo:e], delta, mu)
+	}
+}
+
+// smaExchange is the consensus update of Alg 1 lines 8-13 for a tier whose
+// replicas take no gradient step of their own (server reference models
+// against the cluster average model): each replica's correction
+// c_j = α(w_j − z) applies to the replica and sums into z's update,
+// z ← z + Σ c_j + µ (z − z_prev). State segments are exempt from
 // corrections and carry the replica average instead.
-func smaExchange(ws [][]float32, z, zPrev, delta []float32, state []bool, alpha, mu float32) {
-	// Every index is independent of the others, so the exchange is
-	// partitioned over disjoint index ranges: per-index operations keep
-	// their replica-order (j) accumulation, making the result bit-identical
-	// at any worker count. Serial fast path: no chunk closure.
-	if tensor.Parallelism() == 1 {
-		smaExchangeRange(ws, z, zPrev, delta, state, alpha, mu, 0, len(z))
+func smaExchange(ws [][]float32, z, zPrev []float32, state stateRanges, alpha, mu float32) {
+	if serialWalk(len(z)) {
+		exchangeRange(ws, z, zPrev, state, alpha, mu, 0, len(z))
 		return
 	}
-	tensor.ParallelFor(len(z), 16384, func(lo, hi int) {
-		smaExchangeRange(ws, z, zPrev, delta, state, alpha, mu, lo, hi)
+	tensor.ParallelFor(len(z), smaGrain, func(lo, hi int) {
+		exchangeRange(ws, z, zPrev, state, alpha, mu, lo, hi)
 	})
 }
 
-func smaExchangeRange(ws [][]float32, z, zPrev, delta []float32, state []bool, alpha, mu float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		delta[i] = 0
-	}
-	for _, w := range ws {
-		if state == nil {
-			for i := lo; i < hi; i++ {
-				c := alpha * (w[i] - z[i])
-				delta[i] += c
-				w[i] -= c
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				if state[i] {
-					continue
-				}
-				c := alpha * (w[i] - z[i])
-				delta[i] += c
-				w[i] -= c
-			}
+func exchangeRange(ws [][]float32, z, zPrev []float32, state stateRanges, alpha, mu float32, lo, hi int) {
+	var scratch [smaBlock]float32
+	for seg := state.segments(lo, hi); ; {
+		a, b, isState, ok := seg.next()
+		if !ok {
+			return
 		}
-	}
-	for i := lo; i < hi; i++ {
-		zOld := z[i]
-		if state != nil && state[i] {
-			var sum float32
-			for j := range ws {
-				sum += ws[j][i]
-			}
-			z[i] = sum / float32(len(ws))
-			zPrev[i] = zOld
+		if isState {
+			averageState(z, zPrev, ws, a, b)
 			continue
 		}
-		z[i] = zOld + delta[i] + mu*(zOld-zPrev[i])
-		zPrev[i] = zOld
+		for ; a < b; a += smaBlock {
+			e := min(a+smaBlock, b)
+			delta := scratch[:e-a]
+			clear(delta)
+			for _, w := range ws {
+				tensor.SMACorrect(w[a:e], z[a:e], delta, alpha)
+			}
+			tensor.SMAFold(z[a:e], zPrev[a:e], delta, mu)
+		}
 	}
 }
 
 // LocalStep applies learner j's gradient to its replica with local momentum
 // (Alg 1 line 8/10). It touches only learner j's state, so distinct
 // learners may step concurrently — the barrier-free runtime's contract.
-func (s *SMA) LocalStep(j int, w, g []float32) { s.localStep(j, w, g) }
+func (s *SMA) LocalStep(j int, w, g []float32) {
+	lr, muL, v := s.cfg.LearnRate, s.cfg.LocalMomentum, s.vel[j]
+	if serialWalk(len(w)) {
+		tensor.SMALocalStep(w, g, v, lr, muL)
+		return
+	}
+	tensor.ParallelFor(len(w), smaGrain, func(lo, hi int) {
+		tensor.SMALocalStep(w[lo:hi], g[lo:hi], v[lo:hi], lr, muL)
+	})
+}
 
 // ContributeStep is learner j's τ-boundary update, fused into one pass
 // over the replica: the correction c_j = α(w_j − z) against the current
@@ -247,48 +303,44 @@ func (s *SMA) LocalStep(j int, w, g []float32) { s.localStep(j, w, g) }
 // iteration start, applied to it, and stored in out (len(out) == len(w));
 // then the iteration's gradient step w ← (w − c) + (v ← µ_L·v − γ·g)
 // follows (Alg 1 line 10: replicas take correction and gradient in one
-// iteration). The arithmetic and its order are exactly those of the
-// lockstep exchange followed by LocalStep — fusing only removes a second
-// traversal of w — so the two schedulers stay numerically interchangeable.
-// State entries are exempt from corrections; out carries the replica's
-// pre-step value there so ApplyContributions can average it.
+// iteration). It is the same kernel pass the lockstep Step runs per
+// replica, storing the correction instead of summing it, so the two
+// schedulers stay numerically interchangeable. State entries are exempt
+// from corrections; out carries the replica's pre-step value there so
+// ApplyContributions can average it.
 //
 // ContributeStep reads z and touches only learner j's state otherwise, so
 // all learners of one round may contribute concurrently as long as no
 // ApplyContributions runs in between — the runtime's round protocol
 // guarantees exactly that.
 func (s *SMA) ContributeStep(j int, w, g, out []float32) {
-	alpha, z, state := s.alpha, s.z, s.state
-	lr, mu := s.cfg.LearnRate, s.cfg.LocalMomentum
-	v := s.vel[j]
-	if tensor.Parallelism() == 1 {
-		contributeStepRange(w, g, out, v, z, state, alpha, lr, mu, 0, len(w))
+	if serialWalk(len(w)) {
+		s.contributeRange(j, w, g, out, 0, len(w))
 		return
 	}
-	tensor.ParallelFor(len(w), 16384, func(lo, hi int) {
-		contributeStepRange(w, g, out, v, z, state, alpha, lr, mu, lo, hi)
-	})
+	tensor.ParallelFor(len(w), smaGrain, func(lo, hi int) { s.contributeRange(j, w, g, out, lo, hi) })
 }
 
-func contributeStepRange(w, g, out, v, z []float32, state []bool, alpha, lr, mu float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		wi := w[i]
-		if state == nil || !state[i] {
-			c := alpha * (wi - z[i])
-			out[i] = c
-			wi -= c
-		} else {
-			out[i] = wi
+func (s *SMA) contributeRange(j int, w, g, out []float32, lo, hi int) {
+	lr, muL, v := s.cfg.LearnRate, s.cfg.LocalMomentum, s.vel[j]
+	for seg := s.state.segments(lo, hi); ; {
+		a, b, state, ok := seg.next()
+		if !ok {
+			return
 		}
-		v[i] = mu*v[i] - lr*g[i]
-		w[i] = wi + v[i]
+		if state {
+			copy(out[a:b], w[a:b])
+			tensor.SMALocalStep(w[a:b], g[a:b], v[a:b], lr, muL)
+			continue
+		}
+		tensor.SMAContributeStep(w[a:b], g[a:b], v[a:b], s.z[a:b], out[a:b], s.alpha, lr, muL)
 	}
 }
 
 // ApplyContributions folds one round of corrections into the central
 // average model: delta[i] = Σ_j corr[j][i] accumulated in learner-index
 // order, then z ← z + delta + µ(z − z_prev) (Alg 1 lines 11-13), exactly
-// the arithmetic and accumulation order of the lockstep exchange — so for
+// the arithmetic and accumulation order of the lockstep Step — so for
 // corrections computed against the same z, lockstep and barrier-free
 // synchronisation produce bit-identical average models. State entries
 // carry the replica average. corr must hold one ContributeStep result per
@@ -297,35 +349,25 @@ func (s *SMA) ApplyContributions(corr [][]float32) {
 	if len(corr) != s.k {
 		panic(fmt.Sprintf("core: ApplyContributions with %d vectors, want %d", len(corr), s.k))
 	}
-	z, zPrev, state, mu := s.z, s.zPrev, s.state, s.cfg.Momentum
 	s.rounds++
-	if tensor.Parallelism() == 1 {
-		applyContributionsRange(corr, z, zPrev, state, mu, 0, len(z))
+	if serialWalk(len(s.z)) {
+		s.applyRange(corr, 0, len(s.z))
 		return
 	}
-	tensor.ParallelFor(len(z), 16384, func(lo, hi int) {
-		applyContributionsRange(corr, z, zPrev, state, mu, lo, hi)
-	})
+	tensor.ParallelFor(len(s.z), smaGrain, func(lo, hi int) { s.applyRange(corr, lo, hi) })
 }
 
-func applyContributionsRange(corr [][]float32, z, zPrev []float32, state []bool, mu float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		zOld := z[i]
-		if state != nil && state[i] {
-			var sum float32
-			for j := range corr {
-				sum += corr[j][i]
-			}
-			z[i] = sum / float32(len(corr))
-			zPrev[i] = zOld
-			continue
+func (s *SMA) applyRange(corr [][]float32, lo, hi int) {
+	for seg := s.state.segments(lo, hi); ; {
+		a, b, state, ok := seg.next()
+		if !ok {
+			return
 		}
-		var delta float32
-		for j := range corr {
-			delta += corr[j][i]
+		if state {
+			averageState(s.z, s.zPrev, corr, a, b)
+		} else {
+			foldBlocks(s.z, s.zPrev, corr, s.cfg.Momentum, a, b)
 		}
-		z[i] = zOld + delta + mu*(zOld-zPrev[i])
-		zPrev[i] = zOld
 	}
 }
 

@@ -1,0 +1,473 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"crossbow/internal/nn"
+	"crossbow/internal/tensor"
+)
+
+// The oracle: the optimiser's scalar loops as they stood before the blocked
+// kernels, copied verbatim — a per-element state mask, a model-sized delta
+// vector, the exchange and the local steps as separate traversals. Every
+// entry point of the kernel-based optimiser is pinned to it bit for bit.
+
+func oracleMask(ranges [][2]int, n int) []bool {
+	if len(ranges) == 0 {
+		return nil
+	}
+	state := make([]bool, n)
+	for _, rg := range ranges {
+		for i := rg[0]; i < rg[1] && i < n; i++ {
+			state[i] = true
+		}
+	}
+	return state
+}
+
+func oracleLocalStep(v, w, g []float32, lr, mu float32) {
+	for i := range w {
+		v[i] = mu*v[i] - lr*g[i]
+		w[i] += v[i]
+	}
+}
+
+func oracleExchange(ws [][]float32, z, zPrev, delta []float32, state []bool, alpha, mu float32) {
+	lo, hi := 0, len(z)
+	for i := lo; i < hi; i++ {
+		delta[i] = 0
+	}
+	for _, w := range ws {
+		if state == nil {
+			for i := lo; i < hi; i++ {
+				c := alpha * (w[i] - z[i])
+				delta[i] += c
+				w[i] -= c
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				if state[i] {
+					continue
+				}
+				c := alpha * (w[i] - z[i])
+				delta[i] += c
+				w[i] -= c
+			}
+		}
+	}
+	for i := lo; i < hi; i++ {
+		zOld := z[i]
+		if state != nil && state[i] {
+			var sum float32
+			for j := range ws {
+				sum += ws[j][i]
+			}
+			z[i] = sum / float32(len(ws))
+			zPrev[i] = zOld
+			continue
+		}
+		z[i] = zOld + delta[i] + mu*(zOld-zPrev[i])
+		zPrev[i] = zOld
+	}
+}
+
+func oracleContributeStep(w, g, out, v, z []float32, state []bool, alpha, lr, mu float32) {
+	for i := range w {
+		wi := w[i]
+		if state == nil || !state[i] {
+			c := alpha * (wi - z[i])
+			out[i] = c
+			wi -= c
+		} else {
+			out[i] = wi
+		}
+		v[i] = mu*v[i] - lr*g[i]
+		w[i] = wi + v[i]
+	}
+}
+
+func oracleApplyContributions(corr [][]float32, z, zPrev []float32, state []bool, mu float32) {
+	for i := range z {
+		zOld := z[i]
+		if state != nil && state[i] {
+			var sum float32
+			for j := range corr {
+				sum += corr[j][i]
+			}
+			z[i] = sum / float32(len(corr))
+			zPrev[i] = zOld
+			continue
+		}
+		var delta float32
+		for j := range corr {
+			delta += corr[j][i]
+		}
+		z[i] = zOld + delta + mu*(zOld-zPrev[i])
+		zPrev[i] = zOld
+	}
+}
+
+func oracleDistApply(ref, zv, zp, sum []float32, st []bool, alphaG, n, mu float32, restart bool) {
+	if restart {
+		for i := range zv {
+			zn := sum[i] / n
+			zv[i] = zn
+			zp[i] = zn
+			if st == nil || !st[i] {
+				ref[i] -= alphaG * (ref[i] - zn)
+			}
+		}
+		return
+	}
+	for i := range zv {
+		zOld := zv[i]
+		if st != nil && st[i] {
+			zv[i] = sum[i] / n
+			zp[i] = zOld
+			continue
+		}
+		ref[i] -= alphaG * (ref[i] - zOld)
+		zv[i] = zOld + alphaG*(sum[i]-n*zOld) + mu*(zOld-zp[i])
+		zp[i] = zOld
+	}
+}
+
+// oracleSMA is the pre-kernel SMA: Step as exchange-then-local-steps.
+type oracleSMA struct {
+	cfg          SMAConfig
+	alpha        float32
+	z, zPrev, dl []float32
+	vel          [][]float32
+	state        []bool
+	iter         int
+}
+
+func newOracleSMA(cfg SMAConfig, w0 []float32, k int) *oracleSMA {
+	if cfg.Tau < 1 {
+		cfg.Tau = 1
+	}
+	o := &oracleSMA{
+		cfg: cfg, alpha: 1 / float32(k),
+		z: append([]float32(nil), w0...), zPrev: append([]float32(nil), w0...),
+		dl: make([]float32, len(w0)), state: oracleMask(cfg.StateRanges, len(w0)),
+	}
+	for j := 0; j < k; j++ {
+		o.vel = append(o.vel, make([]float32, len(w0)))
+	}
+	return o
+}
+
+func (o *oracleSMA) step(ws, gs [][]float32) {
+	o.iter++
+	if o.iter%o.cfg.Tau == 0 {
+		oracleExchange(ws, o.z, o.zPrev, o.dl, o.state, o.alpha, o.cfg.Momentum)
+	}
+	for j := range ws {
+		oracleLocalStep(o.vel[j], ws[j], gs[j], o.cfg.LearnRate, o.cfg.LocalMomentum)
+	}
+}
+
+var oracleEdges = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	1e-40, -3e-39, math.MaxFloat32,
+}
+
+// oracleFill: mostly ordinary values, one in eight an IEEE corner, slices
+// cut from offset off of their backing array so vectors start off 32-byte
+// alignment.
+func oracleFill(r *tensor.RNG, n, off int, scale float32) []float32 {
+	s := make([]float32, n+off)[off:]
+	for i := range s {
+		if r.Intn(8) == 0 {
+			s[i] = oracleEdges[r.Intn(len(oracleEdges))]
+		} else {
+			s[i] = float32(r.NormFloat64()) * scale
+		}
+	}
+	return s
+}
+
+func oracleFills(r *tensor.RNG, k, n int, scale float32) [][]float32 {
+	vs := make([][]float32, k)
+	for j := range vs {
+		vs[j] = oracleFill(r, n, j%3, scale)
+	}
+	return vs
+}
+
+func cloneVecs(vs [][]float32) [][]float32 {
+	out := make([][]float32, len(vs))
+	for j, v := range vs {
+		out[j] = append([]float32(nil), v...)
+	}
+	return out
+}
+
+// bitsEqual demands identical bit patterns; a NaN may carry any payload
+// (see tensor's smaBitsEqual: the payload of an operation on two different
+// NaNs depends on operand order, which the compiler is free to choose).
+func bitsEqual(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		g, w := math.Float32bits(got[i]), math.Float32bits(want[i])
+		if g != w && !(got[i] != got[i] && want[i] != want[i]) {
+			t.Fatalf("%s: [%d] = %08x (%v), want %08x (%v)", name, i, g, got[i], w, want[i])
+		}
+	}
+}
+
+func vecsEqual(t *testing.T, name string, got, want [][]float32) {
+	t.Helper()
+	for j := range want {
+		bitsEqual(t, fmt.Sprintf("%s[%d]", name, j), got[j], want[j])
+	}
+}
+
+// oracleRanges returns state-range layouts for a model of n parameters:
+// none; at the start, at the end, two adjacent, an empty one, one past the
+// end, overlapping, out of order; and for the two benchmark models the
+// network's own.
+func oracleRanges(n int) [][][2]int {
+	out := [][][2]int{nil}
+	if n >= 8 {
+		out = append(out, [][2]int{{n - 3, n + 5}, {0, 2}, {4, 4}, {2, 3}, {n / 2, n/2 + 2}, {n/2 + 1, n/2 + 3}})
+	}
+	switch n {
+	case 6218:
+		out = append(out, [][2]int{{100, 116}, {116, 132}, {3000, 3064}})
+	case 45210:
+		_, real := benchModel(nn.ResNet32)
+		out = append(out, real)
+	}
+	return out
+}
+
+func oracleSizes() []int {
+	ns := []int{6218, 45210}
+	for n := 0; n <= 67; n++ {
+		ns = append(ns, n)
+	}
+	return ns
+}
+
+func TestStateRangeSegments(t *testing.T) {
+	r := tensor.NewRNG(3)
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(90)
+		var ranges [][2]int
+		for c := r.Intn(6); c > 0; c-- {
+			lo := r.Intn(n + 1)
+			ranges = append(ranges, [2]int{lo, lo + r.Intn(12)})
+		}
+		mask := oracleMask(ranges, n)
+		st := newStateRanges(ranges, n)
+		lo := r.Intn(n + 1)
+		hi := lo + r.Intn(n+1-lo)
+		pos := lo
+		prevState, first := false, true
+		for seg := st.segments(lo, hi); ; {
+			a, b, state, ok := seg.next()
+			if !ok {
+				break
+			}
+			if a != pos || b <= a || b > hi {
+				t.Fatalf("ranges %v [%d,%d): segment [%d,%d) after %d", ranges, lo, hi, a, b, pos)
+			}
+			if !first && state == prevState {
+				t.Fatalf("ranges %v [%d,%d): two %v segments in a row at %d", ranges, lo, hi, state, a)
+			}
+			for i := a; i < b; i++ {
+				if (mask != nil && mask[i]) != state {
+					t.Fatalf("ranges %v [%d,%d): index %d in a state=%v segment", ranges, lo, hi, i, state)
+				}
+			}
+			pos, prevState, first = b, state, false
+		}
+		if pos != hi {
+			t.Fatalf("ranges %v [%d,%d): walk stopped at %d", ranges, lo, hi, pos)
+		}
+	}
+}
+
+// TestSMAMatchesScalarOracle drives Step, ContributeStep+ApplyContributions
+// and LocalStep beside the oracle over every size, learner count, state
+// layout, τ and kernel budget, three rounds each so velocities and z_prev
+// take part, on inputs dense in IEEE corners. CI runs it a second time
+// with CROSSBOW_NOSIMD=1, where the kernels are their scalar tails.
+func TestSMAMatchesScalarOracle(t *testing.T) {
+	defer tensor.SetWorkerBudget(tensor.WorkerBudget())
+	for _, n := range oracleSizes() {
+		for ri, ranges := range oracleRanges(n) {
+			for k := 1; k <= 4; k++ {
+				for _, tau := range []int{1, 2} {
+					budget := 1 + (n+k+tau+ri)%3
+					tensor.SetWorkerBudget(budget)
+					name := fmt.Sprintf("n=%d ranges#%d k=%d tau=%d budget=%d", n, ri, k, tau, budget)
+					smaOracleCase(t, name, n, ranges, k, tau)
+				}
+			}
+		}
+	}
+}
+
+// TestSMAMatchesScalarOracleSplit uses a model large enough for the walk
+// to be split over kernel workers, at budgets 1, 2 and 3: the partition
+// must not show in the bits.
+func TestSMAMatchesScalarOracleSplit(t *testing.T) {
+	defer tensor.SetWorkerBudget(tensor.WorkerBudget())
+	const n = 2*smaGrain + 4099
+	ranges := [][2]int{{0, 40}, {smaGrain - 7, smaGrain + 9}, {n - 64, n}}
+	for budget := 1; budget <= 3; budget++ {
+		tensor.SetWorkerBudget(budget)
+		smaOracleCase(t, fmt.Sprintf("split budget=%d", budget), n, ranges, 2, 1)
+	}
+}
+
+func smaOracleCase(t *testing.T, name string, n int, ranges [][2]int, k, tau int) {
+	t.Helper()
+	r := tensor.NewRNG(uint64(n*31 + k*7 + tau))
+	cfg := SMAConfig{LearnRate: 0.1, Momentum: 0.9, LocalMomentum: 0.6, Tau: tau, StateRanges: ranges}
+	w0 := oracleFill(r, n, 1, 1)
+
+	// Lockstep Step against exchange-then-local-steps.
+	s, o := NewSMA(cfg, w0, k), newOracleSMA(cfg, w0, k)
+	ws := oracleFills(r, k, n, 1)
+	ows := cloneVecs(ws)
+	// The barrier-free pair runs the same rounds from the same start.
+	f := NewSMA(cfg, w0, k)
+	fws := cloneVecs(ws)
+	corr := oracleFills(r, k, n, 1)
+	for round := 0; round < 3; round++ {
+		gs := oracleFills(r, k, n, 0.1)
+		s.Step(ws, gs)
+		o.step(ows, gs)
+		at := fmt.Sprintf("%s round %d", name, round)
+		vecsEqual(t, at+" Step w", ws, ows)
+		vecsEqual(t, at+" Step vel", s.vel, o.vel)
+		bitsEqual(t, at+" Step z", s.z, o.z)
+		bitsEqual(t, at+" Step zPrev", s.zPrev, o.zPrev)
+
+		if (round+1)%tau != 0 {
+			for j := range fws {
+				f.LocalStep(j, fws[j], gs[j])
+			}
+		} else {
+			ocorr := cloneVecs(corr)
+			pre := cloneVecs(fws)
+			prev := cloneVecs(f.vel)
+			for j := range fws {
+				f.ContributeStep(j, fws[j], gs[j], corr[j])
+				oracleContributeStep(pre[j], gs[j], ocorr[j], prev[j], f.z, oracleMask(ranges, n), f.alpha, cfg.LearnRate, cfg.LocalMomentum)
+			}
+			vecsEqual(t, at+" ContributeStep out", corr, ocorr)
+			vecsEqual(t, at+" ContributeStep w", fws, pre)
+			vecsEqual(t, at+" ContributeStep vel", f.vel, prev)
+			oz, ozp := append([]float32(nil), f.z...), append([]float32(nil), f.zPrev...)
+			f.ApplyContributions(corr)
+			oracleApplyContributions(ocorr, oz, ozp, oracleMask(ranges, n), cfg.Momentum)
+			bitsEqual(t, at+" ApplyContributions z", f.z, oz)
+			bitsEqual(t, at+" ApplyContributions zPrev", f.zPrev, ozp)
+		}
+		// And the two schedulers agree with each other.
+		vecsEqual(t, at+" FCFS w vs lockstep", fws, ws)
+		bitsEqual(t, at+" FCFS z vs lockstep", f.z, s.z)
+	}
+}
+
+// TestExchangeAndDistApplyMatchScalarOracle covers the two inter-server
+// folds: ClusterSMA's in-memory exchange (corrections without a gradient
+// step) and DistClusterSMA.apply in its steady and Restart branches.
+func TestExchangeAndDistApplyMatchScalarOracle(t *testing.T) {
+	defer tensor.SetWorkerBudget(tensor.WorkerBudget())
+	for _, n := range oracleSizes() {
+		for ri, ranges := range oracleRanges(n) {
+			budget := 1 + (n+ri)%3
+			tensor.SetWorkerBudget(budget)
+			name := fmt.Sprintf("n=%d ranges#%d budget=%d", n, ri, budget)
+			r := tensor.NewRNG(uint64(n + 1000*ri))
+			mask := oracleMask(ranges, n)
+
+			for k := 1; k <= 4; k++ {
+				refs := oracleFills(r, k, n, 1)
+				z, zPrev := oracleFill(r, n, 2, 1), oracleFill(r, n, 0, 1)
+				orefs, oz, ozp := cloneVecs(refs), append([]float32(nil), z...), append([]float32(nil), zPrev...)
+				smaExchange(refs, z, zPrev, newStateRanges(ranges, n), 0.25, 0.9)
+				oracleExchange(orefs, oz, ozp, make([]float32, n), mask, 0.25, 0.9)
+				at := fmt.Sprintf("%s k=%d smaExchange", name, k)
+				vecsEqual(t, at+" refs", refs, orefs)
+				bitsEqual(t, at+" z", z, oz)
+				bitsEqual(t, at+" zPrev", zPrev, ozp)
+			}
+
+			for _, restart := range []bool{false, true} {
+				for _, alphaG := range []float32{0, 0.3} {
+					w0 := oracleFill(r, n, 1, 1)
+					cfg := ClusterSMAConfig{SMAConfig: SMAConfig{Momentum: 0.9, StateRanges: ranges}, AlphaGlobal: alphaG}
+					d := NewDistClusterSMA(cfg, w0, 1, nopExchanger{})
+					copy(d.sma.z, oracleFill(r, n, 0, 1))
+					copy(d.zPrev, oracleFill(r, n, 0, 1))
+					copy(d.buf, oracleFill(r, n, 0, 3))
+					oref, oz, ozp := append([]float32(nil), d.sma.z...), append([]float32(nil), d.z...), append([]float32(nil), d.zPrev...)
+					d.apply(ExchangeRound{Participants: 3, Restart: restart})
+					a := alphaG
+					if a == 0 {
+						a = 1 / float32(3)
+					}
+					oracleDistApply(oref, oz, ozp, d.buf, mask, a, 3, 0.9, restart)
+					at := fmt.Sprintf("%s restart=%v alphaG=%v DistClusterSMA.apply", name, restart, alphaG)
+					bitsEqual(t, at+" ref", d.sma.z, oref)
+					bitsEqual(t, at+" z", d.z, oz)
+					bitsEqual(t, at+" zPrev", d.zPrev, ozp)
+					if d.Rounds() != 1 {
+						t.Fatalf("%s: Rounds() = %d after one apply", at, d.Rounds())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOptimiserStepAllocs pins the lockstep step's allocation budget. The
+// runtime declares one active learner around the step and restores the
+// count after it; that flip, and a step that runs on the calling goroutine
+// (any model up to smaGrain parameters, at any budget), allocate nothing.
+// A step split over two workers costs what one ParallelFor fan-out costs.
+func TestOptimiserStepAllocs(t *testing.T) {
+	defer tensor.SetWorkerBudget(tensor.WorkerBudget())
+	defer tensor.SetActiveLearners(tensor.SetActiveLearners(2))
+	flipAndStep := func(s *SMA, ws, gs [][]float32) func() {
+		return func() {
+			prev := tensor.SetActiveLearners(1)
+			s.Step(ws, gs)
+			tensor.SetActiveLearners(prev)
+		}
+	}
+	w0, state := benchModel(nn.ResNet32)
+	s := NewSMA(benchSMAConfig(state), w0, 2)
+	ws, gs := benchReplicas(w0, 2)
+	for _, budget := range []int{1, 2} {
+		tensor.SetWorkerBudget(budget)
+		if a := testing.AllocsPerRun(20, flipAndStep(s, ws, gs)); a != 0 {
+			t.Errorf("ResNet-32 step at budget %d: %v allocs, want 0", budget, a)
+		}
+	}
+
+	big := make([]float32, 2*smaGrain)
+	s = NewSMA(benchSMAConfig(nil), big, 2)
+	ws, gs = benchReplicas(big, 2)
+	tensor.SetWorkerBudget(2)
+	fanOut := testing.AllocsPerRun(20, func() {
+		prev := tensor.SetActiveLearners(1)
+		tensor.ParallelFor(len(big), smaGrain, func(lo, hi int) { big[lo] = 0 })
+		tensor.SetActiveLearners(prev)
+	})
+	if a := testing.AllocsPerRun(20, flipAndStep(s, ws, gs)); a > fanOut {
+		t.Errorf("split step: %v allocs, a bare two-worker ParallelFor costs %v", a, fanOut)
+	}
+}

@@ -34,8 +34,8 @@ type SchedulerMode string
 // Scheduler modes.
 const (
 	// SchedLockstep joins all learners behind a barrier every iteration and
-	// steps the optimiser single-threaded — the paper's baseline execution
-	// model and this trainer's bit-deterministic oracle.
+	// steps the optimiser on the joining goroutine with the whole kernel
+	// budget — the paper's baseline execution model and this trainer's bit-deterministic oracle.
 	SchedLockstep SchedulerMode = "lockstep"
 	// SchedFCFS is Crossbow's barrier-free schedule: learners bind staged
 	// batches first-come-first-served, run ahead of the average model by up

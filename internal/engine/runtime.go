@@ -19,7 +19,8 @@ import (
 // Two scheduling modes (§4.3):
 //
 //   - Lockstep: every iteration binds batch i·k+j to learner j, joins all k
-//     tasks behind a barrier, and runs the optimiser step single-threaded.
+//     tasks behind a barrier, and runs the optimiser step on the joining
+//     goroutine with the whole kernel budget (every learner is parked).
 //     These are the pre-runtime trainer's semantics, kept as the
 //     bit-deterministic oracle: for a fixed config the whole trajectory is
 //     reproducible bit for bit at any worker count.

@@ -1,0 +1,98 @@
+package tensor
+
+// Optimiser kernels: the flat-vector arithmetic of synchronous model
+// averaging (Alg 1 lines 8-13) as exact elementwise loops. §4.4 keeps every
+// replica's weights and gradients contiguous so that corrections, momentum
+// and averaging are streaming passes; these are those passes, one fused
+// loop per role, on elem.go's conventions (AVX2 covers len&^7, the Go loop
+// below finishes the tail and is the whole kernel when SIMD is off).
+//
+// Every kernel is bit-identical to its scalar loop for all inputs
+// (including ±Inf, -0 and denormals; NaN lanes stay NaN): the vector code
+// performs the same IEEE single-precision multiplies, adds and subtracts
+// in the same association, never a fused multiply-add, and never flushes
+// denormals. The scalar loops are the definition; internal/core composes
+// them into blocked walks over the model (DESIGN.md "optimiser kernels").
+//
+// All slices of one call must have equal length and must not overlap.
+
+func sameLen(name string, n int, lens ...int) {
+	for _, l := range lens {
+		if l != n {
+			panic("tensor: " + name + " length mismatch")
+		}
+	}
+}
+
+// SMACorrectStep is one replica's τ-boundary update with the correction
+// accumulated for the fold: c = α(w−z); delta += c; v = µ·v − γ·g;
+// w = (w−c) + v. Calling it once per replica on a zeroed delta leaves
+// delta = ((0+c_0)+c_1)+…, the replica-order sum SMAFold consumes.
+func SMACorrectStep(w, g, v, z, delta []float32, alpha, lr, mu float32) {
+	sameLen("SMACorrectStep", len(w), len(g), len(v), len(z), len(delta))
+	for i := smaCorrectStepASM(w, g, v, z, delta, alpha, lr, mu, true); i < len(w); i++ {
+		c := alpha * (w[i] - z[i])
+		delta[i] += c
+		v[i] = mu*v[i] - lr*g[i]
+		w[i] = (w[i] - c) + v[i]
+	}
+}
+
+// SMAContributeStep is SMACorrectStep with the correction stored instead
+// of accumulated (out = c): the barrier-free runtime keeps one correction
+// vector per learner and sums them later, in learner order.
+func SMAContributeStep(w, g, v, z, out []float32, alpha, lr, mu float32) {
+	sameLen("SMAContributeStep", len(w), len(g), len(v), len(z), len(out))
+	for i := smaCorrectStepASM(w, g, v, z, out, alpha, lr, mu, false); i < len(w); i++ {
+		c := alpha * (w[i] - z[i])
+		out[i] = c
+		v[i] = mu*v[i] - lr*g[i]
+		w[i] = (w[i] - c) + v[i]
+	}
+}
+
+// SMACorrect applies a correction without a gradient step — the consensus
+// exchange of a tier whose replicas are themselves average models:
+// c = α(w−z); delta += c; w −= c.
+func SMACorrect(w, z, delta []float32, alpha float32) {
+	sameLen("SMACorrect", len(w), len(z), len(delta))
+	for i := smaCorrectASM(w, z, delta, alpha); i < len(w); i++ {
+		c := alpha * (w[i] - z[i])
+		delta[i] += c
+		w[i] -= c
+	}
+}
+
+// SMALocalStep is a gradient step with local momentum:
+// v = µ·v − γ·g; w += v.
+func SMALocalStep(w, g, v []float32, lr, mu float32) {
+	sameLen("SMALocalStep", len(w), len(g), len(v))
+	for i := smaLocalStepASM(w, g, v, lr, mu); i < len(w); i++ {
+		v[i] = mu*v[i] - lr*g[i]
+		w[i] += v[i]
+	}
+}
+
+// SMAFold moves the average model along the summed corrections with
+// Polyak momentum: z = (z + delta) + µ(z − zPrev); zPrev = the old z.
+func SMAFold(z, zPrev, delta []float32, mu float32) {
+	sameLen("SMAFold", len(z), len(zPrev), len(delta))
+	for i := smaFoldASM(z, zPrev, delta, mu); i < len(z); i++ {
+		zOld := z[i]
+		z[i] = zOld + delta[i] + mu*(zOld-zPrev[i])
+		zPrev[i] = zOld
+	}
+}
+
+// SMADistFold is the inter-server fold factored through an all-reduced
+// sum over parts servers: ref −= α(ref − z);
+// z = (z + α(sum − parts·z)) + µ(z − zPrev); zPrev = the old z.
+func SMADistFold(ref, z, zPrev, sum []float32, alpha, parts, mu float32) {
+	sameLen("SMADistFold", len(z), len(ref), len(zPrev), len(sum))
+	for i := smaDistFoldASM(ref, z, zPrev, sum, alpha, parts, mu); i < len(z); i++ {
+		zOld := z[i]
+		ref[i] -= alpha * (ref[i] - zOld)
+		z[i] = zOld + alpha*(sum[i]-parts*zOld) + mu*(zOld-zPrev[i])
+		zPrev[i] = zOld
+	}
+}

@@ -31,6 +31,11 @@ var (
 	parLearners int // learner goroutines currently sharing the budget
 	parWorkers  int // effective per-kernel bound: max(1, budget/learners)
 	parSem      chan struct{}
+	// parSems keeps one semaphore per capacity ever used. The lockstep
+	// runtime flips the learner count around every optimiser step; reusing
+	// the channel makes the flip allocation-free, and a chunk goroutine
+	// still running across a flip keeps its slot in the channel it took.
+	parSems = map[int]chan struct{}{}
 )
 
 func init() {
@@ -59,7 +64,12 @@ func resizeLocked() {
 	if cap < 0 {
 		cap = 0
 	}
-	parSem = make(chan struct{}, cap)
+	sem, ok := parSems[cap]
+	if !ok {
+		sem = make(chan struct{}, cap)
+		parSems[cap] = sem
+	}
+	parSem = sem
 }
 
 // SetWorkerBudget sets the process-wide compute-goroutine budget the kernel

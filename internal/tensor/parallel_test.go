@@ -108,3 +108,17 @@ func TestSetActiveLearnersRestore(t *testing.T) {
 		t.Fatalf("learner count fell below 1: %d", prev)
 	}
 }
+
+// TestActiveLearnersFlipDoesNotAllocate: the lockstep runtime declares one
+// active learner around every optimiser step and restores the count after
+// it, which changes the semaphore capacity twice per iteration; the
+// per-capacity semaphores make that flip free.
+func TestActiveLearnersFlipDoesNotAllocate(t *testing.T) {
+	defer SetWorkerBudget(WorkerBudget())
+	defer SetActiveLearners(SetActiveLearners(2))
+	SetWorkerBudget(2)
+	SetActiveLearners(SetActiveLearners(1)) // both capacities now exist
+	if a := testing.AllocsPerRun(100, func() { SetActiveLearners(SetActiveLearners(1)) }); a != 0 {
+		t.Fatalf("learner-count flip allocates %v times, want 0", a)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crossbow/internal/metrics"
+	"crossbow/internal/tensor"
 )
 
 // errAborted signals a membership change mid-collective; AllReduce maps it
@@ -562,14 +563,11 @@ func rankIndex(view []int, rank int) int {
 	return -1
 }
 
-// addInto accumulates src into dst element-wise. Plain sequential adds:
-// the reduction order must be identical on every participant, so no
-// reordering tricks.
-func addInto(dst, src []float32) {
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
+// addInto accumulates src into dst element-wise: one IEEE add per element
+// (tensor.AccumAdd is exact, vectorised or not), so the reduction order —
+// which must be identical on every participant — is the order of the calls.
+// recvData has already checked len(src) against the segment.
+func addInto(dst, src []float32) { tensor.AccumAdd(dst, src) }
 
 // nodeStats is the transport's lock-free counter block.
 type nodeStats struct {
