@@ -105,24 +105,42 @@ func KernelBench(quick bool) []KernelBenchRow {
 		}
 	}
 
-	// Batched conv lowering at the ResNet-32 stage geometries, b=16.
-	geoms := []tensor.ConvGeom{
+	// Batched conv lowering: the ResNet-32 stage geometries at b=16 and at
+	// the benchmark workload's b=4 (plane-shift tables), then the stage
+	// transitions' strided 3×3 convs and 1×1 projections at b=4
+	// (source-index table).
+	type lowerCase struct {
+		shape string
+		g     tensor.ConvGeom
+		batch int
+	}
+	stages := []tensor.ConvGeom{
 		{InC: 8, InH: 8, InW: 8, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 		{InC: 16, InH: 4, InW: 4, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 		{InC: 32, InH: 2, InW: 2, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 	}
-	const batch = 16
-	for _, g := range geoms {
-		shape := fmt.Sprintf("c%dh%d b%d", g.InC, g.InH, batch)
+	var lowerCases []lowerCase
+	for _, batch := range []int{16, 4} {
+		for _, g := range stages {
+			lowerCases = append(lowerCases, lowerCase{fmt.Sprintf("c%dh%d b%d", g.InC, g.InH, batch), g, batch})
+		}
+	}
+	for _, g := range stages[:2] {
+		g.OutC, g.StrideH, g.StrideW = 2*g.InC, 2, 2
+		lowerCases = append(lowerCases, lowerCase{fmt.Sprintf("c%dh%d s2 b4", g.InC, g.InH), g, 4})
+		g.KH, g.KW, g.PadH, g.PadW = 1, 1, 0, 0
+		lowerCases = append(lowerCases, lowerCase{fmt.Sprintf("c%dh%d k1 s2 b4", g.InC, g.InH), g, 4})
+	}
+	for _, c := range lowerCases {
+		g, batch := c.g, c.batch
 		x := norm(batch * g.InVol())
 		col := make([]float32, g.ColRows()*batch*g.ColCols())
-		tensor.Im2colBatch(g, batch, x, col, false)
 		ns := benchIt(quick, func() { tensor.Im2colBatch(g, batch, x, col, true) })
-		rows = append(rows, KernelBenchRow{Kernel: "Im2colBatch", Shape: shape, NsPerOp: ns})
+		rows = append(rows, KernelBenchRow{Kernel: "Im2colBatch", Shape: c.shape, NsPerOp: ns})
 		dcol := norm(g.ColRows() * batch * g.ColCols())
 		dx := make([]float32, batch*g.InVol())
 		ns = benchIt(quick, func() { tensor.Col2imBatch(g, batch, dcol, dx) })
-		rows = append(rows, KernelBenchRow{Kernel: "Col2imBatch", Shape: shape, NsPerOp: ns})
+		rows = append(rows, KernelBenchRow{Kernel: "Col2imBatch", Shape: c.shape, NsPerOp: ns})
 	}
 
 	// Flat vector kernels at model-vector sizes (scaled ResNet-32 ≈ 20k

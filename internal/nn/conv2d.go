@@ -20,13 +20,16 @@ import (
 //
 // Buffers are declared to the memory planner, not allocated here: a network
 // attaches them to slices of one planned arena (memory.go), and standalone
-// layers fall back to private allocation on first use. col is planned as a
-// pinned range because its static padding zeros are the one piece of
-// cross-task buffer state; pinning keeps the zeros valid as arenas migrate
-// between learners.
+// layers fall back to private allocation on first use. The lowering writes
+// every element of col, padding zeros included, so col is planned like any
+// other buffer and needs nothing from the arena it lands in.
 type Conv2D struct {
 	Geom  tensor.ConvGeom
 	batch int
+	// lower is Geom's table-driven lowering, resolved on the first Forward
+	// (plan-only networks never pay for tables) and held so the hot path
+	// does no lookup.
+	lower *tensor.Lowering
 
 	w, b   []float32
 	gw, gb []float32
@@ -46,7 +49,6 @@ type Conv2D struct {
 	packT    []float32 // NS × OutC staging of dY for the weight-grad GEMM
 	gwT      []float32 // ColRows × OutC staging for the transposed weight-grad GEMM
 	colFresh bool      // col currently holds im2col of c.x
-	colInit  bool      // col's static padding zeros are in place
 
 	mode tensor.KernelMode // GEMM kernel mode (Network.SetKernelMode)
 
@@ -110,15 +112,14 @@ func (c *Conv2D) ensure() {
 	c.gwT = make([]float32, g.ColRows()*g.OutC)
 	c.y.SetData(make([]float32, tensor.Volume(c.y.Shape())))
 	c.dx.SetData(make([]float32, tensor.Volume(c.dx.Shape())))
-	c.colInit, c.colFresh = false, false
 }
 
 func (c *Conv2D) planFwd(p *taskPlanner, in *plannedBuf) *plannedBuf {
 	g := c.Geom
 	ns := c.batch * g.ColCols()
 	c.pbIn = in
-	// im2col writes col (pinned: padding zeros are cross-task state), reading x.
-	c.pbCol = p.pin(p.slice("conv.col", &c.col, g.ColRows()*ns, bufActivation))
+	// im2col writes col, reading x.
+	c.pbCol = p.slice("conv.col", &c.col, g.ColRows()*ns, bufActivation)
 	p.touch(in)
 	// Forward GEMM reads col, writes pack.
 	c.pbPack = p.slice("conv.pack", &c.pack, g.OutC*ns, bufScratch)
@@ -152,18 +153,6 @@ func (c *Conv2D) planBwd(p *taskPlanner, dout *plannedBuf) *plannedBuf {
 	c.pbDx = p.shell("conv.dx", c.dx, bufGradient)
 	p.touch(c.pbDcol)
 	return c.pbDx
-}
-
-// arenaReset revalidates col's cross-task state after an arena attach: every
-// arena pooled under this plan key has col's static padding zeros in place
-// (fresh blocks are zero-filled, used blocks were zeroed by this same layer
-// geometry, and AttachArena zeroes pinned ranges on first sight of any other
-// base), so the padding pass can be skipped from the first forward. col's
-// *interior* holds another task's values, so it is never fresh for this
-// layer's input.
-func (c *Conv2D) arenaReset() {
-	c.colInit = true
-	c.colFresh = false
 }
 
 func (c *Conv2D) Name() string { return "conv2d" }
@@ -262,14 +251,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.Geom
 	checkIn("conv2d", x, c.batch, []int{g.InC, g.InH, g.InW})
 	c.ensure()
+	if c.lower == nil {
+		c.lower = tensor.LoweringFor(g)
+	}
 	c.x = x
 	s := g.ColCols()
 	ns := c.batch * s
 	outVol := g.OutC * s
 	// One batched lowering + one GEMM for the whole mini-batch:
 	// pack(OutC × NS) = W(OutC × ColRows) · col(ColRows × NS).
-	tensor.Im2colBatch(g, c.batch, x.Data(), c.col, c.colInit)
-	c.colInit = true
+	c.lower.Im2colBatch(c.batch, x.Data(), c.col)
 	c.colFresh = true
 	if c.epi != nil {
 		c.refreshEpi()
@@ -362,7 +353,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// gw performs the same single `+= Σ` per element, so bits match the
 	// direct formulation.
 	if !c.colFresh {
-		tensor.Im2colBatch(g, c.batch, c.x.Data(), c.col, c.colInit)
+		c.lower.Im2colBatch(c.batch, c.x.Data(), c.col)
 	}
 	c.colFresh = false
 	tensor.GemmMode(c.mode, 1, c.col, g.ColRows(), ns, c.packT, g.OutC, 0, c.gwT)
@@ -374,6 +365,6 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	// Input gradient: dcol(ColRows × NS) = Wᵀ · dY, then scatter per sample.
 	tensor.GemmTAMode(c.mode, 1, c.w, g.OutC, g.ColRows(), c.pack, ns, 0, c.dcol)
-	tensor.Col2imBatch(g, c.batch, c.dcol, c.dx.Data())
+	c.lower.Col2imBatch(c.batch, c.dcol, c.dx.Data())
 	return c.dx
 }

@@ -18,12 +18,13 @@ import (
 // arena layout, and AttachArena binds every declared buffer to its planned
 // slice of one contiguous block.
 //
-// Correctness invariant: a buffer may carry *cross-task* state only if that
-// state is content-independent of which task wrote it. The single such
-// buffer is the conv im2col matrix, whose static padding zeros depend only
-// on layer geometry; it is planned as a pinned (exclusive) arena range so no
-// other operator can clobber the zeros, which is what lets arenas migrate
-// freely between learners through the shared online pools.
+// Correctness invariant: no planned buffer carries state from one task to
+// the next. Every operator writes each element of a buffer before anything
+// reads it — the conv lowering stores its padding zeros on every call
+// (tensor/lowering.go) — so an arena's previous contents are irrelevant,
+// which is what lets arenas migrate freely between learners through the
+// shared online pools and makes a dirty caller-supplied block as good as a
+// fresh one.
 
 // bufKind classifies planned buffers for footprint statistics.
 type bufKind uint8
@@ -39,12 +40,11 @@ const (
 // interval in the planning walk's tick order, and the layer field the
 // planned slice binds to (exactly one of dst, dstI32, t is set).
 type plannedBuf struct {
-	name   string
-	elems  int
-	kind   bufKind
-	pinned bool
-	prod   int // tick at which the buffer is (first) written
-	last   int // tick of the last access, read or write
+	name  string
+	elems int
+	kind  bufKind
+	prod  int // tick at which the buffer is (first) written
+	last  int // tick of the last access, read or write
 
 	dst    *[]float32
 	dstI32 *[]int32
@@ -86,13 +86,6 @@ func (p *taskPlanner) shell(name string, t *tensor.Tensor, kind bufKind) *planne
 	return p.add(&plannedBuf{name: name, elems: tensor.Volume(t.Shape()), kind: kind, t: t})
 }
 
-// pin marks a buffer as requiring an exclusive arena range (no slot sharing
-// in either direction): its cross-task content survives arena migration.
-func (p *taskPlanner) pin(b *plannedBuf) *plannedBuf {
-	b.pinned = true
-	return b
-}
-
 // touch records an access (read or write) to already-declared buffers at the
 // current point of the walk. Nil entries (buffers outside the arena, e.g.
 // the network input) are ignored.
@@ -129,29 +122,18 @@ type arenaLayer interface {
 	planBwd(p *taskPlanner, dout *plannedBuf) *plannedBuf
 }
 
-// arenaResetter is implemented by layers with cross-task buffer state to
-// revalidate when a (possibly different) arena is attached.
-type arenaResetter interface {
-	arenaReset()
-}
-
 // MemPlan is a network's planned task memory: the real dataflow graph, the
 // offline buffer assignment, and the arena layout derived from it.
 type MemPlan struct {
-	// Graph is the learning task's operator graph (shareable buffers only;
-	// pinned ranges are laid out after the planned region).
+	// Graph is the learning task's operator graph, one op per buffer.
 	Graph *memplan.Graph
 	// Plan is the offline reference-count assignment over Graph.
 	Plan *memplan.Plan
 
-	bufs      []*plannedBuf
-	resetters []arenaResetter
+	bufs []*plannedBuf
 
-	// ArenaElems is the total arena size (planned + pinned) in elements.
+	// ArenaElems is the total arena size in elements.
 	ArenaElems int
-	// PlannedElems / PinnedElems split the arena into the shared-slot
-	// region and the exclusive ranges.
-	PlannedElems, PinnedElems int
 	// NaiveElems is the unplanned footprint: one slot per declared buffer.
 	NaiveElems int
 
@@ -204,7 +186,7 @@ func intervalsOverlap(a, b *plannedBuf) bool {
 // checkPlan verifies the defining safety invariant against the *exact*
 // lifetime intervals of the planning walk (a stronger check than the graph
 // approximation): two buffers may share arena ranges only if their
-// intervals are disjoint. Pinned buffers must not overlap anything.
+// intervals are disjoint.
 func (m *MemPlan) checkPlan() error {
 	type rng struct{ lo, hi int }
 	ranges := make([]rng, len(m.bufs))
@@ -216,9 +198,6 @@ func (m *MemPlan) checkPlan() error {
 			b := m.bufs[j]
 			if ranges[i].lo >= ranges[j].hi || ranges[j].lo >= ranges[i].hi {
 				continue // disjoint arena ranges
-			}
-			if a.pinned || b.pinned {
-				return fmt.Errorf("nn: pinned buffer %s overlaps %s in the arena", a.name, b.name)
 			}
 			if intervalsOverlap(a, b) {
 				return fmt.Errorf("nn: buffers %s [%d,%d] and %s [%d,%d] share arena range with live overlap",
@@ -288,34 +267,24 @@ func (n *Network) planInference() *MemPlan {
 
 // lowerPlan turns a completed planning walk into a MemPlan: the walk is
 // lowered into a memplan.Graph, PlanOffline assigns buffers, and the arena
-// layout (planned slots, then pinned exclusive ranges) is derived. prefix
-// namespaces the plan key, so training and inference arenas — different
-// layouts over the same network — can never be confused in a shared pool.
+// layout is the plan's slots end to end. prefix namespaces the plan key, so
+// training and inference arenas — different layouts over the same network —
+// can never be confused in a shared pool.
 func (n *Network) lowerPlan(p *taskPlanner, prefix string) *MemPlan {
 	m := &MemPlan{bufs: p.bufs}
-	for _, l := range n.layers {
-		collectResetters(l, &m.resetters)
-	}
 
-	// Lower the walk into a memplan.Graph over the shareable buffers: one op
-	// per buffer in declaration (= production) order; each buffer's consumer
-	// is the first later op produced after its last access, so the offline
-	// planner frees its slot exactly when the walk says it is dead.
-	var share []*plannedBuf
-	for _, b := range m.bufs {
+	// Lower the walk into a memplan.Graph: one op per buffer in declaration
+	// (= production) order; each buffer's consumer is the first later op
+	// produced after its last access, so the offline planner frees its slot
+	// exactly when the walk says it is dead.
+	g := &memplan.Graph{Ops: make([]memplan.Op, len(m.bufs))}
+	for i, b := range m.bufs {
 		m.NaiveElems += b.elems
-		if b.pinned {
-			continue
-		}
-		share = append(share, b)
-	}
-	g := &memplan.Graph{Ops: make([]memplan.Op, len(share))}
-	for i, b := range share {
 		g.Ops[i] = memplan.Op{Name: b.name, OutBytes: int64(b.elems) * 4}
 	}
-	for i, b := range share {
-		for j := i + 1; j < len(share); j++ {
-			if share[j].prod > b.last {
+	for i, b := range m.bufs {
+		for j := i + 1; j < len(m.bufs); j++ {
+			if m.bufs[j].prod > b.last {
 				g.Ops[j].Inputs = append(g.Ops[j].Inputs, i)
 				break
 			}
@@ -329,24 +298,15 @@ func (n *Network) lowerPlan(p *taskPlanner, prefix string) *MemPlan {
 	}
 	m.Graph, m.Plan = g, plan
 
-	// Arena layout: planned slots first, then the pinned exclusive ranges.
+	// Arena layout: the planned slots, end to end.
 	slotOff := make([]int, len(plan.Buffers))
 	off := 0
 	for s, bytes := range plan.Buffers {
 		slotOff[s] = off
 		off += int(bytes / 4)
 	}
-	m.PlannedElems = off
-	for i, b := range share {
+	for i, b := range m.bufs {
 		b.off = slotOff[plan.Assign[i]]
-	}
-	for _, b := range m.bufs {
-		if !b.pinned {
-			continue
-		}
-		b.off = off
-		off += b.elems
-		m.PinnedElems += b.elems
 	}
 	m.ArenaElems = off
 
@@ -362,18 +322,6 @@ func (n *Network) lowerPlan(p *taskPlanner, prefix string) *MemPlan {
 	}
 	m.key = fmt.Sprintf("%s/b%d/%016x", prefix, n.Batch, h.Sum64())
 	return m
-}
-
-// collectResetters flattens the layers needing arena-attach notification.
-func collectResetters(l Layer, out *[]arenaResetter) {
-	if r, ok := l.(*Residual); ok {
-		for _, inner := range r.Operators() {
-			collectResetters(inner, out)
-		}
-	}
-	if rs, ok := l.(arenaResetter); ok {
-		*out = append(*out, rs)
-	}
 }
 
 // MemPlan returns the network's planned task memory, computing it on first
@@ -409,24 +357,18 @@ func (n *Network) InferPlan() *MemPlan {
 // Attaching is cheap and allocation-free in steady state, so the runtime
 // re-attaches per learning task as arenas circulate through the shared
 // §4.5 pools; arenas produced for the same plan key are fully
-// interchangeable. Re-attaching the already-attached arena is a no-op.
-//
-// The first time this network sees a given arena base, the plan's pinned
-// ranges are zeroed: pinned buffers (the conv im2col matrices) rely on
-// their static padding zeros surviving across tasks, and zeroing on first
-// sight makes even a dirty caller-supplied ArenaOf block safe — pool
-// buffers and fresh arenas are already zero-filled, so for them this is a
-// once-per-(network, arena) memset of memory that is about to be used
-// anyway.
+// interchangeable, and the arena's previous contents never matter (see the
+// invariant at the top of this file). Re-attaching the already-attached
+// arena is a no-op.
 func (n *Network) AttachArena(a tensor.Arena) { n.attachPlan(n.MemPlan(), a) }
 
 // AttachInferenceArena binds every buffer of the forward-only plan to its
 // slice of the given arena, which must hold at least
 // InferPlan().ArenaElems elements. Semantics match AttachArena (no-op
-// re-attach, pinned-range zeroing on first sight, allocation-free in steady
-// state); only the plan differs. Buffers outside the inference plan (the
-// backward chain) are untouched and must never be exercised against an
-// inference arena — Predict and Evaluate are the supported entry points.
+// re-attach, allocation-free in steady state); only the plan differs.
+// Buffers outside the inference plan (the backward chain) are untouched and
+// must never be exercised against an inference arena — Predict and Evaluate
+// are the supported entry points.
 func (n *Network) AttachInferenceArena(a tensor.Arena) { n.attachPlan(n.InferPlan(), a) }
 
 func (n *Network) attachPlan(m *MemPlan, a tensor.Arena) {
@@ -436,17 +378,6 @@ func (n *Network) attachPlan(m *MemPlan, a tensor.Arena) {
 	base := a.Base()
 	if base != nil && base == n.arenaBase {
 		return
-	}
-	if base != nil && !n.seenArenas[base] {
-		if n.seenArenas == nil {
-			n.seenArenas = make(map[*float32]bool)
-		}
-		for _, b := range m.bufs {
-			if b.pinned {
-				clear(a.Slice(b.off, b.elems))
-			}
-		}
-		n.seenArenas[base] = true
 	}
 	for _, b := range m.bufs {
 		s := a.Slice(b.off, b.elems)
@@ -458,9 +389,6 @@ func (n *Network) attachPlan(m *MemPlan, a tensor.Arena) {
 		default:
 			b.t.SetData(s)
 		}
-	}
-	for _, r := range m.resetters {
-		r.arenaReset()
 	}
 	n.arenaBase = base
 }

@@ -28,12 +28,10 @@ type Network struct {
 	// Planned task memory (computed lazily; see memory.go): memPlan covers
 	// a full learning task, inferPlan the forward-only serving walk.
 	// arenaBase identifies the currently attached arena so re-attachment
-	// is a no-op; seenArenas tracks bases whose pinned ranges this network
-	// has zeroed.
-	memPlan    *MemPlan
-	inferPlan  *MemPlan
-	arenaBase  *float32
-	seenArenas map[*float32]bool
+	// is a no-op.
+	memPlan   *MemPlan
+	inferPlan *MemPlan
+	arenaBase *float32
 
 	preds []int // Evaluate's prediction scratch, allocated once
 }

@@ -754,6 +754,10 @@ func (e *Engine) runBatch(r *replica, b *batch) {
 		e.classMeters[ci].n.Add(1)
 	}
 
+	// Count the batch before answering it: a caller that holds its answer
+	// must find itself in Stats.
+	e.requests.Add(int64(len(b.reqs)))
+	e.nbatches.Add(1)
 	now := time.Now()
 	for i, req := range b.reqs {
 		lat := now.Sub(req.enq)
@@ -763,8 +767,6 @@ func (e *Engine) runBatch(r *replica, b *batch) {
 		}
 		req.resp <- Prediction{Class: slot.preds[i], Confidence: slot.conf[i], Version: ms.version}
 	}
-	e.requests.Add(int64(len(b.reqs)))
-	e.nbatches.Add(1)
 	e.putBatch(b)
 }
 

@@ -101,10 +101,36 @@ func BenchmarkIm2col(b *testing.B) {
 	}
 }
 
+// lowerCases are the batched-lowering benchmark points: the three stride-1
+// stage geometries at b=16 (the long-recorded rows) and at the benchmark
+// workload's real b=4, plus the stage transitions' strided 3×3 convs and 1×1
+// projections, which take the source-index path.
+var lowerCases = func() (cs []lowerCase) {
+	for _, batch := range []int{16, 4} {
+		for _, g := range convGeoms {
+			cs = append(cs, lowerCase{fmt.Sprintf("c%dh%db%d", g.InC, g.InH, batch), g, batch})
+		}
+	}
+	for _, g := range convGeoms[:2] {
+		s2 := g
+		s2.OutC, s2.StrideH, s2.StrideW = 2*g.InC, 2, 2
+		cs = append(cs, lowerCase{fmt.Sprintf("c%dh%ds2b4", g.InC, g.InH), s2, 4})
+		s2.KH, s2.KW, s2.PadH, s2.PadW = 1, 1, 0, 0
+		cs = append(cs, lowerCase{fmt.Sprintf("c%dh%dk1s2b4", g.InC, g.InH), s2, 4})
+	}
+	return cs
+}()
+
+type lowerCase struct {
+	name  string
+	g     ConvGeom
+	batch int
+}
+
 func BenchmarkIm2colBatch(b *testing.B) {
-	const batch = 16
-	for _, g := range convGeoms {
-		b.Run(fmt.Sprintf("c%dh%db%d", g.InC, g.InH, batch), func(b *testing.B) {
+	for _, c := range lowerCases {
+		g, batch := c.g, c.batch
+		b.Run(c.name, func(b *testing.B) {
 			r := NewRNG(1)
 			x := randSlice(r, batch*g.InVol())
 			col := make([]float32, g.ColRows()*batch*g.ColCols())
@@ -119,9 +145,9 @@ func BenchmarkIm2colBatch(b *testing.B) {
 }
 
 func BenchmarkCol2imBatch(b *testing.B) {
-	const batch = 16
-	for _, g := range convGeoms {
-		b.Run(fmt.Sprintf("c%dh%db%d", g.InC, g.InH, batch), func(b *testing.B) {
+	for _, c := range lowerCases {
+		g, batch := c.g, c.batch
+		b.Run(c.name, func(b *testing.B) {
 			r := NewRNG(1)
 			col := randSlice(r, g.ColRows()*batch*g.ColCols())
 			x := make([]float32, batch*g.InVol())

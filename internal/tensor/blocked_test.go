@@ -209,8 +209,8 @@ func TestParallelForPartition(t *testing.T) {
 }
 
 // TestIm2colBatchMatchesPerSample: the batched lowering is the per-sample
-// kernel at a column offset — bit-identical, including the skipPad
-// steady-state path that reuses a buffer's padding zeros.
+// kernel at a column offset — bit-identical, also into a used buffer with
+// the (ignored) skipPad argument set.
 func TestIm2colBatchMatchesPerSample(t *testing.T) {
 	geoms := []ConvGeom{
 		{InC: 3, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -240,7 +240,7 @@ func TestIm2colBatchMatchesPerSample(t *testing.T) {
 			}
 		}
 
-		// Steady state: new data into the same buffer with skipPad.
+		// New data into the same, now dirty, buffer.
 		x2 := randSlice(r, batch*g.InVol())
 		Im2colBatch(g, batch, x2, col, true)
 		fresh := make([]float32, len(col))

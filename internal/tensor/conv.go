@@ -5,12 +5,15 @@ package tensor
 // activations and OIHW for filters, matching the paper's cuDNN substrate.
 //
 // Two granularities are provided. The per-sample kernels (Im2col, Col2im)
-// are the original reference lowering; the batched kernels (Im2colBatch,
-// Col2imBatch) expand a whole mini-batch into one ColRows × batch·S column
-// matrix so each conv layer runs a single large GEMM per pass instead of
-// batch small ones. Sample n owns columns [n·S, (n+1)·S), so the batched
-// kernels are exactly the per-sample kernels applied at a column offset —
-// bit-identical output, any worker count.
+// are the reference lowering: scalar loops that walk each patch row's
+// in-bounds spans (im2colStrided, col2imStrided). The batched kernels
+// (Im2colBatch, Col2imBatch) expand a whole mini-batch into one
+// ColRows × batch·S column matrix so each conv layer runs a single large
+// GEMM per pass instead of batch small ones. Sample n owns columns
+// [n·S, (n+1)·S), so the batched kernels are the per-sample kernels applied
+// at a column offset — bit-identical output, any worker count. With SIMD
+// they replay per-geometry tables instead of walking spans (lowering.go);
+// the span walkers stay as the portable fallback and the test oracle.
 
 // ConvGeom describes a 2-D convolution's geometry.
 type ConvGeom struct {
@@ -53,108 +56,15 @@ func Im2col(g ConvGeom, img, col []float32) {
 
 // Im2colBatch expands a whole NCHW mini-batch x (batch×InC×InH×InW, flat)
 // into one column matrix col of shape ColRows × batch·ColCols, with sample
-// n occupying columns [n·ColCols, (n+1)·ColCols).
+// n occupying columns [n·ColCols, (n+1)·ColCols). Every element of col is
+// written, padding zeros included, so col may hold anything on entry.
 //
-// skipPad declares that col already holds this geometry's padding zeros
-// (from a previous Im2colBatch over the same buffer): the zero positions
-// are data-independent, so steady-state calls write only the interior
-// spans. Pass false the first time a buffer is used.
+// skipPad is ignored; it is kept for callers written when a steady-state
+// call could skip the padding positions. Callers that lower the same
+// geometry repeatedly should hold LoweringFor(g) and call its methods: this
+// wrapper resolves the geometry's tables on every call.
 func Im2colBatch(g ConvGeom, batch int, x, col []float32, skipPad bool) {
-	s, inVol := g.ColCols(), g.InVol()
-	if len(x) < batch*inVol || len(col) < g.ColRows()*batch*s {
-		panic("tensor: Im2colBatch buffer too small")
-	}
-	ld := batch * s
-	if Parallelism() == 1 {
-		// Serial fast path: same loop, no closure materialised — the
-		// single-worker hot path stays allocation-free.
-		for n := 0; n < batch; n++ {
-			if skipPad {
-				im2colInterior(g, x[n*inVol:(n+1)*inVol], col, ld, n*s)
-			} else {
-				im2colStrided(g, x[n*inVol:(n+1)*inVol], col, ld, n*s)
-			}
-		}
-		return
-	}
-	grain := 1 + (1 << 14 / max(1, g.ColRows()*s))
-	ParallelFor(batch, grain, func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			if skipPad {
-				im2colInterior(g, x[n*inVol:(n+1)*inVol], col, ld, n*s)
-			} else {
-				im2colStrided(g, x[n*inVol:(n+1)*inVol], col, ld, n*s)
-			}
-		}
-	})
-}
-
-// im2colInterior writes only the in-bounds spans of one sample's column
-// block, assuming the padding zeros are already in place.
-func im2colInterior(g ConvGeom, img, col []float32, ld, off int) {
-	outH, outW := g.OutH(), g.OutW()
-	var owbBuf owBoundsBuf
-	owb := owbBuf[:]
-	if 2*g.KW > len(owb) {
-		owb = make([]int, 2*g.KW)
-	}
-	owBounds(g, owb)
-	for c := 0; c < g.InC; c++ {
-		chOff := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := (c*g.KH+kh)*g.KW + kw
-				dst := col[row*ld+off : row*ld+off+outH*outW]
-				owLo, owHi := owb[2*kw], owb[2*kw+1]
-				w := owHi - owLo
-				if w <= 0 {
-					continue
-				}
-				if g.StrideW == 1 && g.StrideH == 1 && owLo == 0 && owHi == outW && outW == g.InW {
-					// Full-width stride-1 rows (kw == PadW): the valid
-					// vertical block is contiguous in src and dst.
-					ohLo, ohHi := 0, outH
-					if g.PadH > kh {
-						ohLo = g.PadH - kh
-					}
-					if t := g.InH + g.PadH - kh; t < ohHi {
-						ohHi = t
-					}
-					if ohLo < ohHi {
-						src0 := chOff + (ohLo+kh-g.PadH)*g.InW
-						copy(dst[ohLo*outW:ohHi*outW], img[src0:src0+(ohHi-ohLo)*outW])
-					}
-					continue
-				}
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						continue
-					}
-					rowOff := chOff + ih*g.InW
-					di := oh * outW
-					if g.StrideW == 1 {
-						lo := owLo - g.PadW + kw
-						d := dst[di+owLo : di+owLo+w]
-						s := img[rowOff+lo : rowOff+lo+w]
-						if w < 16 {
-							for i := range d {
-								d[i] = s[i]
-							}
-						} else {
-							copy(d, s)
-						}
-					} else {
-						iw := owLo*g.StrideW - g.PadW + kw
-						for ow := owLo; ow < owHi; ow++ {
-							dst[di+ow] = img[rowOff+iw]
-							iw += g.StrideW
-						}
-					}
-				}
-			}
-		}
-	}
+	LoweringFor(g).Im2colBatch(batch, x, col)
 }
 
 // owBoundsBuf is the stack scratch for owBounds; kernels up to 8 wide (all
@@ -266,35 +176,10 @@ func Col2im(g ConvGeom, col, img []float32) {
 }
 
 // Col2imBatch scatters the batched column matrix col (ColRows × batch·ColCols,
-// laid out as produced by Im2colBatch) into the NCHW batch x, zeroing x
-// first. It is the adjoint of Im2colBatch.
+// laid out as produced by Im2colBatch) into the NCHW batch x, overwriting x.
+// It is the adjoint of Im2colBatch.
 func Col2imBatch(g ConvGeom, batch int, col, x []float32) {
-	s, inVol := g.ColCols(), g.InVol()
-	if len(x) < batch*inVol || len(col) < g.ColRows()*batch*s {
-		panic("tensor: Col2imBatch buffer too small")
-	}
-	ld := batch * s
-	if Parallelism() == 1 {
-		// Serial fast path: no closure (see Im2colBatch).
-		for n := 0; n < batch; n++ {
-			dst := x[n*inVol : (n+1)*inVol]
-			for i := range dst {
-				dst[i] = 0
-			}
-			col2imStrided(g, col, ld, n*s, dst)
-		}
-		return
-	}
-	grain := 1 + (1 << 14 / max(1, g.ColRows()*s))
-	ParallelFor(batch, grain, func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			dst := x[n*inVol : (n+1)*inVol]
-			for i := range dst {
-				dst[i] = 0
-			}
-			col2imStrided(g, col, ld, n*s, dst)
-		}
-	})
+	LoweringFor(g).Col2imBatch(batch, col, x)
 }
 
 // col2imStrided accumulates one sample's column block (row r at

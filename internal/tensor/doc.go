@@ -34,5 +34,10 @@
 // DESIGN.md §17) extend that family to the multiply-add chains of model
 // averaging: one vector multiply, add or subtract per scalar operation in
 // the scalar association, no FMA and no denormal flushing, so they too are
-// bit-identical to their scalar loops.
+// bit-identical to their scalar loops. The batched conv lowering
+// (Im2colBatch, Col2imBatch, Lowering; DESIGN.md §18) belongs to the same
+// family: with SIMD it replays per-geometry tables — masked plane shifts
+// for unit-stride same-grid convs, a source-index table otherwise — that
+// move or sum exactly the elements the span-walking scalar loops do, in
+// the same order, and write every element of their output.
 package tensor

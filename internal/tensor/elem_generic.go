@@ -4,6 +4,8 @@ package tensor
 
 // Non-amd64 stubs: every elementwise kernel runs the scalar Go loop.
 
+func elemActive() bool { return false }
+
 func elemAccumAddASM(dst, src []float32) int  { return 0 }
 func elemReluFwdASM(dst, src []float32) int   { return 0 }
 func elemReluBwdASM(dst, dy, y []float32) int { return 0 }

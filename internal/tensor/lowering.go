@@ -1,0 +1,297 @@
+package tensor
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Table-driven conv lowering. On the scaled models' 8×8, 4×4 and 2×2 planes
+// every in-bounds span of a patch row is 1–8 floats, so the span walkers in
+// conv.go spend their time on loop control, not on moving data. A Lowering
+// holds what is static about one geometry — which input element each column
+// position reads, and which positions are padding — as tables built once,
+// and the batched kernels replay them.
+//
+// Same-grid geometries (stride 1, OutH×OutW = InH×InW: every 3×3 pad-1,
+// 5×5 pad-2 and 1×1 pad-0 conv) need no indices at all. Column row
+// (c, kh, kw) is input plane c shifted by the constant
+//
+//	δ = (kh−PadH)·InW + (kw−PadW)
+//
+// under a validity mask that depends only on the tap and the position:
+// col[(c,kh,kw)][q] = plane_c[q+δ] where the mask is set, 0 where it is
+// clear. im2col is therefore one masked 8-lane load and one store per eight
+// positions (lowering_amd64.s). col2im is its gather adjoint: each input
+// position sums, over the taps in ascending (kh, kw), the one column element
+// that read it,
+//
+//	dx_c[p] = Σ_taps dcol[(c,tap)][p−δ_tap]   (masked lanes contribute +0).
+//
+// Accumulation order. The scatter in col2imStrided visits rows in ascending
+// (c, kh, kw) and adds each row's term into a plane that starts at +0, so
+// every dx element receives its terms in ascending tap order. The gather
+// adds the same terms in the same order into an accumulator that starts at
+// +0, plus a +0 for every tap whose read fell in the padding. Adding +0 is
+// exact unless the accumulator is −0, and a round-to-nearest sum that
+// started at +0 is never −0 (x+y = −0 only when both are −0). The results
+// are bit-identical; a NaN keeps being a NaN but, as in DESIGN.md §17, which
+// payload survives a sum of two different NaNs is not pinned.
+//
+// Every other geometry (strided convs and projections) replays a
+// source-index table: src[tap·S+q] is the offset inside the input plane that
+// column position q of that tap reads, −1 for padding. The tables are
+// channel-independent, KH·KW × S entries.
+//
+// Every kernel here writes every element of its output — padding positions
+// get explicit zeros — so col carries no state from one call to the next
+// and may be planned like any other buffer (internal/nn/memory.go).
+//
+// Dispatch follows elemActive(), like the elementwise kernels: with SIMD off
+// (CROSSBOW_NOSIMD, a pre-AVX2 CPU, another architecture) both batched
+// kernels run the span walkers sample by sample.
+
+// Lowering is the resolved lowering of one convolution geometry. It is
+// immutable after construction and safe for concurrent use.
+type Lowering struct {
+	g           ConvGeom
+	s, inVol    int // ColCols, InVol
+	rows, plane int // ColRows, InH·InW
+	// ParallelFor grains over the batch, in samples: a chunk is worth a
+	// goroutine from about 20 µs of work. That is 2^14 lowered elements for
+	// the span walkers and the index table (1–1.5 ns an element) and 2^17
+	// for the plane-shift kernels (0.15–0.2 ns an element, measured on the
+	// ResNet-32 stage geometries; splitting their b=16 calls in two was
+	// slower than running them on the caller).
+	grain, shiftGrain int
+
+	// Same-grid geometries: shift[t] is tap t's δ; fwdMask holds im2col's
+	// lane masks tap-major ([tap][block][8]), adjMask col2im's block-major
+	// ([block][tap][8]) so each kernel walks its table front to back. A set
+	// lane is all ones, as VMASKMOVPS wants it. blocks = ⌈plane/8⌉; when
+	// plane is not a multiple of 8, tail masks the last block's store.
+	shift            []int32
+	fwdMask, adjMask []int32
+	tail             [8]int32
+	blocks, rem      int
+
+	// Every other geometry: src[t·s+q], −1 for padding.
+	src []int32
+}
+
+var (
+	loweringMu sync.Mutex   // serialises inserts; lookups are lock-free
+	lowerings  atomic.Value // map[ConvGeom]*Lowering, copied on insert
+)
+
+// LoweringFor returns the geometry's Lowering, building its tables on first
+// use (microseconds; a few KB for the scaled models). Layers resolve it once
+// and keep the pointer.
+func LoweringFor(g ConvGeom) *Lowering {
+	cur, _ := lowerings.Load().(map[ConvGeom]*Lowering)
+	if l := cur[g]; l != nil {
+		return l
+	}
+	loweringMu.Lock()
+	defer loweringMu.Unlock()
+	cur, _ = lowerings.Load().(map[ConvGeom]*Lowering)
+	if l := cur[g]; l != nil {
+		return l
+	}
+	next := make(map[ConvGeom]*Lowering, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	l := newLowering(g)
+	next[g] = l
+	lowerings.Store(next)
+	return l
+}
+
+func newLowering(g ConvGeom) *Lowering {
+	l := &Lowering{
+		g: g, s: g.ColCols(), inVol: g.InVol(),
+		rows: g.ColRows(), plane: g.InH * g.InW,
+	}
+	l.grain = 1 + (1<<14)/max(1, l.rows*l.s)
+	l.shiftGrain = 1 + (1<<17)/max(1, l.rows*l.s)
+	if l.rows <= 0 || l.s <= 0 {
+		return l // nothing to lower: no tables, the span walkers no-op
+	}
+	if g.StrideH == 1 && g.StrideW == 1 && g.OutH() == g.InH && g.OutW() == g.InW {
+		l.buildShift()
+	} else {
+		l.buildIndex()
+	}
+	return l
+}
+
+// buildShift fills the plane-shift tables of a same-grid geometry.
+func (l *Lowering) buildShift() {
+	g := l.g
+	taps := g.KH * g.KW
+	l.blocks, l.rem = (l.plane+7)/8, l.plane%8
+	for i := 0; i < l.rem; i++ {
+		l.tail[i] = -1
+	}
+	l.shift = make([]int32, taps)
+	l.fwdMask = make([]int32, taps*l.blocks*8)
+	l.adjMask = make([]int32, l.blocks*taps*8)
+	inside := func(h, w int) bool { return h >= 0 && h < g.InH && w >= 0 && w < g.InW }
+	for kh := 0; kh < g.KH; kh++ {
+		for kw := 0; kw < g.KW; kw++ {
+			t := kh*g.KW + kw
+			dh, dw := kh-g.PadH, kw-g.PadW
+			l.shift[t] = int32(dh*g.InW + dw)
+			for p := 0; p < l.plane; p++ {
+				h, w := p/g.InW, p%g.InW
+				// Output position p reads input (h+dh, w+dw); input
+				// position p is read by output (h−dh, w−dw).
+				if inside(h+dh, w+dw) {
+					l.fwdMask[t*l.blocks*8+p] = -1
+				}
+				if inside(h-dh, w-dw) {
+					l.adjMask[(p/8*taps+t)*8+p%8] = -1
+				}
+			}
+		}
+	}
+}
+
+// buildIndex fills the source-index table of a geometry that is not
+// same-grid.
+func (l *Lowering) buildIndex() {
+	g := l.g
+	outW := g.OutW()
+	l.src = make([]int32, g.KH*g.KW*l.s)
+	for kh := 0; kh < g.KH; kh++ {
+		for kw := 0; kw < g.KW; kw++ {
+			row := l.src[(kh*g.KW+kw)*l.s:][:l.s]
+			for q := range row {
+				ih := q/outW*g.StrideH - g.PadH + kh
+				iw := q%outW*g.StrideW - g.PadW + kw
+				if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+					row[q] = int32(ih*g.InW + iw)
+				} else {
+					row[q] = -1
+				}
+			}
+		}
+	}
+}
+
+// Im2colBatch is the package-level Im2colBatch for this geometry.
+func (l *Lowering) Im2colBatch(batch int, x, col []float32) {
+	if len(x) < batch*l.inVol || len(col) < l.rows*batch*l.s {
+		panic("tensor: Im2colBatch buffer too small")
+	}
+	grain := l.batchGrain()
+	if !parSplits(batch, grain) {
+		// One chunk: no closure is built, so the call does not allocate
+		// whatever the worker budget.
+		l.im2colSamples(0, batch, batch, x, col)
+		return
+	}
+	ParallelFor(batch, grain, func(lo, hi int) { l.im2colSamples(lo, hi, batch, x, col) })
+}
+
+// Col2imBatch is the package-level Col2imBatch for this geometry.
+func (l *Lowering) Col2imBatch(batch int, col, x []float32) {
+	if len(x) < batch*l.inVol || len(col) < l.rows*batch*l.s {
+		panic("tensor: Col2imBatch buffer too small")
+	}
+	grain := l.batchGrain()
+	if !parSplits(batch, grain) {
+		l.col2imSamples(0, batch, batch, col, x)
+		return
+	}
+	ParallelFor(batch, grain, func(lo, hi int) { l.col2imSamples(lo, hi, batch, col, x) })
+}
+
+// batchGrain is the ParallelFor grain of the kernel the call will run.
+func (l *Lowering) batchGrain() int {
+	if l.shift != nil && elemActive() {
+		return l.shiftGrain
+	}
+	return l.grain
+}
+
+// tables reports whether the batched kernels replay the tables or, with
+// SIMD off, walk spans.
+func (l *Lowering) tables() bool { return elemActive() && (l.shift != nil || l.src != nil) }
+
+// im2colSamples lowers samples [lo, hi) of the batch into their column
+// blocks of col.
+func (l *Lowering) im2colSamples(lo, hi, batch int, x, col []float32) {
+	ld := batch * l.s
+	tables := l.tables()
+	for n := lo; n < hi; n++ {
+		img := x[n*l.inVol : (n+1)*l.inVol]
+		switch {
+		case !tables:
+			im2colStrided(l.g, img, col, ld, n*l.s)
+		case l.shift != nil:
+			im2colShiftAVX2(&img[0], &col[n*l.s], &l.shift[0], &l.fwdMask[0], &l.tail[0],
+				l.g.InC, len(l.shift), l.blocks, l.rem, l.plane, ld)
+		default:
+			l.im2colIndexed(img, col, ld, n*l.s)
+		}
+	}
+}
+
+// col2imSamples gathers samples [lo, hi) of the batch out of their column
+// blocks of col, overwriting their slices of x.
+func (l *Lowering) col2imSamples(lo, hi, batch int, col, x []float32) {
+	ld := batch * l.s
+	tables := l.tables()
+	for n := lo; n < hi; n++ {
+		img := x[n*l.inVol : (n+1)*l.inVol]
+		switch {
+		case !tables:
+			clear(img)
+			col2imStrided(l.g, col, ld, n*l.s, img)
+		case l.shift != nil:
+			col2imShiftAVX2(&col[n*l.s], &img[0], &l.shift[0], &l.adjMask[0], &l.tail[0],
+				l.g.InC, len(l.shift), l.blocks, l.rem, l.plane, ld)
+		default:
+			clear(img)
+			l.col2imIndexed(col, ld, n*l.s, img)
+		}
+	}
+}
+
+// im2colIndexed replays the source-index table over one sample.
+func (l *Lowering) im2colIndexed(img, col []float32, ld, off int) {
+	taps := l.g.KH * l.g.KW
+	for c := 0; c < l.g.InC; c++ {
+		plane := img[c*l.plane : (c+1)*l.plane]
+		for t := 0; t < taps; t++ {
+			dst := col[(c*taps+t)*ld+off:][:l.s]
+			for q, ix := range l.src[t*l.s:][:l.s] {
+				if ix >= 0 {
+					dst[q] = plane[ix]
+				} else {
+					dst[q] = 0
+				}
+			}
+		}
+	}
+}
+
+// col2imIndexed scatters one sample's column block through the source-index
+// table, rows in ascending (c, kh, kw) and positions in ascending order like
+// col2imStrided, so every image element accumulates the same terms in the
+// same order.
+func (l *Lowering) col2imIndexed(col []float32, ld, off int, img []float32) {
+	taps := l.g.KH * l.g.KW
+	for c := 0; c < l.g.InC; c++ {
+		plane := img[c*l.plane : (c+1)*l.plane]
+		for t := 0; t < taps; t++ {
+			src := col[(c*taps+t)*ld+off:][:l.s]
+			for q, ix := range l.src[t*l.s:][:l.s] {
+				if ix >= 0 {
+					plane[ix] += src[q]
+				}
+			}
+		}
+	}
+}

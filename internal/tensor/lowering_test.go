@@ -1,0 +1,168 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+func sq(inC, h, w, k, stride, pad int) ConvGeom {
+	return ConvGeom{InC: inC, InH: h, InW: w, OutC: 2, KH: k, KW: k,
+		StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+}
+
+// loweringGeoms covers both table kinds and their edges: same-grid planes of
+// 4, 9, 16, 36, 63, 64 and 144 positions (below one vector, not a multiple of
+// 8, exact multiples, rows wider than a vector), 1×1 and 5×5 kernels, a
+// non-square kernel with mixed padding, and — for the source-index table —
+// strided 3×3 and 1×1, pad 0, and a stride that differs per axis. The
+// 64-channel 12×12 case and the 16-channel strided one are large enough for
+// a batch of 4 or 5 to split across workers.
+var loweringGeoms = []ConvGeom{
+	sq(3, 2, 2, 3, 1, 1), sq(2, 3, 3, 3, 1, 1), sq(3, 4, 4, 3, 1, 1), sq(2, 6, 6, 3, 1, 1),
+	sq(2, 7, 9, 3, 1, 1), sq(3, 8, 8, 3, 1, 1), sq(64, 12, 12, 3, 1, 1), sq(16, 16, 16, 3, 2, 1),
+	sq(2, 6, 6, 1, 1, 0), sq(1, 5, 4, 5, 1, 2), sq(2, 4, 4, 5, 1, 2),
+	{InC: 2, InH: 5, InW: 11, OutC: 1, KH: 3, KW: 1, StrideH: 1, StrideW: 1, PadH: 1, PadW: 0},
+	sq(3, 8, 8, 3, 2, 1), sq(2, 4, 4, 3, 2, 1), sq(2, 7, 9, 3, 2, 1),
+	sq(2, 8, 8, 1, 2, 0), sq(3, 4, 4, 1, 2, 0), sq(1, 5, 5, 3, 1, 0), sq(2, 9, 9, 3, 1, 0),
+	{InC: 2, InH: 6, InW: 5, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1},
+}
+
+func nanFill(n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32(math.NaN())
+	}
+	return s
+}
+
+// runLoweringOracle pins the batched kernels to the per-sample span walkers
+// bit for bit. Both outputs start full of NaN: a position the kernel failed
+// to write — im2col's padding zeros above all — fails the comparison, which
+// is what lets col be planned as an ordinary, dirty buffer.
+func runLoweringOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, g := range loweringGeoms {
+		s, rows, inVol := g.ColCols(), g.ColRows(), g.InVol()
+		for batch := 1; batch <= 5; batch++ {
+			name := fmt.Sprintf("%+v batch=%d", g, batch)
+			x := smaFill(r, batch*inVol, batch%2)
+			col := nanFill(rows * batch * s)
+			Im2colBatch(g, batch, x, col, batch%2 == 0)
+			want := make([]float32, rows*s)
+			for n := 0; n < batch; n++ {
+				Im2col(g, x[n*inVol:(n+1)*inVol], want)
+				for row := 0; row < rows; row++ {
+					elemBitsEqual(t, fmt.Sprintf("Im2colBatch %s sample %d row %d", name, n, row), s,
+						col[row*batch*s+n*s:][:s], want[row*s:][:s])
+				}
+			}
+
+			dcol := smaFill(r, rows*batch*s, 1-batch%2)
+			dx := nanFill(batch * inVol)
+			Col2imBatch(g, batch, dcol, dx)
+			sample := make([]float32, rows*s)
+			img := make([]float32, inVol)
+			for n := 0; n < batch; n++ {
+				for row := 0; row < rows; row++ {
+					copy(sample[row*s:][:s], dcol[row*batch*s+n*s:][:s])
+				}
+				clear(img)
+				Col2im(g, sample, img)
+				smaBitsEqual(t, fmt.Sprintf("Col2imBatch %s sample %d", name, n), dx[n*inVol:(n+1)*inVol], img)
+			}
+		}
+	}
+}
+
+// TestLoweringOracle: Im2colBatch/Col2imBatch ≡ per-sample Im2col/Col2im on
+// inputs dense in NaN, ±Inf, −0 and denormals, serial and with the batch
+// split across workers. Mutation-checked: summing col2im's taps in
+// descending order fails it.
+func TestLoweringOracle(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	for _, workers := range []int{1, 3} {
+		SetParallelism(workers)
+		runLoweringOracle(t)
+	}
+}
+
+// TestLoweringOracleScalarFallback re-runs the oracle with SIMD off: what
+// CROSSBOW_NOSIMD=1 and non-amd64 builds execute.
+func TestLoweringOracleScalarFallback(t *testing.T) {
+	defer setGemmASM(setGemmASM(false))
+	runLoweringOracle(t)
+}
+
+// TestLoweringTables checks the two table kinds against the definition of
+// the lowering, position by position.
+func TestLoweringTables(t *testing.T) {
+	for _, g := range loweringGeoms {
+		l := newLowering(g)
+		sameGrid := g.StrideH == 1 && g.StrideW == 1 && g.OutH() == g.InH && g.OutW() == g.InW
+		if (l.shift != nil) != sameGrid || (l.src != nil) == sameGrid {
+			t.Fatalf("%+v: same-grid %v, got shift %v src %v", g, sameGrid, l.shift != nil, l.src != nil)
+		}
+		outW, taps := g.OutW(), g.KH*g.KW
+		for tap := 0; tap < taps; tap++ {
+			kh, kw := tap/g.KW, tap%g.KW
+			for q := 0; q < l.s; q++ {
+				ih, iw := q/outW*g.StrideH-g.PadH+kh, q%outW*g.StrideW-g.PadW+kw
+				want := int32(-1)
+				if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+					want = int32(ih*g.InW + iw)
+				}
+				got := int32(-1)
+				switch {
+				case !sameGrid:
+					got = l.src[tap*l.s+q]
+				case l.fwdMask[tap*l.blocks*8+q] != 0:
+					got = int32(q) + l.shift[tap]
+					// The adjoint mask must name the same (tap, source) pair.
+					if l.adjMask[(int(got)/8*taps+tap)*8+int(got)%8] != -1 {
+						t.Fatalf("%+v tap %d: adjoint mask clear at source %d of position %d", g, tap, got, q)
+					}
+				}
+				if got != want {
+					t.Fatalf("%+v tap %d position %d: reads %d, want %d", g, tap, q, got, want)
+				}
+			}
+		}
+		if sameGrid {
+			set := func(m []int32) (n int) {
+				for _, v := range m {
+					if v != 0 {
+						n++
+					}
+				}
+				return n
+			}
+			if f, a := set(l.fwdMask), set(l.adjMask); f != a {
+				t.Fatalf("%+v: %d forward lanes, %d adjoint lanes", g, f, a)
+			}
+		}
+	}
+}
+
+// TestLoweringSingleChunkDoesNotAllocate: with workers to spare but a batch
+// below the grain — the benchmark's b=4 — neither kernel may build its
+// ParallelFor closure, and the per-call table lookup must be free too.
+func TestLoweringSingleChunkDoesNotAllocate(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(2)
+	const batch = 4
+	for _, g := range []ConvGeom{sq(8, 8, 8, 3, 1, 1), sq(8, 8, 8, 3, 2, 1)} {
+		x := make([]float32, batch*g.InVol())
+		col := make([]float32, g.ColRows()*batch*g.ColCols())
+		if parSplits(batch, LoweringFor(g).batchGrain()) {
+			t.Fatalf("%+v: batch %d splits; the test needs a single-chunk call", g, batch)
+		}
+		if a := testing.AllocsPerRun(50, func() {
+			Im2colBatch(g, batch, x, col, true)
+			Col2imBatch(g, batch, col, x)
+		}); a != 0 {
+			t.Fatalf("%+v: %v allocs per single-chunk Im2colBatch+Col2imBatch, want 0", g, a)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Intra-op parallelism: a shared, bounded pool of compute goroutines that
@@ -25,17 +26,29 @@ import (
 // by an order that does not depend on chunk boundaries. Results are therefore
 // bit-identical at any worker count, including 1 (see DESIGN.md §8).
 
+// parPool is what a kernel call needs to know about the pool: the effective
+// per-kernel worker bound, max(1, budget/learners), and the semaphore chunk
+// goroutines are borrowed from.
+type parPool struct {
+	workers int
+	sem     chan struct{}
+}
+
 var (
-	parMu       sync.Mutex
-	parBudget   int // process-wide compute-goroutine budget
-	parLearners int // learner goroutines currently sharing the budget
-	parWorkers  int // effective per-kernel bound: max(1, budget/learners)
-	parSem      chan struct{}
-	// parSems keeps one semaphore per capacity ever used. The lockstep
-	// runtime flips the learner count around every optimiser step; reusing
-	// the channel makes the flip allocation-free, and a chunk goroutine
+	parMu       sync.Mutex // guards the writers' state: budget, learners, parPools
+	parBudget   int        // process-wide compute-goroutine budget
+	parLearners int        // learner goroutines currently sharing the budget
+	// parCur is the pool every kernel call reads, lock-free: resizeLocked
+	// publishes a whole (workers, sem) pair with one pointer swap, so a
+	// reader sees either the old pair or the new one, never a mix. Kernels
+	// read it ~150 times per ResNet-32 task from every learner at once, so
+	// the read must not be a lock all learners share.
+	parCur atomic.Pointer[parPool]
+	// parPools keeps one pool per (workers, capacity) ever used. The
+	// lockstep runtime flips the learner count around every optimiser step;
+	// reusing the pool makes the flip allocation-free, and a chunk goroutine
 	// still running across a flip keeps its slot in the channel it took.
-	parSems = map[int]chan struct{}{}
+	parPools = map[[2]int]*parPool{}
 )
 
 func init() {
@@ -51,25 +64,26 @@ func init() {
 
 // resize recomputes the effective pool. Caller holds parMu.
 func resizeLocked() {
-	parWorkers = parBudget / parLearners
-	if parWorkers < 1 {
-		parWorkers = 1
+	workers := parBudget / parLearners
+	if workers < 1 {
+		workers = 1
 	}
 	// The semaphore is shared by all learners, so its capacity is the
 	// budget minus the learner goroutines themselves (each caller is
 	// always one of its kernel's workers): k learners each borrowing at
-	// most parWorkers-1 goroutines stay within k·(budget/k) ≤ budget.
+	// most workers-1 goroutines stay within k·(budget/k) ≤ budget.
 	// With one learner this is the historical budget-1.
 	cap := parBudget - parLearners
 	if cap < 0 {
 		cap = 0
 	}
-	sem, ok := parSems[cap]
+	key := [2]int{workers, cap}
+	p, ok := parPools[key]
 	if !ok {
-		sem = make(chan struct{}, cap)
-		parSems[cap] = sem
+		p = &parPool{workers: workers, sem: make(chan struct{}, cap)}
+		parPools[key] = p
 	}
-	parSem = sem
+	parCur.Store(p)
 }
 
 // SetWorkerBudget sets the process-wide compute-goroutine budget the kernel
@@ -127,16 +141,23 @@ func SetParallelism(n int) { SetWorkerBudget(n) }
 
 // Parallelism returns the current effective kernel worker bound,
 // max(1, WorkerBudget()/ActiveLearners()).
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return parWorkers
+func Parallelism() int { return parCur.Load().workers }
+
+// parChunks returns how many chunks ParallelFor(n, grain, ·) runs under the
+// pool p; 1 means the whole range runs inline on the caller.
+func parChunks(p *parPool, n, grain int) int {
+	if p.workers == 1 || n <= grain {
+		return 1
+	}
+	return min((n+grain-1)/grain, p.workers)
 }
 
-func parState() (int, chan struct{}) {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return parWorkers, parSem
+// parSplits reports whether ParallelFor(n, grain, fn) would currently split
+// the range. Hot kernels test it before building fn, so a call that runs as
+// one chunk materialises no closure and stays allocation-free at any worker
+// budget.
+func parSplits(n, grain int) bool {
+	return parChunks(parCur.Load(), n, max(grain, 1)) > 1
 }
 
 // ParallelFor splits [0, n) into at most Parallelism() disjoint chunks of at
@@ -151,19 +172,13 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	workers, sem := parState()
-	if workers == 1 || n <= grain {
-		fn(0, n)
-		return
-	}
-	chunks := (n + grain - 1) / grain
-	if chunks > workers {
-		chunks = workers
-	}
+	p := parCur.Load()
+	chunks := parChunks(p, n, grain)
 	if chunks <= 1 {
 		fn(0, n)
 		return
 	}
+	sem := p.sem
 	size, rem := n/chunks, n%chunks
 	var wg sync.WaitGroup
 	lo := size
