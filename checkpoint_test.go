@@ -47,12 +47,19 @@ func TestSaveModelRejectsEmptyResult(t *testing.T) {
 // cluster config fields: the trained model round-trips bit-exactly and the
 // cluster context (server count, interconnect) is recorded as metadata.
 func TestSaveLoadClusterModelRoundTrip(t *testing.T) {
-	res, err := Train(Config{
+	cfg := Config{
 		Model: LeNet, Servers: 2, GPUs: 1, LearnersPerGPU: 2,
 		Batch: 8, MaxEpochs: 2, Interconnect: InfiniBand(),
-	})
+	}
+	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The interconnect is the hardware plane's: the trained bytes do not
+	// depend on it, nor on the run.
+	cfg.Interconnect = Ethernet()
+	if again, err := Train(cfg); err != nil || tensor.MaxAbsDiff(res.Params, again.Params) != 0 {
+		t.Fatalf("two runs of the same cluster config differ (err %v)", err)
 	}
 	path := filepath.Join(t.TempDir(), "lenet-cluster.ckpt")
 	if err := SaveModel(path, LeNet, res); err != nil {

@@ -1,8 +1,9 @@
 // Command crossbow-cluster drives the scale-out plane: it sweeps the
 // simulated cluster size and reports throughput and scaling efficiency,
-// trains one cluster configuration end to end (both planes) when -train is
-// set, or — with -tcp — launches a REAL cluster: one crossbow-node process
-// per server on localhost, exchanging the average model over TCP.
+// trains one cluster configuration end to end (both planes, the servers as
+// ranks of this process) when -train is set, or — with -tcp — launches the
+// same ranks as a REAL cluster: one crossbow-node process per server on
+// localhost, exchanging the average model over TCP.
 //
 // Usage:
 //

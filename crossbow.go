@@ -10,10 +10,18 @@
 // benchmark models measures statistical efficiency, while a discrete-event
 // simulator of the paper's 8-GPU server measures hardware efficiency.
 // Time-to-accuracy — the paper's headline metric — multiplies epochs-to-
-// accuracy from the first plane by epoch duration from the second. A third
-// plane (internal/cluster) scales the simulation out: Config.Servers > 1
-// trains across N simulated servers connected by Config.Interconnect, with
-// a two-level averaging schedule on top of the paper's hierarchical SMA.
+// accuracy from the first plane by epoch duration from the second.
+//
+// Config.Servers > 1 scales out with a two-level averaging schedule on top
+// of the paper's SMA (core.DistClusterSMA): every server is one rank that
+// trains its own learners and, every TauGlobal local synchronisations,
+// all-reduces its reference model with the others. There is one such
+// algorithm and one per-rank driver; Config.Transport only picks the
+// exchanger — in-process ranks over memory (TransportSimulated) or one
+// process per server over TCP (TransportTCP) — and where both reduce in the
+// same order the trained bytes are equal. The hardware plane of a cluster
+// run is internal/cluster's discrete-event engine, N simulated servers
+// joined by the Config.Interconnect cost model.
 //
 // Quick start:
 //
@@ -28,8 +36,10 @@ package crossbow
 
 import (
 	"fmt"
+	"sync"
 
 	"crossbow/internal/autotune"
+	"crossbow/internal/cluster"
 	"crossbow/internal/core"
 	"crossbow/internal/engine"
 	"crossbow/internal/metrics"
@@ -112,10 +122,14 @@ type Config struct {
 	Model Model
 	// Algo defaults to SMA.
 	Algo Algorithm
-	// Servers is the number of simulated multi-GPU servers (default 1).
-	// Above 1 the cluster plane schedules cross-server average tasks over
-	// Interconnect and trains with the two-level cluster SMA; Servers: 1
-	// is exactly the paper's single-server system.
+	// Servers is the number of multi-GPU servers (default 1). Above 1 the
+	// run is a cluster of Servers ranks training with the two-level cluster
+	// SMA, and the hardware plane schedules cross-server average tasks over
+	// Interconnect; Servers: 1 is exactly the paper's single-server system.
+	// Each rank holds GPUs×LearnersPerGPU learners and passes over the whole
+	// training set once per epoch on its own shuffle of it, so an epoch of
+	// a cluster run consumes Servers × the training set, and EpochSeconds
+	// (the time stamps of Series, TTASeconds) is scaled accordingly.
 	Servers int
 	// Interconnect is the cross-server network cost model (zero value:
 	// 10 Gb/s Ethernet). Only meaningful with Servers > 1. On a TCP run
@@ -124,9 +138,11 @@ type Config struct {
 	// collective's topology too.
 	Interconnect Interconnect
 	// Transport selects the cross-server exchange plane with Servers > 1:
-	// TransportSimulated (default) trains every server in this process
-	// against the Interconnect cost model; TransportTCP runs one server
-	// per OS process, exchanging the average model over real sockets.
+	// TransportSimulated (default) runs every server as a rank of this
+	// process, exchanging through memory, with time charged by the
+	// Interconnect cost model; TransportTCP runs one server per OS process,
+	// exchanging the average model over real sockets. The ranks are the
+	// same either way.
 	Transport Transport
 	// Node describes this process's rank and the cluster's address list
 	// with Transport: TransportTCP.
@@ -240,7 +256,8 @@ type Result struct {
 	WarmStartRound int
 	// ThroughputImgSec is the simulated training throughput.
 	ThroughputImgSec float64
-	// EpochSeconds is the simulated duration of one paper-scale epoch.
+	// EpochSeconds is the simulated duration of one paper-scale epoch (on
+	// a cluster run: of every rank's pass over the set, see Config.Servers).
 	EpochSeconds float64
 	// EpochsToTarget is the ETA statistic (-1 if target unset/missed).
 	EpochsToTarget int
@@ -259,9 +276,11 @@ type Result struct {
 	Scheduler Scheduler
 	// Wall records each epoch's measured wall-clock duration and training
 	// throughput on this machine (the real-hardware complement of the
-	// simulated ThroughputImgSec).
+	// simulated ThroughputImgSec). On a cluster run it is this rank's
+	// (rank 0's on the simulated transport).
 	Wall []metrics.WallPoint
-	// WallImagesPerSec is the measured mean training throughput.
+	// WallImagesPerSec is the measured mean training throughput; on the
+	// simulated transport, summed over the ranks of the process.
 	WallImagesPerSec float64
 	// RuntimeStats reports the task runtime's scheduling statistics
 	// (rounds applied, straggler waits, FCFS run-ahead).
@@ -330,12 +349,80 @@ func (c *Config) fillDefaults() error {
 	default:
 		return fmt.Errorf("crossbow: unknown transport %q", c.Transport)
 	}
+	if c.Servers > 1 || c.Transport == TransportTCP {
+		// A cluster run trains with the two-level cluster SMA, whatever SMA
+		// flavour was asked for.
+		algo, err := clusterAlgo(c.Algo)
+		if err != nil {
+			return err
+		}
+		c.Algo = algo
+		if c.Interconnect == (Interconnect{}) {
+			c.Interconnect = Ethernet()
+		}
+	}
 	return nil
 }
 
+// tunesOnline reports whether AutoTune means the *online* Algorithm 2: with
+// the FCFS runtime the statistical plane starts at one learner per GPU and
+// resizes against measured wall-clock throughput while training. Otherwise
+// the count is probed on the hardware simulator up front (resolveLearners).
+func (c *Config) tunesOnline() bool {
+	return c.LearnersPerGPU == AutoTune && c.Scheduler == FCFS
+}
+
+// resolveLearners returns the learners-per-GPU count m of a run: the
+// configured one, or with AutoTune the offline tuner's choice for the
+// cluster shape (with its decision history). The tuner is deterministic in
+// (model, gpus, batch, cluster shape), so every rank of a cluster run
+// resolves the same m.
+func resolveLearners(cfg Config) (int, []autotune.Decision) {
+	switch {
+	case cfg.LearnersPerGPU == AutoTune:
+		tuned := autotune.Tune(autotune.Config{
+			Model: cfg.Model, GPUs: cfg.GPUs, Batch: cfg.Batch,
+			Servers: cfg.Servers, TauGlobal: cfg.TauGlobal, Net: cfg.Interconnect,
+		})
+		return tuned.Chosen, tuned.History
+	case cfg.LearnersPerGPU <= 0:
+		return 1, nil
+	}
+	return cfg.LearnersPerGPU, nil
+}
+
+// hardwareThroughput measures the hardware plane: simulated training
+// throughput (images/s, the whole cluster's) for cfg at m learners per GPU
+// — the S-SGD engine, the single-server engine, or the cluster engine with
+// its cross-server average tasks over cfg.Interconnect.
+func hardwareThroughput(cfg Config, m int) float64 {
+	const iters = 30
+	switch {
+	case cfg.Algo == SSGD:
+		return engine.NewSSGD(engine.SSGDConfig{
+			Model: cfg.Model, GPUs: cfg.GPUs, AggregateBatch: cfg.Batch * cfg.GPUs * m,
+		}).Throughput(iters)
+	case cfg.Servers > 1:
+		return cluster.New(cluster.Config{
+			Model: cfg.Model, Servers: cfg.Servers, GPUsPerServer: cfg.GPUs,
+			LearnersPerGPU: m, Batch: cfg.Batch,
+			TauLocal: max(1, cfg.Tau), TauGlobal: cfg.TauGlobal,
+			Overlap: true, Net: cfg.Interconnect,
+		}).Throughput(iters)
+	}
+	// One server is one engine: the cluster engine at Servers: 1 schedules
+	// the same work but costs a third more to build, on every Train call.
+	return engine.New(engine.Config{
+		Model: cfg.Model, GPUs: cfg.GPUs, LearnersPerGPU: m, Batch: cfg.Batch,
+		Tau: max(1, cfg.Tau), Overlap: true,
+	}).Throughput(iters)
+}
+
 // Train runs the configured experiment end to end: optional learner
-// auto-tuning, hardware-efficiency measurement on the simulated server, and
-// genuine training of the scaled model for statistical efficiency.
+// auto-tuning, hardware-efficiency measurement on the simulated server or
+// cluster, and genuine training of the scaled model for statistical
+// efficiency — on this server, as Servers ranks in this process
+// (TransportSimulated), or as this process's rank of a TCP cluster.
 func Train(cfg Config) (*Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -361,56 +448,44 @@ func Train(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	if cfg.Transport == TransportTCP {
-		return trainNodeTCP(cfg)
-	}
-	if cfg.Servers > 1 {
-		return trainCluster(cfg)
-	}
-	res := &Result{LearnersPerGPU: cfg.LearnersPerGPU, Servers: 1, Scheduler: cfg.Scheduler, Transport: TransportSimulated}
 
-	// With the FCFS runtime, AutoTune means the *online* Algorithm 2: the
-	// statistical plane below starts at one learner per GPU and resizes
-	// against measured wall-clock throughput while training. Otherwise the
-	// count is probed on the hardware simulator up front.
-	tuneOnline := cfg.LearnersPerGPU == AutoTune && cfg.Scheduler == FCFS
-	if tuneOnline {
-		res.LearnersPerGPU = 1 // refined from TuneHistory after the run
-	} else if cfg.LearnersPerGPU == AutoTune {
-		tuned := autotune.Tune(autotune.Config{Model: cfg.Model, GPUs: cfg.GPUs, Batch: cfg.Batch})
-		res.LearnersPerGPU = tuned.Chosen
-		res.TuneHistory = tuned.History
-	} else if cfg.LearnersPerGPU <= 0 {
-		res.LearnersPerGPU = 1
+	// What every rank of the run shares: the learner count and the hardware
+	// plane's throughput and epoch duration at paper scale.
+	base := Result{Servers: cfg.Servers, Transport: cfg.Transport, LearnersPerGPU: 1}
+	if cfg.Algo == core.AlgoSMACluster {
+		base.Interconnect = cfg.Interconnect
+	}
+	if !cfg.tunesOnline() { // else refined from the run's TuneHistory
+		base.LearnersPerGPU, base.TuneHistory = resolveLearners(cfg)
+	}
+	base.ThroughputImgSec = hardwareThroughput(cfg, base.LearnersPerGPU)
+	if base.ThroughputImgSec > 0 {
+		// Every rank passes over the whole training set per epoch, so a
+		// cluster epoch consumes Servers × TrainSamples images.
+		base.EpochSeconds = float64(cfg.Servers) * float64(nn.FullSpec(cfg.Model).TrainSamples) / base.ThroughputImgSec
 	}
 
-	// Hardware plane: throughput and epoch duration at paper scale.
-	spec := nn.FullSpec(cfg.Model)
-	var tau int
-	if cfg.Tau > 1 {
-		tau = cfg.Tau
+	switch {
+	case cfg.Transport == TransportTCP:
+		return trainNodeTCP(cfg, base)
+	case cfg.Servers > 1:
+		return trainLoopback(cfg, base), nil
 	}
-	var throughput float64
-	if cfg.Algo == SSGD {
-		eng := engine.NewSSGD(engine.SSGDConfig{
-			Model: cfg.Model, GPUs: cfg.GPUs,
-			AggregateBatch: cfg.Batch * cfg.GPUs * res.LearnersPerGPU,
-		})
-		throughput = eng.Throughput(30)
-	} else {
-		eng := engine.New(engine.Config{
-			Model: cfg.Model, GPUs: cfg.GPUs, LearnersPerGPU: res.LearnersPerGPU,
-			Batch: cfg.Batch, Tau: tau, Overlap: true,
-		})
-		throughput = eng.Throughput(30)
-	}
-	res.ThroughputImgSec = throughput
-	if throughput > 0 {
-		res.EpochSeconds = float64(spec.TrainSamples) / throughput
-	}
+	return trainRank(cfg, base, 0, nil, nil, cfg.OnSnapshot), nil
+}
 
-	// Statistical plane: real training of the scaled model on the task
-	// runtime.
+// trainRank runs the statistical plane — real training of the scaled model
+// on the task runtime — for one rank and fills in the run's Result from
+// base. A single-server run is rank 0 with no exchanger; a cluster rank
+// trains its own server's learners on a rank-derived batch stream and
+// averages with its peers through ex (see core.DistClusterSMA). initModel
+// warm-starts a rejoining rank; publish receives the rank's snapshots.
+func trainRank(cfg Config, base Result, rank int, ex core.GlobalExchanger, initModel []float32, publish func(Snapshot)) *Result {
+	res := base
+	var shuffleSeed uint64 // zero: the trainer's default stream
+	if ex != nil {
+		shuffleSeed = shuffleSeedFor(cfg.Seed, rank)
+	}
 	tr := core.Train(core.TrainConfig{
 		Model:           cfg.Model,
 		Algo:            cfg.Algo,
@@ -422,6 +497,7 @@ func Train(cfg Config) (*Result, error) {
 		LocalMomentum:   cfg.Momentum, // solver momentum inside learners, as released
 
 		Tau:               cfg.Tau,
+		TauGlobal:         cfg.TauGlobal,
 		MaxEpochs:         cfg.MaxEpochs,
 		TargetAcc:         cfg.TargetAccuracy,
 		Seed:              cfg.Seed,
@@ -433,24 +509,28 @@ func Train(cfg Config) (*Result, error) {
 		Scheduler:         cfg.Scheduler,
 		KernelMode:        cfg.KernelMode,
 		Prefetch:          cfg.Prefetch,
-		AutoTuneLearners:  tuneOnline,
+		AutoTuneLearners:  cfg.tunesOnline(),
 		MemoryBudget:      cfg.MemoryBudget,
 		PublishEvery:      cfg.PublishEvery,
-		OnSnapshot:        cfg.OnSnapshot,
+		OnSnapshot:        publish,
+
+		ExchangeRetries: cfg.Node.ExchangeRetries,
+		GlobalExchange:  ex,
+		OverlapGlobal:   ex != nil && cfg.Node.OverlapGlobal,
+		InitModel:       initModel,
+		ShuffleSeed:     shuffleSeed,
 	})
 	res.Series = tr.Series
 	res.EpochsToTarget = tr.EpochsToTarget
 	res.BestAccuracy = tr.FinalAccuracy
 	res.Params = tr.Model
+	res.Scheduler = tr.Sched
 	res.Wall = tr.Wall
 	res.WallImagesPerSec = metrics.MeanImagesPerSec(tr.Wall)
 	res.RuntimeStats = tr.RuntimeStats
 	res.Mem = tr.Mem
-	if tuneOnline {
-		res.LearnersPerGPU = tr.K / cfg.GPUs
-		if res.LearnersPerGPU < 1 {
-			res.LearnersPerGPU = 1
-		}
+	if cfg.tunesOnline() {
+		res.LearnersPerGPU = max(1, tr.K/cfg.GPUs)
 		res.TuneHistory = tr.TuneHistory
 	}
 	res.TTASeconds = -1
@@ -459,7 +539,43 @@ func Train(cfg Config) (*Result, error) {
 			res.TTASeconds = t
 		}
 	}
-	return res, nil
+	return &res
+}
+
+// trainLoopback is Train's path for Servers > 1 on the simulated transport:
+// the cluster's ranks run in this process, each the same per-rank driver a
+// TCP node runs, averaging through an in-memory exchanger. The cluster
+// average model is replicated bit for bit, so the Result is rank 0's, with
+// the ranks' measured throughputs summed; snapshots (and the model feed)
+// are rank 0's too.
+func trainLoopback(cfg Config, base Result) *Result {
+	hub := core.NewLoopback(cfg.Servers)
+	results := make([]*Result, cfg.Servers)
+	// Each rank's trainer sets and restores the process-wide learner count
+	// around itself; concurrent ranks interleave those, so the value to come
+	// back to is saved here.
+	defer tensor.SetActiveLearners(tensor.ActiveLearners())
+	var wg sync.WaitGroup
+	for rank := range results {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			// A rank that is done (or panics) releases peers still waiting
+			// for it in a round.
+			defer hub.Close()
+			var publish func(Snapshot)
+			if rank == 0 {
+				publish = cfg.OnSnapshot
+			}
+			results[rank] = trainRank(cfg, base, rank, hub.Rank(rank), nil, publish)
+		}(rank)
+	}
+	wg.Wait()
+	res := results[0]
+	for _, r := range results[1:] {
+		res.WallImagesPerSec += r.WallImagesPerSec
+	}
+	return res
 }
 
 // Throughput measures simulated training throughput (images/s) for a
@@ -468,34 +584,8 @@ func Throughput(cfg Config) (float64, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return 0, err
 	}
-	m := cfg.LearnersPerGPU
-	if m == AutoTune {
-		m = autotune.Tune(autotune.Config{
-			Model: cfg.Model, GPUs: cfg.GPUs, Batch: cfg.Batch,
-			Servers: cfg.Servers, TauGlobal: cfg.TauGlobal, Net: cfg.Interconnect,
-		}).Chosen
-	} else if m <= 0 {
-		m = 1
-	}
-	if cfg.Servers > 1 {
-		if _, err := clusterAlgo(cfg.Algo); err != nil {
-			return 0, err
-		}
-		return clusterThroughput(cfg, m, 30), nil
-	}
-	if cfg.Algo == SSGD {
-		return engine.NewSSGD(engine.SSGDConfig{
-			Model: cfg.Model, GPUs: cfg.GPUs, AggregateBatch: cfg.Batch * cfg.GPUs * m,
-		}).Throughput(30), nil
-	}
-	var tau int
-	if cfg.Tau > 1 {
-		tau = cfg.Tau
-	}
-	return engine.New(engine.Config{
-		Model: cfg.Model, GPUs: cfg.GPUs, LearnersPerGPU: m, Batch: cfg.Batch,
-		Tau: tau, Overlap: true,
-	}).Throughput(30), nil
+	m, _ := resolveLearners(cfg)
+	return hardwareThroughput(cfg, m), nil
 }
 
 // TuneLearners runs Algorithm 2 and returns the chosen learners-per-GPU

@@ -1,6 +1,12 @@
 package crossbow
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"crossbow/internal/nn"
+	"crossbow/internal/tensor"
+)
 
 // TestTrainServersOneMatchesBaseline pins the degenerate case at the API
 // boundary: Servers: 1 must take the exact single-server path (same
@@ -34,16 +40,44 @@ func TestTrainServersOneMatchesBaseline(t *testing.T) {
 	}
 }
 
+// checkClusterEpoch asserts the time axis of a cluster run: every rank
+// passes over the whole training set per epoch, so an epoch of the cluster
+// consumes Servers × TrainSamples images at the hardware plane's rate.
+func checkClusterEpoch(t *testing.T, model Model, res *Result) {
+	t.Helper()
+	got := res.EpochSeconds * res.ThroughputImgSec
+	want := float64(res.Servers) * float64(nn.FullSpec(model).TrainSamples)
+	if math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("EpochSeconds × ThroughputImgSec = %v images per epoch, want Servers × TrainSamples = %v", got, want)
+	}
+}
+
 // TestTrainClusterScaleout runs the full cluster path end to end: both
-// planes, two servers.
+// planes, two servers as two ranks of this process.
 func TestTrainClusterScaleout(t *testing.T) {
-	res, err := Train(Config{
+	cfg := Config{
 		Model: LeNet, Servers: 2, GPUs: 1, LearnersPerGPU: 2,
 		Batch: 8, MaxEpochs: 2, Interconnect: Ethernet(),
-	})
+	}
+	learners := tensor.ActiveLearners()
+	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := tensor.ActiveLearners(); got != learners {
+		t.Fatalf("the ranks left the process-wide learner count at %d, it was %d", got, learners)
+	}
+	again, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tensor.MaxAbsDiff(res.Params, again.Params) != 0 {
+		t.Fatal("two runs of the same cluster config differ")
+	}
+	if res.Transport != TransportSimulated {
+		t.Fatalf("Result.Transport = %q", res.Transport)
+	}
+	checkClusterEpoch(t, LeNet, res)
 	if res.Servers != 2 {
 		t.Fatalf("Result.Servers = %d, want 2", res.Servers)
 	}

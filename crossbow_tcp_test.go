@@ -104,6 +104,7 @@ func TestTrainTCPCluster(t *testing.T) {
 		if res.WarmStartRound != 0 {
 			t.Fatalf("node %d: cold bootstrap reported warm start from round %d", r, res.WarmStartRound)
 		}
+		checkClusterEpoch(t, ResNet32, res)
 		if res.TransportStats.Rounds < 1 {
 			t.Fatalf("node %d: no transport rounds completed: %+v", r, res.TransportStats)
 		}
@@ -241,15 +242,124 @@ func TestTrainTCPOverlapBitIdentical(t *testing.T) {
 	}
 }
 
+// trainTCPRanks runs cfg as an in-process TCP cluster, one goroutine per
+// rank, returning every rank's result and rank 0's published snapshots.
+func trainTCPRanks(t *testing.T, cfg Config) ([]*Result, []Snapshot) {
+	t.Helper()
+	addrs, lns := tcpPeers(t, cfg.Servers)
+	results := make([]*Result, cfg.Servers)
+	errs := make([]error, cfg.Servers)
+	var snaps []Snapshot
+	var wg sync.WaitGroup
+	for r := range results {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			c := cfg
+			c.Transport = TransportTCP
+			c.Node = fastNode(r, addrs, lns[r])
+			if r == 0 {
+				c.OnSnapshot = func(s Snapshot) { snaps = append(snaps, s) }
+			}
+			results[r], errs[r] = Train(c)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("TCP rank %d: %v", r, err)
+		}
+		if st := results[r].TransportStats; st.Aborts != 0 || st.RestartRounds != 0 {
+			// ROADMAP item 1(e): the transport's fault, not the trainer's.
+			t.Fatalf("TCP rank %d: churn on a healthy in-process cluster, the run is no reference: %+v", r, st)
+		}
+	}
+	return results, snaps
+}
+
+// TestLoopbackMatchesTCP is the one-mechanism pin: Servers: N on the
+// simulated transport runs the very ranks a TCP cluster runs — same
+// optimiser, same seeds, same per-rank batch streams — so wherever the two
+// exchangers add in the same order the runs agree byte for byte, in the
+// final parameters and in every published snapshot. The loopback sums
+// ((r0+r1)+r2)+… ; the TCP binomial tree associates that way up to three
+// ranks and the ring at two (a+b = b+a). At three ranks the ring sums
+// chunk c round the ring from rank c, e.g. (r1+r2)+r0, which rounds
+// differently in the last bit: there the runs agree to 1e-6, not bitwise —
+// an association difference, documented in DESIGN.md §4, not a divergence.
+func TestLoopbackMatchesTCP(t *testing.T) {
+	for _, tc := range []struct {
+		servers int
+		tree    bool
+		exact   bool
+	}{
+		{2, false, true},
+		{2, true, true},
+		{3, true, true},
+		{3, false, false},
+	} {
+		name := fmt.Sprintf("%d ranks ring", tc.servers)
+		if tc.tree {
+			name = fmt.Sprintf("%d ranks tree", tc.servers)
+		}
+		cfg := Config{
+			Model: ResNet32, GPUs: 1, LearnersPerGPU: 2, Batch: 8,
+			MaxEpochs: 2, Seed: 42, TrainSamples: 128, TestSamples: 64,
+			Servers: tc.servers, Interconnect: Ethernet(), PublishEvery: 2,
+		}
+		cfg.Interconnect.Tree = tc.tree
+
+		tcp, tcpSnaps := trainTCPRanks(t, cfg)
+		var snaps []Snapshot
+		cfg.OnSnapshot = func(s Snapshot) { snaps = append(snaps, s) }
+		loop, err := Train(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		compare := func(what string, got, want []float32) {
+			t.Helper()
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%s %s: %d parameters vs %d over TCP", name, what, len(got), len(want))
+			}
+			for i := range want {
+				if tc.exact && math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s %s param %d: loopback %v vs TCP %v", name, what, i, got[i], want[i])
+				}
+				if d := math.Abs(float64(got[i] - want[i])); !(d <= 1e-6) {
+					t.Fatalf("%s %s param %d: loopback %v vs TCP %v (off by %g)", name, what, i, got[i], want[i], d)
+				}
+			}
+		}
+		compare("final model", loop.Params, tcp[0].Params)
+		if len(snaps) == 0 || len(snaps) != len(tcpSnaps) {
+			t.Fatalf("%s: %d loopback snapshots vs %d over TCP", name, len(snaps), len(tcpSnaps))
+		}
+		for k, s := range snaps {
+			o := tcpSnaps[k]
+			if s.Round != o.Round || s.Iter != o.Iter || s.Epoch != o.Epoch {
+				t.Fatalf("%s snapshot %d: (round %d iter %d epoch %d) vs TCP (round %d iter %d epoch %d)",
+					name, k, s.Round, s.Iter, s.Epoch, o.Round, o.Iter, o.Epoch)
+			}
+			compare(fmt.Sprintf("snapshot %d", k), s.Params, o.Params)
+		}
+		for i, p := range loop.Series {
+			if q := tcp[0].Series[i]; tc.exact && p != q {
+				t.Fatalf("%s epoch %d: loopback %+v vs TCP %+v", name, i+1, p, q)
+			}
+		}
+	}
+}
+
 // TestTrainTCPValidation pins the config errors of the TCP plane.
 func TestTrainTCPValidation(t *testing.T) {
 	peers := []string{"127.0.0.1:7101", "127.0.0.1:7102"}
 	bad := []Config{
-		{Model: LeNet, Transport: TransportTCP},                                                 // no peers
-		{Model: LeNet, Transport: TransportTCP, Node: NodeConfig{Rank: 2, Peers: peers}},        // rank out of range
-		{Model: LeNet, Transport: TransportTCP, Servers: 3, Node: NodeConfig{Peers: peers}},     // servers != peers
-		{Model: LeNet, Transport: "carrier-pigeon"},                                             // unknown transport
-		{Model: LeNet, Transport: TransportTCP, Algo: SSGD, Node: NodeConfig{Peers: peers}},     // non-SMA
+		{Model: LeNet, Transport: TransportTCP},                                                  // no peers
+		{Model: LeNet, Transport: TransportTCP, Node: NodeConfig{Rank: 2, Peers: peers}},         // rank out of range
+		{Model: LeNet, Transport: TransportTCP, Servers: 3, Node: NodeConfig{Peers: peers}},      // servers != peers
+		{Model: LeNet, Transport: "carrier-pigeon"},                                              // unknown transport
+		{Model: LeNet, Transport: TransportTCP, Algo: SSGD, Node: NodeConfig{Peers: peers}},      // non-SMA
 		{Model: LeNet, Transport: TransportTCP, Scheduler: FCFS, Node: NodeConfig{Peers: peers}}, // FCFS is single-server
 	}
 	for i, cfg := range bad {

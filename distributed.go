@@ -6,12 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"crossbow/internal/autotune"
 	"crossbow/internal/chaos"
 	"crossbow/internal/ckpt"
 	"crossbow/internal/core"
-	"crossbow/internal/metrics"
-	"crossbow/internal/nn"
 	"crossbow/internal/transport"
 )
 
@@ -20,9 +17,12 @@ import (
 type Transport string
 
 const (
-	// TransportSimulated (the default) trains every server in one process
-	// and charges the Interconnect cost model for each exchange — the
-	// original cluster plane, useful as a deterministic oracle.
+	// TransportSimulated (the default) runs every server of the cluster as
+	// a rank of this process: the ranks train concurrently, each exactly
+	// what a TCP node trains (own learners, own batch stream), and all-reduce
+	// their reference models through memory — the socket-free, bit-
+	// deterministic twin of TransportTCP. Time is simulated: the hardware
+	// plane charges the Interconnect cost model for each exchange.
 	TransportSimulated Transport = "simulated"
 	// TransportTCP runs ONE server per process: this process trains its
 	// local learners and all-reduces the server reference model with its
@@ -202,57 +202,21 @@ func (c *Config) validateTCP() error {
 
 // trainNodeTCP is Train's path for Transport: TransportTCP. It runs ONE
 // server of the cluster: bring up the transport mesh, warm-start from a
-// peer snapshot when one exists (a rejoin), then train with the networked
-// two-level SMA. The returned Result is this process's view; the central
-// average model in Params is bit-identical across processes that finished
-// the same rounds together.
-func trainNodeTCP(cfg Config) (*Result, error) {
-	algo, err := clusterAlgo(cfg.Algo)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Interconnect == (Interconnect{}) {
-		cfg.Interconnect = Ethernet()
-	}
-	res := &Result{
-		LearnersPerGPU: cfg.LearnersPerGPU,
-		Servers:        cfg.Servers,
-		Interconnect:   cfg.Interconnect,
-		Transport:      TransportTCP,
-	}
-
-	// The learner count must agree across processes. The offline tuner is
-	// deterministic in (model, gpus, batch, cluster shape), so AutoTune
-	// resolves to the same m on every rank.
-	if cfg.LearnersPerGPU == AutoTune {
-		tuned := autotune.Tune(autotune.Config{
-			Model: cfg.Model, GPUs: cfg.GPUs, Batch: cfg.Batch,
-			Servers: cfg.Servers, TauGlobal: cfg.TauGlobal, Net: cfg.Interconnect,
-		})
-		res.LearnersPerGPU = tuned.Chosen
-		res.TuneHistory = tuned.History
-	} else if cfg.LearnersPerGPU <= 0 {
-		res.LearnersPerGPU = 1
-	}
-
-	// Hardware plane: the simulated cluster stays the cost-model oracle —
-	// the simulated throughput/epoch duration published next to the
-	// measured transport stats (Result.TransportStats) so runs can compare
-	// predicted and real exchange costs.
-	spec := nn.FullSpec(cfg.Model)
-	res.ThroughputImgSec = clusterThroughput(cfg, res.LearnersPerGPU, 30)
-	if res.ThroughputImgSec > 0 {
-		res.EpochSeconds = float64(spec.TrainSamples) / res.ThroughputImgSec
-	}
-
+// peer snapshot when one exists (a rejoin), then train this rank with the
+// two-level SMA over the network. The returned Result is this process's
+// view; the central average model in Params is bit-identical across
+// processes that finished the same rounds together. base carries the
+// hardware plane: the simulated cluster stays the cost-model oracle,
+// published next to the measured transport stats (Result.TransportStats)
+// so runs can compare predicted and real exchange costs.
+func trainNodeTCP(cfg Config, base Result) (*Result, error) {
 	// Snapshots feed two consumers: the user's OnSnapshot and the rejoin
 	// protocol (peers seed from the latest published cluster model). With
 	// publishing off, default to one snapshot per global round so a
 	// rejoining peer always finds a fresh model to resume from.
 	holder := &snapshotHolder{next: cfg.OnSnapshot}
-	publishEvery := cfg.PublishEvery
-	if publishEvery <= 0 {
-		publishEvery = max(1, cfg.Tau) * max(1, cfg.TauGlobal)
+	if cfg.PublishEvery <= 0 {
+		cfg.PublishEvery = max(1, cfg.Tau) * max(1, cfg.TauGlobal)
 	}
 
 	node, err := transport.Listen(transport.Config{
@@ -296,59 +260,11 @@ func trainNodeTCP(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("crossbow: peer snapshot is for model %q, this run trains %q", snap.Model, cfg.Model)
 			}
 			initModel = snap.Params
-			res.WarmStartRound = int(snap.SnapshotRound)
+			base.WarmStartRound = int(snap.SnapshotRound)
 		}
 	}
 
-	tr := core.Train(core.TrainConfig{
-		Model:           cfg.Model,
-		Algo:            algo,
-		Servers:         cfg.Servers,
-		GPUs:            cfg.GPUs,
-		LearnersPerGPU:  res.LearnersPerGPU,
-		BatchPerLearner: cfg.Batch,
-		LearnRate:       cfg.LearnRate,
-		Momentum:        cfg.Momentum,
-		LocalMomentum:   cfg.Momentum,
-
-		Tau:               cfg.Tau,
-		TauGlobal:         cfg.TauGlobal,
-		MaxEpochs:         cfg.MaxEpochs,
-		TargetAcc:         cfg.TargetAccuracy,
-		Seed:              cfg.Seed,
-		Schedule:          cfg.Schedule,
-		RestartOnLRChange: cfg.Restart,
-		EpochSeconds:      res.EpochSeconds,
-		TrainSamples:      cfg.TrainSamples,
-		TestSamples:       cfg.TestSamples,
-		Scheduler:         cfg.Scheduler,
-		KernelMode:        cfg.KernelMode,
-		Prefetch:          cfg.Prefetch,
-		MemoryBudget:      cfg.MemoryBudget,
-		PublishEvery:      publishEvery,
-		OnSnapshot:        holder.onSnapshot,
-
-		ExchangeRetries: cfg.Node.ExchangeRetries,
-		GlobalExchange:  nodeExchanger{node},
-		OverlapGlobal:   cfg.Node.OverlapGlobal,
-		InitModel:       initModel,
-		ShuffleSeed:     shuffleSeedFor(cfg.Seed, cfg.Node.Rank),
-	})
-	res.Series = tr.Series
-	res.EpochsToTarget = tr.EpochsToTarget
-	res.BestAccuracy = tr.FinalAccuracy
-	res.Params = tr.Model
-	res.Scheduler = tr.Sched
-	res.Wall = tr.Wall
-	res.WallImagesPerSec = metrics.MeanImagesPerSec(tr.Wall)
-	res.RuntimeStats = tr.RuntimeStats
-	res.Mem = tr.Mem
-	res.TTASeconds = -1
-	if cfg.TargetAccuracy > 0 {
-		if t, ok := metrics.TTA(tr.Series, cfg.TargetAccuracy); ok {
-			res.TTASeconds = t
-		}
-	}
+	res := trainRank(cfg, base, cfg.Node.Rank, nodeExchanger{node}, initModel, holder.onSnapshot)
 
 	// A graceful leave: peers stop waiting for this rank at the next
 	// barrier instead of suffering a heartbeat timeout. Stats are cut

@@ -3,6 +3,9 @@
 // small model rides even commodity Ethernet to near-linear throughput,
 // while the interconnect choice and the cross-server averaging period
 // τ_global decide how much of that throughput survives on bigger models.
+// The sweeps run on the hardware plane alone (the simulated cluster); the
+// closing training run is two ranks of this process, the same ranks a TCP
+// cluster would run, averaging through memory instead of sockets.
 package main
 
 import (
@@ -54,7 +57,7 @@ func main() {
 		fmt.Printf("  tau_global=%d %12.0f images/s\n", tg, tp)
 	}
 
-	fmt.Println("\nEnd-to-end cluster training (LeNet, 2 servers, both planes):")
+	fmt.Println("\nEnd-to-end cluster training (LeNet, 2 servers as 2 in-process ranks, both planes):")
 	res, err := crossbow.Train(crossbow.Config{
 		Model: crossbow.LeNet, Servers: 2, GPUs: 1, LearnersPerGPU: 2,
 		Batch: 8, MaxEpochs: 5, Interconnect: crossbow.InfiniBand(),

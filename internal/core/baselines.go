@@ -35,8 +35,11 @@ func NewSSGD(lr, momentum float32, w0 []float32) *SSGD {
 	}
 }
 
-// Model returns the global model.
-func (s *SSGD) Model() []float32 { return s.w }
+// Average returns the global model — the model S-SGD trains.
+func (s *SSGD) Average() []float32 { return s.w }
+
+// SetLearnRate updates γ.
+func (s *SSGD) SetLearnRate(lr float32) { s.LearnRate = lr }
 
 // Step aggregates the workers' partial gradients (gs[j] from partition j),
 // applies the momentum update to the global model, and copies the new
@@ -174,8 +177,11 @@ func NewASGD(lr float32, w0 []float32) *ASGD {
 	return &ASGD{LearnRate: lr, w: append([]float32(nil), w0...)}
 }
 
-// Model returns the shared model.
-func (a *ASGD) Model() []float32 { return a.w }
+// Average returns the shared model — the model A-SGD trains.
+func (a *ASGD) Average() []float32 { return a.w }
+
+// SetLearnRate updates γ.
+func (a *ASGD) SetLearnRate(lr float32) { a.LearnRate = lr }
 
 // Step applies each worker's (stale) gradient to the shared model in turn,
 // then refreshes every replica with the current shared model — the

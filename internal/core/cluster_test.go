@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"crossbow/internal/nn"
@@ -30,38 +31,16 @@ func makeReplicas(k, dim int) (ws, gs [][]float32, w0 []float32) {
 	return ws, gs, w0
 }
 
-// TestClusterSMASingleServerEqualsSMA pins the statistical-plane degenerate
-// case: with one server the two-level schedule is exactly Algorithm 1,
-// step for step, including τ>1, local momentum, state ranges and restarts.
-func TestClusterSMASingleServerEqualsSMA(t *testing.T) {
-	const k, dim = 4, 32
-	cfg := SMAConfig{
-		LearnRate: 0.05, Momentum: 0.9, LocalMomentum: 0.6,
-		Tau: 2, StateRanges: [][2]int{{28, 32}},
+// distCluster builds one DistClusterSMA per server over a fresh in-memory
+// exchange, each with perServer replicas of makeReplicas' w0.
+func distCluster(cfg ClusterSMAConfig, servers, perServer, dim int) (nodes []*DistClusterSMA, ws, gs [][][]float32) {
+	ex := newMemExchange(servers)
+	for s := 0; s < servers; s++ {
+		w, g, w0 := makeReplicas(perServer, dim)
+		ws, gs = append(ws, w), append(gs, g)
+		nodes = append(nodes, NewDistClusterSMA(cfg, w0, perServer, ex.handle(s)))
 	}
-	wsA, gsA, w0 := makeReplicas(k, dim)
-	wsB, gsB, _ := makeReplicas(k, dim)
-	flat := NewSMA(cfg, w0, k)
-	clustered := NewClusterSMA(ClusterSMAConfig{SMAConfig: cfg, TauGlobal: 3}, w0, GroupsFor(1, k))
-
-	for iter := 1; iter <= 12; iter++ {
-		fakeGrads(gsA, iter)
-		fakeGrads(gsB, iter)
-		flat.Step(wsA, gsA)
-		clustered.Step(wsB, gsB)
-		if iter == 7 {
-			flat.Restart(wsA)
-			clustered.Restart(wsB)
-		}
-		for j := 0; j < k; j++ {
-			if d := tensor.MaxAbsDiff(wsA[j], wsB[j]); d != 0 {
-				t.Fatalf("iter %d: replica %d diverges by %v", iter, j, d)
-			}
-		}
-		if d := tensor.MaxAbsDiff(flat.Average(), clustered.Average()); d != 0 {
-			t.Fatalf("iter %d: average models diverge by %v", iter, d)
-		}
-	}
+	return nodes, ws, gs
 }
 
 // TestClusterSMAGlobalTierPullsServersTogether: servers receiving opposing
@@ -70,24 +49,21 @@ func TestClusterSMASingleServerEqualsSMA(t *testing.T) {
 func TestClusterSMAGlobalTierPullsServersTogether(t *testing.T) {
 	const dim = 16
 	run := func(tauGlobal int) float64 {
-		ws, gs, w0 := makeReplicas(4, dim) // 2 servers × 2 learners
-		c := NewClusterSMA(ClusterSMAConfig{
+		nodes, ws, gs := distCluster(ClusterSMAConfig{
 			SMAConfig: SMAConfig{LearnRate: 0.1, Momentum: 0.5},
 			TauGlobal: tauGlobal,
-		}, w0, GroupsFor(2, 2))
-		for iter := 1; iter <= 8; iter++ {
-			for j := range gs {
-				sign := float32(1)
-				if j >= 2 {
-					sign = -1
-				}
-				for i := range gs[j] {
-					gs[j][i] = sign
+		}, 2, 2, dim)
+		for s := range gs {
+			for j := range gs[s] {
+				for i := range gs[s][j] {
+					gs[s][j][i] = float32(1 - 2*s)
 				}
 			}
-			c.Step(ws, gs)
 		}
-		return float64(tensor.MaxAbsDiff(c.smas[0].Average(), c.smas[1].Average()))
+		for iter := 1; iter <= 8; iter++ {
+			stepDist(nodes, ws, gs)
+		}
+		return float64(tensor.MaxAbsDiff(nodes[0].Ref(), nodes[1].Ref()))
 	}
 	tight, loose := run(1), run(8)
 	if tight >= loose {
@@ -103,38 +79,71 @@ func TestClusterSMAGlobalTierPullsServersTogether(t *testing.T) {
 // carry the mean of the server reference models there.
 func TestClusterSMAStateCarriesServerMean(t *testing.T) {
 	const dim = 8
-	ws, gs, w0 := makeReplicas(2, dim)
-	cfg := ClusterSMAConfig{
+	nodes, ws, gs := distCluster(ClusterSMAConfig{
 		SMAConfig: SMAConfig{LearnRate: 0.1, StateRanges: [][2]int{{6, 8}}},
+	}, 2, 1, dim)
+	// Two steps: a reference model carries its replicas' statistics as they
+	// stood before the step, so the servers differ from the second step on.
+	for iter := 1; iter <= 2; iter++ {
+		fakeGrads(gs[0], iter)
+		fakeGrads(gs[1], iter+7)
+		stepDist(nodes, ws, gs)
 	}
-	c := NewClusterSMA(cfg, w0, GroupsFor(2, 1))
-	fakeGrads(gs, 1)
-	c.Step(ws, gs)
 	for i := 6; i < 8; i++ {
-		want := (c.smas[0].Average()[i] + c.smas[1].Average()[i]) / 2
-		if got := c.Average()[i]; got != want {
-			t.Errorf("state entry %d: cluster average %v, want server mean %v", i, got, want)
+		want := (nodes[0].Ref()[i] + nodes[1].Ref()[i]) / 2
+		if want == nodes[0].Ref()[i] {
+			t.Fatalf("state entry %d: the servers' statistics did not diverge", i)
+		}
+		for s, n := range nodes {
+			if got := n.Average()[i]; got != want {
+				t.Errorf("state entry %d on server %d: cluster average %v, want server mean %v", i, s, got, want)
+			}
 		}
 	}
 }
 
+// trainRanks runs Train as n ranks of one cluster over a fresh Loopback,
+// the way the root package's simulated transport does.
+func trainRanks(n int, cfg TrainConfig, train func(TrainConfig) *Result) []*Result {
+	hub := NewLoopback(n)
+	results := make([]*Result, n)
+	var wg sync.WaitGroup
+	for r := range results {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer hub.Close()
+			c := cfg
+			c.GlobalExchange = hub.Rank(r)
+			c.ShuffleSeed = uint64(101 + r) // distinct batch streams
+			results[r] = train(c)
+		}(r)
+	}
+	wg.Wait()
+	return results
+}
+
 // TestTrainClusterSMA exercises the full trainer loop on the cluster
-// algorithm: it must learn, stay deterministic, and report the right K.
+// algorithm: it must learn, stay deterministic, and report the per-rank K.
 func TestTrainClusterSMA(t *testing.T) {
 	cfg := TrainConfig{
 		Model: nn.LeNet, Algo: AlgoSMACluster,
-		Servers: 2, GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
+		GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
 		Momentum: 0.9, MaxEpochs: 4, Seed: 1,
 	}
-	res := Train(cfg)
-	if res.K != 4 {
-		t.Fatalf("K = %d, want 4 (2 servers × 1 GPU × 2 learners)", res.K)
+	res := trainRanks(2, cfg, Train)
+	for r, rr := range res {
+		if rr.K != 2 {
+			t.Fatalf("rank %d: K = %d, want 2 (1 GPU × 2 learners per rank)", r, rr.K)
+		}
 	}
-	if res.FinalAccuracy <= 0.12 {
-		t.Fatalf("accuracy %.3f barely above chance", res.FinalAccuracy)
+	if res[0].FinalAccuracy <= 0.12 {
+		t.Fatalf("accuracy %.3f barely above chance", res[0].FinalAccuracy)
 	}
-	again := Train(cfg)
-	if tensor.MaxAbsDiff(res.Model, again.Model) != 0 {
-		t.Fatal("cluster training not deterministic")
+	again := trainRanks(2, cfg, Train)
+	for r := range res {
+		if tensor.MaxAbsDiff(res[r].Model, again[r].Model) != 0 {
+			t.Fatalf("rank %d: cluster training not deterministic", r)
+		}
 	}
 }

@@ -25,9 +25,10 @@ type ExchangeRound struct {
 
 // GlobalExchanger is the cluster plane's network: it sums a model vector
 // element-wise across every live server, in place, returning bit-identical
-// bytes on all participants (the transport's collectives reduce in a fixed
-// rank order to guarantee exactly that). transport.Node satisfies it
-// through a one-line adapter in the root package.
+// bytes on all participants (the collectives reduce in a fixed rank order
+// to guarantee exactly that). Two exchangers exist: Loopback between the
+// ranks of one process, and transport.Node over TCP through a one-line
+// adapter in the root package.
 type GlobalExchanger interface {
 	AllReduce(buf []float32) (ExchangeRound, error)
 }
@@ -50,22 +51,56 @@ type AsyncGlobalExchanger interface {
 	BeginAllReduce(buf []float32) (PendingExchange, error)
 }
 
-// DistClusterSMA is the multi-process form of ClusterSMA: this process
-// runs ONE server's learners (a flat intra-server SMA), and the
-// inter-server tier exchanges the server reference model over a real
-// network instead of iterating sibling servers in memory.
+// ClusterSMAConfig extends SMAConfig with the inter-server tier of the
+// cluster plane's two-level averaging schedule.
+type ClusterSMAConfig struct {
+	SMAConfig // intra-server tier: LearnRate, Momentum, LocalMomentum, Alpha, Tau (τ_local), StateRanges
+
+	// TauGlobal is the inter-server averaging period in units of
+	// intra-server synchronisations: server reference models exchange
+	// corrections every TauGlobal-th local synchronisation (0 → 1).
+	TauGlobal int
+	// AlphaGlobal is the inter-server correction constant ≈ 1/n for n
+	// servers. Zero selects 1/n.
+	AlphaGlobal float32
+	// GlobalMomentum is µ applied to the cluster average model's update;
+	// zero selects Momentum.
+	GlobalMomentum float32
+	// ExchangeRetries bounds how many times a fault-aborted global
+	// exchange is retried back-to-back before the update is skipped until
+	// the next τ_global boundary (0 → 2, negative → no retries). Retrying
+	// is sound: the round that eventually succeeds after churn carries
+	// Restart and re-derives z, so a missed attempt never corrupts state —
+	// retries just keep the averaging schedule on cadence under faults.
+	ExchangeRetries int
+	// OverlapGlobal, with an exchanger that supports AsyncGlobalExchanger,
+	// launches the global all-reduce at the τ_global boundary and keeps
+	// local iterations running while the sum is in flight; the completed
+	// sum is folded in at the next deterministic boundary every rank
+	// reaches identically (see DistClusterSMA.Drain). Ignored by
+	// exchangers without an asynchronous path (Loopback: its exchange is a
+	// memory copy).
+	OverlapGlobal bool
+}
+
+// DistClusterSMA is the cluster plane's two-level SMA, one server per rank.
+// It generalises the hierarchical SMA of §3.3 by one level: this rank's
+// learners run flat SMA against their server's reference model every
+// τ_local iterations (cheap, intra-server scope), and every τ_global local
+// synchronisations the server reference models themselves run an SMA
+// exchange against the cluster average model z (expensive, network scope)
+// through a GlobalExchanger — the TCP transport between processes, Loopback
+// between the ranks of one process. The optimiser is the same over both.
 //
-// The mathematics mirror ClusterSMA.Step's global tier. There, with all n
-// reference models in hand, the cluster average model z accumulates
-// per-server corrections: z ← z + Σ_s α_G(ref_s − z) + µ_G(z − z_prev).
-// Here each process holds only its own ref, but the all-reduce delivers
-// sum = Σ_s ref_s, and Σ_s α_G(ref_s − z) = α_G(sum − n·z), so every node
-// can apply the identical update. Because z starts replicated (same seed,
-// same w0), the sum is bit-identical on every node (fixed reduction
-// order), and the update reads only replicated values, z stays bit-for-bit
-// replicated across the cluster without ever being transmitted — each node
-// also folds its own correction α_G(ref − z) into its local reference
-// model, exactly as the simulated exchange does.
+// The global tier is Alg 1 lines 8-13 with the servers as the replicas:
+// z ← z + Σ_s α_G(ref_s − z) + µ_G(z − z_prev). Each rank holds only its own
+// ref, but the all-reduce delivers sum = Σ_s ref_s, and
+// Σ_s α_G(ref_s − z) = α_G(sum − n·z), so every rank can apply the identical
+// update. Because z starts replicated (same seed, same w0), the sum is
+// bit-identical on every rank (fixed reduction order), and the update reads
+// only replicated values, z stays bit-for-bit replicated across the cluster
+// without ever being transmitted — each rank also folds its own correction
+// α_G(ref − z) into its local reference model.
 //
 // Churn breaks the replication invariant (an aborted round updates z on
 // some nodes and not others; a rejoining node carries a stale or
@@ -344,8 +379,7 @@ func (d *DistClusterSMA) applyRange(restart bool, alphaG, n float32, lo, hi int)
 				z[i] = sum[i] / n
 			}
 		default:
-			// Steady state: the ClusterSMA global tier, factored through
-			// the sum.
+			// Steady state: the global tier, factored through the sum.
 			tensor.SMADistFold(ref[a:b], z[a:b], zPrev[a:b], sum[a:b], alphaG, n, d.muG)
 		}
 	}

@@ -1,74 +1,49 @@
 package core
 
 import (
+	"errors"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"crossbow/internal/nn"
 	"crossbow/internal/tensor"
 )
 
-// memExchange is an in-memory GlobalExchanger for tests: n handles barrier
-// per round, the contributions are summed in rank order (the same
-// fixed-order contract the TCP transport provides), and the sum is copied
-// back into every buffer.
+// memExchange is the production Loopback behind a thin wrapper that adds
+// what only tests need: injected Restart/Aborted flags on the next round,
+// and the asynchronous API (so OverlapGlobal has something to overlap).
 type memExchange struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	bufs    [][]float32
-	arrived int
-	seq     uint64
-
-	// Fault injection for the next round.
-	forceRestart bool
-	forceAbort   bool
+	*Loopback
+	// Fault injection for the next round: set between rounds, read by every
+	// participant on entry, cleared once the faulted round has completed.
+	forceRestart, forceAbort atomic.Bool
 }
 
-func newMemExchange(n int) *memExchange {
-	m := &memExchange{n: n, bufs: make([][]float32, n)}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
+func newMemExchange(n int) *memExchange { return &memExchange{Loopback: NewLoopback(n)} }
 
 // handle returns rank r's GlobalExchanger view.
-func (m *memExchange) handle(rank int) GlobalExchanger { return &memHandle{m: m, rank: rank} }
+func (m *memExchange) handle(rank int) GlobalExchanger {
+	return &memHandle{m: m, ex: m.Rank(rank)}
+}
 
 type memHandle struct {
-	m    *memExchange
-	rank int
+	m  *memExchange
+	ex GlobalExchanger
 }
 
 func (h *memHandle) AllReduce(buf []float32) (ExchangeRound, error) {
-	m := h.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	my := m.seq
-	// Injected faults are set between rounds and stable during one, so
-	// every participant reads them on entry.
-	restart, abort := m.forceRestart, m.forceAbort
-	m.bufs[h.rank] = buf
-	m.arrived++
-	if m.arrived == m.n {
-		sum := make([]float32, len(buf))
-		for _, b := range m.bufs { // rank order: deterministic reduction
-			for i := range sum {
-				sum[i] += b[i]
-			}
-		}
-		for _, b := range m.bufs {
-			copy(b, sum)
-		}
-		m.arrived = 0
-		m.seq++
-		m.forceRestart, m.forceAbort = false, false
-		m.cond.Broadcast()
-	} else {
-		for m.seq == my {
-			m.cond.Wait()
-		}
-	}
-	return ExchangeRound{Seq: my + 1, Participants: m.n, Restart: restart, Aborted: abort}, nil
+	restart, abort := h.m.forceRestart.Load(), h.m.forceAbort.Load()
+	r, err := h.ex.AllReduce(buf)
+	// The round completed after every participant read the flags, so each
+	// may clear them on its way out.
+	h.m.forceRestart.Store(false)
+	h.m.forceAbort.Store(false)
+	r.Restart, r.Aborted = restart, abort
+	return r, err
 }
 
 // memPending adapts memHandle.AllReduce to the async API the same way the
@@ -111,13 +86,15 @@ func stepDist(nodes []*DistClusterSMA, ws, gs [][][]float32) {
 	wg.Wait()
 }
 
-// TestDistClusterMatchesSimulated compares the networked cluster plane
-// against the in-process ClusterSMA oracle on the same gradient schedule:
-// two servers with two learners each, τ=2, τ_global=2, momentum and state
-// ranges on. The distributed form computes Σα(ref−z) as α(sum − n·z), so
-// floating-point rounding may differ from the simulated per-server
-// accumulation — trajectories must agree to tight tolerance, and the
-// distributed z must be bit-identical across nodes at every step.
+// TestDistClusterMatchesSimulated compares DistClusterSMA against the
+// scalar two-tier oracle on the same gradient schedule — an oracleSMA per
+// server, and oracleExchange one tier up with the server reference models
+// as the replicas, all four learners in one loop: two servers with two
+// learners each, τ=2, τ_global=2, momentum and state ranges on. The
+// distributed form computes Σα(ref−z) as α(sum − n·z), so floating-point
+// rounding may differ from the oracle's per-server accumulation —
+// trajectories must agree to tight tolerance, and the distributed z must be
+// bit-identical across nodes at every step.
 func TestDistClusterMatchesSimulated(t *testing.T) {
 	const servers, perServer, dim = 2, 2, 32
 	cfg := ClusterSMAConfig{
@@ -128,30 +105,34 @@ func TestDistClusterMatchesSimulated(t *testing.T) {
 		TauGlobal: 2,
 	}
 
-	// Simulated oracle: all four learners in one process.
+	// Oracle: every server's learners and the cluster average model in one
+	// process.
 	wsSim, gsSim, w0 := makeReplicas(servers*perServer, dim)
-	sim := NewClusterSMA(cfg, w0, GroupsFor(servers, perServer))
+	sims := make([]*oracleSMA, servers)
+	refs := make([][]float32, servers)
+	for s := range sims {
+		sims[s] = newOracleSMA(cfg.SMAConfig, w0, perServer)
+		refs[s] = sims[s].z
+	}
+	z, zPrev := append([]float32(nil), w0...), append([]float32(nil), w0...)
+	mask, delta := oracleMask(cfg.StateRanges, dim), make([]float32, dim)
 
 	// Distributed: one node per server, each holding its two learners.
-	ex := newMemExchange(servers)
-	nodes := make([]*DistClusterSMA, servers)
-	wsD := make([][][]float32, servers)
-	gsD := make([][][]float32, servers)
-	for s := 0; s < servers; s++ {
-		ws, gs, _ := makeReplicas(perServer, dim)
-		wsD[s], gsD[s] = ws, gs
-		nodes[s] = NewDistClusterSMA(cfg, w0, perServer, ex.handle(s))
-	}
+	nodes, wsD, gsD := distCluster(cfg, servers, perServer, dim)
 
 	for iter := 1; iter <= 12; iter++ {
 		fakeGrads(gsSim, iter)
 		for s := 0; s < servers; s++ {
 			// Learner j of server s is global learner s*perServer+j.
+			lo, hi := s*perServer, (s+1)*perServer
 			for j := 0; j < perServer; j++ {
-				copy(gsD[s][j], gsSim[s*perServer+j])
+				copy(gsD[s][j], gsSim[lo+j])
 			}
+			sims[s].step(wsSim[lo:hi], gsSim[lo:hi])
 		}
-		sim.Step(wsSim, gsSim)
+		if iter%(cfg.Tau*cfg.TauGlobal) == 0 {
+			oracleExchange(refs, z, zPrev, delta, mask, 1/float32(servers), cfg.Momentum)
+		}
 		stepDist(nodes, wsD, gsD)
 
 		// Replication invariant: z bit-identical across nodes.
@@ -159,11 +140,11 @@ func TestDistClusterMatchesSimulated(t *testing.T) {
 			t.Fatalf("iter %d: distributed z diverges across nodes by %v", iter, d)
 		}
 		// Against the oracle: tight tolerance (operand-order rounding only).
-		if d := tensor.MaxAbsDiff(sim.Average(), nodes[0].Average()); d > 2e-6 {
-			t.Fatalf("iter %d: distributed z off the simulated oracle by %v", iter, d)
+		if d := tensor.MaxAbsDiff(z, nodes[0].Average()); d > 2e-6 {
+			t.Fatalf("iter %d: distributed z off the oracle by %v", iter, d)
 		}
 		for s := 0; s < servers; s++ {
-			if d := tensor.MaxAbsDiff(sim.smas[s].Average(), nodes[s].Ref()); d > 2e-6 {
+			if d := tensor.MaxAbsDiff(refs[s], nodes[s].Ref()); d > 2e-6 {
 				t.Fatalf("iter %d: server %d reference model off oracle by %v", iter, s, d)
 			}
 			for j := 0; j < perServer; j++ {
@@ -173,8 +154,8 @@ func TestDistClusterMatchesSimulated(t *testing.T) {
 			}
 		}
 	}
-	if nodes[0].Rounds() == 0 {
-		t.Fatal("no global rounds ran")
+	if nodes[0].Rounds() != 3 {
+		t.Fatalf("%d global rounds ran, want 3", nodes[0].Rounds())
 	}
 }
 
@@ -211,7 +192,7 @@ func TestDistClusterRestartHeals(t *testing.T) {
 
 	// Without a restart the nodes would now walk different trajectories;
 	// the flagged round re-derives z = sum/n everywhere.
-	ex.forceRestart = true
+	ex.forceRestart.Store(true)
 	for s := range nodes {
 		fakeGrads(gsD[s], 2)
 	}
@@ -249,7 +230,7 @@ func TestDistClusterAbortSkipsUpdate(t *testing.T) {
 	d.Step(ws, gs) // seeds z (first round)
 	zBefore := append([]float32(nil), d.Average()...)
 
-	ex.forceAbort = true
+	ex.forceAbort.Store(true)
 	fakeGrads(gs, 2)
 	d.Step(ws, gs)
 	if tensor.MaxAbsDiff(d.Average(), zBefore) != 0 {
@@ -287,7 +268,7 @@ func TestDistClusterRetryRescuesExchange(t *testing.T) {
 
 	// The exchanger clears the injected fault once the faulted round
 	// completes, so the immediate retry succeeds.
-	ex.forceAbort = true
+	ex.forceAbort.Store(true)
 	fakeGrads(gs, 2)
 	d.Step(ws, gs)
 	if tensor.MaxAbsDiff(d.Average(), zBefore) == 0 {
@@ -316,16 +297,7 @@ func TestDistClusterOverlapBitIdentical(t *testing.T) {
 			TauGlobal:     2,
 			OverlapGlobal: overlap,
 		}
-		ex := newMemExchange(servers)
-		nodes := make([]*DistClusterSMA, servers)
-		ws := make([][][]float32, servers)
-		gs := make([][][]float32, servers)
-		for s := 0; s < servers; s++ {
-			w, g, w0 := makeReplicas(perServer, dim)
-			ws[s], gs[s] = w, g
-			nodes[s] = NewDistClusterSMA(cfg, w0, perServer, ex.handle(s))
-		}
-		return nodes, ws, gs
+		return distCluster(cfg, servers, perServer, dim)
 	}
 
 	syncN, syncW, syncG := mk(false)
@@ -370,38 +342,105 @@ func TestDistClusterOverlapBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTrainDistCluster runs the full trainer on two networked nodes (via
-// the in-memory exchanger): both processes must finish with the identical
-// cluster average model, learn above chance, and report per-process K.
+// TestTrainDistCluster runs the full trainer as two ranks over the
+// loopback: both must finish with the identical cluster average model and
+// learn above chance.
 func TestTrainDistCluster(t *testing.T) {
-	const servers = 2
-	ex := newMemExchange(servers)
-	results := make([]*Result, servers)
-	var wg sync.WaitGroup
-	for s := 0; s < servers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			results[s] = Train(TrainConfig{
-				Model: nn.LeNet, Algo: AlgoSMACluster,
-				Servers: servers, GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
-				Momentum: 0.9, MaxEpochs: 3, Seed: 1,
-				GlobalExchange: ex.handle(s),
-				ShuffleSeed:    uint64(101 + s), // distinct batch streams
-			})
-		}(s)
-	}
-	wg.Wait()
-
+	results := trainRanks(2, TrainConfig{
+		Model: nn.LeNet, Algo: AlgoSMACluster,
+		GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
+		Momentum: 0.9, MaxEpochs: 3, Seed: 1,
+	}, Train)
 	for s, res := range results {
-		if res.K != 2 {
-			t.Fatalf("node %d: K = %d, want 2 local learners", s, res.K)
-		}
 		if res.FinalAccuracy <= 0.12 {
 			t.Fatalf("node %d: accuracy %.3f barely above chance", s, res.FinalAccuracy)
 		}
 	}
 	if d := tensor.MaxAbsDiff(results[0].Model, results[1].Model); d != 0 {
 		t.Fatalf("final cluster average models differ across nodes by %v", d)
+	}
+}
+
+// TestLoopbackSumsInRankOrder pins the reduction: every rank leaves a round
+// holding ((b0+b1)+b2)+b3 bit for bit, on values where the association
+// shows, and rounds are numbered from 1.
+func TestLoopbackSumsInRankOrder(t *testing.T) {
+	const n, dim = 4, 37
+	hub := NewLoopback(n)
+	bufs := make([][]float32, n)
+	want := make([]float32, dim)
+	for r := range bufs {
+		bufs[r] = make([]float32, dim)
+		for i := range bufs[r] {
+			bufs[r][i] = float32(math.Sin(float64(r*dim+i))) * float32(math.Pow(10, float64(r*3)))
+		}
+	}
+	for i := range want {
+		want[i] = ((bufs[0][i] + bufs[1][i]) + bufs[2][i]) + bufs[3][i]
+	}
+	for round := uint64(1); round <= 2; round++ {
+		var wg sync.WaitGroup
+		for r := range bufs {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				got, err := hub.Rank(r).AllReduce(bufs[r])
+				if err != nil || got != (ExchangeRound{Seq: round, Participants: n}) {
+					t.Errorf("rank %d round %d: %+v, %v", r, round, got, err)
+				}
+			}(r)
+		}
+		wg.Wait()
+		if round == 1 {
+			for r := range bufs {
+				bitsEqual(t, "sum", bufs[r], want)
+			}
+		}
+	}
+}
+
+// TestLoopbackEarlyReturn: a rank that leaves closes the exchange; peers
+// parked in a round that can no longer complete get the error instead of
+// waiting forever, later calls fail at once, and DistClusterSMA trains on
+// locally.
+func TestLoopbackEarlyReturn(t *testing.T) {
+	const n, dim = 3, 8
+	hub := NewLoopback(n)
+	errs := make(chan error, n-1) // one send per parked rank
+	for r := 1; r < n; r++ {
+		go func(r int) {
+			_, err := hub.Rank(r).AllReduce(make([]float32, dim))
+			errs <- err
+		}(r)
+	}
+	for parked := 0; parked < n-1; runtime.Gosched() {
+		hub.mu.Lock()
+		parked = hub.arrived
+		hub.mu.Unlock()
+	}
+	hub.Close() // rank 0 returns without joining the round
+	for r := 1; r < n; r++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrLoopbackClosed) {
+				t.Fatalf("parked rank got %v, want ErrLoopbackClosed", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a rank is still parked in AllReduce after the exchange was closed")
+		}
+	}
+	if _, err := hub.Rank(1).AllReduce(make([]float32, dim)); !errors.Is(err, ErrLoopbackClosed) {
+		t.Fatalf("AllReduce on a closed exchange: %v", err)
+	}
+
+	ws, gs, w0 := makeReplicas(1, dim)
+	d := NewDistClusterSMA(ClusterSMAConfig{SMAConfig: SMAConfig{LearnRate: 0.1}}, w0, 1, hub.Rank(2))
+	fakeGrads(gs, 1)
+	d.Step(ws, gs)
+	if d.Rounds() != 0 || d.AbortedRounds() != 1 {
+		t.Fatalf("closed exchange: rounds %d aborted %d, want 0/1", d.Rounds(), d.AbortedRounds())
+	}
+	if tensor.MaxAbsDiff(ws[0], w0) == 0 {
+		t.Fatal("the local step must still run when the exchange is closed")
 	}
 }

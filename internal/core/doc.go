@@ -5,6 +5,9 @@
 // Crossbow is evaluated against (parallel synchronous SGD, elastic
 // averaging SGD, asynchronous SGD) and the trainer that drives them over
 // the scaled benchmark models to measure statistical efficiency.
+// DistClusterSMA adds the cross-server tier (DESIGN.md §4, §12): one server
+// per rank, reference models all-reduced through a GlobalExchanger — Loopback
+// between the ranks of one process, internal/transport between processes.
 //
 // All algorithms operate on flat model vectors (paper §4.4: weights and
 // gradients live in contiguous memory), so one package covers both the

@@ -89,9 +89,9 @@ func ReplayFCFS(cfg TrainConfig, seqLog [][]int) *Result {
 			nlr := cfg.Schedule(epoch, cfg.LearnRate)
 			if nlr != lr {
 				lr = nlr
-				setLearnRate(sma, lr)
+				sma.SetLearnRate(lr)
 				if cfg.RestartOnLRChange {
-					restart(sma, e.ws)
+					sma.Restart(e.ws)
 				}
 			}
 		}

@@ -244,45 +244,6 @@ func foldBlocks(z, zPrev []float32, vs [][]float32, mu float32, lo, hi int) {
 	}
 }
 
-// smaExchange is the consensus update of Alg 1 lines 8-13 for a tier whose
-// replicas take no gradient step of their own (server reference models
-// against the cluster average model): each replica's correction
-// c_j = α(w_j − z) applies to the replica and sums into z's update,
-// z ← z + Σ c_j + µ (z − z_prev). State segments are exempt from
-// corrections and carry the replica average instead.
-func smaExchange(ws [][]float32, z, zPrev []float32, state stateRanges, alpha, mu float32) {
-	if serialWalk(len(z)) {
-		exchangeRange(ws, z, zPrev, state, alpha, mu, 0, len(z))
-		return
-	}
-	tensor.ParallelFor(len(z), smaGrain, func(lo, hi int) {
-		exchangeRange(ws, z, zPrev, state, alpha, mu, lo, hi)
-	})
-}
-
-func exchangeRange(ws [][]float32, z, zPrev []float32, state stateRanges, alpha, mu float32, lo, hi int) {
-	var scratch [smaBlock]float32
-	for seg := state.segments(lo, hi); ; {
-		a, b, isState, ok := seg.next()
-		if !ok {
-			return
-		}
-		if isState {
-			averageState(z, zPrev, ws, a, b)
-			continue
-		}
-		for ; a < b; a += smaBlock {
-			e := min(a+smaBlock, b)
-			delta := scratch[:e-a]
-			clear(delta)
-			for _, w := range ws {
-				tensor.SMACorrect(w[a:e], z[a:e], delta, alpha)
-			}
-			tensor.SMAFold(z[a:e], zPrev[a:e], delta, mu)
-		}
-	}
-}
-
 // LocalStep applies learner j's gradient to its replica with local momentum
 // (Alg 1 line 8/10). It touches only learner j's state, so distinct
 // learners may step concurrently — the barrier-free runtime's contract.

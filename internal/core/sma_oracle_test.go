@@ -380,9 +380,8 @@ func smaOracleCase(t *testing.T, name string, n int, ranges [][2]int, k, tau int
 	}
 }
 
-// TestExchangeAndDistApplyMatchScalarOracle covers the two inter-server
-// folds: ClusterSMA's in-memory exchange (corrections without a gradient
-// step) and DistClusterSMA.apply in its steady and Restart branches.
+// TestExchangeAndDistApplyMatchScalarOracle covers the inter-server fold,
+// DistClusterSMA.apply, in its steady and Restart branches.
 func TestExchangeAndDistApplyMatchScalarOracle(t *testing.T) {
 	defer tensor.SetWorkerBudget(tensor.WorkerBudget())
 	for _, n := range oracleSizes() {
@@ -392,18 +391,6 @@ func TestExchangeAndDistApplyMatchScalarOracle(t *testing.T) {
 			name := fmt.Sprintf("n=%d ranges#%d budget=%d", n, ri, budget)
 			r := tensor.NewRNG(uint64(n + 1000*ri))
 			mask := oracleMask(ranges, n)
-
-			for k := 1; k <= 4; k++ {
-				refs := oracleFills(r, k, n, 1)
-				z, zPrev := oracleFill(r, n, 2, 1), oracleFill(r, n, 0, 1)
-				orefs, oz, ozp := cloneVecs(refs), append([]float32(nil), z...), append([]float32(nil), zPrev...)
-				smaExchange(refs, z, zPrev, newStateRanges(ranges, n), 0.25, 0.9)
-				oracleExchange(orefs, oz, ozp, make([]float32, n), mask, 0.25, 0.9)
-				at := fmt.Sprintf("%s k=%d smaExchange", name, k)
-				vecsEqual(t, at+" refs", refs, orefs)
-				bitsEqual(t, at+" z", z, oz)
-				bitsEqual(t, at+" zPrev", zPrev, ozp)
-			}
 
 			for _, restart := range []bool{false, true} {
 				for _, alphaG := range []float32{0, 0.3} {

@@ -206,7 +206,7 @@ func TestSSGDKeepsReplicasConsistent(t *testing.T) {
 			t.Fatal("S-SGD must keep all replicas identical after each iteration")
 		}
 	}
-	if tensor.MaxAbsDiff(ws[0], s.Model()) != 0 {
+	if tensor.MaxAbsDiff(ws[0], s.Average()) != 0 {
 		t.Fatal("replicas must equal the global model")
 	}
 }
@@ -233,11 +233,11 @@ func TestASGDAppliesAllGradients(t *testing.T) {
 	ws := [][]float32{{0, 0}, {0, 0}}
 	gs := [][]float32{{1, 0}, {0, 2}}
 	a.Step(ws, gs)
-	if a.Model()[0] != -1 || a.Model()[1] != -2 {
-		t.Fatalf("model = %v", a.Model())
+	if a.Average()[0] != -1 || a.Average()[1] != -2 {
+		t.Fatalf("model = %v", a.Average())
 	}
 	for _, w := range ws {
-		if tensor.MaxAbsDiff(w, a.Model()) != 0 {
+		if tensor.MaxAbsDiff(w, a.Average()) != 0 {
 			t.Fatal("replicas must see the shared model")
 		}
 	}
@@ -335,7 +335,7 @@ func TestOptimisersConvergeOnQuadratic(t *testing.T) {
 			}
 			opt.Step(ws, gs)
 		}
-		model := centralModel(opt)
+		model := opt.Average()
 		if d := tensor.MaxAbsDiff(model, target); d > 0.05 {
 			t.Errorf("%s: final distance to optimum = %v", name, d)
 		}

@@ -90,7 +90,7 @@ func (sp *snapshotPublisher) publish(opt stepper, round int) {
 		s.Params = make([]float32, len(sma.Average()))
 		sma.SnapshotCentral(s.Params)
 	} else {
-		s.Params = append([]float32(nil), centralModel(opt)...)
+		s.Params = append([]float32(nil), opt.Average()...)
 	}
 	sp.onSnap(s)
 }

@@ -21,7 +21,7 @@ type Algorithm string
 const (
 	AlgoSMA        Algorithm = "sma"         // Algorithm 1 (flat)
 	AlgoSMAHier    Algorithm = "sma-hier"    // §3.3 two-level SMA
-	AlgoSMACluster Algorithm = "sma-cluster" // cluster plane: intra-/inter-server SMA
+	AlgoSMACluster Algorithm = "sma-cluster" // cluster plane: intra-/inter-server SMA, one rank of it
 	AlgoSSGD       Algorithm = "ssgd"        // TensorFlow-style parallel S-SGD
 	AlgoEASGD      Algorithm = "easgd"       // elastic averaging SGD
 	AlgoASGD       Algorithm = "asgd"        // asynchronous SGD
@@ -90,12 +90,8 @@ func PeriodicDecay(factor float32, period int) Schedule {
 
 // TrainConfig configures a statistical-efficiency training run.
 type TrainConfig struct {
-	Model nn.ModelID
-	Algo  Algorithm
-	// Servers is the number of servers n for AlgoSMACluster; each server
-	// holds GPUs×LearnersPerGPU learners. Zero or one keeps the paper's
-	// single-server setting.
-	Servers         int
+	Model           nn.ModelID
+	Algo            Algorithm
 	GPUs            int // g, per server
 	LearnersPerGPU  int // m
 	BatchPerLearner int // b
@@ -111,8 +107,8 @@ type TrainConfig struct {
 	// units of intra-server synchronisations (AlgoSMACluster only; 0 → 1).
 	TauGlobal int
 	// ExchangeRetries bounds back-to-back retries of a fault-aborted
-	// global exchange (networked cluster plane only; 0 → 2, negative →
-	// no retries). See ClusterSMAConfig.ExchangeRetries.
+	// global exchange (AlgoSMACluster only; 0 → 2, negative → no
+	// retries). See ClusterSMAConfig.ExchangeRetries.
 	ExchangeRetries int
 	MaxEpochs       int
 	TargetAcc       float64 // stop once the TTA window clears this; 0 → run MaxEpochs
@@ -173,13 +169,13 @@ type TrainConfig struct {
 	// quick and must not call back into the trainer; hand the snapshot off
 	// (e.g. to a serving engine's UpdateModel) and return.
 	OnSnapshot func(Snapshot)
-	// GlobalExchange, with AlgoSMACluster, switches the inter-server tier
-	// from the in-process simulation to a real network: this process runs
-	// ONE server's GPUs×LearnersPerGPU learners, and every τ_global local
-	// synchronisations the server reference model is all-reduced across
-	// the cluster through this exchanger (see DistClusterSMA). Servers
-	// then describes the cluster size for reporting only — each process
-	// contributes one server.
+	// GlobalExchange is the inter-server tier of AlgoSMACluster, which
+	// requires it: this Train call runs ONE server's GPUs×LearnersPerGPU
+	// learners — one rank of the cluster — and every τ_global local
+	// synchronisations the server reference model is all-reduced with the
+	// other ranks through this exchanger (see DistClusterSMA): a Loopback
+	// rank when the cluster lives in one process, the TCP transport when
+	// it spans several.
 	GlobalExchange GlobalExchanger
 	// OverlapGlobal launches each global exchange asynchronously at the
 	// τ_global boundary and folds the completed sum in one iteration
@@ -201,20 +197,10 @@ type TrainConfig struct {
 	ShuffleSeed uint64
 }
 
-// K returns this process's learner count: n×g×m with the simulated
-// cluster plane (all servers live in one process), g×m with a real
-// GlobalExchange (each process runs exactly one server).
-func (c TrainConfig) K() int {
-	if c.GlobalExchange != nil {
-		return c.GPUs * c.LearnersPerGPU
-	}
-	return max(1, c.Servers) * c.GPUs * c.LearnersPerGPU
-}
+// K returns the run's learner count g×m (on a cluster run: this rank's).
+func (c TrainConfig) K() int { return c.GPUs * c.LearnersPerGPU }
 
 func (c *TrainConfig) fillDefaults() {
-	if c.Servers == 0 {
-		c.Servers = 1
-	}
 	if c.GPUs == 0 {
 		c.GPUs = 1
 	}
@@ -256,38 +242,23 @@ func (c *TrainConfig) validate() {
 	if c.Scheduler != SchedLockstep && c.Scheduler != SchedFCFS {
 		panic(fmt.Sprintf("core: unknown scheduler %q", c.Scheduler))
 	}
-	if c.Scheduler == SchedFCFS {
-		if c.Algo != AlgoSMA {
-			panic(fmt.Sprintf("core: the fcfs scheduler requires AlgoSMA (got %q)", c.Algo))
-		}
-		if c.Servers > 1 {
-			panic("core: the fcfs scheduler is single-server (the cluster plane is simulated)")
-		}
+	if c.Scheduler == SchedFCFS && c.Algo != AlgoSMA {
+		panic(fmt.Sprintf("core: the fcfs scheduler requires AlgoSMA (got %q)", c.Algo))
 	}
-	if c.AutoTuneLearners {
-		if c.Algo != AlgoSMA {
-			panic(fmt.Sprintf("core: online learner tuning requires AlgoSMA (got %q)", c.Algo))
-		}
-		if c.Servers > 1 {
-			panic("core: online learner tuning is single-server")
-		}
+	if c.AutoTuneLearners && c.Algo != AlgoSMA {
+		panic(fmt.Sprintf("core: online learner tuning requires AlgoSMA (got %q)", c.Algo))
 	}
-	if c.GlobalExchange != nil {
-		if c.Algo != AlgoSMACluster {
-			panic(fmt.Sprintf("core: a GlobalExchange requires AlgoSMACluster (got %q)", c.Algo))
-		}
-		if c.Scheduler != SchedLockstep {
-			panic("core: the network cluster plane requires the lockstep scheduler")
-		}
-		if c.AutoTuneLearners {
-			panic("core: online learner tuning cannot resize a networked cluster node")
-		}
+	// The cluster algorithm and an exchanger come together: either both or
+	// neither. (FCFS and online tuning, requiring AlgoSMA, are thereby
+	// single-server.)
+	if (c.Algo == AlgoSMACluster) != (c.GlobalExchange != nil) {
+		panic(fmt.Sprintf("core: AlgoSMACluster and a GlobalExchange require each other (got %q, exchange set: %v)", c.Algo, c.GlobalExchange != nil))
 	}
 	if c.InitModel != nil && c.GlobalExchange == nil {
 		panic("core: InitModel is only meaningful with a GlobalExchange (snapshot-seeded rejoin)")
 	}
 	if c.OverlapGlobal && c.GlobalExchange == nil {
-		panic("core: OverlapGlobal requires a GlobalExchange (the simulated cluster plane has nothing to overlap)")
+		panic("core: OverlapGlobal requires a GlobalExchange")
 	}
 }
 
@@ -323,30 +294,32 @@ type Result struct {
 	Mem metrics.MemoryStats
 }
 
-// stepper abstracts the per-iteration optimiser update.
+// stepper is what the trainer needs of an optimiser: the per-iteration
+// update, the model it trains (the central average model for SMA and
+// EA-SGD, the global model for S-SGD and A-SGD; a live slice), and the
+// learning-rate hook of the schedule. A new optimiser implements these three
+// and, if it has them, the two optional capabilities below.
 type stepper interface {
 	Step(ws, gs [][]float32)
+	Average() []float32
+	SetLearnRate(lr float32)
 }
 
-// centralModel returns the model a given optimiser trains.
-func centralModel(s stepper) []float32 {
-	switch o := s.(type) {
-	case *SMA:
-		return o.Average()
-	case *HierarchicalSMA:
-		return o.Average()
-	case *ClusterSMA:
-		return o.Average()
-	case *DistClusterSMA:
-		return o.Average()
-	case *EASGD:
-		return o.Average()
-	case *SSGD:
-		return o.Model()
-	case *ASGD:
-		return o.Model()
+// restart applies the §3.2 restart on optimisers that have one (the SMA
+// family); the baselines keep training.
+func restart(s stepper, ws [][]float32) {
+	if r, ok := s.(interface{ Restart(ws [][]float32) }); ok {
+		r.Restart(ws)
 	}
-	panic("core: unknown optimiser")
+}
+
+// drainExchange folds any in-flight overlapped global exchange before the
+// central model is read (evaluation, snapshots, the final result). Only
+// DistClusterSMA with OverlapGlobal has anything in flight.
+func drainExchange(s stepper) {
+	if d, ok := s.(interface{ Drain() }); ok {
+		d.Drain()
+	}
 }
 
 // trainEnv carries one training run's long-lived pieces: datasets, the
@@ -506,20 +479,13 @@ func buildOpt(cfg *TrainConfig, w0 []float32, k int, stateRanges [][2]int) stepp
 	case AlgoSMAHier:
 		return NewHierarchicalSMA(smaCfg, w0, GroupsFor(cfg.GPUs, cfg.LearnersPerGPU))
 	case AlgoSMACluster:
-		if cfg.GlobalExchange != nil {
-			// Real cluster plane: this process is one server; the global
-			// tier runs over the network.
-			return NewDistClusterSMA(ClusterSMAConfig{
-				SMAConfig: smaCfg, TauGlobal: cfg.TauGlobal,
-				ExchangeRetries: cfg.ExchangeRetries,
-				OverlapGlobal:   cfg.OverlapGlobal,
-			}, w0, k, cfg.GlobalExchange)
-		}
-		// Contiguous learner partition: server s owns g×m learners; within
-		// a server the intra-server tier is flat SMA.
-		return NewClusterSMA(ClusterSMAConfig{
+		// This run is one server of the cluster; the global tier runs over
+		// the exchanger.
+		return NewDistClusterSMA(ClusterSMAConfig{
 			SMAConfig: smaCfg, TauGlobal: cfg.TauGlobal,
-		}, w0, GroupsFor(cfg.Servers, cfg.GPUs*cfg.LearnersPerGPU))
+			ExchangeRetries: cfg.ExchangeRetries,
+			OverlapGlobal:   cfg.OverlapGlobal,
+		}, w0, k, cfg.GlobalExchange)
 	case AlgoSSGD:
 		s := NewSSGD(cfg.LearnRate, cfg.Momentum, w0)
 		s.StateRanges = stateRanges
@@ -660,7 +626,7 @@ func Train(cfg TrainConfig) *Result {
 			nlr := cfg.Schedule(epoch, cfg.LearnRate)
 			if nlr != lr {
 				lr = nlr
-				setLearnRate(opt, lr)
+				opt.SetLearnRate(lr)
 				if cfg.RestartOnLRChange {
 					restart(opt, e.ws[:k])
 				}
@@ -687,7 +653,7 @@ func Train(cfg TrainConfig) *Result {
 		// here matches the synchronous path's byte for byte.
 		drainExchange(opt)
 		prevL := tensor.SetActiveLearners(1)
-		acc := evaluate(e.evalNet, centralModel(opt), e.evalGrad, test, e.evalBatch, e.es)
+		acc := evaluate(e.evalNet, opt.Average(), e.evalGrad, test, e.evalBatch, e.es)
 		tensor.SetActiveLearners(prevL)
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
@@ -709,7 +675,7 @@ func Train(cfg TrainConfig) *Result {
 				firstSeq, held := rt.Handoff()  // pipeline position carries over
 				e.pub.rebase(rt.Stats().Rounds) // keep snapshot versions monotone
 				rt.Close()
-				z := append([]float32(nil), centralModel(opt)...)
+				z := append([]float32(nil), opt.Average()...)
 				e.growLearners(nextK, z)
 				for j := 0; j < nextK; j++ { // §3.2 restart: replicas ← z
 					tensor.Copy(e.ws[j], z)
@@ -719,7 +685,7 @@ func Train(cfg TrainConfig) *Result {
 				if lr != cfg.LearnRate {
 					// buildOpt starts from the base rate; a schedule may
 					// already have moved it.
-					setLearnRate(opt, lr)
+					opt.SetLearnRate(lr)
 				}
 				tensor.SetActiveLearners(k)
 				rt = e.buildRuntime(opt, k, firstSeq, held)
@@ -735,7 +701,7 @@ func Train(cfg TrainConfig) *Result {
 	res.K = k
 	res.FinalAccuracy = metrics.BestAccuracy(res.Series)
 	drainExchange(opt)
-	res.Model = append([]float32(nil), centralModel(opt)...)
+	res.Model = append([]float32(nil), opt.Average()...)
 	res.RuntimeStats = rt.Stats()
 	res.SeqLog = rt.SeqLog()
 	if tuner != nil {
@@ -770,47 +736,6 @@ func (e *trainEnv) memoryStats(k, iters int, before *runtime.MemStats) metrics.M
 		m.AllocsPerIter = float64(after.Mallocs-before.Mallocs) / float64(iters)
 	}
 	return m
-}
-
-func setLearnRate(s stepper, lr float32) {
-	switch o := s.(type) {
-	case *SMA:
-		o.SetLearnRate(lr)
-	case *HierarchicalSMA:
-		o.SetLearnRate(lr)
-	case *ClusterSMA:
-		o.SetLearnRate(lr)
-	case *DistClusterSMA:
-		o.SetLearnRate(lr)
-	case *EASGD:
-		o.SetLearnRate(lr)
-	case *SSGD:
-		o.LearnRate = lr
-	case *ASGD:
-		o.LearnRate = lr
-	}
-}
-
-func restart(s stepper, ws [][]float32) {
-	switch o := s.(type) {
-	case *SMA:
-		o.Restart(ws)
-	case *HierarchicalSMA:
-		o.Restart(ws)
-	case *ClusterSMA:
-		o.Restart(ws)
-	case *DistClusterSMA:
-		o.Restart(ws)
-	}
-}
-
-// drainExchange folds any in-flight overlapped global exchange before the
-// central model is read (evaluation, snapshots, the final result). A no-op
-// for every optimiser but DistClusterSMA with OverlapGlobal.
-func drainExchange(s stepper) {
-	if d, ok := s.(*DistClusterSMA); ok {
-		d.Drain()
-	}
 }
 
 // evalScratch holds the evaluation input buffers, allocated once per run

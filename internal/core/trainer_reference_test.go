@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -53,7 +54,11 @@ func referenceTrain(cfg TrainConfig) *Result {
 	evalGrad := make([]float32, len(w0))
 	evalScratch := newEvalScratch(evalBatch, test.Shape)
 
-	batcher := data.NewBatcher(train.Len(), cfg.BatchPerLearner, cfg.Seed+21)
+	shuffleSeed := cfg.Seed + 21
+	if cfg.ShuffleSeed != 0 {
+		shuffleSeed = cfg.ShuffleSeed
+	}
+	batcher := data.NewBatcher(train.Len(), cfg.BatchPerLearner, shuffleSeed)
 	inputs := make([]*tensor.Tensor, k)
 	labels := make([][]int, k)
 	batchIdx := make([][]int, k)
@@ -78,7 +83,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 			nlr := cfg.Schedule(epoch, cfg.LearnRate)
 			if nlr != lr {
 				lr = nlr
-				setLearnRate(opt, lr)
+				opt.SetLearnRate(lr)
 				if cfg.RestartOnLRChange {
 					restart(opt, ws)
 				}
@@ -107,7 +112,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 			opt.Step(ws, gs)
 		}
 
-		acc := evaluate(evalNet, centralModel(opt), evalGrad, test, evalBatch, evalScratch)
+		acc := evaluate(evalNet, opt.Average(), evalGrad, test, evalBatch, evalScratch)
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
 			TimeSec: float64(epoch) * cfg.EpochSeconds,
@@ -127,7 +132,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 		}
 	}
 	res.FinalAccuracy = metrics.BestAccuracy(res.Series)
-	res.Model = append([]float32(nil), centralModel(opt)...)
+	res.Model = append([]float32(nil), opt.Average()...)
 	return res
 }
 
@@ -163,12 +168,16 @@ func TestLockstepReferencePinAllAlgorithms(t *testing.T) {
 		got := Train(cfg)
 		resultsBitIdentical(t, string(algo), ref, got)
 	}
+	// The cluster tier: the reference loop per rank against Train per rank,
+	// two ranks over the loopback.
 	cfg := determinismCfg()
 	cfg.Algo = AlgoSMACluster
-	cfg.Servers, cfg.GPUs, cfg.LearnersPerGPU = 2, 1, 2
-	ref := referenceTrain(cfg)
-	got := Train(cfg)
-	resultsBitIdentical(t, "sma-cluster", ref, got)
+	cfg.GPUs, cfg.LearnersPerGPU = 1, 2
+	ref := trainRanks(2, cfg, referenceTrain)
+	got := trainRanks(2, cfg, Train)
+	for r := range ref {
+		resultsBitIdentical(t, fmt.Sprintf("sma-cluster rank %d", r), ref[r], got[r])
+	}
 }
 
 // TestLockstepPinWithScheduleRestart pins the learning-rate schedule and

@@ -170,20 +170,17 @@ func TestSchedules(t *testing.T) {
 
 func TestCentralModelPerAlgorithm(t *testing.T) {
 	w0 := []float32{1, 2}
-	if centralModel(NewSMA(SMAConfig{LearnRate: 0.1}, w0, 1)) == nil {
-		t.Fatal("nil central model for SMA")
-	}
-	if centralModel(NewSSGD(0.1, 0, w0)) == nil {
-		t.Fatal("nil central model for SSGD")
-	}
-	if centralModel(NewEASGD(0.1, 0, 1, 1, w0)) == nil {
-		t.Fatal("nil central model for EASGD")
-	}
-	if centralModel(NewASGD(0.1, w0)) == nil {
-		t.Fatal("nil central model for ASGD")
-	}
-	if centralModel(NewHierarchicalSMA(SMAConfig{LearnRate: 0.1}, w0, [][]int{{0}})) == nil {
-		t.Fatal("nil central model for hierarchical SMA")
+	for name, opt := range map[string]stepper{
+		"SMA":              NewSMA(SMAConfig{LearnRate: 0.1}, w0, 1),
+		"SSGD":             NewSSGD(0.1, 0, w0),
+		"EASGD":            NewEASGD(0.1, 0, 1, 1, w0),
+		"ASGD":             NewASGD(0.1, w0),
+		"hierarchical SMA": NewHierarchicalSMA(SMAConfig{LearnRate: 0.1}, w0, [][]int{{0}}),
+		"cluster SMA":      NewDistClusterSMA(ClusterSMAConfig{}, w0, 1, nopExchanger{}),
+	} {
+		if opt.Average() == nil {
+			t.Fatalf("nil central model for %s", name)
+		}
 	}
 }
 

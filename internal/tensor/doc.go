@@ -29,11 +29,11 @@
 // blocks. The exact elementwise kernels (ReluFwd, ReluBwd, AddRelu,
 // AccumAdd) are SIMD in both modes — max, compare-select and a single
 // add round identically to their scalar loops, so they never weaken the
-// deterministic contract. The optimiser kernels (SMACorrectStep,
-// SMAContributeStep, SMACorrect, SMALocalStep, SMAFold, SMADistFold;
-// DESIGN.md §17) extend that family to the multiply-add chains of model
-// averaging: one vector multiply, add or subtract per scalar operation in
-// the scalar association, no FMA and no denormal flushing, so they too are
+// deterministic contract. The five optimiser kernels (SMACorrectStep,
+// SMAContributeStep, SMALocalStep, SMAFold, SMADistFold; DESIGN.md §17)
+// extend that family to the multiply-add chains of model averaging: one
+// vector multiply, add or subtract per scalar operation in the scalar
+// association, no FMA and no denormal flushing, so they too are
 // bit-identical to their scalar loops. The batched conv lowering
 // (Im2colBatch, Col2imBatch, Lowering; DESIGN.md §18) belongs to the same
 // family: with SIMD it replays per-geometry tables — masked plane shifts

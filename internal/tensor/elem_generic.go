@@ -14,7 +14,6 @@ func elemAddReluASM(dst, a, b []float32) int  { return 0 }
 func smaCorrectStepASM(w, g, v, z, dst []float32, alpha, lr, mu float32, accumulate bool) int {
 	return 0
 }
-func smaCorrectASM(w, z, acc []float32, alpha float32) int                      { return 0 }
 func smaLocalStepASM(w, g, v []float32, lr, mu float32) int                     { return 0 }
 func smaFoldASM(z, zPrev, delta []float32, mu float32) int                      { return 0 }
 func smaDistFoldASM(ref, z, zPrev, sum []float32, alpha, parts, mu float32) int { return 0 }

@@ -51,18 +51,6 @@ func SMAContributeStep(w, g, v, z, out []float32, alpha, lr, mu float32) {
 	}
 }
 
-// SMACorrect applies a correction without a gradient step — the consensus
-// exchange of a tier whose replicas are themselves average models:
-// c = α(w−z); delta += c; w −= c.
-func SMACorrect(w, z, delta []float32, alpha float32) {
-	sameLen("SMACorrect", len(w), len(z), len(delta))
-	for i := smaCorrectASM(w, z, delta, alpha); i < len(w); i++ {
-		c := alpha * (w[i] - z[i])
-		delta[i] += c
-		w[i] -= c
-	}
-}
-
 // SMALocalStep is a gradient step with local momentum:
 // v = µ·v − γ·g; w += v.
 func SMALocalStep(w, g, v []float32, lr, mu float32) {

@@ -13,9 +13,6 @@ func smaCorrectStepAccAVX2(w, grad, v, z, acc *float32, n int, alpha, lr, mu flo
 func smaCorrectStepOutAVX2(w, grad, v, z, out *float32, n int, alpha, lr, mu float32)
 
 //go:noescape
-func smaCorrectAccAVX2(w, z, acc *float32, n int, alpha float32)
-
-//go:noescape
 func smaLocalStepAVX2(w, grad, v *float32, n int, lr, mu float32)
 
 //go:noescape
@@ -34,15 +31,6 @@ func smaCorrectStepASM(w, g, v, z, dst []float32, alpha, lr, mu float32, accumul
 	} else {
 		smaCorrectStepOutAVX2(&w[0], &g[0], &v[0], &z[0], &dst[0], n, alpha, lr, mu)
 	}
-	return n
-}
-
-func smaCorrectASM(w, z, acc []float32, alpha float32) int {
-	n := len(w) &^ 7
-	if n == 0 || !elemActive() {
-		return 0
-	}
-	smaCorrectAccAVX2(&w[0], &z[0], &acc[0], n, alpha)
 	return n
 }
 

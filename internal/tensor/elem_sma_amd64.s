@@ -90,31 +90,6 @@ csoloop:
 	VZEROUPPER
 	RET
 
-// func smaCorrectAccAVX2(w, z, acc *float32, n int, alpha float32)
-TEXT ·smaCorrectAccAVX2(SB), NOSPLIT, $0-36
-	MOVQ         w+0(FP), DI
-	MOVQ         z+8(FP), R8
-	MOVQ         acc+16(FP), R9
-	MOVQ         n+24(FP), CX
-	VBROADCASTSS alpha+32(FP), Y13
-	SHLQ         $2, CX
-	XORQ         AX, AX
-caloop:
-	VMOVUPS (DI)(AX*1), Y0     // w
-	VMOVUPS (R8)(AX*1), Y1     // z
-	VSUBPS  Y1, Y0, Y1         // w - z
-	VMULPS  Y13, Y1, Y1        // c = alpha*(w - z)
-	VMOVUPS (R9)(AX*1), Y2
-	VADDPS  Y1, Y2, Y2         // acc += c
-	VMOVUPS Y2, (R9)(AX*1)
-	VSUBPS  Y1, Y0, Y0         // w -= c
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     caloop
-	VZEROUPPER
-	RET
-
 // func smaLocalStepAVX2(w, grad, v *float32, n int, lr, mu float32)
 TEXT ·smaLocalStepAVX2(SB), NOSPLIT, $0-40
 	MOVQ         w+0(FP), DI

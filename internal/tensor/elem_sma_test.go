@@ -128,13 +128,6 @@ func runSMAOracle(t *testing.T) {
 				smaBitsEqual(t, name("SMAContributeStep/"+vec), a[i], b[i])
 			}
 
-			a, b = cloneAll(w, z, d), cloneAll(w, z, d)
-			SMACorrect(a[0], a[1], a[2], alpha)
-			refSMACorrect(b[0], b[1], b[2], alpha)
-			for i, vec := range []string{"w", "z", "delta"} {
-				smaBitsEqual(t, name("SMACorrect/"+vec), a[i], b[i])
-			}
-
 			a, b = cloneAll(w, g, v), cloneAll(w, g, v)
 			SMALocalStep(a[0], a[1], a[2], lr, mu)
 			refSMALocalStep(b[0], b[1], b[2], lr, mu)

@@ -90,6 +90,12 @@ type pubModel struct {
 // and pending the in-flight sends not yet acknowledged. An ack matching any
 // pending state is pipelining, not news; an ack the publisher cannot explain
 // means the follower diverged and forces a resync.
+//
+// Lock order: a pubSub's mu before Publisher.mu, never the reverse. A send
+// holds s.mu for the whole write and takes p.mu inside it to read history
+// (sendCurrent → preparePayload), so nothing may wait for an s.mu while
+// holding p.mu: code that walks the subscribers copies the list under p.mu
+// (subsLocked), releases it, and only then looks at each s.mu.
 type pubSub struct {
 	id   int
 	conn net.Conn
@@ -111,7 +117,7 @@ type Publisher struct {
 	cfg PublisherConfig
 	ln  net.Listener
 
-	mu     sync.Mutex
+	mu     sync.Mutex // taken after any pubSub.mu; see pubSub
 	subs   map[int]*pubSub
 	nextID int
 	hist   []*pubModel
@@ -178,10 +184,7 @@ func (p *Publisher) Publish(c *ckpt.Checkpoint) error {
 	if len(p.hist) > p.cfg.History {
 		p.hist = p.hist[len(p.hist)-p.cfg.History:]
 	}
-	subs := make([]*pubSub, 0, len(p.subs))
-	for _, s := range p.subs {
-		subs = append(subs, s)
-	}
+	subs := p.subsLocked()
 	p.mu.Unlock()
 	p.published.Add(1)
 
@@ -222,22 +225,32 @@ func (p *Publisher) Stats() metrics.FeedStats {
 	return s
 }
 
+// subsLocked copies the subscriber list. Caller holds p.mu, and releases it
+// before touching any subscriber's mu (lock order: see pubSub).
+func (p *Publisher) subsLocked() []*pubSub {
+	subs := make([]*pubSub, 0, len(p.subs))
+	for _, s := range p.subs {
+		subs = append(subs, s)
+	}
+	return subs
+}
+
 // WaitSubscribers blocks until at least n followers are connected (and have
 // announced themselves) or the timeout elapses, returning the count.
 func (p *Publisher) WaitSubscribers(n int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
 		p.mu.Lock()
+		subs, closed := p.subsLocked(), p.closed
+		p.mu.Unlock()
 		have := 0
-		for _, s := range p.subs {
+		for _, s := range subs {
 			s.mu.Lock()
 			if s.helloed {
 				have++
 			}
 			s.mu.Unlock()
 		}
-		closed := p.closed
-		p.mu.Unlock()
 		if have >= n || closed || time.Now().After(deadline) {
 			return have
 		}
@@ -256,10 +269,7 @@ func (p *Publisher) Close() {
 		return
 	}
 	p.closed = true
-	subs := make([]*pubSub, 0, len(p.subs))
-	for _, s := range p.subs {
-		subs = append(subs, s)
-	}
+	subs := p.subsLocked()
 	p.mu.Unlock()
 	p.ln.Close()
 	// Drain before closing connections: wait (bounded) until every follower
@@ -386,7 +396,7 @@ func (p *Publisher) dropSub(s *pubSub, err error) {
 // already there, a delta if its base round is in history with a matching
 // CRC, a full snapshot otherwise. Caller holds s.mu.
 func (p *Publisher) sendCurrent(s *pubSub) error {
-	payload, typ, err := p.preparePayload(s.sentRound, s.sentCRC)
+	payload, typ, sent, err := p.preparePayload(s.sentRound, s.sentCRC)
 	if err != nil || typ == 0 {
 		return err
 	}
@@ -395,10 +405,10 @@ func (p *Publisher) sendCurrent(s *pubSub) error {
 		return err
 	}
 	s.conn.SetWriteDeadline(time.Time{})
-	p.mu.Lock()
-	latest := p.hist[len(p.hist)-1]
-	p.mu.Unlock()
-	s.sentRound, s.sentCRC = latest.c.SnapshotRound, latest.crc
+	// Record the round the payload was encoded against, not history's tail
+	// as it stands now: a Publish may have landed during the write, and the
+	// follower was not sent that round.
+	s.sentRound, s.sentCRC = sent.c.SnapshotRound, sent.crc
 	s.pending = append(s.pending, subState{round: s.sentRound, crc: s.sentCRC})
 	if typ == frameSnapDelta {
 		p.deltaSent.Add(1)
@@ -411,17 +421,18 @@ func (p *Publisher) sendCurrent(s *pubSub) error {
 }
 
 // preparePayload resolves and (lazily, cached per round pair) encodes the
-// update from a believed follower state to the latest round. typ 0 means
-// the follower is already current.
-func (p *Publisher) preparePayload(fromRound int64, fromCRC uint32) (payload []byte, typ byte, err error) {
+// update from a believed follower state to the latest round, returning that
+// round's model with the payload. typ 0 means the follower is already
+// current.
+func (p *Publisher) preparePayload(fromRound int64, fromCRC uint32) (payload []byte, typ byte, latest *pubModel, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.hist) == 0 {
-		return nil, 0, nil
+		return nil, 0, nil, nil
 	}
-	latest := p.hist[len(p.hist)-1]
+	latest = p.hist[len(p.hist)-1]
 	if fromRound == latest.c.SnapshotRound && fromCRC == latest.crc {
-		return nil, 0, nil
+		return nil, 0, nil, nil
 	}
 	var base *pubModel
 	for _, m := range p.hist {
@@ -446,25 +457,25 @@ func (p *Publisher) preparePayload(fromRound int64, fromCRC uint32) (payload []b
 			d, derr := ckpt.ComputeDelta(latest.c.Model, base.c.Params, latest.c.Params,
 				fromRound, latest.c.SnapshotRound, latest.c.SnapshotIter, p.cfg.ChunkElems)
 			if derr != nil {
-				return nil, 0, derr
+				return nil, 0, nil, derr
 			}
 			var buf bytes.Buffer
 			if werr := ckpt.WriteDelta(&buf, d); werr != nil {
-				return nil, 0, werr
+				return nil, 0, nil, werr
 			}
 			enc = buf.Bytes()
 			latest.deltas[fromRound] = enc
 		}
-		return enc, frameSnapDelta, nil
+		return enc, frameSnapDelta, latest, nil
 	}
 	if latest.full == nil {
 		var buf bytes.Buffer
 		if werr := ckpt.Write(&buf, latest.c); werr != nil {
-			return nil, 0, werr
+			return nil, 0, nil, werr
 		}
 		latest.full = buf.Bytes()
 	}
-	return latest.full, frameSnapFull, nil
+	return latest.full, frameSnapFull, latest, nil
 }
 
 // FollowerConfig configures a snapshot feed's receiving end.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +76,22 @@ func (s *feedSink) state() (round int64, fulls, deltas int, params []float32) {
 	return s.round, s.fulls, s.deltas, s.params
 }
 
+// await returns the sink's counters and model once OnUpdate has delivered
+// round r. Follower.WaitRound is not that event: it returns as soon as the
+// follower holds the round, which is before the callback runs.
+func (s *feedSink) await(t *testing.T, r int64) (fulls, deltas int, params []float32) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		round, fulls, deltas, params := s.state()
+		if round >= r {
+			return fulls, deltas, params
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sink never saw round %d (at %d)", r, round)
+		}
+	}
+}
+
 func bitIdentical(t *testing.T, got, want []float32, ctx string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -131,27 +148,15 @@ func TestFeedConvergence(t *testing.T) {
 			t.Fatalf("follower %d stuck at round %d", i, f.Round())
 		}
 	}
-	// Acks are sent after OnUpdate returns, but give the last callback a
-	// beat to finish before reading the sinks.
 	for i := range sinks {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			round, fulls, deltas, params := sinks[i].state()
-			if round == 5 {
-				if fulls != 1 {
-					t.Errorf("follower %d: %d full snapshots, want exactly 1 (cold join)", i, fulls)
-				}
-				if deltas != 4 {
-					t.Errorf("follower %d: %d deltas, want 4", i, deltas)
-				}
-				bitIdentical(t, params, cur, "follower")
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("follower %d sink never saw round 5 (at %d)", i, round)
-			}
-			time.Sleep(time.Millisecond)
+		fulls, deltas, params := sinks[i].await(t, 5)
+		if fulls != 1 {
+			t.Errorf("follower %d: %d full snapshots, want exactly 1 (cold join)", i, fulls)
 		}
+		if deltas != 4 {
+			t.Errorf("follower %d: %d deltas, want 4", i, deltas)
+		}
+		bitIdentical(t, params, cur, "follower")
 	}
 
 	ps := pub.Stats()
@@ -194,7 +199,7 @@ func TestFeedRejoin(t *testing.T) {
 	if !f.WaitRound(1, 5*time.Second) {
 		t.Fatal("follower never got the first snapshot")
 	}
-	_, _, _, held := sink.state()
+	_, _, held := sink.await(t, 1)
 	f.Close() // the replica "dies", keeping its last model
 
 	// The fleet moves on while it is gone — but stays within History.
@@ -218,7 +223,7 @@ func TestFeedRejoin(t *testing.T) {
 	if !f2.WaitRound(2, 5*time.Second) {
 		t.Fatal("warm rejoin never reached round 2")
 	}
-	_, fulls, deltas, params := warm.state()
+	fulls, deltas, params := warm.await(t, 2)
 	if fulls != 0 || deltas != 1 {
 		t.Errorf("warm rejoin got %d full / %d delta, want 0 / 1", fulls, deltas)
 	}
@@ -234,7 +239,7 @@ func TestFeedRejoin(t *testing.T) {
 	if !f3.WaitRound(2, 5*time.Second) {
 		t.Fatal("cold rejoin never reached round 2")
 	}
-	_, fulls, deltas, params = cold.state()
+	fulls, deltas, params = cold.await(t, 2)
 	if fulls != 1 || deltas != 0 {
 		t.Errorf("cold rejoin got %d full / %d delta, want 1 / 0", fulls, deltas)
 	}
@@ -280,7 +285,7 @@ func TestFeedDivergenceResync(t *testing.T) {
 	if !f.WaitRound(2, 5*time.Second) {
 		t.Fatal("diverged follower never resynced to round 2")
 	}
-	_, fulls, _, params := sink.state()
+	fulls, _, params := sink.await(t, 2)
 	if fulls == 0 {
 		t.Error("diverged follower was healed without a full snapshot")
 	}
@@ -326,7 +331,7 @@ func TestFeedLapsedHistory(t *testing.T) {
 	if !f.WaitRound(5, 5*time.Second) {
 		t.Fatal("lapsed follower never caught up")
 	}
-	_, fulls, deltas, params := sink.state()
+	fulls, deltas, params := sink.await(t, 5)
 	if fulls != 1 || deltas != 0 {
 		t.Errorf("lapsed follower got %d full / %d delta, want 1 / 0", fulls, deltas)
 	}
@@ -400,6 +405,115 @@ func TestFollowerRedial(t *testing.T) {
 	if f.Stats().Redials == 0 {
 		t.Error("redial counter never moved")
 	}
-	_, _, _, got := sink.state()
+	_, _, got := sink.await(t, 3)
 	bitIdentical(t, got, params, "redialed follower")
+}
+
+// TestPublisherLockOrder hammers the calls that walk the subscriber list
+// (WaitSubscribers, Stats) against the traffic that holds one subscriber's
+// mu while taking the publisher's: hellos and acks (serveSub → sendCurrent
+// → preparePayload) and the Publish fan-out. The order is s.mu before p.mu;
+// WaitSubscribers used to wait for each s.mu with p.mu held, and the two
+// parked each other for good. The deadline turns a relapse into a failure
+// with the goroutines' stacks instead of a suite timeout.
+func TestPublisherLockOrder(t *testing.T) {
+	const n, rounds = 2048, 60
+	pub, err := NewPublisher(PublisherConfig{Addr: "127.0.0.1:0", ChunkElems: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cur := feedParams(n, 1)
+		if err := pub.Publish(snapAt(cur, 1)); err != nil {
+			t.Error(err)
+		}
+
+		// Two real followers keep acks flowing (and must end on the last
+		// round); two raw connections send hello after hello, each answered
+		// with a full snapshot under the subscriber's mu.
+		var sinks [2]feedSink
+		var fols [2]*Follower
+		for i := range fols {
+			f, err := Follow(FollowerConfig{Addr: pub.Addr(), OnUpdate: sinks[i].onUpdate})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fols[i] = f
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			conn, err := net.Dial("tcp", pub.Addr())
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			wg.Add(2)
+			go func() { // drain the snapshots until the writer closes conn
+				defer wg.Done()
+				var pool bufPool
+				for {
+					_, payload, _, err := readFrame(conn, 256<<20, &pool)
+					if err != nil {
+						return
+					}
+					pool.Put(payload)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := writeFrame(conn, &header{Type: frameSubHello}, nil); err != nil {
+						return
+					}
+				}
+			}()
+		}
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					pub.WaitSubscribers(1<<30, 0) // one walk, never satisfied
+					pub.Stats()
+				}
+			}()
+		}
+		for round := int64(2); round <= rounds; round++ {
+			cur = mutated(cur, round)
+			if err := pub.Publish(snapAt(append([]float32(nil), cur...), round)); err != nil {
+				t.Error(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		for i, f := range fols {
+			if !f.WaitRound(rounds, 10*time.Second) {
+				t.Errorf("follower %d stuck at round %d of %d", i, f.Round(), rounds)
+			}
+			f.Close()
+		}
+		pub.Close()
+	}()
+
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("publisher traffic did not finish — lock-order deadlock?\n%s", buf[:runtime.Stack(buf, true)])
+	}
 }

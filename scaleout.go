@@ -3,7 +3,6 @@ package crossbow
 import (
 	"fmt"
 
-	"crossbow/internal/autotune"
 	"crossbow/internal/cluster"
 	"crossbow/internal/core"
 	"crossbow/internal/metrics"
@@ -39,104 +38,15 @@ func clusterAlgo(a Algorithm) (Algorithm, error) {
 	}
 }
 
-// clusterThroughput measures hardware-plane throughput on the simulated
-// cluster for the resolved learner count.
-func clusterThroughput(cfg Config, learnersPerGPU, iters int) float64 {
-	return cluster.New(cluster.Config{
-		Model: cfg.Model, Servers: cfg.Servers, GPUsPerServer: cfg.GPUs,
-		LearnersPerGPU: learnersPerGPU, Batch: cfg.Batch,
-		TauLocal: max(1, cfg.Tau), TauGlobal: cfg.TauGlobal,
-		Overlap: true, Net: cfg.Interconnect,
-	}).Throughput(iters)
-}
-
-// trainCluster runs the scale-out path of Train: auto-tuning against the
-// cluster engine, hardware efficiency on the simulated cluster, and
-// statistical efficiency with the two-level cluster SMA.
-func trainCluster(cfg Config) (*Result, error) {
-	algo, err := clusterAlgo(cfg.Algo)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Interconnect == (Interconnect{}) {
-		cfg.Interconnect = Ethernet()
-	}
-	res := &Result{
-		LearnersPerGPU: cfg.LearnersPerGPU,
-		Servers:        cfg.Servers,
-		Interconnect:   cfg.Interconnect,
-		Transport:      TransportSimulated,
-	}
-
-	if cfg.LearnersPerGPU == AutoTune {
-		tuned := autotune.Tune(autotune.Config{
-			Model: cfg.Model, GPUs: cfg.GPUs, Batch: cfg.Batch,
-			Servers: cfg.Servers, TauGlobal: cfg.TauGlobal, Net: cfg.Interconnect,
-		})
-		res.LearnersPerGPU = tuned.Chosen
-		res.TuneHistory = tuned.History
-	} else if cfg.LearnersPerGPU <= 0 {
-		res.LearnersPerGPU = 1
-	}
-
-	spec := nn.FullSpec(cfg.Model)
-	res.ThroughputImgSec = clusterThroughput(cfg, res.LearnersPerGPU, 30)
-	if res.ThroughputImgSec > 0 {
-		res.EpochSeconds = float64(spec.TrainSamples) / res.ThroughputImgSec
-	}
-
-	tr := core.Train(core.TrainConfig{
-		Model:           cfg.Model,
-		Algo:            algo,
-		Servers:         cfg.Servers,
-		GPUs:            cfg.GPUs,
-		LearnersPerGPU:  res.LearnersPerGPU,
-		BatchPerLearner: cfg.Batch,
-		LearnRate:       cfg.LearnRate,
-		Momentum:        cfg.Momentum,
-		LocalMomentum:   cfg.Momentum,
-
-		Tau:               cfg.Tau,
-		TauGlobal:         cfg.TauGlobal,
-		MaxEpochs:         cfg.MaxEpochs,
-		TargetAcc:         cfg.TargetAccuracy,
-		Seed:              cfg.Seed,
-		Schedule:          cfg.Schedule,
-		RestartOnLRChange: cfg.Restart,
-		EpochSeconds:      res.EpochSeconds,
-		TrainSamples:      cfg.TrainSamples,
-		TestSamples:       cfg.TestSamples,
-		Scheduler:         cfg.Scheduler,
-		KernelMode:        cfg.KernelMode,
-		Prefetch:          cfg.Prefetch,
-		MemoryBudget:      cfg.MemoryBudget,
-		PublishEvery:      cfg.PublishEvery,
-		OnSnapshot:        cfg.OnSnapshot,
-	})
-	res.Series = tr.Series
-	res.EpochsToTarget = tr.EpochsToTarget
-	res.BestAccuracy = tr.FinalAccuracy
-	res.Params = tr.Model
-	res.Scheduler = tr.Sched
-	res.Wall = tr.Wall
-	res.WallImagesPerSec = metrics.MeanImagesPerSec(tr.Wall)
-	res.RuntimeStats = tr.RuntimeStats
-	res.Mem = tr.Mem
-	res.TTASeconds = -1
-	if cfg.TargetAccuracy > 0 {
-		if t, ok := metrics.TTA(tr.Series, cfg.TargetAccuracy); ok {
-			res.TTASeconds = t
-		}
-	}
-	return res, nil
-}
-
 // ClusterSweep measures hardware-plane throughput for cfg at each cluster
 // size in servers (nil selects 1, 2, 4, 8) and returns one point per size
 // with scaling efficiency derived from the smallest. cfg.Servers is
 // ignored; every other knob (model, GPUs, learners, batch, τ, network)
 // applies to each point. AutoTune resolves the learner count once, on the
-// smallest cluster, so the sweep varies only the server count.
+// smallest cluster, so the sweep varies only the server count. A point's
+// EpochSeconds is the time the cluster takes to consume the training set
+// once between its servers — the scaling curve's unit, not Train's
+// rank-parallel epoch (Config.Servers), which is Servers times that.
 func ClusterSweep(cfg Config, servers []int) ([]ScalingPoint, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -156,21 +66,14 @@ func ClusterSweep(cfg Config, servers []int) ([]ScalingPoint, error) {
 			smallest = n
 		}
 	}
-	m := cfg.LearnersPerGPU
-	if m == AutoTune {
-		m = autotune.Tune(autotune.Config{
-			Model: cfg.Model, GPUs: cfg.GPUs, Batch: cfg.Batch,
-			Servers: smallest, TauGlobal: cfg.TauGlobal, Net: cfg.Interconnect,
-		}).Chosen
-	} else if m <= 0 {
-		m = 1
-	}
+	c := cfg
+	c.Servers = smallest
+	m, _ := resolveLearners(c)
 	spec := nn.FullSpec(cfg.Model)
 	points := make([]ScalingPoint, 0, len(servers))
 	for _, n := range servers {
-		c := cfg
 		c.Servers = n
-		tp := clusterThroughput(c, m, 30)
+		tp := hardwareThroughput(c, m)
 		p := ScalingPoint{Servers: n, ThroughputImgSec: tp}
 		if tp > 0 {
 			p.EpochSeconds = float64(spec.TrainSamples) / tp
