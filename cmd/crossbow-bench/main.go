@@ -1,49 +1,127 @@
 // Command crossbow-bench regenerates the tables and figures of the paper's
-// evaluation (§5). Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records the expected shapes.
+// evaluation (§5) and Algorithm 2's decision trace; internal/experiments
+// documents the scale mapping. Everything it prints is simulated or seeded,
+// so equal flags give equal output. How fast the system runs on this
+// machine is the repo benchmark's to measure: bash benchmark/run.sh.
 //
 // Usage:
 //
 //	crossbow-bench -exp all            # quick pass over every experiment
 //	crossbow-bench -exp fig10 -model resnet32 -full
 //	crossbow-bench -exp fig14 -model vgg16 -gpus 8
-//	crossbow-bench -exp kernels        # kernel microbench -> BENCH_kernels.json
 //	crossbow-bench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"crossbow"
+	"crossbow/internal/experiments"
 	"crossbow/internal/tensor"
 )
+
+// params are the flag values an experiment may read.
+type params struct {
+	model crossbow.Model
+	gpus  int
+	quick bool
+}
+
+// experiment is one row of the table the -exp flag selects from.
+type experiment struct {
+	name string
+	run  func(w io.Writer, p params)
+}
+
+// table lists every experiment in the order -exp all runs them. The -exp
+// usage string, the selection and the unknown-name error all read it.
+var table = []experiment{
+	{"table1", func(w io.Writer, p params) { experiments.PrintTable1(w, experiments.Table1()) }},
+	{"fig2", func(w io.Writer, p params) { experiments.PrintFigure2(w, experiments.Figure2()) }},
+	{"fig3", func(w io.Writer, p params) { experiments.PrintFigure3(w, experiments.Figure3(p.quick)) }},
+	{"fig9", func(w io.Writer, p params) { experiments.PrintFigure9(w, experiments.Figure9(p.quick)) }},
+	{"fig10", func(w io.Writer, p params) {
+		experiments.PrintFigure10(w, p.model, experiments.Figure10(p.model, p.quick))
+	}},
+	{"fig11", func(w io.Writer, p params) {
+		experiments.PrintFigure11(w, p.model, p.gpus, experiments.Figure11(p.model, p.gpus, p.quick))
+	}},
+	{"fig12", func(w io.Writer, p params) { experiments.PrintFigure1213(w, 1, experiments.Figure1213(1, p.quick)) }},
+	{"fig13", func(w io.Writer, p params) { experiments.PrintFigure1213(w, 8, experiments.Figure1213(8, p.quick)) }},
+	{"fig14", func(w io.Writer, p params) {
+		experiments.PrintFigure14(w, p.model, p.gpus, experiments.Figure14(p.model, p.gpus, p.quick))
+	}},
+	{"fig15", func(w io.Writer, p params) { experiments.PrintFigure15(w, experiments.Figure15(p.quick)) }},
+	{"fig16", func(w io.Writer, p params) { experiments.PrintFigure16(w, experiments.Figure16(p.quick)) }},
+	{"fig17", func(w io.Writer, p params) { experiments.PrintFigure17(w, experiments.Figure17()) }},
+	{"autotune", func(w io.Writer, p params) {
+		m, hist := crossbow.TuneLearners(p.model, p.gpus, 16)
+		fmt.Fprintf(w, "Auto-tuner (Alg 2) for %s on %d GPUs, b=16\n", p.model, p.gpus)
+		for _, d := range hist {
+			fmt.Fprintf(w, "  m=%d -> %.0f images/s\n", d.M, d.Throughput)
+		}
+		fmt.Fprintf(w, "chosen: m=%d\n", m)
+	}},
+}
+
+// names lists what -exp accepts, for the usage string and the error.
+func names() string {
+	var ns []string
+	for _, e := range table {
+		ns = append(ns, e.name)
+	}
+	return strings.Join(append(ns, "all"), ", ")
+}
+
+// selectExperiments resolves an -exp value: one name selects that row,
+// "all" the whole table in order, anything else nothing.
+func selectExperiments(exp string) []experiment {
+	if exp == "all" {
+		return table
+	}
+	for i, e := range table {
+		if e.name == exp {
+			return table[i : i+1]
+		}
+	}
+	return nil
+}
 
 func main() {
 	// All work happens in run, so deferred profile finalizers execute even
 	// on error exits (os.Exit would skip them).
-	os.Exit(benchMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func benchMain() int {
-	exp := flag.String("exp", "all", "experiment: table1, fig2, fig3, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17, autotune, kernels, runtime, memory, serving, cluster-net, chaos, all")
-	model := flag.String("model", "resnet32", "benchmark model (lenet, resnet32, vgg16, resnet50)")
-	gpus := flag.Int("gpus", 8, "GPU count for per-g experiments")
-	full := flag.Bool("full", false, "paper-scale parameter sweeps (slow); default is a quick pass")
-	threads := flag.Int("threads", 0, "kernel worker pool size (0: NumCPU or $CROSSBOW_PARALLELISM)")
-	kernelsOut := flag.String("out", "BENCH_kernels.json", "output path for the kernels experiment's JSON record")
-	runtimeOut := flag.String("runtime-out", "BENCH_runtime.json", "output path for the runtime experiment's JSON record")
-	memoryOut := flag.String("memory-out", "BENCH_memory.json", "output path for the memory experiment's JSON record")
-	servingOut := flag.String("serving-out", "BENCH_serving.json", "output path for the serving experiment's JSON record")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the cluster-net experiment's JSON record")
-	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the chaos experiment's JSON record")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crossbow-bench", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment: "+names())
+	model := fs.String("model", "resnet32", "benchmark model (lenet, resnet32, vgg16, resnet50)")
+	gpus := fs.Int("gpus", 8, "GPU count for per-g experiments")
+	full := fs.Bool("full", false, "paper-scale parameter sweeps (slow); default is a quick pass")
+	threads := fs.Int("threads", 0, "kernel worker pool size (0: NumCPU or $CROSSBOW_PARALLELISM)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here, -h exits 0
+
+	selected := selectExperiments(*exp)
+	if selected == nil {
+		fmt.Fprintf(stderr, "unknown experiment %q; valid: %s\n", *exp, names())
+		return 2
+	}
+	p := params{model: crossbow.Model(*model), gpus: *gpus, quick: !*full}
+	if !slices.Contains(crossbow.Models, p.model) {
+		fmt.Fprintf(stderr, "unknown model %q\n", *model)
+		return 2
+	}
 
 	if *threads > 0 {
 		tensor.SetParallelism(*threads)
@@ -51,12 +129,12 @@ func benchMain() int {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -65,142 +143,27 @@ func benchMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	quick := !*full
-	id := crossbow.Model(*model)
-	known := false
-	for _, m := range crossbow.Models {
-		if m == id {
-			known = true
-		}
-	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-		return 2
-	}
-
-	run := func(name string, fn func()) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range selected {
+		ep := p
+		if *exp == "all" && e.name == "fig10" {
+			// Under -exp all, Figure 10 runs on ResNet-32 whatever -model
+			// says; -model steers fig11, fig14 and autotune there.
+			ep.model = crossbow.ResNet32
 		}
 		start := time.Now()
-		fn()
-		fmt.Printf("[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		e.run(stdout, ep)
+		fmt.Fprintf(stdout, "[%s took %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("table1", func() { crossbow.PrintTable1(os.Stdout, crossbow.Table1()) })
-	run("fig2", func() { crossbow.PrintFigure2(os.Stdout, crossbow.Figure2()) })
-	run("fig3", func() { crossbow.PrintFigure3(os.Stdout, crossbow.Figure3(quick)) })
-	run("fig9", func() { crossbow.PrintFigure9(os.Stdout, crossbow.Figure9(quick)) })
-	run("fig10", func() {
-		models := []crossbow.Model{id}
-		if *exp == "all" {
-			models = []crossbow.Model{crossbow.ResNet32}
-		}
-		for _, m := range models {
-			crossbow.PrintFigure10(os.Stdout, m, crossbow.Figure10(m, quick))
-		}
-	})
-	run("fig11", func() {
-		crossbow.PrintFigure11(os.Stdout, id, *gpus, crossbow.Figure11(id, *gpus, quick))
-	})
-	run("fig12", func() { crossbow.PrintFigure1213(os.Stdout, 1, crossbow.Figure1213(1, quick)) })
-	run("fig13", func() { crossbow.PrintFigure1213(os.Stdout, 8, crossbow.Figure1213(8, quick)) })
-	run("fig14", func() {
-		crossbow.PrintFigure14(os.Stdout, id, *gpus, crossbow.Figure14(id, *gpus, quick))
-	})
-	run("fig15", func() { crossbow.PrintFigure15(os.Stdout, crossbow.Figure15(quick)) })
-	run("fig16", func() { crossbow.PrintFigure16(os.Stdout, crossbow.Figure16(quick)) })
-	run("fig17", func() { crossbow.PrintFigure17(os.Stdout, crossbow.Figure17()) })
-	// Kernel microbenchmarks run only on explicit request (not under
-	// -exp all) so figure replays don't overwrite the committed baseline.
-	if *exp == "kernels" {
-		start := time.Now()
-		rows := crossbow.KernelBench(quick)
-		crossbow.PrintKernelBench(os.Stdout, rows)
-		if err := crossbow.WriteKernelBenchJSON(*kernelsOut, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *kernelsOut, err)
-			return 1
-		}
-		fmt.Printf("recorded %s\n[kernels took %v]\n", *kernelsOut, time.Since(start).Round(time.Millisecond))
-	}
-	// The scheduler benchmark likewise runs only on explicit request, so
-	// figure replays don't overwrite the committed baseline.
-	if *exp == "runtime" {
-		start := time.Now()
-		rows := crossbow.RuntimeBench(quick)
-		crossbow.PrintRuntimeBench(os.Stdout, rows)
-		if err := crossbow.WriteRuntimeBenchJSON(*runtimeOut, rows, quick); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *runtimeOut, err)
-			return 1
-		}
-		fmt.Printf("recorded %s\n[runtime took %v]\n", *runtimeOut, time.Since(start).Round(time.Millisecond))
-	}
-	// The memory-plane benchmark also runs only on explicit request, so
-	// figure replays don't overwrite the committed baseline.
-	if *exp == "memory" {
-		start := time.Now()
-		rows := crossbow.MemoryBench(quick)
-		crossbow.PrintMemoryBench(os.Stdout, rows)
-		if err := crossbow.WriteMemoryBenchJSON(*memoryOut, rows, quick); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *memoryOut, err)
-			return 1
-		}
-		fmt.Printf("recorded %s\n[memory took %v]\n", *memoryOut, time.Since(start).Round(time.Millisecond))
-	}
-	// The serving benchmark also runs only on explicit request, so figure
-	// replays don't overwrite the committed baseline.
-	if *exp == "serving" {
-		start := time.Now()
-		rows := crossbow.ServingBench(quick)
-		crossbow.PrintServingBench(os.Stdout, rows)
-		if err := crossbow.WriteServingBenchJSON(*servingOut, rows, quick); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *servingOut, err)
-			return 1
-		}
-		fmt.Printf("recorded %s\n[serving took %v]\n", *servingOut, time.Since(start).Round(time.Millisecond))
-	}
-	// The cluster-transport benchmark also runs only on explicit request:
-	// it opens real localhost sockets, so figure replays stay hermetic.
-	if *exp == "cluster-net" {
-		start := time.Now()
-		rows := crossbow.ClusterNetBench(quick)
-		crossbow.PrintClusterNetBench(os.Stdout, rows)
-		if err := crossbow.WriteClusterNetBenchJSON(*clusterOut, rows, quick); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *clusterOut, err)
-			return 1
-		}
-		fmt.Printf("recorded %s\n[cluster-net took %v]\n", *clusterOut, time.Since(start).Round(time.Millisecond))
-	}
-	// The chaos benchmark also runs only on explicit request: it opens real
-	// localhost sockets and injects seeded faults into live training runs.
-	if *exp == "chaos" {
-		start := time.Now()
-		rows := crossbow.ChaosBench(quick)
-		crossbow.PrintChaosBench(os.Stdout, rows)
-		if err := crossbow.WriteChaosBenchJSON(*chaosOut, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *chaosOut, err)
-			return 1
-		}
-		fmt.Printf("recorded %s\n[chaos took %v]\n", *chaosOut, time.Since(start).Round(time.Millisecond))
-	}
-	run("autotune", func() {
-		m, hist := crossbow.TuneLearners(id, *gpus, 16)
-		fmt.Printf("Auto-tuner (Alg 2) for %s on %d GPUs, b=16\n", id, *gpus)
-		for _, d := range hist {
-			fmt.Printf("  m=%d -> %.0f images/s\n", d.M, d.Throughput)
-		}
-		fmt.Printf("chosen: m=%d\n", m)
-	})
 	return 0
 }

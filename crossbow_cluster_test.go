@@ -132,6 +132,17 @@ func TestClusterSweepScaling(t *testing.T) {
 			t.Errorf("%d servers: efficiency %v, want sub-linear", pts[i].Servers, pts[i].Efficiency)
 		}
 	}
+
+	// No sizes given, as nil or as an empty list, selects the default sweep.
+	for _, none := range [][]int{nil, {}} {
+		pts, err := ClusterSweep(Config{Model: ResNet32, GPUs: 2, LearnersPerGPU: 2, Batch: 16}, none)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != 4 || pts[0].Servers != 1 || pts[3].Servers != 8 {
+			t.Errorf("ClusterSweep(cfg, %#v) = %+v, want the 1, 2, 4, 8 sweep", none, pts)
+		}
+	}
 }
 
 // TestClusterRejectsNonSMA: the cluster plane synchronises hierarchically;

@@ -211,3 +211,51 @@ func TestSSGDCarriesBatchNormState(t *testing.T) {
 		t.Fatal("running statistics never updated in the global model")
 	}
 }
+
+// TestPoolFootprintFollowsConcurrency pins §4.5's memory-plane claim: the
+// shared activation pool is sized by how many tasks can run at once, not by
+// how many learners exist. By default it never grows past (kernel worker
+// budget + 1) planned arenas, so with two workers four learners share fewer
+// than four arenas; and an explicit MemoryBudget of a single arena still
+// completes, allocates exactly that arena, and under the lockstep schedule
+// returns the unbudgeted run's model bit for bit — a budget may only add
+// waiting. (Under FCFS the waiting reorders batch binding, so the models
+// legitimately differ there.)
+func TestPoolFootprintFollowsConcurrency(t *testing.T) {
+	defer tensor.SetWorkerBudget(tensor.WorkerBudget())
+	for _, budget := range []int{1, 2} {
+		tensor.SetWorkerBudget(budget)
+		for _, sched := range []SchedulerMode{SchedLockstep, SchedFCFS} {
+			for _, m := range []int{1, 2, 4} {
+				cfg := TrainConfig{
+					Model: nn.LeNet, Algo: AlgoSMA,
+					GPUs: 1, LearnersPerGPU: m, BatchPerLearner: 4,
+					Momentum: 0.9, MaxEpochs: 1, Seed: 1,
+					TrainSamples: 256, TestSamples: 64,
+					Scheduler: sched,
+				}
+				free := Train(cfg)
+				arena := free.Mem.ArenaBytesPerTask
+				if arena <= 0 {
+					t.Fatalf("budget=%d %s m=%d: no planned arena reported: %+v", budget, sched, m, free.Mem)
+				}
+				if got, limit := free.Mem.PoolAllocatedBytes, int64(budget+1)*arena; got < arena || got > limit {
+					t.Errorf("budget=%d %s m=%d: pool allocated %d bytes, want between one arena (%d) and budget+1 arenas (%d)",
+						budget, sched, m, got, arena, limit)
+				}
+
+				cfg.MemoryBudget = arena
+				tight := Train(cfg)
+				if got := tight.Mem.PoolAllocatedBytes; got != arena {
+					t.Errorf("budget=%d %s m=%d: MemoryBudget of one arena allocated %d bytes, want exactly %d",
+						budget, sched, m, got, arena)
+				}
+				t.Logf("budget=%d %s m=%d: %d arena(s) unbudgeted; one-arena budget waited %d times",
+					budget, sched, m, free.Mem.PoolAllocatedBytes/arena, tight.Mem.PoolBudgetWaits)
+				if sched == SchedLockstep {
+					resultsBitIdentical(t, "one-arena budget", free, tight)
+				}
+			}
+		}
+	}
+}

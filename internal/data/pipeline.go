@@ -153,6 +153,14 @@ type workItem struct {
 // caller must call Release exactly once when done with the slot. ok is
 // false after Close.
 func (p *Pipeline) Acquire() (s *Slot, ok bool) {
+	// Close can leave staged slots in full, and a select with both arms
+	// ready picks either: poll stop first so a closed pipeline never hands
+	// out a slot.
+	select {
+	case <-p.stop:
+		return nil, false
+	default:
+	}
 	select {
 	case si := <-p.full:
 		return p.slots[si], true

@@ -119,16 +119,18 @@ func TestPipelineHeldSlotNotReused(t *testing.T) {
 }
 
 // TestPipelineSeqContiguous: staged slots carry the batcher's draw-sequence
-// positions; draining the pipeline yields every sequence number exactly once
-// (in some order), which is what the runtime's reorder buffer and the FCFS
+// positions; draining the pipeline yields no sequence number twice and none
+// far out of order, which is what the runtime's reorder buffer and the FCFS
 // assignment log both rely on.
 func TestPipelineSeqContiguous(t *testing.T) {
+	const slots = 4
 	ds := pipelineDataset(64)
-	p := NewPipeline(ds, PipelineConfig{Batch: 4, Slots: 4, Workers: 3, Seed: 3})
+	p := NewPipeline(ds, PipelineConfig{Batch: 4, Slots: slots, Workers: 3, Seed: 3})
 	defer p.Close()
 
 	const n = 100
 	got := map[int]bool{}
+	highest := -1
 	for i := 0; i < n; i++ {
 		s, ok := p.Acquire()
 		if !ok {
@@ -138,16 +140,24 @@ func TestPipelineSeqContiguous(t *testing.T) {
 			t.Fatalf("sequence %d delivered twice", s.Seq)
 		}
 		got[s.Seq] = true
+		if s.Seq > highest {
+			highest = s.Seq
+		}
 		p.Release(s)
 	}
-	// Sequences arrive without duplication and nearly in order: an
-	// undelivered sequence holds a buffer slot until it is filled (the
-	// atomic claim pairing), so at most Slots-1 sequences below the highest
-	// delivered one can still be in flight.
-	const slots = 4
-	for seq := 0; seq <= n-slots; seq++ {
+	// An undelivered sequence holds a buffer slot until it is filled (the
+	// atomic claim pairing), and a pre-empted worker can hold its one slot
+	// while the others cycle arbitrarily far ahead. So no fixed prefix is
+	// guaranteed delivered, but at most Slots-1 sequences below the highest
+	// delivered one can still be missing.
+	var missing []int
+	for seq := 0; seq < highest; seq++ {
 		if !got[seq] {
-			t.Fatalf("sequence %d not among first %d acquires (window > Slots)", seq, n)
+			missing = append(missing, seq)
 		}
+	}
+	if len(missing) > slots-1 {
+		t.Fatalf("%d sequences below the highest delivered (%d) are missing after %d acquires, want <= %d: %v",
+			len(missing), highest, n, slots-1, missing)
 	}
 }

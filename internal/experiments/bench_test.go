@@ -1,4 +1,4 @@
-package crossbow
+package experiments
 
 // One benchmark per table/figure of the paper's evaluation (§5). Each
 // bench regenerates its experiment at reduced scale — fewer epochs, a
@@ -13,6 +13,7 @@ import (
 	"crossbow/internal/core"
 	"crossbow/internal/engine"
 	"crossbow/internal/metrics"
+	"crossbow/internal/nn"
 )
 
 // BenchmarkTable1_ModelInventory regenerates Table 1 (model/dataset
@@ -23,7 +24,7 @@ func BenchmarkTable1_ModelInventory(b *testing.B) {
 		rows = Table1()
 	}
 	for _, r := range rows {
-		if r.Model == ResNet50 {
+		if r.Model == nn.ResNet50 {
 			b.ReportMetric(r.ModelMB, "resnet50-MB")
 		}
 	}
@@ -63,8 +64,8 @@ func statMicro(b *testing.B, cfg core.TrainConfig) *core.Result {
 func BenchmarkFigure3_StatisticalEfficiency(b *testing.B) {
 	var small, large *core.Result
 	for i := 0; i < b.N; i++ {
-		small = statMicro(b, core.TrainConfig{Model: ResNet32, Algo: core.AlgoSSGD, BatchPerLearner: 16})
-		large = statMicro(b, core.TrainConfig{Model: ResNet32, Algo: core.AlgoSSGD, BatchPerLearner: 256})
+		small = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSSGD, BatchPerLearner: 16})
+		large = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSSGD, BatchPerLearner: 256})
 	}
 	b.ReportMetric(metrics.BestAccuracy(small.Series)*100, "acc-b16-%")
 	b.ReportMetric(metrics.BestAccuracy(large.Series)*100, "acc-b256-%")
@@ -74,15 +75,15 @@ func BenchmarkFigure3_StatisticalEfficiency(b *testing.B) {
 // model and reports the best accuracies (the curves the TTA targets come
 // from).
 func BenchmarkFigure9_BaselineConvergence(b *testing.B) {
-	accs := map[Model]float64{}
+	accs := map[nn.ModelID]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, id := range Models {
+		for _, id := range nn.AllModels {
 			res := statMicro(b, core.TrainConfig{Model: id, Algo: core.AlgoSSGD, BatchPerLearner: 16, MaxEpochs: 3})
 			accs[id] = metrics.BestAccuracy(res.Series)
 		}
 	}
-	b.ReportMetric(accs[ResNet32]*100, "resnet32-acc-%")
-	b.ReportMetric(accs[LeNet]*100, "lenet-acc-%")
+	b.ReportMetric(accs[nn.ResNet32]*100, "resnet32-acc-%")
+	b.ReportMetric(accs[nn.LeNet]*100, "lenet-acc-%")
 }
 
 // BenchmarkFigure10_TimeToAccuracy compares the three systems on ResNet-32
@@ -90,8 +91,8 @@ func BenchmarkFigure9_BaselineConvergence(b *testing.B) {
 func BenchmarkFigure10_TimeToAccuracy(b *testing.B) {
 	var tf, cb SystemRun
 	for i := 0; i < b.N; i++ {
-		tf = runSystem(ResNet32, SysTensorFlow, 8, 128, 1, 14, 0.78)
-		cb = runSystem(ResNet32, SysCrossbowM1, 8, 64, 1, 14, 0.78)
+		tf = runSystem(nn.ResNet32, SysTensorFlow, 8, 128, 1, 14, 0.78)
+		cb = runSystem(nn.ResNet32, SysCrossbowM1, 8, 64, 1, 14, 0.78)
 	}
 	if cb.TTASeconds > 0 {
 		b.ReportMetric(tf.TTASeconds/cb.TTASeconds, "tta-ratio-tf/cb")
@@ -104,8 +105,8 @@ func BenchmarkFigure11_Convergence(b *testing.B) {
 	var runs []SystemRun
 	for i := 0; i < b.N; i++ {
 		runs = []SystemRun{
-			runSystem(ResNet32, SysCrossbowM1, 8, 64, 1, 5, 0.99),
-			runSystem(ResNet32, SysCrossbow, 8, 64, 2, 5, 0.99),
+			runSystem(nn.ResNet32, SysCrossbowM1, 8, 64, 1, 5, 0.99),
+			runSystem(nn.ResNet32, SysCrossbow, 8, 64, 2, 5, 0.99),
 		}
 	}
 	b.ReportMetric(metrics.BestAccuracy(runs[1].Series)*100, "cb-acc-%")
@@ -117,8 +118,8 @@ func BenchmarkFigure11_Convergence(b *testing.B) {
 func BenchmarkFigure12_Tradeoff1GPU(b *testing.B) {
 	var t1, t4 float64
 	for i := 0; i < b.N; i++ {
-		t1 = engine.New(engine.Config{Model: ResNet32, GPUs: 1, LearnersPerGPU: 1, Batch: 64, Overlap: true}).Throughput(20)
-		t4 = engine.New(engine.Config{Model: ResNet32, GPUs: 1, LearnersPerGPU: 4, Batch: 64, Overlap: true}).Throughput(20)
+		t1 = engine.New(engine.Config{Model: nn.ResNet32, GPUs: 1, LearnersPerGPU: 1, Batch: 64, Overlap: true}).Throughput(20)
+		t4 = engine.New(engine.Config{Model: nn.ResNet32, GPUs: 1, LearnersPerGPU: 4, Batch: 64, Overlap: true}).Throughput(20)
 	}
 	b.ReportMetric(t4/t1, "throughput-gain-m4/m1")
 }
@@ -128,7 +129,7 @@ func BenchmarkFigure12_Tradeoff1GPU(b *testing.B) {
 func BenchmarkFigure13_Tradeoff8GPU(b *testing.B) {
 	var r SystemRun
 	for i := 0; i < b.N; i++ {
-		r = runSystem(ResNet32, SysCrossbow, 8, 64, 2, 5, 0.70)
+		r = runSystem(nn.ResNet32, SysCrossbow, 8, 64, 2, 5, 0.70)
 	}
 	b.ReportMetric(float64(r.EpochsToTarget), "epochs-m2")
 	b.ReportMetric(r.ThroughputImgSec, "imgs/s")
@@ -142,7 +143,7 @@ func BenchmarkFigure14_LearnerSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		best := 0.0
 		for m := 1; m <= 5; m++ {
-			tp := engine.New(engine.Config{Model: ResNet32, GPUs: 1, LearnersPerGPU: m, Batch: 16, Overlap: true}).Throughput(20)
+			tp := engine.New(engine.Config{Model: nn.ResNet32, GPUs: 1, LearnersPerGPU: m, Batch: 16, Overlap: true}).Throughput(20)
 			if tp > best {
 				best, bestM = tp, m
 			}
@@ -157,8 +158,8 @@ func BenchmarkFigure14_LearnerSweep(b *testing.B) {
 func BenchmarkFigure15_SMAvsEASGD(b *testing.B) {
 	var sma, ea *core.Result
 	for i := 0; i < b.N; i++ {
-		sma = statMicro(b, core.TrainConfig{Model: ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, MaxEpochs: 5})
-		ea = statMicro(b, core.TrainConfig{Model: ResNet32, Algo: core.AlgoEASGD, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, MaxEpochs: 5})
+		sma = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, MaxEpochs: 5})
+		ea = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoEASGD, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, MaxEpochs: 5})
 	}
 	b.ReportMetric(metrics.BestAccuracy(sma.Series)*100, "sma-acc-%")
 	b.ReportMetric(metrics.BestAccuracy(ea.Series)*100, "easgd-acc-%")
@@ -169,8 +170,8 @@ func BenchmarkFigure15_SMAvsEASGD(b *testing.B) {
 func BenchmarkFigure16_SyncFrequencyTTA(b *testing.B) {
 	var t1, t4 *core.Result
 	for i := 0; i < b.N; i++ {
-		t1 = statMicro(b, core.TrainConfig{Model: ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, Tau: 1, MaxEpochs: 5})
-		t4 = statMicro(b, core.TrainConfig{Model: ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, Tau: 4, MaxEpochs: 5})
+		t1 = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, Tau: 1, MaxEpochs: 5})
+		t4 = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, Tau: 4, MaxEpochs: 5})
 	}
 	b.ReportMetric(metrics.BestAccuracy(t1.Series)*100, "tau1-acc-%")
 	b.ReportMetric(metrics.BestAccuracy(t4.Series)*100, "tau4-acc-%")
@@ -199,7 +200,7 @@ func BenchmarkFigure17_SyncOverhead(b *testing.B) {
 func BenchmarkAblation_Autotune(b *testing.B) {
 	var chosen int
 	for i := 0; i < b.N; i++ {
-		chosen = autotune.Tune(autotune.Config{Model: ResNet32, GPUs: 1, Batch: 16}).Chosen
+		chosen = autotune.Tune(autotune.Config{Model: nn.ResNet32, GPUs: 1, Batch: 16}).Chosen
 	}
 	b.ReportMetric(float64(chosen), "chosen-m")
 }
@@ -209,8 +210,8 @@ func BenchmarkAblation_Autotune(b *testing.B) {
 func BenchmarkAblation_OverlapVsBarrier(b *testing.B) {
 	var on, off float64
 	for i := 0; i < b.N; i++ {
-		on = engine.New(engine.Config{Model: ResNet32, GPUs: 8, LearnersPerGPU: 2, Batch: 16, Overlap: true}).RunIterations(30)
-		off = engine.New(engine.Config{Model: ResNet32, GPUs: 8, LearnersPerGPU: 2, Batch: 16, Overlap: false}).RunIterations(30)
+		on = engine.New(engine.Config{Model: nn.ResNet32, GPUs: 8, LearnersPerGPU: 2, Batch: 16, Overlap: true}).RunIterations(30)
+		off = engine.New(engine.Config{Model: nn.ResNet32, GPUs: 8, LearnersPerGPU: 2, Batch: 16, Overlap: false}).RunIterations(30)
 	}
 	b.ReportMetric(off/on, "barrier/overlap-time")
 }

@@ -1,4 +1,4 @@
-package crossbow
+package experiments
 
 import (
 	"fmt"
@@ -8,25 +8,14 @@ import (
 	"crossbow/internal/nn"
 )
 
-// This file and its siblings implement the reproduction harness: one
-// exported function per table/figure of the paper's evaluation (§5),
-// returning the same rows/series the paper plots. cmd/crossbow-bench and
-// the root bench_test.go drive them.
-//
-// Scale mapping (see EXPERIMENTS.md): the hardware plane always uses the
-// paper's full-scale models and batch sizes on the simulated 8-GPU server;
-// the statistical plane trains the scaled models on the synthetic datasets
-// with batch sizes reduced 4× (minimum 4) so that the batch-to-dataset
-// ratio stays in the paper's regime. TTA composes the two planes.
-
 // AccuracyTargets holds the per-model test-accuracy target x of TTA(x),
 // derived — as in the paper §5.1 — from the highest accuracy the baseline
 // reaches in our Figure 9 reproduction.
-var AccuracyTargets = map[Model]float64{
-	LeNet:    0.70,
-	ResNet32: 0.85,
-	VGG16:    0.35,
-	ResNet50: 0.65,
+var AccuracyTargets = map[nn.ModelID]float64{
+	nn.LeNet:    0.70,
+	nn.ResNet32: 0.85,
+	nn.VGG16:    0.35,
+	nn.ResNet50: 0.65,
 }
 
 // statBatch maps a paper batch size to the statistical plane's batch.
@@ -40,7 +29,7 @@ func statBatch(paperBatch int) int {
 
 // Table1Row is one row of Table 1: the benchmark inventory.
 type Table1Row struct {
-	Model    Model
+	Model    nn.ModelID
 	Dataset  string
 	InputMB  float64
 	Ops      int
@@ -51,17 +40,17 @@ type Table1Row struct {
 
 // Table1 reproduces Table 1 from the full-scale model specs.
 func Table1() []Table1Row {
-	paper := map[Model]struct {
+	paper := map[nn.ModelID]struct {
 		ops int
 		mb  float64
 	}{
-		LeNet:    {24, 4.24},
-		ResNet32: {267, 1.79},
-		VGG16:    {121, 57.37},
-		ResNet50: {384, 97.49},
+		nn.LeNet:    {24, 4.24},
+		nn.ResNet32: {267, 1.79},
+		nn.VGG16:    {121, 57.37},
+		nn.ResNet50: {384, 97.49},
 	}
 	var rows []Table1Row
-	for _, id := range Models {
+	for _, id := range nn.AllModels {
 		s := nn.FullSpec(id)
 		rows = append(rows, Table1Row{
 			Model:    id,
@@ -105,7 +94,7 @@ func Figure2() []Fig2Row {
 		base := 0.0
 		for _, g := range gpus {
 			tp := engine.NewSSGD(engine.SSGDConfig{
-				Model: ResNet32, GPUs: g, AggregateBatch: b,
+				Model: nn.ResNet32, GPUs: g, AggregateBatch: b,
 			}).Throughput(25)
 			if g == 1 {
 				base = tp
@@ -145,7 +134,7 @@ func Figure17() []Fig17Row {
 	for _, m := range []int{1, 2, 4} {
 		for _, tau := range taus {
 			tp := engine.New(engine.Config{
-				Model: ResNet32, GPUs: 8, LearnersPerGPU: m, Batch: 64,
+				Model: nn.ResNet32, GPUs: 8, LearnersPerGPU: m, Batch: 64,
 				Tau: tau.v, Overlap: true,
 			}).Throughput(30)
 			rows = append(rows, Fig17Row{M: m, Tau: tau.name, Throughput: tp})
@@ -161,20 +150,4 @@ func PrintFigure17(w io.Writer, rows []Fig17Row) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%3d %5s %12.0f\n", r.M, r.Tau, r.Throughput)
 	}
-}
-
-// Fig14Row is one point of Figure 14: TTA and throughput improvement vs
-// the number of learners per GPU.
-type Fig14Row struct {
-	M                 int
-	ThroughputImgSec  float64
-	ThroughputGainPct float64 // vs m=1
-	TTASeconds        float64
-	EpochsToTarget    int
-}
-
-// AutotuneDecisionRow mirrors Algorithm 2's trace for reporting.
-type AutotuneDecisionRow struct {
-	M          int
-	Throughput float64
 }

@@ -1,4 +1,4 @@
-package crossbow
+package experiments
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"crossbow/internal/core"
 	"crossbow/internal/metrics"
+	"crossbow/internal/nn"
 )
 
 // Fig3Row is one point of Figure 3: statistical efficiency of the baseline
@@ -28,12 +29,12 @@ func Figure3(quick bool) []Fig3Row {
 		batches = []int{16, 64, 256}
 		maxEpochs = 40
 	}
-	target := AccuracyTargets[ResNet32]
+	target := AccuracyTargets[nn.ResNet32]
 	var rows []Fig3Row
 	for _, b := range batches {
 		// One learner; aggregate batch = per-learner batch.
 		res := core.Train(core.TrainConfig{
-			Model: ResNet32, Algo: core.AlgoSSGD,
+			Model: nn.ResNet32, Algo: core.AlgoSSGD,
 			GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: b,
 			Momentum: 0.9, MaxEpochs: maxEpochs, TargetAcc: target, Seed: 1,
 		})
@@ -56,7 +57,7 @@ func epochsOr(e, cap int) int {
 // PrintFigure3 writes the batch-size/epochs series.
 func PrintFigure3(w io.Writer, rows []Fig3Row) {
 	fmt.Fprintf(w, "Figure 3 — epochs to %.0f%% accuracy vs images per update (ResNet-32, S-SGD)\n",
-		AccuracyTargets[ResNet32]*100)
+		AccuracyTargets[nn.ResNet32]*100)
 	fmt.Fprintf(w, "%-16s %7s %8s\n", "images/update", "epochs", "reached")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-16d %7d %8v\n", r.ImagesPerUpdate, r.Epochs, r.Reached)
@@ -66,7 +67,7 @@ func PrintFigure3(w io.Writer, rows []Fig3Row) {
 // Fig9Curve is one model's baseline convergence series (Figure 9), used to
 // derive the accuracy targets of every TTA experiment.
 type Fig9Curve struct {
-	Model  Model
+	Model  nn.ModelID
 	Target float64
 	Series []metrics.EpochPoint
 	Best   float64
@@ -78,12 +79,12 @@ type Fig9Curve struct {
 // AccuracyTargets are calibrated from these curves, mirroring how the
 // paper picks thresholds from TensorFlow's best accuracy.
 func Figure9(quick bool) []Fig9Curve {
-	epochs := map[Model]int{LeNet: 30, ResNet32: 30, VGG16: 40, ResNet50: 30}
+	epochs := map[nn.ModelID]int{nn.LeNet: 30, nn.ResNet32: 30, nn.VGG16: 40, nn.ResNet50: 30}
 	if quick {
-		epochs = map[Model]int{LeNet: 12, ResNet32: 12, VGG16: 15, ResNet50: 12}
+		epochs = map[nn.ModelID]int{nn.LeNet: 12, nn.ResNet32: 12, nn.VGG16: 15, nn.ResNet50: 12}
 	}
 	var out []Fig9Curve
-	for _, id := range Models {
+	for _, id := range nn.AllModels {
 		cfg := core.TrainConfig{
 			Model: id, Algo: core.AlgoSSGD,
 			GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 16,
@@ -92,9 +93,9 @@ func Figure9(quick bool) []Fig9Curve {
 		// §5.1 schedules, scaled to our shorter runs: ResNet-32 drops the
 		// rate ×0.1 at 2/3 and 9/10 of training; VGG halves it periodically.
 		switch id {
-		case ResNet32:
+		case nn.ResNet32:
 			cfg.Schedule = core.StepDecay(0.1, epochs[id]*2/3, epochs[id]*9/10)
-		case VGG16:
+		case nn.VGG16:
 			cfg.Schedule = core.PeriodicDecay(0.5, epochs[id]/3)
 		}
 		res := core.Train(cfg)

@@ -1,4 +1,4 @@
-package crossbow
+package experiments
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ const (
 // SystemRun is one (system, g) measurement composing both planes.
 type SystemRun struct {
 	System           System
-	Model            Model
+	Model            nn.ModelID
 	GPUs             int
 	PaperBatch       int // per-GPU/per-learner batch at paper scale (hardware plane)
 	StatBatch        int // per-learner batch in the statistical plane
@@ -37,7 +37,7 @@ type SystemRun struct {
 }
 
 // runSystem executes one system configuration end to end.
-func runSystem(model Model, sys System, g, paperBatch, m, maxEpochs int, target float64) SystemRun {
+func runSystem(model nn.ModelID, sys System, g, paperBatch, m, maxEpochs int, target float64) SystemRun {
 	spec := nn.FullSpec(model)
 	run := SystemRun{
 		System: sys, Model: model, GPUs: g,
@@ -94,26 +94,26 @@ type fig10Config struct {
 	cbB  map[int][2]int // g → {batch, m}
 }
 
-var fig10Configs = map[Model]fig10Config{
-	ResNet32: {
+var fig10Configs = map[nn.ModelID]fig10Config{
+	nn.ResNet32: {
 		gpus: []int{1, 2, 4, 8},
 		tf:   map[int]int{1: 512, 2: 256, 4: 256, 8: 128},
 		cb1:  map[int]int{1: 256, 2: 256, 4: 256, 8: 64},
 		cbB:  map[int][2]int{1: {64, 4}, 2: {64, 3}, 4: {64, 2}, 8: {64, 2}},
 	},
-	VGG16: {
+	nn.VGG16: {
 		gpus: []int{1, 2, 4, 8},
 		tf:   map[int]int{1: 256, 2: 128, 4: 64, 8: 32},
 		cb1:  map[int]int{1: 256, 2: 256, 4: 256, 8: 256},
 		cbB:  map[int][2]int{1: {256, 3}, 2: {256, 2}, 4: {128, 2}, 8: {256, 2}},
 	},
-	ResNet50: {
+	nn.ResNet50: {
 		gpus: []int{8},
 		tf:   map[int]int{8: 32},
 		cb1:  map[int]int{8: 32},
 		cbB:  map[int][2]int{8: {16, 2}},
 	},
-	LeNet: {
+	nn.LeNet: {
 		gpus: []int{1},
 		tf:   map[int]int{1: 4},
 		cb1:  map[int]int{1: 4},
@@ -125,7 +125,7 @@ var fig10Configs = map[Model]fig10Config{
 // benchmark model: TensorFlow vs Crossbow (m=1) vs Crossbow (best m) over
 // the GPU counts the paper evaluates, with the paper's annotated batch
 // sizes.
-func Figure10(model Model, quick bool) []SystemRun {
+func Figure10(model nn.ModelID, quick bool) []SystemRun {
 	cfg := fig10Configs[model]
 	maxEpochs := 60
 	if quick {
@@ -143,7 +143,7 @@ func Figure10(model Model, quick bool) []SystemRun {
 }
 
 // PrintFigure10 writes the TTA bars with the paper's annotations.
-func PrintFigure10(w io.Writer, model Model, runs []SystemRun) {
+func PrintFigure10(w io.Writer, model nn.ModelID, runs []SystemRun) {
 	fmt.Fprintf(w, "Figure 10 — TTA(%.0f%%) for %s\n", AccuracyTargets[model]*100, model)
 	fmt.Fprintf(w, "%4s %-12s %6s %3s %10s %8s %12s %8s\n",
 		"gpus", "system", "batch", "m", "TTA(s)", "epochs", "imgs/s", "reached")
@@ -156,7 +156,7 @@ func PrintFigure10(w io.Writer, model Model, runs []SystemRun) {
 
 // Figure11 reproduces the accuracy-over-time curves for a model at a given
 // GPU count: the three systems' convergence against simulated wall-clock.
-func Figure11(model Model, gpus int, quick bool) []SystemRun {
+func Figure11(model nn.ModelID, gpus int, quick bool) []SystemRun {
 	cfg := fig10Configs[model]
 	maxEpochs := 40
 	if quick {
@@ -172,7 +172,7 @@ func Figure11(model Model, gpus int, quick bool) []SystemRun {
 }
 
 // PrintFigure11 writes accuracy-vs-time series.
-func PrintFigure11(w io.Writer, model Model, gpus int, runs []SystemRun) {
+func PrintFigure11(w io.Writer, model nn.ModelID, gpus int, runs []SystemRun) {
 	fmt.Fprintf(w, "Figure 11 — test accuracy over time (%s, g=%d)\n", model, gpus)
 	for _, r := range runs {
 		fmt.Fprintf(w, "%-12s:", r.System)
@@ -201,10 +201,10 @@ func Figure1213(gpus int, quick bool) []Fig1213Row {
 	if quick {
 		maxEpochs = 25
 	}
-	target := AccuracyTargets[ResNet32]
+	target := AccuracyTargets[nn.ResNet32]
 	var rows []Fig1213Row
 	for _, m := range []int{1, 2, 4} {
-		r := runSystem(ResNet32, SysCrossbow, gpus, 64, m, maxEpochs, target)
+		r := runSystem(nn.ResNet32, SysCrossbow, gpus, 64, m, maxEpochs, target)
 		rows = append(rows, Fig1213Row{
 			Label:            fmt.Sprintf("crossbow m=%d", m),
 			ThroughputImgSec: r.ThroughputImgSec,
@@ -213,7 +213,7 @@ func Figure1213(gpus int, quick bool) []Fig1213Row {
 			Reached:          r.Reached,
 		})
 	}
-	tf := runSystem(ResNet32, SysTensorFlow, gpus, 64, 1, maxEpochs, target)
+	tf := runSystem(nn.ResNet32, SysTensorFlow, gpus, 64, 1, maxEpochs, target)
 	rows = append(rows, Fig1213Row{
 		Label:            "tensorflow",
 		ThroughputImgSec: tf.ThroughputImgSec,
@@ -238,12 +238,22 @@ func PrintFigure1213(w io.Writer, gpus int, rows []Fig1213Row) {
 	}
 }
 
+// Fig14Row is one point of Figure 14: TTA and throughput improvement vs
+// the number of learners per GPU.
+type Fig14Row struct {
+	M                 int
+	ThroughputImgSec  float64
+	ThroughputGainPct float64 // vs m=1
+	TTASeconds        float64
+	EpochsToTarget    int
+}
+
 // Figure14 reproduces the learner-sweep validation of auto-tuning: TTA and
 // throughput improvement against m, showing the throughput plateau predicts
 // the TTA optimum. model is ResNet-32 (b=64) or VGG (b=256) in the paper.
-func Figure14(model Model, gpus int, quick bool) []Fig14Row {
+func Figure14(model nn.ModelID, gpus int, quick bool) []Fig14Row {
 	paperBatch := 64
-	if model == VGG16 {
+	if model == nn.VGG16 {
 		paperBatch = 256
 	}
 	maxM := 5
@@ -272,7 +282,7 @@ func Figure14(model Model, gpus int, quick bool) []Fig14Row {
 }
 
 // PrintFigure14 writes the m-sweep.
-func PrintFigure14(w io.Writer, model Model, gpus int, rows []Fig14Row) {
+func PrintFigure14(w io.Writer, model nn.ModelID, gpus int, rows []Fig14Row) {
 	fmt.Fprintf(w, "Figure 14 — TTA and throughput vs learners per GPU (%s, g=%d)\n", model, gpus)
 	fmt.Fprintf(w, "%3s %12s %10s %10s %8s\n", "m", "imgs/s", "gain(%)", "TTA(s)", "epochs")
 	for _, r := range rows {
@@ -299,7 +309,7 @@ type Fig15Row struct {
 // moving as per-learner variance shrinks. To isolate that momentum term —
 // the only difference between the two algorithms — both run with plain-SGD
 // learners here (with solver momentum enabled the effect is masked on the
-// smoother synthetic task; see EXPERIMENTS.md).
+// smoother synthetic task).
 func Figure15(quick bool) []Fig15Row {
 	gpus := []int{1, 2, 4, 8}
 	if quick {
@@ -327,12 +337,12 @@ func Figure15(quick bool) []Fig15Row {
 			}
 		}
 		epochSec := engine.New(engine.Config{
-			Model: ResNet32, GPUs: g, LearnersPerGPU: m, Batch: 64, Overlap: true,
-		}).EpochSeconds(nn.FullSpec(ResNet32).TrainSamples, 25)
+			Model: nn.ResNet32, GPUs: g, LearnersPerGPU: m, Batch: 64, Overlap: true,
+		}).EpochSeconds(nn.FullSpec(nn.ResNet32).TrainSamples, 25)
 		row := Fig15Row{GPUs: g, M: m}
 		for _, algo := range []core.Algorithm{core.AlgoSMA, core.AlgoEASGD} {
 			res := core.Train(core.TrainConfig{
-				Model: ResNet32, Algo: algo,
+				Model: nn.ResNet32, Algo: algo,
 				GPUs: g, LearnersPerGPU: m, BatchPerLearner: b,
 				Momentum: 0.9, LocalMomentum: 0, // isolate the z-momentum term
 				MaxEpochs: maxEpochs, TargetAcc: target, Seed: 1,
@@ -382,16 +392,16 @@ func Figure16(quick bool) []Fig16Row {
 	if quick {
 		maxEpochs = 25
 	}
-	target := AccuracyTargets[ResNet32]
+	target := AccuracyTargets[nn.ResNet32]
 	var rows []Fig16Row
 	for _, tau := range taus {
 		tp := engine.New(engine.Config{
-			Model: ResNet32, GPUs: 8, LearnersPerGPU: 2, Batch: 64,
+			Model: nn.ResNet32, GPUs: 8, LearnersPerGPU: 2, Batch: 64,
 			Tau: tau, Overlap: true,
 		}).Throughput(30)
-		epochSec := float64(nn.FullSpec(ResNet32).TrainSamples) / tp
+		epochSec := float64(nn.FullSpec(nn.ResNet32).TrainSamples) / tp
 		res := core.Train(core.TrainConfig{
-			Model: ResNet32, Algo: core.AlgoSMA,
+			Model: nn.ResNet32, Algo: core.AlgoSMA,
 			GPUs: 8, LearnersPerGPU: 2, BatchPerLearner: statBatch(64),
 			Momentum: 0.9, LocalMomentum: 0.9,
 			Tau: tau, MaxEpochs: maxEpochs, TargetAcc: target, Seed: 1,

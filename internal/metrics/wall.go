@@ -28,20 +28,6 @@ func Median(s []float64) float64 {
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
-// Min returns the smallest element of s (zero for an empty slice).
-func Min(s []float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	m := s[0]
-	for _, v := range s[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 func epochSecs(pts []WallPoint) []float64 {
 	s := make([]float64, len(pts))
 	for i, p := range pts {
@@ -55,11 +41,6 @@ func epochSecs(pts []WallPoint) []float64 {
 // median discards warm-up and scheduler-noise outliers). Zero for an empty
 // series.
 func MedianEpochSec(pts []WallPoint) float64 { return Median(epochSecs(pts)) }
-
-// MinEpochSec returns the fastest observed epoch — the classical
-// noise-floor estimator for benchmark comparisons. Zero for an empty
-// series.
-func MinEpochSec(pts []WallPoint) float64 { return Min(epochSecs(pts)) }
 
 // MeanImagesPerSec returns total images over total wall-clock seconds
 // across the series (each point's image count is recovered from its rate ×

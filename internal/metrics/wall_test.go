@@ -14,9 +14,6 @@ func TestWallSummaries(t *testing.T) {
 	if got := MedianEpochSec(pts); got != 2 {
 		t.Errorf("MedianEpochSec = %v, want 2", got)
 	}
-	if got := MinEpochSec(pts); got != 1 {
-		t.Errorf("MinEpochSec = %v, want 1", got)
-	}
 	// 400+400+400 images over 7 seconds.
 	if got := MeanImagesPerSec(pts); math.Abs(got-1200.0/7) > 1e-12 {
 		t.Errorf("MeanImagesPerSec = %v, want %v", got, 1200.0/7)
@@ -26,7 +23,7 @@ func TestWallSummaries(t *testing.T) {
 	if got := MedianEpochSec(even); got != 2 {
 		t.Errorf("even MedianEpochSec = %v, want 2", got)
 	}
-	if MedianEpochSec(nil) != 0 || MinEpochSec(nil) != 0 || MeanImagesPerSec(nil) != 0 {
+	if MedianEpochSec(nil) != 0 || MeanImagesPerSec(nil) != 0 {
 		t.Error("empty series must summarise to zero")
 	}
 }

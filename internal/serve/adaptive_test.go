@@ -10,8 +10,9 @@ import (
 
 // The controller property tests drive the pure decision kernel with
 // synthetic arrival traces over a simulated service model shaped like the
-// real machine's profile (BENCH_serving.json): per-sample service improves
-// with batch size up to 8, then degrades — capacity peaks at batch 8. The
+// real machine's profile: per-sample service improves with batch size up to
+// 8, then degrades — capacity peaks at batch 8 (the falloff the root
+// package's TestFleetAdaptiveBeatsStaticBatch32 pins on the live system). The
 // simulator closes the loop: each window it derives the batch size the
 // dispatcher would actually run under the controller's policy, the service
 // time that batch costs, and a queueing-theory p99, and feeds them back.

@@ -8,8 +8,8 @@ import (
 // Kernel microbenchmarks at the shapes the scaled benchmark models actually
 // run: conv-lowered GEMMs (M=OutC, K=InC·KH·KW, N=batch·OutH·OutW for the
 // batched path), plus square shapes that stress the micro-kernel, and the
-// flat vector ops at model-vector sizes. `cmd/crossbow-bench -exp kernels`
-// runs the same shapes outside the test harness and records BENCH_kernels.json.
+// flat vector ops at model-vector sizes. The repo benchmark's tensor.*
+// probes (benchmark/) time the same kernels inside a training run.
 
 type gemmShape struct {
 	name    string

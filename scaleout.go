@@ -39,8 +39,8 @@ func clusterAlgo(a Algorithm) (Algorithm, error) {
 }
 
 // ClusterSweep measures hardware-plane throughput for cfg at each cluster
-// size in servers (nil selects 1, 2, 4, 8) and returns one point per size
-// with scaling efficiency derived from the smallest. cfg.Servers is
+// size in servers (nil or empty selects 1, 2, 4, 8) and returns one point
+// per size with scaling efficiency derived from the smallest. cfg.Servers is
 // ignored; every other knob (model, GPUs, learners, batch, τ, network)
 // applies to each point. AutoTune resolves the learner count once, on the
 // smallest cluster, so the sweep varies only the server count. A point's
@@ -54,7 +54,7 @@ func ClusterSweep(cfg Config, servers []int) ([]ScalingPoint, error) {
 	if _, err := clusterAlgo(cfg.Algo); err != nil {
 		return nil, err
 	}
-	if servers == nil {
+	if len(servers) == 0 {
 		servers = []int{1, 2, 4, 8}
 	}
 	smallest := servers[0]
