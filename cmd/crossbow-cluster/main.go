@@ -146,22 +146,22 @@ func main() {
 
 // tcpOpts carries the -tcp launcher's resolved flags.
 type tcpOpts struct {
-	servers  int
-	bin      string
-	basePort int
-	model    string
-	gpus     int
-	m        string
-	batch    int
-	tau      int
+	servers   int
+	bin       string
+	basePort  int
+	model     string
+	gpus      int
+	m         string
+	batch     int
+	tau       int
 	tauGlobal int
-	epochs   int
-	target   float64
-	seed     uint64
-	samples  int
-	tree     bool
-	overlap  bool
-	segments int
+	epochs    int
+	target    float64
+	seed      uint64
+	samples   int
+	tree      bool
+	overlap   bool
+	segments  int
 }
 
 // findNodeBin resolves the crossbow-node binary: explicit flag, then a

@@ -175,7 +175,10 @@ type Config struct {
 	// applies the §3.2 SMA restart on learning-rate changes.
 	Schedule core.Schedule
 	Restart  bool
-	// TrainSamples/TestSamples override the synthetic dataset sizes.
+	// TrainSamples/TestSamples override the synthetic dataset sizes. Test
+	// accuracy is measured over the first ⌊TestSamples/128⌋·128 test
+	// samples: a remainder beyond the last multiple of 128 is never
+	// evaluated (a test set of fewer than 128 samples is evaluated whole).
 	TrainSamples, TestSamples int
 	// KernelMode selects the GEMM kernel mode for every learner and the
 	// evaluation network: Deterministic (default, bit-reproducible) or

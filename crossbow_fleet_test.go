@@ -227,7 +227,7 @@ func TestFleetTrainPublishServe(t *testing.T) {
 			Model: LeNet, GPUs: 1, LearnersPerGPU: 2, Batch: 8,
 			MaxEpochs: 2, Seed: 5, TrainSamples: 128, TestSamples: 32,
 			PublishEvery: 2, PublishAddr: addr,
-			OnSnapshot:   func(Snapshot) { <-followed },
+			OnSnapshot: func(Snapshot) { <-followed },
 		})
 	}()
 
@@ -312,8 +312,8 @@ func TestFleetAdaptiveBeatsStaticBatch32(t *testing.T) {
 
 	static := run(ServeConfig{MaxBatch: 32, MaxDelay: 2 * time.Millisecond})
 	adaptive := run(ServeConfig{
-		MaxBatch: 32,
-		SLO:      100 * time.Millisecond,
+		MaxBatch:     32,
+		SLO:          100 * time.Millisecond,
 		ControlEvery: 25 * time.Millisecond,
 	})
 	// Dominance with slack for CI noise: the static-32 engine pads 8-deep

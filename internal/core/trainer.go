@@ -124,7 +124,10 @@ type TrainConfig struct {
 	EpochSeconds float64
 	// TrainSamples/TestSamples override the benchmark dataset sizes
 	// (needed when the aggregate batch k×b approaches the default 2048-
-	// sample training set). Zero keeps the defaults.
+	// sample training set). Zero keeps the defaults. Test accuracy is
+	// measured over the first ⌊TestSamples/128⌋·128 test samples; a
+	// remainder beyond the last multiple of 128 is never evaluated (a test
+	// set of fewer than 128 samples is evaluated whole).
 	TrainSamples int
 	TestSamples  int
 	// Scheduler selects the task runtime's scheduling mode: SchedLockstep
@@ -390,23 +393,15 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 
 	// Evaluation network over the central model. It evaluates at quiescence
 	// with a different batch size (different plan key), so it keeps a
-	// private arena instead of cycling through the task pool.
-	e.evalBatch = 128
-	if e.test.Len() < e.evalBatch {
-		e.evalBatch = e.test.Len()
-	}
+	// private arena instead of cycling through the task pool. It never
+	// trains, so it runs the fused conv→BN→ReLU epilogues over a
+	// forward-only arena in either kernel mode: fusion is bit-identical to
+	// the unfused forward (nn/fuse.go, TestFusedPredictBitIdentical).
+	_, e.evalBatch = evalSizes(e.test.Len())
 	e.evalNet = nn.BuildScaled(cfg.Model, e.evalBatch, tensor.NewRNG(cfg.Seed+99))
 	e.evalNet.SetKernelMode(cfg.KernelMode)
-	if cfg.KernelMode == tensor.Fast {
-		// The evaluation net never trains, so in Fast mode it can run the
-		// fused conv→BN→ReLU epilogues (bit-identical to the unfused
-		// forward, smaller arena, fewer memory passes). Deterministic mode
-		// keeps the exact unfused walk the reproducibility suite pins.
-		e.evalNet.FuseInference()
-		e.evalNet.AttachInferenceArena(tensor.NewArena(e.evalNet.InferPlan().ArenaElems))
-	} else {
-		e.evalNet.AttachArena(tensor.NewArena(e.evalNet.MemPlan().ArenaElems))
-	}
+	e.evalNet.FuseInference()
+	e.evalNet.AttachInferenceArena(tensor.NewArena(e.evalNet.InferPlan().ArenaElems))
 	e.evalGrad = make([]float32, len(e.w0))
 	e.es = newEvalScratch(e.evalBatch, e.test.Shape)
 
@@ -754,22 +749,45 @@ func newEvalScratch(batch int, shape []int) *evalScratch {
 	}
 }
 
+// Evaluation covers the first ⌊Len/128⌋·128 test samples — all of them when
+// there are fewer than 128 — which is the prefix every reported accuracy has
+// been computed over since evaluation ran at batch 128 and dropped the
+// batch the remainder did not fill. It walks them in cache-sized batches:
+// an eval-mode forward's logits for a sample do not depend on what else is
+// in the batch, so the batch size is a cost, not a result.
+const (
+	evalSpan  = 128
+	evalBatch = 16
+)
+
+// evalSizes returns how many samples of a test set an evaluation covers and
+// the batch size it covers them at.
+func evalSizes(testLen int) (n, batch int) {
+	n = testLen
+	if n >= evalSpan {
+		n -= n % evalSpan
+	}
+	if n%evalBatch != 0 {
+		return n, n // under 128 samples that evalBatch does not divide: one batch
+	}
+	return n, evalBatch
+}
+
 // evaluate measures test accuracy of model w using the given evaluation
-// network (whose gradient buffer is scratch). Trailing samples that do not
-// fill a batch are dropped, matching fixed-shape learner evaluation.
+// network (whose gradient buffer is scratch), built for evalSizes' batch.
 func evaluate(net *nn.Network, w, scratch []float32, test *data.Dataset, batch int, es *evalScratch) float64 {
 	net.Bind(w, scratch)
-	correct, total := 0, 0
-	for start := 0; start+batch <= test.Len(); start += batch {
+	n, _ := evalSizes(test.Len())
+	correct := 0
+	for start := 0; start+batch <= n; start += batch {
 		for i := 0; i < batch; i++ {
 			es.idx[i] = start + i
 		}
 		test.Gather(es.idx, es.x, es.labels)
 		correct += net.Evaluate(es.x, es.labels)
-		total += batch
 	}
-	if total == 0 {
+	if n == 0 {
 		return 0
 	}
-	return float64(correct) / float64(total)
+	return float64(correct) / float64(n)
 }

@@ -53,6 +53,8 @@ func TestPlanRespectsFanOut(t *testing.T) {
 	}
 }
 
+// (No buffer grows any more — the 500-byte op is placed first — but a large
+// op in mid-chain must still plan validly and below the naive layout.)
 func TestPlanGrowsBufferWhenNeeded(t *testing.T) {
 	g := chain(10, 10, 500, 10)
 	p, err := PlanOffline(g)
@@ -64,6 +66,36 @@ func TestPlanGrowsBufferWhenNeeded(t *testing.T) {
 	}
 	if p.PlannedBytes() >= g.TotalOutBytes() {
 		t.Fatalf("plan %d bytes, naive %d: no saving", p.PlannedBytes(), g.TotalOutBytes())
+	}
+}
+
+func TestPlanKeepsScratchBufferForScratch(t *testing.T) {
+	// A fused residual block in miniature: 900-byte lowering scratch before
+	// every 100-byte conv output, a shortcut (op 1) held across the block and
+	// a join (op 6) produced while the scratch buffer is the only free one.
+	// Visiting in execution order parks the join there and the next conv
+	// needs a second 900-byte buffer (1 900 bytes); largest first, every
+	// scratch shares one buffer and the plan is one activation above the
+	// 1 100-byte peak.
+	g := &Graph{Ops: []Op{
+		{Name: "col", OutBytes: 900},
+		{Name: "stem", OutBytes: 100, Inputs: []int{0}},
+		{Name: "col", OutBytes: 900, Inputs: []int{1}},
+		{Name: "a", OutBytes: 100, Inputs: []int{2}},
+		{Name: "col", OutBytes: 900, Inputs: []int{3}},
+		{Name: "b", OutBytes: 100, Inputs: []int{4}},
+		{Name: "join", OutBytes: 100, Inputs: []int{1, 5}},
+		{Name: "col", OutBytes: 900, Inputs: []int{6}},
+	}}
+	p, err := PlanOffline(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckNoLiveOverlap(g, p); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.PlannedBytes(); got != 1200 {
+		t.Fatalf("plan %d bytes over buffers %v, want 1200", got, p.Buffers)
 	}
 }
 

@@ -1,6 +1,10 @@
 package memplan
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Op is one dataflow operator in a learning task's execution order. Inputs
 // lists the indices of the ops whose outputs this op consumes; an op's
@@ -63,75 +67,70 @@ func (p *Plan) Savings(g *Graph) float64 {
 	return 1 - float64(p.PlannedBytes())/float64(naive)
 }
 
-// PlanOffline computes the reference-count buffer plan of §4.5: visiting
-// operators in execution order, it assigns each output the first buffer
-// whose reference count has dropped to zero (growing it if too small) or
-// creates a new buffer; it then decrements the reference counters of the
-// op's inputs and sets the output's counter to its consumer count.
+// lastUses returns, per op, the step of its output's last consumer; an
+// output nobody reads (the final op's) is held to the end (len(g.Ops)).
+func lastUses(g *Graph) []int {
+	last := make([]int, len(g.Ops))
+	for i := range last {
+		last[i] = len(g.Ops)
+	}
+	for i, op := range g.Ops {
+		for _, in := range op.Inputs {
+			last[in] = i
+		}
+	}
+	return last
+}
+
+// liveTogether reports whether ops a and b hold their outputs at the same
+// time: the later one is produced no later than the earlier one's last
+// consumer runs (which reads its input while the new output is written).
+func liveTogether(a, b int, lastUse []int) bool {
+	if a > b {
+		a, b = b, a
+	}
+	return b <= lastUse[a]
+}
+
+// PlanOffline computes the buffer plan of §4.5. Liveness is the paper's
+// reference count: an output holds its buffer from the step that produces it
+// until its last consumer has executed, and two outputs share a buffer only
+// if those spans are disjoint. The paper visits the ops in execution order
+// and takes any buffer whose count has reached zero; that order is not
+// monotone in the graph once lowering scratch is several times an
+// activation — a small output parks in the only free buffer, the scratch-
+// sized one, just before the next conv needs it, a second scratch-sized
+// buffer appears, and a walk that declares fewer buffers can plan larger.
+// So ops are placed largest first (ties in execution order), each into the
+// first buffer with no tenant live beside it; a buffer's first tenant is its
+// largest, so none ever grows.
 func PlanOffline(g *Graph) (*Plan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(g.Ops)
-	// consumers[i] = number of ops that read op i's output. Outputs nobody
-	// reads (the final op) keep one artificial reference so they survive.
-	consumers := make([]int, n)
-	for _, op := range g.Ops {
-		for _, in := range op.Inputs {
-			consumers[in]++
-		}
+	lastUse := lastUses(g)
+	order := make([]int, len(g.Ops))
+	for i := range order {
+		order[i] = i
 	}
-	refs := make([]int, n) // live references to op i's output
-	plan := &Plan{Assign: make([]int, n)}
-	bufFree := []bool{}
-
-	for i, op := range g.Ops {
-		// Find a free buffer (reference count zero), preferring the
-		// smallest one that fits to limit growth; grow the smallest free
-		// buffer if none fits.
-		chosen := -1
-		for b, free := range bufFree {
-			if !free {
-				continue
-			}
-			if plan.Buffers[b] >= op.OutBytes {
-				if chosen < 0 || plan.Buffers[b] < plan.Buffers[chosen] {
-					chosen = b
-				}
-			}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(g.Ops[b].OutBytes, g.Ops[a].OutBytes)
+	})
+	plan := &Plan{Assign: make([]int, len(g.Ops))}
+	var tenants [][]int // ops placed in each buffer
+	for _, i := range order {
+		b := 0
+		for b < len(tenants) && slices.ContainsFunc(tenants[b], func(t int) bool {
+			return liveTogether(i, t, lastUse)
+		}) {
+			b++
 		}
-		if chosen < 0 {
-			// Any free buffer can be grown; pick the largest to minimise
-			// the growth delta.
-			for b, free := range bufFree {
-				if free && (chosen < 0 || plan.Buffers[b] > plan.Buffers[chosen]) {
-					chosen = b
-				}
-			}
-			if chosen >= 0 && plan.Buffers[chosen] < op.OutBytes {
-				plan.Buffers[chosen] = op.OutBytes
-			}
+		if b == len(tenants) {
+			tenants = append(tenants, nil)
+			plan.Buffers = append(plan.Buffers, g.Ops[i].OutBytes)
 		}
-		if chosen < 0 {
-			plan.Buffers = append(plan.Buffers, op.OutBytes)
-			bufFree = append(bufFree, false)
-			chosen = len(plan.Buffers) - 1
-		}
-		bufFree[chosen] = false
-		plan.Assign[i] = chosen
-
-		c := consumers[i]
-		if c == 0 {
-			c = 1 // terminal output stays live
-		}
-		refs[i] = c
-		// Account for data dependencies: this op has consumed its inputs.
-		for _, in := range op.Inputs {
-			refs[in]--
-			if refs[in] == 0 {
-				bufFree[plan.Assign[in]] = true
-			}
-		}
+		tenants[b] = append(tenants[b], i)
+		plan.Assign[i] = b
 	}
 	return plan, nil
 }
@@ -141,25 +140,10 @@ func PlanOffline(g *Graph) (*Plan, error) {
 // i's output is live from step i until the last step that reads it (or
 // forever if unread). Returns an error describing the first violation.
 func CheckNoLiveOverlap(g *Graph, p *Plan) error {
-	n := len(g.Ops)
-	lastUse := make([]int, n)
-	for i := range lastUse {
-		lastUse[i] = n // unread outputs live to the end
-	}
-	for i, op := range g.Ops {
-		for _, in := range op.Inputs {
-			lastUse[in] = i
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if p.Assign[a] != p.Assign[b] {
-				continue
-			}
-			// a live on [a, lastUse[a]], b live on [b, lastUse[b]]; b > a.
-			// b may write into a's buffer only strictly after a's last
-			// reader has executed.
-			if b <= lastUse[a] {
+	lastUse := lastUses(g)
+	for a := range g.Ops {
+		for b := a + 1; b < len(g.Ops); b++ {
+			if p.Assign[a] == p.Assign[b] && liveTogether(a, b, lastUse) {
 				return fmt.Errorf("memplan: ops %d (%s) and %d (%s) share buffer %d with overlapping lifetimes",
 					a, g.Ops[a].Name, b, g.Ops[b].Name, p.Assign[a])
 			}

@@ -24,7 +24,7 @@ type ReLU struct {
 
 // NewReLU constructs a ReLU over per-sample shape inShape.
 func NewReLU(batch int, inShape []int) *ReLU {
-	full := append([]int{batch}, inShape...)
+	full := actShape(batch, inShape)
 	r := &ReLU{
 		shape: append([]int(nil), inShape...),
 		batch: batch,
@@ -94,7 +94,8 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 // Dropout zeroes activations with probability P during training and scales
 // the survivors by 1/(1-P) (inverted dropout); it is the identity at
-// evaluation time. VGG-16's classifier head uses it.
+// evaluation time. VGG-16's classifier head uses it. The mask is drawn in
+// storage order.
 type Dropout struct {
 	stateless
 	P     float64
@@ -111,7 +112,7 @@ type Dropout struct {
 
 // NewDropout constructs a dropout layer with drop probability p.
 func NewDropout(batch int, inShape []int, p float64, rng *tensor.RNG) *Dropout {
-	full := append([]int{batch}, inShape...)
+	full := actShape(batch, inShape)
 	return &Dropout{
 		P: p, shape: append([]int(nil), inShape...), batch: batch, rng: rng,
 		y:  tensor.NewShell(full...),
@@ -179,42 +180,62 @@ func (d *Dropout) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return d.dx
 }
 
-// Flatten reshapes [B, ...] to [B, V]. It shares data with its input — the
-// shell tensors y and dx are rebound to the caller's storage per pass, so
-// no reshape allocation happens on the hot path, and the memory planner
-// sees the buffer pass straight through.
+// Flatten turns a spatial activation into a flat one: channel-major
+// [C, B, H, W] becomes [B, C·H·W], each sample's features in (c, h, w) order
+// as the dense layers' weights expect them — one of the two places where
+// samples become rows again (actShape). It is a transposing copy of
+// H·W-float runs each way.
 type Flatten struct {
 	stateless
 	in    []int
-	vol   int
 	batch int
 
-	y  *tensor.Tensor // [B, V] view of the forward input
-	dx *tensor.Tensor // [B, ...] view of the backward input
+	y  *tensor.Tensor // [B, V]
+	dx *tensor.Tensor // [C, B, H, W]
+
+	pbY, pbDx *plannedBuf
 }
 
-// NewFlatten constructs a flatten layer.
+// NewFlatten constructs a flatten layer over inShape = [C, H, W].
 func NewFlatten(batch int, inShape []int) *Flatten {
 	return &Flatten{
-		in: append([]int(nil), inShape...), vol: tensor.Volume(inShape), batch: batch,
+		in: append([]int(nil), inShape...), batch: batch,
 		y:  tensor.NewShell(batch, tensor.Volume(inShape)),
-		dx: tensor.NewShell(append([]int{batch}, inShape...)...),
+		dx: tensor.NewShell(actShape(batch, inShape)...),
 	}
 }
 
-func (f *Flatten) Name() string    { return "flatten" }
-func (f *Flatten) OutShape() []int { return []int{f.vol} }
+func (f *Flatten) ensure() {
+	if f.y.HasData() {
+		return
+	}
+	f.y.SetData(make([]float32, tensor.Volume(f.y.Shape())))
+	f.dx.SetData(make([]float32, tensor.Volume(f.dx.Shape())))
+}
 
-// planFwd/planBwd: flatten owns no buffers; the input buffer passes through.
-func (f *Flatten) planFwd(p *taskPlanner, in *plannedBuf) *plannedBuf   { return in }
-func (f *Flatten) planBwd(p *taskPlanner, dout *plannedBuf) *plannedBuf { return dout }
+func (f *Flatten) Name() string    { return "flatten" }
+func (f *Flatten) OutShape() []int { return []int{tensor.Volume(f.in)} }
+
+func (f *Flatten) planFwd(p *taskPlanner, in *plannedBuf) *plannedBuf {
+	f.pbY = p.shell("flatten.y", f.y, bufActivation)
+	p.touch(in)
+	return f.pbY
+}
+
+func (f *Flatten) planBwd(p *taskPlanner, dout *plannedBuf) *plannedBuf {
+	f.pbDx = p.shell("flatten.dx", f.dx, bufGradient)
+	p.touch(dout)
+	return f.pbDx
+}
 
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.y.SetData(x.Data())
+	checkIn("flatten", x, f.dx.Shape())
+	f.ensure()
+	tensor.SwapOuter(f.y.Data(), x.Data(), f.in[0], f.batch, f.in[1]*f.in[2])
 	return f.y
 }
 
 func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	f.dx.SetData(dy.Data())
+	tensor.SwapOuter(f.dx.Data(), dy.Data(), f.batch, f.in[0], f.in[1]*f.in[2])
 	return f.dx
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"crossbow/internal/tensor"
@@ -20,10 +21,18 @@ import (
 // are planned buffers: they are written in the training-mode forward pass
 // and read back in backward, so the task planner keeps them live from the
 // layer's forward to its backward step.
+//
+// Activations are channel-major, so channel c is the contiguous row
+// [c·L, (c+1)·L), L = batch·H·W, and its (sample, position) order is
+// ascending position along the row. The four reductions (Σx, Σ(x−mean)²,
+// ΣdY, ΣdY·x̂) and the two elementwise passes are internal/tensor's
+// channel-row kernels: SIMD with one channel per lane, so each channel's
+// float64 sum is the serial chain of the scalar loop and the results do not
+// depend on SIMD being on (tensor/rows.go).
 type BatchNorm struct {
 	C     int // channels
 	batch int
-	h, w  int // spatial dims (1×1 for dense inputs)
+	h, w  int // spatial dims
 	// Momentum for the running statistics update.
 	Momentum float32
 	Eps      float32
@@ -32,10 +41,10 @@ type BatchNorm struct {
 	runMean, runVar []float32
 	gGamma, gBeta   []float32
 
-	x      *tensor.Tensor
 	xhat   []float32
 	mean   []float32
 	invStd []float32
+	acc    []float64 // 2·C float64 sums, allocated on first use
 	y      *tensor.Tensor
 	dx     *tensor.Tensor
 	train  bool
@@ -52,20 +61,17 @@ type BatchNorm struct {
 	pbXhat, pbMean, pbInv, pbY, pbDx *plannedBuf
 }
 
-// NewBatchNorm constructs a batch-norm layer over inShape = [C, H, W] or [C].
-// Buffers are declared to the memory planner, not allocated here.
+// NewBatchNorm constructs a batch-norm layer over inShape = [C, H, W]; a flat
+// [features] shape panics (its features are columns of [batch, features], and
+// the channel-row kernels have no strided form). Buffers are declared to the
+// memory planner, not allocated here.
 func NewBatchNorm(batch int, inShape []int) *BatchNorm {
-	c := inShape[0]
-	h, w := 1, 1
-	if len(inShape) == 3 {
-		h, w = inShape[1], inShape[2]
+	if len(inShape) != 3 {
+		panic(fmt.Sprintf("nn: batch-norm over shape %v, want [C, H, W]", inShape))
 	}
-	full := []int{batch, c, h, w}
-	if len(inShape) == 1 {
-		full = []int{batch, c}
-	}
+	full := actShape(batch, inShape)
 	b := &BatchNorm{
-		C: c, batch: batch, h: h, w: w,
+		C: inShape[0], batch: batch, h: inShape[1], w: inShape[2],
 		Momentum: 0.9, Eps: 1e-5,
 		y:  tensor.NewShell(full...),
 		dx: tensor.NewShell(full...),
@@ -113,12 +119,7 @@ func (b *BatchNorm) planBwd(p *taskPlanner, dout *plannedBuf) *plannedBuf {
 
 func (b *BatchNorm) Name() string { return "batchnorm" }
 
-func (b *BatchNorm) OutShape() []int {
-	if b.h == 1 && b.w == 1 && b.y.Rank() == 2 {
-		return []int{b.C}
-	}
-	return []int{b.C, b.h, b.w}
-}
+func (b *BatchNorm) OutShape() []int { return []int{b.C, b.h, b.w} }
 
 func (b *BatchNorm) NumParams() int { return 4 * b.C }
 
@@ -137,8 +138,8 @@ func (b *BatchNorm) InitParams(r *tensor.RNG, w []float32) {
 	tensor.InitConst(w[3*c:4*c], 1) // running var
 }
 
-// channelAt returns the flat offset of (n, c) and the per-channel plane size.
-func (b *BatchNorm) plane() int { return b.h * b.w }
+// rowLen returns L, the length of a channel's row.
+func (b *BatchNorm) rowLen() int { return b.batch * b.h * b.w }
 
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if b.absorbed {
@@ -148,110 +149,82 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return x
 	}
 	b.ensure()
-	b.x = x
+	if b.acc == nil {
+		b.acc = make([]float64, 2*b.C)
+	}
 	b.train = train
 	b.xd = x.Data()
-	plane := b.plane()
-	count := b.batch * plane
 
 	// Channels are fully independent (statistics, outputs and the
 	// per-channel parameter entries), so channel-parallel execution is
 	// bit-deterministic at any worker count.
-	tensor.ParallelFor(b.C, 1+(1<<12)/max(1, count), b.fwdLoop)
+	tensor.ParallelFor(b.groups(), 1+(1<<12)/b.rowLen(), b.fwdLoop)
 	return b.y
 }
 
-func (b *BatchNorm) forwardChunk(cLo, cHi int) {
-	b.forwardChannels(b.xd, b.y.Data(), b.plane(), b.batch*b.plane(), b.train, cLo, cHi)
-}
+// groups is the channel count in the units ParallelFor splits: eight
+// channels, the row kernels' SIMD group, so a split never strands channels
+// on the scalar path.
+func (b *BatchNorm) groups() int { return (b.C + 7) / 8 }
 
-func (b *BatchNorm) forwardChannels(xd, yd []float32, plane, count int, train bool, cLo, cHi int) {
-	for c := cLo; c < cHi; c++ {
-		var mean, invStd float32
-		if train {
-			var s float64
-			for n := 0; n < b.batch; n++ {
-				off := (n*b.C + c) * plane
-				for _, v := range xd[off : off+plane] {
-					s += float64(v)
-				}
-			}
-			mean = float32(s / float64(count))
-			var sq float64
-			for n := 0; n < b.batch; n++ {
-				off := (n*b.C + c) * plane
-				for _, v := range xd[off : off+plane] {
-					d := float64(v - mean)
-					sq += d * d
-				}
-			}
-			variance := float32(sq / float64(count))
-			invStd = 1 / float32(math.Sqrt(float64(variance)+float64(b.Eps)))
+func (b *BatchNorm) forwardChunk(gLo, gHi int) {
+	cLo, cHi := 8*gLo, min(8*gHi, b.C)
+	l := b.rowLen()
+	xd, yd := b.xd, b.y.Data()
+	mean, invStd := b.mean[cLo:cHi], b.invStd[cLo:cHi]
+	if b.train {
+		sum, sq := b.acc[cLo:cHi], b.acc[b.C+cLo:b.C+cHi]
+		tensor.RowSums64(sum, xd[cLo*l:cHi*l], cHi-cLo, l)
+		for i, s := range sum {
+			mean[i] = float32(s / float64(l))
+		}
+		tensor.RowSqDevs64(sq, xd[cLo*l:cHi*l], mean, cHi-cLo, l)
+		for i, c := 0, cLo; c < cHi; i, c = i+1, c+1 {
+			variance := float32(sq[i] / float64(l))
+			invStd[i] = 1 / float32(math.Sqrt(float64(variance)+float64(b.Eps)))
 			// Update running statistics in the model vector.
-			b.runMean[c] = b.Momentum*b.runMean[c] + (1-b.Momentum)*mean
+			b.runMean[c] = b.Momentum*b.runMean[c] + (1-b.Momentum)*mean[i]
 			b.runVar[c] = b.Momentum*b.runVar[c] + (1-b.Momentum)*variance
-		} else {
-			mean = b.runMean[c]
-			invStd = 1 / float32(math.Sqrt(float64(b.runVar[c])+float64(b.Eps)))
 		}
-		b.mean[c], b.invStd[c] = mean, invStd
-		g, bt := b.gamma[c], b.beta[c]
-		for n := 0; n < b.batch; n++ {
-			off := (n*b.C + c) * plane
-			for i := off; i < off+plane; i++ {
-				xh := (xd[i] - mean) * invStd
-				b.xhat[i] = xh
-				yd[i] = g*xh + bt
-			}
+	} else {
+		for i, c := 0, cLo; c < cHi; i, c = i+1, c+1 {
+			mean[i] = b.runMean[c]
+			invStd[i] = 1 / float32(math.Sqrt(float64(b.runVar[c])+float64(b.Eps)))
 		}
+	}
+	for c := cLo; c < cHi; c++ {
+		tensor.NormRow(yd[c*l:(c+1)*l], b.xhat[c*l:(c+1)*l], xd[c*l:(c+1)*l],
+			b.mean[c], b.invStd[c], b.gamma[c], b.beta[c])
 	}
 }
 
 func (b *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	b.dyd = dy.Data()
-	plane := b.plane()
-
-	tensor.ParallelFor(b.C, 1+(1<<12)/max(1, b.batch*plane), b.bwdLoop)
+	tensor.ParallelFor(b.groups(), 1+(1<<12)/b.rowLen(), b.bwdLoop)
 	return b.dx
 }
 
-func (b *BatchNorm) backwardChunk(cLo, cHi int) {
-	b.backwardChannels(b.dyd, b.dx.Data(), b.plane(), float32(b.batch*b.plane()), cLo, cHi)
-}
+func (b *BatchNorm) backwardChunk(gLo, gHi int) {
+	cLo, cHi := 8*gLo, min(8*gHi, b.C)
+	l := b.rowLen()
+	dyd, dxd := b.dyd, b.dx.Data()
+	sumDy, sumDyXhat := b.acc[cLo:cHi], b.acc[b.C+cLo:b.C+cHi]
+	tensor.RowDots64(sumDy, sumDyXhat, dyd[cLo*l:cHi*l], b.xhat[cLo*l:cHi*l], cHi-cLo, l)
+	count := float32(l)
+	for i, c := 0, cLo; c < cHi; i, c = i+1, c+1 {
+		b.gBeta[c] += float32(sumDy[i])
+		b.gGamma[c] += float32(sumDyXhat[i])
 
-func (b *BatchNorm) backwardChannels(dyd, dxd []float32, plane int, count float32, cLo, cHi int) {
-	for c := cLo; c < cHi; c++ {
-		var sumDy, sumDyXhat float64
-		for n := 0; n < b.batch; n++ {
-			off := (n*b.C + c) * plane
-			for i := off; i < off+plane; i++ {
-				sumDy += float64(dyd[i])
-				sumDyXhat += float64(dyd[i]) * float64(b.xhat[i])
-			}
-		}
-		b.gBeta[c] += float32(sumDy)
-		b.gGamma[c] += float32(sumDyXhat)
-
-		g := b.gamma[c]
-		invStd := b.invStd[c]
+		g, invStd := b.gamma[c], b.invStd[c]
+		dx, dy, xhat := dxd[c*l:(c+1)*l], dyd[c*l:(c+1)*l], b.xhat[c*l:(c+1)*l]
 		if !b.train {
 			// Evaluation-mode backward (used only in gradient tests):
 			// statistics are constants.
-			for n := 0; n < b.batch; n++ {
-				off := (n*b.C + c) * plane
-				for i := off; i < off+plane; i++ {
-					dxd[i] = dyd[i] * g * invStd
-				}
+			for j, v := range dy {
+				dx[j] = v * g * invStd
 			}
 			continue
 		}
-		mDy := float32(sumDy) / count
-		mDyXhat := float32(sumDyXhat) / count
-		for n := 0; n < b.batch; n++ {
-			off := (n*b.C + c) * plane
-			for i := off; i < off+plane; i++ {
-				dxd[i] = g * invStd * (dyd[i] - mDy - b.xhat[i]*mDyXhat)
-			}
-		}
+		tensor.NormGradRow(dx, dy, xhat, g*invStd, float32(sumDy[i])/count, float32(sumDyXhat[i])/count)
 	}
 }

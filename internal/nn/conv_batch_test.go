@@ -78,7 +78,9 @@ func (r *refConv) backward(x, dy []float32) {
 // gradients are bit-identical (same per-element accumulation order); the
 // weight gradient sums the whole batch in one reduction instead of
 // per-sample partial sums, so it is compared under a forward-error bound
-// (see DESIGN.md §8).
+// (see DESIGN.md §8). The reference works on NCHW; the layer gets the same
+// batch channel-major, or — as a network's first layer — reads it NCHW in
+// place and returns no input gradient.
 func TestConv2DBatchedMatchesReference(t *testing.T) {
 	configs := []struct {
 		batch, inC, inH, inW, outC, k, stride, pad int
@@ -88,58 +90,74 @@ func TestConv2DBatchedMatchesReference(t *testing.T) {
 		{5, 4, 7, 9, 2, 3, 2, 1},
 		{2, 6, 6, 6, 4, 1, 1, 0},
 		{1, 2, 5, 5, 3, 5, 1, 2},
+		{4, 8, 4, 4, 16, 3, 1, 1},
 	}
 	rng := tensor.NewRNG(7)
 	for ci, cfg := range configs {
-		c := NewConv2D(cfg.batch, []int{cfg.inC, cfg.inH, cfg.inW}, cfg.outC, cfg.k, cfg.stride, cfg.pad)
-		nw := c.NumParams()
-		w := make([]float32, nw)
-		gvec := make([]float32, nw)
-		c.InitParams(rng, w)
-		c.Bind(w, gvec)
-
-		x := tensor.New(cfg.batch, cfg.inC, cfg.inH, cfg.inW)
-		for i, xd := 0, x.Data(); i < len(xd); i++ {
-			xd[i] = float32(rng.NormFloat64())
-		}
-		y := c.Forward(x, true)
-
-		ref := newRefConv(c, w)
-		ref.forward(x.Data())
-		for i, v := range y.Data() {
-			if math.Float32bits(v) != math.Float32bits(ref.y[i]) {
-				t.Fatalf("config %d: forward element %d: %v != %v", ci, i, v, ref.y[i])
+		for _, netIn := range []bool{false, true} {
+			c := NewConv2D(cfg.batch, []int{cfg.inC, cfg.inH, cfg.inW}, cfg.outC, cfg.k, cfg.stride, cfg.pad)
+			if netIn {
+				c.readNetInput()
 			}
-		}
+			nw := c.NumParams()
+			w := make([]float32, nw)
+			gvec := make([]float32, nw)
+			c.InitParams(rng, w)
+			c.Bind(w, gvec)
 
-		dy := tensor.New(cfg.batch, cfg.outC, c.Geom.OutH(), c.Geom.OutW())
-		for i, dyd := 0, dy.Data(); i < len(dyd); i++ {
-			dyd[i] = float32(rng.NormFloat64())
-		}
-		dx := c.Backward(dy)
-		ref.backward(x.Data(), dy.Data())
+			x := tensor.New(cfg.batch, cfg.inC, cfg.inH, cfg.inW)
+			for i, xd := 0, x.Data(); i < len(xd); i++ {
+				xd[i] = float32(rng.NormFloat64())
+			}
+			in := x
+			if !netIn {
+				in = swapNC(x)
+			}
+			y := swapNC(c.Forward(in, true))
 
-		for i, v := range dx.Data() {
-			if math.Float32bits(v) != math.Float32bits(ref.dx[i]) {
-				t.Fatalf("config %d: dx element %d: %v != %v", ci, i, v, ref.dx[i])
+			ref := newRefConv(c, w)
+			ref.forward(x.Data())
+			for i, v := range y.Data() {
+				if math.Float32bits(v) != math.Float32bits(ref.y[i]) {
+					t.Fatalf("config %d: forward element %d: %v != %v", ci, i, v, ref.y[i])
+				}
 			}
-		}
-		nwOnly := c.Geom.OutC * c.Geom.InC * c.Geom.KH * c.Geom.KW
-		gw, gb := gvec[:nwOnly], gvec[nwOnly:nwOnly+c.Geom.OutC]
-		for i, v := range gb {
-			if math.Float32bits(v) != math.Float32bits(ref.gb[i]) {
-				t.Fatalf("config %d: gb element %d: %v != %v", ci, i, v, ref.gb[i])
+
+			dy := tensor.New(cfg.batch, cfg.outC, c.Geom.OutH(), c.Geom.OutW())
+			for i, dyd := 0, dy.Data(); i < len(dyd); i++ {
+				dyd[i] = float32(rng.NormFloat64())
 			}
-		}
-		// Weight gradient: reduction regrouped across the batch. Bound by
-		// k·eps·Σ|terms| with k = batch·S summands.
-		const eps = 1.0 / (1 << 24)
-		k := float64(cfg.batch * c.Geom.ColCols())
-		for i, v := range gw {
-			mag := math.Max(math.Abs(float64(v)), math.Abs(float64(ref.gw[i]))) + 1
-			bound := 4 * (k + 2) * eps * mag * 8
-			if d := math.Abs(float64(v) - float64(ref.gw[i])); d > bound {
-				t.Fatalf("config %d: gw element %d: |%v-%v| = %g exceeds %g", ci, i, v, ref.gw[i], d, bound)
+			dx := c.Backward(swapNC(dy))
+			ref.backward(x.Data(), dy.Data())
+
+			if netIn {
+				if dx != nil {
+					t.Fatalf("config %d: a network's first layer returned an input gradient", ci)
+				}
+			} else {
+				for i, v := range swapNC(dx).Data() {
+					if math.Float32bits(v) != math.Float32bits(ref.dx[i]) {
+						t.Fatalf("config %d: dx element %d: %v != %v", ci, i, v, ref.dx[i])
+					}
+				}
+			}
+			nwOnly := c.Geom.OutC * c.Geom.InC * c.Geom.KH * c.Geom.KW
+			gw, gb := gvec[:nwOnly], gvec[nwOnly:nwOnly+c.Geom.OutC]
+			for i, v := range gb {
+				if math.Float32bits(v) != math.Float32bits(ref.gb[i]) {
+					t.Fatalf("config %d: gb element %d: %v != %v", ci, i, v, ref.gb[i])
+				}
+			}
+			// Weight gradient: reduction regrouped across the batch. Bound by
+			// k·eps·Σ|terms| with k = batch·S summands.
+			const eps = 1.0 / (1 << 24)
+			k := float64(cfg.batch * c.Geom.ColCols())
+			for i, v := range gw {
+				mag := math.Max(math.Abs(float64(v)), math.Abs(float64(ref.gw[i]))) + 1
+				bound := 4 * (k + 2) * eps * mag * 8
+				if d := math.Abs(float64(v) - float64(ref.gw[i])); d > bound {
+					t.Fatalf("config %d: gw element %d: |%v-%v| = %g exceeds %g", ci, i, v, ref.gw[i], d, bound)
+				}
 			}
 		}
 	}
@@ -154,11 +172,11 @@ func TestConv2DBackwardWithoutForwardRefresh(t *testing.T) {
 	g := make([]float32, c.NumParams())
 	c.InitParams(rng, w)
 	c.Bind(w, g)
-	x := tensor.New(2, 3, 6, 6)
+	x := tensor.New(3, 2, 6, 6)
 	for i, xd := 0, x.Data(); i < len(xd); i++ {
 		xd[i] = float32(rng.NormFloat64())
 	}
-	dy := tensor.New(2, 4, 6, 6)
+	dy := tensor.New(4, 2, 6, 6)
 	for i, dyd := 0, dy.Data(); i < len(dyd); i++ {
 		dyd[i] = float32(rng.NormFloat64())
 	}

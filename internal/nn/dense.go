@@ -101,7 +101,7 @@ func (d *Dense) quantize() {
 }
 
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkIn("dense", x, d.batch, []int{d.In})
+	checkIn("dense", x, d.dx.Shape())
 	d.ensure()
 	d.x = x
 	yd := d.y.Data()

@@ -16,5 +16,8 @@
 // variant (InferPlan/AttachInferenceArena, DESIGN.md §11) plans just the
 // Predict walk for the serving plane, where backward-only caches die young
 // and the arena shrinks accordingly. Compute lowers onto the blocked
-// kernels of internal/tensor (DESIGN.md §8).
+// kernels of internal/tensor (DESIGN.md §8), and activations are laid out
+// for them: spatial ones channel-major, [C, batch, H, W], the matrix every
+// conv GEMM produces and consumes; NCHW only at the network input, which
+// the stem convolution reads in place (actShape).
 package nn

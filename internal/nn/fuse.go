@@ -8,11 +8,12 @@ import "crossbow/internal/tensor"
 // conv→BN→ReLU (and dense→ReLU) run collapses into the leading GEMM's
 // epilogue, applied while the output slab is still cache-resident. The
 // absorbed layers become identity pass-throughs and declare no buffers, so
-// the inference arena shrinks with them. The epilogue performs the exact
-// per-element operation sequence of the unfused chain (bias add, eval-mode
-// BN, ReLU), so fusion is a pure memory/locality optimisation — results
-// are bit-identical in either kernel mode, which TestFusedForwardBitIdentical
-// pins. A fused network is inference-only: training walks panic.
+// the inference walk's footprint shrinks with them. The epilogue performs
+// the exact per-element operation sequence of the unfused chain (bias add,
+// eval-mode BN, ReLU), so fusion is a pure memory/locality optimisation —
+// results are bit-identical in either kernel mode, which
+// TestFusedPredictBitIdentical and TestGoldenCRCs pin. A fused network is
+// inference-only: training walks panic.
 
 // kernelModeLayer is implemented by layers that dispatch GEMMs.
 type kernelModeLayer interface{ setKernelMode(tensor.KernelMode) }

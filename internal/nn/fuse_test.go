@@ -42,23 +42,46 @@ func TestFusedPredictBitIdentical(t *testing.T) {
 	}
 }
 
+// peakLive returns the most elements live at once in a planning walk — the
+// floor under any placement of its buffers, whatever the planner.
+func peakLive(m *MemPlan) int {
+	peak := 0
+	for _, at := range m.bufs {
+		live := 0
+		for _, b := range m.bufs {
+			if b.prod <= at.prod && at.prod <= b.last {
+				live += b.elems
+			}
+		}
+		peak = max(peak, live)
+	}
+	return peak
+}
+
 // TestFusedInferPlanSmaller: absorbed layers declare no buffers, so the
-// fused walk's declared footprint must be strictly smaller and its planned
-// arena never larger. (The arena peak itself may not move when a conv's
-// im2col scratch sets it, as in VGG-16.)
+// fused walk's declared footprint must be strictly smaller, the most it ever
+// holds live never larger, and its planned arena never larger. (The arena
+// peak itself may not move when a conv's im2col scratch sets it, as in
+// VGG-16.)
 func TestFusedInferPlanSmaller(t *testing.T) {
 	for _, id := range AllModels {
-		plain := BuildScaled(id, 8, tensor.NewRNG(1))
-		fused := BuildScaled(id, 8, tensor.NewRNG(1))
-		fused.FuseInference()
-		p, f := plain.InferPlan(), fused.InferPlan()
-		if f.NaiveElems >= p.NaiveElems {
-			t.Errorf("%s: fused walk declares %d elems, unfused %d — want strictly smaller",
-				id, f.NaiveElems, p.NaiveElems)
-		}
-		if f.ArenaElems > p.ArenaElems {
-			t.Errorf("%s: fused inference arena %d elems, unfused %d — fusion may never grow the arena",
-				id, f.ArenaElems, p.ArenaElems)
+		for _, batch := range []int{1, 8, 16} {
+			plain := BuildScaled(id, batch, tensor.NewRNG(1))
+			fused := BuildScaled(id, batch, tensor.NewRNG(1))
+			fused.FuseInference()
+			p, f := plain.InferPlan(), fused.InferPlan()
+			if f.NaiveElems >= p.NaiveElems {
+				t.Errorf("%s b=%d: fused walk declares %d elems, unfused %d — want strictly smaller",
+					id, batch, f.NaiveElems, p.NaiveElems)
+			}
+			if fl, pl := peakLive(f), peakLive(p); fl > pl {
+				t.Errorf("%s b=%d: fused walk holds %d elems live at its peak, unfused %d — fusion may never grow it",
+					id, batch, fl, pl)
+			}
+			if f.ArenaElems > p.ArenaElems {
+				t.Errorf("%s b=%d: fused inference arena %d elems, unfused %d — fusion may never grow the arena",
+					id, batch, f.ArenaElems, p.ArenaElems)
+			}
 		}
 	}
 }

@@ -17,6 +17,14 @@ func gradCheck(t *testing.T, net *Network, batch int, seed uint64, tol float64) 
 	w := net.Init(r)
 	g := make([]float32, net.ParamSize())
 	net.Bind(w, g)
+	// Over a planned arena full of NaN: these hand-built stacks (a pool-first
+	// one with its planned input copy among them) get the dirty-arena check
+	// memory_test.go gives the shipped models.
+	dirty := make([]float32, net.MemPlan().ArenaElems)
+	for i := range dirty {
+		dirty[i] = float32(math.NaN())
+	}
+	net.AttachArena(tensor.ArenaOf(dirty))
 
 	x := tensor.New(append([]int{batch}, net.InShape...)...)
 	xd := x.Data()

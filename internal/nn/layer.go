@@ -11,7 +11,8 @@ import (
 // Forward consumes a batched input tensor and returns the batched output;
 // Backward consumes dL/d(output) and returns dL/d(input), accumulating
 // parameter gradients into the bound gradient slice. Forward must be called
-// before the matching Backward (layers cache the inputs they need).
+// before the matching Backward (layers cache the inputs they need). Batched
+// tensors are laid out as actShape describes.
 type Layer interface {
 	// Name identifies the layer for debugging and operator inventories.
 	Name() string
@@ -51,22 +52,26 @@ func shapeEq(a, b []int) bool {
 	return true
 }
 
-func checkIn(name string, x *tensor.Tensor, batch int, inShape []int) {
-	// Allocation-free on the happy path (this runs on every layer call of
-	// the training hot loop); the slice for the message is built only when
-	// the check fails.
-	s := x.Shape()
-	ok := len(s) == len(inShape)+1 && s[0] == batch
-	if ok {
-		for i, d := range inShape {
-			if s[i+1] != d {
-				ok = false
-				break
-			}
-		}
+// actShape returns the shape of a batched activation inside the layer
+// library. There is one layout: a spatial activation is channel-major,
+// [C, batch, H, W] — channel c's batch·H·W values are one contiguous row,
+// which is what every conv GEMM produces and consumes (OutC × batch·S) and
+// what batch-norm reduces over — and a flat one is [batch, V]. NCHW exists
+// only at the network input, which the stem convolution reads through its
+// lowering's plane strides (Conv2D.netIn); flatten and the global average
+// pool, which hand a spatial activation to a dense layer, are where samples
+// become rows again.
+func actShape(batch int, shape []int) []int {
+	if len(shape) == 3 {
+		return []int{shape[0], batch, shape[1], shape[2]}
 	}
-	if !ok {
-		want := append([]int{batch}, inShape...)
-		panic(fmt.Sprintf("nn: %s: input shape %v, want %v", name, s, want))
+	return append([]int{batch}, shape...)
+}
+
+// checkIn panics unless x has the shape want. Allocation-free on the happy
+// path: it runs on every layer call of the training hot loop.
+func checkIn(name string, x *tensor.Tensor, want []int) {
+	if !shapeEq(x.Shape(), want) {
+		panic(fmt.Sprintf("nn: %s: input shape %v, want %v", name, x.Shape(), want))
 	}
 }

@@ -7,6 +7,18 @@ import (
 	"crossbow/internal/tensor"
 )
 
+// swapNC returns a copy of the rank-4 tensor x with its two outer axes
+// exchanged: an NCHW batch becomes the channel-major [C, N, H, W] a
+// standalone spatial layer takes, and a layer's channel-major output becomes
+// NCHW again. Every test that feeds a spatial layer directly, or reads its
+// output by (n, c, h, w), converts here.
+func swapNC(x *tensor.Tensor) *tensor.Tensor {
+	s := x.Shape()
+	y := tensor.New(s[1], s[0], s[2], s[3])
+	tensor.SwapOuter(y.Data(), x.Data(), s[0], s[1], s[2]*s[3])
+	return y
+}
+
 func TestDenseForwardKnownValues(t *testing.T) {
 	d := NewDense(1, 2, 2)
 	w := make([]float32, d.NumParams())
@@ -86,12 +98,12 @@ func TestMaxPoolNegativeInputs(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	p := NewGlobalAvgPool(1, []int{2, 2, 2})
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
-	y := p.Forward(x, true)
+	y := p.Forward(swapNC(x), true)
 	if y.At(0, 0) != 2.5 || y.At(0, 1) != 25 {
 		t.Fatalf("gavg forward %v", y.Data())
 	}
 	dy := tensor.FromSlice([]float32{4, 8}, 1, 2)
-	dx := p.Backward(dy)
+	dx := swapNC(p.Backward(dy))
 	if dx.At(0, 0, 0, 0) != 1 || dx.At(0, 1, 1, 1) != 2 {
 		t.Fatalf("gavg backward %v", dx.Data())
 	}
@@ -104,7 +116,7 @@ func TestBatchNormNormalises(t *testing.T) {
 	bn.InitParams(tensor.NewRNG(1), w)
 	bn.Bind(w, g)
 	x := tensor.FromSlice([]float32{2, 4, 6, 8}, 4, 1, 1, 1)
-	y := bn.Forward(x, true)
+	y := bn.Forward(swapNC(x), true)
 	var mean, sq float64
 	for _, v := range y.Data() {
 		mean += float64(v)
@@ -123,7 +135,7 @@ func TestBatchNormNormalises(t *testing.T) {
 }
 
 func TestBatchNormRunningStatsConverge(t *testing.T) {
-	bn := NewBatchNorm(8, []int{1})
+	bn := NewBatchNorm(8, []int{1, 1, 1})
 	w := make([]float32, bn.NumParams())
 	g := make([]float32, bn.NumParams())
 	bn.InitParams(tensor.NewRNG(1), w)
@@ -131,7 +143,7 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 	// Feed a constant-distribution batch many times; running stats must
 	// approach the batch statistics (mean 3, var 4 for values 1,5 repeated).
 	vals := []float32{1, 5, 1, 5, 1, 5, 1, 5}
-	x := tensor.FromSlice(vals, 8, 1)
+	x := swapNC(tensor.FromSlice(vals, 8, 1, 1, 1))
 	for i := 0; i < 200; i++ {
 		bn.Forward(x, true)
 	}
@@ -210,13 +222,26 @@ func TestSoftmaxPredictions(t *testing.T) {
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten(2, []int{3, 2, 2})
 	x := tensor.New(2, 3, 2, 2)
-	y := f.Forward(x, true)
+	for i := range x.Data() {
+		x.Data()[i] = float32(i)
+	}
+	y := f.Forward(swapNC(x), true)
 	if y.Dim(0) != 2 || y.Dim(1) != 12 {
 		t.Fatalf("flatten shape %v", y.Shape())
 	}
-	dy := tensor.New(2, 12)
-	dx := f.Backward(dy)
+	// Each sample's features come out in (c, h, w) order: the NCHW batch.
+	for i, v := range y.Data() {
+		if v != x.Data()[i] {
+			t.Fatalf("flatten element %d = %v, want %v", i, v, x.Data()[i])
+		}
+	}
+	dx := swapNC(f.Backward(y))
 	if dx.Rank() != 4 || dx.Dim(1) != 3 {
 		t.Fatalf("flatten backward shape %v", dx.Shape())
+	}
+	for i, v := range dx.Data() {
+		if v != x.Data()[i] {
+			t.Fatalf("flatten backward element %d = %v, want %v", i, v, x.Data()[i])
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // layers *declare* their buffers to a task planner that walks one learning
 // task in execution order (forward layers, loss, backward layers — residual
 // internals included). The walk yields the real dataflow as a memplan.Graph
-// at sub-operator granularity (conv col/dcol/pack scratch, batch-norm
+// at sub-operator granularity (conv col/dcol/packT scratch, batch-norm
 // statistics, residual joins), memplan.PlanOffline turns it into a per-task
 // arena layout, and AttachArena binds every declared buffer to its planned
 // slice of one contiguous block.
@@ -127,7 +127,7 @@ type arenaLayer interface {
 type MemPlan struct {
 	// Graph is the learning task's operator graph, one op per buffer.
 	Graph *memplan.Graph
-	// Plan is the offline reference-count assignment over Graph.
+	// Plan is the offline buffer assignment over Graph.
 	Plan *memplan.Plan
 
 	bufs []*plannedBuf
@@ -211,9 +211,13 @@ func (m *MemPlan) checkPlan() error {
 // planForward runs the forward half of a planning walk: every layer's
 // planFwd in execution order, returning the logits buffer. The network input
 // is staged by the data pipeline (or the serving batcher) and lives outside
-// the arena.
+// the arena; its channel-major copy, where a network needs one (inCM), is the
+// walk's first buffer.
 func (n *Network) planForward(p *taskPlanner) *plannedBuf {
 	var cur *plannedBuf
+	if n.inCM != nil {
+		cur = p.shell("net.incm", n.inCM, bufActivation)
+	}
 	for _, l := range n.layers {
 		al, ok := l.(arenaLayer)
 		if !ok {
@@ -274,23 +278,24 @@ func (n *Network) lowerPlan(p *taskPlanner, prefix string) *MemPlan {
 	m := &MemPlan{bufs: p.bufs}
 
 	// Lower the walk into a memplan.Graph: one op per buffer in declaration
-	// (= production) order; each buffer's consumer is the first later op
-	// produced after its last access, so the offline planner frees its slot
-	// exactly when the walk says it is dead.
+	// (= production) order; each buffer's consumer is the last op produced
+	// while it is still live (the next op at the least), so the planner may
+	// hand its slot to the very next one — exactly when the walk says it is
+	// dead. The last buffer has no consumer: PlanOffline holds unread outputs
+	// to the end.
 	g := &memplan.Graph{Ops: make([]memplan.Op, len(m.bufs))}
 	for i, b := range m.bufs {
 		m.NaiveElems += b.elems
 		g.Ops[i] = memplan.Op{Name: b.name, OutBytes: int64(b.elems) * 4}
 	}
 	for i, b := range m.bufs {
-		for j := i + 1; j < len(m.bufs); j++ {
-			if m.bufs[j].prod > b.last {
-				g.Ops[j].Inputs = append(g.Ops[j].Inputs, i)
-				break
-			}
+		k := min(i+1, len(m.bufs)-1)
+		for k+1 < len(m.bufs) && m.bufs[k+1].prod <= b.last {
+			k++
 		}
-		// No later producer: the buffer stays live to the end (PlanOffline's
-		// terminal-output rule keeps unread outputs allocated).
+		if k > i {
+			g.Ops[k].Inputs = append(g.Ops[k].Inputs, i)
+		}
 	}
 	plan, err := memplan.PlanOffline(g)
 	if err != nil {

@@ -10,6 +10,12 @@ import (
 // head. One Network instance owns the activation buffers for one learner at
 // a fixed batch size; parameters are external and bound per call site, so
 // the same instance can evaluate any replica or the central average model.
+//
+// The input batch is [Batch, InShape...] — NCHW for images, as the data
+// pipeline and the serving batcher stage it. Inside the stack spatial
+// activations are channel-major (actShape): a leading convolution reads the
+// NCHW input in place through its lowering's plane strides, and any other
+// first layer over images gets a channel-major copy (inCM).
 type Network struct {
 	InShape []int
 	Classes int
@@ -24,6 +30,12 @@ type Network struct {
 	quantized bool              // QuantizeWeights ran: int8 eval forward
 
 	boundW []float32 // currently bound parameter vector (for sanity checks)
+
+	// inCM is the channel-major copy of an image batch, for a network whose
+	// first layer is not a convolution; nil otherwise. It is the one entry
+	// into the stack besides the stem conv's strided read, a planned buffer
+	// like any layer's, and no shipped model has it.
+	inCM *tensor.Tensor
 
 	// Planned task memory (computed lazily; see memory.go): memPlan covers
 	// a full learning task, inferPlan the forward-only serving walk.
@@ -73,7 +85,9 @@ func (b *Builder) Conv(outC, k, s, p int) *Builder {
 	return b.Add(NewConv2D(b.batch, b.shape, outC, k, s, p))
 }
 
-// BN appends a batch-norm layer.
+// BN appends a batch-norm layer. Batch-norm covers spatial [C, H, W]
+// activations only: after Flatten or Dense a feature is a column of
+// [batch, features], not a channel row, and NewBatchNorm panics.
 func (b *Builder) BN() *Builder { return b.Add(NewBatchNorm(b.batch, b.shape)) }
 
 // ReLU appends a ReLU.
@@ -148,7 +162,7 @@ func (b *Builder) BottleneckBlock(midC, outC, stride int) *Builder {
 // Build finalises the network. The last layer's output must be flat with
 // width equal to the class count.
 func (b *Builder) Build() *Network {
-	if len(b.shape) != 1 || b.shape[0] != b.classes {
+	if len(b.layers) == 0 || len(b.shape) != 1 || b.shape[0] != b.classes {
 		panic(fmt.Sprintf("nn: network output shape %v does not match %d classes", b.shape, b.classes))
 	}
 	n := &Network{
@@ -158,6 +172,11 @@ func (b *Builder) Build() *Network {
 	}
 	for _, l := range b.layers {
 		n.size += l.NumParams()
+	}
+	if c, ok := n.layers[0].(*Conv2D); ok {
+		c.readNetInput()
+	} else if len(b.in0) == 3 {
+		n.inCM = tensor.NewShell(actShape(b.batch, b.in0)...)
 	}
 	return n
 }
@@ -217,6 +236,13 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic("nn: Forward before Bind")
 	}
 	h := x
+	if n.inCM != nil {
+		if !n.inCM.HasData() {
+			n.inCM.SetData(make([]float32, x.Len()))
+		}
+		tensor.SwapOuter(n.inCM.Data(), x.Data(), n.Batch, n.InShape[0], n.InShape[1]*n.InShape[2])
+		h = n.inCM
+	}
 	for _, l := range n.layers {
 		h = l.Forward(h, train)
 	}
@@ -226,7 +252,8 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // LossAndGrad runs forward in training mode, computes the loss and runs the
 // full backward pass, accumulating parameter gradients into the bound
 // gradient vector (callers zero it between iterations). It returns the mean
-// batch loss.
+// batch loss. The gradient of the network input is not computed: a leading
+// convolution's Backward returns nil after its parameter gradients.
 func (n *Network) LossAndGrad(x *tensor.Tensor, labels []int) float64 {
 	logits := n.Forward(x, true)
 	loss, dy := n.loss.Loss(logits, labels)

@@ -2,9 +2,10 @@ package nn
 
 import "crossbow/internal/tensor"
 
-// MaxPool is a 2-D max pooling layer over NCHW inputs with square window and
-// stride equal to the window size (the configuration the benchmark models
-// use).
+// MaxPool is a 2-D max pooling layer with square window and stride equal to
+// the window size (the configuration the benchmark models use). It works
+// plane by plane, so the channel-major layout only decides the order the
+// C·batch planes are visited in.
 type MaxPool struct {
 	stateless
 	K             int
@@ -29,8 +30,8 @@ func NewMaxPool(batch int, inShape []int, k int) *MaxPool {
 	oh, ow := h/k, w/k
 	p := &MaxPool{
 		K: k, batch: batch, inC: c, inH: h, inW: w, outH: oh, outW: ow,
-		y:  tensor.NewShell(batch, c, oh, ow),
-		dx: tensor.NewShell(batch, c, h, w),
+		y:  tensor.NewShell(c, batch, oh, ow),
+		dx: tensor.NewShell(c, batch, h, w),
 	}
 	p.fwdLoop = p.forwardChunk
 	p.bwdLoop = p.backwardChunk
@@ -65,72 +66,64 @@ func (p *MaxPool) planBwd(pl *taskPlanner, dout *plannedBuf) *plannedBuf {
 func (p *MaxPool) Name() string    { return "maxpool" }
 func (p *MaxPool) OutShape() []int { return []int{p.inC, p.outH, p.outW} }
 
+// forwardChunk pools planes [lo, hi) of the C·batch planes.
 func (p *MaxPool) forwardChunk(lo, hi int) {
 	xd, yd := p.xd, p.y.Data()
-	planeOut := p.outH * p.outW
-	for n := lo; n < hi; n++ {
-		oi := n * p.inC * planeOut
-		for c := 0; c < p.inC; c++ {
-			base := (n*p.inC + c) * p.inH * p.inW
-			for oh := 0; oh < p.outH; oh++ {
-				for ow := 0; ow < p.outW; ow++ {
-					best := float32(0)
-					bi := -1
-					for kh := 0; kh < p.K; kh++ {
-						row := base + (oh*p.K+kh)*p.inW + ow*p.K
-						for kw := 0; kw < p.K; kw++ {
-							if v := xd[row+kw]; bi < 0 || v > best {
-								best, bi = v, row+kw
-							}
+	oi := lo * p.outH * p.outW
+	for q := lo; q < hi; q++ {
+		base := q * p.inH * p.inW
+		for oh := 0; oh < p.outH; oh++ {
+			for ow := 0; ow < p.outW; ow++ {
+				best := float32(0)
+				bi := -1
+				for kh := 0; kh < p.K; kh++ {
+					row := base + (oh*p.K+kh)*p.inW + ow*p.K
+					for kw := 0; kw < p.K; kw++ {
+						if v := xd[row+kw]; bi < 0 || v > best {
+							best, bi = v, row+kw
 						}
 					}
-					yd[oi] = best
-					p.argmax[oi] = int32(bi)
-					oi++
 				}
+				yd[oi] = best
+				p.argmax[oi] = int32(bi)
+				oi++
 			}
 		}
 	}
 }
 
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkIn("maxpool", x, p.batch, []int{p.inC, p.inH, p.inW})
+	checkIn("maxpool", x, p.dx.Shape())
 	p.ensure()
 	p.xd = x.Data()
-	planeOut := p.outH * p.outW
-	// Samples write disjoint output ranges, so batch-parallel execution is
+	// Planes write disjoint output ranges, so plane-parallel execution is
 	// bit-deterministic at any worker count.
-	tensor.ParallelFor(p.batch, 1+(1<<13)/max(1, p.inC*planeOut), p.fwdLoop)
+	tensor.ParallelFor(p.inC*p.batch, 1+(1<<13)/(p.outH*p.outW), p.fwdLoop)
 	return p.y
 }
 
+// backwardChunk routes the gradient of planes [lo, hi). Pooling windows are
+// disjoint (stride == window), so every dx element receives at most one
+// term and a plane's argmax entries scatter into that plane only.
 func (p *MaxPool) backwardChunk(lo, hi int) {
 	dyd, dxd := p.dyd, p.dx.Data()
-	planeOut := p.outH * p.outW
-	inVol := p.inC * p.inH * p.inW
-	for n := lo; n < hi; n++ {
-		dst := dxd[n*inVol : (n+1)*inVol]
-		for i := range dst {
-			dst[i] = 0
-		}
-		o0 := n * p.inC * planeOut
-		for i := o0; i < o0+p.inC*planeOut; i++ {
-			dxd[p.argmax[i]] += dyd[i]
-		}
+	planeIn, planeOut := p.inH*p.inW, p.outH*p.outW
+	clear(dxd[lo*planeIn : hi*planeIn])
+	for i := lo * planeOut; i < hi*planeOut; i++ {
+		dxd[p.argmax[i]] += dyd[i]
 	}
 }
 
 func (p *MaxPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	p.dyd = dy.Data()
-	inVol := p.inC * p.inH * p.inW
-	// Pooling windows are disjoint (stride == window), so each sample's
-	// argmax entries scatter into its own dx block only.
-	tensor.ParallelFor(p.batch, 1+(1<<13)/max(1, inVol), p.bwdLoop)
+	tensor.ParallelFor(p.inC*p.batch, 1+(1<<13)/(p.inH*p.inW), p.bwdLoop)
 	return p.dx
 }
 
-// GlobalAvgPool averages each channel's spatial plane, producing [B, C].
-// ResNet uses it before the classifier.
+// GlobalAvgPool averages each channel's spatial plane, producing the flat
+// [B, C] the classifier reads: plane (c, n) of the channel-major input lands
+// at y[n·C+c], so the pool is — with Flatten — where samples become rows
+// again (actShape). ResNet uses it before the classifier.
 type GlobalAvgPool struct {
 	stateless
 	batch, c, h, w int
@@ -150,7 +143,7 @@ func NewGlobalAvgPool(batch int, inShape []int) *GlobalAvgPool {
 	p := &GlobalAvgPool{
 		batch: batch, c: c, h: h, w: w,
 		y:  tensor.NewShell(batch, c),
-		dx: tensor.NewShell(batch, c, h, w),
+		dx: tensor.NewShell(c, batch, h, w),
 	}
 	p.fwdLoop = p.forwardChunk
 	p.bwdLoop = p.backwardChunk
@@ -180,25 +173,26 @@ func (p *GlobalAvgPool) planBwd(pl *taskPlanner, dout *plannedBuf) *plannedBuf {
 func (p *GlobalAvgPool) Name() string    { return "gavgpool" }
 func (p *GlobalAvgPool) OutShape() []int { return []int{p.c} }
 
+// forwardChunk averages planes [lo, hi) of the C·batch planes; plane q is
+// channel q/batch of sample q%batch.
 func (p *GlobalAvgPool) forwardChunk(lo, hi int) {
 	xd, yd := p.xd, p.y.Data()
 	plane := p.h * p.w
 	inv := 1 / float32(plane)
-	for i := lo; i < hi; i++ {
+	for q := lo; q < hi; q++ {
 		var s float32
-		for _, v := range xd[i*plane : (i+1)*plane] {
+		for _, v := range xd[q*plane : (q+1)*plane] {
 			s += v
 		}
-		yd[i] = s * inv
+		yd[q%p.batch*p.c+q/p.batch] = s * inv
 	}
 }
 
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkIn("gavgpool", x, p.batch, []int{p.c, p.h, p.w})
+	checkIn("gavgpool", x, p.dx.Shape())
 	p.ensure()
 	p.xd = x.Data()
-	plane := p.h * p.w
-	tensor.ParallelFor(p.batch*p.c, 1+(1<<13)/max(1, plane), p.fwdLoop)
+	tensor.ParallelFor(p.c*p.batch, 1+(1<<13)/(p.h*p.w), p.fwdLoop)
 	return p.y
 }
 
@@ -206,9 +200,9 @@ func (p *GlobalAvgPool) backwardChunk(lo, hi int) {
 	dyd, dxd := p.dyd, p.dx.Data()
 	plane := p.h * p.w
 	inv := 1 / float32(plane)
-	for i := lo; i < hi; i++ {
-		g := dyd[i] * inv
-		row := dxd[i*plane : (i+1)*plane]
+	for q := lo; q < hi; q++ {
+		g := dyd[q%p.batch*p.c+q/p.batch] * inv
+		row := dxd[q*plane : (q+1)*plane]
 		for j := range row {
 			row[j] = g
 		}
@@ -217,7 +211,6 @@ func (p *GlobalAvgPool) backwardChunk(lo, hi int) {
 
 func (p *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	p.dyd = dy.Data()
-	plane := p.h * p.w
-	tensor.ParallelFor(p.batch*p.c, 1+(1<<13)/max(1, plane), p.bwdLoop)
+	tensor.ParallelFor(p.c*p.batch, 1+(1<<13)/(p.h*p.w), p.bwdLoop)
 	return p.dx
 }

@@ -48,13 +48,13 @@ func NewResidual(batch int, inShape []int, branch, shortcut []Layer) *Residual {
 			panic(fmt.Sprintf("nn: residual branch %v vs shortcut %v shape mismatch", out, sOut))
 		}
 	}
-	full := append([]int{batch}, out...)
+	full := actShape(batch, out)
 	r := &Residual{
 		branch: branch, shortcut: shortcut, batch: batch,
 		outShape: append([]int(nil), out...),
 		y:        tensor.NewShell(full...),
 		dsum:     tensor.NewShell(full...),
-		dx:       tensor.NewShell(append([]int{batch}, inShape...)...),
+		dx:       tensor.NewShell(actShape(batch, inShape)...),
 	}
 	r.fwdLoop = r.joinChunk
 	r.maskLoop = r.maskChunk

@@ -1,8 +1,11 @@
 package tensor
 
 // Convolution support: im2col/col2im lowering so that Conv2D forward and
-// both backward passes reduce to GEMM. Layout conventions are NCHW for
-// activations and OIHW for filters, matching the paper's cuDNN substrate.
+// both backward passes reduce to GEMM. Filters are OIHW; the functions of
+// this file take images as NCHW, matching the paper's cuDNN substrate — the
+// layout of a network's input — while a Lowering's methods address input
+// planes by two strides and so serve internal/nn's channel-major
+// activations with the same kernels (lowering.go).
 //
 // Two granularities are provided. The per-sample kernels (Im2col, Col2im)
 // are the reference lowering: scalar loops that walk each patch row's
@@ -51,7 +54,7 @@ func Im2col(g ConvGeom, img, col []float32) {
 	if len(img) < g.InVol() || len(col) < g.ColRows()*g.ColCols() {
 		panic("tensor: Im2col buffer too small")
 	}
-	im2colStrided(g, img, col, g.ColCols(), 0)
+	im2colStrided(g, img, g.InH*g.InW, col, g.ColCols(), 0)
 }
 
 // Im2colBatch expands a whole NCHW mini-batch x (batch×InC×InH×InW, flat)
@@ -64,7 +67,7 @@ func Im2col(g ConvGeom, img, col []float32) {
 // geometry repeatedly should hold LoweringFor(g) and call its methods: this
 // wrapper resolves the geometry's tables on every call.
 func Im2colBatch(g ConvGeom, batch int, x, col []float32, skipPad bool) {
-	LoweringFor(g).Im2colBatch(batch, x, col)
+	LoweringFor(g).Im2colBatch(batch, x, g.InVol(), g.InH*g.InW, col)
 }
 
 // owBoundsBuf is the stack scratch for owBounds; kernels up to 8 wide (all
@@ -101,10 +104,10 @@ func owRange(outW, strideW, padW, kw, inW int) (int, int) {
 }
 
 // im2colStrided writes one sample's column block: row r of the patch matrix
-// lands at col[r*ld+off : r*ld+off+ColCols]. Horizontal bounds are hoisted
-// out of the inner loop, so interior spans run branch-free (contiguous copy
-// at stride 1).
-func im2colStrided(g ConvGeom, img, col []float32, ld, off int) {
+// lands at col[r*ld+off : r*ld+off+ColCols]; the sample's channel planes are
+// sc elements apart in img. Horizontal bounds are hoisted out of the inner
+// loop, so interior spans run branch-free (contiguous copy at stride 1).
+func im2colStrided(g ConvGeom, img []float32, sc int, col []float32, ld, off int) {
 	outH, outW := g.OutH(), g.OutW()
 	var owbBuf owBoundsBuf
 	owb := owbBuf[:]
@@ -113,7 +116,7 @@ func im2colStrided(g ConvGeom, img, col []float32, ld, off int) {
 	}
 	owBounds(g, owb)
 	for c := 0; c < g.InC; c++ {
-		chOff := c * g.InH * g.InW
+		chOff := c * sc
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				row := (c*g.KH+kh)*g.KW + kw
@@ -172,20 +175,20 @@ func Col2im(g ConvGeom, col, img []float32) {
 	if len(img) < g.InVol() || len(col) < g.ColRows()*g.ColCols() {
 		panic("tensor: Col2im buffer too small")
 	}
-	col2imStrided(g, col, g.ColCols(), 0, img)
+	col2imStrided(g, col, g.ColCols(), 0, img, g.InH*g.InW)
 }
 
 // Col2imBatch scatters the batched column matrix col (ColRows × batch·ColCols,
 // laid out as produced by Im2colBatch) into the NCHW batch x, overwriting x.
 // It is the adjoint of Im2colBatch.
 func Col2imBatch(g ConvGeom, batch int, col, x []float32) {
-	LoweringFor(g).Col2imBatch(batch, col, x)
+	LoweringFor(g).Col2imBatch(batch, col, x, g.InVol(), g.InH*g.InW)
 }
 
 // col2imStrided accumulates one sample's column block (row r at
-// col[r*ld+off]) into img, with horizontal bounds hoisted like
-// im2colStrided's.
-func col2imStrided(g ConvGeom, col []float32, ld, off int, img []float32) {
+// col[r*ld+off]) into img, whose channel planes are sc elements apart, with
+// horizontal bounds hoisted like im2colStrided's.
+func col2imStrided(g ConvGeom, col []float32, ld, off int, img []float32, sc int) {
 	outH, outW := g.OutH(), g.OutW()
 	var owbBuf owBoundsBuf
 	owb := owbBuf[:]
@@ -194,7 +197,7 @@ func col2imStrided(g ConvGeom, col []float32, ld, off int, img []float32) {
 	}
 	owBounds(g, owb)
 	for c := 0; c < g.InC; c++ {
-		chOff := c * g.InH * g.InW
+		chOff := c * sc
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				row := (c*g.KH+kh)*g.KW + kw

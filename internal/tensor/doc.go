@@ -39,5 +39,16 @@
 // family: with SIMD it replays per-geometry tables — masked plane shifts
 // for unit-stride same-grid convs, a source-index table otherwise — that
 // move or sum exactly the elements the span-walking scalar loops do, in
-// the same order, and write every element of their output.
+// the same order, and write every element of their output; a Lowering
+// addresses input planes by (sample, channel) strides, so one set of
+// kernels reads the NCHW network input and internal/nn's channel-major
+// activations. The channel-row kernels (rows.go; DESIGN.md §8) complete it:
+// batch-norm's four per-channel float64 reductions and the conv bias
+// gradient's per-sample float32 sums, SIMD with one channel per lane —
+// never positions of one channel across lanes — so each channel's sum is
+// the scalar loop's serial chain, bit for bit; their elementwise halves
+// (NormRow, NormGradRow) and the 8×8-block Transpose / TransposeAdd the conv
+// weight gradient stages through. A row-indexed Epilogue (conv channels) is
+// 8-wide too, stage by stage in the scalar order. GEMMs called with
+// beta == 0 never read or clear C: the first k panel starts at +0.
 package tensor

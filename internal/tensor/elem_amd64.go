@@ -13,6 +13,9 @@ package tensor
 func accumAddAVX2(dst, src *float32, n int)
 
 //go:noescape
+func epiRowAVX2(row *float32, n int, bias, gamma, beta, mean, invStd float32, stages int)
+
+//go:noescape
 func reluFwdAVX2(dst, src *float32, n int)
 
 //go:noescape
@@ -29,6 +32,15 @@ func elemAccumAddASM(dst, src []float32) int {
 		return 0
 	}
 	accumAddAVX2(&dst[0], &src[0], n)
+	return n
+}
+
+func elemEpiRowASM(row []float32, bias, gamma, beta, mean, invStd float32, stages int) int {
+	n := len(row) &^ 7
+	if n == 0 || !elemActive() {
+		return 0
+	}
+	epiRowAVX2(&row[0], n, bias, gamma, beta, mean, invStd, stages)
 	return n
 }
 

@@ -31,6 +31,45 @@ accloop:
 	VZEROUPPER
 	RET
 
+// func epiRowAVX2(row *float32, n int, bias, gamma, beta, mean, invStd float32, stages int)
+// One output row of a GEMM epilogue, in place: v += bias (stages bit 0), v =
+// gamma·((v − mean)·invStd) + beta (bit 1), v = max(v, 0) with NaN and −0 to
+// +0 (bit 2) — the scalar loop's operations in its order.
+TEXT ·epiRowAVX2(SB), NOSPLIT, $0-48
+	MOVQ         row+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHRQ         $3, CX
+	MOVQ         stages+40(FP), AX
+	VBROADCASTSS bias+16(FP), Y1
+	VBROADCASTSS gamma+20(FP), Y3
+	VBROADCASTSS beta+24(FP), Y4
+	VBROADCASTSS mean+28(FP), Y5
+	VBROADCASTSS invStd+32(FP), Y6
+	VXORPS       Y2, Y2, Y2
+epiloop:
+	VMOVUPS (DI), Y0
+	TESTQ   $1, AX
+	JZ      epibn
+	VADDPS  Y1, Y0, Y0
+epibn:
+	TESTQ   $2, AX
+	JZ      epirelu
+	VSUBPS  Y5, Y0, Y0
+	VMULPS  Y6, Y0, Y0
+	VMULPS  Y3, Y0, Y0
+	VADDPS  Y4, Y0, Y0
+epirelu:
+	TESTQ   $4, AX
+	JZ      epistore
+	VMAXPS  Y2, Y0, Y0
+epistore:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     epiloop
+	VZEROUPPER
+	RET
+
 // func reluFwdAVX2(dst, src *float32, n int)
 TEXT ·reluFwdAVX2(SB), NOSPLIT, $0-24
 	MOVQ   dst+0(FP), DI

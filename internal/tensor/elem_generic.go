@@ -11,6 +11,10 @@ func elemReluFwdASM(dst, src []float32) int   { return 0 }
 func elemReluBwdASM(dst, dy, y []float32) int { return 0 }
 func elemAddReluASM(dst, a, b []float32) int  { return 0 }
 
+func elemEpiRowASM(row []float32, bias, gamma, beta, mean, invStd float32, stages int) int {
+	return 0
+}
+
 func smaCorrectStepASM(w, g, v, z, dst []float32, alpha, lr, mu float32, accumulate bool) int {
 	return 0
 }

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -235,6 +237,37 @@ func TestGemmEpilogueBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEpilogueRowOracle pins the per-row epilogue's SIMD body to the scalar
+// chain for every combination of its three stages, row lengths around the
+// vector width, and inputs dense in NaN, ±Inf, −0 and denormals (ReLU must
+// send NaN and −0 to +0), with the assembly and with the scalar loop.
+func TestEpilogueRowOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	run := func() {
+		for n := 1; n <= 41; n += 5 {
+			for stages := 0; stages < 8; stages++ {
+				const m = 3
+				epi := &Epilogue{ReLU: stages&4 != 0}
+				if stages&1 != 0 {
+					epi.Bias = smaFill(r, m, 0)
+				}
+				if stages&2 != 0 {
+					epi.Gamma, epi.Beta = smaFill(r, m, 0), smaFill(r, m, 0)
+					epi.Mean, epi.InvStd = smaFill(r, m, 0), smaFill(r, m, 0)
+				}
+				got := smaFill(r, m*n, n%2)
+				want := append([]float32(nil), got...)
+				ApplyEpilogue(epi, got, m, n)
+				epiRef(epi, want, m, n)
+				smaBitsEqual(t, fmt.Sprintf("epilogue n=%d stages=%03b", n, stages), got, want)
+			}
+		}
+	}
+	run()
+	defer setGemmASM(setGemmASM(false))
+	run()
 }
 
 // TestGemmTBEpilogueBitIdentical covers the dense-layer shape (GemmTB with

@@ -17,6 +17,12 @@ import "sync"
 //   - Gemm and GemmTA preload the accumulator from C (beta applied up
 //     front), reproducing the reference kernels' association exactly: they
 //     are bit-identical to gemmRef/gemmTARef for all inputs.
+//   - beta == 0 is an entry of its own: C is never read and never cleared in
+//     a separate pass. The first k panel's accumulators start at +0 — the
+//     value the zero pass would have stored and the preload read back — so
+//     the bits are those of scaleC + preload, and whatever C held (NaN
+//     included) is ignored. GemmTB's first-panel store stays +0 + alpha·Σ,
+//     which differs from alpha·Σ exactly when that product is −0.
 //   - GemmTB applies alpha once per k-panel (c += alpha*Σ). It matches
 //     gemmTBRef bit-for-bit while k ≤ gemmKC (every shape the scaled models
 //     produce); for larger k the per-panel regrouping can differ from the
@@ -109,16 +115,20 @@ func scaleC(beta float32, c []float32) {
 }
 
 func gemmBlocked(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, n int, beta float32, c []float32, epi *Epilogue) {
-	scaleC(beta, c[:m*n])
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
+		scaleC(beta, c[:m*n])
 		if epi != nil && m > 0 && n > 0 {
 			applyEpi(epi, c, n, 0, m, 0, n)
 		}
 		return
 	}
+	zero := beta == 0
+	if !zero {
+		scaleC(beta, c[:m*n])
+	}
 	if Parallelism() == 1 {
 		// Serial fast path: no band closure, no pool hand-off.
-		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, 0, n, epi)
+		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, 0, n, zero, epi)
 		return
 	}
 	// Partition the larger output dimension into disjoint bands. Each band
@@ -130,33 +140,38 @@ func gemmBlocked(kind gemmKind, alpha float32, a []float32, m, k int, b []float3
 		tiles := (m + gemmMR - 1) / gemmMR
 		grain := 1 + parGrainFlops/(2*k*n*gemmMR)
 		ParallelFor(tiles, grain, func(lo, hi int) {
-			gemmBand(kind, alpha, a, m, k, b, n, c, lo*gemmMR, min(hi*gemmMR, m), 0, n, epi)
+			gemmBand(kind, alpha, a, m, k, b, n, c, lo*gemmMR, min(hi*gemmMR, m), 0, n, zero, epi)
 		})
 		return
 	}
 	tiles := (n + gemmNR - 1) / gemmNR
 	grain := 1 + parGrainFlops/(2*k*m*gemmNR)
 	ParallelFor(tiles, grain, func(lo, hi int) {
-		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, lo*gemmNR, min(hi*gemmNR, n), epi)
+		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, lo*gemmNR, min(hi*gemmNR, n), zero, epi)
 	})
 }
 
 // gemmBand runs the blocked kernel over the output band C[rowLo:rowHi,
-// colLo:colHi]. beta has already been applied. An epilogue, when present,
-// runs over each output region as soon as its last k panel completes —
-// cache-hot, inside the same worker, once per element.
-func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, n int, c []float32, rowLo, rowHi, colLo, colHi int, epi *Epilogue) {
+// colLo:colHi]. beta has already been applied, or — zero — is 0 and the
+// first k panel starts every accumulator at +0 without reading C. An
+// epilogue, when present, runs over each output region as soon as its last
+// k panel completes — cache-hot, inside the same worker, once per element.
+func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, n int, c []float32, rowLo, rowHi, colLo, colHi int, zero bool, epi *Epilogue) {
 	// Fully direct mode: for gemmNN/gemmTA with alpha == 1 and L2-resident
 	// operands the micro-kernel streams both A (strided broadcasts) and B
 	// (strided row loads) from place — no packing at all. This is the
 	// steady-state training configuration. Per-element accumulation order
-	// is unchanged, so bits match the packed path exactly.
+	// is unchanged, so bits match the packed path exactly. A full-height
+	// row of tiles is one call (gemmRowDir): the conv input gradient has
+	// k = OutC ≤ 32, where a call per tile costs as much as its k steps.
 	if kind != gemmTB && alpha == 1 && k*n <= gemmDirectBMax && k*m <= gemmDirectBMax {
 		// A element (i, p) strides: gemmNN stores A m×k, gemmTA stores k×m.
 		ars, acs := k, 1
 		if kind == gemmTA {
 			ars, acs = 1, m
 		}
+		full := (colHi - colLo) / gemmNR
+		edge := colLo + full*gemmNR
 		for i := rowLo; i < rowHi; i += gemmMR {
 			rows := min(gemmMR, rowHi-i)
 			var as []float32
@@ -165,15 +180,13 @@ func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, 
 			} else {
 				as = a[i*k:]
 			}
-			for j := colLo; j < colHi; j += gemmNR {
-				cols := min(gemmNR, colHi-j)
-				cp := c[i*n+j:]
-				bs := b[j:]
-				if rows == gemmMR && cols == gemmNR {
-					gemmMicroPreDir(k, as, ars, acs, bs, n, cp, n)
-				} else {
-					microEdgeDirect(k, as, ars, acs, bs, n, cp, n, rows, cols)
-				}
+			j := colLo
+			if rows == gemmMR && full > 0 {
+				gemmRowDir(k, as, ars, acs, b[colLo:], n, c[i*n+colLo:], n, full, zero)
+				j = edge
+			}
+			for ; j < colHi; j += gemmNR {
+				microEdgeDirect(k, as, ars, acs, b[j:], n, c[i*n+j:], n, rows, min(gemmNR, colHi-j), zero)
 			}
 		}
 		if epi != nil {
@@ -212,6 +225,13 @@ func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, 
 					for j := 0; j < nb; j += gemmNR {
 						cols := min(gemmNR, nb-j)
 						cp := c[(ic+i)*n+jc+j:]
+						if zero && pc == 0 {
+							// The tile kernels below all read C (a preload,
+							// or GemmTB's C += alpha·Σ): hand them the +0
+							// tile the beta pass would have, one L1-hot
+							// tile at a time instead of a sweep over C.
+							zeroTile(cp, n, rows, cols)
+						}
 						if directB {
 							bs := b[pc*n+jc+j:]
 							if rows == gemmMR && cols == gemmNR {
@@ -243,15 +263,24 @@ func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, 
 	}
 }
 
-// microEdgeDirect is the fully direct tile kernel in Go: A lanes at element
-// strides (ars, acs), B rows at stride ldb, preload semantics with alpha
-// == 1. It also covers partial tiles.
-func microEdgeDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, rows, cols int) {
-	var acc [gemmMR][gemmNR]float32
+// zeroTile stores +0 over a rows × cols tile of C.
+func zeroTile(c []float32, ldc, rows, cols int) {
 	for r := 0; r < rows; r++ {
-		crow := c[r*ldc:]
-		for q := 0; q < cols; q++ {
-			acc[r][q] = crow[q]
+		clear(c[r*ldc : r*ldc+cols])
+	}
+}
+
+// microEdgeDirect is the fully direct tile kernel in Go: A lanes at element
+// strides (ars, acs), B rows at stride ldb, alpha == 1; the accumulators
+// start at +0 (zero) or preload from C. It also covers partial tiles.
+func microEdgeDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, rows, cols int, zero bool) {
+	var acc [gemmMR][gemmNR]float32
+	if !zero {
+		for r := 0; r < rows; r++ {
+			crow := c[r*ldc:]
+			for q := 0; q < cols; q++ {
+				acc[r][q] = crow[q]
+			}
 		}
 	}
 	for p := 0; p < kb; p++ {
@@ -280,6 +309,14 @@ func microEdgeDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c 
 		for q := 0; q < cols; q++ {
 			crow[q] = acc[r][q]
 		}
+	}
+}
+
+// gemmRowDirGo is gemmRowDir tile by tile in Go: the pure-Go path, and the
+// oracle the assembly row kernel is tested against.
+func gemmRowDirGo(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, tiles int, zero bool) {
+	for t := 0; t < tiles; t++ {
+		microEdgeDirect(kb, a, ars, acs, b[t*gemmNR:], ldb, c[t*gemmNR:], ldc, gemmMR, gemmNR, zero)
 	}
 }
 

@@ -630,10 +630,15 @@ pre_dir_sse_done:
 	MOVUPS X7, 16(R11)
 	RET
 
-// func gemmMicroPreDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc int)
-TEXT ·gemmMicroPreDirAVX2(SB), NOSPLIT, $0-64
-	MOVQ kb+0(FP), CX
-	MOVQ a+8(FP), DI
+// func gemmRowDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc, tiles int, zero bool)
+// One row of `tiles` adjacent 4×8 tiles of the fully direct kernel in one
+// call: the four A lanes are the same for every tile, B and C advance eight
+// columns a tile. zero starts the accumulators at +0 instead of preloading
+// them from C (the beta == 0 entry). Consecutive tiles are independent, so
+// the short k loops of the conv input gradient (kb = OutC) overlap in the
+// out-of-order window instead of paying a call and a drain each.
+TEXT ·gemmRowDirAVX2(SB), NOSPLIT, $0-73
+	MOVQ a+8(FP), AX
 	MOVQ ars+16(FP), R14
 	SHLQ $2, R14
 	MOVQ acs+24(FP), BX
@@ -648,16 +653,29 @@ TEXT ·gemmMicroPreDirAVX2(SB), NOSPLIT, $0-64
 	LEAQ (DX)(R8*1), R9
 	LEAQ (R9)(R8*1), R10
 	LEAQ (R10)(R8*1), R11
+	MOVQ tiles+64(FP), R12
+
+row_dir_tile:
+	CMPB zero+72(FP), $0
+	JNE  row_dir_zero
 	VMOVUPS (DX), Y0
 	VMOVUPS (R9), Y1
 	VMOVUPS (R10), Y2
 	VMOVUPS (R11), Y3
-	TESTQ   CX, CX
-	JZ      pre_dir_avx_done
+	JMP  row_dir_k
+row_dir_zero:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+row_dir_k:
+	MOVQ AX, DI
+	MOVQ SI, R8
+	MOVQ kb+0(FP), CX
 
-pre_dir_avx_loop:
-	VMOVUPS      (SI), Y4
-	ADDQ         R13, SI
+row_dir_loop:
+	VMOVUPS      (R8), Y4
+	ADDQ         R13, R8
 	VBROADCASTSS (DI), Y5
 	VMULPS       Y4, Y5, Y5
 	VADDPS       Y5, Y0, Y0
@@ -670,15 +688,20 @@ pre_dir_avx_loop:
 	VBROADCASTSS (DI)(R15*1), Y8
 	VMULPS       Y4, Y8, Y8
 	VADDPS       Y8, Y3, Y3
-
 	ADDQ BX, DI
 	DECQ CX
-	JNZ  pre_dir_avx_loop
+	JNZ  row_dir_loop
 
-pre_dir_avx_done:
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, (R9)
 	VMOVUPS Y2, (R10)
 	VMOVUPS Y3, (R11)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	DECQ R12
+	JNZ  row_dir_tile
 	VZEROUPPER
 	RET

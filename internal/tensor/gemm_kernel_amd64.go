@@ -115,7 +115,7 @@ func gemmMicroPreBSAVX2(kb int, ap, b *float32, ldb int, c *float32, ldc int)
 func gemmMicroPreDirSSE(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc int)
 
 //go:noescape
-func gemmMicroPreDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc int)
+func gemmRowDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc, tiles int, zero bool)
 
 //go:noescape
 func gemmMicroFMAPack8(kb int, ap, bp, c *float32, ldc int)
@@ -209,17 +209,24 @@ func gemmMicroPreBS(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
 	}
 }
 
-// gemmMicroPreDir is the fully direct tile kernel (alpha == 1): A read at
-// row/column element strides ars/acs, B rows at stride ldb, no packing.
-func gemmMicroPreDir(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc int) {
-	if !gemmUseASM {
-		microEdgeDirect(kb, a, ars, acs, b, ldb, c, ldc, gemmMR, gemmNR)
-		return
-	}
-	if gemmUseAVX2 {
-		gemmMicroPreDirAVX2(kb, &a[0], ars, acs, &b[0], ldb, &c[0], ldc)
-	} else {
-		gemmMicroPreDirSSE(kb, &a[0], ars, acs, &b[0], ldb, &c[0], ldc)
+// gemmRowDir computes `tiles` adjacent full 4×8 tiles of one tile row with
+// the fully direct kernel (alpha == 1): A read at row/column element strides
+// ars/acs, B rows at stride ldb, no packing; b and c point at the first
+// tile's column. zero starts the accumulators at +0 instead of preloading C.
+func gemmRowDir(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, tiles int, zero bool) {
+	switch {
+	case !gemmUseASM:
+		gemmRowDirGo(kb, a, ars, acs, b, ldb, c, ldc, tiles, zero)
+	case gemmUseAVX2:
+		gemmRowDirAVX2(kb, &a[0], ars, acs, &b[0], ldb, &c[0], ldc, tiles, zero)
+	default:
+		for t := 0; t < tiles; t++ {
+			cp := c[t*gemmNR:]
+			if zero {
+				zeroTile(cp, ldc, gemmMR, gemmNR)
+			}
+			gemmMicroPreDirSSE(kb, &a[0], ars, acs, &b[t*gemmNR], ldb, &cp[0], ldc)
+		}
 	}
 }
 

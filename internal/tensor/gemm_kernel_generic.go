@@ -18,8 +18,8 @@ func gemmMicroPreBS(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
 	microEdgeStridedB(kb, ap, b, ldb, c, ldc, gemmMR, gemmNR)
 }
 
-func gemmMicroPreDir(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc int) {
-	microEdgeDirect(kb, a, ars, acs, b, ldb, c, ldc, gemmMR, gemmNR)
+func gemmRowDir(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, tiles int, zero bool) {
+	gemmRowDirGo(kb, a, ars, acs, b, ldb, c, ldc, tiles, zero)
 }
 
 // setGemmASM is a no-op on architectures without assembly kernels.

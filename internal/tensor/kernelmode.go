@@ -60,11 +60,11 @@ func FMAAvailable() bool { return fmaActive() }
 // column when PerColumn is set (GemmTBEpi: dense units). Nil slices skip
 // that stage; Gamma/Beta/Mean/InvStd must be all nil or all set.
 type Epilogue struct {
-	Bias  []float32 // v += Bias[i]
-	Gamma []float32 // v = Gamma[i]*((v-Mean[i])*InvStd[i]) + Beta[i]
-	Beta  []float32
-	Mean  []float32
-	InvStd []float32
+	Bias      []float32 // v += Bias[i]
+	Gamma     []float32 // v = Gamma[i]*((v-Mean[i])*InvStd[i]) + Beta[i]
+	Beta      []float32
+	Mean      []float32
+	InvStd    []float32
 	ReLU      bool // v = max(0, v), NaN -> 0, matching the ReLU layer
 	PerColumn bool // index the vectors by column instead of row
 }
@@ -101,16 +101,30 @@ func applyEpi(epi *Epilogue, c []float32, ldc, rowLo, rowHi, colLo, colHi int) {
 		}
 		return
 	}
+	hasBias := epi.Bias != nil
+	stages := 0 // the assembly's stage mask
+	if hasBias {
+		stages |= 1
+	}
+	if bn {
+		stages |= 2
+	}
+	if epi.ReLU {
+		stages |= 4
+	}
 	for i := rowLo; i < rowHi; i++ {
 		row := c[i*ldc+colLo : i*ldc+colHi]
 		var bias, g, bt, mn, is float32
-		hasBias := epi.Bias != nil
 		if hasBias {
 			bias = epi.Bias[i]
 		}
 		if bn {
 			g, bt, mn, is = epi.Gamma[i], epi.Beta[i], epi.Mean[i], epi.InvStd[i]
 		}
+		// Whole vectors in assembly (the stages in the same order, exact
+		// elementwise operations, so the split point never shows), the
+		// tail — or everything, with SIMD off — here.
+		row = row[elemEpiRowASM(row, bias, g, bt, mn, is, stages):]
 		for j, v := range row {
 			if hasBias {
 				v += bias

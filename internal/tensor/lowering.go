@@ -49,13 +49,20 @@ import (
 // Dispatch follows elemActive(), like the elementwise kernels: with SIMD off
 // (CROSSBOW_NOSIMD, a pre-AVX2 CPU, another architecture) both batched
 // kernels run the span walkers sample by sample.
+//
+// The image side is addressed by two strides, in elements: input plane
+// (sample n, channel c) starts at x[n·sn + c·sc]. An NCHW batch — the
+// network input, and the package-level Im2colBatch/Col2imBatch — is
+// (InVol, InH·InW); the channel-major activations inside internal/nn are
+// (InH·InW, batch·InH·InW). Every kernel walks one plane at a time, so the
+// strides only choose where a plane starts; col is laid out the same either
+// way.
 
 // Lowering is the resolved lowering of one convolution geometry. It is
 // immutable after construction and safe for concurrent use.
 type Lowering struct {
-	g           ConvGeom
-	s, inVol    int // ColCols, InVol
-	rows, plane int // ColRows, InH·InW
+	g              ConvGeom
+	s, rows, plane int // ColCols, ColRows, InH·InW
 	// ParallelFor grains over the batch, in samples: a chunk is worth a
 	// goroutine from about 20 µs of work. That is 2^14 lowered elements for
 	// the span walkers and the index table (1–1.5 ns an element) and 2^17
@@ -109,8 +116,7 @@ func LoweringFor(g ConvGeom) *Lowering {
 
 func newLowering(g ConvGeom) *Lowering {
 	l := &Lowering{
-		g: g, s: g.ColCols(), inVol: g.InVol(),
-		rows: g.ColRows(), plane: g.InH * g.InW,
+		g: g, s: g.ColCols(), rows: g.ColRows(), plane: g.InH * g.InW,
 	}
 	l.grain = 1 + (1<<14)/max(1, l.rows*l.s)
 	l.shiftGrain = 1 + (1<<17)/max(1, l.rows*l.s)
@@ -179,32 +185,41 @@ func (l *Lowering) buildIndex() {
 	}
 }
 
-// Im2colBatch is the package-level Im2colBatch for this geometry.
-func (l *Lowering) Im2colBatch(batch int, x, col []float32) {
-	if len(x) < batch*l.inVol || len(col) < l.rows*batch*l.s {
+// Im2colBatch lowers a batch whose input planes sit at strides (sn, sc) into
+// col (ColRows × batch·ColCols, sample n in columns [n·ColCols, (n+1)·ColCols)).
+func (l *Lowering) Im2colBatch(batch int, x []float32, sn, sc int, col []float32) {
+	if !l.holds(batch, x, sn, sc, col) {
 		panic("tensor: Im2colBatch buffer too small")
 	}
 	grain := l.batchGrain()
 	if !parSplits(batch, grain) {
 		// One chunk: no closure is built, so the call does not allocate
 		// whatever the worker budget.
-		l.im2colSamples(0, batch, batch, x, col)
+		l.im2colSamples(0, batch, batch, x, sn, sc, col)
 		return
 	}
-	ParallelFor(batch, grain, func(lo, hi int) { l.im2colSamples(lo, hi, batch, x, col) })
+	ParallelFor(batch, grain, func(lo, hi int) { l.im2colSamples(lo, hi, batch, x, sn, sc, col) })
 }
 
-// Col2imBatch is the package-level Col2imBatch for this geometry.
-func (l *Lowering) Col2imBatch(batch int, col, x []float32) {
-	if len(x) < batch*l.inVol || len(col) < l.rows*batch*l.s {
+// Col2imBatch is the adjoint: it gathers col into the batch's input planes
+// at strides (sn, sc), overwriting them.
+func (l *Lowering) Col2imBatch(batch int, col, x []float32, sn, sc int) {
+	if !l.holds(batch, x, sn, sc, col) {
 		panic("tensor: Col2imBatch buffer too small")
 	}
 	grain := l.batchGrain()
 	if !parSplits(batch, grain) {
-		l.col2imSamples(0, batch, batch, col, x)
+		l.col2imSamples(0, batch, batch, col, x, sn, sc)
 		return
 	}
-	ParallelFor(batch, grain, func(lo, hi int) { l.col2imSamples(lo, hi, batch, col, x) })
+	ParallelFor(batch, grain, func(lo, hi int) { l.col2imSamples(lo, hi, batch, col, x, sn, sc) })
+}
+
+// holds reports whether the last plane the strides (sn, sc) reach lies inside
+// x and col holds the batch: the kernels below take raw pointers.
+func (l *Lowering) holds(batch int, x []float32, sn, sc int, col []float32) bool {
+	return sn >= 0 && sc >= 0 && (batch-1)*sn+(l.g.InC-1)*sc+l.plane <= len(x) &&
+		len(col) >= l.rows*batch*l.s
 }
 
 // batchGrain is the ParallelFor grain of the kernel the call will run.
@@ -221,49 +236,53 @@ func (l *Lowering) tables() bool { return elemActive() && (l.shift != nil || l.s
 
 // im2colSamples lowers samples [lo, hi) of the batch into their column
 // blocks of col.
-func (l *Lowering) im2colSamples(lo, hi, batch int, x, col []float32) {
+func (l *Lowering) im2colSamples(lo, hi, batch int, x []float32, sn, sc int, col []float32) {
 	ld := batch * l.s
 	tables := l.tables()
 	for n := lo; n < hi; n++ {
-		img := x[n*l.inVol : (n+1)*l.inVol]
+		img := x[n*sn:]
 		switch {
 		case !tables:
-			im2colStrided(l.g, img, col, ld, n*l.s)
+			im2colStrided(l.g, img, sc, col, ld, n*l.s)
 		case l.shift != nil:
 			im2colShiftAVX2(&img[0], &col[n*l.s], &l.shift[0], &l.fwdMask[0], &l.tail[0],
-				l.g.InC, len(l.shift), l.blocks, l.rem, l.plane, ld)
+				l.g.InC, len(l.shift), l.blocks, l.rem, sc, ld)
 		default:
-			l.im2colIndexed(img, col, ld, n*l.s)
+			l.im2colIndexed(img, sc, col, ld, n*l.s)
 		}
 	}
 }
 
 // col2imSamples gathers samples [lo, hi) of the batch out of their column
-// blocks of col, overwriting their slices of x.
-func (l *Lowering) col2imSamples(lo, hi, batch int, col, x []float32) {
+// blocks of col, overwriting their planes of x.
+func (l *Lowering) col2imSamples(lo, hi, batch int, col, x []float32, sn, sc int) {
 	ld := batch * l.s
 	tables := l.tables()
 	for n := lo; n < hi; n++ {
-		img := x[n*l.inVol : (n+1)*l.inVol]
+		img := x[n*sn:]
+		if !tables || l.shift == nil {
+			// The scatter kernels accumulate: start every plane at +0.
+			for c := 0; c < l.g.InC; c++ {
+				clear(img[c*sc : c*sc+l.plane])
+			}
+		}
 		switch {
 		case !tables:
-			clear(img)
-			col2imStrided(l.g, col, ld, n*l.s, img)
+			col2imStrided(l.g, col, ld, n*l.s, img, sc)
 		case l.shift != nil:
 			col2imShiftAVX2(&col[n*l.s], &img[0], &l.shift[0], &l.adjMask[0], &l.tail[0],
-				l.g.InC, len(l.shift), l.blocks, l.rem, l.plane, ld)
+				l.g.InC, len(l.shift), l.blocks, l.rem, sc, ld)
 		default:
-			clear(img)
-			l.col2imIndexed(col, ld, n*l.s, img)
+			l.col2imIndexed(col, ld, n*l.s, img, sc)
 		}
 	}
 }
 
 // im2colIndexed replays the source-index table over one sample.
-func (l *Lowering) im2colIndexed(img, col []float32, ld, off int) {
+func (l *Lowering) im2colIndexed(img []float32, sc int, col []float32, ld, off int) {
 	taps := l.g.KH * l.g.KW
 	for c := 0; c < l.g.InC; c++ {
-		plane := img[c*l.plane : (c+1)*l.plane]
+		plane := img[c*sc : c*sc+l.plane]
 		for t := 0; t < taps; t++ {
 			dst := col[(c*taps+t)*ld+off:][:l.s]
 			for q, ix := range l.src[t*l.s:][:l.s] {
@@ -281,10 +300,10 @@ func (l *Lowering) im2colIndexed(img, col []float32, ld, off int) {
 // table, rows in ascending (c, kh, kw) and positions in ascending order like
 // col2imStrided, so every image element accumulates the same terms in the
 // same order.
-func (l *Lowering) col2imIndexed(col []float32, ld, off int, img []float32) {
+func (l *Lowering) col2imIndexed(col []float32, ld, off int, img []float32, sc int) {
 	taps := l.g.KH * l.g.KW
 	for c := 0; c < l.g.InC; c++ {
-		plane := img[c*l.plane : (c+1)*l.plane]
+		plane := img[c*sc : c*sc+l.plane]
 		for t := 0; t < taps; t++ {
 			src := col[(c*taps+t)*ld+off:][:l.s]
 			for q, ix := range l.src[t*l.s:][:l.s] {

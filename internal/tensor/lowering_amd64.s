@@ -9,7 +9,7 @@
 // loads as +0, is not stored, and its address is never accessed — which is
 // what lets a tap's shifted pointer start before the plane it reads.
 
-// func im2colShiftAVX2(x, col *float32, shift, mask, tail *int32, inC, taps, blocks, rem, plane, ld int)
+// func im2colShiftAVX2(x, col *float32, shift, mask, tail *int32, inC, taps, blocks, rem, sc, ld int)
 //
 // For each channel c and tap t, column row c·taps+t gets plane c shifted by
 // shift[t] under mask[t]: one masked load and one full store per 8
@@ -23,7 +23,7 @@ TEXT ·im2colShiftAVX2(SB), NOSPLIT, $0-88
 	MOVQ    tail+32(FP), AX
 	VMOVDQU (AX), Y7           // tail store mask
 	MOVQ    inC+40(FP), R10
-	MOVQ    plane+72(FP), R12
+	MOVQ    sc+72(FP), R12
 	SHLQ    $2, R12            // plane stride, bytes
 	MOVQ    ld+80(FP), R13
 	SHLQ    $2, R13            // column row stride, bytes
@@ -68,7 +68,7 @@ i2cnext:
 	VZEROUPPER
 	RET
 
-// func col2imShiftAVX2(col, dx *float32, shift, mask, tail *int32, inC, taps, blocks, rem, plane, ld int)
+// func col2imShiftAVX2(col, dx *float32, shift, mask, tail *int32, inC, taps, blocks, rem, sc, ld int)
 //
 // The gather adjoint: for each channel c and 8 input positions, start an
 // accumulator at +0 and add, in ascending tap order, column row c·taps+t
@@ -118,7 +118,7 @@ c2istored:
 	ADDQ    $32, R12
 	DECQ    CX
 	JNZ     c2iblk
-	MOVQ    plane+72(FP), AX
+	MOVQ    sc+72(FP), AX
 	LEAQ    (R14)(AX*4), R14
 	MOVQ    R11, AX
 	IMULQ   R13, AX

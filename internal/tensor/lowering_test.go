@@ -72,8 +72,36 @@ func runLoweringOracle(t *testing.T) {
 				Col2im(g, sample, img)
 				smaBitsEqual(t, fmt.Sprintf("Col2imBatch %s sample %d", name, n), dx[n*inVol:(n+1)*inVol], img)
 			}
+
+			// The same batch channel-major: only where a plane starts
+			// changes, so col is equal and dx is the same planes permuted.
+			plane := g.InH * g.InW
+			l := LoweringFor(g)
+			colCM := nanFill(rows * batch * s)
+			l.Im2colBatch(batch, channelMajor(x, batch, g.InC, plane, 1-batch%2), plane, batch*plane, colCM)
+			elemBitsEqual(t, "Im2colBatch channel-major "+name, rows*batch*s, colCM, col)
+			dxCM := nanFill(batch * inVol)
+			l.Col2imBatch(batch, dcol, dxCM, plane, batch*plane)
+			smaBitsEqual(t, "Col2imBatch channel-major "+name, sampleMajor(dxCM, batch, g.InC, plane), dx)
+
+			// Strides from two different layouts reach past x; the kernels
+			// take raw pointers, so the call must panic first.
+			if batch > 1 && g.InC > 1 {
+				loweringMustPanic(t, "Im2colBatch "+name, func() { l.Im2colBatch(batch, x, inVol, batch*plane, colCM) })
+				loweringMustPanic(t, "Col2imBatch "+name, func() { l.Col2imBatch(batch, dcol, dxCM, inVol, batch*plane) })
+			}
 		}
 	}
+}
+
+func loweringMustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s with mismatched plane strides did not panic", what)
+		}
+	}()
+	f()
 }
 
 // TestLoweringOracle: Im2colBatch/Col2imBatch ≡ per-sample Im2col/Col2im on

@@ -1,6 +1,7 @@
 //go:build amd64
 
 #include "textflag.h"
+#include "transpose8_amd64.h"
 
 // func packATr8AVX2(dst, src *float32, stride, kb8 int, alpha float32)
 //
@@ -9,9 +10,8 @@
 // fmaMR-interleaved A-panel layout — multiplying every element by alpha.
 // kb8 is a positive multiple of 8 (the Go wrapper guarantees it).
 //
-// The 8×8 transpose is the classic unpack/shuffle/permute ladder. Go asm
-// reverses Intel operand order: `VUNPCKLPS Y1, Y0, Y8` is Intel
-// vunpcklps y8, y0, y1, i.e. t0 = unpacklo(r0, r1).
+// The loads and the 8×8 transpose are transpose8_amd64.h's; alpha is folded in
+// between them.
 TEXT ·packATr8AVX2(SB), NOSPLIT, $0-36
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -21,22 +21,13 @@ TEXT ·packATr8AVX2(SB), NOSPLIT, $0-36
 	SHRQ $3, CX                 // 8-column blocks
 	VBROADCASTSS alpha+32(FP), Y15
 
-	// Row-offset multiples for the strided loads: R10=3·DX, R11=5·DX,
-	// R13=7·DX (1·, 2·, 4· and 6· come from the addressing modes).
+	// Row-offset multiples for ROWS8: R10=3·DX, R11=5·DX, R13=7·DX.
 	LEAQ (DX)(DX*2), R10
 	LEAQ (DX)(DX*4), R11
 	LEAQ (R10)(DX*4), R13
 
 packloop:
-	VMOVUPS (SI), Y0
-	VMOVUPS (SI)(DX*1), Y1
-	VMOVUPS (SI)(DX*2), Y2
-	VMOVUPS (SI)(R10*1), Y3
-	VMOVUPS (SI)(DX*4), Y4
-	VMOVUPS (SI)(R11*1), Y5
-	VMOVUPS (SI)(R10*2), Y6
-	VMOVUPS (SI)(R13*1), Y7
-
+	ROWS8(SI, DX, R10, R11, R13)
 	VMULPS Y15, Y0, Y0
 	VMULPS Y15, Y1, Y1
 	VMULPS Y15, Y2, Y2
@@ -45,38 +36,9 @@ packloop:
 	VMULPS Y15, Y5, Y5
 	VMULPS Y15, Y6, Y6
 	VMULPS Y15, Y7, Y7
+	TRANSPOSE8
 
-	// Stage 1: 32-bit interleave of row pairs.
-	VUNPCKLPS Y1, Y0, Y8        // t0
-	VUNPCKHPS Y1, Y0, Y9        // t1
-	VUNPCKLPS Y3, Y2, Y10       // t2
-	VUNPCKHPS Y3, Y2, Y11       // t3
-	VUNPCKLPS Y5, Y4, Y12       // t4
-	VUNPCKHPS Y5, Y4, Y13       // t5
-	VUNPCKLPS Y7, Y6, Y14       // t6
-	VUNPCKHPS Y7, Y6, Y2        // t7
-
-	// Stage 2: 64-bit shuffles pair the interleaves.
-	VSHUFPS $0x44, Y10, Y8, Y0  // tt0
-	VSHUFPS $0xEE, Y10, Y8, Y1  // tt1
-	VSHUFPS $0x44, Y11, Y9, Y3  // tt2
-	VSHUFPS $0xEE, Y11, Y9, Y4  // tt3
-	VSHUFPS $0x44, Y14, Y12, Y5 // tt4
-	VSHUFPS $0xEE, Y14, Y12, Y6 // tt5
-	VSHUFPS $0x44, Y2, Y13, Y7  // tt6
-	VSHUFPS $0xEE, Y2, Y13, Y8  // tt7
-
-	// Stage 3: 128-bit lane swaps complete the transpose; column p of the
-	// source block lands as the contiguous 8-vector at dst+32p.
-	VPERM2F128 $0x20, Y5, Y0, Y9
-	VPERM2F128 $0x20, Y6, Y1, Y10
-	VPERM2F128 $0x20, Y7, Y3, Y11
-	VPERM2F128 $0x20, Y8, Y4, Y12
-	VPERM2F128 $0x31, Y5, Y0, Y13
-	VPERM2F128 $0x31, Y6, Y1, Y0
-	VPERM2F128 $0x31, Y7, Y3, Y1
-	VPERM2F128 $0x31, Y8, Y4, Y2
-
+	// Column p of the source block is the contiguous 8-vector at dst+32p.
 	VMOVUPS Y9, (DI)
 	VMOVUPS Y10, 32(DI)
 	VMOVUPS Y11, 64(DI)
