@@ -82,3 +82,76 @@ func BenchmarkConvBackward(b *testing.B) {
 		}
 	})
 }
+
+// gemmShape is one GEMM call of a learning task: kind 'n' is Gemm, 'a' GemmTA
+// (A stored k×m), 'b' GemmTB (B stored n×k); beta is what the layer passes.
+type gemmShape struct {
+	m, k, n int
+	kind    byte
+	beta    float32
+}
+
+// taskGemms lists the GEMM calls of one learning task of net in layer order:
+// per conv the forward, weight-gradient and input-gradient products, per
+// dense layer likewise (the calls Conv2D and Dense make, batch folded in).
+func taskGemms(net *Network) []gemmShape {
+	var gs []gemmShape
+	walkLayers(net.Layers(), func(l Layer) {
+		switch v := l.(type) {
+		case *Conv2D:
+			g := v.Geom
+			ns := net.Batch * g.ColCols()
+			gs = append(gs,
+				gemmShape{g.OutC, g.ColRows(), ns, 'n', 0},
+				gemmShape{g.ColRows(), ns, g.OutC, 'n', 0},
+				gemmShape{g.ColRows(), g.OutC, ns, 'a', 0})
+		case *Dense:
+			gs = append(gs,
+				gemmShape{net.Batch, v.In, v.Out, 'b', 0},
+				gemmShape{v.Out, net.Batch, v.In, 'a', 1},
+				gemmShape{net.Batch, v.Out, v.In, 'n', 0})
+		}
+	})
+	return gs
+}
+
+// BenchmarkGemmTaskShapes is the kernel sizing table: every distinct GEMM
+// shape of the scaled ResNet-32 task (b = 4, the train-resnet32 workload's,
+// and b = 16) and of the LeNet task (b = 2, train-lenet-fcfs's), warm and on
+// one thread, as GFLOP/s; ×N in the name is how many calls of a task have
+// that shape. The whole task is Σ calls·2mkn / GFLOP/s.
+func BenchmarkGemmTaskShapes(b *testing.B) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(1)
+	for _, mb := range []struct {
+		id    ModelID
+		batch int
+	}{{ResNet32, 4}, {ResNet32, 16}, {LeNet, 2}} {
+		var shapes []gemmShape
+		calls := map[gemmShape]int{}
+		for _, g := range taskGemms(BuildScaled(mb.id, mb.batch, tensor.NewRNG(1))) {
+			if calls[g]++; calls[g] == 1 {
+				shapes = append(shapes, g)
+			}
+		}
+		r := tensor.NewRNG(2)
+		for _, g := range shapes {
+			name := fmt.Sprintf("%s/b%d/%dx%dx%d%c×%d", mb.id, mb.batch, g.m, g.k, g.n, g.kind, calls[g])
+			b.Run(name, func(b *testing.B) {
+				x, y, c := randTensor(r, g.m*g.k).Data(), randTensor(r, g.k*g.n).Data(), make([]float32, g.m*g.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					switch g.kind {
+					case 'a':
+						tensor.GemmTA(1, x, g.k, g.m, y, g.n, g.beta, c)
+					case 'b':
+						tensor.GemmTB(1, x, g.m, g.k, y, g.n, g.beta, c)
+					default:
+						tensor.Gemm(1, x, g.m, g.k, y, g.n, g.beta, c)
+					}
+				}
+				b.ReportMetric(2*float64(g.m)*float64(g.k)*float64(g.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+			})
+		}
+	}
+}

@@ -19,6 +19,13 @@ import (
 // stages anything: dYᵀ (packT) and the transposed product (gwT), so that
 // both of its operands stream; both are plain transposes.
 //
+// A forward-only pass (train false: Predict, Evaluate, serving) of a
+// same-grid geometry does not materialise col at all where the host has the
+// kernels for it: the GEMM reads its B operand from x through the lowering's
+// shift tables (tensor.Lowering.GemmConv, bit-identical), and the inference
+// plan does not declare col. Training forwards keep col — the weight gradient
+// reads it again.
+//
 // The batched lowering keeps the forward activations, input gradients and
 // bias gradients bit-identical to the per-sample reference path (each output
 // element's dot product runs in the same order, each channel's bias sum
@@ -66,6 +73,10 @@ type Conv2D struct {
 	colFresh bool      // col currently holds im2col of c.x
 
 	mode tensor.KernelMode // GEMM kernel mode (Network.SetKernelMode)
+
+	// viaCol keeps the column matrix in forward-only passes too; tests set
+	// it to compare the two forwards.
+	viaCol bool
 
 	// epi is the forward GEMM's epilogue: always the bias; after
 	// Network.FuseInference also the following BN/ReLU, applied while the
@@ -122,9 +133,19 @@ func (c *Conv2D) inStrides() (sn, sc int) {
 	return plane, c.batch * plane
 }
 
+// colFree reports whether a forward-only pass runs without the column
+// matrix: a geometry and batch the host has the kernels for
+// (tensor.DirectConv), in the Deterministic mode those kernels implement,
+// and not quantised — the int8 forward quantises col. The serving engine and
+// the trainer settle mode and quantisation before they plan, so the
+// forward-only plan and the forward agree.
+func (c *Conv2D) colFree() bool {
+	return !c.viaCol && c.qw == nil && c.mode == tensor.Deterministic && tensor.DirectConv(c.Geom, c.batch)
+}
+
 // ensure lazily allocates private buffers for standalone (arena-less) use.
 func (c *Conv2D) ensure() {
-	if c.col != nil {
+	if c.y.HasData() {
 		return
 	}
 	g := c.Geom
@@ -142,6 +163,12 @@ func (c *Conv2D) ensure() {
 func (c *Conv2D) planFwd(p *taskPlanner, in *plannedBuf) *plannedBuf {
 	g := c.Geom
 	c.pbIn = in
+	if p.infer && c.colFree() {
+		// The forward GEMM (and its epilogue) writes y, reading x in place.
+		c.pbY = p.shell("conv.y", c.y, bufActivation)
+		p.touch(in)
+		return c.pbY
+	}
 	// im2col writes col, reading x.
 	c.pbCol = p.slice("conv.col", &c.col, g.ColRows()*c.batch*g.ColCols(), bufActivation)
 	p.touch(in)
@@ -255,13 +282,25 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.x = x
 	ns := c.batch * g.ColCols()
 	yd := c.y.Data()
+	sn, sc := c.inStrides()
+	c.refreshEpi()
+	if !train && c.colFree() {
+		// Forward-only: the same product with x read in place of col.
+		c.colFresh = false
+		c.lower.GemmConv(c.w, c.batch, x.Data(), sn, sc, yd, &c.epi)
+		return c.y
+	}
 	// One batched lowering + one GEMM for the whole mini-batch:
 	// y(OutC × NS) = W(OutC × ColRows) · col(ColRows × NS), then the
 	// epilogue, block by block as the GEMM completes them.
-	sn, sc := c.inStrides()
+	if c.col == nil {
+		// A forward-only plan made while colFree held, and a pass for which
+		// it no longer does (quantised or switched to Fast since): a
+		// private col.
+		c.col = make([]float32, g.ColRows()*ns)
+	}
 	c.lower.Im2colBatch(c.batch, x.Data(), sn, sc, c.col)
 	c.colFresh = true
-	c.refreshEpi()
 	if c.qw != nil && !train {
 		// Quantized path: int8·int8 → exact int32, dequantized into y
 		// (per-channel weight scale × per-tensor activation scale), the

@@ -14,8 +14,9 @@
 // learning task's exact dataflow into a memplan graph and lays out a
 // per-task arena that AttachArena rebinds allocation-free. The forward-only
 // variant (InferPlan/AttachInferenceArena, DESIGN.md §11) plans just the
-// Predict walk for the serving plane, where backward-only caches die young
-// and the arena shrinks accordingly. Compute lowers onto the blocked
+// Predict walk for the serving plane, where backward-only caches die young,
+// same-grid convolutions need no column matrix (DESIGN.md §18), and the
+// arena shrinks accordingly. Compute lowers onto the blocked
 // kernels of internal/tensor (DESIGN.md §8), and activations are laid out
 // for them: spatial ones channel-major, [C, batch, H, W], the matrix every
 // conv GEMM produces and consumes; NCHW only at the network input, which

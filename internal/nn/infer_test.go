@@ -98,3 +98,103 @@ func TestPredictPathAllocs(t *testing.T) {
 		}
 	}
 }
+
+// keepCol makes every conv of net lower into its column matrix in
+// forward-only passes too, as before the GEMM could read x in place.
+func keepCol(net *Network) *Network {
+	walkLayers(net.layers, func(l Layer) {
+		if c, ok := l.(*Conv2D); ok {
+			c.viaCol = true
+		}
+	})
+	return net
+}
+
+// TestColFreeForwardMatchesCol: a forward-only pass whose convs read x in
+// place (tensor.Lowering.GemmConv) produces the logits of the pass through
+// the column matrix bit for bit — all four scaled models, fused and unfused,
+// batches with whole and partial last blocks, on private buffers and on the
+// forward-only arena, which must have lost its largest buffer. A training
+// forward then a backward after it (Evaluate runs between training steps)
+// still sees a fresh col. Where the host has no kernel for it both networks
+// take the same path and the arena comparison is skipped.
+func TestColFreeForwardMatchesCol(t *testing.T) {
+	for _, id := range AllModels {
+		for _, batch := range []int{1, 5, 8} {
+			for _, fuse := range []bool{false, true} {
+				ref, x := buildPredictFixture(t, id, batch)
+				keepCol(ref)
+				net, _ := buildPredictFixture(t, id, batch)
+				if fuse {
+					ref.FuseInference()
+					net.FuseInference()
+				}
+				want := append([]float32(nil), ref.Forward(x, false).Data()...)
+				if got := net.Forward(x, false).Data(); crcFloats(got) != crcFloats(want) {
+					t.Fatalf("%s b=%d fused=%v: col-free logits differ from the column-matrix forward's", id, batch, fuse)
+				}
+				arena, refArena := net.InferPlan().ArenaElems, ref.InferPlan().ArenaElems
+				free := false
+				walkLayers(net.layers, func(l Layer) {
+					if c, ok := l.(*Conv2D); ok && c.colFree() {
+						free = true
+					}
+				})
+				if free && arena >= refArena {
+					t.Errorf("%s b=%d fused=%v: forward-only arena %d elems without col, %d with", id, batch, fuse, arena, refArena)
+				}
+				dirty := tensor.NewArena(arena)
+				for i := range dirty.Data() {
+					dirty.Data()[i] = float32(math.NaN())
+				}
+				net.AttachInferenceArena(dirty)
+				if got := net.Forward(x, false).Data(); crcFloats(got) != crcFloats(want) {
+					t.Fatalf("%s b=%d fused=%v: col-free logits on the planned arena differ", id, batch, fuse)
+				}
+			}
+		}
+	}
+}
+
+// TestColFreeForwardLeavesNoStaleCol: a backward pass after a forward-only
+// forward — which wrote no col — lowers its input itself, and gives the
+// gradients of the training forward's backward.
+func TestColFreeForwardLeavesNoStaleCol(t *testing.T) {
+	const batch = 4
+	shape := []int{8, 8, 8}
+	r := tensor.NewRNG(5)
+	var grads [2][]float32
+	x, dy := randTensor(r, actShape(batch, shape)...), randTensor(r, actShape(batch, shape)...)
+	w := make([]float32, NewConv2D(batch, shape, 8, 3, 1, 1).NumParams())
+	for i := range w {
+		w[i] = float32(r.NormFloat64())
+	}
+	for v, train := range []bool{true, false} {
+		c := NewConv2D(batch, shape, 8, 3, 1, 1)
+		grads[v] = make([]float32, len(w))
+		c.Bind(w, grads[v])
+		c.Forward(randTensor(r, actShape(batch, shape)...), true) // col now holds another input
+		c.Forward(x, train)
+		grads[v] = append(grads[v], c.Backward(dy).Data()...)
+	}
+	if crcFloats(grads[0]) != crcFloats(grads[1]) {
+		t.Fatal("backward after a forward-only forward differs from backward after a training forward")
+	}
+}
+
+// TestQuantizeAfterColFreePlan: a network whose forward-only plan was made
+// without col and is quantised afterwards — the order the engines do not use
+// — lowers into a private col and answers like one quantised before
+// planning, whose plan has it.
+func TestQuantizeAfterColFreePlan(t *testing.T) {
+	const batch = 8
+	ref, x := buildPredictFixture(t, ResNet32, batch)
+	ref.QuantizeWeights()
+	ref.AttachInferenceArena(tensor.NewArena(ref.InferPlan().ArenaElems))
+	net, _ := buildPredictFixture(t, ResNet32, batch)
+	net.AttachInferenceArena(tensor.NewArena(net.InferPlan().ArenaElems))
+	net.QuantizeWeights()
+	if crcFloats(net.Forward(x, false).Data()) != crcFloats(ref.Forward(x, false).Data()) {
+		t.Fatal("quantised after planning differs from quantised before")
+	}
+}

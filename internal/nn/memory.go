@@ -59,6 +59,9 @@ type plannedBuf struct {
 type taskPlanner struct {
 	tickN int
 	bufs  []*plannedBuf
+	// infer marks the forward-only walk: no backward pass will read what a
+	// forward caches, so a layer may declare less (a conv no col).
+	infer bool
 }
 
 func (p *taskPlanner) tick() int { t := p.tickN; p.tickN++; return t }
@@ -259,11 +262,12 @@ func (n *Network) planMemory() *MemPlan {
 // backward. Forward caches that only backward reads (batch-norm x̂, conv
 // im2col scratch lifetimes, pre-activation copies) die immediately after
 // the consuming layer in this walk, so the planner reuses their slots
-// aggressively — a serving arena is a fraction of the training arena for
-// the same batch size, which is what lets a prediction runtime afford one
-// arena per replica (DESIGN.md §11).
+// aggressively, and a conv that reads its input in place when it is not
+// training (Conv2D.colFree) declares no col at all — a serving arena is a
+// fraction of the training arena for the same batch size, which is what lets
+// a prediction runtime afford one arena per replica (DESIGN.md §11).
 func (n *Network) planInference() *MemPlan {
-	p := &taskPlanner{}
+	p := &taskPlanner{infer: true}
 	cur := n.planForward(p)
 	n.loss.planProbs(p, cur)
 	return n.lowerPlan(p, "infer")

@@ -210,10 +210,7 @@ func (r *Residual) maskChunk(lo, hi int) {
 }
 
 func (r *Residual) combineChunk(lo, hi int) {
-	dbd, dsd, dxd := r.dbd, r.dsd, r.dx.Data()
-	for i := lo; i < hi; i++ {
-		dxd[i] = dbd[i] + dsd[i]
-	}
+	tensor.Add(r.dx.Data()[lo:hi], r.dbd[lo:hi], r.dsd[lo:hi])
 }
 
 func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -138,42 +139,55 @@ func TestGemmSIMDMatchesGeneric(t *testing.T) {
 			return out
 		}
 		simd := run()
-		prevAVX := setGemmAVX2(false) // SSE2 kernels (no-op off amd64)
-		sse := run()
-		setGemmAVX2(prevAVX)
+		prevZ := setGemmZ(false) // the AVX2 tile (no-op without AVX-512)
+		avx2 := run()
+		setGemmZ(prevZ)
 		prev := setGemmASM(false)
 		generic := run()
 		setGemmASM(prev)
 		for v, name := range []string{"Gemm", "GemmTA", "GemmTB"} {
 			bitsEqual(t, name+" simd-vs-generic", simd[v], generic[v])
-			bitsEqual(t, name+" sse-vs-generic", sse[v], generic[v])
+			bitsEqual(t, name+" avx2-vs-generic", avx2[v], generic[v])
 		}
 	}
 }
 
 // TestGemmParallelBitIdentical verifies the worker-count independence half
 // of the determinism contract: disjoint output bands at any parallelism
-// level produce the same bits.
+// level produce the same bits — for all three kinds, split by rows and by
+// columns, on the AVX-512 tile and (setGemmZ(false)) on the AVX2 one, whose
+// bands are cut in different units.
 func TestGemmParallelBitIdentical(t *testing.T) {
 	r := NewRNG(113)
-	m, k, n := 67, 130, 259 // odd everything, large enough to split
-	a := randSlice(r, m*k)
-	b := randSlice(r, k*n)
-	c0 := randSlice(r, m*n)
-
 	prev := Parallelism()
 	defer SetParallelism(prev)
-
-	var want []float32
-	for _, workers := range []int{1, 2, 4, 13} {
-		SetParallelism(workers)
-		got := append([]float32(nil), c0...)
-		Gemm(1.1, a, m, k, b, n, 0.9, got)
-		if want == nil {
-			want = got
-			continue
+	for _, sh := range [][3]int{{67, 130, 259}, {259, 131, 67}} { // odd everything, large enough to split
+		m, k, n := sh[0], sh[1], sh[2]
+		a, at := randSlice(r, m*k), randSlice(r, k*m)
+		b, bt := randSlice(r, k*n), randSlice(r, n*k)
+		c0 := randSlice(r, m*n)
+		var want [3][]float32
+		for _, z := range []bool{true, false} {
+			prevZ := setGemmZ(z)
+			for _, workers := range []int{1, 2, 4, 13} {
+				SetParallelism(workers)
+				var got [3][]float32
+				for v := range got {
+					got[v] = append([]float32(nil), c0...)
+				}
+				Gemm(1.1, a, m, k, b, n, 0.9, got[0])
+				GemmTA(1, at, k, m, b, n, 1, got[1])
+				GemmTB(1.1, a, m, k, bt, n, 0.9, got[2])
+				if want[0] == nil {
+					want = got
+					continue
+				}
+				for v, name := range []string{"Gemm", "GemmTA", "GemmTB"} {
+					bitsEqual(t, fmt.Sprintf("%s parallel z=%v workers=%d", name, z, workers), got[v], want[v])
+				}
+			}
+			setGemmZ(prevZ)
 		}
-		bitsEqual(t, "Gemm parallel", got, want)
 	}
 }
 

@@ -16,17 +16,20 @@
 //
 // GEMMs come in two kernel modes (KernelMode, DESIGN.md §14).
 // Deterministic — the zero value and the default — computes every element
-// by the scalar rounding sequence (vector MUL then ADD, never FMA), so
-// results are bit-identical across SIMD levels, machines, and worker
-// counts. Fast opts into FMA3 micro-kernels (8×16 ZMM tiles under
-// AVX-512F) plus shape-gated fallback for tiny GEMMs: still ascending-k
-// and run-to-run reproducible on a fixed machine, but accurate only to
-// the standard forward-error bound against the scalar oracle. Dispatch is
-// CPUID-gated; CROSSBOW_NOSIMD, CROSSBOW_NOFMA and CROSSBOW_NOAVX512
-// force the successive fallbacks. GemmInt8 supplies the per-channel
+// by the scalar rounding sequence (vector MUL then ADD, never FMA, one C
+// element per lane, k ascending), so results are bit-identical across SIMD
+// levels, machines, and worker counts. It has one tile per ISA level: 8×16
+// on AVX-512 (gemmTileZ: a whole band per call, opmask edges, no edge
+// kernels), 4×8 on AVX2, and the Go kernels, which are also the oracle.
+// Fast opts into FMA3 micro-kernels (8×16 ZMM tiles under AVX-512) plus
+// shape-gated fallback for tiny GEMMs: still ascending-k and run-to-run
+// reproducible on a fixed machine, but accurate only to the standard
+// forward-error bound against the scalar oracle. Dispatch is CPUID-gated,
+// width and FMA independently; CROSSBOW_NOAVX512, CROSSBOW_NOFMA and
+// CROSSBOW_NOSIMD each switch one thing off (gemm_kernel_amd64.go). GemmInt8 supplies the per-channel
 // symmetric int8 path the serving plane's quantized mode builds on, and
 // Epilogue lets internal/nn fuse bias/BN/ReLU into the GEMM's output
-// blocks. The exact elementwise kernels (ReluFwd, ReluBwd, AddRelu,
+// blocks. The exact elementwise kernels (ReluFwd, ReluBwd, AddRelu, Add,
 // AccumAdd) are SIMD in both modes — max, compare-select and a single
 // add round identically to their scalar loops, so they never weaken the
 // deterministic contract. The five optimiser kernels (SMACorrectStep,
@@ -37,12 +40,15 @@
 // bit-identical to their scalar loops. The batched conv lowering
 // (Im2colBatch, Col2imBatch, Lowering; DESIGN.md §18) belongs to the same
 // family: with SIMD it replays per-geometry tables — masked plane shifts
-// for unit-stride same-grid convs, a source-index table otherwise — that
+// for unit-stride same-grid convs, an index table otherwise — that
 // move or sum exactly the elements the span-walking scalar loops do, in
 // the same order, and write every element of their output; a Lowering
 // addresses input planes by (sample, channel) strides, so one set of
 // kernels reads the NCHW network input and internal/nn's channel-major
-// activations. The channel-row kernels (rows.go; DESIGN.md §8) complete it:
+// activations. On AVX-512 a pass covers a whole channel row of the batch
+// under opmask tables periodic in the plane, the index table is a gather,
+// and Lowering.GemmConv computes a forward-only conv with x read in place
+// of the column matrix, inside the GEMM tile's k loop. The channel-row kernels (rows.go; DESIGN.md §8) complete it:
 // batch-norm's four per-channel float64 reductions and the conv bias
 // gradient's per-sample float32 sums, SIMD with one channel per lane —
 // never positions of one channel across lanes — so each channel's sum is

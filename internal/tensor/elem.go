@@ -1,8 +1,8 @@
 package tensor
 
 // Elementwise kernels for the layers around the GEMMs: ReLU forward and
-// backward masking, residual add+ReLU joins, and col2im's contiguous
-// accumulation. Every operation here is exact in IEEE float32 — max,
+// backward masking, residual add+ReLU joins and their backward sum, and
+// col2im's contiguous accumulation. Every operation here is exact in IEEE float32 — max,
 // compare-and-select, and a single addition per element — so the SIMD
 // paths are bit-identical to the scalar loops and safe in BOTH kernel
 // modes; the deterministic contract is untouched. The scaled benchmark
@@ -23,6 +23,18 @@ func AccumAdd(dst, src []float32) {
 	n := elemAccumAddASM(dst, src)
 	for i := n; i < len(dst); i++ {
 		dst[i] += src[i]
+	}
+}
+
+// Add computes dst[i] = a[i] + b[i] — the residual block's input gradient,
+// the sum of its two paths'. dst may alias a or b.
+func Add(dst, a, b []float32) {
+	if len(dst) != len(a) || len(a) != len(b) {
+		panic("tensor: Add length mismatch")
+	}
+	n := elemAddASM(dst, a, b)
+	for i := n; i < len(dst); i++ {
+		dst[i] = a[i] + b[i]
 	}
 }
 

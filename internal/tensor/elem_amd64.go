@@ -13,6 +13,9 @@ package tensor
 func accumAddAVX2(dst, src *float32, n int)
 
 //go:noescape
+func addAVX2(dst, a, b *float32, n int)
+
+//go:noescape
 func epiRowAVX2(row *float32, n int, bias, gamma, beta, mean, invStd float32, stages int)
 
 //go:noescape
@@ -32,6 +35,15 @@ func elemAccumAddASM(dst, src []float32) int {
 		return 0
 	}
 	accumAddAVX2(&dst[0], &src[0], n)
+	return n
+}
+
+func elemAddASM(dst, a, b []float32) int {
+	n := len(dst) &^ 7
+	if n == 0 || !elemActive() {
+		return 0
+	}
+	addAVX2(&dst[0], &a[0], &b[0], n)
 	return n
 }
 

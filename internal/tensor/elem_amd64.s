@@ -31,6 +31,26 @@ accloop:
 	VZEROUPPER
 	RET
 
+// func addAVX2(dst, a, b *float32, n int)
+TEXT ·addAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $3, CX
+addloop:
+	VMOVUPS (SI), Y0
+	VMOVUPS (DX), Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     addloop
+	VZEROUPPER
+	RET
+
 // func epiRowAVX2(row *float32, n int, bias, gamma, beta, mean, invStd float32, stages int)
 // One output row of a GEMM epilogue, in place: v += bias (stages bit 0), v =
 // gamma·((v − mean)·invStd) + beta (bit 1), v = max(v, 0) with NaN and −0 to

@@ -7,6 +7,7 @@ package tensor
 func elemActive() bool { return false }
 
 func elemAccumAddASM(dst, src []float32) int  { return 0 }
+func elemAddASM(dst, a, b []float32) int      { return 0 }
 func elemReluFwdASM(dst, src []float32) int   { return 0 }
 func elemReluBwdASM(dst, dy, y []float32) int { return 0 }
 func elemAddReluASM(dst, a, b []float32) int  { return 0 }

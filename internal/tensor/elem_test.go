@@ -104,6 +104,12 @@ func TestElemOracle(t *testing.T) {
 		AddRelu(got, src, y)
 		refAddRelu(want2, src, y)
 		elemBitsEqual(t, "AddRelu", n, got, want2)
+
+		Add(got, src, y)
+		for i := range want2 {
+			want2[i] = src[i] + y[i]
+		}
+		smaBitsEqual(t, "Add", got, want2) // a sum of two NaNs may keep either payload
 	}
 }
 

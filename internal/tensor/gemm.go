@@ -5,10 +5,11 @@ import "sync"
 // Blocked, register-tiled GEMM. The three public kernels (Gemm, GemmTA,
 // GemmTB) share one cache-blocked driver: operands are packed into
 // contiguous panels (B in NR-interleaved columns, A in MR-interleaved rows,
-// transposition absorbed by the packers) and a 4×8 micro-kernel accumulates
-// the output tile in registers. Work is fanned out over the shared bounded
-// worker pool (parallel.go) by partitioning the output into disjoint row or
-// column bands.
+// transposition absorbed by the packers) and a micro-kernel accumulates the
+// output tile in registers — 8×16 on AVX-512, 4×8 on AVX2 and in Go
+// (gemmTile; gemm_kernel_amd64.go has the ISA matrix). Work is fanned out
+// over the shared bounded worker pool (parallel.go) by partitioning the
+// output into disjoint row or column bands.
 //
 // Determinism contract (verified by blocked_test.go):
 //   - Every output element is accumulated in strictly ascending-p order with
@@ -30,18 +31,20 @@ import "sync"
 //     forward-error analysis. See DESIGN.md §8.
 
 const (
-	gemmMR = 4   // micro-kernel tile rows
-	gemmNR = 8   // micro-kernel tile cols (one YMM / two XMM vectors)
-	gemmKC = 256 // k panel: packed A/B panel depth
-	gemmMC = 128 // m panel: rows of A packed at once
-	gemmNC = 512 // n panel: cols of B packed at once
+	gemmMR    = 4   // Go and AVX2 tile rows
+	gemmNR    = 8   // Go and AVX2 tile cols (one YMM vector)
+	gemmMaxMR = 8   // the tallest and widest tile of any ISA level (AVX-512's
+	gemmMaxNR = 16  // 8×16, one ZMM vector a row): they size the panel buffers
+	gemmKC    = 256 // k panel: packed A/B panel depth
+	gemmMC    = 128 // m panel: rows of A packed at once
+	gemmNC    = 512 // n panel: cols of B packed at once
 
 	// parGrainFlops is roughly how many FLOPs one parallel chunk should
 	// carry so that goroutine hand-off cost stays negligible.
 	parGrainFlops = 1 << 18
 
 	// gemmDirectBMax: when row-major B has at most this many elements
-	// (512 KB — L2-resident), the micro-kernel reads its 8 columns straight
+	// (512 KB — L2-resident), the micro-kernel reads its columns straight
 	// from B with a strided load instead of packing a panel first. Same
 	// per-element order, so bits are unchanged; it just skips the pack
 	// traffic, which dominates when m is small (conv layers).
@@ -65,8 +68,8 @@ type gemmBufs struct {
 
 var gemmPool = sync.Pool{New: func() any {
 	return &gemmBufs{
-		a: make([]float32, (gemmMC+gemmMR)*gemmKC),
-		b: make([]float32, (gemmNC+gemmNR)*gemmKC),
+		a: make([]float32, (gemmMC+gemmMaxMR)*gemmKC),
+		b: make([]float32, (gemmNC+gemmMaxNR)*gemmKC),
 	}
 }}
 
@@ -134,20 +137,21 @@ func gemmBlocked(kind gemmKind, alpha float32, a []float32, m, k int, b []float3
 	// Partition the larger output dimension into disjoint bands. Each band
 	// is an independent GEMM over the same A/B, so bits never depend on the
 	// split (see the determinism contract above). Bands are cut in units of
-	// whole micro-kernel tiles so seams don't demote interior tiles to the
-	// Go edge kernels.
+	// the active tile so a seam never leaves a band with a partial tile the
+	// whole matrix would not have had.
+	mr, nr := gemmTile()
 	if m >= n {
-		tiles := (m + gemmMR - 1) / gemmMR
-		grain := 1 + parGrainFlops/(2*k*n*gemmMR)
+		tiles := (m + mr - 1) / mr
+		grain := 1 + parGrainFlops/(2*k*n*mr)
 		ParallelFor(tiles, grain, func(lo, hi int) {
-			gemmBand(kind, alpha, a, m, k, b, n, c, lo*gemmMR, min(hi*gemmMR, m), 0, n, zero, epi)
+			gemmBand(kind, alpha, a, m, k, b, n, c, lo*mr, min(hi*mr, m), 0, n, zero, epi)
 		})
 		return
 	}
-	tiles := (n + gemmNR - 1) / gemmNR
-	grain := 1 + parGrainFlops/(2*k*m*gemmNR)
+	tiles := (n + nr - 1) / nr
+	grain := 1 + parGrainFlops/(2*k*m*nr)
 	ParallelFor(tiles, grain, func(lo, hi int) {
-		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, lo*gemmNR, min(hi*gemmNR, n), zero, epi)
+		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, lo*nr, min(hi*nr, n), zero, epi)
 	})
 }
 
@@ -157,38 +161,21 @@ func gemmBlocked(kind gemmKind, alpha float32, a []float32, m, k int, b []float3
 // epilogue, when present, runs over each output region as soon as its last
 // k panel completes — cache-hot, inside the same worker, once per element.
 func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, n int, c []float32, rowLo, rowHi, colLo, colHi int, zero bool, epi *Epilogue) {
+	mr, nr := gemmTile()
 	// Fully direct mode: for gemmNN/gemmTA with alpha == 1 and L2-resident
 	// operands the micro-kernel streams both A (strided broadcasts) and B
 	// (strided row loads) from place — no packing at all. This is the
 	// steady-state training configuration. Per-element accumulation order
-	// is unchanged, so bits match the packed path exactly. A full-height
-	// row of tiles is one call (gemmRowDir): the conv input gradient has
-	// k = OutC ≤ 32, where a call per tile costs as much as its k steps.
+	// is unchanged, so bits match the packed path exactly. The whole band
+	// is one call (gemmDirect): the conv input gradient has k = OutC ≤ 32,
+	// where a call per tile costs as much as its k steps.
 	if kind != gemmTB && alpha == 1 && k*n <= gemmDirectBMax && k*m <= gemmDirectBMax {
 		// A element (i, p) strides: gemmNN stores A m×k, gemmTA stores k×m.
 		ars, acs := k, 1
 		if kind == gemmTA {
 			ars, acs = 1, m
 		}
-		full := (colHi - colLo) / gemmNR
-		edge := colLo + full*gemmNR
-		for i := rowLo; i < rowHi; i += gemmMR {
-			rows := min(gemmMR, rowHi-i)
-			var as []float32
-			if kind == gemmTA {
-				as = a[i:]
-			} else {
-				as = a[i*k:]
-			}
-			j := colLo
-			if rows == gemmMR && full > 0 {
-				gemmRowDir(k, as, ars, acs, b[colLo:], n, c[i*n+colLo:], n, full, zero)
-				j = edge
-			}
-			for ; j < colHi; j += gemmNR {
-				microEdgeDirect(k, as, ars, acs, b[j:], n, c[i*n+j:], n, rows, min(gemmNR, colHi-j), zero)
-			}
-		}
+		gemmDirect(k, a[rowLo*ars:], ars, acs, b[colLo:], n, c[rowLo*n+colLo:], n, rowHi-rowLo, colHi-colLo, zero)
 		if epi != nil {
 			applyEpi(epi, c, n, rowLo, rowHi, colLo, colHi)
 		}
@@ -214,42 +201,28 @@ func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, 
 		for pc := 0; pc < k; pc += gemmKC {
 			kb := min(gemmKC, k-pc)
 			if !directB {
-				packB(kind, bufs.b, b, k, n, pc, kb, jc, nb)
+				packB(kind, bufs.b, b, k, n, pc, kb, jc, nb, nr)
 			}
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mb := min(gemmMC, rowHi-ic)
-				packA(kind, bufs.a, a, m, k, ic, mb, pc, kb, packAlpha)
-				for i := 0; i < mb; i += gemmMR {
-					rows := min(gemmMR, mb-i)
-					ap := bufs.a[i*kb : i*kb+kb*gemmMR]
-					for j := 0; j < nb; j += gemmNR {
-						cols := min(gemmNR, nb-j)
+				packA(kind, bufs.a, a, m, k, ic, mb, pc, kb, packAlpha, mr)
+				for i := 0; i < mb; i += mr {
+					rows := min(mr, mb-i)
+					ap := bufs.a[i*kb : i*kb+kb*mr]
+					for j := 0; j < nb; j += nr {
+						cols := min(nr, nb-j)
 						cp := c[(ic+i)*n+jc+j:]
 						if zero && pc == 0 {
-							// The tile kernels below all read C (a preload,
-							// or GemmTB's C += alpha·Σ): hand them the +0
-							// tile the beta pass would have, one L1-hot
-							// tile at a time instead of a sweep over C.
+							// The tile kernels all read C (a preload, or
+							// GemmTB's C += alpha·Σ): hand them the +0 tile
+							// the beta pass would have, one L1-hot tile at
+							// a time instead of a sweep over C.
 							zeroTile(cp, n, rows, cols)
 						}
 						if directB {
-							bs := b[pc*n+jc+j:]
-							if rows == gemmMR && cols == gemmNR {
-								gemmMicroPreBS(kb, ap, bs, n, cp, n)
-							} else {
-								microEdgeStridedB(kb, ap, bs, n, cp, n, rows, cols)
-							}
-							continue
-						}
-						bp := bufs.b[j*kb : j*kb+kb*gemmNR]
-						if rows == gemmMR && cols == gemmNR {
-							if preload {
-								gemmMicroPre(kb, ap, bp, cp, n)
-							} else {
-								gemmMicroAcc(kb, ap, bp, cp, n, storeAlpha)
-							}
+							gemmPanelTile(kb, ap, b[pc*n+jc+j:], n, cp, n, rows, cols, storeAlpha, preload)
 						} else {
-							microEdge(kb, ap, bp, cp, n, rows, cols, storeAlpha, preload)
+							gemmPanelTile(kb, ap, bufs.b[j*kb:j*kb+kb*nr], nr, cp, n, rows, cols, storeAlpha, preload)
 						}
 					}
 				}
@@ -312,182 +285,95 @@ func microEdgeDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c 
 	}
 }
 
-// gemmRowDirGo is gemmRowDir tile by tile in Go: the pure-Go path, and the
-// oracle the assembly row kernel is tested against.
-func gemmRowDirGo(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, tiles int, zero bool) {
-	for t := 0; t < tiles; t++ {
-		microEdgeDirect(kb, a, ars, acs, b[t*gemmNR:], ldb, c[t*gemmNR:], ldc, gemmMR, gemmNR, zero)
-	}
-}
-
-// microEdgeStridedB is the direct-B tile kernel (preload semantics, alpha in
-// ap) reading B rows at stride ldb; it also covers partial tiles.
-func microEdgeStridedB(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, cols int) {
-	var acc [gemmMR][gemmNR]float32
-	for r := 0; r < rows; r++ {
-		crow := c[r*ldc:]
-		for q := 0; q < cols; q++ {
-			acc[r][q] = crow[q]
-		}
-	}
-	for p := 0; p < kb; p++ {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		ap = ap[gemmMR:]
-		brow := b[p*ldb : p*ldb+cols]
-		for q, bv := range brow {
-			acc[0][q] += a0 * bv
-			acc[1][q] += a1 * bv
-			acc[2][q] += a2 * bv
-			acc[3][q] += a3 * bv
-		}
-	}
-	for r := 0; r < rows; r++ {
-		crow := c[r*ldc:]
-		for q := 0; q < cols; q++ {
-			crow[q] = acc[r][q]
+// gemmDirectGo is gemmDirect tile by tile in Go: the pure-Go path, the AVX2
+// level's edges, and the oracle the assembly kernels are tested against.
+func gemmDirectGo(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, m, n int, zero bool) {
+	for i := 0; i < m; i += gemmMR {
+		for j := 0; j < n; j += gemmNR {
+			microEdgeDirect(kb, a[i*ars:], ars, acs, b[j:], ldb, c[i*ldc+j:], ldc, min(gemmMR, m-i), min(gemmNR, n-j), zero)
 		}
 	}
 }
 
 // packA packs rows [i0,i0+mb) × cols [p0,p0+kb) of logical A into
-// MR-interleaved tiles, folding alpha in and zero-padding partial tiles.
-func packA(kind gemmKind, dst, a []float32, m, k, i0, mb, p0, kb int, alpha float32) {
-	for i := 0; i < mb; i += gemmMR {
-		rows := min(gemmMR, mb-i)
-		d := dst[i*kb : i*kb+kb*gemmMR]
+// mr-interleaved tiles, folding alpha in (alpha == 1 is the identity) and
+// zero-padding partial tiles.
+func packA(kind gemmKind, dst, a []float32, m, k, i0, mb, p0, kb int, alpha float32, mr int) {
+	for i := 0; i < mb; i += mr {
+		rows := min(mr, mb-i)
+		d := dst[i*kb : i*kb+kb*mr]
+		if rows < mr {
+			clear(d)
+		}
 		if kind == gemmTA {
 			// A stored k×m: row p of storage holds logical column p.
 			for p := 0; p < kb; p++ {
-				src := a[(p0+p)*m+i0+i:]
-				x := p * gemmMR
-				for r := 0; r < gemmMR; r++ {
-					if r < rows {
-						d[x+r] = alpha * src[r]
-					} else {
-						d[x+r] = 0
-					}
+				dd := d[p*mr : p*mr+rows]
+				for r, v := range a[(p0+p)*m+i0+i:][:rows] {
+					dd[r] = alpha * v
 				}
 			}
 			continue
 		}
-		// A row-major m×k (gemmNN and gemmTB). Full tiles transpose all
-		// four source rows in one pass with sequential destination writes;
-		// the per-row strided loop below only handles the m%4 edge.
-		if rows == gemmMR {
-			s0 := a[(i0+i)*k+p0:]
-			s1 := a[(i0+i+1)*k+p0:]
-			s2 := a[(i0+i+2)*k+p0:]
-			s3 := a[(i0+i+3)*k+p0:]
-			if alpha == 1 {
-				for p := 0; p < kb; p++ {
-					dd := d[p*gemmMR : p*gemmMR+gemmMR]
-					dd[0], dd[1], dd[2], dd[3] = s0[p], s1[p], s2[p], s3[p]
-				}
-			} else {
-				for p := 0; p < kb; p++ {
-					dd := d[p*gemmMR : p*gemmMR+gemmMR]
-					dd[0], dd[1] = alpha*s0[p], alpha*s1[p]
-					dd[2], dd[3] = alpha*s2[p], alpha*s3[p]
-				}
-			}
-			continue
-		}
-		for x := range d {
-			d[x] = 0
-		}
+		// A row-major m×k (gemmNN and gemmTB).
 		for r := 0; r < rows; r++ {
-			src := a[(i0+i+r)*k+p0:]
 			x := r
-			if alpha == 1 {
-				for p := 0; p < kb; p++ {
-					d[x] = src[p]
-					x += gemmMR
-				}
-			} else {
-				for p := 0; p < kb; p++ {
-					d[x] = alpha * src[p]
-					x += gemmMR
-				}
+			for _, v := range a[(i0+i+r)*k+p0:][:kb] {
+				d[x] = alpha * v
+				x += mr
 			}
 		}
 	}
 }
 
 // packB packs rows [p0,p0+kb) × cols [j0,j0+nb) of logical B into
-// NR-interleaved tiles, zero-padding partial tiles.
-func packB(kind gemmKind, dst, b []float32, k, n, p0, kb, j0, nb int) {
-	for j := 0; j < nb; j += gemmNR {
-		cols := min(gemmNR, nb-j)
-		d := dst[j*kb : j*kb+kb*gemmNR]
+// nr-interleaved tiles, zero-padding partial tiles.
+func packB(kind gemmKind, dst, b []float32, k, n, p0, kb, j0, nb, nr int) {
+	for j := 0; j < nb; j += nr {
+		cols := min(nr, nb-j)
+		d := dst[j*kb : j*kb+kb*nr]
+		if cols < nr {
+			clear(d)
+		}
 		if kind == gemmTB {
-			// B stored n×k: row j of storage holds logical column j. Full
-			// tiles transpose eight storage rows in a single pass with
-			// sequential destination writes — the per-column strided loop
-			// this replaces walked the whole panel once per column and held
-			// GemmTB at ~40% of Gemm's throughput on the small-m shapes.
-			// Same values, same panel layout, so bits are unchanged.
-			if cols == gemmNR {
-				s0 := b[(j0+j)*k+p0:]
-				s1 := b[(j0+j+1)*k+p0:]
-				s2 := b[(j0+j+2)*k+p0:]
-				s3 := b[(j0+j+3)*k+p0:]
-				s4 := b[(j0+j+4)*k+p0:]
-				s5 := b[(j0+j+5)*k+p0:]
-				s6 := b[(j0+j+6)*k+p0:]
-				s7 := b[(j0+j+7)*k+p0:]
-				for p := 0; p < kb; p++ {
-					dd := d[p*gemmNR : p*gemmNR+gemmNR]
-					dd[0], dd[1], dd[2], dd[3] = s0[p], s1[p], s2[p], s3[p]
-					dd[4], dd[5], dd[6], dd[7] = s4[p], s5[p], s6[p], s7[p]
-				}
-				continue
-			}
-			for x := range d {
-				d[x] = 0
-			}
-			for q := 0; q < cols; q++ {
+			// B stored n×k: row j of storage holds logical column j, so a
+			// panel is the transpose of `cols` storage rows — eight rows at
+			// a time in registers where there are eight (without that the
+			// pack, not the kernel, bounds GemmTB on the dense layers'
+			// small-m shapes), the rest column by column.
+			q := 0
+			for ; q+8 <= cols; q += 8 {
 				src := b[(j0+j+q)*k+p0:]
+				for p := packTr8ASM(d[q:], nr, src, k, kb); p < kb; p++ {
+					for r := 0; r < 8; r++ {
+						d[p*nr+q+r] = src[r*k+p]
+					}
+				}
+			}
+			for ; q < cols; q++ {
 				x := q
-				for p := 0; p < kb; p++ {
-					d[x] = src[p]
-					x += gemmNR
+				for _, v := range b[(j0+j+q)*k+p0:][:kb] {
+					d[x] = v
+					x += nr
 				}
 			}
 			continue
 		}
-		// B row-major k×n (gemmNN and gemmTA): full tiles copy 8 sequential
-		// floats per k step, so the strided-read cost of a column-major
-		// traversal is avoided.
-		if cols == gemmNR {
-			for p := 0; p < kb; p++ {
-				src := b[(p0+p)*n+j0+j:]
-				src = src[:gemmNR]
-				dd := d[p*gemmNR : p*gemmNR+gemmNR]
-				dd[0], dd[1], dd[2], dd[3] = src[0], src[1], src[2], src[3]
-				dd[4], dd[5], dd[6], dd[7] = src[4], src[5], src[6], src[7]
-			}
-			continue
-		}
+		// B row-major k×n (gemmNN and gemmTA): `cols` sequential floats per
+		// k step.
 		for p := 0; p < kb; p++ {
-			src := b[(p0+p)*n+j0+j:]
-			x := p * gemmNR
-			for q := 0; q < gemmNR; q++ {
-				if q < cols {
-					d[x+q] = src[q]
-				} else {
-					d[x+q] = 0
-				}
-			}
+			copy(d[p*nr:p*nr+cols], b[(p0+p)*n+j0+j:])
 		}
 	}
 }
 
 // microGeneric computes one (possibly partial) gemmMR×gemmNR output tile in
-// pure Go. The packed panels are zero-padded, so every valid element's
-// accumulation order is identical to the assembly kernels' (ascending p,
-// one float32 accumulator per element) — the pure-Go and SIMD paths are
-// bit-identical.
-func microGeneric(kb int, ap, bp []float32, c []float32, ldc, rows, cols int, alpha float32, preload bool) {
+// pure Go from an interleaved A panel and B rows at stride ldb (a packed
+// panel, or the matrix itself). The A panel is zero-padded, so every valid
+// element's accumulation order is identical to the assembly kernels'
+// (ascending p, one float32 accumulator per element) — the pure-Go and SIMD
+// paths are bit-identical.
+func microGeneric(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, cols int, alpha float32, preload bool) {
 	var acc [gemmMR][gemmNR]float32
 	if preload {
 		for r := 0; r < rows; r++ {
@@ -499,9 +385,8 @@ func microGeneric(kb int, ap, bp []float32, c []float32, ldc, rows, cols int, al
 	}
 	for p := 0; p < kb; p++ {
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b := bp[:gemmNR]
-		ap, bp = ap[gemmMR:], bp[gemmNR:]
-		for q, bv := range b {
+		ap = ap[gemmMR:]
+		for q, bv := range b[p*ldb : p*ldb+cols] {
 			acc[0][q] += a0 * bv
 			acc[1][q] += a1 * bv
 			acc[2][q] += a2 * bv
@@ -520,9 +405,4 @@ func microGeneric(kb int, ap, bp []float32, c []float32, ldc, rows, cols int, al
 			crow[q] += alpha * acc[r][q]
 		}
 	}
-}
-
-// microEdge handles partial tiles at the output's right/bottom edges.
-func microEdge(kb int, ap, bp []float32, c []float32, ldc, rows, cols int, alpha float32, preload bool) {
-	microGeneric(kb, ap, bp, c, ldc, rows, cols, alpha, preload)
 }

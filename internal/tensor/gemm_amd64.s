@@ -1,276 +1,17 @@
-// amd64 GEMM micro-kernels: one 4×8 output tile over packed panels.
+// amd64 AVX2 GEMM micro-kernels: the 4×8 output tile, one YMM per C row —
+// the Deterministic level of hosts without AVX-512 (gemm_avx512_amd64.s has
+// the 8×16 tile).
 //
-// ap is MR(4)-interleaved (4 floats per k step), bp is NR(8)-interleaved
-// (8 floats per k step). Each C element accumulates its products in
-// ascending-k order in a single float32 lane, using MULPS/ADDPS (or the
-// VEX forms) — never FMA — so the rounding sequence is identical to the
-// scalar Go kernels and results are bit-identical across all paths.
+// A packed ap is MR(4)-interleaved (4 floats per k step), a packed bp is
+// NR(8)-interleaved (8 floats per k step). Each C element accumulates its
+// products in ascending-k order in a single float32 lane, using VMULPS then
+// VADDPS — never FMA — so the rounding sequence is identical to the scalar
+// Go kernels and results are bit-identical across all paths.
 
 #include "textflag.h"
 
-// func gemmMicroPreSSE(kb int, ap, bp, c *float32, ldc int)
-// Accumulators preload from C; the result overwrites C.
-TEXT ·gemmMicroPreSSE(SB), NOSPLIT, $0-40
-	MOVQ kb+0(FP), CX
-	MOVQ ap+8(FP), DI
-	MOVQ bp+16(FP), SI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
-	SHLQ $2, R8
-	LEAQ (DX)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	MOVUPS (DX), X0
-	MOVUPS 16(DX), X1
-	MOVUPS (R9), X2
-	MOVUPS 16(R9), X3
-	MOVUPS (R10), X4
-	MOVUPS 16(R10), X5
-	MOVUPS (R11), X6
-	MOVUPS 16(R11), X7
-	TESTQ CX, CX
-	JZ    pre_sse_done
-
-pre_sse_loop:
-	MOVUPS (SI), X8
-	MOVUPS 16(SI), X9
-
-	MOVSS  (DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X0
-	MULPS  X9, X11
-	ADDPS  X11, X1
-
-	MOVSS  4(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X2
-	MULPS  X9, X11
-	ADDPS  X11, X3
-
-	MOVSS  8(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X4
-	MULPS  X9, X11
-	ADDPS  X11, X5
-
-	MOVSS  12(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X6
-	MULPS  X9, X11
-	ADDPS  X11, X7
-
-	ADDQ $16, DI
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  pre_sse_loop
-
-pre_sse_done:
-	MOVUPS X0, (DX)
-	MOVUPS X1, 16(DX)
-	MOVUPS X2, (R9)
-	MOVUPS X3, 16(R9)
-	MOVUPS X4, (R10)
-	MOVUPS X5, 16(R10)
-	MOVUPS X6, (R11)
-	MOVUPS X7, 16(R11)
-	RET
-
-// func gemmMicroAccSSE(kb int, ap, bp, c *float32, ldc int, alpha float32)
-// Accumulators start at zero; C += alpha * acc.
-TEXT ·gemmMicroAccSSE(SB), NOSPLIT, $0-44
-	MOVQ kb+0(FP), CX
-	MOVQ ap+8(FP), DI
-	MOVQ bp+16(FP), SI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
-	SHLQ $2, R8
-	LEAQ (DX)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	TESTQ CX, CX
-	JZ    acc_sse_done
-
-acc_sse_loop:
-	MOVUPS (SI), X8
-	MOVUPS 16(SI), X9
-
-	MOVSS  (DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X0
-	MULPS  X9, X11
-	ADDPS  X11, X1
-
-	MOVSS  4(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X2
-	MULPS  X9, X11
-	ADDPS  X11, X3
-
-	MOVSS  8(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X4
-	MULPS  X9, X11
-	ADDPS  X11, X5
-
-	MOVSS  12(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X6
-	MULPS  X9, X11
-	ADDPS  X11, X7
-
-	ADDQ $16, DI
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  acc_sse_loop
-
-acc_sse_done:
-	MOVSS  alpha+40(FP), X10
-	SHUFPS $0x00, X10, X10
-
-	MULPS  X10, X0
-	MOVUPS (DX), X11
-	ADDPS  X11, X0
-	MOVUPS X0, (DX)
-	MULPS  X10, X1
-	MOVUPS 16(DX), X11
-	ADDPS  X11, X1
-	MOVUPS X1, 16(DX)
-
-	MULPS  X10, X2
-	MOVUPS (R9), X11
-	ADDPS  X11, X2
-	MOVUPS X2, (R9)
-	MULPS  X10, X3
-	MOVUPS 16(R9), X11
-	ADDPS  X11, X3
-	MOVUPS X3, 16(R9)
-
-	MULPS  X10, X4
-	MOVUPS (R10), X11
-	ADDPS  X11, X4
-	MOVUPS X4, (R10)
-	MULPS  X10, X5
-	MOVUPS 16(R10), X11
-	ADDPS  X11, X5
-	MOVUPS X5, 16(R10)
-
-	MULPS  X10, X6
-	MOVUPS (R11), X11
-	ADDPS  X11, X6
-	MOVUPS X6, (R11)
-	MULPS  X10, X7
-	MOVUPS 16(R11), X11
-	ADDPS  X11, X7
-	MOVUPS X7, 16(R11)
-	RET
-
-// func gemmMicroPreAVX2(kb int, ap, bp, c *float32, ldc int)
-TEXT ·gemmMicroPreAVX2(SB), NOSPLIT, $0-40
-	MOVQ kb+0(FP), CX
-	MOVQ ap+8(FP), DI
-	MOVQ bp+16(FP), SI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
-	SHLQ $2, R8
-	LEAQ (DX)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	VMOVUPS (DX), Y0
-	VMOVUPS (R9), Y1
-	VMOVUPS (R10), Y2
-	VMOVUPS (R11), Y3
-	TESTQ   CX, CX
-	JZ      pre_avx_done
-
-	// Unrolled ×2: pairs first, then an optional tail step.
-	MOVQ CX, R12
-	SHRQ $1, R12
-	JZ   pre_avx_tail
-
-pre_avx_loop:
-	VMOVUPS      (SI), Y4
-	VBROADCASTSS (DI), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y0, Y0
-	VBROADCASTSS 4(DI), Y6
-	VMULPS       Y4, Y6, Y6
-	VADDPS       Y6, Y1, Y1
-	VBROADCASTSS 8(DI), Y7
-	VMULPS       Y4, Y7, Y7
-	VADDPS       Y7, Y2, Y2
-	VBROADCASTSS 12(DI), Y8
-	VMULPS       Y4, Y8, Y8
-	VADDPS       Y8, Y3, Y3
-
-	VMOVUPS      32(SI), Y9
-	VBROADCASTSS 16(DI), Y10
-	VMULPS       Y9, Y10, Y10
-	VADDPS       Y10, Y0, Y0
-	VBROADCASTSS 20(DI), Y11
-	VMULPS       Y9, Y11, Y11
-	VADDPS       Y11, Y1, Y1
-	VBROADCASTSS 24(DI), Y12
-	VMULPS       Y9, Y12, Y12
-	VADDPS       Y12, Y2, Y2
-	VBROADCASTSS 28(DI), Y13
-	VMULPS       Y9, Y13, Y13
-	VADDPS       Y13, Y3, Y3
-
-	ADDQ $32, DI
-	ADDQ $64, SI
-	DECQ R12
-	JNZ  pre_avx_loop
-
-pre_avx_tail:
-	ANDQ $1, CX
-	JZ   pre_avx_done
-	VMOVUPS      (SI), Y4
-	VBROADCASTSS (DI), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y0, Y0
-	VBROADCASTSS 4(DI), Y6
-	VMULPS       Y4, Y6, Y6
-	VADDPS       Y6, Y1, Y1
-	VBROADCASTSS 8(DI), Y7
-	VMULPS       Y4, Y7, Y7
-	VADDPS       Y7, Y2, Y2
-	VBROADCASTSS 12(DI), Y8
-	VMULPS       Y4, Y8, Y8
-	VADDPS       Y8, Y3, Y3
-
-pre_avx_done:
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, (R9)
-	VMOVUPS Y2, (R10)
-	VMOVUPS Y3, (R11)
-	VZEROUPPER
-	RET
-
 // func gemmMicroAccAVX2(kb int, ap, bp, c *float32, ldc int, alpha float32)
+// Accumulators start at zero; C += alpha * acc (GemmTB).
 TEXT ·gemmMicroAccAVX2(SB), NOSPLIT, $0-44
 	MOVQ kb+0(FP), CX
 	MOVQ ap+8(FP), DI
@@ -383,86 +124,10 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemmMicroPreBSSSE(kb int, ap, b *float32, ldb int, c *float32, ldc int)
-// Strided-B variant: reads the 8 tile columns directly from row-major B
-// (row stride ldb elements) instead of a packed panel. Accumulators
-// preload from C; the result overwrites C.
-TEXT ·gemmMicroPreBSSSE(SB), NOSPLIT, $0-48
-	MOVQ kb+0(FP), CX
-	MOVQ ap+8(FP), DI
-	MOVQ b+16(FP), SI
-	MOVQ ldb+24(FP), R13
-	SHLQ $2, R13
-	MOVQ c+32(FP), DX
-	MOVQ ldc+40(FP), R8
-	SHLQ $2, R8
-	LEAQ (DX)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	MOVUPS (DX), X0
-	MOVUPS 16(DX), X1
-	MOVUPS (R9), X2
-	MOVUPS 16(R9), X3
-	MOVUPS (R10), X4
-	MOVUPS 16(R10), X5
-	MOVUPS (R11), X6
-	MOVUPS 16(R11), X7
-	TESTQ CX, CX
-	JZ    pre_bs_sse_done
-
-pre_bs_sse_loop:
-	MOVUPS (SI), X8
-	MOVUPS 16(SI), X9
-	ADDQ   R13, SI
-
-	MOVSS  (DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X0
-	MULPS  X9, X11
-	ADDPS  X11, X1
-
-	MOVSS  4(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X2
-	MULPS  X9, X11
-	ADDPS  X11, X3
-
-	MOVSS  8(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X4
-	MULPS  X9, X11
-	ADDPS  X11, X5
-
-	MOVSS  12(DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X6
-	MULPS  X9, X11
-	ADDPS  X11, X7
-
-	ADDQ $16, DI
-	DECQ CX
-	JNZ  pre_bs_sse_loop
-
-pre_bs_sse_done:
-	MOVUPS X0, (DX)
-	MOVUPS X1, 16(DX)
-	MOVUPS X2, (R9)
-	MOVUPS X3, 16(R9)
-	MOVUPS X4, (R10)
-	MOVUPS X5, 16(R10)
-	MOVUPS X6, (R11)
-	MOVUPS X7, 16(R11)
-	RET
-
 // func gemmMicroPreBSAVX2(kb int, ap, b *float32, ldb int, c *float32, ldc int)
+// The tile's 8 columns are read from B rows at stride ldb elements — the
+// matrix itself (direct-B) or a packed panel (ldb = 8). Accumulators preload
+// from C; the result overwrites C.
 TEXT ·gemmMicroPreBSAVX2(SB), NOSPLIT, $0-48
 	MOVQ kb+0(FP), CX
 	MOVQ ap+8(FP), DI
@@ -544,90 +209,6 @@ pre_bs_avx_done:
 	VMOVUPS Y2, (R10)
 	VMOVUPS Y3, (R11)
 	VZEROUPPER
-	RET
-
-// func gemmMicroPreDirSSE(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc int)
-// Fully direct variant (alpha == 1): the four A lanes are read at row
-// stride ars and column stride acs (elements), B rows at stride ldb.
-// Accumulators preload from C; the result overwrites C.
-TEXT ·gemmMicroPreDirSSE(SB), NOSPLIT, $0-64
-	MOVQ kb+0(FP), CX
-	MOVQ a+8(FP), DI
-	MOVQ ars+16(FP), R14
-	SHLQ $2, R14
-	MOVQ acs+24(FP), BX
-	SHLQ $2, BX
-	LEAQ (R14)(R14*2), R15
-	MOVQ b+32(FP), SI
-	MOVQ ldb+40(FP), R13
-	SHLQ $2, R13
-	MOVQ c+48(FP), DX
-	MOVQ ldc+56(FP), R8
-	SHLQ $2, R8
-	LEAQ (DX)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	MOVUPS (DX), X0
-	MOVUPS 16(DX), X1
-	MOVUPS (R9), X2
-	MOVUPS 16(R9), X3
-	MOVUPS (R10), X4
-	MOVUPS 16(R10), X5
-	MOVUPS (R11), X6
-	MOVUPS 16(R11), X7
-	TESTQ CX, CX
-	JZ    pre_dir_sse_done
-
-pre_dir_sse_loop:
-	MOVUPS (SI), X8
-	MOVUPS 16(SI), X9
-	ADDQ   R13, SI
-
-	MOVSS  (DI), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X0
-	MULPS  X9, X11
-	ADDPS  X11, X1
-
-	MOVSS  (DI)(R14*1), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X2
-	MULPS  X9, X11
-	ADDPS  X11, X3
-
-	MOVSS  (DI)(R14*2), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X4
-	MULPS  X9, X11
-	ADDPS  X11, X5
-
-	MOVSS  (DI)(R15*1), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X10, X11
-	MULPS  X8, X10
-	ADDPS  X10, X6
-	MULPS  X9, X11
-	ADDPS  X11, X7
-
-	ADDQ BX, DI
-	DECQ CX
-	JNZ  pre_dir_sse_loop
-
-pre_dir_sse_done:
-	MOVUPS X0, (DX)
-	MOVUPS X1, 16(DX)
-	MOVUPS X2, (R9)
-	MOVUPS X3, 16(R9)
-	MOVUPS X4, (R10)
-	MOVUPS X5, 16(R10)
-	MOVUPS X6, (R11)
-	MOVUPS X7, 16(R11)
 	RET
 
 // func gemmRowDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc, tiles int, zero bool)

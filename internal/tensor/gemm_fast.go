@@ -17,7 +17,7 @@ import "sync"
 
 const (
 	fmaMR  = 8  // fast micro-kernel tile rows
-	fmaNR  = 8  // fast micro-kernel tile cols (= gemmNR, so packB is shared)
+	fmaNR  = 8  // fast micro-kernel tile cols
 	fmaNRZ = 16 // AVX-512 tile cols (direct-B path only)
 )
 
@@ -29,7 +29,7 @@ type fmaBufs struct {
 var fmaPool = sync.Pool{New: func() any {
 	return &fmaBufs{
 		a: make([]float32, (gemmMC+fmaMR)*gemmKC),
-		b: make([]float32, (gemmNC+gemmNR)*gemmKC),
+		b: make([]float32, (gemmNC+fmaNR)*gemmKC),
 	}
 }}
 
@@ -78,7 +78,7 @@ func gemmFastBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float
 		for pc := 0; pc < k; pc += gemmKC {
 			kb := min(gemmKC, k-pc)
 			if !directB {
-				packB(kind, bufs.b, b, k, n, pc, kb, jc, nb)
+				packB(kind, bufs.b, b, k, n, pc, kb, jc, nb, fmaNR)
 			}
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mb := min(gemmMC, rowHi-ic)
@@ -112,7 +112,7 @@ func gemmFastBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float
 					for j := 0; j < nb; j += fmaNR {
 						cols := min(fmaNR, nb-j)
 						cp := c[(ic+i)*n+jc+j:]
-						bp := bufs.b[j*kb : j*kb+kb*gemmNR]
+						bp := bufs.b[j*kb : j*kb+kb*fmaNR]
 						if rows == fmaMR && cols == fmaNR {
 							gemmMicroFMAPack(kb, ap, bp, cp, n)
 						} else {
@@ -227,7 +227,7 @@ func microEdgeFast(kb int, ap, bp, bs []float32, ldb int, c []float32, ldc, rows
 	for p := 0; p < kb; p++ {
 		var brow []float32
 		if bp != nil {
-			brow = bp[p*gemmNR : p*gemmNR+cols]
+			brow = bp[p*fmaNR : p*fmaNR+cols]
 		} else {
 			brow = bs[p*ldb : p*ldb+cols]
 		}

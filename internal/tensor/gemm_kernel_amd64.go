@@ -4,26 +4,36 @@ package tensor
 
 import "os"
 
-// amd64 micro-kernel dispatch. Two assembly kernels cover the full 4×8
-// tile: an AVX2 one (one YMM per C row) used when the CPU supports it, and
-// an SSE2 one (two XMM per C row) that every amd64 CPU can run. Both use
-// vector MUL then ADD — never FMA — so each lane performs exactly the same
-// rounding sequence as the scalar Go code, keeping the SIMD and generic
-// paths bit-identical (asserted by TestGemmSIMDMatchesGeneric).
+// amd64 micro-kernel dispatch. The Deterministic kernels have one tile per
+// ISA level: 8×16 on AVX-512F (one ZMM per C row, gemm_avx512_amd64.s), 4×8
+// on AVX2 (one YMM per C row, gemm_amd64.s), and the Go kernels of gemm.go
+// everywhere else, a pre-AVX2 amd64 CPU included. Every level uses vector
+// MUL then ADD — never FMA — with one C element per lane and k ascending, so
+// each element is the same serial chain of roundings whatever the register
+// width, and all levels are bit-identical (TestGemmSIMDMatchesGeneric,
+// TestGemmTileZOracle).
 //
-// Set CROSSBOW_NOSIMD=1 to force the pure-Go kernels.
+// Three environment switches, each read once at init and each a CI step:
 //
-// The opt-in Fast kernel mode additionally dispatches 8×8 FMA3 micro-
-// kernels (gemm_fma_amd64.s), gated at runtime on CPUID reporting FMA3
-// alongside the AVX2/OSXSAVE checks — never on build tags alone. Set
-// CROSSBOW_NOFMA=1 to force Fast mode onto the deterministic kernels so
-// any runner can exercise the fallback path.
+//	CROSSBOW_NOSIMD=1    every kernel of the package on its Go loop
+//	CROSSBOW_NOAVX512=1  no ZMM kernel: the Deterministic GEMM and the conv
+//	                     lowering on their AVX2 level, Fast mode on 8×8 YMM
+//	CROSSBOW_NOFMA=1     Fast mode computes with the Deterministic kernels
+//	                     (at whatever width the host has), bit-for-bit
+//
+// Width and FMA are detected independently: the opt-in Fast kernel mode
+// dispatches 8×8 FMA3 micro-kernels (gemm_fma_amd64.s) when CPUID reports
+// FMA3 alongside the AVX2/OSXSAVE checks, and its 8×16 ZMM variant when both
+// FMA and AVX-512 are on.
 
 var (
 	gemmUseASM  = true
 	gemmUseAVX2 bool
 	gemmUseFMA  bool
 	gemmUseZ    bool
+	// gemmHasZ is what setGemmZ(true) restores: AVX-512F present and not
+	// switched off by CROSSBOW_NOAVX512.
+	gemmHasZ bool
 )
 
 func init() {
@@ -36,8 +46,9 @@ func init() {
 		gemmUseFMA = gemmUseAVX2 && detectFMA()
 	}
 	if os.Getenv("CROSSBOW_NOAVX512") == "" {
-		gemmUseZ = gemmUseFMA && detectAVX512()
+		gemmHasZ = gemmUseAVX2 && detectAVX512()
 	}
+	gemmUseZ = gemmHasZ
 }
 
 func detectAVX2() bool {
@@ -67,8 +78,11 @@ func detectFMA() bool {
 	return c1&(1<<12) != 0
 }
 
-// detectAVX512 reports AVX-512F support: CPUID leaf 7 EBX bit 16 plus the
-// OS saving opmask and full-ZMM state (XCR0 bits 5..7) alongside XMM/YMM.
+// detectAVX512 reports AVX-512F and AVX-512VL support — CPUID leaf 7 EBX
+// bits 16 and 31; VL because the tile runs a block of at most eight columns
+// in YMM registers with embedded broadcasts and opmasks, and every AVX-512
+// part but Knights Landing has it — plus the OS saving opmask and full-ZMM
+// state (XCR0 bits 5..7) alongside XMM/YMM.
 func detectAVX512() bool {
 	maxID, _, _, _ := cpuidAsm(0, 0)
 	if maxID < 7 {
@@ -82,40 +96,42 @@ func detectAVX512() bool {
 		return false
 	}
 	_, b7, _, _ := cpuidAsm(7, 0)
-	return b7&(1<<16) != 0
+	const fvl = 1<<16 | 1<<31
+	return b7&fvl == fvl
 }
 
 // fmaActive reports whether Fast-mode GEMM will actually run the FMA3
 // micro-kernels right now (CPU capable, not disabled by env or test hooks).
 func fmaActive() bool { return gemmUseASM && gemmUseFMA }
 
+// zActive reports whether the AVX-512 kernels — the Deterministic 8×16 tile
+// and the whole-row conv lowering — are dispatched right now.
+func zActive() bool { return gemmUseASM && gemmUseZ }
+
 // fmaZActive reports whether the 8×16 AVX-512 kernel is dispatched on top
 // of the FMA path. Purely a width upgrade: bits are identical either way.
-func fmaZActive() bool { return gemmUseASM && gemmUseFMA && gemmUseZ }
+func fmaZActive() bool { return fmaActive() && gemmUseZ }
 
-//go:noescape
-func gemmMicroPreSSE(kb int, ap, bp, c *float32, ldc int)
-
-//go:noescape
-func gemmMicroAccSSE(kb int, ap, bp, c *float32, ldc int, alpha float32)
-
-//go:noescape
-func gemmMicroPreAVX2(kb int, ap, bp, c *float32, ldc int)
+// gemmTile returns the Deterministic tile of the active ISA level; the
+// drivers cut panels, bands and parallel grains in its units.
+func gemmTile() (mr, nr int) {
+	if zActive() {
+		return gemmMaxMR, gemmMaxNR
+	}
+	return gemmMR, gemmNR
+}
 
 //go:noescape
 func gemmMicroAccAVX2(kb int, ap, bp, c *float32, ldc int, alpha float32)
 
 //go:noescape
-func gemmMicroPreBSSSE(kb int, ap, b *float32, ldb int, c *float32, ldc int)
-
-//go:noescape
 func gemmMicroPreBSAVX2(kb int, ap, b *float32, ldb int, c *float32, ldc int)
 
 //go:noescape
-func gemmMicroPreDirSSE(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc int)
+func gemmRowDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc, tiles int, zero bool)
 
 //go:noescape
-func gemmRowDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *float32, ldc, tiles int, zero bool)
+func gemmTileZ(t *zTile)
 
 //go:noescape
 func gemmMicroFMAPack8(kb int, ap, bp, c *float32, ldc int)
@@ -138,15 +154,6 @@ func setGemmASM(on bool) bool {
 	return prev
 }
 
-// setGemmAVX2 is a test hook: false forces the SSE2 kernels even on
-// AVX2-capable CPUs, so both assembly paths are exercised in CI. It
-// returns the previous setting.
-func setGemmAVX2(on bool) bool {
-	prev := gemmUseAVX2
-	gemmUseAVX2 = on && detectAVX2()
-	return prev
-}
-
 // setGemmFMA is a test hook: false forces Fast mode onto the deterministic
 // kernels (the CROSSBOW_NOFMA behaviour); true re-enables FMA only if the
 // CPU actually has it. It returns the previous setting.
@@ -156,12 +163,13 @@ func setGemmFMA(on bool) bool {
 	return prev
 }
 
-// setGemmZ is a test hook: false forces the fast path onto the 8×8 YMM
-// kernels even on AVX-512 CPUs (the CROSSBOW_NOAVX512 behaviour). It
-// returns the previous setting.
+// setGemmZ is the test hook for register width: false takes every kernel
+// that has a ZMM form — the Deterministic tile, the conv lowering, Fast
+// mode's 8×16 — to its AVX2 level (the CROSSBOW_NOAVX512 behaviour); true
+// restores what init found. It returns the previous setting.
 func setGemmZ(on bool) bool {
 	prev := gemmUseZ
-	gemmUseZ = on && gemmUseFMA && detectAVX512()
+	gemmUseZ = on && gemmHasZ
 	return prev
 }
 
@@ -181,65 +189,93 @@ func gemmMicroFMAZ(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
 	gemmMicroFMAZ16(kb, &ap[0], &b[0], ldb, &c[0], ldc)
 }
 
-// gemmMicroPre computes one full 4×8 tile with accumulators preloaded from
-// C (alpha already folded into ap), overwriting C.
-func gemmMicroPre(kb int, ap, bp, c []float32, ldc int) {
-	if !gemmUseASM {
-		microGeneric(kb, ap, bp, c, ldc, gemmMR, gemmNR, 1, true)
-		return
-	}
-	if gemmUseAVX2 {
-		gemmMicroPreAVX2(kb, &ap[0], &bp[0], &c[0], ldc)
-	} else {
-		gemmMicroPreSSE(kb, &ap[0], &bp[0], &c[0], ldc)
-	}
+// zTile modes: how a block's accumulators start and how they are stored.
+const (
+	zPreload  = iota // start from C, overwrite C
+	zZero            // start from +0, overwrite C (the beta == 0 entry)
+	zAccAlpha        // start from +0, C += alpha·acc (GemmTB's association)
+)
+
+// zTile is gemmTileZ's argument block; strides are in bytes. Row p of the
+// B operand is b + p·ldb for p < kb, the sixteen columns of a block read
+// under the block's column mask. With taps > 0 B is a conv input read in
+// place (Lowering.GemmConv): kb planes at stride ldb, row (plane, tap) the
+// plane shifted by shift[tap] elements under mask[block mod period][tap].
+type zTile struct {
+	a        *float32 // A element (0, 0)
+	ars, acs uintptr  // A strides: next row, next k step
+	b        *float32
+	ldb      uintptr
+	kb       int
+	c        *float32
+	ldc      uintptr
+	m, n     int // both ≥ 1
+	mode     int
+	alpha    float32 // zAccAlpha only
+
+	taps   int
+	shift  *int32
+	mask   *uint16
+	period int
 }
 
-// gemmMicroPreBS is gemmMicroPre reading B rows directly at stride ldb
-// (no packed panel).
-func gemmMicroPreBS(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
-	if !gemmUseASM {
-		microEdgeStridedB(kb, ap, b, ldb, c, ldc, gemmMR, gemmNR)
+// gemmDirect computes the m × n matrix C with the fully direct kernel
+// (alpha == 1): A read at row/column element strides ars/acs, B rows at
+// stride ldb, no packing. zero starts the accumulators at +0 instead of
+// preloading C. On AVX-512 it is one assembly call; on AVX2 each row of full
+// 4×8 tiles is, and the Go kernel takes the edges.
+func gemmDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, m, n int, zero bool) {
+	if zActive() {
+		t := zTile{
+			a: &a[0], ars: uintptr(ars) * 4, acs: uintptr(acs) * 4,
+			b: &b[0], ldb: uintptr(ldb) * 4, kb: kb,
+			c: &c[0], ldc: uintptr(ldc) * 4, m: m, n: n,
+		}
+		if zero {
+			t.mode = zZero
+		}
+		gemmTileZ(&t)
 		return
 	}
-	if gemmUseAVX2 {
-		gemmMicroPreBSAVX2(kb, &ap[0], &b[0], ldb, &c[0], ldc)
-	} else {
-		gemmMicroPreBSSSE(kb, &ap[0], &b[0], ldb, &c[0], ldc)
+	full := 0
+	if elemActive() {
+		full = n / gemmNR
 	}
-}
-
-// gemmRowDir computes `tiles` adjacent full 4×8 tiles of one tile row with
-// the fully direct kernel (alpha == 1): A read at row/column element strides
-// ars/acs, B rows at stride ldb, no packing; b and c point at the first
-// tile's column. zero starts the accumulators at +0 instead of preloading C.
-func gemmRowDir(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, tiles int, zero bool) {
-	switch {
-	case !gemmUseASM:
-		gemmRowDirGo(kb, a, ars, acs, b, ldb, c, ldc, tiles, zero)
-	case gemmUseAVX2:
-		gemmRowDirAVX2(kb, &a[0], ars, acs, &b[0], ldb, &c[0], ldc, tiles, zero)
-	default:
-		for t := 0; t < tiles; t++ {
-			cp := c[t*gemmNR:]
-			if zero {
-				zeroTile(cp, ldc, gemmMR, gemmNR)
-			}
-			gemmMicroPreDirSSE(kb, &a[0], ars, acs, &b[t*gemmNR], ldb, &cp[0], ldc)
+	for i := 0; i < m; i += gemmMR {
+		rows, j := min(gemmMR, m-i), 0
+		if rows == gemmMR && full > 0 {
+			gemmRowDirAVX2(kb, &a[i*ars], ars, acs, &b[0], ldb, &c[i*ldc], ldc, full, zero)
+			j = full * gemmNR
+		}
+		if j < n {
+			gemmDirectGo(kb, a[i*ars:], ars, acs, b[j:], ldb, c[i*ldc+j:], ldc, rows, n-j, zero)
 		}
 	}
 }
 
-// gemmMicroAcc computes one full 4×8 tile from zero and applies
-// C += alpha * acc (GemmTB's association).
-func gemmMicroAcc(kb int, ap, bp, c []float32, ldc int, alpha float32) {
-	if !gemmUseASM {
-		microGeneric(kb, ap, bp, c, ldc, gemmMR, gemmNR, alpha, false)
-		return
-	}
-	if gemmUseAVX2 {
-		gemmMicroAccAVX2(kb, &ap[0], &bp[0], &c[0], ldc, alpha)
-	} else {
-		gemmMicroAccSSE(kb, &ap[0], &bp[0], &c[0], ldc, alpha)
+// gemmPanelTile computes one rows × cols tile of the packed drivers: ap is
+// the tile's interleaved A panel (alpha folded in when preload), b its B
+// rows at stride ldb — the packed panel or, direct-B, the matrix itself.
+// preload starts from C and overwrites it; otherwise the sum starts at +0
+// and C += alpha·Σ.
+func gemmPanelTile(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, cols int, alpha float32, preload bool) {
+	switch {
+	case zActive():
+		t := zTile{
+			a: &ap[0], ars: 4, acs: gemmMaxMR * 4,
+			b: &b[0], ldb: uintptr(ldb) * 4, kb: kb,
+			c: &c[0], ldc: uintptr(ldc) * 4, m: rows, n: cols,
+			mode: zAccAlpha, alpha: alpha,
+		}
+		if preload {
+			t.mode = zPreload
+		}
+		gemmTileZ(&t)
+	case rows != gemmMR || cols != gemmNR || !elemActive():
+		microGeneric(kb, ap, b, ldb, c, ldc, rows, cols, alpha, preload)
+	case preload:
+		gemmMicroPreBSAVX2(kb, &ap[0], &b[0], ldb, &c[0], ldc)
+	default: // GemmTB always packs B
+		gemmMicroAccAVX2(kb, &ap[0], &b[0], &c[0], ldc, alpha)
 	}
 }

@@ -2,31 +2,22 @@
 
 package tensor
 
-// Portable micro-kernel fallback: same tile shape, same per-element
-// accumulation order, so results are bit-identical to the amd64 assembly
-// kernels.
+// Portable micro-kernel fallback: the Go kernels of gemm.go at the 4×8 tile,
+// same per-element accumulation order, so results are bit-identical to the
+// amd64 assembly kernels.
 
-func gemmMicroPre(kb int, ap, bp, c []float32, ldc int) {
-	microGeneric(kb, ap, bp, c, ldc, gemmMR, gemmNR, 1, true)
+func gemmTile() (mr, nr int) { return gemmMR, gemmNR }
+
+func gemmDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, m, n int, zero bool) {
+	gemmDirectGo(kb, a, ars, acs, b, ldb, c, ldc, m, n, zero)
 }
 
-func gemmMicroAcc(kb int, ap, bp, c []float32, ldc int, alpha float32) {
-	microGeneric(kb, ap, bp, c, ldc, gemmMR, gemmNR, alpha, false)
-}
-
-func gemmMicroPreBS(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
-	microEdgeStridedB(kb, ap, b, ldb, c, ldc, gemmMR, gemmNR)
-}
-
-func gemmRowDir(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, tiles int, zero bool) {
-	gemmRowDirGo(kb, a, ars, acs, b, ldb, c, ldc, tiles, zero)
+func gemmPanelTile(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, cols int, alpha float32, preload bool) {
+	microGeneric(kb, ap, b, ldb, c, ldc, rows, cols, alpha, preload)
 }
 
 // setGemmASM is a no-op on architectures without assembly kernels.
 func setGemmASM(on bool) bool { return false }
-
-// setGemmAVX2 is a no-op on architectures without assembly kernels.
-func setGemmAVX2(on bool) bool { return false }
 
 // setGemmFMA is a no-op on architectures without assembly kernels.
 func setGemmFMA(on bool) bool { return false }
@@ -39,6 +30,8 @@ func setGemmZ(on bool) bool { return false }
 func fmaActive() bool { return false }
 
 func fmaZActive() bool { return false }
+
+func zActive() bool { return false }
 
 // The FMA micro-kernels are never dispatched when fmaActive is false;
 // these stubs only satisfy the linker.

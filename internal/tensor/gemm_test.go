@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -53,14 +54,39 @@ func TestGemmMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestGemmBetaZeroIgnoresGarbage: with beta == 0 C is never read — a C full
+// of NaN gives the bits a C full of zeros gives, for all three kinds, odd
+// shapes through the direct and the packed drivers, at every ISA level.
 func TestGemmBetaZeroIgnoresGarbage(t *testing.T) {
-	a := []float32{1, 2}
-	b := []float32{3, 4}
-	c := []float32{float32(math.NaN())}
-	Gemm(1, a, 1, 2, b, 1, 0, c)
-	if c[0] != 11 {
-		t.Fatalf("got %v, want 11", c[0])
+	r := NewRNG(19)
+	run := func(level string) {
+		for _, sh := range [][3]int{{1, 2, 1}, {3, 5, 7}, {9, 27, 33}, {13, 261, 19}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			a, at := randSlice(r, m*k), randSlice(r, k*m)
+			b, bt := randSlice(r, k*n), randSlice(r, n*k)
+			for _, alpha := range []float32{1, 0.5} {
+				var got, want [3][]float32
+				for v := range got {
+					got[v], want[v] = nanFill(m*n), make([]float32, m*n)
+				}
+				for _, c := range [][3][]float32{got, want} {
+					Gemm(alpha, a, m, k, b, n, 0, c[0])
+					GemmTA(alpha, at, k, m, b, n, 0, c[1])
+					GemmTB(alpha, a, m, k, bt, n, 0, c[2])
+				}
+				for v, name := range []string{"Gemm", "GemmTA", "GemmTB"} {
+					bitsEqual(t, fmt.Sprintf("%s %s %dx%dx%d alpha=%v", level, name, m, k, n, alpha), got[v], want[v])
+				}
+			}
+		}
 	}
+	run("simd")
+	prevZ := setGemmZ(false)
+	run("avx2")
+	setGemmZ(prevZ)
+	prev := setGemmASM(false)
+	run("go")
+	setGemmASM(prev)
 }
 
 func TestGemmAlphaZeroScalesOnly(t *testing.T) {

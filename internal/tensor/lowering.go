@@ -46,7 +46,13 @@ import (
 // get explicit zeros — so col carries no state from one call to the next
 // and may be planned like any other buffer (internal/nn/memory.go).
 //
-// Dispatch follows elemActive(), like the elementwise kernels: with SIMD off
+// Dispatch is by ISA level. The AVX2 kernels (elemActive) handle one sample
+// a call, eight lanes a block, and replay the index table in Go. The AVX-512
+// kernels (zActive; zTables below) pass once over a whole channel row of the
+// batch wherever the samples' planes are contiguous — sixteen lanes a block
+// under opmask tables periodic in the plane — and gather through the index
+// table; GemmConv goes one step further and feeds a forward-only GEMM from x
+// through the same tables, with no column matrix at all. With SIMD off
 // (CROSSBOW_NOSIMD, a pre-AVX2 CPU, another architecture) both batched
 // kernels run the span walkers sample by sample.
 //
@@ -83,6 +89,10 @@ type Lowering struct {
 
 	// Every other geometry: src[t·s+q], −1 for padding.
 	src []int32
+
+	// The AVX-512 kernels' tables (lowering_amd64.go), periodic in the plane
+	// so one pass covers a whole channel row of the batch.
+	z zTables
 }
 
 var (
@@ -114,6 +124,12 @@ func LoweringFor(g ConvGeom) *Lowering {
 	return l
 }
 
+// sameGrid reports whether the output grid is the input grid: stride 1 and
+// OutH×OutW = InH×InW, the geometries whose lowering is a plane shift.
+func (g ConvGeom) sameGrid() bool {
+	return g.StrideH == 1 && g.StrideW == 1 && g.OutH() == g.InH && g.OutW() == g.InW
+}
+
 func newLowering(g ConvGeom) *Lowering {
 	l := &Lowering{
 		g: g, s: g.ColCols(), rows: g.ColRows(), plane: g.InH * g.InW,
@@ -123,11 +139,12 @@ func newLowering(g ConvGeom) *Lowering {
 	if l.rows <= 0 || l.s <= 0 {
 		return l // nothing to lower: no tables, the span walkers no-op
 	}
-	if g.StrideH == 1 && g.StrideW == 1 && g.OutH() == g.InH && g.OutW() == g.InW {
+	if g.sameGrid() {
 		l.buildShift()
 	} else {
 		l.buildIndex()
 	}
+	l.buildZ()
 	return l
 }
 
@@ -185,6 +202,95 @@ func (l *Lowering) buildIndex() {
 	}
 }
 
+// zTables are the AVX-512 kernels' tables. The kernels walk a whole channel
+// row of the batch — batch·S positions, contiguous in the channel-major
+// layout — sixteen lanes a block, so their tables are periodic in the plane:
+// block b of a row uses entry b mod period, period = S/gcd(S, 16) blocks
+// (4 for the 8×8 plane, one for 4×4 and 2×2, nine for LeNet's 6×6 and 12×12).
+type zTables struct {
+	// fwdPeriod and adjPeriod are the periods, in blocks, of im2col's walk
+	// over column positions and col2im's over input positions (equal for a
+	// same-grid geometry).
+	fwdPeriod, adjPeriod int
+
+	// Same-grid: one 16-bit opmask per (block, tap), [block][tap]; bit l is
+	// the int32 tables' lane for position (16·block + l) mod S. 2 bytes
+	// where fwdMask/adjMask spend 64.
+	fwd, adj []uint16
+
+	// Every other geometry: gather indices, sixteen a block, −1 for a lane
+	// that moves nothing. im2col's are per (tap, block) and count from the
+	// input plane of the period's first sample — the next sample's plane
+	// follows at +InH·InW — and fwdStep is the input elements a period
+	// spans; col2im's are per (block, tap), count from the period's first
+	// column, and adjStep is the columns a period spans.
+	fwdIdx, adjIdx   []int32
+	fwdStep, adjStep int
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// buildZ derives the AVX-512 tables from the AVX2/Go ones.
+func (l *Lowering) buildZ() {
+	taps := l.g.KH * l.g.KW
+	z := &l.z
+	z.fwdPeriod = l.s / gcd(l.s, 16)
+	z.adjPeriod = l.plane / gcd(l.plane, 16)
+	if l.shift != nil {
+		z.fwd = make([]uint16, z.fwdPeriod*taps)
+		z.adj = make([]uint16, z.adjPeriod*taps)
+		for b := 0; b < z.fwdPeriod; b++ {
+			for t := 0; t < taps; t++ {
+				for lane := 0; lane < 16; lane++ {
+					p := (b*16 + lane) % l.plane
+					if l.fwdMask[t*l.blocks*8+p] != 0 {
+						z.fwd[b*taps+t] |= 1 << lane
+					}
+					if l.adjMask[(p/8*taps+t)*8+p%8] != 0 {
+						z.adj[b*taps+t] |= 1 << lane
+					}
+				}
+			}
+		}
+		return
+	}
+	z.fwdStep = z.fwdPeriod * 16 / l.s * l.plane
+	z.fwdIdx = make([]int32, taps*z.fwdPeriod*16)
+	z.adjStep = z.adjPeriod * 16 / l.plane * l.s
+	z.adjIdx = make([]int32, z.adjPeriod*taps*16)
+	inv := make([]int32, l.plane) // which column position of a tap reads an input position
+	for t := 0; t < taps; t++ {
+		src := l.src[t*l.s:][:l.s]
+		for i := range inv {
+			inv[i] = -1
+		}
+		for q, ix := range src {
+			if ix >= 0 {
+				inv[ix] = int32(q)
+			}
+		}
+		for j := range z.fwdIdx[t*z.fwdPeriod*16:][:z.fwdPeriod*16] {
+			ix := src[j%l.s]
+			if ix >= 0 {
+				ix += int32(j / l.s * l.plane)
+			}
+			z.fwdIdx[t*z.fwdPeriod*16+j] = ix
+		}
+		for p := 0; p < z.adjPeriod*16; p++ {
+			q := inv[p%l.plane]
+			if q >= 0 {
+				q += int32(p / l.plane * l.s)
+			}
+			z.adjIdx[(p/16*taps+t)*16+p%16] = q
+		}
+	}
+}
+
 // Im2colBatch lowers a batch whose input planes sit at strides (sn, sc) into
 // col (ColRows × batch·ColCols, sample n in columns [n·ColCols, (n+1)·ColCols)).
 func (l *Lowering) Im2colBatch(batch int, x []float32, sn, sc int, col []float32) {
@@ -215,16 +321,57 @@ func (l *Lowering) Col2imBatch(batch int, col, x []float32, sn, sc int) {
 	ParallelFor(batch, grain, func(lo, hi int) { l.col2imSamples(lo, hi, batch, col, x, sn, sc) })
 }
 
-// holds reports whether the last plane the strides (sn, sc) reach lies inside
-// x and col holds the batch: the kernels below take raw pointers.
+// DirectConv reports whether the forward product of geometry g over a batch
+// can read its B operand through the plane-shift tables instead of a column
+// matrix (GemmConv): a same-grid geometry, on a host running the AVX-512
+// kernels, with at least one whole 16-column block in a row of the product —
+// below that (2×2 planes at b ≤ 3) the tile's narrow form over a column
+// matrix is the faster one (1.2× at b = 1, measured), and the in-place read
+// has no narrow form. It builds no tables, so planning walks may ask.
+func DirectConv(g ConvGeom, batch int) bool {
+	return zActive() && g.sameGrid() && g.ColRows() > 0 && batch*g.ColCols() >= gemmMaxNR
+}
+
+// GemmConv computes a same-grid convolution's forward product without its
+// column matrix: y (OutC × batch·S, sample n in columns [n·S, (n+1)·S)) =
+// w (OutC × ColRows) · im2col(x), then the epilogue. Row (c, kh, kw) of the
+// B operand is channel row c of x under the tap's shift and opmask, loaded
+// inside the GEMM tile's k loop where Im2colBatch would have stored it and
+// the GEMM loaded it back; the k order — ascending (c, kh, kw) — and every
+// element's chain of roundings are those of Gemm over the column matrix, so
+// y is bit-identical. Nothing reads a column matrix twice in a forward-only
+// pass, which is what makes this the inference path; training keeps col for
+// the weight gradient. Callers check DirectConv first.
+func (l *Lowering) GemmConv(w []float32, batch int, x []float32, sn, sc int, y []float32, epi *Epilogue) {
+	if !DirectConv(l.g, batch) {
+		panic("tensor: GemmConv needs a same-grid geometry, a whole block of columns and the AVX-512 kernels")
+	}
+	if !l.holdsPlanes(batch, x, sn, sc) || len(w) < l.g.OutC*l.rows || len(y) < l.g.OutC*batch*l.s {
+		panic("tensor: GemmConv buffer too small")
+	}
+	grain := 1 + parGrainFlops/(2*l.rows*l.g.OutC*l.s)
+	if !parSplits(batch, grain) {
+		l.gemmConvSamples(0, batch, batch, w, x, sn, sc, y, epi)
+		return
+	}
+	ParallelFor(batch, grain, func(lo, hi int) { l.gemmConvSamples(lo, hi, batch, w, x, sn, sc, y, epi) })
+}
+
+// holds reports whether x holds the batch's planes (holdsPlanes) and col its
+// column matrix: the kernels below take raw pointers.
 func (l *Lowering) holds(batch int, x []float32, sn, sc int, col []float32) bool {
-	return sn >= 0 && sc >= 0 && (batch-1)*sn+(l.g.InC-1)*sc+l.plane <= len(x) &&
-		len(col) >= l.rows*batch*l.s
+	return l.holdsPlanes(batch, x, sn, sc) && len(col) >= l.rows*batch*l.s
+}
+
+// holdsPlanes reports whether the last plane the strides (sn, sc) reach lies
+// inside x.
+func (l *Lowering) holdsPlanes(batch int, x []float32, sn, sc int) bool {
+	return sn >= 0 && sc >= 0 && (batch-1)*sn+(l.g.InC-1)*sc+l.plane <= len(x)
 }
 
 // batchGrain is the ParallelFor grain of the kernel the call will run.
 func (l *Lowering) batchGrain() int {
-	if l.shift != nil && elemActive() {
+	if (l.shift != nil && elemActive()) || zActive() {
 		return l.shiftGrain
 	}
 	return l.grain
@@ -239,6 +386,10 @@ func (l *Lowering) tables() bool { return elemActive() && (l.shift != nil || l.s
 func (l *Lowering) im2colSamples(lo, hi, batch int, x []float32, sn, sc int, col []float32) {
 	ld := batch * l.s
 	tables := l.tables()
+	if tables && zActive() {
+		l.lowerZ(false, lo, hi, x, sn, sc, col, ld)
+		return
+	}
 	for n := lo; n < hi; n++ {
 		img := x[n*sn:]
 		switch {
@@ -258,6 +409,10 @@ func (l *Lowering) im2colSamples(lo, hi, batch int, x []float32, sn, sc int, col
 func (l *Lowering) col2imSamples(lo, hi, batch int, col, x []float32, sn, sc int) {
 	ld := batch * l.s
 	tables := l.tables()
+	if tables && zActive() {
+		l.lowerZ(true, lo, hi, x, sn, sc, col, ld)
+		return
+	}
 	for n := lo; n < hi; n++ {
 		img := x[n*sn:]
 		if !tables || l.shift == nil {

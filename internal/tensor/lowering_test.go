@@ -116,6 +116,14 @@ func TestLoweringOracle(t *testing.T) {
 	}
 }
 
+// TestLoweringOracleAVX2 re-runs the oracle one ISA level down — the AVX2
+// plane-shift kernels and the Go index replay — on hosts whose default is
+// the AVX-512 kernels: what CROSSBOW_NOAVX512=1 executes.
+func TestLoweringOracleAVX2(t *testing.T) {
+	defer setGemmZ(setGemmZ(false))
+	runLoweringOracle(t)
+}
+
 // TestLoweringOracleScalarFallback re-runs the oracle with SIMD off: what
 // CROSSBOW_NOSIMD=1 and non-amd64 builds execute.
 func TestLoweringOracleScalarFallback(t *testing.T) {
@@ -191,6 +199,184 @@ func TestLoweringSingleChunkDoesNotAllocate(t *testing.T) {
 			Col2imBatch(g, batch, col, x)
 		}); a != 0 {
 			t.Fatalf("%+v: %v allocs per single-chunk Im2colBatch+Col2imBatch, want 0", g, a)
+		}
+	}
+}
+
+// guardedCopy places src in guarded memory (guard_linux_test.go), against
+// the front or the back inaccessible page.
+func guardedCopy(t *testing.T, src []float32, front bool) []float32 {
+	g := guarded(t, len(src), front)
+	copy(g, src)
+	return g
+}
+
+// TestLoweringZGuarded pins the AVX-512 lowering kernels to the per-sample
+// span walkers with every buffer they touch ending — and, in a second pass,
+// starting — at an inaccessible page, so a lane the opmask tables should
+// have excluded faults instead of quietly reading a neighbour: tap 0 of a
+// padded geometry points before the first plane and the last tap past the
+// last one. Planes of 4 to 144 positions (one, four and nine blocks a
+// period, runs shorter than a block), 1×1 to 5×5 kernels, the strided
+// geometries' gather kernels, batches that leave every tail length, both
+// plane layouts. A no-op on hosts without AVX-512. Mutation-checked: an
+// unmasked tail block in any of the four kernels faults here, and a tap
+// order swap in either col2im fails the comparison.
+func TestLoweringZGuarded(t *testing.T) {
+	if !zActive() {
+		t.Skip("AVX-512 kernels unavailable")
+	}
+	r := rand.New(rand.NewSource(43))
+	geoms := []ConvGeom{
+		sq(3, 2, 2, 3, 1, 1), sq(2, 4, 4, 3, 1, 1), sq(2, 6, 6, 3, 1, 1), sq(3, 8, 8, 3, 1, 1), sq(1, 12, 12, 3, 1, 1),
+		sq(2, 8, 8, 1, 1, 0), sq(2, 4, 4, 5, 1, 2), sq(2, 7, 9, 3, 1, 1),
+		sq(3, 8, 8, 3, 2, 1), sq(2, 4, 4, 3, 2, 1), sq(2, 12, 12, 3, 2, 1), sq(2, 8, 8, 1, 2, 0), sq(2, 7, 9, 3, 2, 1), sq(2, 7, 9, 1, 2, 0), sq(2, 9, 9, 3, 1, 0),
+	}
+	for _, g := range geoms {
+		l := LoweringFor(g)
+		s, rows, inVol, plane := g.ColCols(), g.ColRows(), g.InVol(), g.InH*g.InW
+		for _, batch := range []int{1, 2, 4, 5, 8, 16} {
+			x := smaFill(r, batch*inVol, 0)
+			dcol := smaFill(r, rows*batch*s, 0)
+			wantCol := make([]float32, rows*batch*s)
+			wantDx := make([]float32, batch*inVol)
+			sample, img := make([]float32, rows*s), make([]float32, inVol)
+			for n := 0; n < batch; n++ {
+				Im2col(g, x[n*inVol:(n+1)*inVol], sample)
+				for row := 0; row < rows; row++ {
+					copy(wantCol[row*batch*s+n*s:][:s], sample[row*s:][:s])
+					copy(sample[row*s:][:s], dcol[row*batch*s+n*s:][:s])
+				}
+				clear(img)
+				Col2im(g, sample, img)
+				copy(wantDx[n*inVol:], img)
+			}
+			for _, front := range []bool{false, true} {
+				name := fmt.Sprintf("%+v batch=%d front=%v", g, batch, front)
+				col := guardedCopy(t, nanFill(len(wantCol)), front)
+				l.Im2colBatch(batch, guardedCopy(t, x, front), inVol, plane, col)
+				elemBitsEqual(t, "Im2colBatch "+name, len(col), col, wantCol)
+				dx := guardedCopy(t, nanFill(len(wantDx)), front)
+				l.Col2imBatch(batch, guardedCopy(t, dcol, front), dx, inVol, plane)
+				smaBitsEqual(t, "Col2imBatch "+name, dx, wantDx)
+
+				col = guardedCopy(t, nanFill(len(wantCol)), front)
+				l.Im2colBatch(batch, guardedCopy(t, channelMajor(x, batch, g.InC, plane, 0), front), plane, batch*plane, col)
+				elemBitsEqual(t, "Im2colBatch channel-major "+name, len(col), col, wantCol)
+				dx = guardedCopy(t, nanFill(len(wantDx)), front)
+				l.Col2imBatch(batch, guardedCopy(t, dcol, front), dx, plane, batch*plane)
+				smaBitsEqual(t, "Col2imBatch channel-major "+name, sampleMajor(dx, batch, g.InC, plane), wantDx)
+			}
+		}
+	}
+}
+
+// TestLoweringZTables checks the periodic opmask and gather tables against
+// the tables they are derived from, over two periods of positions.
+func TestLoweringZTables(t *testing.T) {
+	for _, g := range loweringGeoms {
+		l := newLowering(g)
+		taps, z := g.KH*g.KW, &l.z
+		if l.shift != nil {
+			if z.fwdPeriod*16%l.plane != 0 || z.adjPeriod != z.fwdPeriod || len(z.fwd) != z.fwdPeriod*taps {
+				t.Fatalf("%+v: period %d blocks for a plane of %d", g, z.fwdPeriod, l.plane)
+			}
+			for j := 0; j < 2*z.fwdPeriod*16; j++ {
+				b, lane, p := j/16%z.fwdPeriod, j%16, j%l.plane
+				for tap := 0; tap < taps; tap++ {
+					if got, want := z.fwd[b*taps+tap]>>lane&1 != 0, l.fwdMask[tap*l.blocks*8+p] != 0; got != want {
+						t.Fatalf("%+v tap %d position %d: forward opmask %v, want %v", g, tap, j, got, want)
+					}
+					if got, want := z.adj[b*taps+tap]>>lane&1 != 0, l.adjMask[(p/8*taps+tap)*8+p%8] != 0; got != want {
+						t.Fatalf("%+v tap %d position %d: adjoint opmask %v, want %v", g, tap, j, got, want)
+					}
+				}
+			}
+			continue
+		}
+		for tap := 0; tap < taps; tap++ {
+			for j := 0; j < z.fwdPeriod*16; j++ { // column position j reads input position …
+				want := l.src[tap*l.s+j%l.s]
+				if want >= 0 {
+					want += int32(j / l.s * l.plane)
+				}
+				got := z.fwdIdx[(tap*z.fwdPeriod+j/16)*16+j%16]
+				if got != want {
+					t.Fatalf("%+v tap %d column %d: gathers %d, want %d", g, tap, j, got, want)
+				}
+				// … and that input position is gathered back from column j.
+				if got >= 0 && int(got) < z.adjPeriod*16 {
+					if back := z.adjIdx[(int(got)/16*taps+tap)*16+int(got)%16]; int(back) != j {
+						t.Fatalf("%+v tap %d: input %d gathers column %d, want %d", g, tap, got, back, j)
+					}
+				}
+			}
+		}
+		if z.fwdStep*l.s != z.fwdPeriod*16*l.plane || z.adjStep*l.plane != z.adjPeriod*16*l.s {
+			t.Fatalf("%+v: period steps %d/%d do not span whole samples", g, z.fwdStep, z.adjStep)
+		}
+	}
+}
+
+// TestGemmConvMatchesIm2colGemm pins the column-free forward product to the
+// one it replaces — Im2colBatch then GemmEpi over the column matrix — bit for
+// bit: every same-grid geometry of the oracle list, OutC 1…17 (row bands of
+// 8 and a remainder), batches that leave a partial last block, both plane
+// layouts, with and without an epilogue, serial and split across workers,
+// x between two inaccessible pages and dense in NaN, ±Inf, −0 and
+// denormals. A no-op on hosts without AVX-512. Mutation-checked: dropping the
+// tail's column mask from the tap's opmask faults or fails it.
+func TestGemmConvMatchesIm2colGemm(t *testing.T) {
+	if !zActive() {
+		t.Skip("AVX-512 kernels unavailable")
+	}
+	defer SetParallelism(Parallelism())
+	r := rand.New(rand.NewSource(47))
+	for _, g := range loweringGeoms {
+		if !g.sameGrid() {
+			if DirectConv(g, 16) {
+				t.Fatalf("%+v: DirectConv on a geometry that is not same-grid", g)
+			}
+			continue
+		}
+		for _, outC := range []int{1, 8, 13, 17} {
+			g.OutC = outC
+			l := LoweringFor(g)
+			s, rows, inVol, plane := g.ColCols(), g.ColRows(), g.InVol(), g.InH*g.InW
+			for _, batch := range []int{1, 3, 8} {
+				ns := batch * s
+				if !DirectConv(g, batch) {
+					if ns >= 16 {
+						t.Fatalf("%+v batch %d: no DirectConv for %d columns", g, batch, ns)
+					}
+					continue
+				}
+				w := smaFill(r, outC*rows, 1)
+				bias := smaFill(r, outC, 0)
+				epi := &Epilogue{Bias: bias, ReLU: batch%2 == 1}
+				if batch == 8 {
+					epi = nil
+				}
+				x := smaFill(r, batch*inVol, 0)
+				for _, cm := range []bool{false, true} {
+					sn, sc, xs := inVol, plane, x
+					if cm {
+						sn, sc, xs = plane, batch*plane, channelMajor(x, batch, g.InC, plane, 0)
+					}
+					col := make([]float32, rows*ns)
+					l.Im2colBatch(batch, xs, sn, sc, col)
+					want := nanFill(outC * ns)
+					GemmEpi(Deterministic, 1, w, outC, rows, col, ns, 0, want, epi)
+					for _, workers := range []int{1, 3} {
+						SetParallelism(workers)
+						for _, front := range []bool{false, true} {
+							got := nanFill(outC * ns)
+							l.GemmConv(w, batch, guardedCopy(t, xs, front), sn, sc, got, epi)
+							smaBitsEqual(t, fmt.Sprintf("GemmConv %+v batch=%d cm=%v workers=%d front=%v", g, batch, cm, workers, front), got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -102,3 +102,16 @@ func transposeASM(dst, src []float32, rows, cols int, add bool) (r0, c0 int) {
 	}
 	return r0, c0
 }
+
+// packTr8ASM transposes the 8 × kb block at src (row stride srcStride) into
+// dst: source column p becomes the eight floats at dst[p·dstStride:]. It
+// returns the columns done — kb&^7, or 0 with SIMD off — and the caller's
+// loop finishes the rest.
+func packTr8ASM(dst []float32, dstStride int, src []float32, srcStride, kb int) int {
+	n := kb &^ 7
+	if n == 0 || !elemActive() {
+		return 0
+	}
+	transpose8AVX2(&dst[0], &src[0], dstStride, srcStride, n/8, false)
+	return n
+}

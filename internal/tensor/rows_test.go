@@ -303,9 +303,9 @@ func TestGemmBetaZeroEntry(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		SetParallelism(workers)
 		run()
-		prevAVX := setGemmAVX2(false)
+		prevZ := setGemmZ(false)
 		run()
-		setGemmAVX2(prevAVX)
+		setGemmZ(prevZ)
 		prev := setGemmASM(false)
 		run()
 		setGemmASM(prev)

@@ -36,16 +36,6 @@ func Dot(x, y []float32) float64 {
 	return s
 }
 
-// Add computes dst = a + b element-wise.
-func Add(dst, a, b []float32) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("tensor: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
 // Sub computes dst = a - b element-wise. dst may alias a or b.
 func Sub(dst, a, b []float32) {
 	if len(dst) != len(a) || len(a) != len(b) {
