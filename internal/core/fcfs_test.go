@@ -206,8 +206,14 @@ func TestLockstepOnlineAutotuneResizes(t *testing.T) {
 	}
 }
 
-// TestOnlineAutotuneRuns: an AutoTuneLearners run completes, records
-// Algorithm 2 decisions, and still trains (accuracy above chance).
+// TestOnlineAutotuneRuns: an AutoTuneLearners run under FCFS resizes the
+// pool as Algorithm 2 decides and keeps training through every resize. The
+// tuner is shown a scripted throughput sequence instead of the measured
+// one, so the resizes — 1 → 2 → 3 learners, back to 2 and settled — fall on
+// the same epochs on any machine at any load, and the verdict rides on the
+// training loss, which (unlike accuracy over 64 test samples, 0.16–0.28
+// across 40 runs of this very script) moves by a few per cent with the FCFS
+// assignment order while the margins asserted here are tens of per cent.
 func TestOnlineAutotuneRuns(t *testing.T) {
 	cfg := determinismCfg()
 	cfg.GPUs, cfg.LearnersPerGPU = 1, 1
@@ -215,21 +221,34 @@ func TestOnlineAutotuneRuns(t *testing.T) {
 	cfg.AutoTuneLearners = true
 	cfg.MaxLearnersPerGPU = 3
 	cfg.MaxEpochs = 6
-	res := Train(cfg)
+	// Epoch 1 is the tuner's warm-up; then a baseline at one learner, a
+	// gain at two, none at three. Epochs 5 and 6 run at the settled two.
+	script := []float64{0, 100, 200, 205, 205}
+	epoch := 0
+	res := train(cfg, func(float64) float64 { epoch++; return script[epoch-1] })
 
-	if len(res.TuneHistory) == 0 {
-		t.Fatal("online tuner recorded no decisions")
+	if len(res.TuneHistory) != 3 || res.K != 2 {
+		t.Fatalf("tuner decisions %v ending at %d learners, want probes at 1, 2, 3 and 2 kept", res.TuneHistory, res.K)
 	}
-	if res.K < 1 || res.K > 3 {
-		t.Fatalf("final learner count %d outside [1, 3]", res.K)
+	for i, d := range res.TuneHistory {
+		if d.M != i+1 {
+			t.Fatalf("decision %d probed %d learners: %v", i, d.M, res.TuneHistory)
+		}
 	}
-	// Above the 10-class chance level (0.1); the bar is loose because
-	// resizes are timing-dependent and each restarts the averaging (§3.2),
-	// so accuracy at this tiny scale varies run to run.
-	if res.FinalAccuracy < 0.15 {
-		t.Fatalf("auto-tuned run failed to train: accuracy %.3f", res.FinalAccuracy)
+	if len(res.Wall) != cfg.MaxEpochs || len(res.Series) != cfg.MaxEpochs {
+		t.Fatalf("%d wall points and %d epoch points, want %d", len(res.Wall), len(res.Series), cfg.MaxEpochs)
 	}
-	if len(res.Wall) != cfg.MaxEpochs {
-		t.Fatalf("wall series has %d points, want %d", len(res.Wall), cfg.MaxEpochs)
+	loss := func(epoch int) float64 { return res.Series[epoch-1].Loss }
+	// A resize that lost the model would put the loss back at ln 10.
+	for e := 2; e <= cfg.MaxEpochs; e++ {
+		if loss(e) >= loss(1) {
+			t.Errorf("epoch %d loss %.3f is not below the first epoch's %.3f", e, loss(e), loss(1))
+		}
+	}
+	// Within each constant-k phase of two epochs the loss falls.
+	for _, e := range []int{2, 6} {
+		if loss(e) >= loss(e-1) {
+			t.Errorf("loss rose from %.3f to %.3f inside a constant-k phase (epochs %d–%d)", loss(e-1), loss(e), e-1, e)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func (s *SMA) StepNesterov(ws, gs [][]float32) {
 	}
 	s.iter++
 	if s.iter%s.cfg.Tau != 0 {
-		s.localSteps(ws, gs)
+		s.localStepsRange(ws, gs, 0, len(s.z))
 		return
 	}
 	mu := s.cfg.Momentum
@@ -51,5 +51,5 @@ func (s *SMA) StepNesterov(ws, gs [][]float32) {
 		}
 		s.zPrev[i], s.z[i] = z, zNew
 	}
-	s.localSteps(ws, gs)
+	s.localStepsRange(ws, gs, 0, len(s.z))
 }

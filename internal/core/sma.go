@@ -87,10 +87,10 @@ func (s *SMA) Alpha() float32 { return s.alpha }
 func (s *SMA) Average() []float32 { return s.z }
 
 // Rounds returns the number of consensus exchanges folded into the central
-// average model so far — z's version. Every lockstep τ-boundary Step and
-// every ApplyContributions advances it by one; the counter is monotone
-// across §3.2 restarts, so a larger round number always identifies a more
-// recent model.
+// average model so far — z's version. Every lockstep τ-boundary step
+// (BeginStep) and every ApplyContributions advances it by one; the counter
+// is monotone across §3.2 restarts, so a larger round number always
+// identifies a more recent model.
 func (s *SMA) Rounds() int { return s.rounds }
 
 // SnapshotCentral copies the central average model into dst (len(dst) must
@@ -98,13 +98,14 @@ func (s *SMA) Rounds() int { return s.rounds }
 // The copy is lock-cheap — one memcpy, no locks, no learner pause — because
 // consistency comes from the caller's position in the synchronisation
 // protocol, not from mutual exclusion: z is only ever written during a
-// consensus exchange (Step's τ-boundary branch, ApplyContributions), so any
-// call site that is ordered after one exchange and before the next observes
-// a stable, fully-folded z. The task runtime's Publish hook provides exactly
-// that window in both scheduling modes (lockstep: after the joined step, on
-// the stepping goroutine; FCFS: inside the round-completion critical
-// section, before the next round opens); at quiescence any goroutine
-// qualifies.
+// consensus exchange (a τ-boundary step's StepRange calls,
+// ApplyContributions), so any call site that is ordered after one exchange
+// and before the next observes a stable, fully-folded z. The task runtime's
+// Publish hook provides exactly that window in both scheduling modes
+// (lockstep: in the serial section that closes the iteration, after every
+// learner's shard of the step has returned and before any learner starts
+// its next task; FCFS: inside the round-completion critical section, before
+// the next round opens); at quiescence any goroutine qualifies.
 func (s *SMA) SnapshotCentral(dst []float32) (round int) {
 	if len(dst) != len(s.z) {
 		panic(fmt.Sprintf("core: SnapshotCentral into %d values, want %d", len(dst), len(s.z)))
@@ -122,12 +123,16 @@ func (s *SMA) SnapshotCentral(dst []float32) (round int) {
 // walk: handing the per-replica pass to one shared loop as a func value
 // heap-allocates the closure once per segment and made the step 1.5× slower.
 //
-// smaGrain is the smallest range worth handing to a second kernel worker.
-// The kernels stream ~1 element/ns, so a model under a few hundred
-// thousand parameters is done before a borrowed goroutine has been woken:
-// on the 2-vCPU reference box a two-replica Step over 180 000 parameters
-// took 233 µs on one worker and 270–290 µs split over two, and only at
-// 360 000 did the split win (414 vs 540 µs).
+// smaGrain is the smallest range worth handing to a borrowed kernel worker,
+// which is why a Step called outside a task runtime stays on the calling
+// goroutine for every model here. The kernels stream ~1 element/ns, so a
+// model under a few hundred thousand parameters is done before a parked
+// goroutine has been woken: on the 2-vCPU reference box a two-replica Step
+// over 180 000 parameters took 233 µs on one worker and 270–290 µs split
+// over two, and only at 360 000 did the split win (414 vs 540 µs). The
+// lockstep runtime does not pay that wake-up — its learners are already
+// running when the step is due — so there the step is split at any size,
+// one Shard per learner.
 const (
 	smaBlock = 1024
 	smaGrain = 1 << 18
@@ -143,32 +148,56 @@ func serialWalk(n int) bool { return n <= smaGrain || tensor.Parallelism() == 1 
 // computed; Step applies the learning rate internally. On non-sync
 // iterations (iter % τ ≠ 0) replicas take pure gradient steps and the
 // average model is left untouched — the τ>1 relaxation of §5.5.
+//
+// Step is BeginStep followed by StepRange over the whole model; a caller
+// that has k goroutines of its own at hand (the lockstep runtime's learners)
+// calls BeginStep once and StepRange once per Shard instead.
 func (s *SMA) Step(ws, gs [][]float32) {
-	if len(ws) != s.k || len(gs) != s.k {
-		panic(fmt.Sprintf("core: SMA.Step with %d/%d vectors, want %d", len(ws), len(gs), s.k))
-	}
-	s.iter++
-	if s.iter%s.cfg.Tau != 0 {
-		s.localSteps(ws, gs)
-		return
-	}
-	s.rounds++
+	s.BeginStep()
 	if serialWalk(len(s.z)) {
-		s.stepRange(ws, gs, 0, len(s.z))
+		s.StepRange(ws, gs, 0, len(s.z))
 		return
 	}
-	tensor.ParallelFor(len(s.z), smaGrain, func(lo, hi int) { s.stepRange(ws, gs, lo, hi) })
+	tensor.ParallelFor(len(s.z), smaGrain, func(lo, hi int) { s.StepRange(ws, gs, lo, hi) })
 }
 
-// localSteps applies every learner's gradient with local momentum:
-// v ← µL·v − γ·g; w ← w + v. With µL = 0 this is the plain step of Alg 1
-// line 8/10.
-func (s *SMA) localSteps(ws, gs [][]float32) {
-	if serialWalk(len(s.z)) {
-		s.localStepsRange(ws, gs, 0, len(s.z))
-		return
+// BeginStep opens the next iteration: it advances the iteration count and,
+// on a τ-boundary, z's version. Call it once per iteration, with no
+// StepRange of the previous iteration still running; the StepRange calls
+// that follow apply the iteration it opened.
+func (s *SMA) BeginStep() {
+	s.iter++
+	if s.iter%s.cfg.Tau == 0 {
+		s.rounds++
 	}
-	tensor.ParallelFor(len(s.z), smaGrain, func(lo, hi int) { s.localStepsRange(ws, gs, lo, hi) })
+}
+
+// StepRange applies the iteration BeginStep opened to parameters [lo, hi).
+// It touches nothing outside that range in any vector, so calls over
+// disjoint ranges may run concurrently, and since every per-index operation
+// keeps its replica order the result does not depend on where the ranges
+// were cut: ranges covering [0, len) exactly once, in any order, amount to
+// one Step, bit for bit.
+func (s *SMA) StepRange(ws, gs [][]float32, lo, hi int) {
+	if len(ws) != s.k || len(gs) != s.k {
+		panic(fmt.Sprintf("core: SMA step with %d/%d vectors, want %d", len(ws), len(gs), s.k))
+	}
+	if s.iter%s.cfg.Tau != 0 {
+		s.localStepsRange(ws, gs, lo, hi)
+	} else {
+		s.stepRange(ws, gs, lo, hi)
+	}
+}
+
+// Shard returns the j-th of n contiguous ranges covering the model, cut at
+// multiples of smaBlock so that two shards never share a block's cache
+// lines and every shard but the last is whole blocks (ResNet-32's 45 210
+// parameters at n = 2: 22 and 23 blocks).
+func (s *SMA) Shard(j, n int) (lo, hi int) {
+	blocks := (len(s.z) + smaBlock - 1) / smaBlock
+	lo = min(j*blocks/n*smaBlock, len(s.z))
+	hi = min((j+1)*blocks/n*smaBlock, len(s.z))
+	return lo, hi
 }
 
 func (s *SMA) localStepsRange(ws, gs [][]float32, lo, hi int) {

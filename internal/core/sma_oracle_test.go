@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"crossbow/internal/nn"
@@ -420,11 +421,13 @@ func TestExchangeAndDistApplyMatchScalarOracle(t *testing.T) {
 	}
 }
 
-// TestOptimiserStepAllocs pins the lockstep step's allocation budget. The
-// runtime declares one active learner around the step and restores the
-// count after it; that flip, and a step that runs on the calling goroutine
-// (any model up to smaGrain parameters, at any budget), allocate nothing.
-// A step split over two workers costs what one ParallelFor fan-out costs.
+// TestOptimiserStepAllocs pins the lockstep step's allocation budget. For
+// an optimiser without a range form the trainer declares one active learner
+// around the whole Step and restores the count after it; that flip, a step
+// that runs on the calling goroutine (any model up to smaGrain parameters,
+// at any budget), and the sharded form the learners run for flat SMA
+// allocate nothing. A step split over two workers costs what one
+// ParallelFor fan-out costs.
 func TestOptimiserStepAllocs(t *testing.T) {
 	defer tensor.SetWorkerBudget(tensor.WorkerBudget())
 	defer tensor.SetActiveLearners(tensor.SetActiveLearners(2))
@@ -443,6 +446,16 @@ func TestOptimiserStepAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(20, flipAndStep(s, ws, gs)); a != 0 {
 			t.Errorf("ResNet-32 step at budget %d: %v allocs, want 0", budget, a)
 		}
+		sharded := func() {
+			s.BeginStep()
+			for j := 0; j < 2; j++ {
+				lo, hi := s.Shard(j, 2)
+				s.StepRange(ws, gs, lo, hi)
+			}
+		}
+		if a := testing.AllocsPerRun(20, sharded); a != 0 {
+			t.Errorf("ResNet-32 sharded step at budget %d: %v allocs, want 0", budget, a)
+		}
 	}
 
 	big := make([]float32, 2*smaGrain)
@@ -456,5 +469,92 @@ func TestOptimiserStepAllocs(t *testing.T) {
 	})
 	if a := testing.AllocsPerRun(20, flipAndStep(s, ws, gs)); a > fanOut {
 		t.Errorf("split step: %v allocs, a bare two-worker ParallelFor costs %v", a, fanOut)
+	}
+}
+
+// TestShardedStepMatchesStep: BeginStep followed by StepRange over every
+// Shard, the shards taken in a shuffled order or all at once, is Step — bit
+// for bit in z, z_prev, every replica and every velocity, over three rounds
+// at τ 1 and 3 and at every learner count the shards are cut for. Models:
+// ResNet-32 with its own state ranges, a synthetic one whose state ranges
+// straddle every shard boundary of every k, and one smaller than a block
+// (all shards but the last empty). CI repeats it under CROSSBOW_NOSIMD=1
+// and CROSSBOW_NOAVX512=1, and under -race, where the concurrent arm checks
+// that shards share no element.
+func TestShardedStepMatchesStep(t *testing.T) {
+	ks := []int{1, 2, 3, 4, 7}
+	resnet, resnetState := benchModel(nn.ResNet32)
+	const synthetic = 23*smaBlock + 517
+	probe := NewSMA(SMAConfig{}, make([]float32, synthetic), 1)
+	var straddling [][2]int
+	for _, k := range ks {
+		for j := 1; j < k; j++ {
+			cut, _ := probe.Shard(j, k)
+			straddling = append(straddling, [2]int{cut - 5, cut + 9})
+		}
+	}
+	models := []struct {
+		name  string
+		n     int
+		state [][2]int
+	}{
+		{"resnet32", len(resnet), resnetState},
+		{"straddling", synthetic, straddling},
+		{"sub-block", 100, [][2]int{{40, 60}}},
+	}
+	for _, m := range models {
+		for _, k := range ks {
+			for _, tau := range []int{1, 3} {
+				name := fmt.Sprintf("%s k=%d tau=%d", m.name, k, tau)
+				r := tensor.NewRNG(uint64(m.n + 13*k + tau))
+				cfg := SMAConfig{LearnRate: 0.1, Momentum: 0.9, LocalMomentum: 0.6, Tau: tau, StateRanges: m.state}
+				w0 := oracleFill(r, m.n, 0, 1)
+				whole, sharded := NewSMA(cfg, w0, k), NewSMA(cfg, w0, k)
+				ws := oracleFills(r, k, m.n, 1)
+				sws := cloneVecs(ws)
+
+				// The shards tile the model, cut at block multiples.
+				for j, end := 0, 0; j < k; j++ {
+					lo, hi := sharded.Shard(j, k)
+					if lo != end || hi < lo || (j < k-1 && hi%smaBlock != 0) || (j == k-1 && hi != m.n) {
+						t.Fatalf("%s: shard %d of %d is [%d, %d) after %d", name, j, k, lo, hi, end)
+					}
+					end = hi
+				}
+
+				for it := 0; it < 3*tau; it++ {
+					gs := oracleFills(r, k, m.n, 0.1)
+					whole.Step(ws, gs)
+					sharded.BeginStep()
+					order := make([]int, k)
+					r.Perm(order)
+					if it%2 == 0 {
+						for _, j := range order {
+							lo, hi := sharded.Shard(j, k)
+							sharded.StepRange(sws, gs, lo, hi)
+						}
+					} else {
+						var wg sync.WaitGroup
+						for _, j := range order {
+							lo, hi := sharded.Shard(j, k)
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								sharded.StepRange(sws, gs, lo, hi)
+							}()
+						}
+						wg.Wait()
+					}
+					at := fmt.Sprintf("%s iteration %d", name, it)
+					vecsEqual(t, at+" w", sws, ws)
+					vecsEqual(t, at+" vel", sharded.vel, whole.vel)
+					bitsEqual(t, at+" z", sharded.z, whole.z)
+					bitsEqual(t, at+" zPrev", sharded.zPrev, whole.zPrev)
+					if sharded.Rounds() != whole.Rounds() {
+						t.Fatalf("%s: %d rounds sharded, %d whole", at, sharded.Rounds(), whole.Rounds())
+					}
+				}
+			}
+		}
 	}
 }

@@ -33,9 +33,10 @@ type SchedulerMode string
 
 // Scheduler modes.
 const (
-	// SchedLockstep joins all learners behind a barrier every iteration and
-	// steps the optimiser on the joining goroutine with the whole kernel
-	// budget — the paper's baseline execution model and this trainer's bit-deterministic oracle.
+	// SchedLockstep joins all learners at a barrier every iteration and
+	// applies the optimiser step before any of them starts the next task
+	// (flat SMA: each learner applies one shard of it) — the paper's
+	// baseline execution model and this trainer's bit-deterministic oracle.
 	SchedLockstep SchedulerMode = "lockstep"
 	// SchedFCFS is Crossbow's barrier-free schedule: learners bind staged
 	// batches first-come-first-served, run ahead of the average model by up
@@ -167,10 +168,11 @@ type TrainConfig struct {
 	// Snapshot). Zero disables publishing.
 	PublishEvery int
 	// OnSnapshot receives each published snapshot. It runs inside the
-	// runtime's Publish window — on the main goroutine under lockstep, on
-	// the round-completing learner's goroutine under FCFS — so it must be
-	// quick and must not call back into the trainer; hand the snapshot off
-	// (e.g. to a serving engine's UpdateModel) and return.
+	// runtime's Publish window — under either scheduler on the goroutine of
+	// the learner that completed the round, with the other learners held
+	// back — so it must be quick and must not call back into the trainer;
+	// hand the snapshot off (e.g. to a serving engine's UpdateModel) and
+	// return.
 	OnSnapshot func(Snapshot)
 	// GlobalExchange is the inter-server tier of AlgoSMACluster, which
 	// requires it: this Train call runs ONE server's GPUs×LearnersPerGPU
@@ -542,12 +544,25 @@ func (e *trainEnv) buildRuntime(opt stepper, k, firstSeq int, held map[int]*data
 	default:
 		ws, gs := e.ws[:k], e.gs[:k]
 		rc.Mode = engine.ModeLockstep
-		rc.Step = func() {
-			// The step runs with every learner parked at the barrier, so
-			// it may use the whole kernel budget, not a 1/k share.
-			prev := tensor.SetActiveLearners(1)
-			opt.Step(ws, gs)
-			tensor.SetActiveLearners(prev)
+		if sma, ok := opt.(*SMA); ok {
+			// Flat SMA steps in range form: the k learners, already on
+			// their cores with their gradients just written, each apply
+			// one smaBlock-aligned shard, so no core idles through the
+			// step and nothing is borrowed from the kernel pool.
+			rc.BeginStep = sma.BeginStep
+			rc.StepShard = func(j int) {
+				lo, hi := sma.Shard(j, k)
+				sma.StepRange(ws, gs, lo, hi)
+			}
+		} else {
+			rc.Step = func() {
+				// The whole step runs on one learner with the others
+				// stopped at the barrier, so it may use the whole kernel
+				// budget, not a 1/k share.
+				prev := tensor.SetActiveLearners(1)
+				opt.Step(ws, gs)
+				tensor.SetActiveLearners(prev)
+			}
 		}
 	}
 	return engine.NewRuntime(rc)
@@ -560,7 +575,13 @@ func (e *trainEnv) buildRuntime(opt stepper, k, firstSeq int, held map[int]*data
 // circular buffer, under the configured scheduling mode. With the default
 // lockstep scheduler the run is deterministic given the config, bit for
 // bit at any kernel worker count.
-func Train(cfg TrainConfig) *Result {
+func Train(cfg TrainConfig) *Result { return train(cfg, nil) }
+
+// train is Train with the online tuner's input open to tests: observed, if
+// non-nil, maps each epoch's measured images/s to the figure Algorithm 2 is
+// shown, so a test can script the resizes instead of leaving them to the
+// machine's load.
+func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 	cfg.fillDefaults()
 	cfg.validate()
 
@@ -666,7 +687,11 @@ func Train(cfg TrainConfig) *Result {
 		// Online Algorithm 2: adapt the learner count to the measured
 		// wall-clock throughput, resizing the replica pool between epochs.
 		if tuner != nil && epoch < cfg.MaxEpochs {
-			if nextK := cfg.GPUs * tuner.Observe(wp.ImagesPerSec); nextK != k {
+			throughput := wp.ImagesPerSec
+			if observed != nil {
+				throughput = observed(throughput)
+			}
+			if nextK := cfg.GPUs * tuner.Observe(throughput); nextK != k {
 				firstSeq, held := rt.Handoff()  // pipeline position carries over
 				e.pub.rebase(rt.Stats().Rounds) // keep snapshot versions monotone
 				rt.Close()

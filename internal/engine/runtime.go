@@ -8,19 +8,21 @@ import (
 	"crossbow/internal/data"
 )
 
-// This file implements the *wall-clock* task runtime: the live engine's
-// architecture (a pool of learner workers bound to model replicas, a task
-// manager that reacts to completions, batches staged by the §4.5 data
-// pre-processors) executing real forward/backward passes on the blocked
-// kernels instead of simulated costs. The structure mirrors live.go — the
-// timing simulator remains the design oracle — but here scheduling decisions
-// play out in real time on real hardware.
+// This file implements the *wall-clock* task runtime: the task engine's
+// architecture (a pool of learner workers bound to model replicas, batches
+// staged by the §4.5 data pre-processors, synchronisation reacting to task
+// completions) executing real forward/backward passes on the blocked
+// kernels instead of simulated costs. The simulated engine (engine.go)
+// predicts what a configuration costs on the modelled hardware; here the
+// scheduling decisions play out in real time on real hardware.
 //
 // Two scheduling modes (§4.3):
 //
-//   - Lockstep: every iteration binds batch i·k+j to learner j, joins all k
-//     tasks behind a barrier, and runs the optimiser step on the joining
-//     goroutine with the whole kernel budget (every learner is parked).
+//   - Lockstep: every iteration binds batch i·k+j to learner j and joins all
+//     k tasks before the optimiser step. The learners run the round
+//     themselves (lockstepEpoch): they meet at a barrier after their tasks,
+//     each applies its shard of the step, and at a second barrier the last
+//     arriver — every other learner stopped — does the round's serial work.
 //     These are the pre-runtime trainer's semantics, kept as the
 //     bit-deterministic oracle: for a fixed config the whole trajectory is
 //     reproducible bit for bit at any worker count.
@@ -44,7 +46,8 @@ type Mode string
 
 // Runtime scheduling modes.
 const (
-	// ModeLockstep joins all learners every iteration (oracle semantics).
+	// ModeLockstep joins all learners at a barrier every iteration, before
+	// and after the optimiser step (oracle semantics).
 	ModeLockstep Mode = "lockstep"
 	// ModeFCFS lets learners run barrier-free with FCFS batch binding.
 	ModeFCFS Mode = "fcfs"
@@ -75,9 +78,21 @@ type RuntimeConfig struct {
 	// concurrency instead of learner count.
 	AcquireTask func(j int)
 	ReleaseTask func(j int)
-	// Step applies the optimiser across all learners after a joined
-	// iteration (Lockstep mode only).
+	// Step applies the whole optimiser step across all learners after a
+	// joined iteration (Lockstep mode only). It runs on whichever learner's
+	// goroutine reached the iteration's barrier last, with every other
+	// learner stopped there. Required unless BeginStep and StepShard are
+	// set, which replace it.
 	Step func()
+	// BeginStep and StepShard are the step in sharded form, for optimisers
+	// that can apply an iteration over disjoint parameter ranges (Lockstep
+	// mode only; set both or neither). After the tasks of an iteration are
+	// joined, BeginStep runs once with every learner stopped; then learner
+	// j's goroutine runs StepShard(j), all k concurrently; the iteration
+	// ends once all k returned. The k shards together must amount to one
+	// Step.
+	BeginStep func()
+	StepShard func(j int)
 	// Contribute is learner j's τ-boundary update (FCFS mode only): it
 	// must compute the learner's correction against the central average
 	// model AND apply the iteration's gradient step (drivers fuse the two
@@ -96,12 +111,13 @@ type RuntimeConfig struct {
 	LocalStep func(j int)
 	// Publish, if set, runs once per synchronisation round, immediately
 	// after the round is folded into the central average model and at a
-	// point where the model is guaranteed stable: in lockstep mode on the
-	// main goroutine right after a τ-boundary Step (every learner is parked
-	// at the barrier), in FCFS mode on the round-completing learner's
-	// goroutine after Apply and *before* the round is published — no
-	// learner can contribute to the next round until Publish returns, so a
-	// driver may snapshot the average model without tearing. round counts
+	// point where the model is guaranteed stable: in lockstep mode right
+	// after a τ-boundary step, on the goroutine of the learner that reached
+	// the iteration's closing barrier last (every other learner is stopped
+	// there and no task is in flight), in FCFS mode on the round-completing
+	// learner's goroutine after Apply and *before* the round is published —
+	// no learner can contribute to the next round until Publish returns, so
+	// a driver may snapshot the average model without tearing. round counts
 	// folded rounds, 1-based. Keep the body short (a version check and, on
 	// publication rounds, one model copy): in FCFS mode it delays learners
 	// parked at the round gate.
@@ -141,21 +157,29 @@ type Runtime struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	// Epoch-scoped loss accounting. Lockstep folds on the main goroutine;
-	// FCFS folds per learner and sums in index order at the join.
+	// epochFns[j] is learner j's whole epoch under the configured mode,
+	// built once; left is how many iterations of the running epoch are
+	// still to finish — set by RunEpoch, read by every learner as it
+	// starts, counted down by the lockstep round.
+	epochFns []func()
+	left     int
+
+	// Epoch-scoped loss accounting. Lockstep folds in the round's serial
+	// section; FCFS folds per learner and sums in index order at the join.
 	epochLoss float64
 	epochN    int
 	lossSum   []float64
 	lossN     []int
 	losses    []float64
 
-	// Lockstep reorder buffer: staged slots held until their turn in the
-	// batcher's draw sequence. taskFns are the per-learner dispatch
-	// closures, built once so the per-iteration hot loop allocates nothing.
+	// Lockstep round state. held is the reorder buffer: staged slots kept
+	// until their turn in the batcher's draw sequence; slots[j] is the one
+	// bound to learner j for the iteration in flight. bar joins the learners
+	// before and after each optimiser step.
 	held    map[int]*data.Slot
 	nextSeq int
 	slots   []*data.Slot
-	taskFns []func()
+	bar     *barrier
 
 	// FCFS round state. zRound is the number of rounds folded into the
 	// central average model (its version); contrib counts contributions to
@@ -194,8 +218,11 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	}
 	switch cfg.Mode {
 	case ModeLockstep:
-		if cfg.Step == nil {
-			panic("engine: lockstep mode needs a Step closure")
+		if (cfg.BeginStep == nil) != (cfg.StepShard == nil) {
+			panic("engine: BeginStep and StepShard come together")
+		}
+		if cfg.Step == nil && cfg.StepShard == nil {
+			panic("engine: lockstep mode needs a Step closure, or BeginStep and StepShard")
 		}
 	case ModeFCFS:
 		if cfg.Contribute == nil || cfg.Apply == nil || cfg.LocalStep == nil {
@@ -225,13 +252,15 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.stats.Tasks = make([]int, k)
-	r.taskFns = make([]func(), k)
+	r.bar = newBarrier(k)
+	epoch := r.fcfsEpoch
+	if cfg.Mode == ModeLockstep {
+		epoch = r.lockstepEpoch
+	}
+	r.epochFns = make([]func(), k)
 	for j := 0; j < k; j++ {
 		j := j
-		r.taskFns[j] = func() {
-			r.losses[j] = r.runTask(j, r.slots[j])
-			r.done <- struct{}{}
-		}
+		r.epochFns[j] = func() { epoch(j); r.done <- struct{}{} }
 	}
 	for j := 0; j < k; j++ {
 		r.work[j] = make(chan func())
@@ -259,19 +288,21 @@ func (r *Runtime) Close() {
 // rounds are folded into the central model and no task is in flight, so the
 // driver may evaluate, adapt hyper-parameters, or resize.
 func (r *Runtime) RunEpoch(iters int) {
-	if r.cfg.Mode == ModeLockstep {
-		r.lockstepEpoch(iters)
+	if iters < 1 {
 		return
 	}
+	r.left = iters
+	if r.cfg.Mode == ModeLockstep {
+		r.bindRound()
+	}
 	for j := 0; j < r.k; j++ {
-		j := j
-		r.work[j] <- func() {
-			r.fcfsEpoch(j, iters)
-			r.done <- struct{}{}
-		}
+		r.work[j] <- r.epochFns[j]
 	}
 	for j := 0; j < r.k; j++ {
 		<-r.done
+	}
+	if r.cfg.Mode == ModeLockstep {
+		return
 	}
 	// Fold per-learner losses in index order so the epoch loss depends only
 	// on the assignment log.
@@ -342,34 +373,57 @@ func (r *Runtime) SeqLog() [][]int {
 	return out
 }
 
-// lockstepEpoch is the oracle schedule: bind batches in draw order, join,
-// step.
-func (r *Runtime) lockstepEpoch(iters int) {
-	for it := 0; it < iters; it++ {
-		for j := 0; j < r.k; j++ {
-			r.slots[j] = r.nextOrdered()
-			r.seqLog[j] = append(r.seqLog[j], r.slots[j].Seq)
+// lockstepEpoch is learner j's side of the oracle schedule: run the task
+// bound to it, join, apply its shard of the step, join. No goroutine
+// coordinates the round — whichever learner reaches a barrier last runs that
+// barrier's serial section (BeginStep at the first, endRound at the second)
+// while the others wait, so an iteration costs two barrier crossings and no
+// hand-off to or from RunEpoch's goroutine, which is blocked for the whole
+// epoch. A driver without a sharded step gets the same loop with one
+// crossing: endRound runs its whole Step.
+func (r *Runtime) lockstepEpoch(j int) {
+	for n := r.left; n > 0; n-- {
+		r.losses[j] = r.runTask(j, r.slots[j])
+		if r.cfg.StepShard != nil {
+			r.bar.await(r.cfg.BeginStep)
+			r.cfg.StepShard(j)
 		}
-		for j := 0; j < r.k; j++ {
-			r.work[j] <- r.taskFns[j]
-		}
-		for j := 0; j < r.k; j++ {
-			<-r.done
-		}
-		for j := 0; j < r.k; j++ {
-			r.cfg.Pipeline.Release(r.slots[j])
-			r.epochLoss += r.losses[j]
-			r.stats.Tasks[j]++
-			r.iters[j]++
-		}
-		r.epochN += r.k
+		r.bar.await(r.endRound)
+	}
+}
+
+// endRound is the serial section that closes a lockstep iteration. It runs
+// on the last learner to arrive, with the other k−1 stopped at the barrier
+// and no task in flight: everything here — the slots, the loss fold in
+// learner order, the counters, the driver's whole Step and its Publish
+// window, the next binding in draw order — is single-threaded.
+func (r *Runtime) endRound() {
+	for j := 0; j < r.k; j++ {
+		r.cfg.Pipeline.Release(r.slots[j])
+		r.epochLoss += r.losses[j]
+		r.stats.Tasks[j]++
+		r.iters[j]++
+	}
+	r.epochN += r.k
+	if r.cfg.StepShard == nil {
 		r.cfg.Step()
-		if r.iters[0]%r.tau == 0 {
-			r.stats.Rounds++
-			if r.cfg.Publish != nil {
-				r.cfg.Publish(r.stats.Rounds)
-			}
+	}
+	if r.iters[0]%r.tau == 0 {
+		r.stats.Rounds++
+		if r.cfg.Publish != nil {
+			r.cfg.Publish(r.stats.Rounds)
 		}
+	}
+	if r.left--; r.left > 0 {
+		r.bindRound()
+	}
+}
+
+// bindRound binds the next k staged batches to learners 0…k−1 in draw order.
+func (r *Runtime) bindRound() {
+	for j := 0; j < r.k; j++ {
+		r.slots[j] = r.nextOrdered()
+		r.seqLog[j] = append(r.seqLog[j], r.slots[j].Seq)
 	}
 }
 
@@ -410,8 +464,8 @@ func (r *Runtime) nextOrdered() *data.Slot {
 
 // fcfsEpoch is learner j's barrier-free epoch: pull the next staged batch
 // first-come-first-served, compute, contribute at τ-boundaries, step.
-func (r *Runtime) fcfsEpoch(j, iters int) {
-	for t := 0; t < iters; t++ {
+func (r *Runtime) fcfsEpoch(j int) {
+	for t := r.left; t > 0; t-- {
 		s, ok := r.cfg.Pipeline.Acquire()
 		if !ok {
 			panic("engine: pipeline closed during epoch")

@@ -44,10 +44,12 @@ var (
 	// read it ~150 times per ResNet-32 task from every learner at once, so
 	// the read must not be a lock all learners share.
 	parCur atomic.Pointer[parPool]
-	// parPools keeps one pool per (workers, capacity) ever used. The
-	// lockstep runtime flips the learner count around every optimiser step;
-	// reusing the pool makes the flip allocation-free, and a chunk goroutine
-	// still running across a flip keeps its slot in the channel it took.
+	// parPools keeps one pool per (workers, capacity) ever used. Drivers
+	// flip the learner count to 1 and back around work done with every
+	// learner stopped (each epoch's evaluation; every optimiser step of a
+	// lockstep run whose optimiser has no sharded form); reusing the pool
+	// makes a flip allocation-free, and a chunk goroutine still running
+	// across a flip keeps its slot in the channel it took.
 	parPools = map[[2]int]*parPool{}
 )
 
