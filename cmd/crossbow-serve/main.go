@@ -59,20 +59,12 @@ func serveMain() int {
 	queueDepth := flag.Int("queue-depth", 0, "request queue bound (0: replicas*max-batch*4)")
 	shedOnFull := flag.Bool("shed-on-full", false, "shed (fast 503) instead of blocking when the queue is full")
 	admitDeadline := flag.Duration("admit-deadline", 0, "shed requests that cannot be answered within this budget (0: no deadline)")
-	kmode := flag.String("kernel-mode", "deterministic", "replica GEMM kernel mode: deterministic or fast")
-	quantized := flag.Bool("quantized", false, "serve int8 replicas when the top-1 agreement gate vs f32 passes")
-	quantMinAgree := flag.Float64("quant-min-agreement", 0, "quantization gate threshold (0: 0.99)")
 	follow := flag.String("follow", "", "subscribe to a model feed (crossbow-train -publish address); with -ckpt the checkpoint is the feed's warm base")
 	followTimeout := flag.Duration("follow-timeout", 0, "cold-start wait for the feed's first snapshot (0: 30s)")
 	slo := flag.Duration("slo", 0, "p99 latency target enabling SLO-driven adaptive batching (-max-batch becomes the ceiling, -max-delay is ignored)")
 	autoscale := flag.Int("autoscale", 0, "with -slo: replica pool ceiling; -replicas becomes the floor (0: fixed pool)")
 	flag.Parse()
 
-	kernelMode, err := crossbow.ParseKernelMode(*kmode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	cfg := crossbow.ServeConfig{
 		Replicas:      *replicas,
 		MaxBatch:      *maxBatch,
@@ -80,10 +72,6 @@ func serveMain() int {
 		QueueDepth:    *queueDepth,
 		ShedOnFull:    *shedOnFull,
 		AdmitDeadline: *admitDeadline,
-
-		KernelMode:        kernelMode,
-		Quantize:          *quantized,
-		QuantMinAgreement: *quantMinAgree,
 
 		SLO:           *slo,
 		AutoScale:     *autoscale,
@@ -122,18 +110,11 @@ func serveMain() int {
 		if *autoscale > 0 {
 			pool = fmt.Sprintf("%d–%d replicas (autoscaled)", *replicas, *autoscale)
 		}
-		log.Printf("serving %s (version %d, %s, adaptive batching ≤%d under %v p99 SLO, kernels %s) on %s",
-			p.Model(), p.Version(), pool, *maxBatch, *slo, kernelMode, *addr)
+		log.Printf("serving %s (version %d, %s, adaptive batching ≤%d under %v p99 SLO) on %s",
+			p.Model(), p.Version(), pool, *maxBatch, *slo, *addr)
 	} else {
-		log.Printf("serving %s (version %d, %d replicas, max batch %d, max delay %v, kernels %s) on %s",
-			p.Model(), p.Version(), *replicas, *maxBatch, *maxDelay, kernelMode, *addr)
-	}
-	if *quantized {
-		if p.Quantized() {
-			log.Printf("int8 path on: top-1 agreement vs f32 %.4f", p.QuantAgreement())
-		} else {
-			log.Printf("int8 path OFF: top-1 agreement %.4f below gate, serving f32", p.QuantAgreement())
-		}
+		log.Printf("serving %s (version %d, %d replicas, max batch %d, max delay %v) on %s",
+			p.Model(), p.Version(), *replicas, *maxBatch, *maxDelay, *addr)
 	}
 	if err := http.ListenAndServe(*addr, newMux(p)); err != nil {
 		fmt.Fprintf(os.Stderr, "http: %v\n", err)

@@ -36,7 +36,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	sched := flag.String("sched", "lockstep", "task-runtime scheduler: lockstep (barriered oracle) or fcfs (barrier-free)")
 	prefetch := flag.Int("prefetch", 0, "staged batches per learner in the input pipeline, min 1 (0: double buffering)")
-	kmode := flag.String("kernel-mode", "deterministic", "GEMM kernel mode: deterministic (bit-reproducible) or fast (FMA micro-kernels)")
 	publish := flag.String("publish", "", "serve a model feed on this address while training (crossbow-serve -follow subscribes)")
 	publishEvery := flag.Int("publish-every", 0, "publish a snapshot every N iterations (0 with -publish: 100)")
 	flag.Parse()
@@ -46,11 +45,6 @@ func main() {
 		learners = crossbow.AutoTune
 	} else if _, err := fmt.Sscanf(*m, "%d", &learners); err != nil {
 		fmt.Fprintf(os.Stderr, "bad -m %q\n", *m)
-		os.Exit(2)
-	}
-	kernelMode, err := crossbow.ParseKernelMode(*kmode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -68,7 +62,6 @@ func main() {
 		Seed:           *seed,
 		Scheduler:      crossbow.Scheduler(*sched),
 		Prefetch:       *prefetch,
-		KernelMode:     kernelMode,
 	}
 	if *publish != "" {
 		cfg.PublishAddr = *publish
@@ -89,8 +82,8 @@ func main() {
 			fmt.Printf("  m=%d -> %.0f images/s\n", d.M, d.Throughput)
 		}
 	}
-	fmt.Printf("model=%s algo=%s gpus=%d m=%d batch=%d sched=%s kernels=%s\n",
-		*model, *algo, *gpus, res.LearnersPerGPU, *batch, res.Scheduler, kernelMode)
+	fmt.Printf("model=%s algo=%s gpus=%d m=%d batch=%d sched=%s\n",
+		*model, *algo, *gpus, res.LearnersPerGPU, *batch, res.Scheduler)
 	fmt.Printf("simulated throughput: %.0f images/s, epoch: %.1f s\n",
 		res.ThroughputImgSec, res.EpochSeconds)
 	if len(res.Wall) > 0 {

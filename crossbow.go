@@ -76,25 +76,6 @@ const (
 	ASGD            = core.AlgoASGD
 )
 
-// KernelMode selects the compute kernels' numerical contract (DESIGN.md
-// §14): Deterministic runs the bit-reproducible blocked kernels (the zero
-// value and the default — every determinism guarantee in this package is
-// stated under it), Fast dispatches FMA micro-kernels (AVX-512/AVX2 where
-// the CPU has them) and fuses conv→BN→ReLU inference chains into GEMM
-// epilogues. Fast stays run-to-run deterministic at any worker count but
-// rounds differently than Deterministic (fused multiply-adds), so the two
-// modes' training trajectories diverge bitwise while agreeing statistically.
-type KernelMode = tensor.KernelMode
-
-// Kernel modes.
-const (
-	Deterministic = tensor.Deterministic
-	Fast          = tensor.Fast
-)
-
-// ParseKernelMode parses "deterministic" or "fast" (the CLI flag values).
-func ParseKernelMode(s string) (KernelMode, error) { return tensor.ParseKernelMode(s) }
-
 // AutoTune, used as LearnersPerGPU, lets Algorithm 2 choose the learner
 // count that saturates training throughput. With the default scheduler the
 // count is probed on the hardware simulator before the run; with
@@ -180,10 +161,6 @@ type Config struct {
 	// samples: a remainder beyond the last multiple of 128 is never
 	// evaluated (a test set of fewer than 128 samples is evaluated whole).
 	TrainSamples, TestSamples int
-	// KernelMode selects the GEMM kernel mode for every learner and the
-	// evaluation network: Deterministic (default, bit-reproducible) or
-	// Fast (FMA micro-kernels; opt-in, see the KernelMode type).
-	KernelMode KernelMode
 	// KernelThreads bounds the compute kernels' worker budget (process-
 	// wide; see tensor.SetWorkerBudget). Zero keeps the current setting —
 	// by default runtime.NumCPU(), overridable with CROSSBOW_PARALLELISM.
@@ -227,7 +204,27 @@ type Config struct {
 	// receive each snapshot as a delta against the model they already hold.
 	// OnSnapshot may still be set; it runs after the feed send.
 	PublishAddr string
+
+	// benchcompat:begin — the three names the frozen benchmark module
+	// (benchmark/) still compiles against. There is one kernel contract since
+	// PR 23, so the field selects nothing: it must be left at Deterministic,
+	// its zero value. Nothing else in the root module may name them
+	// (TestBenchCompatUnused); ROADMAP item 6(f) deletes this block.
+	KernelMode KernelMode
 }
+
+type KernelMode = tensor.KernelMode
+
+const Deterministic = tensor.Deterministic
+
+func (c *Config) benchCompat() error {
+	if c.KernelMode != Deterministic {
+		return fmt.Errorf("crossbow: Config.KernelMode %d: Fast mode was deleted, leave the field unset", c.KernelMode)
+	}
+	return nil
+}
+
+// benchcompat:end
 
 // Snapshot is a versioned copy of the central average model cut at a
 // synchronisation-round boundary — the servable artefact of a training run.
@@ -321,6 +318,9 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if err := c.benchCompat(); err != nil {
+		return err
 	}
 	if c.KernelThreads > 0 {
 		tensor.SetWorkerBudget(c.KernelThreads)
@@ -510,7 +510,6 @@ func trainRank(cfg Config, base Result, rank int, ex core.GlobalExchanger, initM
 		TrainSamples:      cfg.TrainSamples,
 		TestSamples:       cfg.TestSamples,
 		Scheduler:         cfg.Scheduler,
-		KernelMode:        cfg.KernelMode,
 		Prefetch:          cfg.Prefetch,
 		AutoTuneLearners:  cfg.tunesOnline(),
 		MemoryBudget:      cfg.MemoryBudget,

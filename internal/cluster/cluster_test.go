@@ -130,8 +130,8 @@ func TestClusterUtilisation(t *testing.T) {
 	})
 	c.RunIterations(10)
 	for d := 0; d < c.Sim().NumDevices(); d++ {
-		if u := c.Sim().Device(d).Utilisation(); u <= 0 {
-			t.Errorf("device %d idle for the whole run (utilisation %v)", d, u)
+		if busy := c.Sim().Device(d).Busy; busy <= 0 {
+			t.Errorf("device %d idle for the whole run (%v SM-µs busy)", d, busy)
 		}
 	}
 	if got := c.K(); got != 2*2*2 {

@@ -135,12 +135,6 @@ type TrainConfig struct {
 	// (default, bit-deterministic) or SchedFCFS (barrier-free; flat SMA on
 	// a single server only).
 	Scheduler SchedulerMode
-	// KernelMode selects the GEMM kernel mode for every learner and the
-	// evaluation network: tensor.Deterministic (the zero value — bit-
-	// reproducible, the contract every determinism test pins) or
-	// tensor.Fast (FMA micro-kernels and fused epilogues where the CPU
-	// supports them; see DESIGN.md §14).
-	KernelMode tensor.KernelMode
 	// Prefetch is the staged-batch depth per learner in the input
 	// pipeline's circular buffer; minimum 1 (0 → 2, double buffering as
 	// in §4.5).
@@ -377,7 +371,6 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 	// Learner networks and replicas (the replica pool).
 	for j := 0; j < k; j++ {
 		net := nn.BuildScaled(cfg.Model, cfg.BatchPerLearner, e.masterRNG.Split())
-		net.SetKernelMode(cfg.KernelMode)
 		e.nets = append(e.nets, net)
 	}
 	e.w0 = e.nets[0].Init(tensor.NewRNG(cfg.Seed + 13))
@@ -397,11 +390,10 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 	// with a different batch size (different plan key), so it keeps a
 	// private arena instead of cycling through the task pool. It never
 	// trains, so it runs the fused conv→BN→ReLU epilogues over a
-	// forward-only arena in either kernel mode: fusion is bit-identical to
-	// the unfused forward (nn/fuse.go, TestFusedPredictBitIdentical).
+	// forward-only arena: fusion is bit-identical to the unfused forward
+	// (nn/fuse.go, TestFusedPredictBitIdentical).
 	_, e.evalBatch = evalSizes(e.test.Len())
 	e.evalNet = nn.BuildScaled(cfg.Model, e.evalBatch, tensor.NewRNG(cfg.Seed+99))
-	e.evalNet.SetKernelMode(cfg.KernelMode)
 	e.evalNet.FuseInference()
 	e.evalNet.AttachInferenceArena(tensor.NewArena(e.evalNet.InferPlan().ArenaElems))
 	e.evalGrad = make([]float32, len(e.w0))
@@ -440,7 +432,6 @@ func (e *trainEnv) poolBudget() int64 {
 func (e *trainEnv) growLearners(k int, model []float32) {
 	for j := len(e.nets); j < k; j++ {
 		net := nn.BuildScaled(e.cfg.Model, e.cfg.BatchPerLearner, e.masterRNG.Split())
-		net.SetKernelMode(e.cfg.KernelMode)
 		e.nets = append(e.nets, net)
 		e.ws = append(e.ws, append([]float32(nil), model...))
 		e.gs = append(e.gs, make([]float32, len(model)))

@@ -22,8 +22,6 @@ type Device struct {
 	// Busy accumulates SM-microseconds of executed kernel work, for
 	// utilisation accounting: utilisation = Busy / (SMs × elapsed).
 	Busy float64
-
-	tracer *Tracer
 }
 
 // NewStream creates an in-order command stream on the device. name is for
@@ -32,18 +30,6 @@ func (d *Device) NewStream(name string) *Stream {
 	st := &Stream{dev: d, name: name}
 	d.streams = append(d.streams, st)
 	return st
-}
-
-// FreeSMs returns the currently unallocated SM count.
-func (d *Device) FreeSMs() int { return d.freeSMs }
-
-// Utilisation returns the fraction of SM time spent executing kernels over
-// the elapsed virtual time.
-func (d *Device) Utilisation() float64 {
-	if d.sim.now == 0 {
-		return 0
-	}
-	return d.Busy / (float64(d.SMs) * d.sim.now)
 }
 
 // drain advances every stream as far as possible at the current instant.
@@ -92,9 +78,6 @@ func (st *Stream) Name() string { return st.name }
 
 // Device returns the stream's device.
 func (st *Stream) Device() *Device { return st.dev }
-
-// Pending returns the number of queued (not yet retired) ops.
-func (st *Stream) Pending() int { return len(st.queue) }
 
 // Kernel enqueues a compute kernel needing sms multiprocessors for dur
 // microseconds. sms is clamped to the device size; non-positive durations
@@ -179,17 +162,11 @@ func (st *Stream) step() bool {
 		}
 		st.dev.freeSMs -= grant
 		st.running = true
-		start := st.dev.sim.now
-		name := head.name
 		st.dev.sim.after(dur, func() {
 			st.dev.freeSMs += grant
 			st.dev.Busy += float64(grant) * dur
 			st.running = false
 			st.queue = st.queue[1:]
-			st.dev.tracer.record(TraceEvent{
-				Device: st.dev.ID, Stream: st.name, Name: name,
-				StartUS: start, EndUS: st.dev.sim.now, SMs: grant,
-			})
 		})
 		return true
 	}
@@ -203,9 +180,6 @@ type Event struct {
 	fired   bool
 	waiters []*Stream
 }
-
-// Fired reports whether the event has fired.
-func (e *Event) Fired() bool { return e.fired }
 
 func (e *Event) subscribe(st *Stream) {
 	for _, w := range e.waiters {

@@ -74,7 +74,7 @@ func TestEventOrdersAcrossStreams(t *testing.T) {
 	if end := s.Run(); end != 100 {
 		t.Fatalf("end = %v, want 100 (b waits for a)", end)
 	}
-	if !ev.Fired() {
+	if !ev.fired {
 		t.Fatal("event not fired")
 	}
 }
@@ -133,7 +133,8 @@ func TestUtilisationAccounting(t *testing.T) {
 	st := s.Device(0).NewStream("s")
 	st.Kernel("k", 12, 100)
 	s.Run()
-	if u := s.Device(0).Utilisation(); math.Abs(u-0.5) > 1e-9 {
+	d := s.Device(0)
+	if u := d.Busy / (float64(d.SMs) * s.Now()); math.Abs(u-0.5) > 1e-9 {
 		t.Fatalf("utilisation = %v, want 0.5", u)
 	}
 }

@@ -177,13 +177,6 @@ type ServingStats struct {
 	ModelVersion int64 `json:"model_version"`
 	// ModelSwaps counts hot model updates applied since start.
 	ModelSwaps int64 `json:"model_swaps"`
-	// KernelMode names the replicas' GEMM kernel mode ("deterministic" or
-	// "fast"); Quantized reports whether they serve the int8 weight path,
-	// and QuantAgree the top-1 agreement the publish-time gate measured
-	// against f32 (zero when quantization was never requested).
-	KernelMode string  `json:"kernel_mode"`
-	Quantized  bool    `json:"quantized"`
-	QuantAgree float64 `json:"quant_agreement"`
 	// Replicas is the live replica count (equal to the configured count
 	// unless autoscaling is on); Resizes counts autoscaler replica-count
 	// changes applied since start.

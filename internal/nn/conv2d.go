@@ -72,8 +72,6 @@ type Conv2D struct {
 	gwT      []float32 // ColRows × OutC: the transposed weight-grad product
 	colFresh bool      // col currently holds im2col of c.x
 
-	mode tensor.KernelMode // GEMM kernel mode (Network.SetKernelMode)
-
 	// viaCol keeps the column matrix in forward-only passes too; tests set
 	// it to compare the two forwards.
 	viaCol bool
@@ -85,14 +83,6 @@ type Conv2D struct {
 	epi     tensor.Epilogue
 	fusedBN *BatchNorm
 	epiInv  []float32 // OutC per-channel 1/sqrt(runVar+eps) scratch
-
-	// Quantized inference (Network.QuantizeWeights): int8 weights with
-	// symmetric per-output-channel scales, activations quantized per tensor
-	// at run time, exact int32 accumulation (DESIGN.md §14).
-	qw      []int8
-	qscales []float32
-	qcol    []int8
-	qacc    []int32
 
 	pbIn, pbCol, pbPackT, pbGwT, pbDcol, pbY, pbDx *plannedBuf
 }
@@ -135,12 +125,9 @@ func (c *Conv2D) inStrides() (sn, sc int) {
 
 // colFree reports whether a forward-only pass runs without the column
 // matrix: a geometry and batch the host has the kernels for
-// (tensor.DirectConv), in the Deterministic mode those kernels implement,
-// and not quantised — the int8 forward quantises col. The serving engine and
-// the trainer settle mode and quantisation before they plan, so the
-// forward-only plan and the forward agree.
+// (tensor.DirectConv).
 func (c *Conv2D) colFree() bool {
-	return !c.viaCol && c.qw == nil && c.mode == tensor.Deterministic && tensor.DirectConv(c.Geom, c.batch)
+	return !c.viaCol && tensor.DirectConv(c.Geom, c.batch)
 }
 
 // ensure lazily allocates private buffers for standalone (arena-less) use.
@@ -255,23 +242,6 @@ func (c *Conv2D) refreshEpi() {
 	}
 }
 
-func (c *Conv2D) setKernelMode(m tensor.KernelMode) { c.mode = m }
-
-// quantize (re)builds the int8 weight copy and its per-output-channel
-// scales from the currently bound parameters, enabling the quantized
-// forward path. Call again after a model hot-swap.
-func (c *Conv2D) quantize() {
-	g := c.Geom
-	rows := g.ColRows()
-	if c.qw == nil {
-		c.qw = make([]int8, g.OutC*rows)
-		c.qscales = make([]float32, g.OutC)
-		c.qcol = make([]int8, rows*c.batch*g.ColCols())
-		c.qacc = make([]int32, g.OutC*c.batch*g.ColCols())
-	}
-	tensor.QuantizeRows(c.w, g.OutC, rows, c.qw, c.qscales)
-}
-
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.Geom
 	checkIn("conv2d", x, c.in)
@@ -293,33 +263,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// One batched lowering + one GEMM for the whole mini-batch:
 	// y(OutC × NS) = W(OutC × ColRows) · col(ColRows × NS), then the
 	// epilogue, block by block as the GEMM completes them.
-	if c.col == nil {
-		// A forward-only plan made while colFree held, and a pass for which
-		// it no longer does (quantised or switched to Fast since): a
-		// private col.
-		c.col = make([]float32, g.ColRows()*ns)
-	}
 	c.lower.Im2colBatch(c.batch, x.Data(), sn, sc, c.col)
 	c.colFresh = true
-	if c.qw != nil && !train {
-		// Quantized path: int8·int8 → exact int32, dequantized into y
-		// (per-channel weight scale × per-tensor activation scale), the
-		// epilogue applied as a separate cache-warm pass.
-		rows := g.ColRows()
-		sx := tensor.QuantizeSym(c.col[:rows*ns], c.qcol)
-		tensor.GemmInt8(c.qw, g.OutC, rows, c.qcol, ns, c.qacc)
-		for oc := 0; oc < g.OutC; oc++ {
-			s := c.qscales[oc] * sx
-			row := yd[oc*ns : (oc+1)*ns]
-			acc := c.qacc[oc*ns : (oc+1)*ns]
-			for i, v := range acc {
-				row[i] = float32(v) * s
-			}
-		}
-		tensor.ApplyEpilogue(&c.epi, yd, g.OutC, ns)
-		return c.y
-	}
-	tensor.GemmEpi(c.mode, 1, c.w, g.OutC, g.ColRows(), c.col, ns, 0, yd, &c.epi)
+	tensor.GemmEpi(1, c.w, g.OutC, g.ColRows(), c.col, ns, 0, yd, &c.epi)
 	return c.y
 }
 
@@ -344,13 +290,13 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		c.lower.Im2colBatch(c.batch, c.x.Data(), sn, sc, c.col)
 	}
 	c.colFresh = false
-	tensor.GemmMode(c.mode, 1, c.col, g.ColRows(), ns, c.packT, g.OutC, 0, c.gwT)
+	tensor.Gemm(1, c.col, g.ColRows(), ns, c.packT, g.OutC, 0, c.gwT)
 	tensor.TransposeAdd(c.gw, c.gwT, g.ColRows(), g.OutC)
 	if c.netIn {
 		return nil
 	}
 	// Input gradient: dcol(ColRows × NS) = Wᵀ · dY, then gather per sample.
-	tensor.GemmTAMode(c.mode, 1, c.w, g.OutC, g.ColRows(), dyd, ns, 0, c.dcol)
+	tensor.GemmTA(1, c.w, g.OutC, g.ColRows(), dyd, ns, 0, c.dcol)
 	sn, sc := c.inStrides()
 	c.lower.Col2imBatch(c.batch, c.dcol, c.dx.Data(), sn, sc)
 	return c.dx

@@ -16,18 +16,9 @@ type Dense struct {
 	y  *tensor.Tensor
 	dx *tensor.Tensor
 
-	mode tensor.KernelMode // GEMM kernel mode (Network.SetKernelMode)
-
 	// Inference fusion: the bias (and an absorbed trailing ReLU) are
 	// applied by the GEMM epilogue, per output column.
 	epi *tensor.Epilogue
-
-	// Quantized inference: int8 weights with per-output-row scales,
-	// per-tensor activation quantization, exact int32 accumulation.
-	qw      []int8
-	qscales []float32
-	qx      []int8
-	qacc    []int32
 
 	pbIn, pbY, pbDx *plannedBuf
 }
@@ -86,51 +77,18 @@ func (d *Dense) fuse(relu bool) {
 	d.epi = &tensor.Epilogue{ReLU: relu, PerColumn: true}
 }
 
-func (d *Dense) setKernelMode(m tensor.KernelMode) { d.mode = m }
-
-// quantize (re)builds the int8 weight copy and per-output-row scales from
-// the currently bound parameters. Call again after a model hot-swap.
-func (d *Dense) quantize() {
-	if d.qw == nil {
-		d.qw = make([]int8, d.In*d.Out)
-		d.qscales = make([]float32, d.Out)
-		d.qx = make([]int8, d.batch*d.In)
-		d.qacc = make([]int32, d.batch*d.Out)
-	}
-	tensor.QuantizeRows(d.w, d.Out, d.In, d.qw, d.qscales)
-}
-
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkIn("dense", x, d.dx.Shape())
 	d.ensure()
 	d.x = x
 	yd := d.y.Data()
-	if d.qw != nil && !train {
-		// Quantized path: W is Out×In so each output column is one int8 dot
-		// product; dequantize with per-row weight scale × activation scale,
-		// then run the epilogue (or the plain bias add) over y.
-		sx := tensor.QuantizeSym(x.Data(), d.qx)
-		tensor.GemmInt8TB(d.qx, d.batch, d.In, d.qw, d.Out, d.qacc)
-		for i := 0; i < d.batch; i++ {
-			row := yd[i*d.Out : (i+1)*d.Out]
-			acc := d.qacc[i*d.Out : (i+1)*d.Out]
-			for j, v := range acc {
-				row[j] = float32(v) * (d.qscales[j] * sx)
-			}
-		}
-		if d.epi != nil {
-			d.epi.Bias = d.b
-			tensor.ApplyEpilogue(d.epi, yd, d.batch, d.Out)
-			return d.y
-		}
-	} else if d.epi != nil {
-		// y = x (B×In) * Wᵀ (In×Out); W stored Out×In so use GemmTB.
+	// y = x (B×In) * Wᵀ (In×Out); W stored Out×In so use GemmTB.
+	if d.epi != nil {
 		d.epi.Bias = d.b
-		tensor.GemmTBEpi(d.mode, 1, x.Data(), d.batch, d.In, d.w, d.Out, 0, yd, d.epi)
+		tensor.GemmTBEpi(1, x.Data(), d.batch, d.In, d.w, d.Out, 0, yd, d.epi)
 		return d.y
-	} else {
-		tensor.GemmTBMode(d.mode, 1, x.Data(), d.batch, d.In, d.w, d.Out, 0, yd)
 	}
+	tensor.GemmTB(1, x.Data(), d.batch, d.In, d.w, d.Out, 0, yd)
 	for i := 0; i < d.batch; i++ {
 		row := yd[i*d.Out : (i+1)*d.Out]
 		for j := range row {
@@ -143,7 +101,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dyd := dy.Data()
 	// dW (Out×In) += dyᵀ (Out×B) * x (B×In)  — accumulate across batch.
-	tensor.GemmTAMode(d.mode, 1, dyd, d.batch, d.Out, d.x.Data(), d.In, 1, d.gw)
+	tensor.GemmTA(1, dyd, d.batch, d.Out, d.x.Data(), d.In, 1, d.gw)
 	// db += column sums of dy.
 	for i := 0; i < d.batch; i++ {
 		row := dyd[i*d.Out : (i+1)*d.Out]
@@ -152,6 +110,6 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dx (B×In) = dy (B×Out) * W (Out×In).
-	tensor.GemmMode(d.mode, 1, dyd, d.batch, d.Out, d.w, d.In, 0, d.dx.Data())
+	tensor.Gemm(1, dyd, d.batch, d.Out, d.w, d.In, 0, d.dx.Data())
 	return d.dx
 }

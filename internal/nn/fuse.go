@@ -1,8 +1,6 @@
 package nn
 
-import "crossbow/internal/tensor"
-
-// Inference operator fusion and the quantized serving path (DESIGN.md §14).
+// Inference operator fusion (DESIGN.md §14).
 //
 // FuseInference rewrites the stack for forward-only execution: every
 // conv→BN→ReLU (and dense→ReLU) run collapses into the leading GEMM's
@@ -11,31 +9,9 @@ import "crossbow/internal/tensor"
 // the inference walk's footprint shrinks with them. The epilogue performs
 // the exact per-element operation sequence of the unfused chain (bias add,
 // eval-mode BN, ReLU), so fusion is a pure memory/locality optimisation —
-// results are bit-identical in either kernel mode, which
-// TestFusedPredictBitIdentical and TestGoldenCRCs pin. A fused network is
-// inference-only: training walks panic.
-
-// kernelModeLayer is implemented by layers that dispatch GEMMs.
-type kernelModeLayer interface{ setKernelMode(tensor.KernelMode) }
-
-// quantLayer is implemented by layers with an int8 weight path.
-type quantLayer interface{ quantize() }
-
-// SetKernelMode selects the GEMM kernel mode for every layer in the stack
-// (descending into residual blocks). Deterministic is the zero value and
-// the default; Fast enables the FMA micro-kernels where the CPU supports
-// them (tensor.KernelMode).
-func (n *Network) SetKernelMode(m tensor.KernelMode) {
-	n.mode = m
-	walkLayers(n.layers, func(l Layer) {
-		if ml, ok := l.(kernelModeLayer); ok {
-			ml.setKernelMode(m)
-		}
-	})
-}
-
-// KernelMode returns the network's current kernel mode.
-func (n *Network) KernelMode() tensor.KernelMode { return n.mode }
+// results are bit-identical, which TestFusedPredictBitIdentical and
+// TestGoldenCRCs pin. A fused network is inference-only: training walks
+// panic.
 
 // FuseInference absorbs conv→BN→ReLU and dense→ReLU chains into GEMM
 // epilogues for forward-only execution. It must run before the first
@@ -54,37 +30,6 @@ func (n *Network) FuseInference() {
 
 // Fused reports whether FuseInference has run.
 func (n *Network) Fused() bool { return n.fused }
-
-// QuantizeWeights (re)builds every conv/dense layer's int8 weight copy and
-// scales from the currently bound parameters, enabling the quantized
-// evaluation-mode forward path. Call after Bind, and again after rebinding
-// a hot-swapped model.
-func (n *Network) QuantizeWeights() {
-	if n.boundW == nil {
-		panic("nn: QuantizeWeights before Bind")
-	}
-	n.quantized = true
-	walkLayers(n.layers, func(l Layer) {
-		if ql, ok := l.(quantLayer); ok {
-			ql.quantize()
-		}
-	})
-}
-
-// Quantized reports whether QuantizeWeights has run.
-func (n *Network) Quantized() bool { return n.quantized }
-
-// walkLayers visits every primitive layer, descending into residual blocks.
-func walkLayers(ls []Layer, f func(Layer)) {
-	for _, l := range ls {
-		if r, ok := l.(*Residual); ok {
-			walkLayers(r.branch, f)
-			walkLayers(r.shortcut, f)
-			continue
-		}
-		f(l)
-	}
-}
 
 // fuseChain absorbs fusible runs within one sequential layer list. A
 // residual branch ends the same way (its trailing BN fuses into the last

@@ -10,33 +10,29 @@ import (
 // TestFusedPredictBitIdentical pins the fusion contract: absorbing
 // conv→BN→ReLU (and dense→ReLU) chains into GEMM epilogues is a pure
 // memory/locality optimisation — Predict must return bit-identical
-// probabilities and classes to the unfused network, in both kernel modes,
-// for every benchmark model.
+// probabilities and classes to the unfused network, for every benchmark
+// model.
 func TestFusedPredictBitIdentical(t *testing.T) {
 	const batch = 8
-	for _, mode := range []tensor.KernelMode{tensor.Deterministic, tensor.Fast} {
-		for _, id := range AllModels {
-			ref, x := buildPredictFixture(t, id, batch)
-			ref.SetKernelMode(mode)
-			refPreds := make([]int, batch)
-			refConf := make([]float32, batch)
-			ref.Predict(x, refPreds, refConf)
+	for _, id := range AllModels {
+		ref, x := buildPredictFixture(t, id, batch)
+		refPreds := make([]int, batch)
+		refConf := make([]float32, batch)
+		ref.Predict(x, refPreds, refConf)
 
-			net, _ := buildPredictFixture(t, id, batch)
-			net.SetKernelMode(mode)
-			net.FuseInference()
-			net.AttachInferenceArena(tensor.NewArena(net.InferPlan().ArenaElems))
-			preds := make([]int, batch)
-			conf := make([]float32, batch)
-			net.Predict(x, preds, conf)
+		net, _ := buildPredictFixture(t, id, batch)
+		net.FuseInference()
+		net.AttachInferenceArena(tensor.NewArena(net.InferPlan().ArenaElems))
+		preds := make([]int, batch)
+		conf := make([]float32, batch)
+		net.Predict(x, preds, conf)
 
-			for i := 0; i < batch; i++ {
-				if preds[i] != refPreds[i] {
-					t.Fatalf("%s/%s: sample %d class %d != %d (unfused)", id, mode, i, preds[i], refPreds[i])
-				}
-				if math.Float32bits(conf[i]) != math.Float32bits(refConf[i]) {
-					t.Fatalf("%s/%s: sample %d confidence %v != %v (unfused)", id, mode, i, conf[i], refConf[i])
-				}
+		for i := 0; i < batch; i++ {
+			if preds[i] != refPreds[i] {
+				t.Fatalf("%s: sample %d class %d != %d (unfused)", id, i, preds[i], refPreds[i])
+			}
+			if math.Float32bits(conf[i]) != math.Float32bits(refConf[i]) {
+				t.Fatalf("%s: sample %d confidence %v != %v (unfused)", id, i, conf[i], refConf[i])
 			}
 		}
 	}
@@ -103,88 +99,4 @@ func mustPanic(t *testing.T, what string, f func()) {
 		}
 	}()
 	f()
-}
-
-// synthClassData fills x with samples drawn from per-class template
-// patterns plus noise, returning the labels — linearly separable enough
-// that a briefly trained network becomes confident.
-func synthClassData(r *tensor.RNG, templates [][]float32, x *tensor.Tensor, labels []int, classes int) {
-	vol := x.Len() / len(labels)
-	xd := x.Data()
-	for i := range labels {
-		c := r.Intn(classes)
-		labels[i] = c
-		tpl := templates[c]
-		for j := 0; j < vol; j++ {
-			xd[i*vol+j] = tpl[j] + 0.3*float32(r.NormFloat64())
-		}
-	}
-}
-
-// TestQuantizedTopOneAgreement is the acceptance gate for the int8 path:
-// on a briefly trained ResNet-32, the quantized+fused network must agree
-// with the f32 network on ≥99% of top-1 predictions over a synthesized
-// evaluation set — the same gate the serving plane applies before
-// publishing a quantized replica.
-func TestQuantizedTopOneAgreement(t *testing.T) {
-	const (
-		batch    = 16
-		classes  = 10
-		steps    = 40
-		lr       = 0.05
-		evalN    = 16 // eval batches: 256 samples
-		minAgree = 0.99
-	)
-	train := BuildScaled(ResNet32, batch, tensor.NewRNG(1))
-	w := train.Init(tensor.NewRNG(2))
-	g := make([]float32, train.ParamSize())
-	train.Bind(w, g)
-
-	vol := tensor.Volume(train.InShape)
-	tr := tensor.NewRNG(5)
-	templates := make([][]float32, classes)
-	for c := range templates {
-		templates[c] = make([]float32, vol)
-		for j := range templates[c] {
-			templates[c][j] = float32(tr.NormFloat64())
-		}
-	}
-	x := tensor.New(append([]int{batch}, train.InShape...)...)
-	labels := make([]int, batch)
-	for s := 0; s < steps; s++ {
-		synthClassData(tr, templates, x, labels, classes)
-		clear(g)
-		train.LossAndGrad(x, labels)
-		for i, gi := range g {
-			w[i] -= lr * gi
-		}
-	}
-
-	f32 := BuildScaled(ResNet32, batch, tensor.NewRNG(1))
-	f32.Bind(w, make([]float32, f32.ParamSize()))
-	q := BuildScaled(ResNet32, batch, tensor.NewRNG(1))
-	q.FuseInference()
-	q.Bind(w, make([]float32, q.ParamSize()))
-	q.QuantizeWeights()
-
-	er := tensor.NewRNG(7)
-	fp := make([]int, batch)
-	qp := make([]int, batch)
-	agree, total := 0, 0
-	for b := 0; b < evalN; b++ {
-		synthClassData(er, templates, x, labels, classes)
-		f32.Predict(x, fp, nil)
-		q.Predict(x, qp, nil)
-		for i := range fp {
-			if fp[i] == qp[i] {
-				agree++
-			}
-			total++
-		}
-	}
-	if frac := float64(agree) / float64(total); frac < minAgree {
-		t.Fatalf("quantized top-1 agreement %.4f (%d/%d) below %.2f", frac, agree, total, minAgree)
-	} else {
-		t.Logf("quantized top-1 agreement %.4f (%d/%d)", frac, agree, total)
-	}
 }

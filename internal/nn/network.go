@@ -25,9 +25,7 @@ type Network struct {
 	loss   *SoftmaxCE
 	size   int
 
-	mode      tensor.KernelMode // GEMM kernel mode for every layer (fuse.go)
-	fused     bool              // FuseInference ran: inference-only network
-	quantized bool              // QuantizeWeights ran: int8 eval forward
+	fused bool // FuseInference ran: inference-only network
 
 	boundW []float32 // currently bound parameter vector (for sanity checks)
 

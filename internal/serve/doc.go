@@ -25,8 +25,10 @@
 //   - R replicas claim batches first-come-first-served from a shared channel
 //     (the same FCFS claim discipline the training runtime uses for staged
 //     batches), copy the samples into their fixed-batch input tensor, run
-//     the forward-only network against a per-replica planned arena, and
-//     answer each request with its arg-max class and softmax confidence.
+//     the forward-only network — fused, conv→BN→ReLU chains in the GEMM
+//     epilogues, bit-identical to the layer-by-layer forward — against a
+//     per-replica planned arena, and answer each request with its arg-max
+//     class and softmax confidence.
 //
 // Snapshots version the model: UpdateModel hot-swaps all replicas onto a
 // newer published snapshot between batches, so a serving engine can trail a

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crossbow/internal/data"
 	"crossbow/internal/metrics"
 	"crossbow/internal/nn"
 	"crossbow/internal/tensor"
@@ -66,24 +65,6 @@ type Config struct {
 	// admission — work that would miss its deadline anyway is refused
 	// before it wastes a replica's forward pass.
 	AdmitDeadline time.Duration
-	// KernelMode selects the replicas' GEMM kernel mode:
-	// tensor.Deterministic (the zero value — bit-reproducible) or
-	// tensor.Fast (FMA micro-kernels where the CPU supports them;
-	// DESIGN.md §14). Fast-mode replicas also run with conv→BN→ReLU
-	// chains fused into GEMM epilogues, which is bit-identical and only
-	// shrinks the inference arenas.
-	KernelMode tensor.KernelMode
-	// Quantize asks for the int8 serving path: replica weights are
-	// quantized per output channel at model-publish time and forward
-	// passes accumulate in int32. The request is gated — see
-	// QuantMinAgreement — and re-applied on every UpdateModel hot-swap.
-	Quantize bool
-	// QuantMinAgreement is the top-1 agreement fraction the quantized
-	// network must reach against the f32 network over a synthesized
-	// evaluation set before the engine serves int8; below it the engine
-	// falls back to f32 (Quantized() reports which side won, and
-	// ServingStats carries the measured agreement). Zero selects 0.99.
-	QuantMinAgreement float64
 	// SLO, when positive, turns on adaptive batching (DESIGN.md §16): the
 	// engine targets this end-to-end p99 latency, treating MaxBatch as a
 	// ceiling and MaxDelay as irrelevant — a measurement-driven controller
@@ -123,9 +104,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = c.Replicas * c.MaxBatch * 4
-	}
-	if c.QuantMinAgreement <= 0 {
-		c.QuantMinAgreement = 0.99
 	}
 	if c.ControlEvery <= 0 {
 		c.ControlEvery = 100 * time.Millisecond
@@ -215,12 +193,6 @@ type Engine struct {
 	sampleVol   int
 	gradScratch []float32 // shared Bind scratch; forward passes never write it
 
-	// Quantization gate outcome, fixed at New: quantOn says whether
-	// replicas serve the int8 path; quantAgreement is the measured top-1
-	// agreement (zero when quantization was not requested).
-	quantOn        bool
-	quantAgreement float64
-
 	// Adaptive batching state (SLO > 0). classes is the batch-size ladder
 	// (a single MaxBatch entry in static mode); curBatch/curDelayNs are the
 	// controller's live policy, read by the dispatcher per batch; the
@@ -288,9 +260,6 @@ func New(cfg Config) (*Engine, error) {
 		gradScratch: make([]float32, probe.ParamSize()),
 	}
 	e.model.Store(&modelState{w: cfg.Params, version: cfg.Version})
-	if cfg.Quantize {
-		e.quantOn, e.quantAgreement = quantGate(&cfg)
-	}
 	e.adaptive = cfg.SLO > 0
 	e.classes = []int{cfg.MaxBatch}
 	if e.adaptive {
@@ -335,17 +304,10 @@ func New(cfg Config) (*Engine, error) {
 // binding it to the current model.
 func (e *Engine) makeSlot(net *nn.Network, batchSize int) *replicaSlot {
 	ms := e.model.Load()
-	net.SetKernelMode(e.cfg.KernelMode)
 	// Fusion is bit-identical (TestFusedPredictBitIdentical) and only
-	// shrinks the inference walk, but the deterministic default stays
-	// on the exact layer-by-layer path the determinism suite pins.
-	if e.quantOn || e.cfg.KernelMode == tensor.Fast {
-		net.FuseInference()
-	}
+	// shrinks the inference walk.
+	net.FuseInference()
 	net.Bind(ms.w, e.gradScratch)
-	if e.quantOn {
-		net.QuantizeWeights()
-	}
 	net.AttachInferenceArena(tensor.NewArena(net.InferPlan().ArenaElems))
 	return &replicaSlot{
 		net:   net,
@@ -386,67 +348,8 @@ func (e *Engine) replicaLoop(r *replica) {
 	}
 }
 
-// quantGate decides whether the int8 path may serve cfg.Params: it builds
-// an f32 reference network and a fused+quantized candidate, classifies a
-// synthesized evaluation set with both (the model's benchmark distribution,
-// so the gate sees realistically clustered inputs rather than white noise)
-// and admits quantization only when top-1 agreement reaches
-// cfg.QuantMinAgreement. This runs once, at publish time — the same place
-// the quantized weights themselves are derived — so a snapshot that
-// quantizes badly is served in f32 instead of degrading answers silently.
-func quantGate(cfg *Config) (ok bool, agreement float64) {
-	const evalBatches = 8
-	f32 := nn.BuildScaled(cfg.Model, cfg.MaxBatch, tensor.NewRNG(1))
-	f32.SetKernelMode(cfg.KernelMode)
-	f32.Bind(cfg.Params, make([]float32, f32.ParamSize()))
-	f32.AttachInferenceArena(tensor.NewArena(f32.InferPlan().ArenaElems))
-
-	q := nn.BuildScaled(cfg.Model, cfg.MaxBatch, tensor.NewRNG(1))
-	q.SetKernelMode(cfg.KernelMode)
-	q.FuseInference()
-	q.Bind(cfg.Params, make([]float32, q.ParamSize()))
-	q.QuantizeWeights()
-	q.AttachInferenceArena(tensor.NewArena(q.InferPlan().ArenaElems))
-
-	sc := data.ForModel(cfg.Model, 1789, 0)
-	sc.Train, sc.Test = 0, evalBatches*cfg.MaxBatch
-	_, eval := data.Synthesize(sc)
-
-	x := tensor.New(append([]int{cfg.MaxBatch}, f32.InShape...)...)
-	idx := make([]int, cfg.MaxBatch)
-	labels := make([]int, cfg.MaxBatch)
-	fp := make([]int, cfg.MaxBatch)
-	qp := make([]int, cfg.MaxBatch)
-	agree, total := 0, 0
-	for b := 0; b < evalBatches; b++ {
-		for i := range idx {
-			idx[i] = b*cfg.MaxBatch + i
-		}
-		eval.Gather(idx, x, labels)
-		f32.Predict(x, fp, nil)
-		q.Predict(x, qp, nil)
-		for i := range fp {
-			if fp[i] == qp[i] {
-				agree++
-			}
-			total++
-		}
-	}
-	agreement = float64(agree) / float64(total)
-	return agreement >= cfg.QuantMinAgreement, agreement
-}
-
 // SampleVol returns the expected per-sample element count of Predict inputs.
 func (e *Engine) SampleVol() int { return e.sampleVol }
-
-// Quantized reports whether replicas serve the int8 weight path. False
-// either when Config.Quantize was off or when the publish-time agreement
-// gate rejected the model (QuantAgreement tells which).
-func (e *Engine) Quantized() bool { return e.quantOn }
-
-// QuantAgreement returns the top-1 agreement the quantization gate measured
-// (zero when quantization was never requested).
-func (e *Engine) QuantAgreement() float64 { return e.quantAgreement }
 
 // Model returns the served architecture.
 func (e *Engine) Model() nn.ModelID { return e.cfg.Model }
@@ -583,9 +486,6 @@ func (e *Engine) Stats() metrics.ServingStats {
 		ServiceP99Ms: metrics.Ms(e.service.Quantile(0.99)),
 		ModelVersion: e.model.Load().version,
 		ModelSwaps:   e.swaps.Load(),
-		KernelMode:   e.cfg.KernelMode.String(),
-		Quantized:    e.quantOn,
-		QuantAgree:   e.quantAgreement,
 		Replicas:     int(e.liveReplicas.Load()),
 		Resizes:      e.resizes.Load(),
 	}
@@ -734,12 +634,6 @@ func (e *Engine) runBatch(r *replica, b *batch) {
 	}
 	if ms != slot.bound {
 		slot.net.Bind(ms.w, e.gradScratch)
-		if e.quantOn {
-			// Quantization happens at publish time: the hot-swapped
-			// parameters need a fresh int8 copy and scales before this
-			// slot's next forward pass.
-			slot.net.QuantizeWeights()
-		}
 		slot.bound = ms
 	}
 	xd := slot.x.Data()

@@ -14,25 +14,18 @@
 // count — the determinism contract DESIGN.md §8 documents and the
 // determinism tests pin.
 //
-// GEMMs come in two kernel modes (KernelMode, DESIGN.md §14).
-// Deterministic — the zero value and the default — computes every element
-// by the scalar rounding sequence (vector MUL then ADD, never FMA, one C
-// element per lane, k ascending), so results are bit-identical across SIMD
-// levels, machines, and worker counts. It has one tile per ISA level: 8×16
-// on AVX-512 (gemmTileZ: a whole band per call, opmask edges, no edge
+// There is one kernel contract (DESIGN.md §14): the GEMM computes every
+// element by the scalar rounding sequence (vector MUL then ADD, never FMA,
+// one C element per lane, k ascending), so results are bit-identical across
+// SIMD levels, machines, and worker counts. It has one tile per ISA level:
+// 8×16 on AVX-512 (gemmTileZ: a whole band per call, opmask edges, no edge
 // kernels), 4×8 on AVX2, and the Go kernels, which are also the oracle.
-// Fast opts into FMA3 micro-kernels (8×16 ZMM tiles under AVX-512) plus
-// shape-gated fallback for tiny GEMMs: still ascending-k and run-to-run
-// reproducible on a fixed machine, but accurate only to the standard
-// forward-error bound against the scalar oracle. Dispatch is CPUID-gated,
-// width and FMA independently; CROSSBOW_NOAVX512, CROSSBOW_NOFMA and
-// CROSSBOW_NOSIMD each switch one thing off (gemm_kernel_amd64.go). GemmInt8 supplies the per-channel
-// symmetric int8 path the serving plane's quantized mode builds on, and
-// Epilogue lets internal/nn fuse bias/BN/ReLU into the GEMM's output
-// blocks. The exact elementwise kernels (ReluFwd, ReluBwd, AddRelu, Add,
-// AccumAdd) are SIMD in both modes — max, compare-select and a single
-// add round identically to their scalar loops, so they never weaken the
-// deterministic contract. The five optimiser kernels (SMACorrectStep,
+// Dispatch is CPUID-gated; CROSSBOW_NOAVX512 and CROSSBOW_NOSIMD each switch
+// one level off (gemm_kernel_amd64.go). Epilogue lets internal/nn fuse
+// bias/BN/ReLU into the GEMM's output blocks. The exact elementwise kernels
+// (ReluFwd, ReluBwd, AddRelu, Add, AccumAdd) are SIMD too — max,
+// compare-select and a single add round identically to their scalar loops,
+// so they never weaken the contract. The five optimiser kernels (SMACorrectStep,
 // SMAContributeStep, SMALocalStep, SMAFold, SMADistFold; DESIGN.md §17)
 // extend that family to the multiply-add chains of model averaging: one
 // vector multiply, add or subtract per scalar operation in the scalar
@@ -48,9 +41,9 @@
 // activations. On AVX-512 a pass covers a whole channel row of the batch
 // under opmask tables periodic in the plane, the index table is a gather,
 // and Lowering.GemmConv computes a forward-only conv with x read in place
-// of the column matrix, inside the GEMM tile's k loop. The channel-row kernels (rows.go; DESIGN.md §8) complete it:
-// batch-norm's four per-channel float64 reductions and the conv bias
-// gradient's per-sample float32 sums, SIMD with one channel per lane —
+// of the column matrix, inside the GEMM tile's k loop. The channel-row
+// kernels (rows.go; DESIGN.md §8) complete it: batch-norm's four per-channel
+// float64 reductions and the conv bias gradient's per-sample float32 sums, SIMD with one channel per lane —
 // never positions of one channel across lanes — so each channel's sum is
 // the scalar loop's serial chain, bit for bit; their elementwise halves
 // (NormRow, NormGradRow) and the 8×8-block Transpose / TransposeAdd the conv

@@ -143,35 +143,3 @@ func TestElemScalarFallback(t *testing.T) {
 		elemBitsEqual(t, "AddRelu/fallback", n, got, want)
 	}
 }
-
-// TestPackATranspose pins the AVX2 8×8 transpose pack against the scalar
-// pack bit for bit, across kb values spanning tail-only through multiple
-// vector blocks, both alpha regimes, and all three storage kinds.
-func TestPackATranspose(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	for _, kind := range []gemmKind{gemmNN, gemmTB, gemmTA} {
-		for _, kb := range []int{1, 7, 8, 9, 16, 40, 61} {
-			for _, alpha := range []float32{1, -0.375} {
-				m, k := 8, kb // one full 8-row tile
-				var a []float32
-				if kind == gemmTA {
-					a = elemFill(r, k*m)
-				} else {
-					a = elemFill(r, m*k)
-				}
-				simd := make([]float32, kb*fmaMR)
-				ref := make([]float32, kb*fmaMR)
-				packAFast(kind, simd, a, m, k, 0, m, 0, kb, alpha)
-				prev := setGemmASM(false)
-				packAFast(kind, ref, a, m, k, 0, m, 0, kb, alpha)
-				setGemmASM(prev)
-				for i := range simd {
-					if math.Float32bits(simd[i]) != math.Float32bits(ref[i]) {
-						t.Fatalf("kind=%v kb=%d alpha=%v: packed[%d] = %v, scalar %v",
-							kind, kb, alpha, i, simd[i], ref[i])
-					}
-				}
-			}
-		}
-	}
-}

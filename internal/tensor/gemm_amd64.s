@@ -1,5 +1,5 @@
 // amd64 AVX2 GEMM micro-kernels: the 4×8 output tile, one YMM per C row —
-// the Deterministic level of hosts without AVX-512 (gemm_avx512_amd64.s has
+// the level of hosts without AVX-512 (gemm_avx512_amd64.s has
 // the 8×16 tile).
 //
 // A packed ap is MR(4)-interleaved (4 floats per k step), a packed bp is

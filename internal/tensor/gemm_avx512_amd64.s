@@ -1,119 +1,10 @@
-// amd64 AVX-512F GEMM micro-kernels: the 8×16 output tile, one ZMM per C
-// row. gemmTileZ is the Deterministic tile (VMULPS then VADDPS, DESIGN.md
-// §8); gemmMicroFMAZ16 is Fast mode's (VFMADD231PS, DESIGN.md §14).
+// amd64 AVX-512F GEMM micro-kernel: the 8×16 output tile, one ZMM per C
+// row — gemmTileZ, VMULPS then VADDPS (DESIGN.md §8).
 
 #include "textflag.h"
 #include "go_asm.h"
 
-// func gemmMicroFMAZ16(kb int, ap, b *float32, ldb int, c *float32, ldc int)
-//
-// The 8×8 YMM FMA kernel is load-port bound: nine loads (one B vector,
-// eight A broadcasts) feed sixteen 8-wide FMA lanes per k step. Doubling
-// the tile width to one ZMM per C row keeps the load count identical —
-// the A broadcasts fold into the FMAs as embedded-broadcast memory
-// operands — while doubling the flops per step, which moves the kernel to
-// the FMA ports' throughput limit. Accumulation order per C element is
-// unchanged (ascending k, one float32 lane, fused rounding), so results
-// are bit-identical to the 8×8 FMA kernels and remain independent of the
-// worker count.
-//
-// Strided-B variant: reads the 16 tile columns straight from row-major B
-// (row stride ldb elements). ap is fmaMR(8)-interleaved with alpha folded
-// in; accumulators preload from C and the result overwrites C.
-TEXT ·gemmMicroFMAZ16(SB), NOSPLIT, $0-48
-	MOVQ kb+0(FP), CX
-	MOVQ ap+8(FP), DI
-	MOVQ b+16(FP), SI
-	MOVQ ldb+24(FP), R13
-	SHLQ $2, R13
-	MOVQ c+32(FP), DX
-	MOVQ ldc+40(FP), R8
-	SHLQ $2, R8
-	MOVQ DX, AX
-	VMOVUPS (AX), Z0
-	ADDQ    R8, AX
-	VMOVUPS (AX), Z1
-	ADDQ    R8, AX
-	VMOVUPS (AX), Z2
-	ADDQ    R8, AX
-	VMOVUPS (AX), Z3
-	ADDQ    R8, AX
-	VMOVUPS (AX), Z4
-	ADDQ    R8, AX
-	VMOVUPS (AX), Z5
-	ADDQ    R8, AX
-	VMOVUPS (AX), Z6
-	ADDQ    R8, AX
-	VMOVUPS (AX), Z7
-	TESTQ   CX, CX
-	JZ      z16_done
-
-	// Unrolled ×2: pairs first, then an optional tail step.
-	MOVQ CX, R12
-	SHRQ $1, R12
-	JZ   z16_tail
-
-z16_loop:
-	VMOVUPS          (SI), Z8
-	ADDQ             R13, SI
-	VFMADD231PS.BCST (DI), Z8, Z0
-	VFMADD231PS.BCST 4(DI), Z8, Z1
-	VFMADD231PS.BCST 8(DI), Z8, Z2
-	VFMADD231PS.BCST 12(DI), Z8, Z3
-	VFMADD231PS.BCST 16(DI), Z8, Z4
-	VFMADD231PS.BCST 20(DI), Z8, Z5
-	VFMADD231PS.BCST 24(DI), Z8, Z6
-	VFMADD231PS.BCST 28(DI), Z8, Z7
-
-	VMOVUPS          (SI), Z9
-	ADDQ             R13, SI
-	VFMADD231PS.BCST 32(DI), Z9, Z0
-	VFMADD231PS.BCST 36(DI), Z9, Z1
-	VFMADD231PS.BCST 40(DI), Z9, Z2
-	VFMADD231PS.BCST 44(DI), Z9, Z3
-	VFMADD231PS.BCST 48(DI), Z9, Z4
-	VFMADD231PS.BCST 52(DI), Z9, Z5
-	VFMADD231PS.BCST 56(DI), Z9, Z6
-	VFMADD231PS.BCST 60(DI), Z9, Z7
-
-	ADDQ $64, DI
-	DECQ R12
-	JNZ  z16_loop
-
-z16_tail:
-	ANDQ $1, CX
-	JZ   z16_done
-	VMOVUPS          (SI), Z8
-	VFMADD231PS.BCST (DI), Z8, Z0
-	VFMADD231PS.BCST 4(DI), Z8, Z1
-	VFMADD231PS.BCST 8(DI), Z8, Z2
-	VFMADD231PS.BCST 12(DI), Z8, Z3
-	VFMADD231PS.BCST 16(DI), Z8, Z4
-	VFMADD231PS.BCST 20(DI), Z8, Z5
-	VFMADD231PS.BCST 24(DI), Z8, Z6
-	VFMADD231PS.BCST 28(DI), Z8, Z7
-
-z16_done:
-	MOVQ    DX, AX
-	VMOVUPS Z0, (AX)
-	ADDQ    R8, AX
-	VMOVUPS Z1, (AX)
-	ADDQ    R8, AX
-	VMOVUPS Z2, (AX)
-	ADDQ    R8, AX
-	VMOVUPS Z3, (AX)
-	ADDQ    R8, AX
-	VMOVUPS Z4, (AX)
-	ADDQ    R8, AX
-	VMOVUPS Z5, (AX)
-	ADDQ    R8, AX
-	VMOVUPS Z6, (AX)
-	ADDQ    R8, AX
-	VMOVUPS Z7, (AX)
-	VZEROUPPER
-	RET
-
-// The Deterministic tile. Row r of a k step: Z_r += a[r][p]·B_p, the product
+// The tile. Row r of a k step: Z_r += a[r][p]·B_p, the product
 // rounded by VMULPS before VADDPS adds it — never FMA — with the A element an
 // embedded broadcast at DI + r·ars (R14 = ars, R15 = 3·ars, R12 = 5·ars,
 // R11 = 7·ars) and the accumulator VADDPS's first source, as it is the

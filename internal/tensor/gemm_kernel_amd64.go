@@ -4,32 +4,23 @@ package tensor
 
 import "os"
 
-// amd64 micro-kernel dispatch. The Deterministic kernels have one tile per
-// ISA level: 8×16 on AVX-512F (one ZMM per C row, gemm_avx512_amd64.s), 4×8
-// on AVX2 (one YMM per C row, gemm_amd64.s), and the Go kernels of gemm.go
-// everywhere else, a pre-AVX2 amd64 CPU included. Every level uses vector
-// MUL then ADD — never FMA — with one C element per lane and k ascending, so
-// each element is the same serial chain of roundings whatever the register
-// width, and all levels are bit-identical (TestGemmSIMDMatchesGeneric,
-// TestGemmTileZOracle).
+// amd64 micro-kernel dispatch. The GEMM has one tile per ISA level: 8×16 on
+// AVX-512F (one ZMM per C row, gemm_avx512_amd64.s), 4×8 on AVX2 (one YMM
+// per C row, gemm_amd64.s), and the Go kernels of gemm.go everywhere else, a
+// pre-AVX2 amd64 CPU included. Every level uses vector MUL then ADD — never
+// FMA — with one C element per lane and k ascending, so each element is the
+// same serial chain of roundings whatever the register width, and all levels
+// are bit-identical (TestGemmSIMDMatchesGeneric, TestGemmTileZOracle).
 //
-// Three environment switches, each read once at init and each a CI step:
+// Two environment switches, each read once at init and each a CI step:
 //
 //	CROSSBOW_NOSIMD=1    every kernel of the package on its Go loop
-//	CROSSBOW_NOAVX512=1  no ZMM kernel: the Deterministic GEMM and the conv
-//	                     lowering on their AVX2 level, Fast mode on 8×8 YMM
-//	CROSSBOW_NOFMA=1     Fast mode computes with the Deterministic kernels
-//	                     (at whatever width the host has), bit-for-bit
-//
-// Width and FMA are detected independently: the opt-in Fast kernel mode
-// dispatches 8×8 FMA3 micro-kernels (gemm_fma_amd64.s) when CPUID reports
-// FMA3 alongside the AVX2/OSXSAVE checks, and its 8×16 ZMM variant when both
-// FMA and AVX-512 are on.
+//	CROSSBOW_NOAVX512=1  no ZMM kernel: the GEMM and the conv lowering on
+//	                     their AVX2 level
 
 var (
 	gemmUseASM  = true
 	gemmUseAVX2 bool
-	gemmUseFMA  bool
 	gemmUseZ    bool
 	// gemmHasZ is what setGemmZ(true) restores: AVX-512F present and not
 	// switched off by CROSSBOW_NOAVX512.
@@ -42,9 +33,6 @@ func init() {
 		return
 	}
 	gemmUseAVX2 = detectAVX2()
-	if os.Getenv("CROSSBOW_NOFMA") == "" {
-		gemmUseFMA = gemmUseAVX2 && detectFMA()
-	}
 	if os.Getenv("CROSSBOW_NOAVX512") == "" {
 		gemmHasZ = gemmUseAVX2 && detectAVX512()
 	}
@@ -70,14 +58,6 @@ func detectAVX2() bool {
 	return b7&(1<<5) != 0
 }
 
-// detectFMA reports FMA3 support (CPUID leaf 1 ECX bit 12). The OS-state
-// prerequisites (OSXSAVE, XGETBV YMM enable) are detectAVX2's checks, so
-// callers must AND the two.
-func detectFMA() bool {
-	_, _, c1, _ := cpuidAsm(1, 0)
-	return c1&(1<<12) != 0
-}
-
 // detectAVX512 reports AVX-512F and AVX-512VL support — CPUID leaf 7 EBX
 // bits 16 and 31; VL because the tile runs a block of at most eight columns
 // in YMM registers with embedded broadcasts and opmasks, and every AVX-512
@@ -100,20 +80,12 @@ func detectAVX512() bool {
 	return b7&fvl == fvl
 }
 
-// fmaActive reports whether Fast-mode GEMM will actually run the FMA3
-// micro-kernels right now (CPU capable, not disabled by env or test hooks).
-func fmaActive() bool { return gemmUseASM && gemmUseFMA }
-
-// zActive reports whether the AVX-512 kernels — the Deterministic 8×16 tile
-// and the whole-row conv lowering — are dispatched right now.
+// zActive reports whether the AVX-512 kernels — the 8×16 tile and the
+// whole-row conv lowering — are dispatched right now.
 func zActive() bool { return gemmUseASM && gemmUseZ }
 
-// fmaZActive reports whether the 8×16 AVX-512 kernel is dispatched on top
-// of the FMA path. Purely a width upgrade: bits are identical either way.
-func fmaZActive() bool { return fmaActive() && gemmUseZ }
-
-// gemmTile returns the Deterministic tile of the active ISA level; the
-// drivers cut panels, bands and parallel grains in its units.
+// gemmTile returns the tile of the active ISA level; the drivers cut panels,
+// bands and parallel grains in its units.
 func gemmTile() (mr, nr int) {
 	if zActive() {
 		return gemmMaxMR, gemmMaxNR
@@ -133,15 +105,6 @@ func gemmRowDirAVX2(kb int, a *float32, ars, acs int, b *float32, ldb int, c *fl
 //go:noescape
 func gemmTileZ(t *zTile)
 
-//go:noescape
-func gemmMicroFMAPack8(kb int, ap, bp, c *float32, ldc int)
-
-//go:noescape
-func gemmMicroFMABS8(kb int, ap, b *float32, ldb int, c *float32, ldc int)
-
-//go:noescape
-func gemmMicroFMAZ16(kb int, ap, b *float32, ldb int, c *float32, ldc int)
-
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
@@ -154,39 +117,14 @@ func setGemmASM(on bool) bool {
 	return prev
 }
 
-// setGemmFMA is a test hook: false forces Fast mode onto the deterministic
-// kernels (the CROSSBOW_NOFMA behaviour); true re-enables FMA only if the
-// CPU actually has it. It returns the previous setting.
-func setGemmFMA(on bool) bool {
-	prev := gemmUseFMA
-	gemmUseFMA = on && detectAVX2() && detectFMA()
-	return prev
-}
-
 // setGemmZ is the test hook for register width: false takes every kernel
-// that has a ZMM form — the Deterministic tile, the conv lowering, Fast
-// mode's 8×16 — to its AVX2 level (the CROSSBOW_NOAVX512 behaviour); true
-// restores what init found. It returns the previous setting.
+// that has a ZMM form — the GEMM tile, the conv lowering — to its AVX2 level
+// (the CROSSBOW_NOAVX512 behaviour); true restores what init found. It
+// returns the previous setting.
 func setGemmZ(on bool) bool {
 	prev := gemmUseZ
 	gemmUseZ = on && gemmHasZ
 	return prev
-}
-
-// gemmMicroFMAPack computes one full 8×8 tile over packed A/B panels with
-// FMA, accumulators preloaded from C (alpha already folded into ap).
-func gemmMicroFMAPack(kb int, ap, bp, c []float32, ldc int) {
-	gemmMicroFMAPack8(kb, &ap[0], &bp[0], &c[0], ldc)
-}
-
-// gemmMicroFMABS is gemmMicroFMAPack reading B rows directly at stride ldb.
-func gemmMicroFMABS(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
-	gemmMicroFMABS8(kb, &ap[0], &b[0], ldb, &c[0], ldc)
-}
-
-// gemmMicroFMAZ is the 8×16 AVX-512 variant of gemmMicroFMABS.
-func gemmMicroFMAZ(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
-	gemmMicroFMAZ16(kb, &ap[0], &b[0], ldb, &c[0], ldc)
 }
 
 // zTile modes: how a block's accumulators start and how they are stored.

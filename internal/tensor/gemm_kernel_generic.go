@@ -19,30 +19,7 @@ func gemmPanelTile(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, col
 // setGemmASM is a no-op on architectures without assembly kernels.
 func setGemmASM(on bool) bool { return false }
 
-// setGemmFMA is a no-op on architectures without assembly kernels.
-func setGemmFMA(on bool) bool { return false }
-
 // setGemmZ is a no-op on architectures without assembly kernels.
 func setGemmZ(on bool) bool { return false }
 
-// fmaActive: no FMA micro-kernels off amd64 — Fast mode computes with the
-// Deterministic kernels, bit-for-bit.
-func fmaActive() bool { return false }
-
-func fmaZActive() bool { return false }
-
 func zActive() bool { return false }
-
-// The FMA micro-kernels are never dispatched when fmaActive is false;
-// these stubs only satisfy the linker.
-func gemmMicroFMAPack(kb int, ap, bp, c []float32, ldc int) {
-	panic("tensor: FMA kernel dispatched without FMA support")
-}
-
-func gemmMicroFMABS(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
-	panic("tensor: FMA kernel dispatched without FMA support")
-}
-
-func gemmMicroFMAZ(kb int, ap, b []float32, ldb int, c []float32, ldc int) {
-	panic("tensor: FMA kernel dispatched without FMA support")
-}

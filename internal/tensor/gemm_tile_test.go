@@ -9,7 +9,7 @@ import (
 
 // The AVX-512 tile's oracle tests. They run the dispatchers with the ZMM
 // kernels on against the Go kernels, and are no-ops on hosts without AVX-512
-// (or under CROSSBOW_NOAVX512/CROSSBOW_NOSIMD), like TestGemmFastZWidthInvariant.
+// (or under CROSSBOW_NOAVX512/CROSSBOW_NOSIMD).
 
 const tileSentinel = 0x7fc0beef // a NaN no arithmetic here produces
 

@@ -366,7 +366,7 @@ func TestGemmConvMatchesIm2colGemm(t *testing.T) {
 					col := make([]float32, rows*ns)
 					l.Im2colBatch(batch, xs, sn, sc, col)
 					want := nanFill(outC * ns)
-					GemmEpi(Deterministic, 1, w, outC, rows, col, ns, 0, want, epi)
+					GemmEpi(1, w, outC, rows, col, ns, 0, want, epi)
 					for _, workers := range []int{1, 3} {
 						SetParallelism(workers)
 						for _, front := range []bool{false, true} {

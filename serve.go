@@ -54,23 +54,6 @@ type ServeConfig struct {
 	// estimated drain time already exceeds it, or at dispatch if the
 	// request aged past it while queued.
 	AdmitDeadline time.Duration
-	// KernelMode selects the replicas' GEMM kernel mode: Deterministic
-	// (default) or Fast. Fast-mode replicas additionally serve with
-	// conv→BN→ReLU chains fused into GEMM epilogues — bit-identical
-	// output, smaller inference arenas.
-	KernelMode KernelMode
-	// Quantize requests the int8 serving path: weights are quantized per
-	// output channel when the model is published (and re-quantized on
-	// every UpdateSnapshot/UpdateParams), activations dynamically per
-	// batch, with int32 accumulation. The switch is gated: quantization
-	// only engages if the quantized network's top-1 predictions agree
-	// with f32 on at least QuantMinAgreement of a synthesized evaluation
-	// set; otherwise the service silently serves f32
-	// (Predictor.Quantized reports the outcome).
-	Quantize bool
-	// QuantMinAgreement overrides the quantization gate's top-1 agreement
-	// threshold (default 0.99).
-	QuantMinAgreement float64
 	// SLO switches batching from the static MaxBatch/MaxDelay knobs to the
 	// adaptive controller (DESIGN.md §16): the service measures per-class
 	// batch service times and arrival rate each control window and picks
@@ -171,10 +154,6 @@ func Serve(cfg ServeConfig) (*Predictor, error) {
 		QueueDepth:    cfg.QueueDepth,
 		ShedOnFull:    cfg.ShedOnFull,
 		AdmitDeadline: cfg.AdmitDeadline,
-
-		KernelMode:        cfg.KernelMode,
-		Quantize:          cfg.Quantize,
-		QuantMinAgreement: cfg.QuantMinAgreement,
 
 		SLO:          cfg.SLO,
 		ControlEvery: cfg.ControlEvery,
@@ -312,15 +291,6 @@ func (p *Predictor) Version() int64 { return p.eng.Version() }
 
 // SampleVol returns the expected per-sample element count of Predict inputs.
 func (p *Predictor) SampleVol() int { return p.eng.SampleVol() }
-
-// Quantized reports whether the service is answering from the int8 path —
-// false when ServeConfig.Quantize was off, or when the publish-time
-// agreement gate rejected the model and the service fell back to f32.
-func (p *Predictor) Quantized() bool { return p.eng.Quantized() }
-
-// QuantAgreement returns the top-1 agreement the quantization gate measured
-// against the f32 network (zero when quantization was never requested).
-func (p *Predictor) QuantAgreement() float64 { return p.eng.QuantAgreement() }
 
 // Stats reports the service's behaviour so far.
 func (p *Predictor) Stats() ServingStats { return p.eng.Stats() }
