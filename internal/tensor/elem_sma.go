@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Optimiser kernels: the flat-vector arithmetic of synchronous model
 // averaging (Alg 1 lines 8-13) as exact elementwise loops. §4.4 keeps every
 // replica's weights and gradients contiguous so that corrections, momentum
@@ -8,13 +10,40 @@ package tensor
 // below finishes the tail and is the whole kernel when SIMD is off).
 //
 // Every kernel is bit-identical to its scalar loop for all inputs
-// (including ±Inf, -0 and denormals; NaN lanes stay NaN): the vector code
+// (including ±Inf, -0 and subnormals; NaN lanes stay NaN): the vector code
 // performs the same IEEE single-precision multiplies, adds and subtracts
-// in the same association, never a fused multiply-add, and never flushes
-// denormals. The scalar loops are the definition; internal/core composes
+// in the same association, never a fused multiply-add, and never touches
+// MXCSR. The scalar loops are the definition; internal/core composes
 // them into blocked walks over the model (DESIGN.md "optimiser kernels").
 //
+// The velocity is the one piece of state here that decays: with a zero
+// gradient v ← µ·v shrinks until µ·v rounds back to v on the smallest
+// subnormals, and there it stays — every later step multiplying a
+// subnormal, which x86 hands to a microcode assist (~150 cycles a vector).
+// So the velocity update is defined as v ← µ·v − γ·g followed by snapVel:
+// a result below the smallest normal, 2⁻¹²⁶, is stored as +0. The three
+// kernels that own a velocity (SMACorrectStep, SMAContributeStep,
+// SMALocalStep) all do it, scalar loop, AVX2 body and tail alike; SMAFold
+// and SMADistFold carry no decaying state and have nothing to snap. A
+// parameter cannot see it: w takes v only through one addition, and adding
+// anything below 2⁻¹²⁶ to a float32 of magnitude ≥ 2⁻¹⁰¹ returns that
+// float32 unchanged — less than half its last place — while the velocity
+// itself rejoins the unsnapped one bit for bit at the first step whose
+// γ·g is a normal number of that size (DESIGN.md §17;
+// core.TestSnapInvisibleToParameters pins a 3 000-step run to the
+// unsnapped definition's parameters).
+//
 // All slices of one call must have equal length and must not overlap.
+
+// snapVel returns v, or +0 where |v| < 2⁻¹²⁶ (a zero of either sign or a
+// subnormal). Integer arithmetic on the bit pattern, so it is branch-free
+// and leaves NaN and ±Inf alone: the magnitude bits minus 0x00800000 are
+// negative as an int32 exactly below the smallest normal.
+func snapVel(v float32) float32 {
+	b := math.Float32bits(v)
+	below := uint32(int32(b&0x7fffffff-0x00800000) >> 31)
+	return math.Float32frombits(b &^ below)
+}
 
 func sameLen(name string, n int, lens ...int) {
 	for _, l := range lens {
@@ -25,15 +54,15 @@ func sameLen(name string, n int, lens ...int) {
 }
 
 // SMACorrectStep is one replica's τ-boundary update with the correction
-// accumulated for the fold: c = α(w−z); delta += c; v = µ·v − γ·g;
-// w = (w−c) + v. Calling it once per replica on a zeroed delta leaves
+// accumulated for the fold: c = α(w−z); delta += c;
+// v = snapVel(µ·v − γ·g); w = (w−c) + v. Calling it once per replica on a zeroed delta leaves
 // delta = ((0+c_0)+c_1)+…, the replica-order sum SMAFold consumes.
 func SMACorrectStep(w, g, v, z, delta []float32, alpha, lr, mu float32) {
 	sameLen("SMACorrectStep", len(w), len(g), len(v), len(z), len(delta))
 	for i := smaCorrectStepASM(w, g, v, z, delta, alpha, lr, mu, true); i < len(w); i++ {
 		c := alpha * (w[i] - z[i])
 		delta[i] += c
-		v[i] = mu*v[i] - lr*g[i]
+		v[i] = snapVel(mu*v[i] - lr*g[i])
 		w[i] = (w[i] - c) + v[i]
 	}
 }
@@ -46,17 +75,17 @@ func SMAContributeStep(w, g, v, z, out []float32, alpha, lr, mu float32) {
 	for i := smaCorrectStepASM(w, g, v, z, out, alpha, lr, mu, false); i < len(w); i++ {
 		c := alpha * (w[i] - z[i])
 		out[i] = c
-		v[i] = mu*v[i] - lr*g[i]
+		v[i] = snapVel(mu*v[i] - lr*g[i])
 		w[i] = (w[i] - c) + v[i]
 	}
 }
 
 // SMALocalStep is a gradient step with local momentum:
-// v = µ·v − γ·g; w += v.
+// v = snapVel(µ·v − γ·g); w += v.
 func SMALocalStep(w, g, v []float32, lr, mu float32) {
 	sameLen("SMALocalStep", len(w), len(g), len(v))
 	for i := smaLocalStepASM(w, g, v, lr, mu); i < len(w); i++ {
-		v[i] = mu*v[i] - lr*g[i]
+		v[i] = snapVel(mu*v[i] - lr*g[i])
 		w[i] += v[i]
 	}
 }

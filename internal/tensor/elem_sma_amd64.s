@@ -9,7 +9,18 @@
 // per scalar operation and in the scalar expression's association — no
 // FMA, because the Go compiler emits none for float32 on amd64 and a fused
 // multiply-add rounds once where the scalar code rounds twice; MXCSR is
-// left alone (no FTZ/DAZ), so denormals are computed, not flushed.
+// left alone (no FTZ/DAZ), so every product, sum and difference is the
+// IEEE one, subnormal or not.
+//
+// The velocity snap (snapVel in elem_sma.go) is the one step that is not
+// arithmetic: after v = mu*v - lr*g, a lane whose magnitude bits are below
+// 0x00800000 (2^-126, the smallest normal) is set to +0. It is done on the
+// integer side — VPAND with 0x7fffffff, VPCMPGTD against 0x00800000,
+// VPANDN — so NaN and ±Inf lanes (magnitude bits >= 0x7f800000) pass
+// through untouched and the test itself can never take a microcode assist
+// on the subnormal it is there to remove. SNAP expects 0x7fffffff in Y11
+// and 0x00800000 in Y12 (SNAPCONST builds both without touching memory)
+// and clobbers Y5.
 //
 // Operand order (Go asm reverses Intel's): OP src2, src1, dst. When both
 // sources are NaN the result carries src1's payload; the orders below put
@@ -19,6 +30,17 @@
 // compiler may commute an add); which lanes are NaN is.
 //
 // AX is the running byte offset, CX the byte length.
+
+#define SNAPCONST \
+	VPCMPEQD Y12, Y12, Y12; \
+	VPSRLD   $1, Y12, Y11; \
+	VPSRLD   $31, Y12, Y12; \
+	VPSLLD   $23, Y12, Y12
+
+#define SNAP(v) \
+	VPAND    Y11, v, Y5; \
+	VPCMPGTD Y5, Y12, Y5; \
+	VPANDN   v, Y5, v
 
 // func smaCorrectStepAccAVX2(w, grad, v, z, acc *float32, n int, alpha, lr, mu float32)
 TEXT ·smaCorrectStepAccAVX2(SB), NOSPLIT, $0-60
@@ -31,6 +53,7 @@ TEXT ·smaCorrectStepAccAVX2(SB), NOSPLIT, $0-60
 	VBROADCASTSS alpha+48(FP), Y13
 	VBROADCASTSS lr+52(FP), Y14
 	VBROADCASTSS mu+56(FP), Y15
+	SNAPCONST
 	SHLQ         $2, CX
 	XORQ         AX, AX
 csaloop:
@@ -46,6 +69,7 @@ csaloop:
 	VMULPS  Y15, Y3, Y3        // mu*v
 	VMULPS  Y14, Y4, Y4        // lr*g
 	VSUBPS  Y4, Y3, Y3         // v = mu*v - lr*g
+	SNAP(Y3)                   // v = +0 where |v| < 2^-126
 	VMOVUPS Y3, (DX)(AX*1)
 	VSUBPS  Y1, Y0, Y0         // w - c
 	VADDPS  Y3, Y0, Y0         // w = (w - c) + v
@@ -67,6 +91,7 @@ TEXT ·smaCorrectStepOutAVX2(SB), NOSPLIT, $0-60
 	VBROADCASTSS alpha+48(FP), Y13
 	VBROADCASTSS lr+52(FP), Y14
 	VBROADCASTSS mu+56(FP), Y15
+	SNAPCONST
 	SHLQ         $2, CX
 	XORQ         AX, AX
 csoloop:
@@ -80,6 +105,7 @@ csoloop:
 	VMULPS  Y15, Y3, Y3        // mu*v
 	VMULPS  Y14, Y4, Y4        // lr*g
 	VSUBPS  Y4, Y3, Y3         // v = mu*v - lr*g
+	SNAP(Y3)                   // v = +0 where |v| < 2^-126
 	VMOVUPS Y3, (DX)(AX*1)
 	VSUBPS  Y1, Y0, Y0         // w - c
 	VADDPS  Y3, Y0, Y0         // w = (w - c) + v
@@ -98,6 +124,7 @@ TEXT ·smaLocalStepAVX2(SB), NOSPLIT, $0-40
 	MOVQ         n+24(FP), CX
 	VBROADCASTSS lr+32(FP), Y14
 	VBROADCASTSS mu+36(FP), Y15
+	SNAPCONST
 	SHLQ         $2, CX
 	XORQ         AX, AX
 lsloop:
@@ -106,6 +133,7 @@ lsloop:
 	VMULPS  Y15, Y3, Y3        // mu*v
 	VMULPS  Y14, Y4, Y4        // lr*g
 	VSUBPS  Y4, Y3, Y3         // v = mu*v - lr*g
+	SNAP(Y3)                   // v = +0 where |v| < 2^-126
 	VMOVUPS Y3, (DX)(AX*1)
 	VMOVUPS (DI)(AX*1), Y0
 	VADDPS  Y3, Y0, Y0         // w += v

@@ -8,8 +8,18 @@ import (
 )
 
 // Oracles for the optimiser kernels: the scalar loops as internal/core ran
-// them before the kernels existed, copied verbatim (correction pass, then
-// local step, as two traversals; the fold with its delta read from memory).
+// them before the kernels existed (correction pass, then local step, as two
+// traversals; the fold with its delta read from memory), with the velocity
+// snap stated as a comparison rather than as snapVel's bit arithmetic.
+
+// refSnap is +0 for a zero or a subnormal and v for everything else (a NaN
+// fails both comparisons and is returned).
+func refSnap(v float32) float32 {
+	if v > -0x1p-126 && v < 0x1p-126 {
+		return 0
+	}
+	return v
+}
 
 func refSMACorrect(w, z, delta []float32, alpha float32) {
 	for i := range w {
@@ -21,7 +31,7 @@ func refSMACorrect(w, z, delta []float32, alpha float32) {
 
 func refSMALocalStep(w, g, v []float32, lr, mu float32) {
 	for i := range w {
-		v[i] = mu*v[i] - lr*g[i]
+		v[i] = refSnap(mu*v[i] - lr*g[i])
 		w[i] += v[i]
 	}
 }
@@ -32,7 +42,7 @@ func refSMAContributeStep(w, g, v, z, out []float32, alpha, lr, mu float32) {
 		c := alpha * (wi - z[i])
 		out[i] = c
 		wi -= c
-		v[i] = mu*v[i] - lr*g[i]
+		v[i] = refSnap(mu*v[i] - lr*g[i])
 		w[i] = wi + v[i]
 	}
 }
@@ -165,18 +175,67 @@ func TestSMAKernelOracleScalarFallback(t *testing.T) {
 	runSMAOracle(t)
 }
 
-// TestSMAKernelsKeepDenormals feeds a product that is exact only as a
-// denormal: a kernel running with flush-to-zero would return 0.
-func TestSMAKernelsKeepDenormals(t *testing.T) {
-	const n = 16
-	w, g, v := make([]float32, n), make([]float32, n), make([]float32, n)
-	for i := range v {
-		v[i] = 4 * math.SmallestNonzeroFloat32
+// TestSMAKernelsSnapSubnormalVelocity walks the velocity update of all three
+// velocity kernels across the snap's boundary: results that are zeros of
+// either sign, subnormals up to the largest one, ±2⁻¹²⁶ itself, NaN and
+// ±Inf, in every lane position of the AVX2 body and of the scalar tail. A
+// result below 2⁻¹²⁶ must be stored as +0 (all bits clear) and reach w as
+// +0; every other lane must hold the bits of the unsnapped expression
+// µ·v − γ·g; and the SIMD run must equal the scalar one.
+func TestSMAKernelsSnapSubnormalVelocity(t *testing.T) {
+	const lr, mu, alpha = float32(0.25), float32(0.5), float32(0.5)
+	// With g = 0 and µ = ½ the new velocity is exactly half the old one, and
+	// twice every target below is representable: v = 2·target lands on it.
+	targets := []uint32{
+		0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x00000100, 0x80400000,
+		0x007fffff, 0x807fffff, // the largest subnormals
+		0x00800000, 0x80800000, 0x00800001, 0x3f800000, 0xbf800000, // normal: kept
+		0x7f800000, 0xff800000, 0x7fc00000, // ±Inf, NaN: kept
 	}
-	SMALocalStep(w, g, v, 0.1, 0.5)
-	for i := range v {
-		if v[i] != 2*math.SmallestNonzeroFloat32 || w[i] != v[i] {
-			t.Fatalf("[%d]: v=%g w=%g, want the denormal %g", i, v[i], w[i], 2*math.SmallestNonzeroFloat32)
+	const n = 8*6 + 7
+	kernels := []struct {
+		name string
+		run  func(w, g, v, z, d []float32)
+	}{
+		{"SMALocalStep", func(w, g, v, z, d []float32) { SMALocalStep(w, g, v, lr, mu) }},
+		{"SMACorrectStep", func(w, g, v, z, d []float32) { SMACorrectStep(w, g, v, z, d, alpha, lr, mu) }},
+		{"SMAContributeStep", func(w, g, v, z, d []float32) { SMAContributeStep(w, g, v, z, d, alpha, lr, mu) }},
+	}
+	for _, k := range kernels {
+		for shift := 0; shift < len(targets); shift++ {
+			w, g, v, z, d := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+			want := make([]uint32, n)
+			for i := range v {
+				target := math.Float32frombits(targets[(i+shift)%len(targets)])
+				v[i] = 2 * target
+				w[i], z[i] = 3, 3 // no correction: c = α(w − z) = 0
+				old := mu*v[i] - lr*g[i]
+				want[i] = math.Float32bits(old)
+				if old > -0x1p-126 && old < 0x1p-126 {
+					want[i] = 0
+				}
+			}
+			sv, sw := append([]float32(nil), v...), append([]float32(nil), w...)
+			k.run(w, g, v, z, d)
+			func() {
+				defer setGemmASM(setGemmASM(false))
+				k.run(sw, g, sv, z, make([]float32, n))
+			}()
+			for i := range v {
+				got := math.Float32bits(v[i])
+				if got != want[i] && !(v[i] != v[i] && want[i] == 0x7fc00000) {
+					t.Fatalf("%s shift %d: v[%d] = %08x, want %08x", k.name, shift, i, got, want[i])
+				}
+				if sb := math.Float32bits(sv[i]); sb != got && v[i] == v[i] {
+					t.Fatalf("%s shift %d: v[%d] = %08x with SIMD, %08x scalar", k.name, shift, i, got, sb)
+				}
+				if want[i] == 0 && math.Float32bits(w[i]) != math.Float32bits(3) {
+					t.Fatalf("%s shift %d: w[%d] = %v after a snapped velocity, want 3", k.name, shift, i, w[i])
+				}
+				if math.Float32bits(w[i]) != math.Float32bits(sw[i]) && w[i] == w[i] {
+					t.Fatalf("%s shift %d: w[%d] = %v with SIMD, %v scalar", k.name, shift, i, w[i], sw[i])
+				}
+			}
 		}
 	}
 }
