@@ -47,7 +47,7 @@ func main() {
 	basePort := flag.Int("base-port", 7070, "first localhost port for the node mesh (with -tcp)")
 	samples := flag.Int("samples", 0, "override training samples per epoch (with -tcp; 0: model default)")
 	overlap := flag.Bool("overlap", false, "overlap the global exchange with computation on every node (with -tcp)")
-	segments := flag.Int("segments", 0, "pipeline segments per collective transfer (with -tcp; 0: 4)")
+	segments := flag.Int("segments", 0, "pipeline segments per collective transfer (with -tcp; 0: one per 512 KiB of the transfer, 1 to 4)")
 	flag.Parse()
 
 	learners := 1

@@ -52,7 +52,7 @@ func nodeMain() int {
 	quarantine := flag.Duration("quarantine", 0, "bar a corrupting/stalling peer from reconnecting this long (0: peer-timeout)")
 	exchangeRetries := flag.Int("exchange-retries", 0, "retries of a fault-aborted global exchange (0: 2, negative: none)")
 	overlap := flag.Bool("overlap", false, "overlap the global exchange with the next iteration's computation (bit-identical to synchronous)")
-	segments := flag.Int("segments", 0, "pipeline segments per collective transfer (0: 4)")
+	segments := flag.Int("segments", 0, "pipeline segments per collective transfer (0: one per 512 KiB of the transfer, 1 to 4)")
 	bootstrap := flag.Duration("bootstrap", 10*time.Second, "wait this long for the full mesh before training")
 	warm := flag.Duration("warm-start", 2*time.Second, "snapshot probe window at startup (rejoin seeding)")
 	quiet := flag.Bool("quiet", false, "suppress per-epoch output")

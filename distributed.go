@@ -77,7 +77,8 @@ type NodeConfig struct {
 	OverlapGlobal bool
 	// Segments is the collectives' pipelining factor: each per-link
 	// transfer is split into this many fixed-boundary segments so sends
-	// overlap receive+sum (0 → 4; see transport.Config.Segments).
+	// overlap receive+sum (0: one per 512 KiB of the transfer, 1 to 4; see
+	// transport.Config.Segments). All ranks must use the same value.
 	// Bit-identity across participants holds for any value.
 	Segments int
 	// Chaos, when set, interposes a deterministic fault injector on every

@@ -75,6 +75,7 @@ func TestFrozenPeerWatchdogAborts(t *testing.T) {
 	if s := nodes[1].Stats(); s.WatchdogFires != 0 || s.Quarantines < 1 {
 		t.Fatalf("rank 1 (accused) stats: %+v, want 0 fires but >=1 quarantine", s)
 	}
+	fires := []int64{nodes[0].Stats().WatchdogFires, nodes[1].Stats().WatchdogFires}
 
 	// Recovery: the survivors re-form without rank 2 (it is quarantined, so
 	// it cannot wedge the next round) and the first completed round is a
@@ -95,6 +96,26 @@ func TestFrozenPeerWatchdogAborts(t *testing.T) {
 		}
 	}
 	checkSums(t, bufs4, want4)
+
+	// The watchdog is one timer per node, re-armed for every segment. The
+	// arming left over from the last round expires during the pause, so its
+	// fire sits in the timer's channel when the next round arms; it, and any
+	// fire racing a re-arm, must never abort a healthy round.
+	time.Sleep(400 * time.Millisecond) // > rank 0's RoundTimeout
+	for round := 0; round < 3; round++ {
+		bufs5, want5 := rankBufs(2, 1<<12)
+		for i, r := range runRound(t, nodes[:2], bufs5) {
+			if r.Aborted {
+				t.Fatalf("rank %d healthy round %d after the abort = %+v", i, round, r)
+			}
+		}
+		checkSums(t, bufs5, want5)
+	}
+	for i, n := range nodes[:2] {
+		if got := n.Stats().WatchdogFires; got != fires[i] {
+			t.Fatalf("rank %d watchdog fired %d times in healthy rounds after the abort", i, got-fires[i])
+		}
+	}
 }
 
 // TestFrozenPeerWatchdogAbortsOverlap re-runs the frozen-peer scenario

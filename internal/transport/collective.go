@@ -40,12 +40,15 @@ func (e errStalled) Error() string {
 // A single-member view degenerates to a no-op round: buf already holds the
 // "sum".
 func (n *Node) AllReduce(buf []float32) (Round, error) {
+	n.inRound.Add(1)
+	defer n.inRound.Add(-1)
 	start := time.Now()
 	bm, err := n.barrier()
 	if err != nil {
 		return Round{}, err
 	}
-	view := ranksOf(bm.view)
+	var ranks [maxRanks]int
+	view := ranksOf(bm.view, &ranks)
 	r := Round{Seq: bm.round, Participants: len(view), Restart: bm.restart}
 	r.WaitNs = time.Since(start).Nanoseconds()
 	n.stats.barrierNs.Add(r.WaitNs)
@@ -55,9 +58,9 @@ func (n *Node) AllReduce(buf []float32) (Round, error) {
 	if len(view) > 1 {
 		cstart := time.Now()
 		if n.cfg.Tree {
-			err = n.treeAllReduce(bm, view, buf)
+			err = n.treeAllReduce(bm.round, view, buf)
 		} else {
-			err = n.ringAllReduce(bm, view, buf)
+			err = n.ringAllReduce(bm.round, view, buf)
 		}
 		r.CollectiveNs = time.Since(cstart).Nanoseconds()
 		if err != nil {
@@ -69,7 +72,7 @@ func (n *Node) AllReduce(buf []float32) (Round, error) {
 			if errors.As(err, &stall) {
 				suspects = 1 << uint(stall.rank)
 			}
-			n.abortRoundPeers(bm, view, suspects)
+			n.abortRoundPeers(bm.round, view, suspects)
 			n.stats.aborts.Add(1)
 			r.Aborted = true
 			// An aborted round may have completed on some peers: our state
@@ -100,19 +103,17 @@ func (n *Node) AllReduce(buf []float32) (Round, error) {
 // or the membership epoch changes, so coordinator failover mid-barrier
 // converges; the coordinator collects Readys from every live member, then
 // assigns the round. Errors only on Close.
-func (n *Node) barrier() (*beginMsg, error) {
+func (n *Node) barrier() (beginMsg, error) {
 	readySentTo := -1
 	readyEpoch := uint64(0)
 	n.mu.Lock()
 	for {
 		if n.closed {
 			n.mu.Unlock()
-			return nil, ErrClosed
+			return beginMsg{}, ErrClosed
 		}
-		if bm := n.takeBeginLocked(); bm != nil {
-			targets := n.beginTargetsLocked(bm)
-			n.mu.Unlock()
-			n.sendBegin(bm, targets)
+		if bm, ok := n.takeBeginLocked(); ok {
+			n.announceLocked(bm)
 			return bm, nil
 		}
 		leader := n.leaderLocked()
@@ -120,9 +121,7 @@ func (n *Node) barrier() (*beginMsg, error) {
 			n.readySet[n.rank] = n.dirty
 			if n.allReadyLocked() {
 				bm := n.issueBeginLocked()
-				targets := n.beginTargetsLocked(bm)
-				n.mu.Unlock()
-				n.sendBegin(bm, targets)
+				n.announceLocked(bm)
 				return bm, nil
 			}
 		} else if readySentTo != leader || readyEpoch != n.epoch {
@@ -152,23 +151,18 @@ func (n *Node) barrier() (*beginMsg, error) {
 // Begins for rounds already taken, or views excluding this rank, are
 // dropped (the latter means the coordinator declared us dead while our
 // Ready was in flight; we keep waiting for a view that includes us).
-func (n *Node) takeBeginLocked() *beginMsg {
+func (n *Node) takeBeginLocked() (beginMsg, bool) {
 	bm := n.begin
-	if bm == nil {
-		return nil
+	if bm.round == 0 {
+		return beginMsg{}, false
 	}
-	if bm.round <= n.lastRound {
-		n.begin = nil
-		return nil
+	n.begin = beginMsg{}
+	if bm.round <= n.lastRound || bm.view&(1<<uint(n.rank)) == 0 {
+		return beginMsg{}, false
 	}
-	if bm.view&(1<<uint(n.rank)) == 0 {
-		n.begin = nil
-		return nil
-	}
-	n.begin = nil
 	n.lastRound = bm.round
 	n.prevView = bm.view
-	return bm
+	return bm, true
 }
 
 // allReadyLocked reports whether every live member (including self) has
@@ -190,7 +184,7 @@ func (n *Node) allReadyLocked() bool {
 // (its copy of an earlier round aborted while others may have completed
 // it) — telling every participant to re-derive the shared central model
 // from the consensus sum instead of updating it incrementally.
-func (n *Node) issueBeginLocked() *beginMsg {
+func (n *Node) issueBeginLocked() beginMsg {
 	view := n.aliveViewLocked()
 	restart := view != n.prevView
 	for r, dirty := range n.readySet {
@@ -198,7 +192,7 @@ func (n *Node) issueBeginLocked() *beginMsg {
 			restart = true
 		}
 	}
-	bm := &beginMsg{round: n.nextRound, view: view, restart: restart}
+	bm := beginMsg{round: n.nextRound, view: view, restart: restart}
 	n.nextRound++
 	n.lastRound = bm.round
 	n.prevView = view
@@ -210,32 +204,25 @@ func (n *Node) issueBeginLocked() *beginMsg {
 	return bm
 }
 
-// beginTargetsLocked lists the peers a coordinator must announce bm to
-// (nil when this node is a follower that merely consumed a received
-// Begin — only the issuer fans the announcement out).
-func (n *Node) beginTargetsLocked(bm *beginMsg) []*peer {
-	if n.leaderLocked() != n.rank {
-		return nil
-	}
-	var targets []*peer
-	for _, r := range ranksOf(bm.view) {
-		if r != n.rank {
-			targets = append(targets, n.peers[r])
-		}
-	}
-	return targets
-}
-
-func (n *Node) sendBegin(bm *beginMsg, targets []*peer) {
-	if len(targets) == 0 {
+// announceLocked releases n.mu and, when this node is the coordinator,
+// announces bm to every other rank of its view (a follower that merely
+// consumed a received Begin sends nothing — only the coordinator that
+// assigned the round fans it out). The peer slots are fixed at Listen, so
+// the view's bitmap is walked directly, outside the lock.
+func (n *Node) announceLocked(bm beginMsg) {
+	leader := n.leaderLocked() == n.rank
+	n.mu.Unlock()
+	if !leader {
 		return
 	}
 	h := &header{Type: frameBegin, Sender: uint32(n.rank), Round: bm.round, Aux: bm.view}
 	if bm.restart {
 		h.Flags |= flagRestart
 	}
-	for _, p := range targets {
-		p.send(n, h, nil, n.cfg.WriteTimeout)
+	for r, p := range n.peers {
+		if p != nil && bm.view&(1<<uint(r)) != 0 {
+			p.send(n, h, nil, n.cfg.WriteTimeout)
+		}
 	}
 }
 
@@ -244,8 +231,8 @@ func (n *Node) sendBegin(bm *beginMsg, targets []*peer) {
 // waiting for frames that will never come. suspects (a rank bitmap, zero
 // when the abort was a plain membership change) names peers our watchdog
 // caught stalling; receivers quarantine and cut them on arrival.
-func (n *Node) abortRoundPeers(bm *beginMsg, view []int, suspects uint64) {
-	h := &header{Type: frameAbort, Sender: uint32(n.rank), Round: bm.round, Aux: suspects}
+func (n *Node) abortRoundPeers(round uint64, view []int, suspects uint64) {
+	h := &header{Type: frameAbort, Sender: uint32(n.rank), Round: round, Aux: suspects}
 	for _, r := range view {
 		if r == n.rank {
 			continue
@@ -284,8 +271,7 @@ func (n *Node) recvData(p *peer, round uint64, phase byte, seg, step int, want i
 	// victim fires first (downstream ranks hear the Abort well before their
 	// own timers expire), so the suspect it names is the actual stalled
 	// peer, not a healthy one.
-	watchdog := time.NewTimer(n.cfg.RoundTimeout)
-	defer watchdog.Stop()
+	n.armWatchdog()
 	// take classifies one mailbox message: stale frames from earlier rounds
 	// are dropped (done=false), a mismatched frame means protocol
 	// divergence (e.g. the peer is in a different round than we are after
@@ -338,13 +324,72 @@ func (n *Node) recvData(p *peer, round uint64, phase byte, seg, step int, want i
 			}
 		case <-ch:
 			// Membership or abort state changed; re-check.
-		case <-watchdog.C:
+		case fired := <-n.watchdog.C:
+			if fired.Sub(n.armedAt) < n.cfg.RoundTimeout {
+				continue // left over from an earlier arming
+			}
 			n.stats.watchdogFires.Add(1)
 			n.quarantinePeer(p, "stalled the round past the watchdog")
 			n.killConn(p)
 			return nil, errStalled{rank: p.rank}
 		}
 	}
+}
+
+// armWatchdog restarts the node's round watchdog for one RoundTimeout:
+// stop, drain, reset — so one timer serves every segment of every round.
+// Under the pre-1.23 timer semantics go.mod selects, a fire racing the stop
+// can still land in the channel after the drain; recvData recognises it by
+// its timestamp, which precedes this arming, and ignores it.
+func (n *Node) armWatchdog() {
+	n.watchdog.Stop()
+	select {
+	case <-n.watchdog.C:
+	default:
+	}
+	n.armedAt = time.Now()
+	n.watchdog.Reset(n.cfg.RoundTimeout)
+}
+
+// segMinBytes is the smallest payload a derived pipeline segment carries:
+// with Config.Segments 0, a transfer of b bytes goes out as b/segMinBytes
+// segments, at least 1 and at most maxSegments. Splitting pays only when
+// one segment's transmission outlasts the fixed cost of a frame (a writev, a
+// read-loop wake-up, a mailbox hand-off); below that, every extra segment
+// adds a frame's cost to the round and hides nothing.
+//
+// Read off BenchmarkAllReduce on the 2-vCPU reference box: µs per round,
+// median of five interleaved passes of 100 rounds (run-to-run spread up to
+// ±15 %); a ring transfer is one chunk, 1/k of the model, a tree transfer
+// the whole model; derived counts in parentheses:
+//
+//	            ring, k = 2                    tree, k = 2
+//	model    S=1   S=2   S=4  derived      S=1   S=2   S=4  derived
+//	176 KiB   139   167   265   142 (1)     140   193   170   129 (1)
+//	704 KiB   467   521   446   397 (1)     473   518   475   554 (1)
+//	  2 MiB  1188  1092  1129  1167 (2)    2003  1550  1282  1325 (4)
+//	  8 MiB  4346  4464  4484  4375 (4)    8381  7466  5739  5711 (4)
+//
+// k = 3 reads the same: one segment wins below about 700 KiB a transfer,
+// four win by 1.2–1.6× from 2 MiB up. 512 KiB a segment picks the fastest
+// column, within the spread, in every row; 256 KiB would split the 704 KiB
+// tree transfer (S=2, +10 %), 1 MiB the 2 MiB one only in two (+21 % over
+// four).
+const segMinBytes = 512 << 10
+
+// maxSegments caps the derived segment count: past four segments the
+// pipeline's fill and drain are already a small share of a transfer.
+const maxSegments = 4
+
+// segCount is the number of pipeline segments of a transfer of span float32
+// elements: Config.Segments when set, else one per segMinBytes of payload,
+// clamped to [1, maxSegments]. Sender and receiver derive it from the same
+// range, as they derive segBounds.
+func (n *Node) segCount(span int) int {
+	if n.cfg.Segments > 0 {
+		return n.cfg.Segments
+	}
+	return min(max(span*4/segMinBytes, 1), maxSegments)
 }
 
 // segBounds returns segment j of the half-open range [lo,hi) split into S
@@ -363,20 +408,22 @@ func segBounds(lo, hi, j, S int) (int, int) {
 // during addInto. Segment boundaries are fixed by the chunk range alone
 // and addInto is element-wise, so the per-element reduction order (and
 // with it cross-participant bit-identity) is exactly the unsegmented
-// ring's for any segment count.
+// ring's for any segment count. The two chunks may differ in length by an
+// element, and so in derived segment count; each side counts from its own
+// range, as the peer at its other end does.
 func (n *Node) ringStep(next, prev *peer, round uint64, phase byte, s int, buf []float32, sendLo, sendHi, recvLo, recvHi int, reduce bool) error {
-	S := n.cfg.Segments
-	for j := 0; j <= S; j++ {
-		if j < S {
-			lo, hi := segBounds(sendLo, sendHi, j, S)
+	sendS, recvS := n.segCount(sendHi-sendLo), n.segCount(recvHi-recvLo)
+	for j := 0; j <= max(sendS, recvS); j++ {
+		if j < sendS {
+			lo, hi := segBounds(sendLo, sendHi, j, sendS)
 			if hi > lo {
 				if err := n.sendData(next, round, phase, j, s, buf[lo:hi]); err != nil {
 					return err
 				}
 			}
 		}
-		if j > 0 {
-			lo, hi := segBounds(recvLo, recvHi, j-1, S)
+		if j > 0 && j <= recvS {
+			lo, hi := segBounds(recvLo, recvHi, j-1, recvS)
 			if hi == lo {
 				continue
 			}
@@ -399,7 +446,7 @@ func (n *Node) ringStep(next, prev *peer, round uint64, phase byte, s int, buf [
 // in which each node accumulates one chunk, then k−1 all-gather steps that
 // circulate the reduced chunks verbatim. Each chunk is summed at exactly
 // one node in ring order, so every participant ends with identical bytes.
-func (n *Node) ringAllReduce(bm *beginMsg, view []int, buf []float32) error {
+func (n *Node) ringAllReduce(round uint64, view []int, buf []float32) error {
 	k := len(view)
 	me := rankIndex(view, n.rank)
 	next := n.peers[view[(me+1)%k]]
@@ -410,7 +457,7 @@ func (n *Node) ringAllReduce(bm *beginMsg, view []int, buf []float32) error {
 	for s := 0; s < k-1; s++ {
 		sendLo, sendHi := bounds((me - s + k) % k)
 		recvLo, recvHi := bounds((me - s - 1 + k) % k)
-		if err := n.ringStep(next, prev, bm.round, phaseReduceScatter, s, buf, sendLo, sendHi, recvLo, recvHi, true); err != nil {
+		if err := n.ringStep(next, prev, round, phaseReduceScatter, s, buf, sendLo, sendHi, recvLo, recvHi, true); err != nil {
 			return err
 		}
 	}
@@ -419,7 +466,7 @@ func (n *Node) ringAllReduce(bm *beginMsg, view []int, buf []float32) error {
 	for s := 0; s < k-1; s++ {
 		sendLo, sendHi := bounds((me + 1 - s + k) % k)
 		recvLo, recvHi := bounds((me - s + k) % k)
-		if err := n.ringStep(next, prev, bm.round, phaseAllGather, s, buf, sendLo, sendHi, recvLo, recvHi, false); err != nil {
+		if err := n.ringStep(next, prev, round, phaseAllGather, s, buf, sendLo, sendHi, recvLo, recvHi, false); err != nil {
 			return err
 		}
 	}
@@ -434,26 +481,28 @@ func (n *Node) ringAllReduce(bm *beginMsg, view []int, buf []float32) error {
 // transfer is segmented: during reduce, segment j+1 is in flight while the
 // parent sums segment j; during broadcast, a relay forwards each segment
 // to its subtree before the next one arrives, so the sum streams down the
-// tree instead of store-and-forwarding whole models.
-func (n *Node) treeAllReduce(bm *beginMsg, view []int, buf []float32) error {
+// tree instead of store-and-forwarding whole models. Every transfer covers
+// the whole buffer, so one segment count serves the round.
+func (n *Node) treeAllReduce(round uint64, view []int, buf []float32) error {
 	k := len(view)
 	me := rankIndex(view, n.rank)
+	S := n.segCount(len(buf))
 	rs := time.Now()
 	for b := 1; b < k; b <<= 1 {
 		if me&b != 0 {
 			// Non-root: ship the partial sum up, then receive and relay the
 			// finished sum.
-			if err := n.sendSegments(n.peers[view[me-b]], bm.round, phaseTreeReduce, b, buf); err != nil {
+			if err := n.sendSegments(n.peers[view[me-b]], round, phaseTreeReduce, b, S, buf); err != nil {
 				return err
 			}
 			n.stats.reduceScatterNs.Add(time.Since(rs).Nanoseconds())
 			ag := time.Now()
-			err := n.treeRecvRelay(bm, view, me, b, buf)
+			err := n.treeRecvRelay(round, view, me, b, S, buf)
 			n.stats.allGatherNs.Add(time.Since(ag).Nanoseconds())
 			return err
 		}
 		if me+b < k {
-			if err := n.recvSegmentsAdd(n.peers[view[me+b]], bm.round, phaseTreeReduce, b, buf); err != nil {
+			if err := n.recvSegmentsAdd(n.peers[view[me+b]], round, phaseTreeReduce, b, S, buf); err != nil {
 				return err
 			}
 		}
@@ -465,16 +514,15 @@ func (n *Node) treeAllReduce(bm *beginMsg, view []int, buf []float32) error {
 		span <<= 1
 	}
 	ag := time.Now()
-	err := n.treeBcastRoot(bm, view, me, span, buf)
+	err := n.treeBcastRoot(round, view, me, span, S, buf)
 	n.stats.allGatherNs.Add(time.Since(ag).Nanoseconds())
 	return err
 }
 
-// sendSegments ships buf to p segment by segment under one (phase, step)
+// sendSegments ships buf to p in S segments under one (phase, step)
 // address. Back-to-back segment writes keep the link saturated while the
 // receiver sums earlier segments.
-func (n *Node) sendSegments(p *peer, round uint64, phase byte, step int, buf []float32) error {
-	S := n.cfg.Segments
+func (n *Node) sendSegments(p *peer, round uint64, phase byte, step, S int, buf []float32) error {
 	for j := 0; j < S; j++ {
 		lo, hi := segBounds(0, len(buf), j, S)
 		if hi == lo {
@@ -487,11 +535,10 @@ func (n *Node) sendSegments(p *peer, round uint64, phase byte, step int, buf []f
 	return nil
 }
 
-// recvSegmentsAdd accumulates p's segmented transfer into buf: while
+// recvSegmentsAdd accumulates p's S-segment transfer into buf: while
 // segment j is summed here, segment j+1 is already in flight (the peer's
 // read loop drains the socket independently of this call).
-func (n *Node) recvSegmentsAdd(p *peer, round uint64, phase byte, step int, buf []float32) error {
-	S := n.cfg.Segments
+func (n *Node) recvSegmentsAdd(p *peer, round uint64, phase byte, step, S int, buf []float32) error {
 	for j := 0; j < S; j++ {
 		lo, hi := segBounds(0, len(buf), j, S)
 		if hi == lo {
@@ -511,16 +558,15 @@ func (n *Node) recvSegmentsAdd(p *peer, round uint64, phase byte, step int, buf 
 // from the parent segment by segment, relaying each segment to our
 // broadcast children (offsets below our own parent distance b) before the
 // next segment arrives — the pipelined broadcast.
-func (n *Node) treeRecvRelay(bm *beginMsg, view []int, me, b int, buf []float32) error {
+func (n *Node) treeRecvRelay(round uint64, view []int, me, b, S int, buf []float32) error {
 	parent := n.peers[view[me-b]]
 	k := len(view)
-	S := n.cfg.Segments
 	for j := 0; j < S; j++ {
 		lo, hi := segBounds(0, len(buf), j, S)
 		if hi == lo {
 			continue
 		}
-		in, err := n.recvData(parent, bm.round, phaseTreeBcast, j, b, hi-lo)
+		in, err := n.recvData(parent, round, phaseTreeBcast, j, b, hi-lo)
 		if err != nil {
 			return err
 		}
@@ -528,7 +574,7 @@ func (n *Node) treeRecvRelay(bm *beginMsg, view []int, me, b int, buf []float32)
 		n.pool.Put(in)
 		for c := b >> 1; c >= 1; c >>= 1 {
 			if me+c < k {
-				if err := n.sendData(n.peers[view[me+c]], bm.round, phaseTreeBcast, j, c, buf[lo:hi]); err != nil {
+				if err := n.sendData(n.peers[view[me+c]], round, phaseTreeBcast, j, c, buf[lo:hi]); err != nil {
 					return err
 				}
 			}
@@ -540,9 +586,8 @@ func (n *Node) treeRecvRelay(bm *beginMsg, view []int, me, b int, buf []float32)
 // treeBcastRoot streams the finished sum from the root: segment j goes to
 // every child before segment j+1, so a child is already relaying j down
 // its subtree while the root writes j+1.
-func (n *Node) treeBcastRoot(bm *beginMsg, view []int, me, below int, buf []float32) error {
+func (n *Node) treeBcastRoot(round uint64, view []int, me, below, S int, buf []float32) error {
 	k := len(view)
-	S := n.cfg.Segments
 	for j := 0; j < S; j++ {
 		lo, hi := segBounds(0, len(buf), j, S)
 		if hi == lo {
@@ -550,7 +595,7 @@ func (n *Node) treeBcastRoot(bm *beginMsg, view []int, me, below int, buf []floa
 		}
 		for b := below >> 1; b >= 1; b >>= 1 {
 			if me+b < k {
-				if err := n.sendData(n.peers[view[me+b]], bm.round, phaseTreeBcast, j, b, buf[lo:hi]); err != nil {
+				if err := n.sendData(n.peers[view[me+b]], round, phaseTreeBcast, j, b, buf[lo:hi]); err != nil {
 					return err
 				}
 			}
@@ -605,6 +650,10 @@ type nodeStats struct {
 	asyncRounds      atomic.Int64
 	overlapHiddenNs  atomic.Int64
 	overlapBlockedNs atomic.Int64
+
+	// spinProbes counts the read loops' empty re-reads (spinReader); the
+	// tests check it stays zero outside rounds.
+	spinProbes atomic.Int64
 }
 
 func (s *nodeStats) snapshot() metrics.TransportStats {

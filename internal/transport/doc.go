@@ -28,10 +28,14 @@
 //     frames in ring or binomial-tree topology — the same two collectives
 //     the cluster.Interconnect cost model prices. Both reduce in a fixed
 //     rank order, so the summed bytes are identical on every participant.
-//     Each transfer is split into Config.Segments pipelined segments so
-//     summation (and tree relaying) hides under transmission; segment
-//     boundaries are computed identically on both ends and addInto is
-//     element-wise, so segmentation changes no bits.
+//     Each transfer is split into pipelined segments so summation (and
+//     tree relaying) hides under transmission — Config.Segments of them,
+//     or by default one per 512 KiB of the transfer, 1 to 4; segment counts
+//     and boundaries are computed identically on both ends and addInto is
+//     element-wise, so segmentation changes no bits. A frame is one writev
+//     and a round allocates nothing, and while a round is in flight the
+//     read loops spin briefly on an empty socket before they park, so the
+//     peer's bytes are read as they land (DESIGN.md §15).
 //
 // AllReduce blocks the caller for the whole round. BeginAllReduce is the
 // asynchronous form: it hands the buffer to the node's exchange goroutine

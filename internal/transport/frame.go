@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"sync"
 	"unsafe"
 )
@@ -37,11 +38,13 @@ var errWire = errors.New("transport: wire corruption")
 //
 // Version 2 repacked the Data aux field to address pipeline segments
 // (collectives ship each transfer as several fixed-boundary segments so
-// sends overlap receive+sum). v1 and v2 nodes must not mix: the version
-// check rejects the handshake.
+// sends overlap receive+sum). Version 3 derives a transfer's segment count
+// from its length when Config.Segments is 0 (segCount), which changes the
+// Data frames a v2 node expects. Nodes of different versions must not mix:
+// the version check rejects the handshake.
 const (
 	frameMagic  = "CBTF"
-	wireVersion = 2
+	wireVersion = 3
 	headerSize  = 36
 )
 
@@ -142,18 +145,32 @@ func parseHeader(buf *[headerSize]byte) (header, uint32, error) {
 // lock; payload may be nil for control frames. Returns the total bytes
 // written.
 func writeFrame(w io.Writer, h *header, payload []byte) (int, error) {
+	var fw frameWriter
+	return fw.write(w, h, payload)
+}
+
+// frameWriter is a connection's reusable encode state: the header bytes and
+// the vector that hands header and payload to the kernel in one writev
+// (net.Buffers falls back to one Write per part on other writers). A peer
+// keeps one under its write lock, so a frame costs one syscall and no
+// allocation.
+type frameWriter struct {
+	hdr   [headerSize]byte
+	parts [2][]byte
+	vec   net.Buffers
+}
+
+func (fw *frameWriter) write(w io.Writer, h *header, payload []byte) (int, error) {
 	h.Length = uint32(len(payload))
-	var hdr [headerSize]byte
-	putHeader(&hdr, h, crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
+	putHeader(&fw.hdr, h, crc32.ChecksumIEEE(payload))
+	fw.parts = [2][]byte{fw.hdr[:], payload}
+	fw.vec = fw.parts[:1]
 	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return headerSize, err
-		}
+		fw.vec = fw.parts[:]
 	}
-	return headerSize + len(payload), nil
+	n, err := fw.vec.WriteTo(w)
+	fw.parts[1] = nil // do not pin the caller's buffer
+	return int(n), err
 }
 
 // writeFrameCorrupt is the fault injector's bit-flip: the header carries
@@ -205,10 +222,16 @@ func writeFrameTruncated(w io.Writer, h *header, payload []byte, keep int) (int,
 // payload slice is nil for empty frames. Returns the total bytes read.
 func readFrame(r io.Reader, maxPayload int, pool *bufPool) (header, []float32, int, error) {
 	var hdr [headerSize]byte
+	return readFrameInto(r, &hdr, maxPayload, pool)
+}
+
+// readFrameInto is readFrame with the caller's header buffer: a read loop
+// passes its own, so a frame costs no allocation.
+func readFrameInto(r io.Reader, hdr *[headerSize]byte, maxPayload int, pool *bufPool) (header, []float32, int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return header{}, nil, 0, err
 	}
-	h, wantCRC, err := parseHeader(&hdr)
+	h, wantCRC, err := parseHeader(hdr)
 	if err != nil {
 		return header{}, nil, 0, err
 	}

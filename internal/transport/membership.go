@@ -19,6 +19,7 @@ type peer struct {
 	addr string
 
 	wmu sync.Mutex
+	fw  frameWriter // guarded by wmu
 
 	// Guarded by Node.mu.
 	conn     net.Conn
@@ -84,13 +85,13 @@ func (p *peer) send(n *Node, h *header, payload []byte, timeout time.Duration) e
 			conn.Close()
 		}
 	case chaos.Dup:
-		if bytes, err = writeFrame(conn, h, payload); err == nil {
+		if bytes, err = p.fw.write(conn, h, payload); err == nil {
 			var more int
-			more, err = writeFrame(conn, h, payload)
+			more, err = p.fw.write(conn, h, payload)
 			bytes += more
 		}
 	default:
-		bytes, err = writeFrame(conn, h, payload)
+		bytes, err = p.fw.write(conn, h, payload)
 	}
 	if err != nil {
 		conn.Close()
@@ -194,7 +195,7 @@ func (p *peer) sendOn(n *Node, conn net.Conn, h *header) error {
 			return errNotConnected
 		}
 	}
-	bytes, err := writeFrame(conn, h, nil)
+	bytes, err := p.fw.write(conn, h, nil)
 	if err != nil {
 		return err
 	}
@@ -315,11 +316,14 @@ func (n *Node) attach(p *peer, conn net.Conn) {
 // reader, so collective consumers never touch the socket — which is also
 // what makes the send-then-receive collectives deadlock-free: bytes are
 // always drained off the wire into the mailbox even while the local
-// collective is blocked writing.
+// collective is blocked writing. While a round is in flight it reads
+// spin-then-park (connReader).
 func (n *Node) readLoop(p *peer, conn net.Conn, gen uint64) {
 	defer n.wg.Done()
+	r := n.connReader(conn)
+	var hdr [headerSize]byte
 	for {
-		h, payload, bytes, err := readFrame(conn, n.cfg.MaxPayload, &n.pool)
+		h, payload, bytes, err := readFrameInto(r, &hdr, n.cfg.MaxPayload, &n.pool)
 		if err != nil {
 			if errors.Is(err, errWire) {
 				// Definitive corruption (bad checksum, bad framing) — not
@@ -411,13 +415,19 @@ func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer ticker.Stop()
-	for range ticker.C {
+	var live, stale []*peer // reused, so a beat allocates nothing
+	for {
+		select {
+		case <-ticker.C:
+		case <-n.exchStop: // closed by shutdown: do not hold it up a period
+			return
+		}
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
 			return
 		}
-		var live, stale []*peer
+		live, stale = live[:0], stale[:0]
 		now := time.Now()
 		for _, p := range n.peers {
 			if p == nil || !p.alive {
@@ -463,9 +473,10 @@ func (n *Node) aliveViewLocked() uint64 {
 	return view
 }
 
-// ranksOf expands a view bitmap into a sorted rank slice.
-func ranksOf(view uint64) []int {
-	var ranks []int
+// ranksOf expands a view bitmap into a sorted rank slice backed by the
+// caller's array (a stack array in AllReduce, so a round allocates no view).
+func ranksOf(view uint64, into *[maxRanks]int) []int {
+	ranks := into[:0]
 	for r := 0; r < maxRanks; r++ {
 		if view&(1<<uint(r)) != 0 {
 			ranks = append(ranks, r)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crossbow/internal/chaos"
@@ -62,11 +63,12 @@ type Config struct {
 	// Segments is the collectives' pipelining factor: every per-link
 	// transfer is split into this many fixed-boundary segments so the send
 	// of segment i overlaps the receive+sum of segment i−1 instead of the
-	// socket idling during summation (default 4). Boundaries are a pure
-	// function of the vector length, so the per-element reduction order —
-	// and with it bit-identity across participants — is unchanged for any
-	// value. The round watchdog arms once per segment, so a peer frozen
-	// mid-pipeline is still caught.
+	// socket idling during summation. 0 (the default) derives it from each
+	// transfer's length: one segment per 512 KiB of payload, 1 to 4
+	// (segCount). Boundaries are a pure function of the transfer's range,
+	// so the per-element reduction order — and with it bit-identity across
+	// participants — is unchanged for any value. The round watchdog arms
+	// once per segment, so a peer frozen mid-pipeline is still caught.
 	Segments int
 	// Chaos, when set, interposes a fault injector on every outgoing
 	// frame of this node (tests and soaks only; it is an in-process hook,
@@ -108,9 +110,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxPayload <= 0 {
 		c.MaxPayload = 256 << 20
-	}
-	if c.Segments <= 0 {
-		c.Segments = 4
 	}
 	if c.Segments > 1<<16 {
 		c.Segments = 1 << 16
@@ -168,8 +167,8 @@ type Node struct {
 	nextRound  uint64
 	lastRound  uint64
 	prevView   uint64
-	begin      *beginMsg
-	abortRound uint64 // highest round an Abort frame announced
+	begin      beginMsg // pending announcement; round 0: none
+	abortRound uint64   // highest round an Abort frame announced
 	// dirty records that this node's last round aborted: its state may
 	// have diverged from peers whose copy of the same round completed, so
 	// the next round it joins must carry Restart (re-derive shared state
@@ -184,6 +183,18 @@ type Node struct {
 	exchCh      chan *PendingRound
 	exchStop    chan struct{}
 	exchStarted bool
+
+	// inRound is raised for the length of every AllReduce (the asynchronous
+	// rounds run through it too); while it is non-zero the read loops spin
+	// before they park (spinReader).
+	inRound atomic.Int32
+
+	// The round watchdog (see recvData): one timer per node, re-armed for
+	// every expected segment by the goroutine running the collective — a
+	// node runs one round at a time. armedAt tells a genuine expiry from a
+	// fire left over from an earlier arming.
+	watchdog *time.Timer
+	armedAt  time.Time
 
 	// Pending FetchSnapshot response slot.
 	snapMu sync.Mutex
@@ -221,7 +232,9 @@ func Listen(cfg Config) (*Node, error) {
 		prevView:  fullView(len(cfg.Peers)),
 		exchCh:    make(chan *PendingRound),
 		exchStop:  make(chan struct{}),
+		watchdog:  time.NewTimer(time.Hour),
 	}
+	n.watchdog.Stop()
 	n.cond = sync.NewCond(&n.mu)
 	for r, addr := range cfg.Peers {
 		if r == cfg.Rank {
@@ -425,8 +438,8 @@ func (n *Node) dispatch(p *peer, h header, payload []float32) {
 	case frameBegin:
 		n.pool.Put(payload)
 		n.mu.Lock()
-		if n.begin == nil || n.begin.round < h.Round {
-			n.begin = &beginMsg{round: h.Round, view: h.Aux, restart: h.Flags&flagRestart != 0}
+		if n.begin.round < h.Round {
+			n.begin = beginMsg{round: h.Round, view: h.Aux, restart: h.Flags&flagRestart != 0}
 		}
 		if h.Round >= n.nextRound {
 			// Track the cluster's round clock so a coordinator failover

@@ -26,7 +26,7 @@ func testConfig(rank int, addrs []string, ln net.Listener, tree bool) Config {
 
 // startCluster boots k nodes on pre-bound localhost listeners (so there
 // are no port races) and waits for the full mesh.
-func startCluster(t *testing.T, k int, tree bool, mutate func(rank int, cfg *Config)) []*Node {
+func startCluster(t testing.TB, k int, tree bool, mutate func(rank int, cfg *Config)) []*Node {
 	t.Helper()
 	lns := make([]net.Listener, k)
 	addrs := make([]string, k)
@@ -65,7 +65,7 @@ func startCluster(t *testing.T, k int, tree bool, mutate func(rank int, cfg *Con
 
 // runRound drives AllReduce concurrently on the given nodes and returns
 // each node's Round, in input order.
-func runRound(t *testing.T, nodes []*Node, bufs [][]float32) []Round {
+func runRound(t testing.TB, nodes []*Node, bufs [][]float32) []Round {
 	t.Helper()
 	rounds := make([]Round, len(nodes))
 	errs := make([]error, len(nodes))
