@@ -47,7 +47,6 @@ func main() {
 	basePort := flag.Int("base-port", 7070, "first localhost port for the node mesh (with -tcp)")
 	samples := flag.Int("samples", 0, "override training samples per epoch (with -tcp; 0: model default)")
 	overlap := flag.Bool("overlap", false, "overlap the global exchange with computation on every node (with -tcp)")
-	segments := flag.Int("segments", 0, "pipeline segments per collective transfer (with -tcp; 0: one per 512 KiB of the transfer, 1 to 4)")
 	flag.Parse()
 
 	learners := 1
@@ -100,7 +99,7 @@ func main() {
 			model: *model, gpus: *gpus, m: *m, batch: *batch,
 			tau: *tauLocal, tauGlobal: *tauGlobal,
 			epochs: *epochs, target: *target, seed: *seed, samples: *samples,
-			tree: ic.Tree, overlap: *overlap, segments: *segments,
+			tree: ic.Tree, overlap: *overlap,
 		}))
 	}
 
@@ -161,7 +160,6 @@ type tcpOpts struct {
 	samples   int
 	tree      bool
 	overlap   bool
-	segments  int
 }
 
 // findNodeBin resolves the crossbow-node binary: explicit flag, then a
@@ -231,9 +229,6 @@ func runTCP(o tcpOpts) int {
 		}
 		if o.overlap {
 			args = append(args, "-overlap")
-		}
-		if o.segments > 0 {
-			args = append(args, "-segments", strconv.Itoa(o.segments))
 		}
 		cmd := exec.Command(bin, args...)
 		stdout, _ := cmd.StdoutPipe()

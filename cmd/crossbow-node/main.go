@@ -50,9 +50,7 @@ func nodeMain() int {
 	peerTimeout := flag.Duration("peer-timeout", 0, "declare a silent peer dead after this long (0: 10x heartbeat)")
 	roundTimeout := flag.Duration("round-timeout", 0, "abort a collective stalled this long by a live peer (0: 30s)")
 	quarantine := flag.Duration("quarantine", 0, "bar a corrupting/stalling peer from reconnecting this long (0: peer-timeout)")
-	exchangeRetries := flag.Int("exchange-retries", 0, "retries of a fault-aborted global exchange (0: 2, negative: none)")
 	overlap := flag.Bool("overlap", false, "overlap the global exchange with the next iteration's computation (bit-identical to synchronous)")
-	segments := flag.Int("segments", 0, "pipeline segments per collective transfer (0: one per 512 KiB of the transfer, 1 to 4)")
 	bootstrap := flag.Duration("bootstrap", 10*time.Second, "wait this long for the full mesh before training")
 	warm := flag.Duration("warm-start", 2*time.Second, "snapshot probe window at startup (rejoin seeding)")
 	quiet := flag.Bool("quiet", false, "suppress per-epoch output")
@@ -91,18 +89,16 @@ func nodeMain() int {
 		TestSamples:    *testSamples,
 		Interconnect:   ic,
 		Node: crossbow.NodeConfig{
-			Rank:            *rank,
-			Peers:           addrs,
-			BootstrapWait:   *bootstrap,
-			WarmStartWait:   *warm,
-			HeartbeatEvery:  *hb,
-			PeerTimeout:     *peerTimeout,
-			RoundTimeout:    *roundTimeout,
-			Quarantine:      *quarantine,
-			ExchangeRetries: *exchangeRetries,
-			OverlapGlobal:   *overlap,
-			Segments:        *segments,
-			Logf:            logf,
+			Rank:           *rank,
+			Peers:          addrs,
+			BootstrapWait:  *bootstrap,
+			WarmStartWait:  *warm,
+			HeartbeatEvery: *hb,
+			PeerTimeout:    *peerTimeout,
+			RoundTimeout:   *roundTimeout,
+			Quarantine:     *quarantine,
+			OverlapGlobal:  *overlap,
+			Logf:           logf,
 		},
 	})
 	if err != nil {

@@ -517,11 +517,10 @@ func trainRank(cfg Config, base Result, rank int, ex core.GlobalExchanger, initM
 		PublishEvery:      cfg.PublishEvery,
 		OnSnapshot:        publish,
 
-		ExchangeRetries: cfg.Node.ExchangeRetries,
-		GlobalExchange:  ex,
-		OverlapGlobal:   ex != nil && cfg.Node.OverlapGlobal,
-		InitModel:       initModel,
-		ShuffleSeed:     shuffleSeed,
+		GlobalExchange: ex,
+		OverlapGlobal:  ex != nil && cfg.Node.OverlapGlobal,
+		InitModel:      initModel,
+		ShuffleSeed:    shuffleSeed,
 	})
 	res.Series = tr.Series
 	res.EpochsToTarget = tr.EpochsToTarget

@@ -275,7 +275,6 @@ func TestChaosSoak(t *testing.T) {
 			cfg.Node.RoundTimeout = 400 * time.Millisecond
 			cfg.Node.Quarantine = 200 * time.Millisecond
 			cfg.Node.DialBackoff = 5 * time.Millisecond
-			cfg.Node.ExchangeRetries = -1
 			cfg.Node.Chaos = inj
 			cfg.Node.Logf = logs[r].logf
 			ring := rings[r]

@@ -33,7 +33,10 @@ const (
 )
 
 // NodeConfig describes this process's place in a TCP cluster
-// (Config.Transport: TransportTCP).
+// (Config.Transport: TransportTCP). A global round this process loses to a
+// fault is skipped, not retried, and the next round it joins re-aligns the
+// cluster average model (a Restart). The collectives derive their pipeline
+// segment count from each transfer's size; there is no setting for it.
 type NodeConfig struct {
 	// Rank is this process's index into Peers.
 	Rank int
@@ -65,22 +68,12 @@ type NodeConfig struct {
 	// Quarantine bars a peer caught corrupting frames or stalling rounds
 	// from reconnecting for this long (default PeerTimeout).
 	Quarantine time.Duration
-	// ExchangeRetries bounds back-to-back retries of a fault-aborted
-	// global exchange before the update is skipped until the next
-	// τ_global boundary (0 → 2, negative → no retries).
-	ExchangeRetries int
 	// OverlapGlobal launches each global exchange asynchronously at the
 	// τ_global boundary and folds the completed sum in one iteration
 	// later, hiding the network round-trip behind computation. The
 	// trajectory stays bit-identical to the synchronous default (see
 	// core.TrainConfig.OverlapGlobal).
 	OverlapGlobal bool
-	// Segments is the collectives' pipelining factor: each per-link
-	// transfer is split into this many fixed-boundary segments so sends
-	// overlap receive+sum (0: one per 512 KiB of the transfer, 1 to 4; see
-	// transport.Config.Segments). All ranks must use the same value.
-	// Bit-identity across participants holds for any value.
-	Segments int
 	// Chaos, when set, interposes a deterministic fault injector on every
 	// frame this process sends (tests and soaks only).
 	Chaos *chaos.Injector
@@ -230,7 +223,6 @@ func trainNodeTCP(cfg Config, base Result) (*Result, error) {
 		DialBackoff:    cfg.Node.DialBackoff,
 		RoundTimeout:   cfg.Node.RoundTimeout,
 		Quarantine:     cfg.Node.Quarantine,
-		Segments:       cfg.Node.Segments,
 		Chaos:          cfg.Node.Chaos,
 		Snapshot:       holder.checkpoint,
 		Logf:           cfg.Node.Logf,

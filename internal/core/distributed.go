@@ -52,27 +52,17 @@ type AsyncGlobalExchanger interface {
 }
 
 // ClusterSMAConfig extends SMAConfig with the inter-server tier of the
-// cluster plane's two-level averaging schedule.
+// cluster plane's two-level averaging schedule. The global tier's constants
+// are fixed: α_G is 1/participants of each round and µ_G is Momentum.
 type ClusterSMAConfig struct {
 	SMAConfig // intra-server tier: LearnRate, Momentum, LocalMomentum, Alpha, Tau (τ_local), StateRanges
 
 	// TauGlobal is the inter-server averaging period in units of
 	// intra-server synchronisations: server reference models exchange
-	// corrections every TauGlobal-th local synchronisation (0 → 1).
+	// corrections every TauGlobal-th local synchronisation (0 → 1). Each
+	// boundary makes exactly one all-reduce; a round that fails or aborts
+	// is skipped, never retried (see DistClusterSMA).
 	TauGlobal int
-	// AlphaGlobal is the inter-server correction constant ≈ 1/n for n
-	// servers. Zero selects 1/n.
-	AlphaGlobal float32
-	// GlobalMomentum is µ applied to the cluster average model's update;
-	// zero selects Momentum.
-	GlobalMomentum float32
-	// ExchangeRetries bounds how many times a fault-aborted global
-	// exchange is retried back-to-back before the update is skipped until
-	// the next τ_global boundary (0 → 2, negative → no retries). Retrying
-	// is sound: the round that eventually succeeds after churn carries
-	// Restart and re-derives z, so a missed attempt never corrupts state —
-	// retries just keep the averaging schedule on cadence under faults.
-	ExchangeRetries int
 	// OverlapGlobal, with an exchanger that supports AsyncGlobalExchanger,
 	// launches the global all-reduce at the τ_global boundary and keeps
 	// local iterations running while the sum is in flight; the completed
@@ -109,6 +99,15 @@ type ClusterSMAConfig struct {
 // and clears the momentum history (z_prev ← z) — the §3.2 restart applied
 // at the membership boundary. One successful restart round later the
 // cluster is replicated again, whatever state the members arrived in.
+//
+// A round that fails or comes back Aborted is counted and skipped: the
+// boundary made its one all-reduce and training goes on to the next one.
+// It is never retried at once. An abort can be one-sided — a peer dies
+// after one survivor already holds the whole sum — and an immediate retry
+// on the aborting rank would pair with the other survivor's next boundary,
+// leaving the two one round apart for the rest of the run. Skipping keeps
+// every rank's rounds on the same boundaries; the aborting node's next
+// round carries Restart and re-aligns z.
 type DistClusterSMA struct {
 	cfg ClusterSMAConfig
 	sma *SMA // this server's intra-server tier
@@ -124,15 +123,12 @@ type DistClusterSMA struct {
 	z, zPrev []float32 // cluster average model, replicated across nodes
 	buf      []float32 // all-reduce scratch
 	state    stateRanges
-	alphaG   float32 // 0 → 1/participants, resolved per round
-	muG      float32
 
 	iter       int
 	localSyncs int
 
 	rounds     int64 // successful global exchanges
-	aborted    int64 // aborted collectives observed (including retried ones)
-	retried    int64 // exchanges rescued by a retry after an abort
+	aborted    int64 // failed or aborted exchanges, each skipped
 	overlapped int64 // exchanges launched asynchronously
 	lastRnd    ExchangeRound
 }
@@ -151,20 +147,14 @@ func NewDistClusterSMA(cfg ClusterSMAConfig, w0 []float32, k int, ex GlobalExcha
 	if cfg.TauGlobal < 1 {
 		cfg.TauGlobal = 1
 	}
-	muG := cfg.GlobalMomentum
-	if muG == 0 {
-		muG = cfg.Momentum
-	}
 	d := &DistClusterSMA{
-		cfg:    cfg,
-		sma:    NewSMA(cfg.SMAConfig, w0, k),
-		ex:     ex,
-		z:      append([]float32(nil), w0...),
-		zPrev:  append([]float32(nil), w0...),
-		buf:    make([]float32, len(w0)),
-		alphaG: cfg.AlphaGlobal,
-		muG:    muG,
-		state:  newStateRanges(cfg.StateRanges, len(w0)),
+		cfg:   cfg,
+		sma:   NewSMA(cfg.SMAConfig, w0, k),
+		ex:    ex,
+		z:     append([]float32(nil), w0...),
+		zPrev: append([]float32(nil), w0...),
+		buf:   make([]float32, len(w0)),
+		state: newStateRanges(cfg.StateRanges, len(w0)),
 	}
 	if cfg.OverlapGlobal {
 		// Degrade silently when the exchanger has no asynchronous path:
@@ -192,12 +182,9 @@ func (d *DistClusterSMA) SetLearnRate(lr float32) { d.sma.SetLearnRate(lr) }
 // Rounds returns the number of successful global exchanges folded into z.
 func (d *DistClusterSMA) Rounds() int64 { return d.rounds }
 
-// AbortedRounds returns the number of aborted collectives observed.
+// AbortedRounds returns the number of failed or aborted exchanges, each of
+// them skipped.
 func (d *DistClusterSMA) AbortedRounds() int64 { return d.aborted }
-
-// RetriedExchanges returns the number of exchanges that aborted at least
-// once but were rescued by a retry within the same τ_global boundary.
-func (d *DistClusterSMA) RetriedExchanges() int64 { return d.retried }
 
 // LastRound returns the most recent exchange's report.
 func (d *DistClusterSMA) LastRound() ExchangeRound { return d.lastRnd }
@@ -231,9 +218,10 @@ func (d *DistClusterSMA) Step(ws, gs [][]float32) {
 	}
 	if d.async != nil {
 		d.launch()
-	} else {
-		d.exchangeFrom(0)
+		return
 	}
+	copy(d.buf, d.sma.Average())
+	d.fold(d.ex.AllReduce(d.buf))
 }
 
 // launch starts the asynchronous global round: snapshot the reference
@@ -258,74 +246,28 @@ func (d *DistClusterSMA) launch() {
 // before a snapshot is published, before evaluation, and before a restart.
 // Every rank reaches these boundaries at the same logical point of the
 // lockstep schedule, so z stays bit-replicated across the cluster. A
-// fault-aborted round is retried synchronously here under the ordinary
-// retry budget — the reference model is unchanged since launch, so the
-// retry sums the same bytes the aborted attempt carried.
+// fault-aborted round is skipped here exactly as on the synchronous path.
 func (d *DistClusterSMA) Drain() {
 	p := d.pending
 	if p == nil {
 		return
 	}
 	d.pending = nil
-	rr, err := p.Wait()
+	d.fold(p.Wait())
+}
+
+// fold applies one completed round, or counts and skips a round that failed
+// (the transport is closed: train on locally) or aborted (the next round
+// this node joins carries Restart).
+func (d *DistClusterSMA) fold(r ExchangeRound, err error) {
 	if err != nil {
 		d.aborted++
 		return
 	}
-	d.lastRnd = rr
-	if rr.Aborted || rr.Participants < 1 {
+	d.lastRnd = r
+	if r.Aborted || r.Participants < 1 {
 		d.aborted++
-		if d.retryBudget() > 0 {
-			d.exchangeFrom(1)
-		}
 		return
-	}
-	d.apply(rr)
-}
-
-func (d *DistClusterSMA) retryBudget() int {
-	retries := d.cfg.ExchangeRetries
-	if retries == 0 {
-		retries = 2
-	} else if retries < 0 {
-		retries = 0
-	}
-	return retries
-}
-
-// exchangeFrom runs one global round synchronously, starting at the given
-// attempt number: all-reduce the server reference model, then apply the
-// replicated z update (or the restart re-derivation). A fault-aborted
-// collective is retried a bounded number of times — the post-churn round
-// carries Restart and re-derives z, so a retry can never double-apply
-// anything; only after the budget is spent is the update skipped until the
-// next τ_global boundary. Drain enters at attempt 1, charging the aborted
-// asynchronous attempt against the same budget.
-func (d *DistClusterSMA) exchangeFrom(attempt int) {
-	retries := d.retryBudget()
-	ref := d.sma.Average()
-	var r ExchangeRound
-	for ; ; attempt++ {
-		copy(d.buf, ref)
-		rr, err := d.ex.AllReduce(d.buf)
-		if err != nil {
-			// The transport is closed (shutdown); train on locally.
-			d.aborted++
-			return
-		}
-		d.lastRnd = rr
-		if rr.Aborted || rr.Participants < 1 {
-			d.aborted++
-			if attempt < retries {
-				continue
-			}
-			return
-		}
-		if attempt > 0 {
-			d.retried++
-		}
-		r = rr
-		break
 	}
 	d.apply(r)
 }
@@ -334,10 +276,7 @@ func (d *DistClusterSMA) exchangeFrom(attempt int) {
 // model and the local reference model.
 func (d *DistClusterSMA) apply(r ExchangeRound) {
 	n := float32(r.Participants)
-	alphaG := d.alphaG
-	if alphaG == 0 {
-		alphaG = 1 / n
-	}
+	alphaG := 1 / n
 	d.rounds++
 	if serialWalk(len(d.z)) {
 		d.applyRange(r.Restart, alphaG, n, 0, len(d.z))
@@ -380,7 +319,7 @@ func (d *DistClusterSMA) applyRange(restart bool, alphaG, n float32, lo, hi int)
 			}
 		default:
 			// Steady state: the global tier, factored through the sum.
-			tensor.SMADistFold(ref[a:b], z[a:b], zPrev[a:b], sum[a:b], alphaG, n, d.muG)
+			tensor.SMADistFold(ref[a:b], z[a:b], zPrev[a:b], sum[a:b], alphaG, n, d.cfg.Momentum)
 		}
 	}
 }

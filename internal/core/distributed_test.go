@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -66,10 +67,43 @@ func (p *memPending) Poll() bool {
 
 func (p *memPending) Wait() (ExchangeRound, error) { <-p.done; return p.r, p.err }
 
-func (h *memHandle) BeginAllReduce(buf []float32) (PendingExchange, error) {
+// beginAsync runs ex.AllReduce on a goroutine of its own and returns the
+// handle that resolves when it returns.
+func beginAsync(ex GlobalExchanger, buf []float32) PendingExchange {
 	p := &memPending{done: make(chan struct{})}
-	go func() { p.r, p.err = h.AllReduce(buf); close(p.done) }()
-	return p, nil
+	go func() { p.r, p.err = ex.AllReduce(buf); close(p.done) }()
+	return p
+}
+
+func (h *memHandle) BeginAllReduce(buf []float32) (PendingExchange, error) {
+	return beginAsync(h, buf), nil
+}
+
+// oneSidedAbort is one rank's view of an in-memory exchange that loses
+// round abortSeq on rank 0 only: the round completes and every rank holds
+// the sum, but rank 0 is told it aborted — what the TCP transport reports
+// when a peer dies after the other survivor already received every chunk.
+// The round after it carries Restart on every rank, as the aborting node's
+// dirty bit forces. calls counts AllReduce calls.
+type oneSidedAbort struct {
+	ex       GlobalExchanger
+	rank     int
+	abortSeq uint64
+	calls    int
+}
+
+func (o *oneSidedAbort) AllReduce(buf []float32) (ExchangeRound, error) {
+	o.calls++
+	r, err := o.ex.AllReduce(buf)
+	if err == nil {
+		r.Aborted = o.rank == 0 && r.Seq == o.abortSeq
+		r.Restart = r.Seq == o.abortSeq+1
+	}
+	return r, err
+}
+
+func (o *oneSidedAbort) BeginAllReduce(buf []float32) (PendingExchange, error) {
+	return beginAsync(o, buf), nil
 }
 
 // stepDist drives n DistClusterSMA nodes through one iteration each,
@@ -216,12 +250,12 @@ func TestDistClusterRestartHeals(t *testing.T) {
 	}
 }
 
-// TestDistClusterAbortSkipsUpdate pins the abort semantics with retries
-// disabled: an aborted collective leaves z and zPrev untouched and counts
-// the abort; training continues on the next round.
+// TestDistClusterAbortSkipsUpdate pins the abort semantics: an aborted
+// collective leaves z and zPrev untouched and counts the abort; training
+// continues on the next round.
 func TestDistClusterAbortSkipsUpdate(t *testing.T) {
 	const dim = 8
-	cfg := ClusterSMAConfig{SMAConfig: SMAConfig{LearnRate: 0.1}, ExchangeRetries: -1}
+	cfg := ClusterSMAConfig{SMAConfig: SMAConfig{LearnRate: 0.1}}
 	ex := newMemExchange(1)
 	ws, gs, w0 := makeReplicas(1, dim)
 	d := NewDistClusterSMA(cfg, w0, 1, ex.handle(0))
@@ -250,33 +284,75 @@ func TestDistClusterAbortSkipsUpdate(t *testing.T) {
 	}
 }
 
-// TestDistClusterRetryRescuesExchange pins the bounded retry: with the
-// default budget, a collective that aborts once is retried within the same
-// τ_global boundary, and the rescued round still updates z. The retry is
-// sound because a post-churn round carries Restart and re-derives z — a
-// missed first attempt never double-applies anything.
-func TestDistClusterRetryRescuesExchange(t *testing.T) {
+// TestDistClusterAbortIsNotRetried: an aborted boundary makes its one
+// all-reduce and no more, on the synchronous path and through Drain, and
+// the next boundary's Restart round folds again.
+func TestDistClusterAbortIsNotRetried(t *testing.T) {
 	const dim = 8
-	cfg := ClusterSMAConfig{SMAConfig: SMAConfig{LearnRate: 0.1}}
-	ex := newMemExchange(1)
-	ws, gs, w0 := makeReplicas(1, dim)
-	d := NewDistClusterSMA(cfg, w0, 1, ex.handle(0))
-
-	fakeGrads(gs, 1)
-	d.Step(ws, gs) // seeds z (first round)
-	zBefore := append([]float32(nil), d.Average()...)
-
-	// The exchanger clears the injected fault once the faulted round
-	// completes, so the immediate retry succeeds.
-	ex.forceAbort.Store(true)
-	fakeGrads(gs, 2)
-	d.Step(ws, gs)
-	if tensor.MaxAbsDiff(d.Average(), zBefore) == 0 {
-		t.Fatal("retried exchange must still update z")
+	for _, overlap := range []bool{false, true} {
+		ex := &oneSidedAbort{ex: NewLoopback(1).Rank(0), abortSeq: 2}
+		ws, gs, w0 := makeReplicas(1, dim)
+		d := NewDistClusterSMA(ClusterSMAConfig{SMAConfig: SMAConfig{LearnRate: 0.1}, OverlapGlobal: overlap}, w0, 1, ex)
+		for i := 1; i <= 3; i++ {
+			fakeGrads(gs, i)
+			d.Step(ws, gs)
+			d.Drain()
+			if ex.calls != i {
+				t.Fatalf("overlap=%v: %d all-reduce calls after %d boundaries", overlap, ex.calls, i)
+			}
+		}
+		if d.Rounds() != 2 || d.AbortedRounds() != 1 || !d.LastRound().Restart {
+			t.Fatalf("overlap=%v: rounds %d aborted %d last %+v, want 2/1 and a Restart round",
+				overlap, d.Rounds(), d.AbortedRounds(), d.LastRound())
+		}
 	}
-	if d.Rounds() != 2 || d.AbortedRounds() != 1 || d.RetriedExchanges() != 1 {
-		t.Fatalf("counters: rounds %d aborted %d retried %d, want 2/1/1",
-			d.Rounds(), d.AbortedRounds(), d.RetriedExchanges())
+}
+
+// TestOneSidedAbortKeepsRanksEqual pins the invariant a one-sided abort
+// used to break: ranks that complete the same rounds hold the same bytes.
+// Two ranks run as a cluster run's ranks do, each on its own goroutine,
+// closing the exchange when done. Round 3 completes on both but reports
+// Aborted to rank 0 only; round 4 is a Restart on both. Rank 0 must skip
+// its lost round rather than retry it — a retry would pair with rank 1's
+// next boundary and leave the ranks a round apart to the end — so both
+// ranks make one call per boundary and finish with the same cluster
+// average model, synchronously and with OverlapGlobal.
+func TestOneSidedAbortKeepsRanksEqual(t *testing.T) {
+	const dim, boundaries = 16, 8
+	for _, overlap := range []bool{false, true} {
+		cfg := ClusterSMAConfig{
+			SMAConfig:     SMAConfig{LearnRate: 0.1, Momentum: 0.9},
+			OverlapGlobal: overlap,
+		}
+		hub := NewLoopback(2)
+		exs := make([]*oneSidedAbort, 2)
+		nodes := make([]*DistClusterSMA, 2)
+		var wg sync.WaitGroup
+		for r := range nodes {
+			ws, gs, w0 := makeReplicas(1, dim)
+			exs[r] = &oneSidedAbort{ex: hub.Rank(r), rank: r, abortSeq: 3}
+			nodes[r] = NewDistClusterSMA(cfg, w0, 1, exs[r])
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				defer hub.Close()
+				for i := 1; i <= boundaries; i++ {
+					fakeGrads(gs, 2*i+r)
+					nodes[r].Step(ws, gs)
+				}
+				nodes[r].Drain()
+			}(r)
+		}
+		wg.Wait()
+		if exs[0].calls != boundaries || exs[1].calls != boundaries {
+			t.Fatalf("overlap=%v: all-reduce calls %d and %d, want %d on both ranks",
+				overlap, exs[0].calls, exs[1].calls, boundaries)
+		}
+		if nodes[0].AbortedRounds() != 1 || nodes[1].AbortedRounds() != 0 {
+			t.Fatalf("overlap=%v: aborted rounds %d and %d, want 1 and 0",
+				overlap, nodes[0].AbortedRounds(), nodes[1].AbortedRounds())
+		}
+		bitsEqual(t, fmt.Sprintf("overlap=%v rank 0 vs rank 1 Average", overlap), nodes[0].Average(), nodes[1].Average())
 	}
 }
 

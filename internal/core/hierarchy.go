@@ -137,9 +137,6 @@ func (h *HierarchicalSMA) Restart(ws [][]float32) {
 	h.iter = 0
 }
 
-// Groups returns the learner grouping (for tests and the engine).
-func (h *HierarchicalSMA) Groups() [][]int { return h.groups }
-
 // validateGroups panics if groups do not partition 0..k-1.
 func validateGroups(groups [][]int, k int) {
 	seen := make([]bool, k)

@@ -376,6 +376,3 @@ func (s *SMA) Restart(ws [][]float32) {
 
 // SetLearnRate updates γ (online hyper-parameter adaptation, §3.2).
 func (s *SMA) SetLearnRate(lr float32) { s.cfg.LearnRate = lr }
-
-// LearnRate returns the current γ.
-func (s *SMA) LearnRate() float32 { return s.cfg.LearnRate }

@@ -415,21 +415,18 @@ func TestExchangeAndDistApplyMatchScalarOracle(t *testing.T) {
 			mask := oracleMask(ranges, n)
 
 			for _, restart := range []bool{false, true} {
-				for _, alphaG := range []float32{0, 0.3} {
+				for _, participants := range []int{2, 3} {
 					w0 := oracleFill(r, n, 1, 1)
-					cfg := ClusterSMAConfig{SMAConfig: SMAConfig{Momentum: 0.9, StateRanges: ranges}, AlphaGlobal: alphaG}
+					cfg := ClusterSMAConfig{SMAConfig: SMAConfig{Momentum: 0.9, StateRanges: ranges}}
 					d := NewDistClusterSMA(cfg, w0, 1, nopExchanger{})
 					copy(d.sma.z, oracleFill(r, n, 0, 1))
 					copy(d.zPrev, oracleFill(r, n, 0, 1))
-					copy(d.buf, oracleFill(r, n, 0, 3))
+					copy(d.buf, oracleFill(r, n, 0, float32(participants)))
 					oref, oz, ozp := append([]float32(nil), d.sma.z...), append([]float32(nil), d.z...), append([]float32(nil), d.zPrev...)
-					d.apply(ExchangeRound{Participants: 3, Restart: restart})
-					a := alphaG
-					if a == 0 {
-						a = 1 / float32(3)
-					}
-					oracleDistApply(oref, oz, ozp, d.buf, mask, a, 3, 0.9, restart)
-					at := fmt.Sprintf("%s restart=%v alphaG=%v DistClusterSMA.apply", name, restart, alphaG)
+					d.apply(ExchangeRound{Participants: participants, Restart: restart})
+					p := float32(participants)
+					oracleDistApply(oref, oz, ozp, d.buf, mask, 1/p, p, 0.9, restart)
+					at := fmt.Sprintf("%s restart=%v participants=%d DistClusterSMA.apply", name, restart, participants)
 					bitsEqual(t, at+" ref", d.sma.z, oref)
 					bitsEqual(t, at+" z", d.z, oz)
 					bitsEqual(t, at+" zPrev", d.zPrev, ozp)

@@ -102,20 +102,14 @@ type TrainConfig struct {
 	// applies momentum to the central average model only, so the default
 	// is 0; the released system also supports momentum in the solver.
 	LocalMomentum float32
-	Alpha         float32 // SMA/EA-SGD correction constant; 0 → 1/k
-	Tau           int     // synchronisation period; 0 → 1
+	Tau           int // synchronisation period; 0 → 1
 	// TauGlobal is the cluster plane's inter-server averaging period in
 	// units of intra-server synchronisations (AlgoSMACluster only; 0 → 1).
 	TauGlobal int
-	// ExchangeRetries bounds back-to-back retries of a fault-aborted
-	// global exchange (AlgoSMACluster only; 0 → 2, negative → no
-	// retries). See ClusterSMAConfig.ExchangeRetries.
-	ExchangeRetries int
-	MaxEpochs       int
-	TargetAcc       float64 // stop once the TTA window clears this; 0 → run MaxEpochs
-	Seed            uint64
-	DataNoise       float64 // 0 → benchmark default
-	Schedule        Schedule
+	MaxEpochs int
+	TargetAcc float64 // stop once the TTA window clears this; 0 → run MaxEpochs
+	Seed      uint64
+	Schedule  Schedule
 	// RestartOnLRChange applies the §3.2 SMA restart whenever the
 	// schedule changes the learning rate.
 	RestartOnLRChange bool
@@ -358,7 +352,7 @@ type trainEnv struct {
 // seed+13, eval seed+99) and build order can never diverge between a live
 // run and its replay.
 func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
-	dataCfg := data.ForModel(cfg.Model, cfg.Seed, cfg.DataNoise)
+	dataCfg := data.ForModel(cfg.Model, cfg.Seed, 0)
 	if cfg.TrainSamples > 0 {
 		dataCfg.Train = cfg.TrainSamples
 	}
@@ -457,8 +451,7 @@ func (e *trainEnv) iterPerEpoch(k int) int {
 func buildOpt(cfg *TrainConfig, w0 []float32, k int, stateRanges [][2]int) stepper {
 	smaCfg := SMAConfig{
 		LearnRate: cfg.LearnRate, Momentum: cfg.Momentum,
-		LocalMomentum: cfg.LocalMomentum,
-		Alpha:         cfg.Alpha, Tau: cfg.Tau,
+		LocalMomentum: cfg.LocalMomentum, Tau: cfg.Tau,
 		StateRanges: stateRanges,
 	}
 	switch cfg.Algo {
@@ -470,16 +463,14 @@ func buildOpt(cfg *TrainConfig, w0 []float32, k int, stateRanges [][2]int) stepp
 		// This run is one server of the cluster; the global tier runs over
 		// the exchanger.
 		return NewDistClusterSMA(ClusterSMAConfig{
-			SMAConfig: smaCfg, TauGlobal: cfg.TauGlobal,
-			ExchangeRetries: cfg.ExchangeRetries,
-			OverlapGlobal:   cfg.OverlapGlobal,
+			SMAConfig: smaCfg, TauGlobal: cfg.TauGlobal, OverlapGlobal: cfg.OverlapGlobal,
 		}, w0, k, cfg.GlobalExchange)
 	case AlgoSSGD:
 		s := NewSSGD(cfg.LearnRate, cfg.Momentum, w0)
 		s.StateRanges = stateRanges
 		return s
 	case AlgoEASGD:
-		ea := NewEASGD(cfg.LearnRate, cfg.Alpha, cfg.Tau, k, w0)
+		ea := NewEASGD(cfg.LearnRate, 0, cfg.Tau, k, w0)
 		ea.LocalMomentum = cfg.LocalMomentum
 		return ea
 	case AlgoASGD:

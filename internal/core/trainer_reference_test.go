@@ -21,7 +21,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 	cfg.fillDefaults()
 	k := cfg.K()
 
-	dataCfg := data.ForModel(cfg.Model, cfg.Seed, cfg.DataNoise)
+	dataCfg := data.ForModel(cfg.Model, cfg.Seed, 0)
 	if cfg.TrainSamples > 0 {
 		dataCfg.Train = cfg.TrainSamples
 	}

@@ -43,8 +43,3 @@ func (b *Batcher) Next() []int {
 	b.pos += b.batch
 	return out
 }
-
-// SamplesSeen returns the total number of samples handed out so far.
-func (b *Batcher) SamplesSeen() int {
-	return b.epoch*b.BatchesPerEpoch()*b.batch + b.pos
-}

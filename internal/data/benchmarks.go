@@ -2,18 +2,12 @@ package data
 
 import "crossbow/internal/nn"
 
-// BenchmarkConfig describes the synthetic stand-in dataset for one of the
-// paper's benchmarks at trainable scale. Sizes are chosen so that a full
-// training run to the paper's accuracy targets completes in seconds on a
-// CPU while preserving the redundancy structure (many noisy samples per
-// class) that drives the batch-size/statistical-efficiency trade-off.
-type BenchmarkConfig struct {
-	Model nn.ModelID
-	Synth SynthConfig
-}
-
-// ForModel returns the benchmark dataset configuration for a model. noise
-// tunes task difficulty; pass 0 for the default.
+// ForModel returns the synthetic stand-in dataset for one of the paper's
+// benchmarks at trainable scale. Sizes are chosen so that a full training
+// run to the paper's accuracy targets completes in seconds on a CPU while
+// preserving the redundancy structure (many noisy samples per class) that
+// drives the batch-size/statistical-efficiency trade-off. noise tunes task
+// difficulty; pass 0 for the default.
 func ForModel(id nn.ModelID, seed uint64, noise float64) SynthConfig {
 	cfg := nn.ScaledConfigs[id]
 	n := noise

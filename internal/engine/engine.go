@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"crossbow/internal/gpusim"
-	"crossbow/internal/metrics"
 	"crossbow/internal/nn"
 )
 
@@ -81,9 +80,6 @@ type Engine struct {
 
 	iter       int
 	modelElems int64
-
-	// Completions feeds the auto-tuner's throughput estimator.
-	Completions *metrics.Throughput
 }
 
 // New builds an engine for the configuration.
@@ -95,12 +91,11 @@ func New(cfg Config) *Engine {
 		sim = gpusim.NewSim(cfg.GPUs, cfg.Cost.SMsPerDevice)
 	}
 	e := &Engine{
-		cfg:         cfg,
-		sim:         sim,
-		spec:        spec,
-		plan:        cfg.Cost.PlanLearningTask(spec, cfg.Batch),
-		modelElems:  spec.ParamCount(),
-		Completions: metrics.NewThroughput(2e6), // 2-second window (µs)
+		cfg:        cfg,
+		sim:        sim,
+		spec:       spec,
+		plan:       cfg.Cost.PlanLearningTask(spec, cfg.Batch),
+		modelElems: spec.ParamCount(),
 	}
 	for g := 0; g < cfg.GPUs; g++ {
 		dev := e.sim.Device(cfg.DeviceOffset + g)
@@ -201,13 +196,6 @@ func (e *Engine) ScheduleIteration() bool {
 				st.Record(done)
 				dones = append(dones, done)
 			}
-			// Task-completion event to the task manager: the learning
-			// task's batch is processed (feeds the throughput signal the
-			// auto-tuner consumes, §4.4).
-			b := cfg.Batch
-			st.OnComplete(func(now float64) {
-				e.Completions.Record(now, float64(b))
-			})
 		}
 		localDone = append(localDone, dones)
 	}

@@ -51,7 +51,6 @@ const (
 	opKernel opKind = iota
 	opRecord
 	opWait
-	opCallback
 )
 
 type op struct {
@@ -60,7 +59,6 @@ type op struct {
 	sms  int
 	dur  float64
 	ev   *Event
-	fn   func(now float64)
 }
 
 // Stream is an in-order queue of device work. Ops on one stream execute
@@ -107,13 +105,6 @@ func (st *Stream) Wait(ev *Event) {
 	st.queue = append(st.queue, op{kind: opWait, ev: ev})
 }
 
-// OnComplete enqueues a host callback invoked (in virtual time) when all
-// prior ops on this stream have completed. The task manager uses these as
-// task-completion events (§4.1 step 4).
-func (st *Stream) OnComplete(fn func(now float64)) {
-	st.queue = append(st.queue, op{kind: opCallback, fn: fn})
-}
-
 // step tries to retire or start the head op. Returns true on progress.
 func (st *Stream) step() bool {
 	if st.running || len(st.queue) == 0 {
@@ -132,11 +123,6 @@ func (st *Stream) step() bool {
 		ev := head.ev
 		st.queue = st.queue[1:]
 		ev.fire()
-		return true
-	case opCallback:
-		fn := head.fn
-		st.queue = st.queue[1:]
-		fn(st.dev.sim.now)
 		return true
 	case opKernel:
 		if st.dev.freeSMs < 1 {

@@ -93,30 +93,6 @@ func TestEventAlreadyFiredDoesNotBlock(t *testing.T) {
 	}
 }
 
-func TestCallbackSeesVirtualTime(t *testing.T) {
-	s := NewSim(1, 24)
-	st := s.Device(0).NewStream("s")
-	st.Kernel("k", 1, 42)
-	var at float64 = -1
-	st.OnComplete(func(now float64) { at = now })
-	s.Run()
-	if at != 42 {
-		t.Fatalf("callback at %v, want 42", at)
-	}
-}
-
-func TestCallbackCanEnqueueMoreWork(t *testing.T) {
-	s := NewSim(1, 24)
-	st := s.Device(0).NewStream("s")
-	st.Kernel("k1", 1, 10)
-	st.OnComplete(func(now float64) {
-		st.Kernel("k2", 1, 15)
-	})
-	if end := s.Run(); end != 25 {
-		t.Fatalf("end = %v, want 25", end)
-	}
-}
-
 func TestMultiDeviceIndependence(t *testing.T) {
 	s := NewSim(2, 24)
 	a := s.Device(0).NewStream("a")

@@ -64,57 +64,3 @@ func BestAccuracy(series []EpochPoint) float64 {
 	}
 	return best
 }
-
-// Throughput measures a processing rate over a sliding window of
-// completion timestamps — the auto-tuner's input signal (§4.4: "the rate
-// at which learning tasks complete, as recorded by the task manager").
-// Times are arbitrary but monotone units (the engine feeds virtual
-// microseconds).
-type Throughput struct {
-	window  float64
-	stamps  []float64
-	weights []float64 // items per completion (e.g. batch size)
-}
-
-// NewThroughput creates an estimator with the given window span.
-func NewThroughput(window float64) *Throughput {
-	return &Throughput{window: window}
-}
-
-// Record notes a completion of weight items (e.g. images) at time t.
-func (t *Throughput) Record(now float64, weight float64) {
-	t.stamps = append(t.stamps, now)
-	t.weights = append(t.weights, weight)
-	t.evict(now)
-}
-
-func (t *Throughput) evict(now float64) {
-	cut := 0
-	for cut < len(t.stamps) && t.stamps[cut] < now-t.window {
-		cut++
-	}
-	if cut > 0 {
-		t.stamps = t.stamps[cut:]
-		t.weights = t.weights[cut:]
-	}
-}
-
-// Rate returns items per time unit over the window ending at now.
-func (t *Throughput) Rate(now float64) float64 {
-	t.evict(now)
-	if len(t.stamps) == 0 {
-		return 0
-	}
-	var total float64
-	for _, w := range t.weights {
-		total += w
-	}
-	span := t.window
-	if now-t.stamps[0] < span {
-		span = now - t.stamps[0]
-	}
-	if span <= 0 {
-		return 0
-	}
-	return total / span
-}

@@ -63,41 +63,6 @@ func TestBestAccuracy(t *testing.T) {
 	}
 }
 
-func TestThroughputRate(t *testing.T) {
-	tp := NewThroughput(100)
-	for i := 1; i <= 10; i++ {
-		tp.Record(float64(i*10), 32)
-	}
-	// 10 records of 32 items over the 90-unit span observed.
-	r := tp.Rate(100)
-	if math.Abs(r-320.0/90.0) > 1e-9 {
-		t.Fatalf("rate = %v", r)
-	}
-}
-
-func TestThroughputEvictsOldSamples(t *testing.T) {
-	tp := NewThroughput(50)
-	tp.Record(0, 100)
-	tp.Record(100, 10)
-	r := tp.Rate(100)
-	// The t=0 record is outside the window; only the t=100 one remains,
-	// but with zero span the estimator reports 0 conservatively.
-	if r != 0 {
-		t.Fatalf("rate = %v, want 0 for zero-span window", r)
-	}
-	tp.Record(120, 10)
-	if r := tp.Rate(120); r <= 0 {
-		t.Fatalf("rate = %v, want positive", r)
-	}
-}
-
-func TestThroughputEmpty(t *testing.T) {
-	tp := NewThroughput(10)
-	if tp.Rate(5) != 0 {
-		t.Fatal("empty estimator must report 0")
-	}
-}
-
 func TestMedianEvenWindow(t *testing.T) {
 	if m := Median([]float64{0.2, 0.4}); math.Abs(m-0.3) > 1e-12 {
 		t.Fatalf("median = %v", m)

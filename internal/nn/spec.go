@@ -67,11 +67,6 @@ func (s *ModelSpec) ForwardFLOPs() int64 {
 	return n
 }
 
-// TrainFLOPs returns total training FLOPs per sample. The backward pass
-// costs roughly twice the forward pass (one GEMM for input gradients, one
-// for weight gradients), the standard 3× rule of thumb overall.
-func (s *ModelSpec) TrainFLOPs() int64 { return 3 * s.ForwardFLOPs() }
-
 // ActivationBytes returns the per-sample bytes of all operator outputs —
 // the quantity the memory planner (internal/memplan) reduces by buffer
 // reuse (paper §4.5: ResNet-50 needs 7.5 GB of operator outputs at b=32

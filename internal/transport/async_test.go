@@ -25,9 +25,8 @@ func TestTinyBufferManySegments(t *testing.T) {
 		{3, 2, 64, true},
 	} {
 		t.Run(fmt.Sprintf("k%d_n%d_s%d_tree%v", tc.k, tc.n, tc.segs, tc.tree), func(t *testing.T) {
-			nodes := startCluster(t, tc.k, tc.tree, func(rank int, cfg *Config) {
-				cfg.Segments = tc.segs
-			})
+			nodes := startCluster(t, tc.k, tc.tree, nil)
+			setSegments(nodes, tc.segs)
 			bufs, want := rankBufs(tc.k, tc.n)
 			for i, r := range runRound(t, nodes, bufs) {
 				if r.Aborted || r.Participants != tc.k {

@@ -130,13 +130,13 @@ func TestFrozenPeerWatchdogAbortsOverlap(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 5})
 	nodes := startCluster(t, 3, false, func(rank int, cfg *Config) {
 		cfg.Chaos = inj
-		cfg.Segments = 8
 		cfg.Quarantine = 30 * time.Second
 		cfg.RoundTimeout = 1200 * time.Millisecond
 		if rank == 0 {
 			cfg.RoundTimeout = 300 * time.Millisecond
 		}
 	})
+	setSegments(nodes, 8)
 
 	// A healthy overlapped round first: per-segment watchdogs must not
 	// misfire while the collective is pipelined.

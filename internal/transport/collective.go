@@ -351,12 +351,12 @@ func (n *Node) armWatchdog() {
 	n.watchdog.Reset(n.cfg.RoundTimeout)
 }
 
-// segMinBytes is the smallest payload a derived pipeline segment carries:
-// with Config.Segments 0, a transfer of b bytes goes out as b/segMinBytes
-// segments, at least 1 and at most maxSegments. Splitting pays only when
-// one segment's transmission outlasts the fixed cost of a frame (a writev, a
-// read-loop wake-up, a mailbox hand-off); below that, every extra segment
-// adds a frame's cost to the round and hides nothing.
+// segMinBytes is the smallest payload a pipeline segment carries: a
+// transfer of b bytes goes out as b/segMinBytes segments, at least 1 and
+// at most maxSegments. Splitting pays only when one segment's transmission
+// outlasts the fixed cost of a frame (a writev, a read-loop wake-up, a
+// mailbox hand-off); below that, every extra segment adds a frame's cost to
+// the round and hides nothing.
 //
 // Read off BenchmarkAllReduce on the 2-vCPU reference box: µs per round,
 // median of five interleaved passes of 100 rounds (run-to-run spread up to
@@ -382,12 +382,13 @@ const segMinBytes = 512 << 10
 const maxSegments = 4
 
 // segCount is the number of pipeline segments of a transfer of span float32
-// elements: Config.Segments when set, else one per segMinBytes of payload,
-// clamped to [1, maxSegments]. Sender and receiver derive it from the same
-// range, as they derive segBounds.
+// elements: one per segMinBytes of payload, clamped to [1, maxSegments]
+// (a test's Node.segments instead, when set). Sender and receiver derive it
+// from the same range, as they derive segBounds, so every rank agrees on it
+// without configuration.
 func (n *Node) segCount(span int) int {
-	if n.cfg.Segments > 0 {
-		return n.cfg.Segments
+	if n.segments > 0 {
+		return n.segments
 	}
 	return min(max(span*4/segMinBytes, 1), maxSegments)
 }

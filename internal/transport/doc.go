@@ -29,10 +29,13 @@
 //     the cluster.Interconnect cost model prices. Both reduce in a fixed
 //     rank order, so the summed bytes are identical on every participant.
 //     Each transfer is split into pipelined segments so summation (and
-//     tree relaying) hides under transmission — Config.Segments of them,
-//     or by default one per 512 KiB of the transfer, 1 to 4; segment counts
-//     and boundaries are computed identically on both ends and addInto is
-//     element-wise, so segmentation changes no bits. A frame is one writev
+//     tree relaying) hides under transmission — one per 512 KiB of the
+//     transfer, 1 to 4, with nothing to configure; segment counts and
+//     boundaries are derived identically on both ends from the transfer's
+//     range and addInto is element-wise, so segmentation changes no bits.
+//     A round whose collective is cut short reports Aborted; the caller
+//     skips that exchange, and this node's next round carries Restart
+//     (DESIGN.md §13). A frame is one writev
 //     and a round allocates nothing, and while a round is in flight the
 //     read loops spin briefly on an empty socket before they park, so the
 //     peer's bytes are read as they land (DESIGN.md §15).

@@ -39,8 +39,8 @@ var errWire = errors.New("transport: wire corruption")
 // Version 2 repacked the Data aux field to address pipeline segments
 // (collectives ship each transfer as several fixed-boundary segments so
 // sends overlap receive+sum). Version 3 derives a transfer's segment count
-// from its length when Config.Segments is 0 (segCount), which changes the
-// Data frames a v2 node expects. Nodes of different versions must not mix:
+// from its length (segCount), which changes the Data frames a v2 node
+// expects. Nodes of different versions must not mix:
 // the version check rejects the handshake.
 const (
 	frameMagic  = "CBTF"

@@ -60,16 +60,6 @@ type Config struct {
 	Quarantine time.Duration
 	// MaxPayload bounds one frame's payload (default 256 MiB).
 	MaxPayload int
-	// Segments is the collectives' pipelining factor: every per-link
-	// transfer is split into this many fixed-boundary segments so the send
-	// of segment i overlaps the receive+sum of segment i−1 instead of the
-	// socket idling during summation. 0 (the default) derives it from each
-	// transfer's length: one segment per 512 KiB of payload, 1 to 4
-	// (segCount). Boundaries are a pure function of the transfer's range,
-	// so the per-element reduction order — and with it bit-identity across
-	// participants — is unchanged for any value. The round watchdog arms
-	// once per segment, so a peer frozen mid-pipeline is still caught.
-	Segments int
 	// Chaos, when set, interposes a fault injector on every outgoing
 	// frame of this node (tests and soaks only; it is an in-process hook,
 	// so all ranks of a chaos run share one injector in one process).
@@ -110,9 +100,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxPayload <= 0 {
 		c.MaxPayload = 256 << 20
-	}
-	if c.Segments > 1<<16 {
-		c.Segments = 1 << 16
 	}
 	return nil
 }
@@ -195,6 +182,11 @@ type Node struct {
 	// fire left over from an earlier arming.
 	watchdog *time.Timer
 	armedAt  time.Time
+
+	// segments, when positive, replaces the size-derived segment count of
+	// every transfer (segCount). Only this package's tests set it, on every
+	// node of a cluster and between rounds.
+	segments int
 
 	// Pending FetchSnapshot response slot.
 	snapMu sync.Mutex
@@ -454,7 +446,7 @@ func (n *Node) dispatch(p *peer, h header, payload []float32) {
 		// on the accusation before waking the local collective: cutting
 		// our own conn to the suspect is what shrinks the next view —
 		// the aborter alone cutting its link would leave the coordinator
-		// still seeing the stalled peer alive, and every retried round
+		// still seeing the stalled peer alive, and every later round
 		// would wedge on it again.
 		if h.Aux != 0 {
 			n.accuse(h.Aux)

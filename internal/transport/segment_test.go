@@ -14,7 +14,7 @@ import (
 // setting, and rounds are started after this returns.
 func setSegments(nodes []*Node, S int) {
 	for _, n := range nodes {
-		n.cfg.Segments = S
+		n.segments = S
 	}
 }
 
@@ -34,7 +34,7 @@ func randomBufs(rng *rand.Rand, k, n int) [][]float32 {
 }
 
 // TestSegmentCountsBitIdentical pins what makes segmentation invisible: for
-// any segment count, explicit or derived from the transfer's length, every
+// any segment count, forced or derived from the transfer's length, every
 // rank ends the round with exactly the bytes of the one-segment round of
 // the same topology. The inputs are random floats whose sums are not exact,
 // so a segmentation that changed which rank sums an element, or in what
@@ -87,8 +87,7 @@ func TestSegmentCountsBitIdentical(t *testing.T) {
 }
 
 // TestSegCountDerived pins the size rule: one segment per segMinBytes of a
-// transfer's payload, at least one and at most maxSegments, and an explicit
-// Segments always wins.
+// transfer's payload, at least one and at most maxSegments.
 func TestSegCountDerived(t *testing.T) {
 	unit := segMinBytes / 4
 	n := &Node{}
@@ -99,10 +98,6 @@ func TestSegCountDerived(t *testing.T) {
 		if got := n.segCount(tc.span); got != tc.want {
 			t.Errorf("segCount(%d floats) = %d, want %d", tc.span, got, tc.want)
 		}
-	}
-	n.cfg.Segments = 7
-	if got := n.segCount(1); got != 7 {
-		t.Errorf("explicit Segments 7: segCount = %d", got)
 	}
 }
 
