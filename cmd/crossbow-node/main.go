@@ -52,7 +52,7 @@ func nodeMain() int {
 	quarantine := flag.Duration("quarantine", 0, "bar a corrupting/stalling peer from reconnecting this long (0: peer-timeout)")
 	overlap := flag.Bool("overlap", false, "overlap the global exchange with the next iteration's computation (bit-identical to synchronous)")
 	bootstrap := flag.Duration("bootstrap", 10*time.Second, "wait this long for the full mesh before training")
-	warm := flag.Duration("warm-start", 2*time.Second, "snapshot probe window at startup (rejoin seeding)")
+	warm := flag.Duration("warm-start", 2*time.Second, "longest wait on silent peers in the startup snapshot probe (rejoin seeding; a cold cluster answers in one round trip)")
 	quiet := flag.Bool("quiet", false, "suppress per-epoch output")
 	flag.Parse()
 

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crossbow/internal/ckpt"
 )
 
 // TestMain doubles this test binary as the crossbow node process for the
@@ -146,6 +148,47 @@ func TestTrainTCPCluster(t *testing.T) {
 		if math.IsNaN(p.Loss) || math.IsInf(p.Loss, 0) {
 			t.Fatalf("cluster training diverged: %+v", p)
 		}
+	}
+}
+
+// TestTCPColdStartDoesNotWait pins what a cold bootstrap costs. With
+// WarmStartWait at its 2s default, two fresh ranks hear from each other
+// that neither holds a snapshot and start training one round trip later,
+// from the shared-seed w0: one iteration of training returns well inside
+// the window, and the ranks agree on the final model.
+func TestTCPColdStartDoesNotWait(t *testing.T) {
+	const servers = 2
+	addrs, lns := tcpPeers(t, servers)
+	results := make([]*Result, servers)
+	errs := make([]error, servers)
+	took := make([]time.Duration, servers)
+	var wg sync.WaitGroup
+	for r := 0; r < servers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			node := fastNode(r, addrs, lns[r])
+			node.WarmStartWait = 0 // the default
+			start := time.Now()
+			results[r], errs[r] = Train(Config{
+				Model: LeNet, GPUs: 1, LearnersPerGPU: 1, Batch: 8,
+				MaxEpochs: 1, Seed: 3, TrainSamples: 8, TestSamples: 8,
+				Servers: servers, Transport: TransportTCP, Node: node,
+			})
+			took[r] = time.Since(start)
+		}(r)
+	}
+	wg.Wait()
+	for r, res := range results {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if took[r] >= time.Second || res.WarmStartRound != 0 {
+			t.Fatalf("rank %d: Train took %v with WarmStartRound %d, want < 1s from w0", r, took[r], res.WarmStartRound)
+		}
+	}
+	if a, b := ckpt.ParamsCRC(results[0].Params), ckpt.ParamsCRC(results[1].Params); a != b {
+		t.Fatalf("ranks disagree on the final model: CRC %08x vs %08x", a, b)
 	}
 }
 

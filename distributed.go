@@ -50,10 +50,12 @@ type NodeConfig struct {
 	// training starts (default 10s). A partial mesh trains with whoever
 	// arrived; stragglers join at the next synchronisation round.
 	BootstrapWait time.Duration
-	// WarmStartWait bounds the snapshot probe at startup (default 2s): a
-	// rejoining process pulls the latest published cluster model from a
-	// live peer and resumes from it; on a cold bootstrap no peer holds a
-	// snapshot and every rank initialises from the shared seed.
+	// WarmStartWait bounds how long the snapshot probe at startup waits on
+	// silence (default 2s). A rejoining process pulls the latest published
+	// cluster model from a live peer and resumes from it. On a cold
+	// bootstrap every peer answers that it holds no snapshot, so the probe
+	// costs one round trip and every rank initialises from the shared seed;
+	// only peers that have not answered keep it waiting, up to this bound.
 	WarmStartWait time.Duration
 	// HeartbeatEvery / PeerTimeout / DialBackoff tune the failure
 	// detector (defaults 100ms / 10× / 25ms; see transport.Config).
@@ -240,8 +242,9 @@ func trainNodeTCP(cfg Config, base Result) (*Result, error) {
 
 	// Warm start: a rejoining process resumes from the cluster's latest
 	// published model; its first (Restart-flagged) round re-aligns every
-	// participant bit-exactly. Cold bootstraps find no snapshot and fall
-	// through to the shared-seed w0.
+	// participant bit-exactly. On a cold bootstrap every peer answers that
+	// it holds no snapshot, and the rank falls through to the shared-seed
+	// w0 one round trip later.
 	warmWait := cfg.Node.WarmStartWait
 	if warmWait <= 0 {
 		warmWait = 2 * time.Second

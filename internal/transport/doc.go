@@ -49,5 +49,10 @@
 //
 // A rejoining process seeds its model by pulling a checkpoint-v3 snapshot
 // from a live peer (FetchSnapshot) before training, then enters the next
-// round like any other member.
+// round like any other member. The probe asks every live peer at once and
+// decides from their answers: the first snapshot wins, and once every
+// asked peer has answered that it holds none the cluster is cold, one
+// round trip after the ask. Only silence (no answer, a lost frame, an
+// unparseable payload) keeps it waiting, re-asking at each membership
+// change, for at most its timeout.
 package transport

@@ -66,8 +66,10 @@ type Config struct {
 	Chaos *chaos.Injector
 	// Snapshot, if set, serves the node's current model to rejoining
 	// peers: it must return a checkpoint of the latest published cluster
-	// average model, or nil when none exists yet. Called on transport
-	// goroutines; must be quick (one model copy).
+	// average model, or nil when none exists yet. A nil is a definite
+	// answer: a probing rank that hears it from every peer it asked starts
+	// cold at once (FetchSnapshot). Unset, the node answers nil. Called on
+	// transport goroutines; must be quick (one model copy).
 	Snapshot func() *ckpt.Checkpoint
 	// Logf receives debug lines (nil: silent).
 	Logf func(format string, args ...any)
@@ -188,9 +190,10 @@ type Node struct {
 	// node of a cluster and between rounds.
 	segments int
 
-	// Pending FetchSnapshot response slot.
+	// The FetchSnapshot calls in flight; deliverSnapshot credits each
+	// SnapResp to the probes awaiting its sender.
 	snapMu sync.Mutex
-	snapCh chan *ckpt.Checkpoint
+	probes map[*snapProbe]struct{}
 
 	pool  bufPool
 	stats nodeStats
@@ -225,6 +228,7 @@ func Listen(cfg Config) (*Node, error) {
 		exchCh:    make(chan *PendingRound),
 		exchStop:  make(chan struct{}),
 		watchdog:  time.NewTimer(time.Hour),
+		probes:    make(map[*snapProbe]struct{}),
 	}
 	n.watchdog.Stop()
 	n.cond = sync.NewCond(&n.mu)
@@ -503,86 +507,126 @@ func (n *Node) serveSnapshot(p *peer) {
 	p.send(n, &header{Type: frameSnapResp, Sender: uint32(n.rank)}, payload, n.cfg.WriteTimeout)
 }
 
-// deliverSnapshot hands a SnapResp payload to the pending FetchSnapshot
-// call, if any.
+// snapProbe is one FetchSnapshot call in flight. Its fields are guarded by
+// Node.snapMu; bits are ranks.
+type snapProbe struct {
+	pending  uint64           // asked, not yet heard from
+	answered uint64           // answered "none held"
+	found    *ckpt.Checkpoint // the first snapshot any rank answered with
+	wake     chan struct{}    // signalled on every credited answer
+}
+
+// deliverSnapshot credits a SnapResp to every probe that asked its sender
+// and has not heard from it; an answer no probe awaits is dropped. An
+// unparseable payload leaves the sender pending: it is silence, not a
+// definite "none held", which would let the probe declare the cluster cold.
 func (n *Node) deliverSnapshot(h header, payload []float32) {
+	defer n.pool.Put(payload)
 	var c *ckpt.Checkpoint
 	if h.Length > 0 {
-		raw := f32Bytes(payload)[:h.Length]
-		if parsed, err := ckpt.Read(bytes.NewReader(raw)); err == nil {
-			c = parsed
-		} else {
+		var err error
+		if c, err = ckpt.Read(bytes.NewReader(f32Bytes(payload)[:h.Length])); err != nil {
 			n.logf("rank %d: bad snapshot payload from %d: %v", n.rank, h.Sender, err)
+			return
 		}
 	}
-	n.pool.Put(payload)
+	bit := uint64(1) << h.Sender // zero for a sender outside the rank universe
 	n.snapMu.Lock()
-	ch := n.snapCh
-	n.snapMu.Unlock()
-	if ch != nil {
+	for pr := range n.probes {
+		if pr.pending&bit == 0 {
+			continue
+		}
+		pr.pending &^= bit
+		if c == nil {
+			pr.answered |= bit
+		} else if pr.found == nil {
+			pr.found = c
+		}
 		select {
-		case ch <- c:
+		case pr.wake <- struct{}{}:
 		default:
 		}
 	}
+	n.snapMu.Unlock()
 }
 
-// FetchSnapshot pulls the cluster's current model from a live peer: ranks
-// are tried in order and the first non-empty checkpoint-v3 snapshot wins.
-// It returns (nil, nil) when no peer holds a snapshot within the timeout —
-// a cold bootstrap, where every rank initialises from the seed instead.
+// FetchSnapshot pulls the cluster's current model from a live peer. It asks
+// every live peer at once and the first non-empty checkpoint-v3 snapshot
+// wins. Once every asked peer has answered that it holds none, the cluster
+// is cold and FetchSnapshot returns (nil, nil) after that one round trip:
+// every rank initialises from the shared seed. Only silence keeps it
+// waiting — a peer that has not answered, a lost frame, an unparseable
+// payload. It re-asks the peers it has not heard from whenever membership
+// changes, and returns (nil, nil) when timeout has passed in silence.
 func (n *Node) FetchSnapshot(timeout time.Duration) (*ckpt.Checkpoint, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return nil, ErrClosed
-		}
-		var live []*peer
-		for _, p := range n.peers {
-			if p != nil && p.alive {
-				live = append(live, p)
-			}
-		}
-		n.mu.Unlock()
-		for _, p := range live {
-			per := time.Until(deadline)
-			if per > 2*time.Second {
-				per = 2 * time.Second
-			}
-			if per <= 0 {
-				return nil, nil
-			}
-			if c := n.fetchSnapshotFrom(p, per); c != nil {
-				n.stats.snapshotsFetched.Add(1)
-				return c, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return nil, nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func (n *Node) fetchSnapshotFrom(p *peer, timeout time.Duration) *ckpt.Checkpoint {
-	ch := make(chan *ckpt.Checkpoint, 1)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	pr := &snapProbe{wake: make(chan struct{}, 1)}
 	n.snapMu.Lock()
-	n.snapCh = ch
+	n.probes[pr] = struct{}{}
 	n.snapMu.Unlock()
 	defer func() {
 		n.snapMu.Lock()
-		n.snapCh = nil
+		delete(n.probes, pr)
 		n.snapMu.Unlock()
 	}()
-	if err := p.send(n, &header{Type: frameSnapReq, Sender: uint32(n.rank)}, nil, n.cfg.WriteTimeout); err != nil {
-		return nil
+	changed, err := n.askSnapshot(pr)
+	for err == nil {
+		n.snapMu.Lock()
+		found, cold := pr.found, pr.pending == 0 && pr.answered != 0
+		n.snapMu.Unlock()
+		if found != nil {
+			n.stats.snapshotsFetched.Add(1)
+			return found, nil
+		}
+		if cold {
+			return nil, nil
+		}
+		select {
+		case <-pr.wake:
+		case <-changed:
+			changed, err = n.askSnapshot(pr)
+		case <-deadline.C:
+			return nil, nil
+		}
 	}
-	select {
-	case c := <-ch:
-		return c
-	case <-time.After(timeout):
-		return nil
+	return nil, err
+}
+
+// askSnapshot sends SnapReq to every live peer that has not answered pr —
+// a first ask or a re-ask — and returns the channel that closes at the next
+// membership change. A peer the request cannot reach stays un-asked, unless
+// an earlier ask already awaits it.
+func (n *Node) askSnapshot(pr *snapProbe) (<-chan struct{}, error) {
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return nil, ErrClosed
 	}
+	var live []*peer
+	for _, p := range n.peers {
+		if p != nil && p.alive {
+			live = append(live, p)
+		}
+	}
+	changed := n.notifyCh
+	n.mu.Unlock()
+	for _, p := range live {
+		bit := uint64(1) << uint(p.rank)
+		n.snapMu.Lock()
+		done, asked := pr.answered&bit != 0, pr.pending&bit != 0
+		if !done {
+			pr.pending |= bit
+		}
+		n.snapMu.Unlock()
+		if done {
+			continue
+		}
+		if err := p.send(n, &header{Type: frameSnapReq, Sender: uint32(n.rank)}, nil, n.cfg.WriteTimeout); err != nil && !asked {
+			n.snapMu.Lock()
+			pr.pending &^= bit
+			n.snapMu.Unlock()
+		}
+	}
+	return changed, nil
 }
