@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"crossbow/internal/autotune"
@@ -327,10 +328,7 @@ type trainEnv struct {
 	ws, gs      [][]float32
 	w0          []float32
 	pipe        *data.Pipeline
-	evalNet     *nn.Network
-	evalGrad    []float32
-	evalBatch   int
-	es          *evalScratch
+	eval        *evaluator
 
 	// The live memory plane (§4.5): all learners draw their task arenas
 	// from one shared pool, keyed by the networks' identical plan layout;
@@ -380,18 +378,16 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 		e.nets[j].Bind(e.ws[j], e.gs[j])
 	}
 
-	// Evaluation network over the central model. It evaluates at quiescence
-	// with a different batch size (different plan key), so it keeps a
-	// private arena instead of cycling through the task pool. It never
-	// trains, so it runs the fused conv→BN→ReLU epilogues over a
-	// forward-only arena: fusion is bit-identical to the unfused forward
-	// (nn/fuse.go, TestFusedPredictBitIdentical).
-	_, e.evalBatch = evalSizes(e.test.Len())
-	e.evalNet = nn.BuildScaled(cfg.Model, e.evalBatch, tensor.NewRNG(cfg.Seed+99))
-	e.evalNet.FuseInference()
-	e.evalNet.AttachInferenceArena(tensor.NewArena(e.evalNet.InferPlan().ArenaElems))
-	e.evalGrad = make([]float32, len(e.w0))
-	e.es = newEvalScratch(e.evalBatch, e.test.Shape)
+	// Evaluation lanes over the central model. They evaluate at quiescence
+	// with a different batch size (different plan key), so each keeps a
+	// private arena instead of cycling through the task pool. They never
+	// train, so they run the fused conv→BN→ReLU epilogues over forward-only
+	// arenas: fusion is bit-identical to the unfused forward (nn/fuse.go,
+	// TestFusedPredictBitIdentical).
+	_, batch := evalSizes(e.test.Len())
+	e.eval = newEvaluator(e.test, batch, func() *nn.Network {
+		return newEvalNet(cfg.Model, batch, cfg.Seed)
+	})
 
 	// Shared task-arena pool: every learner network has the identical
 	// layer stack and batch size, hence the identical plan key, so their
@@ -572,7 +568,6 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 
 	e := newTrainEnv(&cfg, k)
 	e.pub = newSnapshotPublisher(&cfg)
-	test := e.test
 	opt := buildOpt(&cfg, e.w0, k, e.nets[0].StateRanges())
 
 	// Input pipeline: pre-processors stage shuffled batches into the
@@ -638,11 +633,12 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 		res.Wall = append(res.Wall, wp)
 
 		// Evaluation runs at quiescence (the epoch join), with none of this
-		// run's tasks in flight. An overlapped global exchange launched by
-		// the epoch's last iteration is folded first, so the model read
-		// here matches the synchronous path's byte for byte.
+		// run's tasks in flight, so it gets a lane per kernel worker. An
+		// overlapped global exchange launched by the epoch's last iteration
+		// is folded first, so the model read here matches the synchronous
+		// path's byte for byte.
 		drainExchange(opt)
-		acc := evaluate(e.evalNet, opt.Average(), e.evalGrad, test, e.evalBatch, e.es)
+		acc := e.eval.accuracy(opt.Average())
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
 			TimeSec: float64(epoch) * cfg.EpochSeconds,
@@ -729,22 +725,6 @@ func (e *trainEnv) memoryStats(k, iters int, before *runtime.MemStats) metrics.M
 	return m
 }
 
-// evalScratch holds the evaluation input buffers, allocated once per run
-// instead of once per epoch.
-type evalScratch struct {
-	x      *tensor.Tensor
-	labels []int
-	idx    []int
-}
-
-func newEvalScratch(batch int, shape []int) *evalScratch {
-	return &evalScratch{
-		x:      tensor.New(append([]int{batch}, shape...)...),
-		labels: make([]int, batch),
-		idx:    make([]int, batch),
-	}
-}
-
 // Evaluation covers the first ⌊Len/128⌋·128 test samples — all of them when
 // there are fewer than 128 — which is the prefix every reported accuracy has
 // been computed over since evaluation ran at batch 128 and dropped the
@@ -769,21 +749,131 @@ func evalSizes(testLen int) (n, batch int) {
 	return n, evalBatch
 }
 
-// evaluate measures test accuracy of model w using the given evaluation
-// network (whose gradient buffer is scratch), built for evalSizes' batch.
-func evaluate(net *nn.Network, w, scratch []float32, test *data.Dataset, batch int, es *evalScratch) float64 {
-	net.Bind(w, scratch)
+// newEvalNet builds one evaluation lane's network: the model at the given
+// batch, fused for forward-only execution over a private inference arena.
+func newEvalNet(id nn.ModelID, batch int, seed uint64) *nn.Network {
+	net := nn.BuildScaled(id, batch, tensor.NewRNG(seed+99))
+	net.FuseInference()
+	net.AttachInferenceArena(tensor.NewArena(net.InferPlan().ArenaElems))
+	return net
+}
+
+// evaluator measures the test accuracy of a model over the evaluated prefix
+// of a test set (evalSizes). It deals the prefix's batches to lanes, each an
+// evaluation network of its own at the same batch size, bound read-only to
+// the model and walking one contiguous range of batches. Every lane counts
+// as one task in flight (tensor.EnterTask), so with a lane per worker each
+// lane's kernels run at share 1: evaluation is data-parallel across the
+// kernel workers, where splitting each batch-16 GEMM across them cost more
+// in hand-offs than it saved (BenchmarkEvaluate). A sample's eval-mode
+// logits depend neither on the rest of its batch nor on the worker count,
+// every lane layout walks the same batches, and the lanes' integer correct
+// counts sum in any order, so every accuracy is exactly the one-lane walk's.
+type evaluator struct {
+	test     *data.Dataset
+	n, batch int
+	newNet   func() *nn.Network
+	lanes    []*evalLane // built on first use and kept for the run
+
+	// The current call's model and lane count, and the Once that counts
+	// its lanes as tasks, read by runLanes, which is bound once as dealt
+	// so a call allocates no closure for it.
+	w       []float32
+	active  int
+	counted sync.Once
+	dealt   func(lo, hi int)
+}
+
+// evalLane is one lane's network and buffers, allocated once per run.
+type evalLane struct {
+	net     *nn.Network
+	grad    []float32 // Bind's gradient vector; a forward never writes it
+	x       *tensor.Tensor
+	labels  []int
+	idx     []int
+	correct int
+}
+
+// newEvaluator returns an evaluator over test at the given batch size;
+// newNet builds a lane's network.
+func newEvaluator(test *data.Dataset, batch int, newNet func() *nn.Network) *evaluator {
 	n, _ := evalSizes(test.Len())
-	correct := 0
-	for start := 0; start+batch <= n; start += batch {
-		for i := 0; i < batch; i++ {
-			es.idx[i] = start + i
-		}
-		test.Gather(es.idx, es.x, es.labels)
-		correct += net.Evaluate(es.x, es.labels)
+	ev := &evaluator{test: test, n: n, batch: batch, newNet: newNet}
+	ev.dealt = ev.runLanes
+	return ev
+}
+
+func (ev *evaluator) newLane(params int) *evalLane {
+	return &evalLane{
+		net:    ev.newNet(),
+		grad:   make([]float32, params),
+		x:      tensor.New(append([]int{ev.batch}, ev.test.Shape...)...),
+		labels: make([]int, ev.batch),
+		idx:    make([]int, ev.batch),
 	}
-	if n == 0 {
+}
+
+// accuracy evaluates model w with a lane per kernel worker a call made now
+// would get (tensor.Parallelism): the whole budget at quiescence in one
+// process, one lane under a budget of 1, fewer while in-process peers have
+// tasks in flight.
+func (ev *evaluator) accuracy(w []float32) float64 {
+	return ev.accuracyLanes(w, tensor.Parallelism())
+}
+
+// accuracyLanes evaluates model w over min(lanes, batches) lanes.
+func (ev *evaluator) accuracyLanes(w []float32, lanes int) float64 {
+	if ev.n == 0 {
 		return 0
 	}
-	return float64(correct) / float64(n)
+	lanes = max(1, min(lanes, ev.n/ev.batch))
+	for len(ev.lanes) < lanes {
+		ev.lanes = append(ev.lanes, ev.newLane(len(w)))
+	}
+	ev.w, ev.active, ev.counted = w, lanes, sync.Once{}
+	tensor.ParallelFor(lanes, 1, ev.dealt)
+	for i := 0; i < lanes; i++ {
+		tensor.ExitTask()
+	}
+	correct := 0
+	for _, l := range ev.lanes[:lanes] {
+		correct += l.correct
+	}
+	return float64(correct) / float64(ev.n)
+}
+
+// runLanes walks lanes [lo, hi) of the current call. Of the prefix's B
+// batches, lane i takes [i·B/lanes, (i+1)·B/lanes).
+func (ev *evaluator) runLanes(lo, hi int) {
+	ev.counted.Do(ev.enterLanes)
+	nb := ev.n / ev.batch
+	for i := lo; i < hi; i++ {
+		ev.lanes[i].walk(ev, i*nb/ev.active, (i+1)*nb/ev.active)
+	}
+}
+
+// enterLanes counts all of the call's lanes as tasks in flight. The first
+// chunk to start runs it and the others wait for it, after ParallelFor has
+// fixed its chunks, and accuracyLanes ends the count after the last lane.
+// So no lane runs a kernel while a lane that has not started or one that
+// has finished leaves a worker to split into: a batch-16 GEMM split costs
+// more than it saves, and evaluation allocates nothing per batch.
+func (ev *evaluator) enterLanes() {
+	for i := 0; i < ev.active; i++ {
+		tensor.EnterTask()
+	}
+}
+
+// walk binds the lane to the current call's model and counts its correct
+// predictions over batches [from, to).
+func (l *evalLane) walk(ev *evaluator, from, to int) {
+	l.net.Bind(ev.w, l.grad)
+	l.correct = 0
+	for b := from; b < to; b++ {
+		for i := range l.idx {
+			l.idx[i] = b*ev.batch + i
+		}
+		ev.test.Gather(l.idx, l.x, l.labels)
+		l.correct += l.net.Evaluate(l.x, l.labels)
+	}
 }

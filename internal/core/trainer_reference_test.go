@@ -50,9 +50,10 @@ func referenceTrain(cfg TrainConfig) *Result {
 	if test.Len() < evalBatch {
 		evalBatch = test.Len()
 	}
-	evalNet := nn.BuildScaled(cfg.Model, evalBatch, tensor.NewRNG(cfg.Seed+99))
-	evalGrad := make([]float32, len(w0))
-	evalScratch := newEvalScratch(evalBatch, test.Shape)
+	// One unfused lane at batch 128: the serial walk Train's lanes must match.
+	eval := newEvaluator(test, evalBatch, func() *nn.Network {
+		return nn.BuildScaled(cfg.Model, evalBatch, tensor.NewRNG(cfg.Seed+99))
+	})
 
 	shuffleSeed := cfg.Seed + 21
 	if cfg.ShuffleSeed != 0 {
@@ -112,7 +113,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 			opt.Step(ws, gs)
 		}
 
-		acc := evaluate(evalNet, opt.Average(), evalGrad, test, evalBatch, evalScratch)
+		acc := eval.accuracyLanes(opt.Average(), 1)
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
 			TimeSec: float64(epoch) * cfg.EpochSeconds,

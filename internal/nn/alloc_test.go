@@ -19,8 +19,18 @@ import (
 
 const hotPathAllocThreshold = 0.5
 
+// skipUnderRace skips an allocation count under the race detector, whose
+// shadow allocations read as one or two a call.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations")
+	}
+}
+
 func measureTaskAllocs(t *testing.T, id ModelID, attach bool) float64 {
 	t.Helper()
+	skipUnderRace(t)
 	const batch = 4
 	net := BuildScaled(id, batch, tensor.NewRNG(1))
 	w := net.Init(tensor.NewRNG(2))
@@ -68,6 +78,7 @@ func TestHotPathAllocsPrivate(t *testing.T) {
 }
 
 func TestHotPathAllocsPooledAttach(t *testing.T) {
+	skipUnderRace(t)
 	// The full per-task sequence the runtime executes: check an arena out
 	// of the shared pool, attach, train, release. Steady state must stay
 	// allocation-free even as arenas migrate between pool slots.
@@ -105,6 +116,7 @@ func TestHotPathAllocsPooledAttach(t *testing.T) {
 }
 
 func TestEvaluatePathAllocs(t *testing.T) {
+	skipUnderRace(t)
 	prev := tensor.WorkerBudget()
 	defer tensor.SetWorkerBudget(prev)
 	tensor.SetWorkerBudget(1)
@@ -120,5 +132,23 @@ func TestEvaluatePathAllocs(t *testing.T) {
 	net.Evaluate(x, labels) // warm (preds scratch)
 	if avg := testing.AllocsPerRun(20, func() { net.Evaluate(x, labels) }); avg > hotPathAllocThreshold {
 		t.Errorf("evaluate: %.2f allocs/batch, want ~0", avg)
+	}
+
+	// The shape every evaluation lane of the trainer runs: a fused network
+	// over a forward-only arena at batch 16. Evaluate must not compute the
+	// loss there, whose logits gradient the inference plan does not hold.
+	const laneBatch = 16
+	lane := BuildScaled(ResNet32, laneBatch, tensor.NewRNG(1))
+	lane.FuseInference()
+	lane.Bind(w, g)
+	lane.AttachInferenceArena(tensor.NewArena(lane.InferPlan().ArenaElems))
+	lx := tensor.New(append([]int{laneBatch}, lane.InShape...)...)
+	lLabels := make([]int, laneBatch)
+	lane.Evaluate(lx, lLabels)
+	if avg := testing.AllocsPerRun(20, func() { lane.Evaluate(lx, lLabels) }); avg > hotPathAllocThreshold {
+		t.Errorf("fused evaluate over an inference arena: %.2f allocs/batch, want ~0", avg)
+	}
+	if lane.loss.dx.HasData() {
+		t.Error("fused evaluate allocated the logits gradient")
 	}
 }

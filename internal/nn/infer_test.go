@@ -82,6 +82,7 @@ func TestPredictBitIdenticalAcrossPlans(t *testing.T) {
 // forward-only Predict path against an attached inference arena must be
 // allocation-free in steady state at kernel worker budget 1.
 func TestPredictPathAllocs(t *testing.T) {
+	skipUnderRace(t)
 	prev := tensor.WorkerBudget()
 	defer tensor.SetWorkerBudget(prev)
 	tensor.SetWorkerBudget(1)

@@ -30,8 +30,8 @@ func NewSoftmaxCE(batch, classes int) *SoftmaxCE {
 
 // ensure lazily allocates whichever buffers no arena has bound. The two are
 // independent because the forward-only inference plan attaches probs but
-// not dx: an Evaluate against an inference arena then self-allocates dx
-// once, while the serving path (Probs) never touches it.
+// not dx, which only Loss writes: Predict and Evaluate call Probs and never
+// touch it.
 func (s *SoftmaxCE) ensure() {
 	if !s.probs.HasData() {
 		s.probs.SetData(make([]float32, s.batch*s.Classes))
@@ -124,8 +124,8 @@ func (s *SoftmaxCE) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	return total / float64(s.batch), s.dx
 }
 
-// Predictions returns the arg-max class of the most recent Loss call's
-// softmax for each sample in the batch.
+// Predictions returns the arg-max class of the most recent Loss or Probs
+// call's softmax for each sample in the batch.
 func (s *SoftmaxCE) Predictions(out []int) []int {
 	if out == nil {
 		out = make([]int, s.batch)

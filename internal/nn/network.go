@@ -295,17 +295,24 @@ func (n *Network) Predict(x *tensor.Tensor, preds []int, conf []float32) {
 }
 
 // Evaluate runs forward in evaluation mode and returns the number of
-// correctly classified samples in the batch.
+// correctly classified samples in the batch. It computes the softmax the
+// loss would (Probs) but not the loss or its gradient, so like Predict it
+// touches no gradient state and runs against a forward-only inference arena.
 func (n *Network) Evaluate(x *tensor.Tensor, labels []int) int {
-	logits := n.Forward(x, false)
-	_, _ = n.loss.Loss(logits, labels)
+	if len(labels) != n.Batch {
+		panic("nn: label count does not match batch size")
+	}
+	n.loss.Probs(n.Forward(x, false))
 	if n.preds == nil {
 		n.preds = make([]int, n.Batch) // once per network, not per batch
 	}
-	preds := n.loss.Predictions(n.preds)
 	correct := 0
-	for i, p := range preds {
-		if p == labels[i] {
+	for i, p := range n.loss.Predictions(n.preds) {
+		y := labels[i]
+		if y < 0 || y >= n.Classes {
+			panic("nn: label out of range")
+		}
+		if p == y {
 			correct++
 		}
 	}

@@ -16,16 +16,19 @@ import (
 //
 // The pool is carved from one process-wide compute budget, and each kernel
 // call's share of it is counted, not declared: a call gets
-// max(1, budget/tasks) workers, where tasks is the number of learning tasks
-// and serving batches in flight right now — the goroutines that own them
-// (engine.Runtime, serve.Engine) bracket each one with EnterTask/ExitTask.
+// max(1, budget/tasks) workers, where tasks is the number of learning tasks,
+// serving batches and evaluation lanes in flight right now — the code that
+// owns them (engine.Runtime, serve.Engine, core's evaluator) brackets each
+// one with EnterTask/ExitTask.
 // Without the divisor, k learner goroutines each fanning out to a
 // NumCPU-sized pool would put k×NumCPU compute goroutines on NumCPU cores
 // (oversubscription); with it, task-level and kernel-level parallelism
-// together stay within the budget. Work done with no task in flight —
-// evaluation, a whole optimiser step — gets the whole budget, and several
-// runs in one process (in-process ranks, a trainer beside a server) add up
-// without anyone setting anything.
+// together stay within the budget. Work done with no task in flight — a
+// whole optimiser step — gets the whole budget. Evaluation deals its
+// batches to one lane per worker it would get and counts each lane as a
+// task (core's evaluator), so its small GEMMs run unsplit, side by side.
+// Several runs in one process (in-process ranks, a trainer beside a server)
+// add up without anyone setting anything.
 //
 // Determinism contract: ParallelFor only ever partitions an index range into
 // disjoint chunks, and every kernel built on it computes each output element
@@ -74,10 +77,10 @@ func SetWorkerBudget(n int) {
 // WorkerBudget returns the process-wide compute-goroutine budget.
 func WorkerBudget() int { return parCur.Load().budget }
 
-// EnterTask counts one task — a learning task or a serving batch — in
-// flight until the matching ExitTask. Every kernel call meanwhile divides
-// the budget by the count, so call it once per task, on the goroutine that
-// runs it, around the compute only. Both calls are one atomic add.
+// EnterTask counts one task — a learning task, a serving batch or an
+// evaluation lane — in flight until the matching ExitTask. Every kernel
+// call meanwhile divides the budget by the count, so call it once per task,
+// around the compute only. Both calls are one atomic add.
 func EnterTask() { parTasks.Add(1) }
 
 // ExitTask ends the task EnterTask counted.
