@@ -99,7 +99,7 @@ func main() {
 			model: *model, gpus: *gpus, m: *m, batch: *batch,
 			tau: *tauLocal, tauGlobal: *tauGlobal,
 			epochs: *epochs, target: *target, seed: *seed, samples: *samples,
-			tree: ic.Tree, overlap: *overlap,
+			overlap: *overlap,
 		}))
 	}
 
@@ -158,7 +158,6 @@ type tcpOpts struct {
 	target    float64
 	seed      uint64
 	samples   int
-	tree      bool
 	overlap   bool
 }
 
@@ -223,9 +222,6 @@ func runTCP(o tcpOpts) int {
 		}
 		if o.samples > 0 {
 			args = append(args, "-samples", strconv.Itoa(o.samples))
-		}
-		if o.tree {
-			args = append(args, "-tree")
 		}
 		if o.overlap {
 			args = append(args, "-overlap")

@@ -44,7 +44,6 @@ func nodeMain() int {
 	seed := flag.Uint64("seed", 1, "shared model seed (must match on every rank)")
 	samples := flag.Int("samples", 0, "override training samples per epoch (0: model default)")
 	testSamples := flag.Int("test-samples", 0, "override test samples (0: model default)")
-	tree := flag.Bool("tree", false, "binomial-tree collective instead of the ring")
 	save := flag.String("save", "", "write the final cluster average model to this checkpoint path")
 	hb := flag.Duration("heartbeat", 100*time.Millisecond, "heartbeat period")
 	peerTimeout := flag.Duration("peer-timeout", 0, "declare a silent peer dead after this long (0: 10x heartbeat)")
@@ -65,8 +64,6 @@ func nodeMain() int {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
 
-	ic := crossbow.Ethernet()
-	ic.Tree = *tree
 	logf := func(string, ...any) {}
 	if !*quiet {
 		logf = func(format string, args ...any) {
@@ -87,7 +84,6 @@ func nodeMain() int {
 		Seed:           *seed,
 		TrainSamples:   *samples,
 		TestSamples:    *testSamples,
-		Interconnect:   ic,
 		Node: crossbow.NodeConfig{
 			Rank:           *rank,
 			Peers:          addrs,

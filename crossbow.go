@@ -114,9 +114,9 @@ type Config struct {
 	Servers int
 	// Interconnect is the cross-server network cost model (zero value:
 	// 10 Gb/s Ethernet). Only meaningful with Servers > 1. On a TCP run
-	// it doubles as the cost-model oracle reported next to the measured
-	// transport statistics, and Interconnect.Tree selects the real
-	// collective's topology too.
+	// it is the cost-model oracle reported next to the measured transport
+	// statistics; it chooses nothing about the real collective, which is
+	// always the transport's one owner-based all-reduce.
 	Interconnect Interconnect
 	// Transport selects the cross-server exchange plane with Servers > 1:
 	// TransportSimulated (default) runs every server as a rank of this

@@ -219,7 +219,6 @@ func trainNodeTCP(cfg Config, base Result) (*Result, error) {
 		Rank:           cfg.Node.Rank,
 		Peers:          cfg.Node.Peers,
 		Listener:       cfg.Node.Listener,
-		Tree:           cfg.Interconnect.Tree,
 		HeartbeatEvery: cfg.Node.HeartbeatEvery,
 		PeerTimeout:    cfg.Node.PeerTimeout,
 		DialBackoff:    cfg.Node.DialBackoff,

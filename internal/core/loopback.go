@@ -20,9 +20,9 @@ var ErrLoopbackClosed = errors.New("core: loopback exchange closed")
 // A round completes when all n ranks have arrived. The last arrival sums
 // the buffers into rank 0's in ascending rank order, ((b0+b1)+b2)+… with
 // tensor.AccumAdd, and copies the sum into every other buffer, so all
-// ranks leave with the same bytes. The TCP collectives associate the same
-// way up to 3 ranks on the tree and at 2 on the ring, and differently —
-// in the last bit — beyond (DESIGN.md §4, "Reduction order").
+// ranks leave with the same bytes. The TCP collective folds every chunk in
+// the same ascending order, so the two exchangers hand out the same bytes
+// at every rank count (DESIGN.md §4, "Reduction order").
 //
 // A rank that stops calling AllReduce must Close the exchange: peers inside
 // a round that can no longer complete, and every later call, get

@@ -46,8 +46,7 @@ type TransportStats struct {
 	CollectiveMean time.Duration `json:"collective_mean_ns"`
 
 	// Per-phase totals across all rounds: time at the round barrier, in
-	// the reduce-scatter half (tree: reduce toward the root), and in the
-	// all-gather half (tree: broadcast down).
+	// the reduce-scatter half and in the all-gather half.
 	BarrierWaitNs   int64 `json:"barrier_wait_ns"`
 	ReduceScatterNs int64 `json:"reduce_scatter_ns"`
 	AllGatherNs     int64 `json:"all_gather_ns"`

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crossbow/internal/chaos"
+	"crossbow/internal/metrics"
 )
 
 // TestFrozenPeerWatchdogAborts pins the tentpole failure mode of this
@@ -12,20 +13,19 @@ import (
 // whose collective chunks silently stop — a GC pause, a wedged disk, a
 // half-dead NIC. The failure detector never fires (the peer IS alive), so
 // before the round watchdog existed this test deadlocked: every rank sat
-// in recvData forever. Now the stall's direct victim must abort within its
+// in recvData forever. Now a rank the stall starves must abort within its
 // RoundTimeout, name the suspect in the Abort fan-out so every rank cuts
 // and quarantines it, and the survivors' next round must complete as a
 // Restart.
 //
-// Rank 2 is frozen, so in ring order its direct victim is rank 0 (prev of
-// rank 0 is rank 2). Rank 0 gets the short watchdog; the others get a much
-// longer one so the test is deterministic about WHO detects the stall —
-// in production the direct victim simply arms its timer one ring-step
-// earlier than the downstream ranks, and its Abort reaches them long
-// before their own margin expires.
+// Rank 2 is frozen. Each owner waits on every contributor to its chunk, so
+// ranks 0 and 1 both wait on rank 2 directly, and either would name it.
+// Rank 0 gets the short watchdog and the others a much longer one, so the
+// test is deterministic about WHO detects the stall: rank 0 fires, and its
+// Abort reaches rank 1 long before rank 1's own timer expires.
 func TestFrozenPeerWatchdogAborts(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 1})
-	nodes := startCluster(t, 3, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 3, func(rank int, cfg *Config) {
 		cfg.Chaos = inj
 		cfg.Quarantine = 30 * time.Second // keep the frozen rank out for the whole test
 		cfg.RoundTimeout = 1200 * time.Millisecond
@@ -72,7 +72,7 @@ func TestFrozenPeerWatchdogAborts(t *testing.T) {
 	}
 	// Rank 1 never timed out itself — it learned the suspect from rank 0's
 	// Abort fan-out and must have cut and quarantined rank 2 on its own.
-	if s := nodes[1].Stats(); s.WatchdogFires != 0 || s.Quarantines < 1 {
+	if s := awaitQuarantine(nodes[1]); s.WatchdogFires != 0 || s.Quarantines < 1 {
 		t.Fatalf("rank 1 (accused) stats: %+v, want 0 fires but >=1 quarantine", s)
 	}
 	fires := []int64{nodes[0].Stats().WatchdogFires, nodes[1].Stats().WatchdogFires}
@@ -118,17 +118,33 @@ func TestFrozenPeerWatchdogAborts(t *testing.T) {
 	}
 }
 
+// awaitQuarantine returns n's stats once it has quarantined a peer, or after
+// five seconds. A rank can end the round before the accusation reaches it:
+// the frozen rank itself waits on the accuser, sees the accuser cut its
+// connection and fans out an Abort that names no suspect, which may land
+// first. The accuser's Abort follows and is acted on all the same.
+func awaitQuarantine(n *Node) metrics.TransportStats {
+	deadline := time.Now().Add(5 * time.Second)
+	s := n.Stats()
+	for s.Quarantines < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		s = n.Stats()
+	}
+	return s
+}
+
 // TestFrozenPeerWatchdogAbortsOverlap re-runs the frozen-peer scenario
 // through the asynchronous round API with aggressive pipelining: the
 // watchdog is armed per segment, so a peer that freezes mid-collective —
 // after some segments of a transfer have already arrived — must still
-// trip the stall's direct victim within its RoundTimeout, fan the abort
-// out, and leave the frozen rank quarantined. The launching goroutines
+// trip the owner waiting on it within its RoundTimeout (rank 0, the short
+// watchdog, as above), fan the abort out, and leave the frozen rank
+// quarantined. The launching goroutines
 // meanwhile sit in Wait, which must return the aborted round rather than
 // hang.
 func TestFrozenPeerWatchdogAbortsOverlap(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 5})
-	nodes := startCluster(t, 3, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 3, func(rank int, cfg *Config) {
 		cfg.Chaos = inj
 		cfg.Quarantine = 30 * time.Second
 		cfg.RoundTimeout = 1200 * time.Millisecond
@@ -188,7 +204,7 @@ func TestFrozenPeerWatchdogAbortsOverlap(t *testing.T) {
 	if s := nodes[0].Stats(); s.WatchdogFires < 1 || s.Quarantines < 1 {
 		t.Fatalf("rank 0 (direct victim) stats: %+v, want watchdog fire + quarantine", s)
 	}
-	if s := nodes[1].Stats(); s.Quarantines < 1 {
+	if s := awaitQuarantine(nodes[1]); s.Quarantines < 1 {
 		t.Fatalf("rank 1 (accused) stats: %+v, want >=1 quarantine", s)
 	}
 
@@ -217,7 +233,7 @@ func TestFrozenPeerWatchdogAbortsOverlap(t *testing.T) {
 // reconnect and complete a Restart round with correct sums.
 func TestCorruptingPeerQuarantined(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 7, Corrupt: 1})
-	nodes := startCluster(t, 2, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 2, func(rank int, cfg *Config) {
 		cfg.Chaos = inj
 		cfg.Quarantine = 300 * time.Millisecond
 		cfg.RoundTimeout = 5 * time.Second
@@ -274,7 +290,7 @@ func TestCorruptingPeerQuarantined(t *testing.T) {
 // all three again.
 func TestPartitionHeals(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 3})
-	nodes := startCluster(t, 3, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 3, func(rank int, cfg *Config) {
 		cfg.Chaos = inj
 	})
 
@@ -333,7 +349,7 @@ func TestPartitionHeals(t *testing.T) {
 // issue a Begin on the one left over from before.
 func TestRejoinAfterSoloRounds(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 5})
-	nodes := startCluster(t, 2, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 2, func(rank int, cfg *Config) {
 		cfg.Chaos = inj
 	})
 	bufs, want := rankBufs(2, 256)

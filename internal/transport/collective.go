@@ -25,10 +25,11 @@ func (e errStalled) Error() string {
 }
 
 // AllReduce sums buf element-wise across every live member of the cluster,
-// in place, and reports the round. The reduction order is fixed by rank,
-// so all participants hold bit-identical sums afterwards — which is what
-// lets each node apply the cluster-average update independently and stay
-// replicated.
+// in place, and reports the round. Every element is summed in ascending
+// rank order, ((b0+b1)+b2)+…, so all participants hold bit-identical sums
+// afterwards — which is what lets each node apply the cluster-average
+// update independently and stay replicated — and they are core.Loopback's
+// bytes for the same inputs.
 //
 // The call barriers with the current coordinator (lowest alive rank): each
 // member announces Ready, the coordinator waits for every live member and
@@ -57,11 +58,7 @@ func (n *Node) AllReduce(buf []float32) (Round, error) {
 	}
 	if len(view) > 1 {
 		cstart := time.Now()
-		if n.cfg.Tree {
-			err = n.treeAllReduce(bm.round, view, buf)
-		} else {
-			err = n.ringAllReduce(bm.round, view, buf)
-		}
+		err = n.allReduce(bm.round, view, buf)
 		r.CollectiveNs = time.Since(cstart).Nanoseconds()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
@@ -267,10 +264,10 @@ func (n *Node) recvData(p *peer, round uint64, phase byte, seg, step int, want i
 	// "alive but silent inside the collective" into an abort instead of a
 	// cluster-wide hang — and arming it per segment means a peer that
 	// freezes mid-pipeline (some segments delivered, the rest never coming)
-	// is caught just as fast as one that never starts. The stall's direct
-	// victim fires first (downstream ranks hear the Abort well before their
-	// own timers expire), so the suspect it names is the actual stalled
-	// peer, not a healthy one.
+	// is caught just as fast as one that never starts. A rank waits on each
+	// peer that owes it a segment directly — an owner on every contributor,
+	// every rank on every owner — so the suspect a fire names is the peer
+	// it waited on, and every rank the stalled peer starves names it.
 	n.armWatchdog()
 	// take classifies one mailbox message: stale frames from earlier rounds
 	// are dropped (done=false), a mismatched frame means protocol
@@ -359,22 +356,21 @@ func (n *Node) armWatchdog() {
 // the round and hides nothing.
 //
 // Read off BenchmarkAllReduce on the 2-vCPU reference box: µs per round,
-// median of five interleaved passes of 100 rounds (run-to-run spread up to
-// ±15 %); a ring transfer is one chunk, 1/k of the model, a tree transfer
-// the whole model; derived counts in parentheses:
+// median of four interleaved passes of 200 rounds (run-to-run spread up to
+// ±15 %); a transfer is one chunk, 1/k of the model; derived counts in
+// parentheses:
 //
-//	            ring, k = 2                    tree, k = 2
-//	model    S=1   S=2   S=4  derived      S=1   S=2   S=4  derived
-//	176 KiB   139   167   265   142 (1)     140   193   170   129 (1)
-//	704 KiB   467   521   446   397 (1)     473   518   475   554 (1)
-//	  2 MiB  1188  1092  1129  1167 (2)    2003  1550  1282  1325 (4)
-//	  8 MiB  4346  4464  4484  4375 (4)    8381  7466  5739  5711 (4)
+//	                    k = 2                        k = 3
+//	model    S=1   S=2   S=4  derived     S=1   S=2   S=4  derived
+//	176 KiB   168   189   297   177 (1)     456   495   757   412 (1)
+//	704 KiB   453   510   480   433 (1)    1251  1378  1483  1235 (1)
+//	  2 MiB  1273  1251  1334  1264 (2)    3674  3706  3643  3731 (1)
+//	  8 MiB  5377  5349  5462  5515 (4)   16656 16404 17254 16210 (4)
 //
-// k = 3 reads the same: one segment wins below about 700 KiB a transfer,
-// four win by 1.2–1.6× from 2 MiB up. 512 KiB a segment picks the fastest
-// column, within the spread, in every row; 256 KiB would split the 704 KiB
-// tree transfer (S=2, +10 %), 1 MiB the 2 MiB one only in two (+21 % over
-// four).
+// Four segments lose 1.6–1.9× on chunks below 100 KiB; from 1 MiB a chunk
+// up no column beats another beyond the spread. k = 4 reads the same. 512
+// KiB a segment keeps every chunk below 1 MiB whole and so picks the
+// fastest column, within the spread, in every row.
 const segMinBytes = 512 << 10
 
 // maxSegments caps the derived segment count: past four segments the
@@ -396,211 +392,119 @@ func (n *Node) segCount(span int) int {
 // segBounds returns segment j of the half-open range [lo,hi) split into S
 // fixed parts: a pure function of the range, so every participant derives
 // the same boundaries and skips the same zero-length segments. Degenerate
-// chunks (len(buf) < k makes some ring chunks empty) fall out for free —
-// all their segments are empty, so no frames are emitted at all.
+// chunks (len(buf) < k makes some chunks empty) fall out for free — all
+// their segments are empty, so no frames are emitted at all.
 func segBounds(lo, hi, j, S int) (int, int) {
 	span := hi - lo
 	return lo + j*span/S, lo + (j+1)*span/S
 }
 
-// ringStep is one pipelined ring step: the send-chunk's segments go out
-// interleaved with receive+reduce of the recv-chunk's, so segment j is on
-// the wire while segment j−1 is being summed — the socket never idles
-// during addInto. Segment boundaries are fixed by the chunk range alone
-// and addInto is element-wise, so the per-element reduction order (and
-// with it cross-participant bit-identity) is exactly the unsegmented
-// ring's for any segment count. The two chunks may differ in length by an
-// element, and so in derived segment count; each side counts from its own
-// range, as the peer at its other end does.
-func (n *Node) ringStep(next, prev *peer, round uint64, phase byte, s int, buf []float32, sendLo, sendHi, recvLo, recvHi int, reduce bool) error {
-	sendS, recvS := n.segCount(sendHi-sendLo), n.segCount(recvHi-recvLo)
-	for j := 0; j <= max(sendS, recvS); j++ {
-		if j < sendS {
-			lo, hi := segBounds(sendLo, sendHi, j, sendS)
-			if hi > lo {
-				if err := n.sendData(next, round, phase, j, s, buf[lo:hi]); err != nil {
+// chunkSeg returns segment j of chunk c when a buffer of size floats is cut
+// into k chunks, chunk c being [c·size/k, (c+1)·size/k): a pure function of
+// its arguments, so the owner and every contributor of a chunk derive the
+// same segments. ok is false past the chunk's segment count and for an
+// empty segment (a buffer shorter than the view leaves some chunks empty),
+// which never goes on the wire.
+func (n *Node) chunkSeg(size, k, c, j int) (lo, hi int, ok bool) {
+	clo, chi := c*size/k, (c+1)*size/k
+	S := n.segCount(chi - clo)
+	if j >= S {
+		return 0, 0, false
+	}
+	lo, hi = segBounds(clo, chi, j, S)
+	return lo, hi, hi > lo
+}
+
+// allReduce is the cluster's one collective. View index c owns chunk c of
+// buf. In the reduce-scatter every rank sends its slice of each other
+// chunk to that chunk's owner, and each owner folds the contributions to
+// its own chunk in ascending view order (fold); in the all-gather each
+// owner sends its finished chunk to every peer. Each rank sends (k−1)/k of
+// buf in each phase, the bytes of a ring, in two latency steps instead of
+// 2(k−1). Both phases pipeline: segment j goes out before segment j−1 is
+// received, so the socket never idles during a fold. A Data frame's step is
+// the chunk it carries, so no frame can be taken for another chunk's.
+func (n *Node) allReduce(round uint64, view []int, buf []float32) error {
+	k := len(view)
+	me := rankIndex(view, n.rank)
+	// Chunks differ in length by at most one float and segCount grows with
+	// length, so the longest chunk's count bounds every chunk's.
+	steps := n.segCount((len(buf) + k - 1) / k)
+	rs := time.Now()
+	for j := 0; j <= steps; j++ {
+		for d := 1; d < k; d++ {
+			c := (me + d) % k
+			if lo, hi, ok := n.chunkSeg(len(buf), k, c, j); ok {
+				if err := n.sendData(n.peers[view[c]], round, phaseReduceScatter, j, c, buf[lo:hi]); err != nil {
 					return err
 				}
 			}
 		}
-		if j > 0 && j <= recvS {
-			lo, hi := segBounds(recvLo, recvHi, j-1, recvS)
-			if hi == lo {
-				continue
-			}
-			in, err := n.recvData(prev, round, phase, j-1, s, hi-lo)
-			if err != nil {
+		if j == 0 {
+			continue
+		}
+		if lo, hi, ok := n.chunkSeg(len(buf), k, me, j-1); ok {
+			if err := n.fold(round, view, me, j-1, buf[lo:hi]); err != nil {
 				return err
 			}
-			if reduce {
-				addInto(buf[lo:hi], in)
-			} else {
+		}
+	}
+	n.stats.reduceScatterNs.Add(time.Since(rs).Nanoseconds())
+	ag := time.Now()
+	for j := 0; j <= steps; j++ {
+		if lo, hi, ok := n.chunkSeg(len(buf), k, me, j); ok {
+			for d := 1; d < k; d++ {
+				if err := n.sendData(n.peers[view[(me+d)%k]], round, phaseAllGather, j, me, buf[lo:hi]); err != nil {
+					return err
+				}
+			}
+		}
+		for d := 1; d < k && j > 0; d++ {
+			c := (me + d) % k
+			if lo, hi, ok := n.chunkSeg(len(buf), k, c, j-1); ok {
+				in, err := n.recvData(n.peers[view[c]], round, phaseAllGather, j-1, c, hi-lo)
+				if err != nil {
+					return err
+				}
 				copy(buf[lo:hi], in)
+				n.pool.Put(in)
 			}
-			n.pool.Put(in)
-		}
-	}
-	return nil
-}
-
-// ringAllReduce runs the bandwidth-optimal ring: k−1 reduce-scatter steps
-// in which each node accumulates one chunk, then k−1 all-gather steps that
-// circulate the reduced chunks verbatim. Each chunk is summed at exactly
-// one node in ring order, so every participant ends with identical bytes.
-func (n *Node) ringAllReduce(round uint64, view []int, buf []float32) error {
-	k := len(view)
-	me := rankIndex(view, n.rank)
-	next := n.peers[view[(me+1)%k]]
-	prev := n.peers[view[(me-1+k)%k]]
-	bounds := func(c int) (int, int) { return c * len(buf) / k, (c + 1) * len(buf) / k }
-
-	rs := time.Now()
-	for s := 0; s < k-1; s++ {
-		sendLo, sendHi := bounds((me - s + k) % k)
-		recvLo, recvHi := bounds((me - s - 1 + k) % k)
-		if err := n.ringStep(next, prev, round, phaseReduceScatter, s, buf, sendLo, sendHi, recvLo, recvHi, true); err != nil {
-			return err
-		}
-	}
-	n.stats.reduceScatterNs.Add(time.Since(rs).Nanoseconds())
-	ag := time.Now()
-	for s := 0; s < k-1; s++ {
-		sendLo, sendHi := bounds((me + 1 - s + k) % k)
-		recvLo, recvHi := bounds((me - s + k) % k)
-		if err := n.ringStep(next, prev, round, phaseAllGather, s, buf, sendLo, sendHi, recvLo, recvHi, false); err != nil {
-			return err
 		}
 	}
 	n.stats.allGatherNs.Add(time.Since(ag).Nanoseconds())
 	return nil
 }
 
-// treeAllReduce runs the latency-optimal binomial tree rooted at the
-// lowest view index: ⌈log2 k⌉ reduce steps toward the root, then the
-// mirror broadcast of the finished sum. Only the root sums, so the
-// broadcast bytes are identical everywhere by construction. Every link
-// transfer is segmented: during reduce, segment j+1 is in flight while the
-// parent sums segment j; during broadcast, a relay forwards each segment
-// to its subtree before the next one arrives, so the sum streams down the
-// tree instead of store-and-forwarding whole models. Every transfer covers
-// the whole buffer, so one segment count serves the round.
-func (n *Node) treeAllReduce(round uint64, view []int, buf []float32) error {
-	k := len(view)
-	me := rankIndex(view, n.rank)
-	S := n.segCount(len(buf))
-	rs := time.Now()
-	for b := 1; b < k; b <<= 1 {
-		if me&b != 0 {
-			// Non-root: ship the partial sum up, then receive and relay the
-			// finished sum.
-			if err := n.sendSegments(n.peers[view[me-b]], round, phaseTreeReduce, b, S, buf); err != nil {
-				return err
+// fold sums segment seg of this rank's own chunk, dst, over the view:
+// ((b0+b1)+b2)+… in ascending view order, one addInto per contribution —
+// core.Loopback's order, so the TCP and in-process exchangers hand out the
+// same bytes at any rank count. The first add commutes (b0+b1 and b1+b0
+// are the same bits), so owners 0 and 1 fold straight into dst; a later
+// owner folds into view[0]'s received segment, adds dst at its turn, and
+// copies the sum into dst.
+func (n *Node) fold(round uint64, view []int, me, seg int, dst []float32) error {
+	acc := dst
+	for i, r := range view {
+		if i == me {
+			if me > 1 {
+				addInto(acc, dst)
 			}
-			n.stats.reduceScatterNs.Add(time.Since(rs).Nanoseconds())
-			ag := time.Now()
-			err := n.treeRecvRelay(round, view, me, b, S, buf)
-			n.stats.allGatherNs.Add(time.Since(ag).Nanoseconds())
-			return err
-		}
-		if me+b < k {
-			if err := n.recvSegmentsAdd(n.peers[view[me+b]], round, phaseTreeReduce, b, S, buf); err != nil {
-				return err
-			}
-		}
-	}
-	n.stats.reduceScatterNs.Add(time.Since(rs).Nanoseconds())
-	// Root: stream the finished sum down the same tree.
-	span := 1
-	for span < k {
-		span <<= 1
-	}
-	ag := time.Now()
-	err := n.treeBcastRoot(round, view, me, span, S, buf)
-	n.stats.allGatherNs.Add(time.Since(ag).Nanoseconds())
-	return err
-}
-
-// sendSegments ships buf to p in S segments under one (phase, step)
-// address. Back-to-back segment writes keep the link saturated while the
-// receiver sums earlier segments.
-func (n *Node) sendSegments(p *peer, round uint64, phase byte, step, S int, buf []float32) error {
-	for j := 0; j < S; j++ {
-		lo, hi := segBounds(0, len(buf), j, S)
-		if hi == lo {
 			continue
 		}
-		if err := n.sendData(p, round, phase, j, step, buf[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recvSegmentsAdd accumulates p's S-segment transfer into buf: while
-// segment j is summed here, segment j+1 is already in flight (the peer's
-// read loop drains the socket independently of this call).
-func (n *Node) recvSegmentsAdd(p *peer, round uint64, phase byte, step, S int, buf []float32) error {
-	for j := 0; j < S; j++ {
-		lo, hi := segBounds(0, len(buf), j, S)
-		if hi == lo {
-			continue
-		}
-		in, err := n.recvData(p, round, phase, j, step, hi-lo)
+		in, err := n.recvData(n.peers[r], round, phaseReduceScatter, seg, me, len(dst))
 		if err != nil {
-			return err
+			return err // an aborted round's pooled buffers go to the collector
 		}
-		addInto(buf[lo:hi], in)
+		if i == 0 && me > 1 {
+			acc = in
+			continue
+		}
+		addInto(acc, in)
 		n.pool.Put(in)
 	}
-	return nil
-}
-
-// treeRecvRelay is the non-root broadcast path: receive the finished sum
-// from the parent segment by segment, relaying each segment to our
-// broadcast children (offsets below our own parent distance b) before the
-// next segment arrives — the pipelined broadcast.
-func (n *Node) treeRecvRelay(round uint64, view []int, me, b, S int, buf []float32) error {
-	parent := n.peers[view[me-b]]
-	k := len(view)
-	for j := 0; j < S; j++ {
-		lo, hi := segBounds(0, len(buf), j, S)
-		if hi == lo {
-			continue
-		}
-		in, err := n.recvData(parent, round, phaseTreeBcast, j, b, hi-lo)
-		if err != nil {
-			return err
-		}
-		copy(buf[lo:hi], in)
-		n.pool.Put(in)
-		for c := b >> 1; c >= 1; c >>= 1 {
-			if me+c < k {
-				if err := n.sendData(n.peers[view[me+c]], round, phaseTreeBcast, j, c, buf[lo:hi]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// treeBcastRoot streams the finished sum from the root: segment j goes to
-// every child before segment j+1, so a child is already relaying j down
-// its subtree while the root writes j+1.
-func (n *Node) treeBcastRoot(round uint64, view []int, me, below, S int, buf []float32) error {
-	k := len(view)
-	for j := 0; j < S; j++ {
-		lo, hi := segBounds(0, len(buf), j, S)
-		if hi == lo {
-			continue
-		}
-		for b := below >> 1; b >= 1; b >>= 1 {
-			if me+b < k {
-				if err := n.sendData(n.peers[view[me+b]], round, phaseTreeBcast, j, b, buf[lo:hi]); err != nil {
-					return err
-				}
-			}
-		}
+	if me > 1 {
+		copy(dst, acc)
+		n.pool.Put(acc)
 	}
 	return nil
 }
@@ -639,8 +543,8 @@ type nodeStats struct {
 	collectiveNs atomic.Int64
 	roundLat     metrics.LatencyRecorder
 
-	// Per-phase wall time: barrier wait, reduce-scatter (tree: reduce) and
-	// all-gather (tree: broadcast) split of the collective.
+	// Per-phase wall time: barrier wait, reduce-scatter and all-gather split
+	// of the collective.
 	barrierNs       atomic.Int64
 	reduceScatterNs atomic.Int64
 	allGatherNs     atomic.Int64

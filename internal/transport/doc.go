@@ -25,14 +25,17 @@
 //     incrementally, which heals any divergence a death, drop or rejoin
 //     introduced (the §3.2 restart applied at the membership boundary).
 //   - Collective: the participants all-reduce length-prefixed tensor
-//     frames in ring or binomial-tree topology — the same two collectives
-//     the cluster.Interconnect cost model prices. Both reduce in a fixed
-//     rank order, so the summed bytes are identical on every participant.
-//     Each transfer is split into pipelined segments so summation (and
-//     tree relaying) hides under transmission — one per 512 KiB of the
-//     transfer, 1 to 4, with nothing to configure; segment counts and
-//     boundaries are derived identically on both ends from the transfer's
-//     range and addInto is element-wise, so segmentation changes no bits.
+//     frames. View index c owns chunk c: every rank sends its slice of a
+//     chunk to the owner, the owner folds the slices in ascending rank
+//     order, ((b0+b1)+b2)+… as core.Loopback does, and sends the sum to
+//     every peer — the bytes of a ring, the cluster.Interconnect cost
+//     model's default, in two latency steps. The summed bytes are
+//     identical on every participant and equal to the loopback's.
+//     Each chunk is split into pipelined segments so summation hides under
+//     transmission — one per 512 KiB of the chunk, 1 to 4, with nothing to
+//     configure; segment counts and boundaries are derived identically on
+//     both ends from the chunk's range and addInto is element-wise, so
+//     segmentation changes no bits.
 //     A round whose collective is cut short reports Aborted; the caller
 //     skips that exchange, and this node's next round carries Restart
 //     (DESIGN.md §13). A frame is one writev

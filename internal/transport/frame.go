@@ -40,11 +40,14 @@ var errWire = errors.New("transport: wire corruption")
 // (collectives ship each transfer as several fixed-boundary segments so
 // sends overlap receive+sum). Version 3 derives a transfer's segment count
 // from its length (segCount), which changes the Data frames a v2 node
-// expects. Nodes of different versions must not mix:
-// the version check rejects the handshake.
+// expects. Version 4 replaces the ring with the owner collective: a Data
+// frame's step names the chunk it carries, and a rank sends each chunk to
+// its owner, so a v3 node would read v4 frames as different chunks. Nodes
+// of different versions must not mix: the version check rejects the
+// handshake.
 const (
 	frameMagic  = "CBTF"
-	wireVersion = 3
+	wireVersion = 4
 	headerSize  = 36
 )
 
@@ -88,9 +91,8 @@ type header struct {
 }
 
 // dataAux packs a collective Data frame's addressing into the aux field:
-// the phase (reduce-scatter, all-gather, tree-reduce, tree-broadcast), the
-// pipeline segment within the transfer, and the step index within the
-// phase.
+// the phase (reduce-scatter or all-gather), the pipeline segment within the
+// transfer, and the step — the view index of the chunk the frame carries.
 func dataAux(phase byte, seg, step int) uint64 {
 	return uint64(phase)<<56 | uint64(uint16(seg))<<40 | uint64(uint32(step))
 }
@@ -103,8 +105,6 @@ func dataStep(aux uint64) int   { return int(uint32(aux)) }
 const (
 	phaseReduceScatter = byte(1)
 	phaseAllGather     = byte(2)
-	phaseTreeReduce    = byte(3)
-	phaseTreeBcast     = byte(4)
 )
 
 // putHeader serialises h (with the payload's length and CRC already set by

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -47,8 +48,11 @@ type dataMsg struct {
 }
 
 // send writes one frame to the peer's current connection. Write errors
-// close the connection (the read loop then reports the peer down); callers
-// treat an error as "peer unreachable right now". When a chaos injector is
+// close the connection (the read loop then reports the peer down), except
+// a timeout before the frame's first byte: the stream is still framed, and
+// a heartbeat that missed its period on a starved scheduler must not cut a
+// healthy peer — silence is the failure detector's call. Callers treat an
+// error as "peer unreachable right now". When a chaos injector is
 // configured it rules on the frame first — a dropped frame still returns
 // nil, because that is what a real network does to the sender.
 func (p *peer) send(n *Node, h *header, payload []byte, timeout time.Duration) error {
@@ -94,6 +98,9 @@ func (p *peer) send(n *Node, h *header, payload []byte, timeout time.Duration) e
 		bytes, err = p.fw.write(conn, h, payload)
 	}
 	if err != nil {
+		if bytes == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+			return err
+		}
 		conn.Close()
 		return err
 	}

@@ -33,10 +33,6 @@ type Config struct {
 	// Listener optionally supplies a pre-bound listener for Peers[Rank]
 	// (tests bind :0 listeners first so addresses are collision-free).
 	Listener net.Listener
-	// Tree selects the binomial-tree collective instead of the default
-	// bandwidth-optimal ring — the same choice cluster.Interconnect.Tree
-	// models.
-	Tree bool
 	// HeartbeatEvery is the liveness beacon period (default 100ms).
 	HeartbeatEvery time.Duration
 	// PeerTimeout marks a peer dead when no traffic arrived for this long

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,12 +14,11 @@ import (
 )
 
 // testConfig returns fast-failure-detector settings suitable for localhost.
-func testConfig(rank int, addrs []string, ln net.Listener, tree bool) Config {
+func testConfig(rank int, addrs []string, ln net.Listener) Config {
 	return Config{
 		Rank:           rank,
 		Peers:          addrs,
 		Listener:       ln,
-		Tree:           tree,
 		HeartbeatEvery: 20 * time.Millisecond,
 		PeerTimeout:    250 * time.Millisecond,
 		DialBackoff:    10 * time.Millisecond,
@@ -26,7 +27,7 @@ func testConfig(rank int, addrs []string, ln net.Listener, tree bool) Config {
 
 // startCluster boots k nodes on pre-bound localhost listeners (so there
 // are no port races) and waits for the full mesh.
-func startCluster(t testing.TB, k int, tree bool, mutate func(rank int, cfg *Config)) []*Node {
+func startCluster(t testing.TB, k int, mutate func(rank int, cfg *Config)) []*Node {
 	t.Helper()
 	lns := make([]net.Listener, k)
 	addrs := make([]string, k)
@@ -40,7 +41,7 @@ func startCluster(t testing.TB, k int, tree bool, mutate func(rank int, cfg *Con
 	}
 	nodes := make([]*Node, k)
 	for i := range nodes {
-		cfg := testConfig(i, addrs, lns[i], tree)
+		cfg := testConfig(i, addrs, lns[i])
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
@@ -113,20 +114,14 @@ func checkSums(t *testing.T, bufs [][]float32, want []float32) {
 	}
 }
 
-// TestAllReduceTopologies checks both collectives across cluster sizes and
-// buffer lengths (including lengths that do not divide evenly into ring
-// chunks, and a buffer shorter than the ring): every participant must end
-// with the bit-identical element-wise sum.
+// TestAllReduceTopologies checks the collective across cluster sizes and
+// buffer lengths (including lengths that do not divide evenly into chunks,
+// and a buffer shorter than the view): every participant must end with the
+// bit-identical element-wise sum.
 func TestAllReduceTopologies(t *testing.T) {
-	for _, tc := range []struct {
-		k, n int
-		tree bool
-	}{
-		{2, 64, false}, {3, 97, false}, {4, 2, false},
-		{2, 64, true}, {3, 97, true}, {5, 33, true},
-	} {
-		t.Run(fmt.Sprintf("k%d_n%d_tree%v", tc.k, tc.n, tc.tree), func(t *testing.T) {
-			nodes := startCluster(t, tc.k, tc.tree, nil)
+	for _, tc := range []struct{ k, n int }{{2, 64}, {3, 97}, {4, 2}, {5, 33}} {
+		t.Run(fmt.Sprintf("k%d_n%d", tc.k, tc.n), func(t *testing.T) {
+			nodes := startCluster(t, tc.k, nil)
 			bufs, want := rankBufs(tc.k, tc.n)
 			rounds := runRound(t, nodes, bufs)
 			for i, r := range rounds {
@@ -155,7 +150,7 @@ func TestAllReduceTopologies(t *testing.T) {
 // TestSoloCluster degenerates to a no-op: one member, no peers, instant
 // rounds.
 func TestSoloCluster(t *testing.T) {
-	nodes := startCluster(t, 1, false, nil)
+	nodes := startCluster(t, 1, nil)
 	buf := []float32{1, 2, 3}
 	r, err := nodes[0].AllReduce(buf)
 	if err != nil || r.Participants != 1 || r.Aborted {
@@ -171,7 +166,7 @@ func TestSoloCluster(t *testing.T) {
 // signal that tells SMA to re-derive the central model from the consensus
 // sum after churn.
 func TestPeerDeathShrinksView(t *testing.T) {
-	nodes := startCluster(t, 3, false, nil)
+	nodes := startCluster(t, 3, nil)
 	bufs, want := rankBufs(3, 50)
 	runRound(t, nodes, bufs)
 	checkSums(t, bufs, want)
@@ -198,7 +193,7 @@ func TestPeerDeathShrinksView(t *testing.T) {
 // that rank 1 takes over coordination and the cluster keeps assigning
 // monotone round numbers.
 func TestLeaderFailover(t *testing.T) {
-	nodes := startCluster(t, 3, false, nil)
+	nodes := startCluster(t, 3, nil)
 	bufs, _ := rankBufs(3, 20)
 	first := runRound(t, nodes, bufs)
 
@@ -222,7 +217,7 @@ func TestLeaderFailover(t *testing.T) {
 // and checks it is re-admitted: the first full-view round after rejoin is
 // flagged Restart and sums across all three members again.
 func TestRejoin(t *testing.T) {
-	nodes := startCluster(t, 3, false, nil)
+	nodes := startCluster(t, 3, nil)
 	addrs := nodes[0].cfg.Peers
 	bufs, _ := rankBufs(3, 40)
 	runRound(t, nodes, bufs)
@@ -232,7 +227,7 @@ func TestRejoin(t *testing.T) {
 	runRound(t, nodes[:2], bufs2)
 
 	// "Restart the process": a brand-new node on rank 2's address.
-	reborn, err := Listen(testConfig(2, addrs, nil, false))
+	reborn, err := Listen(testConfig(2, addrs, nil))
 	if err != nil {
 		t.Fatalf("rejoin listen: %v", err)
 	}
@@ -273,7 +268,7 @@ func TestRejoin(t *testing.T) {
 // must abort (not hang), and the following round must complete with the
 // shrunken view and the Restart flag.
 func TestAbortMidCollective(t *testing.T) {
-	nodes := startCluster(t, 3, false, nil)
+	nodes := startCluster(t, 3, nil)
 	bufs, _ := rankBufs(3, 1<<16)
 
 	var wg sync.WaitGroup
@@ -317,7 +312,7 @@ func TestSnapshotFetch(t *testing.T) {
 		Meta:   map[string]string{"source": "test"},
 		Params: []float32{1, 2, 3, 4, 5},
 	}
-	nodes := startCluster(t, 3, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 3, func(rank int, cfg *Config) {
 		if rank == 0 {
 			cfg.Snapshot = func() *ckpt.Checkpoint { return snap }
 		}
@@ -355,7 +350,7 @@ func TestSnapshotFetch(t *testing.T) {
 
 // TestTransportStats sanity-checks the counters after real traffic.
 func TestTransportStats(t *testing.T) {
-	nodes := startCluster(t, 2, false, nil)
+	nodes := startCluster(t, 2, nil)
 	bufs, _ := rankBufs(2, 256)
 	runRound(t, nodes, bufs)
 	s := nodes[0].Stats()
@@ -370,13 +365,37 @@ func TestTransportStats(t *testing.T) {
 	}
 }
 
+// TestSendTimeoutBeforeFirstByteKeepsPeer pins that a write whose deadline
+// passed before any byte went out — a heartbeat that missed its period on a
+// starved scheduler — leaves the connection up: no peer death, and the next
+// round completes across both ranks.
+func TestSendTimeoutBeforeFirstByteKeepsPeer(t *testing.T) {
+	nodes := startCluster(t, 2, nil)
+	hb := &header{Type: frameHeartbeat, Sender: 0}
+	if err := nodes[0].peers[1].send(nodes[0], hb, nil, -time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("send past its deadline: err = %v, want a deadline timeout", err)
+	}
+	bufs, want := rankBufs(2, 64)
+	for i, r := range runRound(t, nodes, bufs) {
+		if r.Aborted || r.Participants != 2 {
+			t.Fatalf("rank %d round = %+v", i, r)
+		}
+	}
+	checkSums(t, bufs, want)
+	for i, n := range nodes {
+		if d := n.Stats().PeerDeaths; d != 0 {
+			t.Fatalf("rank %d saw %d peer deaths, want 0", i, d)
+		}
+	}
+}
+
 // TestCloseNoGoroutineLeak boots and tears down clusters repeatedly and
 // requires the goroutine count to return to baseline — the CI smoke
 // test's no-leak criterion at unit scope.
 func TestCloseNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 3; trial++ {
-		nodes := startCluster(t, 3, trial%2 == 0, nil)
+		nodes := startCluster(t, 3, nil)
 		bufs, _ := rankBufs(3, 64)
 		runRound(t, nodes, bufs)
 		for _, n := range nodes {
@@ -394,7 +413,7 @@ func TestCloseNoGoroutineLeak(t *testing.T) {
 	}
 
 	// AllReduce after Close fails fast instead of hanging.
-	nodes := startCluster(t, 2, false, nil)
+	nodes := startCluster(t, 2, nil)
 	nodes[0].Close()
 	if _, err := nodes[0].AllReduce(make([]float32, 4)); err != ErrClosed {
 		t.Fatalf("AllReduce after Close: err = %v, want ErrClosed", err)

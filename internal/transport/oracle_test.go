@@ -8,9 +8,10 @@ import (
 )
 
 // TestPresetsCoverTopologies pins the contract the transport relies on: the
-// exported preset list is non-empty, each preset is named, and the two
-// collective topologies the transport implements (ring and tree) are both
-// expressible as cost models.
+// exported preset list is non-empty, each preset is named, and both
+// topologies of the cost model — the ring, whose bytes the transport's
+// collective sends, and the binomial tree the paper's simulated figures
+// can price — predict a positive cost.
 func TestPresetsCoverTopologies(t *testing.T) {
 	presets := cluster.Presets()
 	if len(presets) < 2 {
@@ -33,79 +34,60 @@ func TestPresetsCoverTopologies(t *testing.T) {
 	}
 }
 
-// TestAllReduceAgainstCostOracle runs a real localhost all-reduce on both
-// topologies and validates it against the simulated Interconnect: the
-// measured collective must be positive, rounds must carry the measured
-// CollectiveNs the cost model predicts (Interconnect.AllReduceUS is the
-// simulated counterpart of exactly that phase), and the structural claim
-// the cost model encodes — every node transmits ~2(k−1)/k of the tensor on
-// a ring, ~its full size on a non-root tree rank — must hold on the wire,
-// byte for byte. Wall-clock ratios against each preset are logged, not
-// asserted (localhost loopback is far faster than any modelled NIC).
+// TestAllReduceAgainstCostOracle runs a real localhost all-reduce and
+// validates it against the simulated Interconnect: the measured collective
+// must be positive, rounds must carry the measured CollectiveNs the cost
+// model predicts (Interconnect.AllReduceUS is the simulated counterpart of
+// exactly that phase), and the structural claim the ring cost model
+// encodes — every node transmits ~2(k−1)/k of the tensor — must hold on the
+// wire, byte for byte. The transport sends those bytes in two latency
+// steps, not the ring's 2(k−1); the cost model is left as the paper's ring.
+// Wall-clock ratios against each preset are logged, not asserted
+// (localhost loopback is far faster than any modelled NIC).
 func TestAllReduceAgainstCostOracle(t *testing.T) {
 	const k, dim = 3, 64 << 10
-	for _, tree := range []bool{false, true} {
-		name := "ring"
-		if tree {
-			name = "tree"
+	// The subtest is named for the ring cost model the wire bytes are held to.
+	t.Run("ring", func(t *testing.T) {
+		nodes := startCluster(t, k, nil)
+		before := make([]int64, k)
+		for i, n := range nodes {
+			before[i] = n.Stats().BytesSent
 		}
-		t.Run(name, func(t *testing.T) {
-			nodes := startCluster(t, k, tree, nil)
-			before := make([]int64, k)
-			for i, n := range nodes {
-				before[i] = n.Stats().BytesSent
-			}
-			bufs, want := rankBufs(k, dim)
-			rounds := runRound(t, nodes, bufs)
-			checkSums(t, bufs, want)
+		bufs, want := rankBufs(k, dim)
+		rounds := runRound(t, nodes, bufs)
+		checkSums(t, bufs, want)
 
-			var measured time.Duration
-			for i, r := range rounds {
-				if r.Aborted || r.Participants != k {
-					t.Fatalf("node %d: round %+v", i, r)
-				}
-				if r.CollectiveNs <= 0 {
-					t.Fatalf("node %d: no measured collective time", i)
-				}
-				if d := time.Duration(r.CollectiveNs); d > measured {
-					measured = d
-				}
+		var measured time.Duration
+		for i, r := range rounds {
+			if r.Aborted || r.Participants != k {
+				t.Fatalf("node %d: round %+v", i, r)
 			}
+			if r.CollectiveNs <= 0 {
+				t.Fatalf("node %d: no measured collective time", i)
+			}
+			if d := time.Duration(r.CollectiveNs); d > measured {
+				measured = d
+			}
+		}
 
-			// Structural validation: payload bytes per node as the cost
-			// model assumes. Ring: 2(k−1) chunks of dim/k floats. Tree:
-			// a non-root rank sends its full tensor once up and relays to
-			// subtree children. Frame headers ride on top, so compare
-			// with ±15% slack.
-			for i, n := range nodes {
-				sent := n.Stats().BytesSent - before[i]
-				var want int64
-				if tree {
-					// k=3: non-root ranks send their full partial sum up
-					// once; the root broadcasts the finished sum to both
-					// children.
-					want = int64(dim * 4)
-					if i == 0 {
-						want = int64(2 * dim * 4)
-					}
-				} else {
-					want = int64(2 * (k - 1) * (dim / k) * 4)
-				}
-				if sent < want*85/100 || sent > want*150/100 {
-					t.Errorf("node %d (%s): sent %d payload-ish bytes, cost model assumes ~%d", i, name, sent, want)
-				}
+		// Structural validation: 2(k−1) chunks of dim/k floats per node, as the
+		// cost model assumes. Frame headers ride on top, so compare with ±15%
+		// slack.
+		perNode := int64(2 * (k - 1) * (dim / k) * 4)
+		for i, n := range nodes {
+			if sent := n.Stats().BytesSent - before[i]; sent < perNode*85/100 || sent > perNode*150/100 {
+				t.Errorf("node %d: sent %d payload-ish bytes, cost model assumes ~%d", i, sent, perNode)
 			}
+		}
 
-			bytes := int64(dim * 4)
-			for _, ic := range cluster.Presets() {
-				ic.Tree = tree
-				predicted := time.Duration(ic.AllReduceUS(bytes, k) * float64(time.Microsecond))
-				if predicted <= 0 {
-					t.Fatalf("%s: no prediction for %d bytes x %d servers", ic.Name, bytes, k)
-				}
-				t.Logf("%s/%s: measured %v on loopback vs %v predicted for the modelled NIC (x%.2f)",
-					name, ic.Name, measured, predicted, float64(measured)/float64(predicted))
+		bytes := int64(dim * 4)
+		for _, ic := range cluster.Presets() {
+			predicted := time.Duration(ic.AllReduceUS(bytes, k) * float64(time.Microsecond))
+			if predicted <= 0 {
+				t.Fatalf("%s: no prediction for %d bytes x %d servers", ic.Name, bytes, k)
 			}
-		})
-	}
+			t.Logf("%s: measured %v on loopback vs %v predicted for the modelled NIC (x%.2f)",
+				ic.Name, measured, predicted, float64(measured)/float64(predicted))
+		}
+	})
 }

@@ -83,7 +83,7 @@ func probeAsync(n *Node, timeout time.Duration) <-chan probeResult {
 // at once, rank 2 twice, so concurrent probes on one node each hear their
 // answers.
 func TestSnapshotProbeColdReturnsAtOnce(t *testing.T) {
-	nodes := startCluster(t, 3, false, nil)
+	nodes := startCluster(t, 3, nil)
 	var wg sync.WaitGroup
 	for i, n := range []*Node{nodes[0], nodes[1], nodes[2], nodes[2]} {
 		wg.Add(1)
@@ -108,7 +108,7 @@ func TestSnapshotProbeColdReturnsAtOnce(t *testing.T) {
 func TestSnapshotProbeSilenceIsNotCold(t *testing.T) {
 	snap := &ckpt.Checkpoint{Model: "lenet", SnapshotRound: 3, Params: []float32{1, 2, 3}}
 	inj := chaos.NewInjector(chaos.Config{})
-	nodes := startCluster(t, 3, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 3, func(rank int, cfg *Config) {
 		cfg.Chaos = inj
 		if rank == 0 {
 			cfg.Snapshot = func() *ckpt.Checkpoint { return snap }
@@ -153,7 +153,7 @@ func TestSnapshotProbeCreditsSender(t *testing.T) {
 	stale := &ckpt.Checkpoint{Model: "lenet", SnapshotRound: 2, Params: []float32{6, 7}}
 	asked := make(chan struct{}, 1)
 	release := make(chan struct{})
-	nodes := startCluster(t, 3, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 3, func(rank int, cfg *Config) {
 		if rank == 0 {
 			cfg.Snapshot = func() *ckpt.Checkpoint {
 				select {

@@ -31,7 +31,7 @@ func TestSpinReadCloseWithinBudget(t *testing.T) {
 // fails the test unless that returns promptly, and reports whether the read
 // loop was still mid-spin when the shutdown began.
 func shutdownWhileSpinning(t *testing.T, kill bool) bool {
-	nodes := startCluster(t, 2, false, func(rank int, cfg *Config) {
+	nodes := startCluster(t, 2, func(rank int, cfg *Config) {
 		cfg.HeartbeatEvery = time.Hour
 	})
 	n := nodes[0]
