@@ -88,7 +88,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 
 // SaveSnapshot writes a published training snapshot (Config.PublishEvery /
 // OnSnapshot) to path as an atomic, checksummed checkpoint carrying the
-// snapshot's round version — so a `crossbow-serve -ckpt` process serves the
+// snapshot's round version — so a `crossbow serve -ckpt` process serves the
 // exact published model and reports its version with every prediction.
 func SaveSnapshot(path string, s Snapshot) error {
 	if len(s.Params) == 0 {

@@ -1,15 +1,3 @@
-// Command crossbow-bench regenerates the tables and figures of the paper's
-// evaluation (§5) and Algorithm 2's decision trace; internal/experiments
-// documents the scale mapping. Everything it prints is simulated or seeded,
-// so equal flags give equal output. How fast the system runs on this
-// machine is the repo benchmark's to measure: bash benchmark/run.sh.
-//
-// Usage:
-//
-//	crossbow-bench -exp all            # quick pass over every experiment
-//	crossbow-bench -exp fig10 -model resnet32 -full
-//	crossbow-bench -exp fig14 -model vgg16 -gpus 8
-//	crossbow-bench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -95,75 +83,80 @@ func selectExperiments(exp string) []experiment {
 	return nil
 }
 
-func main() {
-	// All work happens in run, so deferred profile finalizers execute even
-	// on error exits (os.Exit would skip them).
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("crossbow-bench", flag.ExitOnError)
+// figuresCmd regenerates the tables and figures of the paper's evaluation
+// (§5) and Algorithm 2's decision trace; internal/experiments documents the
+// scale mapping. Everything it prints is simulated or seeded, so equal
+// flags give equal output. How fast the system runs on this machine is the
+// repo benchmark's to measure: bash benchmark/run.sh.
+//
+//	crossbow figures -exp all            # quick pass over every experiment
+//	crossbow figures -exp fig10 -model resnet32 -full
+//	crossbow figures -exp fig14 -model vgg16 -gpus 8
+//	crossbow figures -exp fig10 -cpuprofile cpu.out -memprofile mem.out
+func figuresCmd(fs *flag.FlagSet) runner {
+	var model string
+	var gpus int
+	modelFlag(fs, &model, "resnet32")
+	gpusFlag(fs, &gpus, 8)
 	exp := fs.String("exp", "all", "experiment: "+names())
-	model := fs.String("model", "resnet32", "benchmark model (lenet, resnet32, vgg16, resnet50)")
-	gpus := fs.Int("gpus", 8, "GPU count for per-g experiments")
 	full := fs.Bool("full", false, "paper-scale parameter sweeps (slow); default is a quick pass")
 	threads := fs.Int("threads", 0, "kernel worker pool size (0: NumCPU or $CROSSBOW_PARALLELISM)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	fs.Parse(args) // ExitOnError: a bad flag exits 2 here, -h exits 0
-
-	selected := selectExperiments(*exp)
-	if selected == nil {
-		fmt.Fprintf(stderr, "unknown experiment %q; valid: %s\n", *exp, names())
-		return 2
-	}
-	p := params{model: crossbow.Model(*model), gpus: *gpus, quick: !*full}
-	if !slices.Contains(crossbow.Models, p.model) {
-		fmt.Fprintf(stderr, "unknown model %q\n", *model)
-		return 2
-	}
-
-	if *threads > 0 {
-		tensor.SetWorkerBudget(*threads)
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
-			return 1
+	return func(stdout, stderr io.Writer) int {
+		selected := selectExperiments(*exp)
+		if selected == nil {
+			fmt.Fprintf(stderr, "unknown experiment %q; valid: %s\n", *exp, names())
+			return 2
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
-			return 1
+		p := params{model: crossbow.Model(model), gpus: gpus, quick: !*full}
+		if !slices.Contains(crossbow.Models, p.model) {
+			fmt.Fprintf(stderr, "unknown model %q\n", model)
+			return 2
 		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
+
+		if *threads > 0 {
+			tensor.SetWorkerBudget(*threads)
+		}
+		if *cpuprofile != "" {
+			f, err := os.Create(*cpuprofile)
 			if err != nil {
-				fmt.Fprintf(stderr, "memprofile: %v\n", err)
-				return
+				fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+				return 1
 			}
 			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			if err := pprof.StartCPUProfile(f); err != nil {
+				fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+				return 1
 			}
-		}()
-	}
-
-	for _, e := range selected {
-		ep := p
-		if *exp == "all" && e.name == "fig10" {
-			// Under -exp all, Figure 10 runs on ResNet-32 whatever -model
-			// says; -model steers fig11, fig14 and autotune there.
-			ep.model = crossbow.ResNet32
+			defer pprof.StopCPUProfile()
 		}
-		start := time.Now()
-		e.run(stdout, ep)
-		fmt.Fprintf(stdout, "[%s took %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		if *memprofile != "" {
+			defer func() {
+				f, err := os.Create(*memprofile)
+				if err != nil {
+					fmt.Fprintf(stderr, "memprofile: %v\n", err)
+					return
+				}
+				defer f.Close()
+				runtime.GC()
+				if err := pprof.WriteHeapProfile(f); err != nil {
+					fmt.Fprintf(stderr, "memprofile: %v\n", err)
+				}
+			}()
+		}
+
+		for _, e := range selected {
+			ep := p
+			if *exp == "all" && e.name == "fig10" {
+				// Under -exp all, Figure 10 runs on ResNet-32 whatever -model
+				// says; -model steers fig11, fig14 and autotune there.
+				ep.model = crossbow.ResNet32
+			}
+			start := time.Now()
+			e.run(stdout, ep)
+			fmt.Fprintf(stdout, "[%s took %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		}
+		return 0
 	}
-	return 0
 }

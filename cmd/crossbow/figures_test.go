@@ -46,7 +46,7 @@ func TestSimulatorOnlyExperimentsRun(t *testing.T) {
 		"autotune": "chosen: m=",
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-exp", exp}, &stdout, &stderr); code != 0 {
+		if code := run([]string{"figures", "-exp", exp}, &stdout, &stderr); code != 0 {
 			t.Fatalf("-exp %s exited %d: %s", exp, code, stderr.String())
 		}
 		out := stdout.String()
@@ -65,7 +65,7 @@ func TestSimulatorOnlyExperimentsRun(t *testing.T) {
 func TestUnknownNamesExitTwo(t *testing.T) {
 	for _, exp := range []string{"nosuch", "kernels", "serving", ""} {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-exp", exp}, &stdout, &stderr); code != 2 {
+		if code := run([]string{"figures", "-exp", exp}, &stdout, &stderr); code != 2 {
 			t.Errorf("-exp %q exited %d, want 2", exp, code)
 		}
 		if stdout.Len() != 0 {
@@ -78,7 +78,7 @@ func TestUnknownNamesExitTwo(t *testing.T) {
 		}
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "table1", "-model", "alexnet"}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"figures", "-exp", "table1", "-model", "alexnet"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown model exited %d, want 2", code)
 	}
 }

@@ -1,13 +1,27 @@
-// Command crossbow-serve exposes a trained Crossbow model over HTTP/JSON:
-// a thin front end on crossbow.Serve's dynamically-batched prediction
-// runtime (DESIGN.md §11).
+package main
+
+import (
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"log"
+	"net/http"
+	"sync"
+	"time"
+
+	"crossbow"
+)
+
+// serveCmd exposes a trained Crossbow model over HTTP/JSON: a thin front
+// end on crossbow.Serve's dynamically-batched prediction runtime
+// (DESIGN.md §11).
 //
-// Usage:
-//
-//	crossbow-serve -ckpt model.ckpt -addr :8080 -replicas 2 -max-batch 16
-//	crossbow-serve -ckpt model.ckpt -slo 5ms -autoscale 4       # fleet mode
-//	crossbow-serve -follow 10.0.0.1:9090 -slo 5ms               # live feed
-//	crossbow-serve -model resnet32 -train-epochs 2 -addr :8080   # demo mode
+//	crossbow serve -ckpt model.ckpt -addr :8080 -replicas 2 -max-batch 16
+//	crossbow serve -ckpt model.ckpt -slo 5ms -autoscale 4       # fleet mode
+//	crossbow serve -follow 10.0.0.1:9090 -slo 5ms               # live feed
+//	crossbow serve -model resnet32 -train-epochs 2 -addr :8080   # demo mode
 //
 // Endpoints:
 //
@@ -21,106 +35,88 @@
 //
 // With -ckpt the process serves the exact published model the checkpoint
 // carries (its snapshot round is the reported version). With -follow it
-// subscribes to a training run's model feed (crossbow-train -publish) and
+// subscribes to a training run's model feed (crossbow train -publish) and
 // hot-swaps every published snapshot in as it arrives — combined with -ckpt
 // the checkpoint is the feed's warm base, so a restarted replica resumes
 // with deltas instead of a full snapshot. -slo enables SLO-driven adaptive
 // batching and -autoscale replica autoscaling (DESIGN.md §16). Demo mode
-// trains a small model first so the server can be tried without a
-// checkpoint.
-package main
+// (neither -ckpt nor -follow) trains -model first, so the server can be
+// tried without a checkpoint.
+func serveCmd(fs *flag.FlagSet) runner {
+	var model string
+	modelFlag(fs, &model, "lenet")
+	ckptPath := fs.String("ckpt", "", "checkpoint to serve (SaveModel/SaveSnapshot output)")
+	trainEpochs := fs.Int("train-epochs", 1, "demo mode: training epochs before serving")
+	addr := fs.String("addr", ":8080", "HTTP listen address")
+	replicas := fs.Int("replicas", 1, "forward-only model replicas")
+	maxBatch := fs.Int("max-batch", 8, "dynamic micro-batch ceiling")
+	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max straggler wait once a batch has an occupant")
+	queueDepth := fs.Int("queue-depth", 0, "request queue bound (0: replicas*max-batch*4)")
+	shedOnFull := fs.Bool("shed-on-full", false, "shed (fast 503) instead of blocking when the queue is full")
+	admitDeadline := fs.Duration("admit-deadline", 0, "shed requests that cannot be answered within this budget (0: no deadline)")
+	follow := fs.String("follow", "", "subscribe to a model feed (crossbow train -publish address); with -ckpt the checkpoint is the feed's warm base")
+	followTimeout := fs.Duration("follow-timeout", 0, "cold-start wait for the feed's first snapshot (0: 30s)")
+	slo := fs.Duration("slo", 0, "p99 latency target enabling SLO-driven adaptive batching (-max-batch becomes the ceiling, -max-delay is ignored)")
+	autoscale := fs.Int("autoscale", 0, "with -slo: replica pool ceiling; -replicas becomes the floor (0: fixed pool)")
 
-import (
-	"encoding/json"
-	"errors"
-	"flag"
-	"fmt"
-	"log"
-	"net/http"
-	"os"
-	"sync"
-	"time"
+	return func(stdout, stderr io.Writer) int {
+		cfg := crossbow.ServeConfig{
+			Replicas:      *replicas,
+			MaxBatch:      *maxBatch,
+			MaxDelay:      *maxDelay,
+			QueueDepth:    *queueDepth,
+			ShedOnFull:    *shedOnFull,
+			AdmitDeadline: *admitDeadline,
 
-	"crossbow"
-)
+			SLO:           *slo,
+			AutoScale:     *autoscale,
+			Follow:        *follow,
+			FollowTimeout: *followTimeout,
+		}
+		switch {
+		case *ckptPath != "":
+			cfg.Checkpoint = *ckptPath
+		case *follow != "":
+			// Follow mode: the feed's first snapshot provides the model, no
+			// local training needed.
+			log.Printf("following model feed at %s", *follow)
+		default:
+			// Demo mode: train a small model so the server is self-contained.
+			log.Printf("no -ckpt: training %s for %d epoch(s) first", model, *trainEpochs)
+			res, err := crossbow.Train(crossbow.Config{
+				Model: crossbow.Model(model), MaxEpochs: *trainEpochs,
+			})
+			if err != nil {
+				fmt.Fprintf(stderr, "train: %v\n", err)
+				return 1
+			}
+			cfg.Model, cfg.Params = crossbow.Model(model), res.Params
+		}
 
-func main() {
-	os.Exit(serveMain())
-}
-
-func serveMain() int {
-	ckptPath := flag.String("ckpt", "", "checkpoint to serve (SaveModel/SaveSnapshot output)")
-	model := flag.String("model", "lenet", "demo mode: benchmark model to train and serve when -ckpt is unset")
-	trainEpochs := flag.Int("train-epochs", 1, "demo mode: training epochs before serving")
-	addr := flag.String("addr", ":8080", "HTTP listen address")
-	replicas := flag.Int("replicas", 1, "forward-only model replicas")
-	maxBatch := flag.Int("max-batch", 8, "dynamic micro-batch ceiling")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max straggler wait once a batch has an occupant")
-	queueDepth := flag.Int("queue-depth", 0, "request queue bound (0: replicas*max-batch*4)")
-	shedOnFull := flag.Bool("shed-on-full", false, "shed (fast 503) instead of blocking when the queue is full")
-	admitDeadline := flag.Duration("admit-deadline", 0, "shed requests that cannot be answered within this budget (0: no deadline)")
-	follow := flag.String("follow", "", "subscribe to a model feed (crossbow-train -publish address); with -ckpt the checkpoint is the feed's warm base")
-	followTimeout := flag.Duration("follow-timeout", 0, "cold-start wait for the feed's first snapshot (0: 30s)")
-	slo := flag.Duration("slo", 0, "p99 latency target enabling SLO-driven adaptive batching (-max-batch becomes the ceiling, -max-delay is ignored)")
-	autoscale := flag.Int("autoscale", 0, "with -slo: replica pool ceiling; -replicas becomes the floor (0: fixed pool)")
-	flag.Parse()
-
-	cfg := crossbow.ServeConfig{
-		Replicas:      *replicas,
-		MaxBatch:      *maxBatch,
-		MaxDelay:      *maxDelay,
-		QueueDepth:    *queueDepth,
-		ShedOnFull:    *shedOnFull,
-		AdmitDeadline: *admitDeadline,
-
-		SLO:           *slo,
-		AutoScale:     *autoscale,
-		Follow:        *follow,
-		FollowTimeout: *followTimeout,
-	}
-	switch {
-	case *ckptPath != "":
-		cfg.Checkpoint = *ckptPath
-	case *follow != "":
-		// Follow mode: the feed's first snapshot provides the model, no
-		// local training needed.
-		log.Printf("following model feed at %s", *follow)
-	default:
-		// Demo mode: train a small model so the server is self-contained.
-		log.Printf("no -ckpt: training %s for %d epoch(s) first", *model, *trainEpochs)
-		res, err := crossbow.Train(crossbow.Config{
-			Model: crossbow.Model(*model), MaxEpochs: *trainEpochs,
-		})
+		p, err := crossbow.Serve(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "train: %v\n", err)
+			fmt.Fprintf(stderr, "serve: %v\n", err)
 			return 1
 		}
-		cfg.Model, cfg.Params = crossbow.Model(*model), res.Params
-	}
+		defer p.Close()
 
-	p, err := crossbow.Serve(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		return 1
-	}
-	defer p.Close()
-
-	if *slo > 0 {
-		pool := fmt.Sprintf("%d replicas", *replicas)
-		if *autoscale > 0 {
-			pool = fmt.Sprintf("%d–%d replicas (autoscaled)", *replicas, *autoscale)
+		if *slo > 0 {
+			pool := fmt.Sprintf("%d replicas", *replicas)
+			if *autoscale > 0 {
+				pool = fmt.Sprintf("%d–%d replicas (autoscaled)", *replicas, *autoscale)
+			}
+			log.Printf("serving %s (version %d, %s, adaptive batching ≤%d under %v p99 SLO) on %s",
+				p.Model(), p.Version(), pool, *maxBatch, *slo, *addr)
+		} else {
+			log.Printf("serving %s (version %d, %d replicas, max batch %d, max delay %v) on %s",
+				p.Model(), p.Version(), *replicas, *maxBatch, *maxDelay, *addr)
 		}
-		log.Printf("serving %s (version %d, %s, adaptive batching ≤%d under %v p99 SLO) on %s",
-			p.Model(), p.Version(), pool, *maxBatch, *slo, *addr)
-	} else {
-		log.Printf("serving %s (version %d, %d replicas, max batch %d, max delay %v) on %s",
-			p.Model(), p.Version(), *replicas, *maxBatch, *maxDelay, *addr)
+		if err := http.ListenAndServe(*addr, newMux(p)); err != nil {
+			fmt.Fprintf(stderr, "http: %v\n", err)
+			return 1
+		}
+		return 0
 	}
-	if err := http.ListenAndServe(*addr, newMux(p)); err != nil {
-		fmt.Fprintf(os.Stderr, "http: %v\n", err)
-		return 1
-	}
-	return 0
 }
 
 // predictRequest is the POST /v1/predict payload.
@@ -145,7 +141,7 @@ type prediction struct {
 	Version    int64   `json:"version"`
 }
 
-// newMux builds the HTTP front end over a predictor. Split from serveMain
+// newMux builds the HTTP front end over a predictor. Split from serveCmd
 // so the request/response contract is testable without a listener.
 func newMux(p *crossbow.Predictor) *http.ServeMux {
 	mux := http.NewServeMux()

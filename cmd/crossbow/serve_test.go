@@ -104,7 +104,7 @@ func TestPredictEndpointRejectsBadInput(t *testing.T) {
 }
 
 // TestFollowModeEndToEnd stands up the HTTP front end over a follow-mode
-// predictor (the crossbow-serve -follow path): a ModelPublisher feeds it a
+// predictor (the crossbow serve -follow path): a ModelPublisher feeds it a
 // model and then an update, and /v1/feed shows the delta arriving.
 func TestFollowModeEndToEnd(t *testing.T) {
 	res, err := crossbow.Train(crossbow.Config{

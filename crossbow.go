@@ -201,7 +201,7 @@ type Config struct {
 	// PublishAddr, with PublishEvery set, additionally streams every
 	// published snapshot to serving replicas over TCP (DESIGN.md §16): Train
 	// runs a ModelPublisher on this address for the duration of the run, and
-	// Predictors started with ServeConfig.Follow (or crossbow-serve -follow)
+	// Predictors started with ServeConfig.Follow (or crossbow serve -follow)
 	// receive each snapshot as a delta against the model they already hold.
 	// OnSnapshot may still be set; it runs after the feed send.
 	PublishAddr string

@@ -18,7 +18,7 @@ type FeedStats = metrics.FeedStats
 // follower as a versioned delta against the round the follower already
 // holds, falling back to a full snapshot for cold or diverged followers.
 // Followers are Predictors started with ServeConfig.Follow (or
-// crossbow-serve -follow).
+// crossbow serve -follow).
 //
 // The training side is one callback:
 //

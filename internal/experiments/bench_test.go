@@ -4,7 +4,7 @@ package experiments
 // bench regenerates its experiment at reduced scale — fewer epochs, a
 // subset of sweep points — and reports the figure's headline quantity as a
 // custom metric, so `go test -bench=.` replays the whole evaluation in
-// minutes. Paper-scale sweeps: `go run ./cmd/crossbow-bench -exp <id> -full`.
+// minutes. Paper-scale sweeps: `go run ./cmd/crossbow figures -exp <id> -full`.
 
 import (
 	"testing"

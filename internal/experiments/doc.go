@@ -1,7 +1,7 @@
 // Package experiments is the reproduction harness for the paper's
 // evaluation (§5): one function per table or figure, returning the rows or
 // series the paper plots, and a Print function that writes them in the
-// paper's layout. cmd/crossbow-bench fronts it; bench_test.go replays each
+// paper's layout. `crossbow figures` fronts it; bench_test.go replays each
 // experiment at micro scale under `go test -bench`. It measures nothing
 // about this machine — that is the repo benchmark's job (benchmark/) — so
 // identical arguments print identical output.

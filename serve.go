@@ -38,7 +38,7 @@ type ServeConfig struct {
 	MaxBatch int
 	// MaxDelay bounds how long a non-full batch waits for stragglers.
 	// Zero (the default) dispatches immediately with whatever is queued —
-	// minimum latency; set a small positive delay (crossbow-serve
+	// minimum latency; set a small positive delay (crossbow serve
 	// defaults to 2ms) to trade latency for batch occupancy.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; Predict blocks (backpressure)
