@@ -84,6 +84,9 @@ func NewSSGD(cfg SSGDConfig) *SSGDEngine {
 	return e
 }
 
+// Sim exposes the underlying simulator (for utilisation inspection).
+func (e *SSGDEngine) Sim() *gpusim.Sim { return e.sim }
+
 // PerGPUBatch returns the batch partition size each GPU processes.
 func (e *SSGDEngine) PerGPUBatch() int {
 	b := e.cfg.AggregateBatch / e.cfg.GPUs
