@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"crossbow/internal/engine"
 	"crossbow/internal/gpusim"
 	"crossbow/internal/nn"
@@ -80,6 +78,8 @@ type Engine struct {
 	// the NIC: staging DMA, the network collective, and the broadcast of
 	// the refreshed cluster average model. Empty on single-server runs.
 	netStreams []*gpusim.Stream
+	// staged[s] is server s's model staged on its NIC, reused every round.
+	staged []*gpusim.Event
 
 	modelElems int64
 	iter       int
@@ -108,8 +108,9 @@ func New(cfg Config) *Engine {
 	if cfg.Servers > 1 {
 		for s := 0; s < cfg.Servers; s++ {
 			dev := c.sim.Device(s * cfg.GPUsPerServer)
-			c.netStreams = append(c.netStreams, dev.NewStream(fmt.Sprintf("server%d/net", s)))
+			c.netStreams = append(c.netStreams, dev.NewStream())
 		}
+		c.staged = make([]*gpusim.Event, cfg.Servers)
 	}
 	return c
 }
@@ -155,13 +156,13 @@ func (c *Engine) ScheduleIteration() {
 
 	// Stage each server's reference model onto its NIC once the server's
 	// global synchronisation finished.
-	staged := make([]*gpusim.Event, c.cfg.Servers)
+	staged := c.staged
 	for s, srv := range c.servers {
 		ns := c.netStreams[s]
 		for _, ev := range srv.GlobalSyncDone() {
 			ns.Wait(ev)
 		}
-		ns.Kernel("d2h_server_model", 1, c.cfg.Cost.TransferUS(c.modelBytes()))
+		ns.Kernel(1, c.cfg.Cost.TransferUS(c.modelBytes())) // device-to-host server model
 		staged[s] = c.sim.NewEvent()
 		ns.Record(staged[s])
 	}
@@ -173,10 +174,10 @@ func (c *Engine) ScheduleIteration() {
 			ns.Wait(ev)
 		}
 		if xferUS > 0 {
-			ns.Kernel("xserver_allreduce", 1, xferUS)
+			ns.Kernel(1, xferUS) // cross-server all-reduce
 		}
-		ns.Kernel("h2d_cluster_avg", 1, c.cfg.Cost.TransferUS(c.modelBytes()))
-		ns.Kernel("update_server_avg", 2, c.cfg.Cost.VectorKernelUS(c.modelElems))
+		ns.Kernel(1, c.cfg.Cost.TransferUS(c.modelBytes()))   // host-to-device cluster average
+		ns.Kernel(2, c.cfg.Cost.VectorKernelUS(c.modelElems)) // server average update
 		done := c.sim.NewEvent()
 		ns.Record(done)
 		srv.Gate(done)

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"crossbow/internal/gpusim"
 	"crossbow/internal/nn"
 )
@@ -73,6 +71,14 @@ type Engine struct {
 	// central average model is consistent for the current iteration.
 	globalSyncDone []*gpusim.Event
 
+	// Per-iteration event tables, reused: localDone[g][m] is learner m's
+	// local synchronisation, aggDone[g] GPU g's intra-GPU aggregation, and
+	// globalBufs alternate as globalSyncDone so the previous iteration's
+	// stays readable while the next is wired.
+	localDone  [][]*gpusim.Event
+	aggDone    []*gpusim.Event
+	globalBufs [2][]*gpusim.Event
+
 	// gate, when set, delays the next read of the average model until the
 	// event fires — the hook the cluster plane uses to chain cross-server
 	// average tasks after this server's global synchronisation.
@@ -96,16 +102,19 @@ func New(cfg Config) *Engine {
 		spec:       spec,
 		plan:       cfg.Cost.PlanLearningTask(spec, cfg.Batch),
 		modelElems: spec.ParamCount(),
+		aggDone:    make([]*gpusim.Event, cfg.GPUs),
+		globalBufs: [2][]*gpusim.Event{make([]*gpusim.Event, cfg.GPUs), make([]*gpusim.Event, cfg.GPUs)},
 	}
 	for g := 0; g < cfg.GPUs; g++ {
 		dev := e.sim.Device(cfg.DeviceOffset + g)
 		var ls []*gpusim.Stream
 		for m := 0; m < cfg.LearnersPerGPU; m++ {
-			ls = append(ls, dev.NewStream(fmt.Sprintf("gpu%d/learn%d", cfg.DeviceOffset+g, m)))
+			ls = append(ls, dev.NewStream())
 		}
 		e.learnStreams = append(e.learnStreams, ls)
-		e.syncStreams = append(e.syncStreams, dev.NewStream(fmt.Sprintf("gpu%d/sync", cfg.DeviceOffset+g)))
-		e.copyStreams = append(e.copyStreams, dev.NewStream(fmt.Sprintf("gpu%d/copy", cfg.DeviceOffset+g)))
+		e.syncStreams = append(e.syncStreams, dev.NewStream())
+		e.copyStreams = append(e.copyStreams, dev.NewStream())
+		e.localDone = append(e.localDone, make([]*gpusim.Event, cfg.LearnersPerGPU))
 	}
 	return e
 }
@@ -151,20 +160,18 @@ func (e *Engine) ScheduleIteration() bool {
 	if !cfg.Overlap || syncing {
 		e.gate = nil
 	}
-	var localDone [][]*gpusim.Event
 	batchBytes := e.spec.SampleBytes() * int64(cfg.Batch)
 
 	for g := 0; g < cfg.GPUs; g++ {
-		var dones []*gpusim.Event
-		for _, st := range e.learnStreams[g] {
+		for m, st := range e.learnStreams[g] {
 			// Input batch DMA on the copy engine, overlapped with compute
 			// (§2.2); the learning task waits for its own batch only.
 			inReady := e.sim.NewEvent()
-			e.copyStreams[g].Kernel("h2d_batch", 1, e.cfg.Cost.TransferUS(batchBytes))
+			e.copyStreams[g].Kernel(1, e.cfg.Cost.TransferUS(batchBytes)) // host-to-device batch
 			e.copyStreams[g].Record(inReady)
 
 			// Host-side dispatch cost of the task scheduler (§4.3).
-			st.Kernel("dispatch", 1, cfg.Cost.SchedulerOverheadUS)
+			st.Kernel(1, cfg.Cost.SchedulerOverheadUS)
 			st.Wait(inReady)
 			if !cfg.Overlap {
 				if prevGlobal != nil {
@@ -189,15 +196,14 @@ func (e *Engine) ScheduleIteration() bool {
 						st.Wait(gate)
 					}
 				}
-				st.Kernel("local_diff", 2, cfg.Cost.VectorKernelUS(e.modelElems))
-				st.Kernel("update_replica", 2, cfg.Cost.VectorKernelUS(e.modelElems))
-				st.Kernel("sync_coordination", 1, cfg.Cost.SyncPerOpUS*float64(e.spec.NumOps()))
+				st.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems))         // difference with the local average
+				st.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems))         // replica update
+				st.Kernel(1, cfg.Cost.SyncPerOpUS*float64(e.spec.NumOps())) // host coordination
 				done := e.sim.NewEvent()
 				st.Record(done)
-				dones = append(dones, done)
+				e.localDone[g][m] = done
 			}
 		}
-		localDone = append(localDone, dones)
 	}
 
 	if !syncing {
@@ -209,17 +215,17 @@ func (e *Engine) ScheduleIteration() bool {
 	// local differences once all the GPU's local syncs are done, then the
 	// GPUs jointly all-reduce; each GPU's average model becomes consistent
 	// when its share of the ring completes.
-	newGlobal := make([]*gpusim.Event, cfg.GPUs)
+	newGlobal := e.globalBufs[e.iter%2]
 	// The ring cannot start before every GPU finished local aggregation:
 	// collect per-GPU aggregation-done events and make every sync stream
 	// wait on all of them.
-	aggDone := make([]*gpusim.Event, cfg.GPUs)
+	aggDone := e.aggDone
 	for g := 0; g < cfg.GPUs; g++ {
 		ss := e.syncStreams[g]
-		for _, ev := range localDone[g] {
+		for _, ev := range e.localDone[g] {
 			ss.Wait(ev)
 		}
-		ss.Kernel("intra_gpu_reduce", 2, cfg.Cost.VectorKernelUS(e.modelElems))
+		ss.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems)) // intra-GPU reduce
 		aggDone[g] = e.sim.NewEvent()
 		ss.Record(aggDone[g])
 	}
@@ -230,9 +236,9 @@ func (e *Engine) ScheduleIteration() bool {
 			ss.Wait(ev)
 		}
 		if allReduce > 0 {
-			ss.Kernel("ring_allreduce", 1, allReduce)
+			ss.Kernel(1, allReduce) // ring all-reduce
 		}
-		ss.Kernel("update_avg_model", 2, cfg.Cost.VectorKernelUS(e.modelElems))
+		ss.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems)) // average model update
 		newGlobal[g] = e.sim.NewEvent()
 		ss.Record(newGlobal[g])
 	}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"crossbow/internal/gpusim"
 	"crossbow/internal/nn"
 )
@@ -20,6 +18,12 @@ type SSGDEngine struct {
 	streams []*gpusim.Stream
 	copies  []*gpusim.Stream
 	barrier []*gpusim.Event // previous iteration's update-done per GPU
+
+	// Per-iteration event tables, reused: gradDone[g] is GPU g's gradient,
+	// and barrierBufs alternate as barrier.
+	gradDone    []*gpusim.Event
+	barrierBufs [2][]*gpusim.Event
+	iter        int
 }
 
 // SSGDConfig configures the baseline simulation.
@@ -75,11 +79,14 @@ func NewSSGD(cfg SSGDConfig) *SSGDEngine {
 		sim:  gpusim.NewSim(cfg.GPUs, cfg.Cost.SMsPerDevice),
 		spec: spec,
 		plan: cfg.Cost.PlanLearningTask(spec, perGPU),
+
+		gradDone:    make([]*gpusim.Event, cfg.GPUs),
+		barrierBufs: [2][]*gpusim.Event{make([]*gpusim.Event, cfg.GPUs), make([]*gpusim.Event, cfg.GPUs)},
 	}
 	for g := 0; g < cfg.GPUs; g++ {
 		dev := e.sim.Device(g)
-		e.streams = append(e.streams, dev.NewStream(fmt.Sprintf("gpu%d/work", g)))
-		e.copies = append(e.copies, dev.NewStream(fmt.Sprintf("gpu%d/copy", g)))
+		e.streams = append(e.streams, dev.NewStream())
+		e.copies = append(e.copies, dev.NewStream())
 	}
 	return e
 }
@@ -103,11 +110,12 @@ func (e *SSGDEngine) scheduleIteration() {
 	batchBytes := e.spec.SampleBytes() * int64(e.PerGPUBatch())
 	modelBytes := e.spec.ParamCount() * 4
 
-	gradDone := make([]*gpusim.Event, cfg.GPUs)
+	e.iter++
+	gradDone := e.gradDone
 	for g := 0; g < cfg.GPUs; g++ {
 		st := e.streams[g]
 		// Baseline dispatch overhead on the critical path each iteration.
-		st.Kernel("dispatch", 1, cfg.DispatchOverheadUS)
+		st.Kernel(1, cfg.DispatchOverheadUS)
 		if e.barrier != nil {
 			// S-SGD lockstep: no GPU may start iteration N+1 before every
 			// replica finished applying iteration N's aggregate gradient.
@@ -116,7 +124,7 @@ func (e *SSGDEngine) scheduleIteration() {
 			}
 		}
 		inReady := e.sim.NewEvent()
-		e.copies[g].Kernel("h2d_batch", 1, cfg.Cost.TransferUS(batchBytes))
+		e.copies[g].Kernel(1, cfg.Cost.TransferUS(batchBytes)) // host-to-device batch
 		e.copies[g].Record(inReady)
 		st.Wait(inReady)
 		gpusim.EnqueueLearningTask(st, e.plan)
@@ -124,16 +132,16 @@ func (e *SSGDEngine) scheduleIteration() {
 		st.Record(gradDone[g])
 	}
 	allReduce := cfg.Topo.AllReduceUS(modelBytes, cfg.GPUs, cfg.Cost.TransferLatencyUS)
-	newBarrier := make([]*gpusim.Event, cfg.GPUs)
+	newBarrier := e.barrierBufs[e.iter%2]
 	for g := 0; g < cfg.GPUs; g++ {
 		st := e.streams[g]
 		for _, ev := range gradDone {
 			st.Wait(ev)
 		}
 		if allReduce > 0 {
-			st.Kernel("allreduce_grads", 1, allReduce)
+			st.Kernel(1, allReduce) // gradient all-reduce
 		}
-		st.Kernel("apply_update", 2, cfg.Cost.VectorKernelUS(e.spec.ParamCount()))
+		st.Kernel(2, cfg.Cost.VectorKernelUS(e.spec.ParamCount())) // apply the update
 		newBarrier[g] = e.sim.NewEvent()
 		st.Record(newBarrier[g])
 	}

@@ -93,7 +93,6 @@ type LearningTaskPlan struct {
 
 // PlannedKernel is one kernel launch of a learning task.
 type PlannedKernel struct {
-	Name  string
 	SMs   int
 	DurUS float64
 }
@@ -102,26 +101,24 @@ type PlannedKernel struct {
 // into the forward+backward kernel sequence (paper §4.2: "a learning task
 // encapsulates multiple operators").
 func (c CostModel) PlanLearningTask(spec *nn.ModelSpec, batch int) *LearningTaskPlan {
-	p := &LearningTaskPlan{}
-	add := func(name string, sms int, dur float64) {
-		p.Kernels = append(p.Kernels, PlannedKernel{Name: name, SMs: sms, DurUS: dur})
+	p := &LearningTaskPlan{Kernels: make([]PlannedKernel, 0, 2*len(spec.Ops))}
+	add := func(sms int, dur float64) {
+		p.Kernels = append(p.Kernels, PlannedKernel{SMs: sms, DurUS: dur})
 		p.TotalUS += dur
 	}
 	for _, op := range spec.Ops {
-		sms, dur := c.KernelCost(op, batch, 1)
-		add(op.Kind+"_fwd", sms, dur)
+		add(c.KernelCost(op, batch, 1))
 	}
 	for i := len(spec.Ops) - 1; i >= 0; i-- {
-		op := spec.Ops[i]
-		sms, dur := c.KernelCost(op, batch, 2)
-		add(op.Kind+"_bwd", sms, dur)
+		add(c.KernelCost(spec.Ops[i], batch, 2))
 	}
 	return p
 }
 
-// EnqueueLearningTask pushes the plan's kernels onto a stream.
+// EnqueueLearningTask pushes the plan's kernels onto a stream as one op,
+// which runs them one after another.
 func EnqueueLearningTask(st *Stream, plan *LearningTaskPlan) {
-	for _, k := range plan.Kernels {
-		st.Kernel(k.Name, k.SMs, k.DurUS)
+	if len(plan.Kernels) > 0 {
+		st.push(op{kind: opTask, plan: plan})
 	}
 }

@@ -18,30 +18,20 @@ type Device struct {
 	SMs     int
 	freeSMs int
 	streams []*Stream
+	// marked counts this device's streams marked for the next drain; no
+	// stream below index low has a mark.
+	marked, low int
 
 	// Busy accumulates SM-microseconds of executed kernel work, for
 	// utilisation accounting: utilisation = Busy / (SMs × elapsed).
 	Busy float64
 }
 
-// NewStream creates an in-order command stream on the device. name is for
-// debugging.
-func (d *Device) NewStream(name string) *Stream {
-	st := &Stream{dev: d, name: name}
+// NewStream creates an in-order command stream on the device.
+func (d *Device) NewStream() *Stream {
+	st := &Stream{dev: d, idx: len(d.streams)}
 	d.streams = append(d.streams, st)
 	return st
-}
-
-// drain advances every stream as far as possible at the current instant.
-// Returns whether any progress was made.
-func (d *Device) drain() bool {
-	progress := false
-	for _, st := range d.streams {
-		for st.step() {
-			progress = true
-		}
-	}
-	return progress
 }
 
 // opKind discriminates stream operations.
@@ -49,114 +39,180 @@ type opKind int
 
 const (
 	opKernel opKind = iota
+	opTask          // a learning task: its plan's kernels, one after another
 	opRecord
 	opWait
 )
 
 type op struct {
 	kind opKind
-	name string
 	sms  int
 	dur  float64
 	ev   *Event
+	plan *LearningTaskPlan
 }
 
 // Stream is an in-order queue of device work. Ops on one stream execute
 // sequentially; ops on different streams may execute concurrently when SMs
 // allow (mirroring CUDA stream semantics, §2.2).
 type Stream struct {
-	dev     *Device
-	name    string
-	queue   []op
+	dev *Device
+	idx int // position among the device's streams
+	// queue[head:] is the work not yet retired; the queue rewinds to its
+	// start whenever it empties, so steady enqueueing reuses its array.
+	queue []op
+	head  int
+	// pos is the next kernel of the head op's plan when it is a task.
+	pos     int
 	running bool // head kernel currently executing
+	// marked is set when the stream may be able to progress: its kernel
+	// retired, the event it waits on fired, SMs freed up on its device
+	// while it was starved, or work arrived on its empty queue.
+	marked bool
+	// awaiting is the unfired event the head op waits on once the stream
+	// has subscribed to it; nextWaiter links the event's waiters.
+	awaiting   *Event
+	nextWaiter *Stream
 }
 
-// Name returns the stream's debug name.
-func (st *Stream) Name() string { return st.name }
+// mark schedules the stream for a visit by the next drain.
+func (st *Stream) mark() {
+	if st.marked {
+		return
+	}
+	st.marked = true
+	d := st.dev
+	d.marked++
+	d.low = min(d.low, st.idx)
+	d.sim.marked++
+	d.sim.low = min(d.sim.low, d.ID)
+}
 
-// Device returns the stream's device.
-func (st *Stream) Device() *Device { return st.dev }
+func (st *Stream) push(o op) {
+	if st.head == len(st.queue) && !st.running {
+		st.mark()
+	}
+	st.queue = append(st.queue, o)
+}
 
-// Kernel enqueues a compute kernel needing sms multiprocessors for dur
-// microseconds. sms is clamped to the device size; non-positive durations
-// retire instantly.
-func (st *Stream) Kernel(name string, sms int, dur float64) {
+// pop retires the head op.
+func (st *Stream) pop() {
+	st.head++
+	if st.head == len(st.queue) {
+		st.queue, st.head = st.queue[:0], 0
+	}
+}
+
+// clampKernel bounds a kernel's SM demand to [1, SMs] and its duration
+// to non-negative.
+func clampKernel(sms int, dur float64, devSMs int) (int, float64) {
 	if sms < 1 {
 		sms = 1
 	}
-	if sms > st.dev.SMs {
-		sms = st.dev.SMs
+	if sms > devSMs {
+		sms = devSMs
 	}
 	if dur < 0 {
 		dur = 0
 	}
-	st.queue = append(st.queue, op{kind: opKernel, name: name, sms: sms, dur: dur})
+	return sms, dur
+}
+
+// Kernel enqueues a compute kernel needing sms multiprocessors for dur
+// microseconds. sms is clamped to the device size; non-positive durations
+// retire instantly.
+func (st *Stream) Kernel(sms int, dur float64) {
+	sms, dur = clampKernel(sms, dur, st.dev.SMs)
+	st.push(op{kind: opKernel, sms: sms, dur: dur})
 }
 
 // Record enqueues an event-record: the event fires when all prior ops on
 // this stream have completed.
 func (st *Stream) Record(ev *Event) {
-	st.queue = append(st.queue, op{kind: opRecord, ev: ev})
+	st.push(op{kind: opRecord, ev: ev})
 }
 
 // Wait enqueues an event-wait: subsequent ops on this stream stall until
 // the event has fired.
 func (st *Stream) Wait(ev *Event) {
-	st.queue = append(st.queue, op{kind: opWait, ev: ev})
+	st.push(op{kind: opWait, ev: ev})
 }
 
 // step tries to retire or start the head op. Returns true on progress.
 func (st *Stream) step() bool {
-	if st.running || len(st.queue) == 0 {
+	if st.running || st.head == len(st.queue) {
 		return false
 	}
-	head := &st.queue[0]
+	head := &st.queue[st.head]
 	switch head.kind {
 	case opWait:
 		if !head.ev.fired {
 			head.ev.subscribe(st)
 			return false
 		}
-		st.queue = st.queue[1:]
+		st.pop()
 		return true
 	case opRecord:
 		ev := head.ev
-		st.queue = st.queue[1:]
+		st.pop()
 		ev.fire()
 		return true
-	case opKernel:
-		if st.dev.freeSMs < 1 {
-			return false
-		}
-		// Elastic SM grant: a kernel takes as many of its requested SMs
-		// as are free and runs proportionally longer on fewer — modelling
-		// the GPU's intra-kernel time-slicing. This keeps the device
-		// work-conserving: at saturation, aggregate FLOP throughput
-		// equals capacity regardless of how kernels pack.
-		grant := head.sms
-		if grant > st.dev.freeSMs {
-			grant = st.dev.freeSMs
-		}
-		dur := head.dur * float64(head.sms) / float64(grant)
-		if grant < head.sms {
-			// Oversubscription is not free: squeezed kernels lose cache
-			// locality and scheduling efficiency, so a device packed past
-			// its capacity slows down slightly — the over-parallelisation
-			// regime of Alg 2 line 7 / Figure 14, where adding learners
-			// reduces throughput.
-			dur *= 1 + ThrashPenalty*(1-float64(grant)/float64(head.sms))
-		}
-		st.dev.freeSMs -= grant
-		st.running = true
-		st.dev.sim.after(dur, func() {
-			st.dev.freeSMs += grant
-			st.dev.Busy += float64(grant) * dur
-			st.running = false
-			st.queue = st.queue[1:]
-		})
-		return true
 	}
-	return false
+	d := st.dev
+	if d.freeSMs < 1 {
+		return false
+	}
+	sms, dur := head.sms, head.dur
+	if head.kind == opTask {
+		k := &head.plan.Kernels[st.pos]
+		sms, dur = clampKernel(k.SMs, k.DurUS, d.SMs)
+	}
+	// Elastic SM grant: a kernel takes as many of its requested SMs as are
+	// free and runs proportionally longer on fewer — modelling the GPU's
+	// intra-kernel time-slicing. This keeps the device work-conserving: at
+	// saturation, aggregate FLOP throughput equals capacity regardless of
+	// how kernels pack.
+	grant := sms
+	if grant > d.freeSMs {
+		grant = d.freeSMs
+	}
+	dur = dur * float64(sms) / float64(grant)
+	if grant < sms {
+		// Oversubscription is not free: squeezed kernels lose cache
+		// locality and scheduling efficiency, so a device packed past its
+		// capacity slows down slightly — the over-parallelisation regime
+		// of Alg 2 line 7 / Figure 14, where adding learners reduces
+		// throughput.
+		dur *= 1 + ThrashPenalty*(1-float64(grant)/float64(sms))
+	}
+	d.freeSMs -= grant
+	st.running = true
+	d.sim.start(st, grant, dur)
+	return true
+}
+
+// retire completes the stream's running kernel. Its SMs return to the
+// device; if the device had none free, every stream starved of them may
+// now start its kernel.
+func (st *Stream) retire(grant int, dur float64) {
+	d := st.dev
+	if d.freeSMs == 0 {
+		for _, o := range d.streams {
+			if !o.running && o.head < len(o.queue) && o.queue[o.head].kind <= opTask {
+				o.mark()
+			}
+		}
+	}
+	d.freeSMs += grant
+	d.Busy += float64(grant) * dur
+	st.running = false
+	if head := &st.queue[st.head]; head.kind == opTask && st.pos+1 < len(head.plan.Kernels) {
+		st.pos++
+	} else {
+		st.pos = 0
+		st.pop()
+	}
+	st.mark()
 }
 
 // Event is a cross-stream synchronisation primitive (publish/subscribe, as
@@ -164,16 +220,18 @@ func (st *Stream) step() bool {
 // blocks until fired. Events are single-shot.
 type Event struct {
 	fired   bool
-	waiters []*Stream
+	waiters *Stream // linked through Stream.nextWaiter
 }
 
+// subscribe registers st, whose head op waits on e, for a mark when e
+// fires.
 func (e *Event) subscribe(st *Stream) {
-	for _, w := range e.waiters {
-		if w == st {
-			return
-		}
+	if st.awaiting == e {
+		return
 	}
-	e.waiters = append(e.waiters, st)
+	st.awaiting = e
+	st.nextWaiter = e.waiters
+	e.waiters = st
 }
 
 func (e *Event) fire() {
@@ -181,5 +239,11 @@ func (e *Event) fire() {
 		return
 	}
 	e.fired = true
-	e.waiters = nil // drain() revisits all streams anyway
+	for w := e.waiters; w != nil; {
+		next := w.nextWaiter
+		w.awaiting, w.nextWaiter = nil, nil
+		w.mark()
+		w = next
+	}
+	e.waiters = nil
 }

@@ -9,8 +9,8 @@ import (
 
 func TestSingleKernelDuration(t *testing.T) {
 	s := NewSim(1, 24)
-	st := s.Device(0).NewStream("s0")
-	st.Kernel("k", 4, 100)
+	st := s.Device(0).NewStream()
+	st.Kernel(4, 100)
 	end := s.Run()
 	if end != 100 {
 		t.Fatalf("end = %v, want 100", end)
@@ -19,9 +19,9 @@ func TestSingleKernelDuration(t *testing.T) {
 
 func TestStreamSerialisesOps(t *testing.T) {
 	s := NewSim(1, 24)
-	st := s.Device(0).NewStream("s0")
-	st.Kernel("a", 1, 50)
-	st.Kernel("b", 1, 70)
+	st := s.Device(0).NewStream()
+	st.Kernel(1, 50)
+	st.Kernel(1, 70)
 	if end := s.Run(); end != 120 {
 		t.Fatalf("end = %v, want 120 (in-order execution)", end)
 	}
@@ -29,10 +29,10 @@ func TestStreamSerialisesOps(t *testing.T) {
 
 func TestStreamsOverlapWhenSMsAllow(t *testing.T) {
 	s := NewSim(1, 24)
-	a := s.Device(0).NewStream("a")
-	b := s.Device(0).NewStream("b")
-	a.Kernel("ka", 8, 100)
-	b.Kernel("kb", 8, 100)
+	a := s.Device(0).NewStream()
+	b := s.Device(0).NewStream()
+	a.Kernel(8, 100)
+	b.Kernel(8, 100)
 	if end := s.Run(); end != 100 {
 		t.Fatalf("end = %v, want 100 (concurrent execution)", end)
 	}
@@ -40,10 +40,10 @@ func TestStreamsOverlapWhenSMsAllow(t *testing.T) {
 
 func TestStreamsSerialiseWhenSMsExhausted(t *testing.T) {
 	s := NewSim(1, 24)
-	a := s.Device(0).NewStream("a")
-	b := s.Device(0).NewStream("b")
-	a.Kernel("ka", 24, 100) // fills the device
-	b.Kernel("kb", 24, 100)
+	a := s.Device(0).NewStream()
+	b := s.Device(0).NewStream()
+	a.Kernel(24, 100) // fills the device
+	b.Kernel(24, 100)
 	if end := s.Run(); end != 200 {
 		t.Fatalf("end = %v, want 200 (SM contention serialises)", end)
 	}
@@ -51,12 +51,12 @@ func TestStreamsSerialiseWhenSMsExhausted(t *testing.T) {
 
 func TestPartialOverlapWithMixedDemand(t *testing.T) {
 	s := NewSim(1, 24)
-	a := s.Device(0).NewStream("a")
-	b := s.Device(0).NewStream("b")
-	c := s.Device(0).NewStream("c")
-	a.Kernel("ka", 12, 100)
-	b.Kernel("kb", 12, 100)
-	c.Kernel("kc", 12, 100) // must wait for a slot
+	a := s.Device(0).NewStream()
+	b := s.Device(0).NewStream()
+	c := s.Device(0).NewStream()
+	a.Kernel(12, 100)
+	b.Kernel(12, 100)
+	c.Kernel(12, 100) // must wait for a slot
 	if end := s.Run(); end != 200 {
 		t.Fatalf("end = %v, want 200", end)
 	}
@@ -64,13 +64,13 @@ func TestPartialOverlapWithMixedDemand(t *testing.T) {
 
 func TestEventOrdersAcrossStreams(t *testing.T) {
 	s := NewSim(1, 24)
-	a := s.Device(0).NewStream("a")
-	b := s.Device(0).NewStream("b")
+	a := s.Device(0).NewStream()
+	b := s.Device(0).NewStream()
 	ev := s.NewEvent()
-	a.Kernel("producer", 1, 80)
+	a.Kernel(1, 80)
 	a.Record(ev)
 	b.Wait(ev)
-	b.Kernel("consumer", 1, 20)
+	b.Kernel(1, 20)
 	if end := s.Run(); end != 100 {
 		t.Fatalf("end = %v, want 100 (b waits for a)", end)
 	}
@@ -81,13 +81,13 @@ func TestEventOrdersAcrossStreams(t *testing.T) {
 
 func TestEventAlreadyFiredDoesNotBlock(t *testing.T) {
 	s := NewSim(1, 24)
-	a := s.Device(0).NewStream("a")
+	a := s.Device(0).NewStream()
 	ev := s.NewEvent()
 	a.Record(ev)
 	s.Run()
-	b := s.Device(0).NewStream("b")
+	b := s.Device(0).NewStream()
 	b.Wait(ev)
-	b.Kernel("k", 1, 10)
+	b.Kernel(1, 10)
 	if end := s.Run(); end != 10 {
 		t.Fatalf("end = %v, want 10", end)
 	}
@@ -95,10 +95,10 @@ func TestEventAlreadyFiredDoesNotBlock(t *testing.T) {
 
 func TestMultiDeviceIndependence(t *testing.T) {
 	s := NewSim(2, 24)
-	a := s.Device(0).NewStream("a")
-	b := s.Device(1).NewStream("b")
-	a.Kernel("ka", 24, 100)
-	b.Kernel("kb", 24, 100)
+	a := s.Device(0).NewStream()
+	b := s.Device(1).NewStream()
+	a.Kernel(24, 100)
+	b.Kernel(24, 100)
 	if end := s.Run(); end != 100 {
 		t.Fatalf("end = %v, want 100 (devices are independent)", end)
 	}
@@ -106,8 +106,8 @@ func TestMultiDeviceIndependence(t *testing.T) {
 
 func TestUtilisationAccounting(t *testing.T) {
 	s := NewSim(1, 24)
-	st := s.Device(0).NewStream("s")
-	st.Kernel("k", 12, 100)
+	st := s.Device(0).NewStream()
+	st.Kernel(12, 100)
 	s.Run()
 	d := s.Device(0)
 	if u := d.Busy / (float64(d.SMs) * s.Now()); math.Abs(u-0.5) > 1e-9 {
@@ -119,14 +119,14 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() float64 {
 		s := NewSim(2, 24)
 		ev := s.NewEvent()
-		a := s.Device(0).NewStream("a")
-		b := s.Device(0).NewStream("b")
-		c := s.Device(1).NewStream("c")
-		a.Kernel("ka", 10, 33)
+		a := s.Device(0).NewStream()
+		b := s.Device(0).NewStream()
+		c := s.Device(1).NewStream()
+		a.Kernel(10, 33)
 		a.Record(ev)
-		b.Kernel("kb", 20, 21)
+		b.Kernel(20, 21)
 		c.Wait(ev)
-		c.Kernel("kc", 24, 11)
+		c.Kernel(24, 11)
 		return s.Run()
 	}
 	if run() != run() {

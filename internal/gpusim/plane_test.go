@@ -130,3 +130,47 @@ func TestGoldenAutotune(t *testing.T) {
 		}
 	}
 }
+
+// TestHardwarePlaneAllocs bounds what the hardware plane every Train call
+// runs allocates: building the single-server engine and simulating
+// planeIters iterations at train-resnet32's shape (one GPU, two learners,
+// batch 4) — crossbow.Throughput's path — and how that grows per
+// iteration. A kernel allocates nothing, so a longer run adds at most a
+// few allocations a GPU per iteration (events and their slices, amortised).
+func TestHardwarePlaneAllocs(t *testing.T) {
+	cfg := engine.Config{Model: nn.ResNet32, GPUs: 1, LearnersPerGPU: 2, Batch: 4, Tau: 1, Overlap: true}
+	run := func(iters int) float64 {
+		return testing.AllocsPerRun(5, func() { engine.New(cfg).Throughput(iters) })
+	}
+	a30, a60 := run(planeIters), run(2*planeIters)
+	t.Logf("allocations per call: %.0f at %d iterations, %.0f at %d", a30, planeIters, a60, 2*planeIters)
+	if a30 > 1000 {
+		t.Errorf("%.0f allocations per %d-iteration call, want at most 1000", a30, planeIters)
+	}
+	if perIter := (a60 - a30) / planeIters; perIter > 2*float64(cfg.GPUs) {
+		t.Errorf("%.1f allocations per extra iteration, want at most %d (two a GPU)", perIter, 2*cfg.GPUs)
+	}
+}
+
+// BenchmarkHardwarePlane times the hardware plane of one Train call —
+// engine.New and planeIters simulated iterations — at train-resnet32's
+// shape and on the paper's 8-GPU server with 4 learners a GPU, in host
+// nanoseconds per simulated kernel.
+func BenchmarkHardwarePlane(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		gpus, per int
+	}{{"1x2", 1, 2}, {"8x4", 8, 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := engine.Config{Model: nn.ResNet32, GPUs: c.gpus, LearnersPerGPU: c.per, Batch: 4, Tau: 1, Overlap: true}
+			b.ReportAllocs()
+			var kernels uint64
+			for i := 0; i < b.N; i++ {
+				e := engine.New(cfg)
+				e.Throughput(planeIters)
+				kernels += gpusim.KernelsStarted(e.Sim())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kernels), "ns/kernel")
+		})
+	}
+}
