@@ -255,7 +255,9 @@ type Result struct {
 	// WarmStartRound is the snapshot round this process resumed from when
 	// it rejoined a running cluster (0 on cold starts).
 	WarmStartRound int
-	// ThroughputImgSec is the simulated training throughput.
+	// ThroughputImgSec is the simulated training throughput: 30 iterations
+	// of the configuration on the simulated server or cluster, run afresh
+	// on every Train call.
 	ThroughputImgSec float64
 	// EpochSeconds is the simulated duration of one paper-scale epoch (on
 	// a cluster run: of every rank's pass over the set, see Config.Servers).

@@ -348,7 +348,9 @@ type trainEnv struct {
 // evaluation network. Both Train and ReplayFCFS construct their runs
 // through this one function, so the RNG streams (masterRNG seed+7, w0
 // seed+13, eval seed+99) and build order can never diverge between a live
-// run and its replay.
+// run and its replay. The datasets are synthesised on their own goroutine
+// from their own stream (the data seed) while the replicas are built,
+// initialised and planned; nothing reads them before the join.
 func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 	dataCfg := data.ForModel(cfg.Model, cfg.Seed, 0)
 	if cfg.TrainSamples > 0 {
@@ -358,7 +360,11 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 		dataCfg.Test = cfg.TestSamples
 	}
 	e := &trainEnv{cfg: cfg, masterRNG: tensor.NewRNG(cfg.Seed + 7)}
-	e.train, e.test = data.Synthesize(dataCfg)
+	synthesized := make(chan struct{})
+	go func() {
+		defer close(synthesized)
+		e.train, e.test = data.Synthesize(dataCfg)
+	}()
 
 	// Learner networks and replicas (the replica pool).
 	for j := 0; j < k; j++ {
@@ -378,17 +384,6 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 		e.nets[j].Bind(e.ws[j], e.gs[j])
 	}
 
-	// Evaluation lanes over the central model. They evaluate at quiescence
-	// with a different batch size (different plan key), so each keeps a
-	// private arena instead of cycling through the task pool. They never
-	// train, so they run the fused conv→BN→ReLU epilogues over forward-only
-	// arenas: fusion is bit-identical to the unfused forward (nn/fuse.go,
-	// TestFusedPredictBitIdentical).
-	_, batch := evalSizes(e.test.Len())
-	e.eval = newEvaluator(e.test, batch, func() *nn.Network {
-		return newEvalNet(cfg.Model, batch, cfg.Seed)
-	})
-
 	// Shared task-arena pool: every learner network has the identical
 	// layer stack and batch size, hence the identical plan key, so their
 	// task arenas are interchangeable (§4.5 sharing). Plans are computed
@@ -403,6 +398,18 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 	e.memPool = memplan.NewOnlinePlanner()
 	e.memPool.SetBudget(e.poolBudget())
 	e.taskBufs = make([]*memplan.Buffer, k)
+
+	<-synthesized
+	// Evaluation lanes over the central model. They evaluate at quiescence
+	// with a different batch size (different plan key), so each keeps a
+	// private arena instead of cycling through the task pool. They never
+	// train, so they run the fused conv→BN→ReLU epilogues over forward-only
+	// arenas: fusion is bit-identical to the unfused forward (nn/fuse.go,
+	// TestFusedPredictBitIdentical).
+	_, batch := evalSizes(e.test.Len())
+	e.eval = newEvaluator(e.test, batch, func() *nn.Network {
+		return newEvalNet(cfg.Model, batch, cfg.Seed)
+	})
 	return e
 }
 

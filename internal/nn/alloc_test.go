@@ -9,9 +9,10 @@ import (
 
 // Allocation-regression smoke (CI): steady-state training iterations must
 // perform ~0 heap allocations on the forward/backward hot path. Measured at
-// kernel worker budget 1, where every kernel takes its serial path — at
-// higher budgets ParallelFor's spawned chunks intrinsically allocate their
-// goroutine closures, which the memory benchmark reports separately.
+// kernel worker budget 1, where every kernel takes its serial path, and at
+// budget 2 on tasks no kernel of which splits — a kernel that does split
+// intrinsically allocates ParallelFor's goroutine closures, which the memory
+// benchmark reports separately.
 //
 // The thresholds are deliberately tight (0 today, 0.5 to absorb measurement
 // jitter): a regression here means some per-call allocation crept back into
@@ -28,10 +29,9 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-func measureTaskAllocs(t *testing.T, id ModelID, attach bool) float64 {
+func measureTaskAllocs(t *testing.T, id ModelID, batch int, attach bool) float64 {
 	t.Helper()
 	skipUnderRace(t)
-	const batch = 4
 	net := BuildScaled(id, batch, tensor.NewRNG(1))
 	w := net.Init(tensor.NewRNG(2))
 	g := make([]float32, net.ParamSize())
@@ -60,7 +60,7 @@ func TestHotPathAllocsArena(t *testing.T) {
 	defer tensor.SetWorkerBudget(prev)
 	tensor.SetWorkerBudget(1)
 	for _, id := range AllModels {
-		if avg := measureTaskAllocs(t, id, true); avg > hotPathAllocThreshold {
+		if avg := measureTaskAllocs(t, id, 4, true); avg > hotPathAllocThreshold {
 			t.Errorf("%s (arena): %.2f allocs/iteration, want ~0", id, avg)
 		}
 	}
@@ -72,8 +72,25 @@ func TestHotPathAllocsPrivate(t *testing.T) {
 	prev := tensor.WorkerBudget()
 	defer tensor.SetWorkerBudget(prev)
 	tensor.SetWorkerBudget(1)
-	if avg := measureTaskAllocs(t, ResNet32, false); avg > hotPathAllocThreshold {
+	if avg := measureTaskAllocs(t, ResNet32, 4, false); avg > hotPathAllocThreshold {
 		t.Errorf("resnet32 (private): %.2f allocs/iteration, want ~0", avg)
+	}
+}
+
+// TestHotPathAllocsBudget2 runs the small tasks at worker budget 2 with one
+// task in flight, where every kernel may split but the grain leaves each in
+// one chunk (train-lenet-fcfs's b = 2, and ResNet-32 at b = 2): a kernel
+// that runs as one chunk must not build the closure a split would need.
+func TestHotPathAllocsBudget2(t *testing.T) {
+	prev := tensor.WorkerBudget()
+	defer tensor.SetWorkerBudget(prev)
+	tensor.SetWorkerBudget(2)
+	tensor.EnterTask()
+	defer tensor.ExitTask()
+	for _, id := range []ModelID{LeNet, ResNet32} {
+		if avg := measureTaskAllocs(t, id, 2, true); avg > hotPathAllocThreshold {
+			t.Errorf("%s b=2 at budget 2: %.2f allocs/iteration, want ~0", id, avg)
+		}
 	}
 }
 

@@ -94,6 +94,8 @@ type gemmShape struct {
 // taskGemms lists the GEMM calls of one learning task of net in layer order:
 // per conv the forward, weight-gradient and input-gradient products, per
 // dense layer likewise (the calls Conv2D and Dense make, batch folded in).
+// A network's first conv has no input gradient to compute (Conv2D.netIn),
+// so it makes two.
 func taskGemms(net *Network) []gemmShape {
 	var gs []gemmShape
 	walkLayers(net.Layers(), func(l Layer) {
@@ -103,8 +105,10 @@ func taskGemms(net *Network) []gemmShape {
 			ns := net.Batch * g.ColCols()
 			gs = append(gs,
 				gemmShape{g.OutC, g.ColRows(), ns, 'n', 0},
-				gemmShape{g.ColRows(), ns, g.OutC, 'n', 0},
-				gemmShape{g.ColRows(), g.OutC, ns, 'a', 0})
+				gemmShape{g.ColRows(), ns, g.OutC, 'n', 0})
+			if !v.netIn {
+				gs = append(gs, gemmShape{g.ColRows(), g.OutC, ns, 'a', 0})
+			}
 		case *Dense:
 			gs = append(gs,
 				gemmShape{net.Batch, v.In, v.Out, 'b', 0},

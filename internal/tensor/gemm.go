@@ -129,20 +129,21 @@ func gemmBlocked(kind gemmKind, alpha float32, a []float32, m, k int, b []float3
 	if !zero {
 		scaleC(beta, c[:m*n])
 	}
-	if Parallelism() == 1 {
-		// Serial fast path: no band closure, no pool hand-off.
-		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, 0, n, zero, epi)
-		return
-	}
 	// Partition the larger output dimension into disjoint bands. Each band
 	// is an independent GEMM over the same A/B, so bits never depend on the
 	// split (see the determinism contract above). Bands are cut in units of
 	// the active tile so a seam never leaves a band with a partial tile the
-	// whole matrix would not have had.
+	// whole matrix would not have had. A call the grain leaves in one band
+	// (any call at one worker) runs it directly: no band closure, no pool
+	// hand-off.
 	mr, nr := gemmTile()
 	if m >= n {
 		tiles := (m + mr - 1) / mr
 		grain := 1 + parGrainFlops/(2*k*n*mr)
+		if !parSplits(tiles, grain) {
+			gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, 0, n, zero, epi)
+			return
+		}
 		ParallelFor(tiles, grain, func(lo, hi int) {
 			gemmBand(kind, alpha, a, m, k, b, n, c, lo*mr, min(hi*mr, m), 0, n, zero, epi)
 		})
@@ -150,6 +151,10 @@ func gemmBlocked(kind gemmKind, alpha float32, a []float32, m, k int, b []float3
 	}
 	tiles := (n + nr - 1) / nr
 	grain := 1 + parGrainFlops/(2*k*m*nr)
+	if !parSplits(tiles, grain) {
+		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, 0, n, zero, epi)
+		return
+	}
 	ParallelFor(tiles, grain, func(lo, hi int) {
 		gemmBand(kind, alpha, a, m, k, b, n, c, 0, m, lo*nr, min(hi*nr, n), zero, epi)
 	})
