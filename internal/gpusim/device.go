@@ -65,6 +65,9 @@ type Stream struct {
 	// pos is the next kernel of the head op's plan when it is a task.
 	pos     int
 	running bool // head kernel currently executing
+	// grant and dur are the running kernel's SMs and duration.
+	grant int
+	dur   float64
 	// marked is set when the stream may be able to progress: its kernel
 	// retired, the event it waits on fired, SMs freed up on its device
 	// while it was starved, or work arrived on its empty queue.
@@ -194,17 +197,20 @@ func (st *Stream) step() bool {
 // retire completes the stream's running kernel. Its SMs return to the
 // device; if the device had none free, every stream starved of them may
 // now start its kernel.
-func (st *Stream) retire(grant int, dur float64) {
+func (st *Stream) retire() {
 	d := st.dev
 	if d.freeSMs == 0 {
 		for _, o := range d.streams {
-			if !o.running && o.head < len(o.queue) && o.queue[o.head].kind <= opTask {
+			if o.running || o.head == len(o.queue) {
+				continue
+			}
+			if k := o.queue[o.head].kind; k == opKernel || k == opTask {
 				o.mark()
 			}
 		}
 	}
-	d.freeSMs += grant
-	d.Busy += float64(grant) * dur
+	d.freeSMs += st.grant
+	d.Busy += float64(st.grant) * st.dur
 	st.running = false
 	if head := &st.queue[st.head]; head.kind == opTask && st.pos+1 < len(head.plan.Kernels) {
 		st.pos++
@@ -224,7 +230,8 @@ type Event struct {
 }
 
 // subscribe registers st, whose head op waits on e, for a mark when e
-// fires.
+// fires. A second call before e fires is a no-op: the marked drain does not
+// revisit a waiting stream, but a full sweep (the tests' reference) does.
 func (e *Event) subscribe(st *Stream) {
 	if st.awaiting == e {
 		return

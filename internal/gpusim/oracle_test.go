@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// sweepDrain is the simulator's original drain, kept as the oracle for the
-// marked one: every stream of every device, in order, each as far as it
-// goes, until a whole pass makes no progress. It ignores marks.
+// sweepDrain is the reference the marked drain must match: every stream of
+// every device, in order, each as far as it goes, until a whole pass makes
+// no progress. It ignores marks.
 func sweepDrain(s *Sim) {
 	for {
 		progress := false
@@ -45,7 +45,7 @@ func replay(s *Sim, drain func(), ids map[*Stream]int, log *[]kernelStart) float
 		var fresh []kernelStart
 		for _, c := range s.heap {
 			if c.seq > seen {
-				fresh = append(fresh, kernelStart{c.seq, ids[c.st], s.now, c.grant, c.dur})
+				fresh = append(fresh, kernelStart{c.seq, ids[c.st], s.now, c.st.grant, c.st.dur})
 			}
 		}
 		sort.Slice(fresh, func(i, j int) bool { return fresh[i].seq < fresh[j].seq })
@@ -57,7 +57,7 @@ func replay(s *Sim, drain func(), ids map[*Stream]int, log *[]kernelStart) float
 	for len(s.heap) > 0 {
 		c := s.heap.pop()
 		s.now = c.t
-		c.st.retire(c.grant, c.dur)
+		c.st.retire()
 		drain()
 		logStarts()
 	}

@@ -1,13 +1,13 @@
 package gpusim
 
 // completion is a kernel's retirement, scheduled in virtual time: at t the
-// kernel on st hands back its grant of SMs after dur microseconds of work.
+// kernel running on st ends. A stream runs one kernel at a time, so its
+// grant and duration wait on the stream and the heap moves 24 bytes an
+// entry, not 40.
 type completion struct {
-	t     float64
-	seq   uint64 // tie-breaker for determinism
-	st    *Stream
-	grant int
-	dur   float64
+	t   float64
+	seq uint64 // tie-breaker for determinism
+	st  *Stream
 }
 
 // completions is a binary min-heap of pending retirements ordered by
@@ -113,7 +113,8 @@ func (s *Sim) NewEvent() *Event {
 // for dur microseconds from now.
 func (s *Sim) start(st *Stream, grant int, dur float64) {
 	s.seq++
-	s.heap.push(completion{t: s.now + dur, seq: s.seq, st: st, grant: grant, dur: dur})
+	st.grant, st.dur = grant, dur
+	s.heap.push(completion{t: s.now + dur, seq: s.seq, st: st})
 }
 
 // Run executes queued work until the simulation is quiescent (no stream can
@@ -123,7 +124,7 @@ func (s *Sim) Run() float64 {
 	for len(s.heap) > 0 {
 		c := s.heap.pop()
 		s.now = c.t
-		c.st.retire(c.grant, c.dur)
+		c.st.retire()
 		s.drain()
 	}
 	return s.now
