@@ -78,8 +78,6 @@ type Engine struct {
 	// the NIC: staging DMA, the network collective, and the broadcast of
 	// the refreshed cluster average model. Empty on single-server runs.
 	netStreams []*gpusim.Stream
-	// staged[s] is server s's model staged on its NIC, reused every round.
-	staged []*gpusim.Event
 
 	modelElems int64
 	iter       int
@@ -110,7 +108,6 @@ func New(cfg Config) *Engine {
 			dev := c.sim.Device(s * cfg.GPUsPerServer)
 			c.netStreams = append(c.netStreams, dev.NewStream())
 		}
-		c.staged = make([]*gpusim.Event, cfg.Servers)
 	}
 	return c
 }
@@ -156,7 +153,7 @@ func (c *Engine) ScheduleIteration() {
 
 	// Stage each server's reference model onto its NIC once the server's
 	// global synchronisation finished.
-	staged := c.staged
+	staged := make([]*gpusim.Event, c.cfg.Servers)
 	for s, srv := range c.servers {
 		ns := c.netStreams[s]
 		for _, ev := range srv.GlobalSyncDone() {

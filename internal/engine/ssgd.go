@@ -18,12 +18,6 @@ type SSGDEngine struct {
 	streams []*gpusim.Stream
 	copies  []*gpusim.Stream
 	barrier []*gpusim.Event // previous iteration's update-done per GPU
-
-	// Per-iteration event tables, reused: gradDone[g] is GPU g's gradient,
-	// and barrierBufs alternate as barrier.
-	gradDone    []*gpusim.Event
-	barrierBufs [2][]*gpusim.Event
-	iter        int
 }
 
 // SSGDConfig configures the baseline simulation.
@@ -79,9 +73,6 @@ func NewSSGD(cfg SSGDConfig) *SSGDEngine {
 		sim:  gpusim.NewSim(cfg.GPUs, cfg.Cost.SMsPerDevice),
 		spec: spec,
 		plan: cfg.Cost.PlanLearningTask(spec, perGPU),
-
-		gradDone:    make([]*gpusim.Event, cfg.GPUs),
-		barrierBufs: [2][]*gpusim.Event{make([]*gpusim.Event, cfg.GPUs), make([]*gpusim.Event, cfg.GPUs)},
 	}
 	for g := 0; g < cfg.GPUs; g++ {
 		dev := e.sim.Device(g)
@@ -110,8 +101,7 @@ func (e *SSGDEngine) scheduleIteration() {
 	batchBytes := e.spec.SampleBytes() * int64(e.PerGPUBatch())
 	modelBytes := e.spec.ParamCount() * 4
 
-	e.iter++
-	gradDone := e.gradDone
+	gradDone := make([]*gpusim.Event, cfg.GPUs)
 	for g := 0; g < cfg.GPUs; g++ {
 		st := e.streams[g]
 		// Baseline dispatch overhead on the critical path each iteration.
@@ -132,7 +122,7 @@ func (e *SSGDEngine) scheduleIteration() {
 		st.Record(gradDone[g])
 	}
 	allReduce := cfg.Topo.AllReduceUS(modelBytes, cfg.GPUs, cfg.Cost.TransferLatencyUS)
-	newBarrier := e.barrierBufs[e.iter%2]
+	newBarrier := make([]*gpusim.Event, cfg.GPUs)
 	for g := 0; g < cfg.GPUs; g++ {
 		st := e.streams[g]
 		for _, ev := range gradDone {
