@@ -15,7 +15,8 @@ import (
 // (*nn.Network).SetKernelMode and crossbow.KernelMode/Deterministic/
 // Config.KernelMode — appear nowhere in the root module's non-test source
 // outside the two benchcompat.go files and crossbow.go's benchcompat block,
-// so ROADMAP item 6(f) can delete the shims without reading a caller. The
+// so the shims can be deleted, once the benchmark stops naming them, without
+// reading a caller. The
 // deleted ActiveLearners and SetParallelism may not come back either.
 func TestBenchCompatUnused(t *testing.T) {
 	shim := regexp.MustCompile(`KernelMode|tensor\.(Fast|Deterministic)\b|\bGemm(TA|TB)?Mode\b|\bFMAAvailable\b|ActiveLearners|\bSetParallelism\b`)

@@ -207,10 +207,11 @@ type Config struct {
 	PublishAddr string
 
 	// benchcompat:begin — the three names the frozen benchmark module
-	// (benchmark/) still compiles against. There is one kernel contract since
-	// PR 23, so the field selects nothing: it must be left at Deterministic,
-	// its zero value. Nothing else in the root module may name them
-	// (TestBenchCompatUnused); ROADMAP item 6(f) deletes this block.
+	// (benchmark/) still compiles against. There is one kernel contract, so
+	// the field selects nothing: it must be left at Deterministic, its zero
+	// value. Nothing else in the root module may name them
+	// (TestBenchCompatUnused), so the block goes once the benchmark stops
+	// naming them.
 	KernelMode KernelMode
 }
 

@@ -313,7 +313,8 @@ func trainTCPRanks(t *testing.T, cfg Config) ([]*Result, []Snapshot) {
 			t.Fatalf("TCP rank %d: %v", r, err)
 		}
 		if st := results[r].TransportStats; st.Aborts != 0 || st.RestartRounds != 0 {
-			// ROADMAP item 1(e): the transport's fault, not the trainer's.
+			// The transport's fault, not the trainer's: the unexplained
+			// mid-run abort of benchmark/README.md's finding 7.
 			t.Fatalf("TCP rank %d: churn on a healthy in-process cluster, the run is no reference: %+v", r, st)
 		}
 	}

@@ -58,10 +58,11 @@ func TestServeHotPathAllocs(t *testing.T) {
 }
 
 // TestServeHotPathAllocsBatched repeats the check with the batcher actually
-// coalescing (MaxDelay > 0, several in-flight clients): the shared path —
-// timer resets, partial batches, multi-request replies — must stay
-// allocation-free too. Allocations are measured process-wide while worker
-// goroutines run, so the threshold tolerates scheduler noise.
+// coalescing (MaxDelay > 0, several in-flight clients): held batches, timer
+// resets, batches of every size on every class, multi-request replies. The
+// clients are persistent goroutines woken over channels, so the harness
+// allocates nothing either. Once each class's slot is built — the warm-up
+// runs every size a few times — a request allocates nothing.
 func TestServeHotPathAllocsBatched(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the instrumented path")
@@ -70,12 +71,13 @@ func TestServeHotPathAllocsBatched(t *testing.T) {
 	defer tensor.SetWorkerBudget(prev)
 	tensor.SetWorkerBudget(1)
 
+	const maxBatch = 4
 	net := nn.BuildScaled(nn.LeNet, 1, tensor.NewRNG(1))
 	e, err := New(Config{
 		Model:    nn.LeNet,
 		Params:   net.Init(tensor.NewRNG(2)),
-		MaxBatch: 4,
-		MaxDelay: 200 * time.Microsecond,
+		MaxBatch: maxBatch,
+		MaxDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -83,24 +85,38 @@ func TestServeHotPathAllocsBatched(t *testing.T) {
 	defer e.Close()
 	sample := randomSample(e.SampleVol(), 3)
 
-	issue := func() {
-		done := make(chan struct{})
+	wake, done := make(chan struct{}), make(chan struct{})
+	defer close(wake)
+	for c := 1; c < maxBatch; c++ {
 		go func() {
-			defer close(done)
+			for range wake {
+				if _, err := e.Predict(sample); err != nil {
+					t.Errorf("Predict: %v", err)
+				}
+				done <- struct{}{}
+			}
+		}()
+	}
+	// sizes issues one group of every size from 1 to maxBatch; each group
+	// follows an answer, so it is held open and coalesces.
+	sizes := func() {
+		for size := 1; size <= maxBatch; size++ {
+			for c := 1; c < size; c++ {
+				wake <- struct{}{}
+			}
 			if _, err := e.Predict(sample); err != nil {
 				t.Errorf("Predict: %v", err)
 			}
-		}()
-		if _, err := e.Predict(sample); err != nil {
-			t.Errorf("Predict: %v", err)
+			for c := 1; c < size; c++ {
+				<-done
+			}
 		}
-		<-done
 	}
-	issue() // warm
-	// The spawned goroutine + its done channel cost a handful of allocs per
-	// run; everything else (requests, batches, replies) must be free. The
-	// bound is the harness cost with no per-request term.
-	if avg := testing.AllocsPerRun(30, issue); avg > 6 {
-		t.Errorf("batched path: %.2f allocs per 2-request run — serving objects are leaking out of the free lists", avg)
+	for i := 0; i < 3; i++ {
+		sizes()
+	}
+	if avg := testing.AllocsPerRun(20, sizes); avg != 0 {
+		t.Errorf("batched path: %.0f allocs per %d requests in batches of 1..%d, want 0 — serving objects are leaking out of the free lists",
+			avg, maxBatch*(maxBatch+1)/2, maxBatch)
 	}
 }

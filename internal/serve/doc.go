@@ -20,11 +20,16 @@
 //   - A dispatcher coalesces queued requests into batches of up to MaxBatch,
 //     waiting at most MaxDelay for stragglers once a batch has an occupant —
 //     the dynamic micro-batching trade between occupancy (throughput) and
-//     tail latency.
+//     tail latency. It waits only while a straggler can come: another
+//     request arrived, or a batch was answered, within MaxDelay before the
+//     batch's first request (holdOpen). A request to an idle engine ships
+//     at once.
 //
 //   - R replicas claim batches first-come-first-served from a shared channel
 //     (the same FCFS claim discipline the training runtime uses for staged
-//     batches), copy the samples into their fixed-batch input tensor, run
+//     batches), copy the samples into the input tensor of the smallest
+//     power-of-two batch class that holds them (one slot per class, built
+//     on first use), run
 //     the forward-only network — fused, conv→BN→ReLU chains in the GEMM
 //     epilogues, bit-identical to the layer-by-layer forward — against a
 //     per-replica planned arena, and answer each request with its arg-max
@@ -54,6 +59,7 @@
 //     when load outgrows the settled configuration. Parked replicas keep
 //     their arenas and resume without warm-up.
 //
-// Both loops leave the static path untouched: without SLO/AutoScale the
-// engine behaves exactly as described above.
+// Both loops drive the same dispatcher, straggler gate and class slots as
+// the static policy: without SLO/AutoScale the engine runs the configured
+// MaxBatch/MaxDelay, as described above.
 package serve

@@ -40,14 +40,17 @@ type Config struct {
 	Replicas int
 	// MaxBatch is the micro-batching ceiling: the dispatcher coalesces at
 	// most MaxBatch queued requests into one forward pass (default 8).
-	// Replicas are built at this batch size, so it also fixes the
-	// per-replica arena.
+	// Each batch runs on the smallest power-of-two class that holds it,
+	// up to MaxBatch, so a partial batch pays no padded forward.
 	MaxBatch int
 	// MaxDelay bounds how long a non-full batch waits for stragglers
-	// after its first request arrives. Zero — the zero value, hence the
-	// default — dispatches immediately with whatever is queued: minimum
-	// latency, lower occupancy. Set a small positive delay (the binaries
-	// default to 2ms) to trade per-request latency for batch occupancy.
+	// after its first request arrives. The batch waits only when a
+	// straggler can come: another request arrived, or a batch was answered
+	// (releasing closed-loop callers), within MaxDelay before its first
+	// request. After a quiet MaxDelay a request ships at once. Zero — the
+	// default — never waits: minimum latency, lower occupancy. Set a small
+	// positive delay (the binaries default to 2ms) to trade per-request
+	// latency for batch occupancy under load.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; Predict blocks while it is
 	// full — backpressure, not load shedding (default Replicas×MaxBatch×4).
@@ -70,7 +73,7 @@ type Config struct {
 	// ceiling and MaxDelay as irrelevant — a measurement-driven controller
 	// picks the batch size and straggler wait each control window from the
 	// observed arrival rate and per-class service times. Zero (the default)
-	// keeps the static MaxBatch/MaxDelay policy exactly as before.
+	// keeps the static MaxBatch/MaxDelay policy.
 	SLO time.Duration
 	// ControlEvery is the adaptive controller's decision window (default
 	// 100ms). Only meaningful with SLO set.
@@ -162,13 +165,12 @@ type replicaSlot struct {
 	bound *modelState // model the net is currently bound to
 }
 
-// replica is one serving replica: in static mode a single slot at MaxBatch,
-// in adaptive mode one slot per batch class, built lazily the first time the
-// controller's chosen class actually runs (each slot owns a planned arena,
-// so an unvisited class costs nothing). A partial batch runs on the smallest
-// class that fits it instead of paying the full-MaxBatch forward pass — half
-// of what made the fixed batch-32 configuration fall off. Slots are touched
-// only by the replica's own goroutine.
+// replica is one serving replica: one slot per batch class, built the first
+// time a batch of that class runs on it (each slot owns a planned arena, so
+// an unvisited class costs nothing). A batch runs on the smallest class that
+// holds it instead of paying the full-MaxBatch forward pass: a lone request
+// on ResNet-32 costs a class-1 forward, not a padded class-8 one. Slots are
+// touched only by the replica's own goroutine.
 type replica struct {
 	id    int
 	slots []*replicaSlot
@@ -193,8 +195,13 @@ type Engine struct {
 	sampleVol   int
 	gradScratch []float32 // shared Bind scratch; forward passes never write it
 
-	// Adaptive batching state (SLO > 0). classes is the batch-size ladder
-	// (a single MaxBatch entry in static mode); curBatch/curDelayNs are the
+	// answeredNs is when the last batch was answered, in nanoseconds since
+	// epoch (New's start; zero: never). The straggler gate reads it.
+	epoch      time.Time
+	answeredNs atomic.Int64
+
+	// Batching state. classes is the batch-size ladder every replica's
+	// slots follow. With SLO > 0 (adaptive), curBatch/curDelayNs are the
 	// controller's live policy, read by the dispatcher per batch; the
 	// window meters feed the next decision and are swapped out each
 	// control tick.
@@ -233,14 +240,15 @@ type classMeter struct {
 	n     atomic.Int64
 }
 
-// New validates cfg, builds the replica pool (each replica plans and
-// attaches its forward-only arena up front, so no allocation is left for
-// the hot path) and starts the dispatcher and replica goroutines.
+// New validates cfg, builds replica 0's class-1 slot (the one a lone first
+// request runs on) and starts the dispatcher and replica goroutines. Every
+// other slot is built the first time its class runs; once each class a load
+// visits is built, the hot path allocates nothing.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	probe := nn.BuildScaled(cfg.Model, cfg.MaxBatch, tensor.NewRNG(1))
+	probe := nn.BuildScaled(cfg.Model, 1, tensor.NewRNG(1))
 	if len(cfg.Params) != probe.ParamSize() {
 		return nil, fmt.Errorf("serve: %q takes %d parameters, got %d",
 			cfg.Model, probe.ParamSize(), len(cfg.Params))
@@ -256,15 +264,13 @@ func New(cfg Config) (*Engine, error) {
 		freeReqs:    make(chan *request, cfg.QueueDepth+maxReplicas*cfg.MaxBatch),
 		freeBatches: make(chan *batch, maxReplicas+2),
 		stop:        make(chan struct{}),
+		epoch:       time.Now(),
+		classes:     batchClasses(cfg.MaxBatch),
 		sampleVol:   tensor.Volume(probe.InShape),
 		gradScratch: make([]float32, probe.ParamSize()),
 	}
 	e.model.Store(&modelState{w: cfg.Params, version: cfg.Version})
 	e.adaptive = cfg.SLO > 0
-	e.classes = []int{cfg.MaxBatch}
-	if e.adaptive {
-		e.classes = batchClasses(cfg.MaxBatch)
-	}
 	e.classMeters = make([]classMeter, len(e.classes))
 	// The controller starts at the smallest class — the lowest-latency
 	// answer to an unknown load — and grows within a window or two when the
@@ -273,17 +279,12 @@ func New(cfg Config) (*Engine, error) {
 	e.liveReplicas.Store(int64(cfg.Replicas))
 	e.desiredReplicas.Store(int64(cfg.Replicas))
 
-	probeSlot := e.makeSlot(probe, cfg.MaxBatch)
 	for i := 0; i < maxReplicas; i++ {
 		r := &replica{id: i, slots: make([]*replicaSlot, len(e.classes))}
 		if i == 0 {
-			// The validation probe is a fully built MaxBatch net; keep it as
-			// replica 0's MaxBatch slot instead of throwing it away.
-			r.slots[len(e.classes)-1] = probeSlot
-		} else if !e.adaptive {
-			// Static mode keeps its original contract: every replica fully
-			// built before New returns, nothing left for the hot path.
-			r.slots[0] = e.buildSlot(cfg.MaxBatch)
+			// The validation probe is a class-1 net; keep it as replica 0's
+			// class-1 slot instead of throwing it away.
+			r.slots[0] = e.makeSlot(probe, 1)
 		}
 		e.wg.Add(1)
 		go e.replicaLoop(r)
@@ -503,17 +504,18 @@ func (e *Engine) Stats() metrics.ServingStats {
 }
 
 // dispatch is the micro-batching scheduler: it blocks for a first request,
-// then coalesces up to MaxBatch-1 more, waiting at most MaxDelay once the
-// batch has an occupant (a full batch dispatches immediately; MaxDelay 0
-// takes only what is already queued). On stop it keeps batching — without
-// the delay — until the queue is drained, so every accepted request is
-// answered.
+// then coalesces up to MaxBatch-1 more. It waits at most MaxDelay for them,
+// and only when holdOpen says a straggler can come; otherwise, or with
+// MaxDelay 0, it takes only what is already queued. A full batch dispatches
+// immediately. On stop it keeps batching — without the delay — until the
+// queue is drained, so every accepted request is answered.
 func (e *Engine) dispatch() {
 	defer close(e.batches)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
+	var prev time.Time // enqueue time of the last request taken off the queue
 	for {
 		var first *request
 		select {
@@ -522,6 +524,8 @@ func (e *Engine) dispatch() {
 			e.drain()
 			return
 		}
+		arrived := prev
+		prev = first.enq
 		if e.lapsed(first) {
 			continue
 		}
@@ -531,39 +535,58 @@ func (e *Engine) dispatch() {
 		maxBatch, maxDelay := e.policy()
 		b := e.getBatch()
 		b.reqs = append(b.reqs[:0], first)
-		if maxDelay > 0 {
+		var wait <-chan time.Time // nil: ship with what is queued
+		if holdOpen(first.enq, arrived, e.lastAnswer(), maxDelay) {
 			timer.Reset(maxDelay)
-			expired := false
-			for !expired && len(b.reqs) < maxBatch {
-				select {
-				case r := <-e.queue:
-					if !e.lapsed(r) {
-						b.reqs = append(b.reqs, r)
-					}
-				case <-timer.C:
-					expired = true
-				case <-e.stop:
-					expired = true // drain after this batch ships
-				}
-			}
-			if !expired && !timer.Stop() {
-				<-timer.C
-			}
-		} else {
-		gather:
-			for len(b.reqs) < maxBatch {
-				select {
-				case r := <-e.queue:
-					if !e.lapsed(r) {
-						b.reqs = append(b.reqs, r)
-					}
-				default:
+			wait = timer.C
+		}
+	gather:
+		for len(b.reqs) < maxBatch {
+			var r *request
+			select {
+			case r = <-e.queue:
+			default:
+				if wait == nil {
 					break gather
 				}
+				select {
+				case r = <-e.queue:
+				case <-wait:
+					wait = nil
+					break gather
+				case <-e.stop:
+					break gather // drain after this batch ships
+				}
 			}
+			prev = r.enq
+			if !e.lapsed(r) {
+				b.reqs = append(b.reqs, r)
+			}
+		}
+		if wait != nil && !timer.Stop() {
+			<-timer.C
 		}
 		e.batches <- b
 	}
+}
+
+// holdOpen is the straggler gate: a non-full batch whose first request was
+// enqueued at first waits up to delay only if, within delay before first,
+// another request arrived (prev) or a batch was answered (answered), which
+// releases closed-loop callers. An event at or after first counts too; a
+// zero time is one that never happened. Under load one of the two is always
+// recent, so only a service idle for a whole delay ships a lone request at
+// once instead of holding it for stragglers that cannot come.
+func holdOpen(first, prev, answered time.Time, delay time.Duration) bool {
+	return delay > 0 && (first.Sub(prev) < delay || first.Sub(answered) < delay)
+}
+
+// lastAnswer returns when the last batch was answered (zero: never).
+func (e *Engine) lastAnswer() time.Time {
+	if ns := e.answeredNs.Load(); ns > 0 {
+		return e.epoch.Add(time.Duration(ns))
+	}
+	return time.Time{}
 }
 
 // policy returns the batching policy in force: the configured constants in
@@ -614,18 +637,16 @@ func (e *Engine) drain() {
 }
 
 // runBatch executes one batch on a replica: pick the smallest batch class
-// that fits it (building the slot on first use in adaptive mode), rebind if
-// the model was swapped, stage the samples into the slot's fixed-batch
-// input, run the forward-only network, answer every request. Tail rows of a
-// partial batch compute over stale staging data and are ignored.
+// that holds it (building the slot on first use), rebind if the model was
+// swapped, stage the samples into the slot's fixed-batch input, run the
+// forward-only network, answer every request. Tail rows of a batch smaller
+// than its class compute over stale staging data and are ignored.
 func (e *Engine) runBatch(r *replica, b *batch) {
 	start := time.Now()
 	ms := e.model.Load()
 	ci := 0
-	if e.adaptive {
-		for e.classes[ci] < len(b.reqs) {
-			ci++
-		}
+	for e.classes[ci] < len(b.reqs) {
+		ci++
 	}
 	slot := r.slots[ci]
 	if slot == nil {
@@ -645,16 +666,17 @@ func (e *Engine) runBatch(r *replica, b *batch) {
 	tensor.ExitTask()
 	svc := time.Since(start)
 	e.service.Record(svc)
-	if e.adaptive {
-		e.classMeters[ci].sumNs.Add(int64(svc))
-		e.classMeters[ci].n.Add(1)
-	}
+	e.classMeters[ci].sumNs.Add(int64(svc))
+	e.classMeters[ci].n.Add(1)
 
 	// Count the batch before answering it: a caller that holds its answer
 	// must find itself in Stats.
 	e.requests.Add(int64(len(b.reqs)))
 	e.nbatches.Add(1)
 	now := time.Now()
+	// Stamp the answer before the first reply, so a released caller's next
+	// request finds it. Never zero: every batch runs after New read epoch.
+	e.answeredNs.Store(int64(now.Sub(e.epoch)))
 	for i, req := range b.reqs {
 		lat := now.Sub(req.enq)
 		e.latency.Record(lat)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -37,10 +38,16 @@ func randomSample(vol int, seed uint64) []float32 {
 
 // TestPredictMatchesDirectForward pins end-to-end correctness: a prediction
 // through the queue/batcher/replica path equals running the same sample
-// through the network directly, for full and partial batches.
+// through the network directly — same class, same confidence bits — for a
+// static batch of every size from 1 to MaxBatch, each on the smallest class
+// that holds it (size 3 runs class 4 with a stale tail row).
+//
+// The first batch is a lone request on a fresh engine, which ships at once;
+// every later group follows an answer, so the straggler wait (longer than
+// any group takes to arrive) holds it open until it is whole.
 func TestPredictMatchesDirectForward(t *testing.T) {
 	const maxBatch = 4
-	e, w := newTestEngine(t, Config{Model: nn.LeNet, MaxBatch: maxBatch, MaxDelay: time.Millisecond, Version: 7})
+	e, w := newTestEngine(t, Config{Model: nn.LeNet, MaxBatch: maxBatch, MaxDelay: 100 * time.Millisecond, Version: 7})
 	defer e.Close()
 
 	ref := nn.BuildScaled(nn.LeNet, 1, tensor.NewRNG(9))
@@ -50,19 +57,38 @@ func TestPredictMatchesDirectForward(t *testing.T) {
 	preds := make([]int, 1)
 	conf := make([]float32, 1)
 
-	for i := 0; i < 10; i++ {
-		sample := randomSample(e.SampleVol(), uint64(100+i))
-		got, err := e.Predict(sample)
-		if err != nil {
-			t.Fatalf("Predict: %v", err)
+	for size := 1; size <= maxBatch; size++ {
+		before := e.Stats()
+		samples := make([][]float32, size)
+		got := make([]Prediction, size)
+		errs := make([]error, size)
+		var wg sync.WaitGroup
+		for i := range samples {
+			samples[i] = randomSample(e.SampleVol(), uint64(100+10*size+i))
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = e.Predict(samples[i])
+			}(i)
 		}
-		copy(x.Data(), sample)
-		ref.Predict(x, preds, conf)
-		if got.Class != preds[0] {
-			t.Fatalf("sample %d: class %d, direct forward says %d", i, got.Class, preds[0])
+		wg.Wait()
+		if s := e.Stats(); s.Batches-before.Batches != 1 || s.Requests-before.Requests != int64(size) {
+			t.Fatalf("size %d: %d requests in %d batches, want one batch", size,
+				s.Requests-before.Requests, s.Batches-before.Batches)
 		}
-		if got.Version != 7 {
-			t.Fatalf("sample %d: version %d, want 7", i, got.Version)
+		for i, p := range got {
+			if errs[i] != nil {
+				t.Fatalf("size %d: Predict: %v", size, errs[i])
+			}
+			copy(x.Data(), samples[i])
+			ref.Predict(x, preds, conf)
+			if p.Class != preds[0] || math.Float32bits(p.Confidence) != math.Float32bits(conf[0]) {
+				t.Fatalf("size %d sample %d: served (%d, %v), direct forward says (%d, %v)",
+					size, i, p.Class, p.Confidence, preds[0], conf[0])
+			}
+			if p.Version != 7 {
+				t.Fatalf("size %d sample %d: version %d, want 7", size, i, p.Version)
+			}
 		}
 	}
 }

@@ -3,9 +3,10 @@ package tensor
 import "sync/atomic"
 
 // Names the frozen benchmark module (benchmark/) still compiles against.
-// There is one kernel contract since PR 23 — Fast mode and its FMA kernels
-// are deleted — so every shim ignores its mode. Nothing in the root module
-// may call them (TestBenchCompatUnused); ROADMAP item 6(f) deletes this file.
+// There is one kernel contract — Fast mode and its FMA kernels are deleted —
+// so every shim ignores its mode. Nothing in the root module may call them
+// (TestBenchCompatUnused), so the file goes once the benchmark stops calling
+// them.
 
 type KernelMode uint8
 

@@ -36,10 +36,14 @@ type ServeConfig struct {
 	// MaxBatch bounds dynamic micro-batching: up to MaxBatch queued
 	// requests coalesce into one forward pass (default 8).
 	MaxBatch int
-	// MaxDelay bounds how long a non-full batch waits for stragglers.
-	// Zero (the default) dispatches immediately with whatever is queued —
-	// minimum latency; set a small positive delay (crossbow serve
-	// defaults to 2ms) to trade latency for batch occupancy.
+	// MaxDelay bounds how long a non-full batch waits for stragglers. It
+	// waits only if one can come — another request arrived, or a batch was
+	// answered, within MaxDelay before its first request — so a request to
+	// an idle service ships at once. Zero (the default) dispatches
+	// immediately with whatever is queued — minimum latency; set a small
+	// positive delay (crossbow serve defaults to 2ms) to trade latency for
+	// batch occupancy under load. Every batch runs on the smallest
+	// power-of-two batch class that holds it.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; Predict blocks (backpressure)
 	// while it is full (default Replicas×MaxBatch×4).
