@@ -135,7 +135,7 @@ func ReplayFCFS(cfg TrainConfig, seqLog [][]int) *Result {
 		for j := 0; j < k; j++ {
 			lossSum += perLearner[j]
 		}
-		acc := e.eval.accuracy(sma.Average())
+		acc := e.accuracy(sma.Average())
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
 			TimeSec: float64(epoch) * cfg.EpochSeconds,

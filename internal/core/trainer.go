@@ -321,14 +321,17 @@ func drainExchange(s stepper) {
 // the input pipeline. The optimiser and task runtime are phase-scoped —
 // online tuning rebuilds them when the learner count changes.
 type trainEnv struct {
-	cfg         *TrainConfig
-	train, test *data.Dataset
-	masterRNG   *tensor.RNG
-	nets        []*nn.Network
-	ws, gs      [][]float32
-	w0          []float32
-	pipe        *data.Pipeline
-	eval        *evaluator
+	cfg       *TrainConfig
+	train     *data.Dataset
+	masterRNG *tensor.RNG
+	nets      []*nn.Network
+	ws, gs    [][]float32
+	w0        []float32
+	pipe      *data.Pipeline
+	eval      *evaluator // over the test set
+	// testSide builds eval until accuracy's first call joins it
+	// (newTrainEnv); nil after.
+	testSide *sideWork
 
 	// The live memory plane (§4.5): all learners draw their task arenas
 	// from one shared pool, keyed by the networks' identical plan layout;
@@ -348,9 +351,17 @@ type trainEnv struct {
 // evaluation network. Both Train and ReplayFCFS construct their runs
 // through this one function, so the RNG streams (masterRNG seed+7, w0
 // seed+13, eval seed+99) and build order can never diverge between a live
-// run and its replay. The datasets are synthesised on their own goroutine
-// from their own stream (the data seed) while the replicas are built,
-// initialised and planned; nothing reads them before the join.
+// run and its replay. The set-up work runs on three goroutines:
+//
+//   - the caller builds, initialises and plans the replicas;
+//   - the train side makes the synthesis's shared draws (the data seed's
+//     stream), starts the test side and builds the train set; it is joined
+//     here, before anything reads the train set;
+//   - the test side builds the test set and the evaluation lanes the first
+//     accuracy call will use; it is joined only there (accuracy), so it
+//     runs beside the first epoch.
+//
+// Each side's panic is raised again at its join, on the caller's goroutine.
 func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 	dataCfg := data.ForModel(cfg.Model, cfg.Seed, 0)
 	if cfg.TrainSamples > 0 {
@@ -360,11 +371,11 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 		dataCfg.Test = cfg.TestSamples
 	}
 	e := &trainEnv{cfg: cfg, masterRNG: tensor.NewRNG(cfg.Seed + 7)}
-	synthesized := make(chan struct{})
-	go func() {
-		defer close(synthesized)
-		e.train, e.test = data.Synthesize(dataCfg)
-	}()
+	trainSide := goSide(func() {
+		synth := data.NewSynthesis(dataCfg)
+		e.testSide = goSide(func() { e.buildEval(synth.Test()) })
+		e.train = synth.Train()
+	})
 
 	// Learner networks and replicas (the replica pool).
 	for j := 0; j < k; j++ {
@@ -399,18 +410,61 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 	e.memPool.SetBudget(e.poolBudget())
 	e.taskBufs = make([]*memplan.Buffer, k)
 
-	<-synthesized
-	// Evaluation lanes over the central model. They evaluate at quiescence
-	// with a different batch size (different plan key), so each keeps a
-	// private arena instead of cycling through the task pool. They never
-	// train, so they run the fused conv→BN→ReLU epilogues over forward-only
-	// arenas: fusion is bit-identical to the unfused forward (nn/fuse.go,
-	// TestFusedPredictBitIdentical).
-	_, batch := evalSizes(e.test.Len())
-	e.eval = newEvaluator(e.test, batch, func() *nn.Network {
-		return newEvalNet(cfg.Model, batch, cfg.Seed)
-	})
+	trainSide.join()
 	return e
+}
+
+// buildEval makes the evaluator over test, with the lanes an accuracy call
+// at quiescence uses: one per kernel worker, at most one per batch.
+// Evaluation lanes run over the central model at quiescence with a
+// different batch size (different plan key), so each keeps a private arena
+// instead of cycling through the task pool. They never train, so they run
+// the fused conv→BN→ReLU epilogues over forward-only arenas: fusion is
+// bit-identical to the unfused forward (nn/fuse.go,
+// TestFusedPredictBitIdentical).
+func (e *trainEnv) buildEval(test *data.Dataset) {
+	_, batch := evalSizes(test.Len())
+	e.eval = newEvaluator(test, batch, func() *nn.Network {
+		return newEvalNet(e.cfg.Model, batch, e.cfg.Seed)
+	})
+	e.eval.grow(tensor.WorkerBudget())
+}
+
+// accuracy evaluates model w over the test set; the first call joins the
+// test side.
+func (e *trainEnv) accuracy(w []float32) float64 {
+	if e.testSide != nil {
+		e.testSide.join()
+		e.testSide = nil
+	}
+	return e.eval.accuracy(w)
+}
+
+// sideWork is set-up work running on a goroutine of its own. A panic there
+// is recovered and raised again by join, so it reaches the caller of Train
+// like one on the caller's own goroutine instead of ending the process; the
+// work of a call that panics before its joins is left to finish unjoined.
+type sideWork struct {
+	done     chan struct{}
+	panicked any
+}
+
+func goSide(f func()) *sideWork {
+	w := &sideWork{done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		defer func() { w.panicked = recover() }()
+		f()
+	}()
+	return w
+}
+
+// join waits for the work and raises its panic, if it had one.
+func (w *sideWork) join() {
+	<-w.done
+	if w.panicked != nil {
+		panic(w.panicked)
+	}
 }
 
 // poolBudget resolves the activation-pool budget: the configured
@@ -608,7 +662,8 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 	lr := cfg.LearnRate
 
 	// Steady-state memory accounting: deltas across the epoch loop, so
-	// setup (datasets, replicas, pipeline) is excluded.
+	// setup (train set, replicas, pipeline) is excluded; the test side can
+	// finish inside it (metrics.MemoryStats.AllocsPerIter).
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 	totalIters := 0
@@ -645,7 +700,7 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 		// is folded first, so the model read here matches the synchronous
 		// path's byte for byte.
 		drainExchange(opt)
-		acc := e.eval.accuracy(opt.Average())
+		acc := e.accuracy(opt.Average())
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
 			TimeSec: float64(epoch) * cfg.EpochSeconds,
@@ -810,10 +865,11 @@ func newEvaluator(test *data.Dataset, batch int, newNet func() *nn.Network) *eva
 	return ev
 }
 
-func (ev *evaluator) newLane(params int) *evalLane {
+func (ev *evaluator) newLane() *evalLane {
+	net := ev.newNet()
 	return &evalLane{
-		net:    ev.newNet(),
-		grad:   make([]float32, params),
+		net:    net,
+		grad:   make([]float32, net.ParamSize()),
 		x:      tensor.New(append([]int{ev.batch}, ev.test.Shape...)...),
 		labels: make([]int, ev.batch),
 		idx:    make([]int, ev.batch),
@@ -833,10 +889,7 @@ func (ev *evaluator) accuracyLanes(w []float32, lanes int) float64 {
 	if ev.n == 0 {
 		return 0
 	}
-	lanes = max(1, min(lanes, ev.n/ev.batch))
-	for len(ev.lanes) < lanes {
-		ev.lanes = append(ev.lanes, ev.newLane(len(w)))
-	}
+	lanes = ev.grow(lanes)
 	ev.w, ev.active, ev.counted = w, lanes, sync.Once{}
 	tensor.ParallelFor(lanes, 1, ev.dealt)
 	for i := 0; i < lanes; i++ {
@@ -847,6 +900,19 @@ func (ev *evaluator) accuracyLanes(w []float32, lanes int) float64 {
 		correct += l.correct
 	}
 	return float64(correct) / float64(ev.n)
+}
+
+// grow builds lanes up to min(lanes, batches), at least one, and returns
+// that count.
+func (ev *evaluator) grow(lanes int) int {
+	if ev.n == 0 {
+		return 0
+	}
+	lanes = max(1, min(lanes, ev.n/ev.batch))
+	for len(ev.lanes) < lanes {
+		ev.lanes = append(ev.lanes, ev.newLane())
+	}
+	return lanes
 }
 
 // runLanes walks lanes [lo, hi) of the current call. Of the prefix's B

@@ -259,3 +259,43 @@ func TestPoolFootprintFollowsConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainSetupPanicReachesCaller checks that a panic in set-up work done
+// off the caller's goroutine (dataset synthesis, the evaluation side) reaches
+// the caller as a panic it can recover, and that nothing of the failed call
+// goes on to kill the process. An unknown model fails on every set-up
+// goroutine at once.
+func TestTrainSetupPanicReachesCaller(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Train with an unknown model returned; want a panic")
+			}
+		}()
+		Train(TrainConfig{Model: "bogus", MaxEpochs: 1, Seed: 1})
+	}()
+	// A set-up call's worth of work after the recovered one: a side
+	// goroutine of the failed call that panicked on its own would end the
+	// test binary here.
+	res := Train(TrainConfig{
+		Model: nn.LeNet, GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 2,
+		MaxEpochs: 1, TrainSamples: 4, TestSamples: 16, Seed: 1,
+	})
+	if len(res.Series) != 1 {
+		t.Fatalf("series has %d epochs, want 1", len(res.Series))
+	}
+}
+
+// TestSideWorkPanicRaisedAtJoin checks the mechanism under both set-up
+// sides: a panic on the side goroutine is raised again, value intact, on
+// the goroutine that joins it.
+func TestSideWorkPanicRaisedAtJoin(t *testing.T) {
+	w := goSide(func() { panic("side") })
+	defer func() {
+		if r := recover(); r != "side" {
+			t.Fatalf("join raised %v, want the side's panic", r)
+		}
+	}()
+	w.join()
+	t.Fatal("join returned after the side panicked")
+}

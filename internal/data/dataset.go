@@ -62,11 +62,39 @@ type SynthConfig struct {
 	Seed       uint64
 }
 
-// Synthesize generates train and test datasets from cfg. Generation is
-// fully determined by cfg.Seed.
+// Synthesize generates train and test datasets from cfg, building the two
+// sets at the same time. Generation is fully determined by cfg.Seed.
 func Synthesize(cfg SynthConfig) (train, test *Dataset) {
+	s := NewSynthesis(cfg)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		test = s.Test()
+	}()
+	train = s.Train()
+	<-done
+	return train, test
+}
+
+// Synthesis is a dataset synthesis with its shared draws made: the class
+// prototypes, then each set's noise stream split off the seed's stream, the
+// train set's first. Its two sets can then be built in either order, at the
+// same time or more than once, always to the same bytes.
+type Synthesis struct {
+	cfg               SynthConfig
+	vol               int
+	protos            []float32 // class c's prototype is protos[c·vol : (c+1)·vol]
+	trainRNG, testRNG tensor.RNG
+}
+
+// NewSynthesis validates cfg, fills in its defaults and makes the shared
+// draws. It panics on fewer than two classes or a negative set size.
+func NewSynthesis(cfg SynthConfig) *Synthesis {
 	if cfg.Classes < 2 {
 		panic(fmt.Sprintf("data: need at least 2 classes, got %d", cfg.Classes))
+	}
+	if cfg.Train < 0 || cfg.Test < 0 {
+		panic(fmt.Sprintf("data: negative set size (train %d, test %d)", cfg.Train, cfg.Test))
 	}
 	if cfg.Noise <= 0 {
 		cfg.Noise = 0.5
@@ -75,34 +103,36 @@ func Synthesize(cfg SynthConfig) (train, test *Dataset) {
 		cfg.ProtoScale = 1
 	}
 	r := tensor.NewRNG(cfg.Seed)
-	vol := tensor.Volume(cfg.Shape)
-	protos := make([][]float32, cfg.Classes)
-	for c := range protos {
-		p := make([]float32, vol)
-		for i := range p {
-			p[i] = float32(r.NormFloat64() * cfg.ProtoScale)
-		}
-		protos[c] = p
+	s := &Synthesis{cfg: cfg, vol: tensor.Volume(cfg.Shape)}
+	s.protos = make([]float32, cfg.Classes*s.vol)
+	r.NormFloat32s(s.protos, cfg.ProtoScale)
+	s.trainRNG, s.testRNG = *r.Split(), *r.Split()
+	return s
+}
+
+// Train builds the training set.
+func (s *Synthesis) Train() *Dataset { return s.build(s.cfg.Train, s.trainRNG) }
+
+// Test builds the test set.
+func (s *Synthesis) Test() *Dataset { return s.build(s.cfg.Test, s.testRNG) }
+
+// build makes n samples of balanced classes, sample i of class i mod
+// Classes: the set's noise, drawn over the whole of X in one pass in sample
+// order, plus each sample's prototype — p + Noise·N(0,1) rounded to float32,
+// element for element. rng is a copy, so the stream it starts is the set's
+// own every time.
+func (s *Synthesis) build(n int, rng tensor.RNG) *Dataset {
+	d := &Dataset{
+		Shape:   append([]int(nil), s.cfg.Shape...),
+		Classes: s.cfg.Classes,
+		X:       make([]float32, n*s.vol),
+		Y:       make([]int, n),
 	}
-	gen := func(n int, rng *tensor.RNG) *Dataset {
-		d := &Dataset{
-			Shape:   append([]int(nil), cfg.Shape...),
-			Classes: cfg.Classes,
-			X:       make([]float32, n*vol),
-			Y:       make([]int, n),
-		}
-		for i := 0; i < n; i++ {
-			c := i % cfg.Classes // balanced classes
-			d.Y[i] = c
-			s := d.X[i*vol : (i+1)*vol]
-			p := protos[c]
-			for j := range s {
-				s[j] = p[j] + float32(rng.NormFloat64()*cfg.Noise)
-			}
-		}
-		return d
+	rng.NormFloat32s(d.X, s.cfg.Noise)
+	for i := range d.Y {
+		c := i % s.cfg.Classes
+		d.Y[i] = c
+		tensor.AccumAdd(d.Sample(i), s.protos[c*s.vol:(c+1)*s.vol])
 	}
-	train = gen(cfg.Train, r.Split())
-	test = gen(cfg.Test, r.Split())
-	return train, test
+	return d
 }

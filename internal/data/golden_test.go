@@ -63,3 +63,22 @@ func TestGoldenDatasets(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSynthesize times a whole synthesis: LeNet at the size a set-up
+// call trains on (Train 8, the default 512-sample test set) and ResNet-32 at
+// the default sizes.
+func BenchmarkSynthesize(b *testing.B) {
+	lenet := ForModel(nn.LeNet, 1, 0)
+	lenet.Train = 8
+	for _, c := range []struct {
+		name string
+		cfg  SynthConfig
+	}{{"lenet-setup", lenet}, {"resnet32", ForModel(nn.ResNet32, 1, 0)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Synthesize(c.cfg)
+			}
+		})
+	}
+}

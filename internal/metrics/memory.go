@@ -35,7 +35,10 @@ type MemoryStats struct {
 	GCPauseNs uint64
 	NumGC     uint32
 	// AllocsPerIter is the mean heap allocations per joined iteration over
-	// the epoch loop (steady state: setup and teardown excluded).
+	// the epoch loop (steady state: setup and teardown excluded). The window
+	// can hold the few allocations of the test set, which set-up builds
+	// beside the first epoch, together with the evaluation lanes; those
+	// lanes fell inside it before too, built at the first evaluation.
 	AllocsPerIter float64
 	// HeapAllocBytes is the live heap at the end of the run.
 	HeapAllocBytes uint64

@@ -58,6 +58,10 @@
 // the scalar loop's serial chain, bit for bit; their elementwise halves
 // (NormRow, NormGradRow) and the 8×8-block Transpose / TransposeAdd the conv
 // weight gradient stages through. A row-indexed Epilogue (conv channels) is
-// 8-wide too, stage by stage in the scalar order. GEMMs called with
+// 8-wide too, stage by stage in the scalar order. RNG.NormFloat32s (rng.go;
+// DESIGN.md §8) draws normals in batches: its polar factor √(−2·ln s / s)
+// runs four pairs a step in AVX2 (normal_amd64.s), replaying math.Log's
+// amd64 operation sequence, so every variate and the generator's final
+// state are the scalar NormFloat64 loop's. GEMMs called with
 // beta == 0 never read or clear C: the first k panel starts at +0.
 package tensor

@@ -12,10 +12,7 @@ func InitHe(r *RNG, w []float32, fanIn int) {
 	if fanIn <= 0 {
 		fanIn = 1
 	}
-	std := math.Sqrt(2 / float64(fanIn))
-	for i := range w {
-		w[i] = float32(r.NormFloat64() * std)
-	}
+	r.NormFloat32s(w, math.Sqrt(2/float64(fanIn)))
 }
 
 // InitXavier fills w with Glorot-uniform values: U(-a, a) with
