@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"crossbow/internal/tensor"
@@ -168,6 +170,41 @@ func TestFullSpecInputMB(t *testing.T) {
 	}
 	if mb := FullSpec(ResNet50).InputMB(); mb < 500e3 {
 		t.Fatalf("ILSVRC input MB = %v, want ~1TB scale", mb)
+	}
+}
+
+// TestFullSpecPins pins every full-scale operator list bit for bit: the op
+// count, the parameter total and a CRC-32 over each op's kind, parameters,
+// FLOPs and output size. The hardware plane costs these lists, and VGG-16
+// and ResNet-50 appear in no golden hardware-plane case, so this is their
+// only guard.
+func TestFullSpecPins(t *testing.T) {
+	want := []struct {
+		id     ModelID
+		ops    int
+		params int64
+		crc    uint32
+	}{
+		{LeNet, 10, 996206, 0x5ce8543c},
+		{ResNet32, 115, 470602, 0xeb39a487},
+		{VGG16, 49, 15045540, 0xac860068},
+		{ResNet50, 175, 25636712, 0xc9c25efb},
+	}
+	for _, w := range want {
+		s := FullSpec(w.id)
+		h := crc32.NewIEEE()
+		var b [8]byte
+		for _, op := range s.Ops {
+			h.Write([]byte(op.Kind))
+			for _, v := range []int64{op.Params, op.FLOPs, op.OutElems} {
+				binary.LittleEndian.PutUint64(b[:], uint64(v))
+				h.Write(b[:])
+			}
+		}
+		if len(s.Ops) != w.ops || s.ParamCount() != w.params || h.Sum32() != w.crc {
+			t.Errorf("%s: %d ops, %d params, crc %#08x; want %d, %d, %#08x",
+				w.id, len(s.Ops), s.ParamCount(), h.Sum32(), w.ops, w.params, w.crc)
+		}
 	}
 }
 
