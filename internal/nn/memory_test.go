@@ -43,17 +43,19 @@ func TestMemPlanFullScaleModels(t *testing.T) {
 	// Full-scale planning must work without allocating the (multi-GB)
 	// buffers themselves — this is what the auto-tuner's memory cap reads.
 	for _, id := range AllModels {
-		batch := 32
-		if id == ResNet50 {
-			batch = 8 // keep the plan walk fast
-		}
-		net := BuildFull(id, batch)
+		net := BuildFull(id, 32)
 		m := net.MemPlan()
 		if err := memplan.CheckNoLiveOverlap(m.Graph, m.Plan); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if m.Savings() <= 0.1 {
-			t.Fatalf("%s: full-scale savings = %.3f, want the §4.5 backward-reuse scale", id, m.Savings())
+		// §4.5: the offline plan cuts a learner's footprint by up to about
+		// half, because outputs are mostly reused during the backward pass.
+		if s := m.Savings(); s < 0.2 || s > 0.7 {
+			t.Errorf("%s: full-scale savings = %.3f, want the §4.5 backward-reuse scale [0.2, 0.7]", id, s)
+		}
+		// §4.5: ResNet-50 at batch 32 needs ~7.5 GB for operator outputs.
+		if gb := float64(m.ActivationElems()) * 4 / 1e9; id == ResNet50 && (gb < 2 || gb > 20) {
+			t.Errorf("ResNet-50 activations at b=32 = %.2f GB, want the ~7.5 GB scale", gb)
 		}
 	}
 }
