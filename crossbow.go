@@ -326,8 +326,8 @@ func (c *Config) fillDefaults() error {
 	if err := c.benchCompat(); err != nil {
 		return err
 	}
-	if c.KernelThreads > 0 {
-		tensor.SetWorkerBudget(c.KernelThreads)
+	if c.PublishAddr != "" && c.PublishEvery <= 0 {
+		return fmt.Errorf("crossbow: PublishAddr requires PublishEvery")
 	}
 	switch c.Scheduler {
 	case "", Lockstep:
@@ -367,6 +367,11 @@ func (c *Config) fillDefaults() error {
 		if c.Interconnect == (Interconnect{}) {
 			c.Interconnect = Ethernet()
 		}
+	}
+	// The budget is process-wide: only a Config that passed every check
+	// may move it.
+	if c.KernelThreads > 0 {
+		tensor.SetWorkerBudget(c.KernelThreads)
 	}
 	return nil
 }
@@ -435,9 +440,6 @@ func Train(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.PublishAddr != "" {
-		if cfg.PublishEvery <= 0 {
-			return nil, fmt.Errorf("crossbow: PublishAddr requires PublishEvery")
-		}
 		mp, err := NewModelPublisher(cfg.PublishAddr)
 		if err != nil {
 			return nil, err

@@ -4,7 +4,29 @@ import (
 	"testing"
 
 	"crossbow/internal/metrics"
+	"crossbow/internal/tensor"
 )
+
+// TestRejectedConfigKeepsWorkerBudget: KernelThreads sets a process-wide
+// budget, so a Config that Train refuses must leave it as it found it.
+func TestRejectedConfigKeepsWorkerBudget(t *testing.T) {
+	b := tensor.WorkerBudget()
+	t.Cleanup(func() { tensor.SetWorkerBudget(b) })
+	for name, cfg := range map[string]Config{
+		"fcfs-cluster":     {Scheduler: FCFS, Servers: 2},
+		"bad-scheduler":    {Scheduler: "nope"},
+		"tcp-no-peers":     {Transport: TransportTCP},
+		"publish-no-every": {PublishAddr: "127.0.0.1:0"},
+	} {
+		cfg.Model, cfg.KernelThreads = LeNet, b+3
+		if _, err := Train(cfg); err == nil {
+			t.Fatalf("%s: Train accepted an invalid Config", name)
+		}
+		if got := tensor.WorkerBudget(); got != b {
+			t.Fatalf("%s: rejected Config moved the worker budget %d -> %d", name, b, got)
+		}
+	}
+}
 
 func TestTrainPublicAPI(t *testing.T) {
 	res, err := Train(Config{
