@@ -115,12 +115,6 @@ func New(cfg Config) *Engine {
 // Sim exposes the shared simulator (for utilisation inspection).
 func (c *Engine) Sim() *gpusim.Sim { return c.sim }
 
-// Config returns the engine's effective configuration.
-func (c *Engine) Config() Config { return c.cfg }
-
-// Server returns server s's engine.
-func (c *Engine) Server(s int) *engine.Engine { return c.servers[s] }
-
 // K returns the total learner count n×g×m.
 func (c *Engine) K() int { return c.cfg.Servers * c.cfg.GPUsPerServer * c.cfg.LearnersPerGPU }
 

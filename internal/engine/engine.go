@@ -122,9 +122,6 @@ func New(cfg Config) *Engine {
 // Sim exposes the underlying simulator (for utilisation inspection).
 func (e *Engine) Sim() *gpusim.Sim { return e.sim }
 
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // K returns the total learner count.
 func (e *Engine) K() int { return e.cfg.GPUs * e.cfg.LearnersPerGPU }
 

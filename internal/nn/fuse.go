@@ -28,9 +28,6 @@ func (n *Network) FuseInference() {
 	fuseChain(n.layers)
 }
 
-// Fused reports whether FuseInference has run.
-func (n *Network) Fused() bool { return n.fused }
-
 // fuseChain absorbs fusible runs within one sequential layer list. A
 // residual branch ends the same way (its trailing BN fuses into the last
 // conv; the join's own add+ReLU stays in the join kernel).

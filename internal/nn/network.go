@@ -68,9 +68,6 @@ func NewBuilder(batch int, inShape []int, classes int, rng *tensor.RNG) *Builder
 	}
 }
 
-// Shape returns the current per-sample shape.
-func (b *Builder) Shape() []int { return b.shape }
-
 // Add appends a pre-constructed layer and advances the shape.
 func (b *Builder) Add(l Layer) *Builder {
 	b.layers = append(b.layers, l)

@@ -249,9 +249,6 @@ func Listen(cfg Config) (*Node, error) {
 // Rank returns this node's rank.
 func (n *Node) Rank() int { return n.rank }
 
-// Addr returns the listener's address (useful with :0 listeners).
-func (n *Node) Addr() string { return n.ln.Addr().String() }
-
 // WaitPeers blocks until every static peer is alive or the timeout
 // elapses, returning the number of live peers (excluding self). Cold
 // bootstrap calls it so training starts with the full mesh; a rejoining
