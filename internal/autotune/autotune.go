@@ -5,7 +5,6 @@ import (
 
 	"crossbow/internal/cluster"
 	"crossbow/internal/engine"
-	"crossbow/internal/memplan"
 	"crossbow/internal/nn"
 )
 
@@ -80,23 +79,6 @@ type Result struct {
 	History []Decision
 }
 
-// SpecOps converts a full-scale model spec into the planner's neutral
-// operator list — the coarse, synthetic §4.5 model (one output buffer per
-// operator, no scratch), kept for comparison studies against the live plan.
-func SpecOps(spec *nn.ModelSpec) []memplan.SpecOp {
-	ops := make([]memplan.SpecOp, len(spec.Ops))
-	for i, op := range spec.Ops {
-		ops[i] = memplan.SpecOp{Kind: op.Kind, OutElems: op.OutElems}
-	}
-	return ops
-}
-
-// SpecGraph lowers a full-scale spec through the synthetic training-graph
-// model (forward chain + backward chain).
-func SpecGraph(spec *nn.ModelSpec, batch int) *memplan.Graph {
-	return memplan.TrainingGraph(SpecOps(spec), spec.SampleBytes(), batch)
-}
-
 // Per-model cache of live footprints: planning a full-scale network is
 // cheap but not free, and Tune probes several batch sizes repeatedly.
 var (
@@ -113,8 +95,8 @@ type footKey struct {
 // a batch size: model weights + gradients (contiguous, §4.4) plus the
 // planned task arena (§4.5). The arena size comes from the *live* memory
 // plan — the layer library's real dataflow at full scale, conv lowering
-// scratch and all — not from the synthetic per-operator graph, so the
-// memory cap reflects what a learner actually allocates.
+// scratch and all — so the memory cap reflects what a learner actually
+// allocates.
 func LearnerFootprint(spec *nn.ModelSpec, batch int) int64 {
 	key := footKey{spec.Model, batch}
 	footMu.Lock()

@@ -11,5 +11,6 @@
 // (DESIGN.md §9). Learner counts are additionally capped by device memory
 // — each learner needs its replica, gradients and planned task buffers, so
 // large models admit only a few learners per GPU (§4.5); the cap derives
-// from the live memory plan (DESIGN.md §10).
+// from the live memory plan of the full-scale network (nn.BuildFull,
+// DESIGN.md §10).
 package autotune

@@ -3,62 +3,18 @@ package autotune
 import (
 	"testing"
 
-	"crossbow/internal/memplan"
 	"crossbow/internal/nn"
 )
 
-func TestSpecGraphSavings(t *testing.T) {
-	// §4.5: the offline plan reduces a learner's footprint by up to 50%
-	// because outputs are mostly reused during the backward phase. This is
-	// the synthetic spec-level model (one buffer per operator).
-	for _, id := range nn.AllModels {
-		spec := nn.FullSpec(id)
-		g := SpecGraph(spec, 32)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		p, err := memplan.PlanOffline(g)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if err := memplan.CheckNoLiveOverlap(g, p); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		s := p.Savings(g)
-		if s < 0.2 || s > 0.7 {
-			t.Errorf("%s: savings = %.2f, want roughly the paper's ≤50%% scale", id, s)
-		}
-	}
-}
-
-func TestSpecGraphResNet50FootprintScale(t *testing.T) {
-	// §4.5: ResNet-50 at batch 32 consumes ~7.5 GB for operator outputs.
-	g := SpecGraph(nn.FullSpec(nn.ResNet50), 32)
-	gb := float64(g.TotalOutBytes()) / 1e9
-	if gb < 2 || gb > 20 {
-		t.Fatalf("ResNet-50 naive output footprint = %.1f GB, want the ~7.5 GB scale", gb)
-	}
-}
-
 func TestLearnerFootprintUsesLivePlan(t *testing.T) {
-	// The live plan sees the conv lowering scratch (col/dcol/packs) the
-	// synthetic per-operator graph cannot, so the real footprint must
-	// exceed the synthetic activation estimate — and still stay far below
-	// the naive no-reuse layout of the same live graph.
+	// The footprint is the replica, its gradients and the live plan's task
+	// arena, which stays far below the naive no-reuse layout of the same
+	// live graph.
 	spec := nn.FullSpec(nn.ResNet32)
-	live := LearnerFootprint(spec, 32)
-
-	g := SpecGraph(spec, 32)
-	p, err := memplan.PlanOffline(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	synthetic := 2*spec.ParamCount()*4 + p.PlannedBytes()
-	if live <= synthetic {
-		t.Fatalf("live footprint %d ≤ synthetic %d: lowering scratch missing from the plan", live, synthetic)
-	}
-
 	m := nn.BuildFull(spec.Model, 32).MemPlan()
+	if live, want := LearnerFootprint(spec, 32), 2*spec.ParamCount()*4+m.ArenaBytes(); live != want {
+		t.Fatalf("footprint %d, want replica + gradients + arena = %d", live, want)
+	}
 	if m.ArenaBytes() >= m.NaiveBytes() {
 		t.Fatalf("live plan does not save: arena %d vs naive %d", m.ArenaBytes(), m.NaiveBytes())
 	}

@@ -141,31 +141,6 @@ func TestPlanOfflineProperty(t *testing.T) {
 	}
 }
 
-func TestTrainingGraphChainShape(t *testing.T) {
-	// The spec-level lowering keeps its dependency structure: forward op i
-	// reads i−1, backward op of layer i reads the incoming gradient and the
-	// layer's forward input. (The full-scale benchmark-model savings tests
-	// live in internal/autotune, which owns the spec adapter.)
-	ops := []SpecOp{{Kind: "conv", OutElems: 100}, {Kind: "relu", OutElems: 100}, {Kind: "dense", OutElems: 10}}
-	g := TrainingGraph(ops, 64, 8)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Ops) != 6 {
-		t.Fatalf("graph has %d ops, want 6", len(g.Ops))
-	}
-	p, err := PlanOffline(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckNoLiveOverlap(g, p); err != nil {
-		t.Fatal(err)
-	}
-	if p.PlannedBytes() >= g.TotalOutBytes() {
-		t.Fatalf("plan %d bytes, naive %d: backward reuse missing", p.PlannedBytes(), g.TotalOutBytes())
-	}
-}
-
 func TestOnlineAcquireReuse(t *testing.T) {
 	p := NewOnlinePlanner()
 	b1 := p.Acquire("conv1", 100, 1)

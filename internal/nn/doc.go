@@ -4,6 +4,9 @@
 // builders for the four benchmark models of the paper (LeNet, ResNet-32,
 // VGG-16, ResNet-50) at two scales — trainable scaled variants (DESIGN.md
 // §2) and the full Table 1 architectures for planning and cost modelling.
+// Each full-scale architecture is written once, as BuildFull's layer stack;
+// FullSpec is a walk over it that costs every operator for the hardware
+// simulator and Table 1.
 //
 // A model's weights and gradients live in a single contiguous []float32
 // (paper §4.4), owned by the replica, not by the layers; layers are bound

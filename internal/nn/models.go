@@ -23,8 +23,7 @@ var AllModels = []ModelID{LeNet, ResNet32, VGG16, ResNet50}
 // ScaledConfig describes the scaled-down trainable variant of a benchmark
 // model: same architectural family (conv/dense mix, residual structure,
 // depth pattern) at a size a CPU can train in seconds. The full-scale
-// architecture — used by the hardware simulator's cost model and Table 1 —
-// lives in spec.go.
+// architecture is BuildFull's.
 type ScaledConfig struct {
 	Input   []int // per-sample input shape [C, H, W]
 	Classes int
@@ -39,15 +38,20 @@ var ScaledConfigs = map[ModelID]ScaledConfig{
 }
 
 // BuildFull constructs the *full-scale* benchmark architecture (paper
-// Table 1) as a real layer stack. Since layers declare buffers to the memory
-// planner instead of allocating them, building a full-scale network is
-// cheap: the result's MemPlan describes the true per-learner footprint —
+// Table 1) as a real layer stack. It is the one place each full-scale
+// architecture is written: FullSpec, which the hardware simulator costs and
+// Table 1 prints, is a walk over it. Since layers declare buffers to the
+// memory planner instead of allocating them, building a full-scale network
+// is cheap: the result's MemPlan describes the true per-learner footprint —
 // conv lowering scratch, batch-norm statistics and residual joins included —
 // which the auto-tuner's memory cap is derived from (§4.5). Training it
 // would require attaching a (multi-GB) arena; the planner never does.
 func BuildFull(id ModelID, batch int) *Network {
-	spec := FullSpec(id)
-	b := NewBuilder(batch, []int{spec.Input[0], spec.Input[1], spec.Input[2]}, spec.Classes, tensor.NewRNG(1))
+	data, ok := fullData[id]
+	if !ok {
+		panic(fmt.Sprintf("nn: unknown model %q", id))
+	}
+	b := NewBuilder(batch, data.Input[:], data.Classes, tensor.NewRNG(1))
 	switch id {
 	case LeNet:
 		b.Conv(32, 5, 1, 2).ReLU().MaxPool(2).
@@ -93,8 +97,6 @@ func BuildFull(id ModelID, batch int) *Network {
 			}
 		}
 		b.GlobalAvgPool().Dense(1000)
-	default:
-		panic(fmt.Sprintf("nn: unknown model %q", id))
 	}
 	return b.Build()
 }

@@ -207,24 +207,3 @@ func TestFullSpecPins(t *testing.T) {
 		}
 	}
 }
-
-// TestBuildFullMatchesSpec pins the two hand-maintained encodings of the
-// full-scale architectures against each other: BuildFull (the real layer
-// stack the live memory plan is derived from) must agree with FullSpec (the
-// Table-1 metadata the simulator costs) parameter-for-parameter. A width,
-// stage or block-count edit to one without the other breaks this.
-func TestBuildFullMatchesSpec(t *testing.T) {
-	for _, id := range AllModels {
-		spec := FullSpec(id)
-		net := BuildFull(id, 2)
-		if got, want := int64(net.ParamSize()), spec.ParamCount(); got != want {
-			t.Errorf("%s: BuildFull has %d params, FullSpec says %d", id, got, want)
-		}
-		if net.Classes != spec.Classes {
-			t.Errorf("%s: BuildFull classes %d, spec %d", id, net.Classes, spec.Classes)
-		}
-		if in := net.InShape; in[0] != spec.Input[0] || in[1] != spec.Input[1] || in[2] != spec.Input[2] {
-			t.Errorf("%s: BuildFull input %v, spec %v", id, in, spec.Input)
-		}
-	}
-}
