@@ -8,9 +8,9 @@
 // weights (the paper's ResNet-50: 97.5 MB of weights vs 7.5 GB of
 // outputs), so training multiple learners per GPU — and serving multiple
 // replicas per machine (DESIGN.md §11) — is only feasible with aggressive
-// buffer reuse. internal/nn lowers each network's exact task dataflow into
-// this package's Graph, and nothing else builds one: there is no coarser
-// per-operator model of a task. PlanOffline assigns buffers to arena slots;
+// buffer reuse. internal/nn lowers each network's exact task dataflow —
+// conv lowering scratch, batch-norm statistics and residual joins included —
+// into this package's Graph; PlanOffline assigns buffers to arena slots;
 // OnlinePlanner circulates whole arenas between learners so the footprint
 // tracks actual task concurrency rather than learner count.
 package memplan
