@@ -50,7 +50,7 @@ func serveCmd(fs *flag.FlagSet) runner {
 	addr := fs.String("addr", ":8080", "HTTP listen address")
 	replicas := fs.Int("replicas", 1, "forward-only model replicas")
 	maxBatch := fs.Int("max-batch", 8, "dynamic micro-batch ceiling")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max straggler wait for a non-full batch; only held when another request or answer came within this long (0: never wait)")
+	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "cap on a non-full batch's straggler wait; it holds only while requests keep arriving within one measured batch service time (0: never wait)")
 	queueDepth := fs.Int("queue-depth", 0, "request queue bound (0: replicas*max-batch*4)")
 	shedOnFull := fs.Bool("shed-on-full", false, "shed (fast 503) instead of blocking when the queue is full")
 	admitDeadline := fs.Duration("admit-deadline", 0, "shed requests that cannot be answered within this budget (0: no deadline)")
@@ -178,9 +178,9 @@ func newMux(p *crossbow.Predictor) *http.ServeMux {
 				return
 			}
 		}
-		// Submit concurrently so the engine's dispatcher can coalesce the
-		// payload into as few micro-batches as possible — through a bounded
-		// worker pool, so a huge payload costs queue time, not goroutines.
+		// Submit concurrently so the engine can coalesce the payload into
+		// as few micro-batches as possible — through a bounded worker pool,
+		// so a huge payload costs queue time, not goroutines.
 		resp := predictResponse{Model: string(p.Model())}
 		resp.Predictions = make([]prediction, len(req.Instances))
 		errs := make([]error, len(req.Instances))

@@ -42,7 +42,7 @@ type controlInput struct {
 }
 
 // controlOutput is the controller's decision: the batch ceiling and
-// straggler wait the dispatcher should use next window.
+// straggler-wait cap the gathering replicas should use next window.
 type controlOutput struct {
 	MaxBatch int
 	MaxDelay time.Duration

@@ -14,7 +14,7 @@ import (
 // 8, then degrades — capacity peaks at batch 8 (the falloff the root
 // package's TestFleetAdaptiveBeatsStaticBatch32 pins on the live system). The
 // simulator closes the loop: each window it derives the batch size the
-// dispatcher would actually run under the controller's policy, the service
+// replicas would actually run under the controller's policy, the service
 // time that batch costs, and a queueing-theory p99, and feeds them back.
 
 // simService is the ground-truth batch service time: amortization up to
@@ -60,7 +60,7 @@ func (s *sim) classOf(k int) int {
 
 // window simulates one control window at arrival rate λ under the current
 // policy and steps the controller. It returns the window's simulated p99 and
-// the padded batch size the dispatcher ran.
+// the padded batch size the replica ran.
 func (s *sim) window(rate float64) (p99 time.Duration, ranBatch int) {
 	// Fixpoint for the typical coalesced batch size: requests accumulate
 	// while the previous batch is in service (plus the straggler wait).

@@ -24,7 +24,7 @@ func measureServeAllocs(t *testing.T, id nn.ModelID, maxBatch int) float64 {
 		Model:    id,
 		Params:   net.Init(tensor.NewRNG(2)),
 		MaxBatch: maxBatch,
-		MaxDelay: 0, // dispatch immediately: a lone sequential client never waits
+		MaxDelay: 0, // ship at once: a lone sequential client never waits
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -58,8 +58,9 @@ func TestServeHotPathAllocs(t *testing.T) {
 }
 
 // TestServeHotPathAllocsBatched repeats the check with the batcher actually
-// coalescing (MaxDelay > 0, several in-flight clients): held batches, timer
-// resets, batches of every size on every class, multi-request replies. The
+// coalescing (MaxDelay > 0, several in-flight clients): held batches, the
+// gather token's hand-offs, batches of every size on every class,
+// multi-request replies. The
 // clients are persistent goroutines woken over channels, so the harness
 // allocates nothing either. Once each class's slot is built — the warm-up
 // runs every size a few times — a request allocates nothing.

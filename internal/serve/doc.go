@@ -10,30 +10,29 @@
 // forward-only form (nn.InferPlan) — so prediction is fast and
 // allocation-free from the first request.
 //
-// Three pieces:
+// Two pieces:
 //
 //   - Requests enter through Engine.Predict, which parks the caller on a
 //     bounded queue. Request objects come from a fixed free list, so the
 //     steady-state hot path performs zero heap allocations per request
 //     (enforced by an AllocsPerRun test).
 //
-//   - A dispatcher coalesces queued requests into batches of up to MaxBatch,
-//     waiting at most MaxDelay for stragglers once a batch has an occupant —
-//     the dynamic micro-batching trade between occupancy (throughput) and
-//     tail latency. It waits only while a straggler can come: another
-//     request arrived, or a batch was answered, within MaxDelay before the
-//     batch's first request (holdOpen). A request to an idle engine ships
-//     at once.
+//   - R replicas serve as leader and followers: a free replica takes the
+//     gather token, gathers its own batch of up to MaxBatch from the queue,
+//     hands the token on and runs the batch. While all are busy nobody
+//     gathers, and the next free one takes what queued meanwhile at once —
+//     under load the queue makes the occupancy trade. A gathering replica
+//     holds a non-full batch only while stragglers keep coming within one
+//     measured service time ŝ of its batch class (holdOpen, gather), never
+//     past MaxDelay, spinning on a replica that is idle anyway. A request
+//     to an idle engine ships at once.
 //
-//   - R replicas claim batches first-come-first-served from a shared channel
-//     (the same FCFS claim discipline the training runtime uses for staged
-//     batches), copy the samples into the input tensor of the smallest
+//   - The replica copies the samples into the input tensor of the smallest
 //     power-of-two batch class that holds them (one slot per class, built
-//     on first use), run
-//     the forward-only network — fused, conv→BN→ReLU chains in the GEMM
-//     epilogues, bit-identical to the layer-by-layer forward — against a
-//     per-replica planned arena, and answer each request with its arg-max
-//     class and softmax confidence.
+//     on first use), runs the forward-only network — fused, conv→BN→ReLU
+//     chains in the GEMM epilogues, bit-identical to the layer-by-layer
+//     forward — against its planned arena, and answers each request with
+//     its arg-max class and softmax confidence.
 //
 // Snapshots version the model: UpdateModel hot-swaps all replicas onto a
 // newer published snapshot between batches, so a serving engine can trail a
@@ -59,7 +58,7 @@
 //     when load outgrows the settled configuration. Parked replicas keep
 //     their arenas and resume without warm-up.
 //
-// Both loops drive the same dispatcher, straggler gate and class slots as
+// Both loops drive the same replicas, straggler gate and class slots as
 // the static policy: without SLO/AutoScale the engine runs the configured
 // MaxBatch/MaxDelay, as described above.
 package serve

@@ -16,8 +16,8 @@ import (
 // batch class, and again after a hot swap rebinds the fused slots.
 //
 // The controller never ticks (ControlEvery is an hour), so the test owns the
-// policy: with a straggler wait longer than the test, a batch ships exactly
-// when it holds the current class's number of requests.
+// batch ceiling; each group queues whole behind a held gather token and
+// ships as one batch of the current class.
 func TestServeMatchesDirectForward(t *testing.T) {
 	const maxBatch = 8
 	e, w := newTestEngine(t, Config{
@@ -25,7 +25,6 @@ func TestServeMatchesDirectForward(t *testing.T) {
 		SLO: time.Second, ControlEvery: time.Hour, Version: 1,
 	})
 	defer e.Close()
-	e.curDelayNs.Store(int64(time.Minute))
 
 	ref := nn.BuildScaled(nn.ResNet32, 1, tensor.NewRNG(9))
 	grad := make([]float32, ref.ParamSize())
@@ -38,6 +37,7 @@ func TestServeMatchesDirectForward(t *testing.T) {
 		ref.Bind(w, grad)
 		for _, class := range e.classes {
 			e.curBatch.Store(int64(class))
+			release := holdGather(t, e)
 			before := e.Stats()
 			samples := make([][]float32, class)
 			got := make([]Prediction, class)
@@ -51,6 +51,8 @@ func TestServeMatchesDirectForward(t *testing.T) {
 					got[i], errs[i] = e.Predict(samples[i])
 				}(i)
 			}
+			awaitQueued(e, class)
+			release()
 			wg.Wait()
 			if s := e.Stats(); s.Batches-before.Batches != 1 || s.Requests-before.Requests != int64(class) {
 				t.Fatalf("v%d class %d: %d requests in %d batches, want one batch of %d",

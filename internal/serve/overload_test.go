@@ -54,8 +54,8 @@ func flood(t *testing.T, e *Engine, clients, per int) (served, shed int64) {
 
 // TestShedOnFullKeepsLatencyBounded offers far more concurrent load than
 // the engine's bounded pipeline can hold: the pipeline absorbs at most
-// QueueDepth + one gathering batch + one queued batch + one executing
-// batch ≈ 200 requests, and 256 clients stay saturating it for many batch
+// QueueDepth + one gathering batch + one executing batch ≈ 136
+// requests, and 256 clients stay saturating it for many batch
 // times. With ShedOnFull the excess must be refused immediately
 // (ErrOverloaded, counted in Stats.Shed) instead of queueing, so the
 // requests that ARE admitted keep a drain-time-bounded latency — the
@@ -92,9 +92,9 @@ func TestShedOnFullKeepsLatencyBounded(t *testing.T) {
 // TestAdmitDeadlineShedsLateRequests floods an engine whose answer budget
 // covers only ~2 queued batches while the flood stacks up many more.
 // Requests that would miss the budget must be refused — at admission once
-// the service-time estimate exists, or at dispatch when they aged out
-// while queued — and every request the engine does answer must have
-// dispatched within its budget.
+// the service-time estimate exists, or at gathering when they aged out
+// while queued — and every request the engine does answer must have been
+// gathered within its budget.
 func TestAdmitDeadlineShedsLateRequests(t *testing.T) {
 	// Pin the kernels to two workers for the duration of the test. At full
 	// parallelism a batch's ParallelFor occupies every P, so the flood's
@@ -144,7 +144,7 @@ func TestAdmitDeadlineShedsLateRequests(t *testing.T) {
 		t.Fatalf("Stats.Shed = %d, clients counted %d", s.Shed, shed)
 	}
 	// Latency is recorded only for answered requests; each of those passed
-	// the dispatch-time age check, so its queue wait sat within the budget
+	// the gather-time age check, so its queue wait sat within the budget
 	// and served p99 ≈ budget + a few batch times — not the backlog's full
 	// drain. The slack absorbs single-core scheduling noise.
 	bound := float64(2*batchTime+4*e.service.Max())/1e6 + 250
@@ -153,7 +153,7 @@ func TestAdmitDeadlineShedsLateRequests(t *testing.T) {
 	}
 }
 
-// TestLapsedRequestAccounting unit-tests the dispatch-time age check
+// TestLapsedRequestAccounting unit-tests the gather-time age check
 // directly: a request older than the budget is answered ErrOverloaded and
 // counted shed, a fresh one passes untouched, and with no budget the check
 // is inert.

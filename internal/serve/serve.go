@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,21 +37,21 @@ type Config struct {
 	Version int64
 	// Replicas is the number of forward-only model replicas serving
 	// batches concurrently, each with its own planned inference arena
-	// (default 1). Replicas claim batches first-come-first-served.
+	// (default 1). A free replica gathers its own batch from the queue,
+	// one replica at a time, and runs it.
 	Replicas int
-	// MaxBatch is the micro-batching ceiling: the dispatcher coalesces at
-	// most MaxBatch queued requests into one forward pass (default 8).
-	// Each batch runs on the smallest power-of-two class that holds it,
-	// up to MaxBatch, so a partial batch pays no padded forward.
+	// MaxBatch is the micro-batching ceiling: a replica coalesces at most
+	// MaxBatch queued requests into one forward pass (default 8). Each
+	// batch runs on the smallest power-of-two class that holds it, up to
+	// MaxBatch, so a partial batch pays no padded forward.
 	MaxBatch int
-	// MaxDelay bounds how long a non-full batch waits for stragglers
-	// after its first request arrives. The batch waits only when a
-	// straggler can come: another request arrived, or a batch was answered
-	// (releasing closed-loop callers), within MaxDelay before its first
-	// request. After a quiet MaxDelay a request ships at once. Zero — the
-	// default — never waits: minimum latency, lower occupancy. Set a small
-	// positive delay (the binaries default to 2ms) to trade per-request
-	// latency for batch occupancy under load.
+	// MaxDelay caps how long a non-full batch waits for stragglers once a
+	// replica has taken its first request. Within the cap it waits only
+	// while stragglers keep coming: its first request followed another
+	// request or an answer by less than one measured class-1 service time,
+	// and each next request arrives within one service time of the batch
+	// so far. A request to an idle engine ships at once. Zero — the
+	// default — never waits. The binaries default to 2ms.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; Predict blocks while it is
 	// full — backpressure, not load shedding (default Replicas×MaxBatch×4).
@@ -63,7 +64,7 @@ type Config struct {
 	ShedOnFull bool
 	// AdmitDeadline, when positive, is the per-request answer budget: a
 	// request is shed at admission when the queue's estimated drain time
-	// already exceeds it, and again at dispatch if it aged past the budget
+	// already exceeds it, and again at gathering if it aged past the budget
 	// while queued (both return ErrOverloaded). This is deadline-aware
 	// admission — work that would miss its deadline anyway is refused
 	// before it wastes a replica's forward pass.
@@ -136,15 +137,10 @@ type request struct {
 	sample []float32 // caller's slice; read until the reply is sent
 	enq    time.Time
 	resp   chan Prediction // buffered(1); reused across checkouts
-	// err is set (to ErrOverloaded) by the dispatcher before answering a
-	// shed request; the resp channel send/receive gives the happens-before
-	// edge that makes the plain field safe to read in Predict.
+	// err is set (to ErrOverloaded) by the gathering replica before
+	// answering a shed request; the resp channel send/receive gives the
+	// happens-before edge that makes the plain field safe to read in Predict.
 	err error
-}
-
-// batch is a dispatched group of requests, recycled like requests.
-type batch struct {
-	reqs []*request
 }
 
 // modelState is the immutable (params, version) pair replicas serve;
@@ -169,11 +165,12 @@ type replicaSlot struct {
 // time a batch of that class runs on it (each slot owns a planned arena, so
 // an unvisited class costs nothing). A batch runs on the smallest class that
 // holds it instead of paying the full-MaxBatch forward pass: a lone request
-// on ResNet-32 costs a class-1 forward, not a padded class-8 one. Slots are
-// touched only by the replica's own goroutine.
+// on ResNet-32 costs a class-1 forward, not a padded class-8 one. Slots and
+// the batch are touched only by the replica's own goroutine.
 type replica struct {
 	id    int
 	slots []*replicaSlot
+	batch []*request
 }
 
 // Engine is the batched prediction runtime. Create with New, submit with
@@ -182,11 +179,13 @@ type Engine struct {
 	cfg   Config
 	model atomic.Pointer[modelState]
 
-	queue       chan *request
-	batches     chan *batch
-	freeReqs    chan *request
-	freeBatches chan *batch
-	stop        chan struct{} // tells the dispatcher to drain and exit
+	queue    chan *request
+	freeReqs chan *request
+	stop     chan struct{} // tells the replicas to drain the queue and exit
+	// token is the one-slot gather token: only its holder takes requests
+	// off the queue and touches lastEnq, the last one's enqueue time.
+	token   chan struct{}
+	lastEnq time.Time
 
 	mu     sync.RWMutex // guards closed against in-flight enqueues
 	closed bool
@@ -202,8 +201,8 @@ type Engine struct {
 
 	// Batching state. classes is the batch-size ladder every replica's
 	// slots follow. With SLO > 0 (adaptive), curBatch/curDelayNs are the
-	// controller's live policy, read by the dispatcher per batch; the
-	// window meters feed the next decision and are swapped out each
+	// controller's live policy, read by the gathering replica per batch;
+	// the window meters feed the next decision and are swapped out each
 	// control tick.
 	adaptive    bool
 	classes     []int
@@ -215,7 +214,7 @@ type Engine struct {
 	sloBreaches atomic.Int64
 
 	// Replica pool sizing. liveReplicas is how many replica goroutines
-	// currently claim batches (== cfg.Replicas unless autoscaling);
+	// currently serve batches (== cfg.Replicas unless autoscaling);
 	// desiredReplicas is the autoscaler's target — a replica goroutine
 	// whose id exceeds it parks until scaled up again.
 	liveReplicas    atomic.Int64
@@ -234,14 +233,17 @@ type Engine struct {
 }
 
 // classMeter accumulates one batch class's service time over a control
-// window (lock-free; swapped out by the controller each tick).
+// window (lock-free; swapped out by the controller each tick). ewmaNs is
+// the class's running service-time estimate ŝ, which the straggler gate
+// reads (zero: unmeasured); it is never swapped out.
 type classMeter struct {
-	sumNs atomic.Int64
-	n     atomic.Int64
+	sumNs  atomic.Int64
+	n      atomic.Int64
+	ewmaNs atomic.Int64
 }
 
 // New validates cfg, builds replica 0's class-1 slot (the one a lone first
-// request runs on) and starts the dispatcher and replica goroutines. Every
+// request runs on) and starts the replica goroutines. Every
 // other slot is built the first time its class runs; once each class a load
 // visits is built, the hot path allocates nothing.
 func New(cfg Config) (*Engine, error) {
@@ -260,10 +262,9 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:         cfg,
 		queue:       make(chan *request, cfg.QueueDepth),
-		batches:     make(chan *batch, maxReplicas),
 		freeReqs:    make(chan *request, cfg.QueueDepth+maxReplicas*cfg.MaxBatch),
-		freeBatches: make(chan *batch, maxReplicas+2),
 		stop:        make(chan struct{}),
+		token:       make(chan struct{}, 1),
 		epoch:       time.Now(),
 		classes:     batchClasses(cfg.MaxBatch),
 		sampleVol:   tensor.Volume(probe.InShape),
@@ -278,9 +279,11 @@ func New(cfg Config) (*Engine, error) {
 	e.curBatch.Store(int64(e.classes[0]))
 	e.liveReplicas.Store(int64(cfg.Replicas))
 	e.desiredReplicas.Store(int64(cfg.Replicas))
+	e.token <- struct{}{}
 
 	for i := 0; i < maxReplicas; i++ {
-		r := &replica{id: i, slots: make([]*replicaSlot, len(e.classes))}
+		r := &replica{id: i, slots: make([]*replicaSlot, len(e.classes)),
+			batch: make([]*request, 0, cfg.MaxBatch)}
 		if i == 0 {
 			// The validation probe is a class-1 net; keep it as replica 0's
 			// class-1 slot instead of throwing it away.
@@ -289,11 +292,6 @@ func New(cfg Config) (*Engine, error) {
 		e.wg.Add(1)
 		go e.replicaLoop(r)
 	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		e.dispatch()
-	}()
 	if e.adaptive {
 		e.wg.Add(1)
 		go e.control()
@@ -325,11 +323,12 @@ func (e *Engine) buildSlot(batchSize int) *replicaSlot {
 	return e.makeSlot(nn.BuildScaled(e.cfg.Model, batchSize, tensor.NewRNG(1)), batchSize)
 }
 
-// replicaLoop claims batches first-come-first-served until the batch
-// channel closes. A replica whose id is at or above the autoscaler's target
-// parks — polling rather than claiming, so scaled-away capacity stops
-// pulling work within a poll tick but its built slots survive for the next
-// scale-up.
+// replicaLoop is one replica of the leader/followers pool: take the gather
+// token, gather a batch, hand the token on, run the batch; after Close, until
+// the queue is drained. A replica whose id is at or above the autoscaler's
+// target parks — polling rather than gathering, so scaled-away capacity
+// stops pulling work within a poll tick but its built slots survive for the
+// next scale-up.
 func (e *Engine) replicaLoop(r *replica) {
 	defer e.wg.Done()
 	for {
@@ -341,11 +340,13 @@ func (e *Engine) replicaLoop(r *replica) {
 			}
 			continue
 		}
-		b, ok := <-e.batches
-		if !ok {
-			return
+		<-e.token
+		r.batch = e.gather(r.batch[:0])
+		e.token <- struct{}{}
+		if len(r.batch) == 0 {
+			return // closed and drained
 		}
-		e.runBatch(r, b)
+		e.runBatch(r, r.batch)
 	}
 }
 
@@ -411,7 +412,7 @@ func (e *Engine) Predict(sample []float32) (Prediction, error) {
 
 	// The closed flag is checked under a read lock held across the
 	// enqueue, and Close flips it under the write lock *before* telling
-	// the dispatcher to drain: every request that passes this gate is
+	// the replicas to drain: every request that passes this gate is
 	// therefore enqueued before the drain starts and will be served, and
 	// no request can slip into the queue after it.
 	e.mu.RLock()
@@ -452,7 +453,7 @@ func (e *Engine) Predict(sample []float32) (Prediction, error) {
 }
 
 // Close stops accepting requests, serves everything already queued, waits
-// for the dispatcher and replicas to finish, and returns. Safe to call
+// for the replicas to finish, and returns. Safe to call
 // once; Predict calls racing Close either complete normally or return
 // ErrClosed.
 func (e *Engine) Close() {
@@ -503,82 +504,97 @@ func (e *Engine) Stats() metrics.ServingStats {
 	return s
 }
 
-// dispatch is the micro-batching scheduler: it blocks for a first request,
-// then coalesces up to MaxBatch-1 more. It waits at most MaxDelay for them,
-// and only when holdOpen says a straggler can come; otherwise, or with
-// MaxDelay 0, it takes only what is already queued. A full batch dispatches
-// immediately. On stop it keeps batching — without the delay — until the
-// queue is drained, so every accepted request is answered.
-func (e *Engine) dispatch() {
-	defer close(e.batches)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	var prev time.Time // enqueue time of the last request taken off the queue
-	for {
-		var first *request
+// gather fills b with the next batch; only the token holder runs it. It
+// blocks for a first request and takes what else is queued, up to the
+// policy's ceiling. A non-full batch then holds only if holdOpen says so,
+// and ships once ŝ(n), the service time of the class it would ship on,
+// passes with no arrival, or MaxDelay after the hold began: a straggler
+// that came later would be served no later by the next batch. Arrivals are
+// timed when the gatherer finds them, so its own lateness is not a gap. The
+// hold spins — probe, yield the processor and the core — on a replica that
+// is idle anyway. After Close it holds nothing and returns an empty batch
+// once the queue is drained.
+func (e *Engine) gather(b []*request) []*request {
+	var arrived time.Time // enqueue time of the request before the first
+	for len(b) == 0 {
+		var r *request
 		select {
-		case first = <-e.queue:
+		case r = <-e.queue:
 		case <-e.stop:
-			e.drain()
-			return
-		}
-		arrived := prev
-		prev = first.enq
-		if e.lapsed(first) {
-			continue
-		}
-		// The policy is read once per batch: in static mode the configured
-		// constants, in adaptive mode whatever the controller decided at the
-		// last window boundary.
-		maxBatch, maxDelay := e.policy()
-		b := e.getBatch()
-		b.reqs = append(b.reqs[:0], first)
-		var wait <-chan time.Time // nil: ship with what is queued
-		if holdOpen(first.enq, arrived, e.lastAnswer(), maxDelay) {
-			timer.Reset(maxDelay)
-			wait = timer.C
-		}
-	gather:
-		for len(b.reqs) < maxBatch {
-			var r *request
 			select {
 			case r = <-e.queue:
 			default:
-				if wait == nil {
-					break gather
-				}
-				select {
-				case r = <-e.queue:
-				case <-wait:
-					wait = nil
-					break gather
-				case <-e.stop:
-					break gather // drain after this batch ships
-				}
-			}
-			prev = r.enq
-			if !e.lapsed(r) {
-				b.reqs = append(b.reqs, r)
+				return b
 			}
 		}
-		if wait != nil && !timer.Stop() {
-			<-timer.C
+		arrived, e.lastEnq = e.lastEnq, r.enq
+		if !e.lapsed(r) {
+			b = append(b, r)
 		}
-		e.batches <- b
 	}
+	// The policy is read once per batch: in static mode the configured
+	// constants, in adaptive mode whatever the controller decided at the
+	// last window boundary.
+	maxBatch, maxDelay := e.policy()
+	var shipAt time.Time // zero: ship with what is queued
+	seen := time.Now()   // when the gatherer last found a request
+	select {
+	case <-e.stop:
+	default:
+		if holdOpen(b[0].enq, arrived, e.lastAnswer(), e.svcEstimate(1)) {
+			shipAt = seen.Add(maxDelay)
+		}
+	}
+	for len(b) < maxBatch {
+		select {
+		case r := <-e.queue:
+			e.lastEnq = r.enq
+			if !e.lapsed(r) {
+				b = append(b, r)
+			}
+			seen = time.Now()
+			continue
+		default:
+		}
+		if now := time.Now(); !now.Before(shipAt) || !now.Before(seen.Add(e.svcEstimate(len(b)))) {
+			break
+		}
+		runtime.Gosched()
+		yieldCPU()
+	}
+	return b
 }
 
 // holdOpen is the straggler gate: a non-full batch whose first request was
-// enqueued at first waits up to delay only if, within delay before first,
-// another request arrived (prev) or a batch was answered (answered), which
-// releases closed-loop callers. An event at or after first counts too; a
-// zero time is one that never happened. Under load one of the two is always
-// recent, so only a service idle for a whole delay ships a lone request at
-// once instead of holding it for stragglers that cannot come.
-func holdOpen(first, prev, answered time.Time, delay time.Duration) bool {
-	return delay > 0 && (first.Sub(prev) < delay || first.Sub(answered) < delay)
+// enqueued at first holds only if, within one class-1 service time s1
+// before first, another request arrived (prev) or a batch was answered
+// (answered), which releases closed-loop callers. An event at or after first
+// counts too; a zero time is one that never happened, and a zero s1 (no
+// class measured yet) never holds. A request to a service idle for longer
+// than one forward ships at once: no straggler can come.
+func holdOpen(first, prev, answered time.Time, s1 time.Duration) bool {
+	return s1 > 0 && (first.Sub(prev) < s1 || first.Sub(answered) < s1)
+}
+
+// svcEstimate returns ŝ(n): the service-time estimate of the class a batch of
+// n runs on, or, while that class is unmeasured, of the largest measured
+// smaller class; zero when none is.
+func (e *Engine) svcEstimate(n int) time.Duration {
+	for ci := e.classOf(n); ci >= 0; ci-- {
+		if ns := e.classMeters[ci].ewmaNs.Load(); ns > 0 {
+			return time.Duration(ns)
+		}
+	}
+	return 0
+}
+
+// classOf returns the index of the smallest batch class that holds n.
+func (e *Engine) classOf(n int) int {
+	ci := 0
+	for e.classes[ci] < n {
+		ci++
+	}
+	return ci
 }
 
 // lastAnswer returns when the last batch was answered (zero: never).
@@ -599,9 +615,7 @@ func (e *Engine) policy() (maxBatch int, maxDelay time.Duration) {
 }
 
 // lapsed sheds a dequeued request that aged past AdmitDeadline while
-// queued, answering ErrOverloaded without spending a replica on it. The
-// drain path deliberately skips this check: every request accepted before
-// Close is answered, deadline or not.
+// queued, answering ErrOverloaded without spending a forward pass on it.
 func (e *Engine) lapsed(r *request) bool {
 	if e.cfg.AdmitDeadline <= 0 || time.Since(r.enq) <= e.cfg.AdmitDeadline {
 		return false
@@ -612,44 +626,19 @@ func (e *Engine) lapsed(r *request) bool {
 	return true
 }
 
-// drain batches the queue's remnant after stop, with no straggler waits.
-func (e *Engine) drain() {
-	for {
-		var b *batch
-	fill:
-		for b == nil || len(b.reqs) < e.cfg.MaxBatch {
-			select {
-			case r := <-e.queue:
-				if b == nil {
-					b = e.getBatch()
-					b.reqs = b.reqs[:0]
-				}
-				b.reqs = append(b.reqs, r)
-			default:
-				break fill
-			}
-		}
-		if b == nil {
-			return
-		}
-		e.batches <- b
-	}
-}
-
 // runBatch executes one batch on a replica: pick the smallest batch class
 // that holds it (building the slot on first use), rebind if the model was
 // swapped, stage the samples into the slot's fixed-batch input, run the
 // forward-only network, answer every request. Tail rows of a batch smaller
-// than its class compute over stale staging data and are ignored.
-func (e *Engine) runBatch(r *replica, b *batch) {
+// than its class compute over stale staging data and are ignored. A batch
+// that built its slot is no service sample for ŝ.
+func (e *Engine) runBatch(r *replica, b []*request) {
 	start := time.Now()
 	ms := e.model.Load()
-	ci := 0
-	for e.classes[ci] < len(b.reqs) {
-		ci++
-	}
+	ci := e.classOf(len(b))
 	slot := r.slots[ci]
-	if slot == nil {
+	built := slot == nil
+	if built {
 		slot = e.buildSlot(e.classes[ci])
 		r.slots[ci] = slot
 	}
@@ -658,7 +647,7 @@ func (e *Engine) runBatch(r *replica, b *batch) {
 		slot.bound = ms
 	}
 	xd := slot.x.Data()
-	for i, req := range b.reqs {
+	for i, req := range b {
 		copy(xd[i*slot.vol:(i+1)*slot.vol], req.sample)
 	}
 	tensor.EnterTask() // replicas divide the kernel budget by count
@@ -666,18 +655,26 @@ func (e *Engine) runBatch(r *replica, b *batch) {
 	tensor.ExitTask()
 	svc := time.Since(start)
 	e.service.Record(svc)
-	e.classMeters[ci].sumNs.Add(int64(svc))
-	e.classMeters[ci].n.Add(1)
+	m := &e.classMeters[ci]
+	m.sumNs.Add(int64(svc))
+	m.n.Add(1)
+	if !built {
+		// ŝ falls to a faster batch at once and rises an eighth of the way
+		// toward a slower one, so one stalled batch cannot stretch the holds.
+		// Replicas of one class may race here and drop a sample.
+		old := m.ewmaNs.Load()
+		if old == 0 {
+			old = int64(svc)
+		}
+		m.ewmaNs.Store(min(int64(svc), old+(int64(svc)-old)/8))
+	}
 
 	// Count the batch before answering it: a caller that holds its answer
 	// must find itself in Stats.
-	e.requests.Add(int64(len(b.reqs)))
+	e.requests.Add(int64(len(b)))
 	e.nbatches.Add(1)
 	now := time.Now()
-	// Stamp the answer before the first reply, so a released caller's next
-	// request finds it. Never zero: every batch runs after New read epoch.
-	e.answeredNs.Store(int64(now.Sub(e.epoch)))
-	for i, req := range b.reqs {
+	for i, req := range b {
 		lat := now.Sub(req.enq)
 		e.latency.Record(lat)
 		if e.adaptive {
@@ -685,13 +682,16 @@ func (e *Engine) runBatch(r *replica, b *batch) {
 		}
 		req.resp <- Prediction{Class: slot.preds[i], Confidence: slot.conf[i], Version: ms.version}
 	}
-	e.putBatch(b)
+	// Stamp the answer after the last reply: the straggler gate measures
+	// the callers it released from the end of the releasing. Never zero:
+	// every batch runs after New read epoch.
+	e.answeredNs.Store(int64(time.Since(e.epoch)))
 }
 
 // control is the adaptive batching decision loop: every ControlEvery it
 // swaps out the window meters (arrival count, request-latency distribution,
 // per-class service sums), asks the controller for the next policy and
-// publishes it for the dispatcher. Runs only with SLO set.
+// publishes it for the gathering replicas. Runs only with SLO set.
 func (e *Engine) control() {
 	defer e.wg.Done()
 	tick := time.NewTicker(e.cfg.ControlEvery)
@@ -784,23 +784,6 @@ func (e *Engine) putReq(r *request) {
 	r.sample = nil
 	select {
 	case e.freeReqs <- r:
-	default:
-	}
-}
-
-func (e *Engine) getBatch() *batch {
-	select {
-	case b := <-e.freeBatches:
-		return b
-	default:
-		return &batch{reqs: make([]*request, 0, e.cfg.MaxBatch)}
-	}
-}
-
-func (e *Engine) putBatch(b *batch) {
-	b.reqs = b.reqs[:0]
-	select {
-	case e.freeBatches <- b:
 	default:
 	}
 }

@@ -40,14 +40,12 @@ func randomSample(vol int, seed uint64) []float32 {
 // through the queue/batcher/replica path equals running the same sample
 // through the network directly — same class, same confidence bits — for a
 // static batch of every size from 1 to MaxBatch, each on the smallest class
-// that holds it (size 3 runs class 4 with a stale tail row).
-//
-// The first batch is a lone request on a fresh engine, which ships at once;
-// every later group follows an answer, so the straggler wait (longer than
-// any group takes to arrive) holds it open until it is whole.
+// that holds it (size 3 runs class 4 with a stale tail row). Each group
+// queues whole behind a held gather token, so it forms one batch however
+// its callers are scheduled.
 func TestPredictMatchesDirectForward(t *testing.T) {
 	const maxBatch = 4
-	e, w := newTestEngine(t, Config{Model: nn.LeNet, MaxBatch: maxBatch, MaxDelay: 100 * time.Millisecond, Version: 7})
+	e, w := newTestEngine(t, Config{Model: nn.LeNet, MaxBatch: maxBatch, Version: 7})
 	defer e.Close()
 
 	ref := nn.BuildScaled(nn.LeNet, 1, tensor.NewRNG(9))
@@ -58,6 +56,7 @@ func TestPredictMatchesDirectForward(t *testing.T) {
 	conf := make([]float32, 1)
 
 	for size := 1; size <= maxBatch; size++ {
+		release := holdGather(t, e)
 		before := e.Stats()
 		samples := make([][]float32, size)
 		got := make([]Prediction, size)
@@ -71,6 +70,8 @@ func TestPredictMatchesDirectForward(t *testing.T) {
 				got[i], errs[i] = e.Predict(samples[i])
 			}(i)
 		}
+		awaitQueued(e, size)
+		release()
 		wg.Wait()
 		if s := e.Stats(); s.Batches-before.Batches != 1 || s.Requests-before.Requests != int64(size) {
 			t.Fatalf("size %d: %d requests in %d batches, want one batch", size,
@@ -151,7 +152,7 @@ func TestConcurrentClientsAllBatches(t *testing.T) {
 		t.Fatalf("implausible batch count %d for %d requests", s.Batches, s.Requests)
 	}
 	if s.BatchOccupancy <= 1 {
-		t.Errorf("batch occupancy %.2f — the dispatcher never coalesced under %d concurrent clients",
+		t.Errorf("batch occupancy %.2f — the replicas never coalesced under %d concurrent clients",
 			s.BatchOccupancy, clients)
 	}
 	if s.P50Ms <= 0 || s.P99Ms < s.P50Ms || s.MaxMs < s.P99Ms {
@@ -256,7 +257,7 @@ func TestMaxDelayZeroDispatchesImmediately(t *testing.T) {
 		t.Fatalf("Predict: %v", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("lone request took %v — the dispatcher waited for a full batch", d)
+		t.Fatalf("lone request took %v — the replica waited for a full batch", d)
 	}
 	if s := e.Stats(); s.Batches != 1 || s.Requests != 1 {
 		t.Fatalf("stats %d/%d, want 1 batch / 1 request", s.Batches, s.Requests)

@@ -9,37 +9,64 @@ import (
 	"crossbow/internal/tensor"
 )
 
-// TestStragglerGate pins the hold-open decision as a pure function: a
-// non-full batch waits for stragglers only when, within the delay before
-// its first request, another request arrived or a batch was answered.
+// TestStragglerGate pins the hold-open decision as a pure function of the
+// measured class service times: a non-full batch holds for stragglers only
+// when, within one class-1 service time ŝ(1) before its first request,
+// another request arrived or a batch was answered. An unmeasured class
+// borrows the estimate of the largest measured smaller class, and with no
+// class measured nothing holds.
 func TestStragglerGate(t *testing.T) {
-	const delay = 2 * time.Millisecond
+	const s1 = 300 * time.Microsecond
 	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	at := func(d time.Duration) time.Time { return base.Add(d) }
 	var never time.Time
 	first := at(time.Second)
+	measured := []time.Duration{s1, 0, 0, 0} // classes 1, 2, 4, 8
 	for _, tc := range []struct {
 		name           string
+		svc            []time.Duration
 		prev, answered time.Time
-		delay          time.Duration
 		want           bool
 	}{
-		{"fresh engine: nothing ever arrived or was answered", never, never, delay, false},
-		{"idle for a whole delay", at(time.Second - delay), at(time.Second - delay), delay, false},
-		{"idle for long", at(0), at(0), delay, false},
-		{"arrival just inside the delay", at(time.Second - delay + 1), never, delay, true},
-		{"arrival at the same instant", first, never, delay, true},
-		{"arrival after first (enqueue race)", at(time.Second + time.Microsecond), never, delay, true},
-		{"answer just inside the delay releases closed-loop callers", never, at(time.Second - delay + 1), delay, true},
-		{"answer after first was enqueued", at(0), at(time.Second + time.Millisecond), delay, true},
-		{"old arrival, recent answer", at(0), at(time.Second - time.Microsecond), delay, true},
-		{"recent arrival, old answer", at(time.Second - time.Microsecond), at(0), delay, true},
-		{"zero delay never holds", first, first, 0, false},
+		{"nothing measured: no hold however recent", []time.Duration{0, 0, 0, 0}, first, first, false},
+		{"only a larger class measured: no hold", []time.Duration{0, 0, 0, s1}, first, first, false},
+		{"fresh engine: nothing ever arrived or was answered", measured, never, never, false},
+		{"idle for a whole service time", measured, at(time.Second - s1), at(time.Second - s1), false},
+		{"idle for long", measured, at(0), at(0), false},
+		{"arrival just inside the service time", measured, at(time.Second - s1 + 1), never, true},
+		{"arrival at the same instant", measured, first, never, true},
+		{"arrival after first (enqueue race)", measured, at(time.Second + time.Microsecond), never, true},
+		{"answer just inside the service time releases closed-loop callers", measured, never, at(time.Second - s1 + 1), true},
+		{"answer after first was enqueued", measured, at(0), at(time.Second + time.Millisecond), true},
+		{"old arrival, recent answer", measured, at(0), at(time.Second - time.Microsecond), true},
+		{"recent arrival, old answer", measured, at(time.Second - time.Microsecond), at(0), true},
+		{"inside MaxDelay but outside ŝ(1): no hold", measured, at(time.Second - 2*s1), at(time.Second - 2*s1), false},
 	} {
-		if got := holdOpen(first, tc.prev, tc.answered, tc.delay); got != tc.want {
+		e := gateEngine(tc.svc)
+		if got := holdOpen(first, tc.prev, tc.answered, e.svcEstimate(1)); got != tc.want {
 			t.Errorf("%s: holdOpen = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+
+	// The hold window of a batch of n is ŝ of the class n ships on.
+	svc := []time.Duration{100, 0, 400, 0} // classes 1, 2, 4, 8 measured at 1 and 4
+	e := gateEngine(svc)
+	for n, want := range map[int]time.Duration{1: 100, 2: 100, 3: 400, 4: 400, 5: 400, 8: 400} {
+		if got := e.svcEstimate(n); got != want {
+			t.Errorf("ŝ(%d) with classes %v measured: %v, want %v", n, svc, got, want)
+		}
+	}
+}
+
+// gateEngine is a bare engine whose batch classes 1, 2, 4, 8 carry the given
+// service-time estimates (zero: unmeasured).
+func gateEngine(svc []time.Duration) *Engine {
+	e := &Engine{classes: batchClasses(8)}
+	e.classMeters = make([]classMeter, len(e.classes))
+	for i, d := range svc {
+		e.classMeters[i].ewmaNs.Store(int64(d))
+	}
+	return e
 }
 
 // TestStragglerLoneRequestNotHeld: on a fresh engine nothing can join a
@@ -128,13 +155,24 @@ func forwardTime(model nn.ModelID, w []float32, b int) time.Duration {
 	return best
 }
 
-// TestStragglerTrickleCoalesces: requests that keep arriving far inside
-// MaxDelay of each other still share batches.
-func TestStragglerTrickleCoalesces(t *testing.T) {
+// TestStragglerTrickleShipsAtOnce: requests 10ms apart, far longer than a
+// LeNet forward, each find the previous one answered. No straggler can join
+// a batch within one service time, so each ships at once however long
+// MaxDelay is. (Under a 200ms MaxDelay the same trickle used to coalesce:
+// every batch waited for the requests behind it.) A few sequential requests
+// first measure ŝ(1) over more than one batch, so one batch stalled by the
+// host cannot set it.
+func TestStragglerTrickleShipsAtOnce(t *testing.T) {
 	const requests = 17
 	e, _ := newTestEngine(t, Config{Model: nn.LeNet, MaxBatch: 8, MaxDelay: 200 * time.Millisecond})
 	defer e.Close()
 	sample := randomSample(e.SampleVol(), 1)
+	for i := 0; i < 4; i++ {
+		if _, err := e.Predict(sample); err != nil {
+			t.Fatalf("warm-up Predict: %v", err)
+		}
+	}
+	before := e.Stats()
 	var wg sync.WaitGroup
 	for i := 0; i < requests; i++ {
 		wg.Add(1)
@@ -144,11 +182,43 @@ func TestStragglerTrickleCoalesces(t *testing.T) {
 				t.Errorf("Predict: %v", err)
 			}
 		}()
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 	wg.Wait()
-	if s := e.Stats(); s.BatchOccupancy <= 1 {
-		t.Fatalf("trickle 2ms apart under a 200ms MaxDelay: %d requests in %d batches, never coalesced",
-			s.Requests, s.Batches)
+	s := e.Stats()
+	if reqs, batches := s.Requests-before.Requests, s.Batches-before.Batches; reqs != batches {
+		t.Fatalf("trickle 10ms apart under a 200ms MaxDelay: %d requests in %d batches, want one batch each",
+			reqs, batches)
+	}
+}
+
+// TestStragglerFewCallersNotHeld: three closed-loop callers can never fill
+// a batch of eight. Once the third has joined, no straggler comes within a
+// service time, so the batch ships instead of waiting out MaxDelay.
+func TestStragglerFewCallersNotHeld(t *testing.T) {
+	const (
+		callers = 3
+		rounds  = 20
+	)
+	e, _ := newTestEngine(t, Config{Model: nn.LeNet, MaxBatch: 8, MaxDelay: 200 * time.Millisecond})
+	defer e.Close()
+	sample := randomSample(e.SampleVol(), 1)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := e.Predict(sample); err != nil {
+					t.Errorf("Predict: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := e.Stats(); s.P99Ms >= 20 {
+		t.Fatalf("%d closed-loop callers, MaxBatch 8, MaxDelay 200ms: p99 %.1fms over %d batches of %.2f — non-full batches waited out MaxDelay",
+			callers, s.P99Ms, s.Batches, s.BatchOccupancy)
 	}
 }

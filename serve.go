@@ -36,14 +36,14 @@ type ServeConfig struct {
 	// MaxBatch bounds dynamic micro-batching: up to MaxBatch queued
 	// requests coalesce into one forward pass (default 8).
 	MaxBatch int
-	// MaxDelay bounds how long a non-full batch waits for stragglers. It
-	// waits only if one can come — another request arrived, or a batch was
-	// answered, within MaxDelay before its first request — so a request to
-	// an idle service ships at once. Zero (the default) dispatches
-	// immediately with whatever is queued — minimum latency; set a small
-	// positive delay (crossbow serve defaults to 2ms) to trade latency for
-	// batch occupancy under load. Every batch runs on the smallest
-	// power-of-two batch class that holds it.
+	// MaxDelay caps how long a non-full batch waits for stragglers. Within
+	// the cap it waits only while they keep coming: its first request
+	// followed another request or an answer by less than one measured
+	// batch service time, and each next one arrives within one service time
+	// of the last — so a request to an idle service ships at once. Zero
+	// (the default) ships at once with whatever is queued; crossbow serve
+	// defaults to 2ms. Every batch runs on the smallest power-of-two batch
+	// class that holds it.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; Predict blocks (backpressure)
 	// while it is full (default Replicas×MaxBatch×4).
@@ -267,9 +267,10 @@ func followBase(cfg ServeConfig, model Model, params []float32, version int64) (
 }
 
 // Predict classifies one sample (a flat [C×H×W] image, SampleVol elements).
-// It blocks through queueing, batching and execution — typically one
-// MaxDelay plus one batch service time — and is allocation-free per call in
-// steady state.
+// It blocks through queueing, batching and execution — at an idle service
+// one batch service time, under load a queue wait plus at most a few
+// service times of straggler holds, never more than MaxDelay of them — and
+// is allocation-free per call in steady state.
 func (p *Predictor) Predict(sample []float32) (Prediction, error) {
 	return p.eng.Predict(sample)
 }
