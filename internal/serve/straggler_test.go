@@ -158,10 +158,8 @@ func forwardTime(model nn.ModelID, w []float32, b int) time.Duration {
 // TestStragglerTrickleShipsAtOnce: requests 10ms apart, far longer than a
 // LeNet forward, each find the previous one answered. No straggler can join
 // a batch within one service time, so each ships at once however long
-// MaxDelay is. (Under a 200ms MaxDelay the same trickle used to coalesce:
-// every batch waited for the requests behind it.) A few sequential requests
-// first measure ŝ(1) over more than one batch, so one batch stalled by the
-// host cannot set it.
+// MaxDelay is. A few sequential requests first measure ŝ(1) over more than
+// one batch, so one batch stalled by the host cannot set it.
 func TestStragglerTrickleShipsAtOnce(t *testing.T) {
 	const requests = 17
 	e, _ := newTestEngine(t, Config{Model: nn.LeNet, MaxBatch: 8, MaxDelay: 200 * time.Millisecond})
