@@ -165,12 +165,11 @@ type replicaSlot struct {
 // time a batch of that class runs on it (each slot owns a planned arena, so
 // an unvisited class costs nothing). A batch runs on the smallest class that
 // holds it instead of paying the full-MaxBatch forward pass: a lone request
-// on ResNet-32 costs a class-1 forward, not a padded class-8 one. Slots and
-// the batch are touched only by the replica's own goroutine.
+// on ResNet-32 costs a class-1 forward, not a padded class-8 one. Slots are
+// touched only by the replica's own goroutine.
 type replica struct {
 	id    int
 	slots []*replicaSlot
-	batch []*request
 }
 
 // Engine is the batched prediction runtime. Create with New, submit with
@@ -282,8 +281,7 @@ func New(cfg Config) (*Engine, error) {
 	e.token <- struct{}{}
 
 	for i := 0; i < maxReplicas; i++ {
-		r := &replica{id: i, slots: make([]*replicaSlot, len(e.classes)),
-			batch: make([]*request, 0, cfg.MaxBatch)}
+		r := &replica{id: i, slots: make([]*replicaSlot, len(e.classes))}
 		if i == 0 {
 			// The validation probe is a class-1 net; keep it as replica 0's
 			// class-1 slot instead of throwing it away.
@@ -331,6 +329,7 @@ func (e *Engine) buildSlot(batchSize int) *replicaSlot {
 // next scale-up.
 func (e *Engine) replicaLoop(r *replica) {
 	defer e.wg.Done()
+	b := make([]*request, 0, e.cfg.MaxBatch)
 	for {
 		if int64(r.id) >= e.desiredReplicas.Load() {
 			select {
@@ -341,12 +340,12 @@ func (e *Engine) replicaLoop(r *replica) {
 			continue
 		}
 		<-e.token
-		r.batch = e.gather(r.batch[:0])
+		b = e.gather(b[:0])
 		e.token <- struct{}{}
-		if len(r.batch) == 0 {
+		if len(b) == 0 {
 			return // closed and drained
 		}
-		e.runBatch(r, r.batch)
+		e.runBatch(r, b)
 	}
 }
 
