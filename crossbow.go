@@ -20,8 +20,9 @@
 // exchanger — in-process ranks over memory (TransportSimulated) or one
 // process per server over TCP (TransportTCP) — and where both reduce in the
 // same order the trained bytes are equal. The hardware plane of a cluster
-// run is internal/cluster's discrete-event engine, N simulated servers
-// joined by the Config.Interconnect cost model.
+// run is the same discrete-event engine as a single server's
+// (internal/engine), N simulated servers joined by the Config.Interconnect
+// cost model.
 //
 // Quick start:
 //
@@ -39,7 +40,6 @@ import (
 	"sync"
 
 	"crossbow/internal/autotune"
-	"crossbow/internal/cluster"
 	"crossbow/internal/core"
 	"crossbow/internal/engine"
 	"crossbow/internal/metrics"
@@ -384,18 +384,27 @@ func (c *Config) tunesOnline() bool {
 	return c.LearnersPerGPU == AutoTune && c.Scheduler == FCFS
 }
 
+// planeConfig is the hardware-plane shape of a run at m learners per GPU:
+// the one configuration both the tuner and the throughput measurement
+// build their engines from.
+func planeConfig(cfg Config, m int) engine.Config {
+	return engine.Config{
+		Model: cfg.Model, Servers: cfg.Servers, GPUs: cfg.GPUs,
+		LearnersPerGPU: m, Batch: cfg.Batch,
+		Tau: max(1, cfg.Tau), TauGlobal: cfg.TauGlobal,
+		Overlap: true, Net: cfg.Interconnect,
+	}
+}
+
 // resolveLearners returns the learners-per-GPU count m of a run: the
-// configured one, or with AutoTune the offline tuner's choice for the
-// cluster shape (with its decision history). The tuner is deterministic in
-// (model, gpus, batch, cluster shape), so every rank of a cluster run
-// resolves the same m.
+// configured one, or with AutoTune the offline tuner's choice for the run's
+// hardware-plane shape (with its decision history). The tuner is
+// deterministic in that shape, so every rank of a cluster run resolves the
+// same m.
 func resolveLearners(cfg Config) (int, []autotune.Decision) {
 	switch {
 	case cfg.LearnersPerGPU == AutoTune:
-		tuned := autotune.Tune(autotune.Config{
-			Model: cfg.Model, GPUs: cfg.GPUs, Batch: cfg.Batch,
-			Servers: cfg.Servers, TauGlobal: cfg.TauGlobal, Net: cfg.Interconnect,
-		})
+		tuned := autotune.Tune(planeConfig(cfg, 0))
 		return tuned.Chosen, tuned.History
 	case cfg.LearnersPerGPU <= 0:
 		return 1, nil
@@ -405,29 +414,14 @@ func resolveLearners(cfg Config) (int, []autotune.Decision) {
 
 // hardwareThroughput measures the hardware plane: simulated training
 // throughput (images/s, the whole cluster's) for cfg at m learners per GPU
-// — the S-SGD engine, the single-server engine, or the cluster engine with
-// its cross-server average tasks over cfg.Interconnect.
+// — the S-SGD baseline, or the SMA engine with, above one server, its
+// cross-server average tasks over cfg.Interconnect.
 func hardwareThroughput(cfg Config, m int) float64 {
 	const iters = 30
-	switch {
-	case cfg.Algo == SSGD:
-		return engine.NewSSGD(engine.SSGDConfig{
-			Model: cfg.Model, GPUs: cfg.GPUs, AggregateBatch: cfg.Batch * cfg.GPUs * m,
-		}).Throughput(iters)
-	case cfg.Servers > 1:
-		return cluster.New(cluster.Config{
-			Model: cfg.Model, Servers: cfg.Servers, GPUsPerServer: cfg.GPUs,
-			LearnersPerGPU: m, Batch: cfg.Batch,
-			TauLocal: max(1, cfg.Tau), TauGlobal: cfg.TauGlobal,
-			Overlap: true, Net: cfg.Interconnect,
-		}).Throughput(iters)
+	if cfg.Algo == SSGD {
+		return engine.NewSSGD(cfg.Model, cfg.GPUs, cfg.Batch*cfg.GPUs*m).Throughput(iters)
 	}
-	// One server is one engine: the cluster engine at Servers: 1 schedules
-	// the same work but costs a third more to build, on every Train call.
-	return engine.New(engine.Config{
-		Model: cfg.Model, GPUs: cfg.GPUs, LearnersPerGPU: m, Batch: cfg.Batch,
-		Tau: max(1, cfg.Tau), Overlap: true,
-	}).Throughput(iters)
+	return engine.New(planeConfig(cfg, m)).Throughput(iters)
 }
 
 // Train runs the configured experiment end to end: optional learner
@@ -594,6 +588,6 @@ func Throughput(cfg Config) (float64, error) {
 // TuneLearners runs Algorithm 2 and returns the chosen learners-per-GPU
 // with the decision history.
 func TuneLearners(model Model, gpus, batch int) (int, []autotune.Decision) {
-	r := autotune.Tune(autotune.Config{Model: model, GPUs: gpus, Batch: batch})
+	r := autotune.Tune(engine.Config{Model: model, GPUs: gpus, Batch: batch, Overlap: true})
 	return r.Chosen, r.History
 }

@@ -1,8 +1,10 @@
 package crossbow
 
 import (
+	"math"
 	"testing"
 
+	"crossbow/internal/engine"
 	"crossbow/internal/metrics"
 	"crossbow/internal/tensor"
 )
@@ -76,6 +78,28 @@ func TestTrainAutoTune(t *testing.T) {
 	}
 	if len(res.TuneHistory) == 0 {
 		t.Fatal("no tuning history recorded")
+	}
+}
+
+// TestAutoTuneMeasuresAtConfiguredTau: AutoTune picks m by the costs the
+// run pays — every decision's throughput is engine.New's for that m at the
+// configured τ, over Tune's 20-iteration window.
+func TestAutoTuneMeasuresAtConfiguredTau(t *testing.T) {
+	cfg := Config{Model: ResNet32, GPUs: 8, LearnersPerGPU: AutoTune, Batch: 16, Tau: 3}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	_, hist := resolveLearners(cfg)
+	if len(hist) == 0 {
+		t.Fatal("no tuning history recorded")
+	}
+	for _, d := range hist {
+		want := engine.New(engine.Config{
+			Model: ResNet32, GPUs: 8, LearnersPerGPU: d.M, Batch: 16, Tau: 3, Overlap: true,
+		}).Throughput(20)
+		if math.Float64bits(d.Throughput) != math.Float64bits(want) {
+			t.Errorf("m=%d: tuned at %v images/s, the engine at τ=3 measures %v", d.M, d.Throughput, want)
+		}
 	}
 }
 

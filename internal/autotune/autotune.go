@@ -3,61 +3,21 @@ package autotune
 import (
 	"sync"
 
-	"crossbow/internal/cluster"
 	"crossbow/internal/engine"
 	"crossbow/internal/nn"
 )
 
-// Config configures a tuning run.
-type Config struct {
-	Model nn.ModelID
-	GPUs  int // per server
-	Batch int
-	// Servers extends tuning to the cluster plane: above 1, candidate
-	// learner counts are measured on the cluster engine, so the chosen m
-	// accounts for cross-server synchronisation pressure — a slow
-	// interconnect lengthens the synchronised iteration and shifts where
-	// the marginal learner stops paying off. Zero or 1 tunes the paper's
-	// single-server setting.
-	Servers int
-	// TauGlobal is the cluster's inter-server averaging period (0 → 1).
-	TauGlobal int
-	// Net is the cross-server interconnect cost model (zero value selects
-	// the cluster default).
-	Net cluster.Interconnect
-	// Threshold is Alg 2's τ as a fractional throughput improvement: a
-	// new learner is kept only if throughput grows by more than this
-	// fraction. Zero selects 0.05.
-	Threshold float64
-	// WindowIters is the number of iterations measured per decision.
-	WindowIters int
-	// MemoryBytes is per-GPU memory; zero selects 12 GB (the paper's
-	// Titan X).
-	MemoryBytes int64
-	// MaxLearners bounds the search; zero selects 8.
-	MaxLearners int
-}
-
-func (c *Config) fillDefaults() {
-	if c.GPUs == 0 {
-		c.GPUs = 1
-	}
-	if c.Batch == 0 {
-		c.Batch = 16
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.05
-	}
-	if c.WindowIters == 0 {
-		c.WindowIters = 20
-	}
-	if c.MemoryBytes == 0 {
-		c.MemoryBytes = 12 << 30
-	}
-	if c.MaxLearners == 0 {
-		c.MaxLearners = 8
-	}
-}
+// Algorithm 2's fixed parameters: threshold is its τ as a fractional
+// throughput improvement (a new learner is kept only if throughput grows by
+// more than this fraction), windowIters the simulated iterations measured
+// per decision, deviceMemory the per-GPU memory (the paper's 12 GB Titan X)
+// and maxLearners the search bound.
+const (
+	threshold    = 0.05
+	windowIters  = 20
+	deviceMemory = 12 << 30
+	maxLearners  = 8
+)
 
 // Decision records one Alg 2 step: the learner count tried and the
 // throughput observed (images/s).
@@ -124,54 +84,28 @@ func MemoryCap(spec *nn.ModelSpec, batch int, memBytes int64) int {
 	return int(avail / per)
 }
 
-// Tune runs Algorithm 2 to convergence and returns the chosen learner
-// count. Each candidate m is measured over a fresh simulated window (the
-// paper resizes the running system; measuring windows on the simulator is
-// equivalent and keeps runs independent).
-func Tune(cfg Config) *Result {
-	cfg.fillDefaults()
+// Tune runs Algorithm 2 to convergence on the simulated hardware plane and
+// returns the chosen learner count. cfg is the shape to tune — servers,
+// GPUs, batch, τ, τ_global, overlap, interconnect; its LearnersPerGPU is
+// ignored. Each candidate m is measured on a fresh engine.New over
+// windowIters iterations (the paper resizes the running system; measuring
+// windows on the simulator is equivalent and keeps runs independent), and
+// the candidates are walked by the same Online controller that tunes a live
+// run.
+func Tune(cfg engine.Config) *Result {
+	if cfg.Batch == 0 {
+		cfg.Batch = engine.DefaultBatch
+	}
 	spec := nn.FullSpec(cfg.Model)
 	res := &Result{
-		MemoryCap:       MemoryCap(spec, cfg.Batch, cfg.MemoryBytes),
+		MemoryCap:       MemoryCap(spec, cfg.Batch, deviceMemory),
 		PerLearnerBytes: LearnerFootprint(spec, cfg.Batch),
 	}
-	maxM := cfg.MaxLearners
-	if res.MemoryCap < maxM {
-		maxM = res.MemoryCap
+	walk := NewOnline(1, min(maxLearners, res.MemoryCap), 0)
+	for !walk.Settled() {
+		cfg.LearnersPerGPU = walk.M()
+		walk.Observe(engine.New(cfg).Throughput(windowIters))
 	}
-
-	measure := func(m int) float64 {
-		if cfg.Servers > 1 {
-			return cluster.New(cluster.Config{
-				Model: cfg.Model, Servers: cfg.Servers,
-				GPUsPerServer: cfg.GPUs, LearnersPerGPU: m,
-				Batch: cfg.Batch, TauGlobal: cfg.TauGlobal,
-				Overlap: true, Net: cfg.Net,
-			}).Throughput(cfg.WindowIters)
-		}
-		e := engine.New(engine.Config{
-			Model: cfg.Model, GPUs: cfg.GPUs, LearnersPerGPU: m,
-			Batch: cfg.Batch, Overlap: true,
-		})
-		return e.Throughput(cfg.WindowIters)
-	}
-
-	m := 1
-	prev := measure(m)
-	res.History = append(res.History, Decision{M: m, Throughput: prev})
-	for m < maxM {
-		next := measure(m + 1)
-		res.History = append(res.History, Decision{M: m + 1, Throughput: next})
-		if next-prev > cfg.Threshold*prev {
-			// Significant improvement: keep the extra learner (line 6).
-			m++
-			prev = next
-			continue
-		}
-		// No significant improvement (or a decrease): revert to the
-		// previous count (line 7) and stop at the peak.
-		break
-	}
-	res.Chosen = m
+	res.Chosen, res.History = walk.M(), walk.History()
 	return res
 }

@@ -3,6 +3,7 @@ package autotune
 import (
 	"testing"
 
+	"crossbow/internal/engine"
 	"crossbow/internal/nn"
 )
 
@@ -10,7 +11,7 @@ func TestTuneFindsThroughputPeak(t *testing.T) {
 	// ResNet-32 at small batch on one GPU: the sweep in the engine tests
 	// peaks around m≈4; Alg 2 must land near it (within the tolerance
 	// threshold's slack).
-	res := Tune(Config{Model: nn.ResNet32, GPUs: 1, Batch: 16})
+	res := Tune(engine.Config{Model: nn.ResNet32, GPUs: 1, Batch: 16, Overlap: true})
 	if res.Chosen < 2 || res.Chosen > 6 {
 		t.Fatalf("chosen m = %d, want the saturation point (2-6); history %v", res.Chosen, res.History)
 	}
@@ -31,8 +32,8 @@ func TestTuneFindsThroughputPeak(t *testing.T) {
 }
 
 func TestTuneLargerBatchNeedsFewerLearners(t *testing.T) {
-	small := Tune(Config{Model: nn.ResNet32, GPUs: 1, Batch: 8})
-	large := Tune(Config{Model: nn.ResNet32, GPUs: 1, Batch: 128})
+	small := Tune(engine.Config{Model: nn.ResNet32, GPUs: 1, Batch: 8, Overlap: true})
+	large := Tune(engine.Config{Model: nn.ResNet32, GPUs: 1, Batch: 128, Overlap: true})
 	if large.Chosen > small.Chosen {
 		t.Fatalf("b=128 chose m=%d > b=8 m=%d; bigger batches should saturate with fewer learners",
 			large.Chosen, small.Chosen)
@@ -40,7 +41,7 @@ func TestTuneLargerBatchNeedsFewerLearners(t *testing.T) {
 }
 
 func TestTuneHistoryStartsAtOne(t *testing.T) {
-	res := Tune(Config{Model: nn.LeNet, GPUs: 1, Batch: 4})
+	res := Tune(engine.Config{Model: nn.LeNet, GPUs: 1, Batch: 4, Overlap: true})
 	if len(res.History) == 0 || res.History[0].M != 1 {
 		t.Fatalf("history must start at m=1: %v", res.History)
 	}
@@ -79,17 +80,14 @@ func TestLearnerFootprintGrowsWithBatch(t *testing.T) {
 }
 
 func TestTuneRespectsMemoryLimit(t *testing.T) {
-	// With a tiny memory budget the tuner must not exceed the cap even if
-	// throughput would keep improving.
-	spec := nn.FullSpec(nn.ResNet32)
-	per := LearnerFootprint(spec, 16)
-	budget := spec.ParamCount()*4 + 2*per + per/2 // fits exactly 2 learners
-	res := Tune(Config{Model: nn.ResNet32, GPUs: 1, Batch: 16, MemoryBytes: budget})
-	if res.MemoryCap != 2 {
-		t.Fatalf("memory cap = %d, want 2", res.MemoryCap)
+	// ResNet-50 at b=64 fits a single learner in the device's 12 GB: the
+	// tuner must settle there without probing a second one.
+	res := Tune(engine.Config{Model: nn.ResNet50, GPUs: 1, Batch: 64, Overlap: true})
+	if want := MemoryCap(nn.FullSpec(nn.ResNet50), 64, deviceMemory); res.MemoryCap != want || want != 1 {
+		t.Fatalf("memory cap = %d, want %d = 1", res.MemoryCap, want)
 	}
-	if res.Chosen > 2 {
-		t.Fatalf("chosen m = %d exceeds memory cap 2", res.Chosen)
+	if res.Chosen != 1 || len(res.History) != 1 {
+		t.Fatalf("chosen m = %d after %v, want 1 with no probe past the cap", res.Chosen, res.History)
 	}
 }
 
@@ -97,8 +95,8 @@ func TestTuneUnderClusterSyncPressure(t *testing.T) {
 	// Tuning on a 4-server cluster must run the cluster engine and still
 	// land on a valid peak; the single-server and cluster measurements are
 	// different schedules, so the histories must differ.
-	single := Tune(Config{Model: nn.ResNet32, GPUs: 1, Batch: 16})
-	clustered := Tune(Config{Model: nn.ResNet32, GPUs: 1, Batch: 16, Servers: 4})
+	single := Tune(engine.Config{Model: nn.ResNet32, GPUs: 1, Batch: 16, Overlap: true})
+	clustered := Tune(engine.Config{Model: nn.ResNet32, GPUs: 1, Batch: 16, Servers: 4, Overlap: true})
 	if clustered.Chosen < 1 || clustered.Chosen > clustered.MemoryCap {
 		t.Fatalf("cluster-tuned m = %d outside [1, %d]", clustered.Chosen, clustered.MemoryCap)
 	}
@@ -113,7 +111,7 @@ func TestTuneUnderClusterSyncPressure(t *testing.T) {
 }
 
 func TestTuneClusterDeterministic(t *testing.T) {
-	cfg := Config{Model: nn.ResNet32, GPUs: 2, Batch: 16, Servers: 2}
+	cfg := engine.Config{Model: nn.ResNet32, Servers: 2, GPUs: 2, Batch: 16, Overlap: true}
 	a, b := Tune(cfg), Tune(cfg)
 	if a.Chosen != b.Chosen || len(a.History) != len(b.History) {
 		t.Fatalf("cluster tuning not deterministic: %+v vs %+v", a, b)

@@ -5,9 +5,9 @@
 // on the learner count that saturates the hardware, which the paper shows
 // coincides with the lowest time-to-accuracy (Figure 14).
 //
-// Two tuners share the policy: the offline tuner probes throughput on the
-// hardware simulator before a run, while Online adapts the learner count
-// to measured wall-clock throughput between epochs of a live FCFS run
+// One walk, Online, implements the policy. Tune feeds it throughput
+// measured on the simulated hardware plane (engine.New) before a run; a
+// live FCFS run feeds it measured wall-clock throughput between epochs
 // (DESIGN.md §9). Learner counts are additionally capped by device memory
 // — each learner needs its replica, gradients and planned task buffers, so
 // large models admit only a few learners per GPU (§4.5); the cap derives

@@ -1,17 +1,14 @@
 package autotune
 
-// Online is Algorithm 2 running against *measured* wall-clock throughput:
-// instead of probing candidate learner counts on the simulator (Tune), the
-// controller is embedded in a real training run and fed one observation per
-// measurement window (an epoch of the wall-clock runtime). Starting from
-// one learner, it proposes adding a learner while throughput keeps
-// improving beyond the tolerance threshold, and reverts to the previous
-// count once it stops — the paper's online form, which resizes the running
-// system (§3.4/§4.4).
+// Online is Algorithm 2's walk, fed one throughput observation per
+// measurement window: a simulated window on a fresh engine (Tune), or an
+// epoch of a real training run, which resizes the running system as the
+// paper's online form does (§3.4/§4.4). Starting from one learner, it
+// proposes adding a learner while throughput keeps improving beyond the
+// tolerance threshold, and reverts to the previous count once it stops.
 type Online struct {
-	threshold float64
-	max       int
-	warmup    int
+	max    int
+	warmup int
 
 	m       int     // learner count currently running
 	best    float64 // accepted throughput at m-1 learners (line 5's t_prev)
@@ -20,43 +17,13 @@ type Online struct {
 	history []Decision
 }
 
-// OnlineConfig configures the online controller.
-type OnlineConfig struct {
-	// Start is the initial learner count (0 → 1, Alg 2 line 1).
-	Start int
-	// Max bounds the search (0 → 8, like Tune).
-	Max int
-	// Threshold is the fractional throughput improvement required to keep
-	// a learner (0 → 0.05).
-	Threshold float64
-	// Warmup is the number of leading observations to discard while caches
-	// and the data pipeline fill (0 → 1).
-	Warmup int
-}
-
 // NewOnline creates the controller; the run must start with M() learners.
-func NewOnline(cfg OnlineConfig) *Online {
-	if cfg.Start < 1 {
-		cfg.Start = 1
-	}
-	if cfg.Max < 1 {
-		cfg.Max = 8
-	}
-	if cfg.Max < cfg.Start {
-		cfg.Max = cfg.Start
-	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = 0.05
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 1
-	}
-	return &Online{
-		threshold: cfg.Threshold,
-		max:       cfg.Max,
-		warmup:    cfg.Warmup,
-		m:         cfg.Start,
-	}
+// It starts at start learners (at least 1, Alg 2 line 1), never proposes
+// more than ceiling, and discards the first warmup observations while
+// caches and the data pipeline fill (0 discards none).
+func NewOnline(start, ceiling, warmup int) *Online {
+	start = max(start, 1)
+	return &Online{max: max(ceiling, start), warmup: warmup, m: start}
 }
 
 // M returns the learner count the run should currently use.
@@ -93,7 +60,7 @@ func (o *Online) Observe(throughput float64) int {
 		}
 		return o.m
 	}
-	if throughput-o.best > o.threshold*o.best {
+	if throughput-o.best > threshold*o.best {
 		// Significant improvement: keep the learner, probe the next
 		// (line 6).
 		o.best = throughput

@@ -24,7 +24,7 @@ func drive(t *testing.T, o *Online, curve map[int]float64, maxWindows int) (chos
 // TestOnlineClimbsToPeak: throughput improves through m=3 then regresses;
 // the controller must keep 3 learners and report the probe history.
 func TestOnlineClimbsToPeak(t *testing.T) {
-	o := NewOnline(OnlineConfig{Max: 8, Warmup: 1})
+	o := NewOnline(1, 8, 1)
 	curve := map[int]float64{1: 100, 2: 150, 3: 190, 4: 185}
 	chosen, _ := drive(t, o, curve, 20)
 	if chosen != 3 {
@@ -48,7 +48,7 @@ func TestOnlineClimbsToPeak(t *testing.T) {
 // TestOnlineFlatCurveStaysAtOne: no extra learner pays off, so the
 // controller reverts to a single learner after one probe.
 func TestOnlineFlatCurveStaysAtOne(t *testing.T) {
-	o := NewOnline(OnlineConfig{Max: 8, Warmup: 1})
+	o := NewOnline(1, 8, 1)
 	curve := map[int]float64{1: 100, 2: 101}
 	chosen, resizes := drive(t, o, curve, 20)
 	if chosen != 1 {
@@ -62,7 +62,7 @@ func TestOnlineFlatCurveStaysAtOne(t *testing.T) {
 // TestOnlineWarmupDiscarded: warm-up windows produce no decisions, so a
 // cold first epoch cannot poison the baseline.
 func TestOnlineWarmupDiscarded(t *testing.T) {
-	o := NewOnline(OnlineConfig{Max: 4, Warmup: 2})
+	o := NewOnline(1, 4, 2)
 	if next := o.Observe(1); next != 1 { // cold window, discarded
 		t.Fatalf("warm-up observation resized to %d", next)
 	}
@@ -80,7 +80,7 @@ func TestOnlineWarmupDiscarded(t *testing.T) {
 // TestOnlineRespectsMax: the search stops at the cap instead of probing
 // beyond it.
 func TestOnlineRespectsMax(t *testing.T) {
-	o := NewOnline(OnlineConfig{Max: 2, Warmup: 1})
+	o := NewOnline(1, 2, 1)
 	curve := map[int]float64{1: 100, 2: 200}
 	chosen, _ := drive(t, o, curve, 10)
 	if chosen != 2 {

@@ -653,9 +653,7 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 	// scales by GPUs to the pool size.
 	var tuner *autotune.Online
 	if cfg.AutoTuneLearners {
-		tuner = autotune.NewOnline(autotune.OnlineConfig{
-			Start: 1, Max: cfg.MaxLearnersPerGPU,
-		})
+		tuner = autotune.NewOnline(1, cfg.MaxLearnersPerGPU, 1)
 	}
 
 	res := &Result{K: k, EpochsToTarget: -1, Sched: cfg.Scheduler}

@@ -1,14 +1,17 @@
 // Package engine implements Crossbow's concurrent task engine (§4) twice
 // over, at two levels of reality.
 //
-// The simulated engine (engine.go, ssgd.go; DESIGN.md §3) runs on
+// The simulated engine (engine.go, ssgd.go; DESIGN.md §3, §4) runs on
 // the internal/gpusim simulator: learner streams and synchronisation
 // streams per device, learning / local-synchronisation /
 // global-synchronisation tasks wired by events exactly as in the paper's
 // Figure 8 dataflow, with global synchronisation overlapping the next
-// iteration's learning tasks. It is the hardware-efficiency plane,
-// yielding iteration timing and throughput for any (model, g, m, b, τ)
-// configuration.
+// iteration's learning tasks. It is the hardware-efficiency plane: New
+// yields iteration timing and throughput for any (model, n, g, m, b, τ,
+// τ_global) configuration — above one server, all servers share one
+// virtual clock and cross-server average tasks over a gpusim.Interconnect
+// add a third synchronisation tier, overlapped the same way. NewSSGD is
+// the S-SGD baseline.
 //
 // The wall-clock Runtime (runtime.go; DESIGN.md §9) executes the same
 // architecture for real: a pool of learner workers bound to model

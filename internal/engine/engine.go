@@ -5,37 +5,48 @@ import (
 	"crossbow/internal/nn"
 )
 
-// Config describes a simulated training configuration.
+// Config describes a simulated training configuration: Servers servers of
+// GPUs GPUs each, LearnersPerGPU learners a GPU. Kernels are priced by
+// gpusim.DefaultCostModel and intra-server rings by gpusim.DefaultTopology.
 type Config struct {
-	Model          nn.ModelID
-	GPUs           int // g
-	LearnersPerGPU int // m
-	Batch          int // b, per learner
-	// Tau synchronises every Tau iterations; 0 → 1; TauNever disables
-	// synchronisation entirely (the τ=∞ column of Figure 17).
+	Model nn.ModelID
+	// Servers is the number of servers n (0 → 1, the paper's setting).
+	Servers        int
+	GPUs           int // g, per server (0 → 1)
+	LearnersPerGPU int // m (0 → 1)
+	Batch          int // b, per learner (0 → DefaultBatch)
+	// Tau synchronises every Tau iterations within a server; 0 → 1;
+	// TauNever disables synchronisation entirely (the τ=∞ column of
+	// Figure 17).
 	Tau int
-	// Overlap lets global synchronisation tasks of iteration N run
-	// concurrently with learning tasks of iteration N+1 (Figure 8 f).
-	// Disabling it inserts the global execution barrier the paper argues
-	// against (§4.2).
+	// TauGlobal is the cross-server averaging period in units of
+	// intra-server synchronisations: servers exchange reference models
+	// every TauGlobal-th global synchronisation (0 → 1). Looser τ_global
+	// trades statistical efficiency for less network traffic, mirroring
+	// how §5.5 relaxes τ within a server.
+	TauGlobal int
+	// Overlap lets synchronisation tasks of iteration N run concurrently
+	// with learning tasks of iteration N+1 (Figure 8 f), at the
+	// intra-server and the cross-server tier. Disabling it inserts the
+	// global execution barrier the paper argues against (§4.2).
 	Overlap bool
-	// Cost and Topo default to the paper-calibrated models when zero.
-	Cost gpusim.CostModel
-	Topo gpusim.Topology
-	// Sim optionally supplies an external simulator to schedule on. The
-	// cluster plane (internal/cluster) builds one simulator spanning every
-	// server's devices and constructs one engine per server on it, so all
-	// servers share a single virtual clock. Nil creates a private simulator.
-	Sim *gpusim.Sim
-	// DeviceOffset is the index of this engine's first device within Sim
-	// (only meaningful with an external Sim).
-	DeviceOffset int
+	// Net is the cross-server interconnect (zero → gpusim.Ethernet10G).
+	Net gpusim.Interconnect
 }
 
 // TauNever disables synchronisation (τ = ∞).
 const TauNever = -1
 
+// DefaultBatch is the per-learner batch a zero Config.Batch selects.
+const DefaultBatch = 16
+
+// cost prices every kernel and transfer of the simulated engines.
+var cost = gpusim.DefaultCostModel()
+
 func (c *Config) fillDefaults() {
+	if c.Servers == 0 {
+		c.Servers = 1
+	}
 	if c.GPUs == 0 {
 		c.GPUs = 1
 	}
@@ -43,32 +54,51 @@ func (c *Config) fillDefaults() {
 		c.LearnersPerGPU = 1
 	}
 	if c.Batch == 0 {
-		c.Batch = 16
+		c.Batch = DefaultBatch
 	}
 	if c.Tau == 0 {
 		c.Tau = 1
 	}
-	if c.Cost == (gpusim.CostModel{}) {
-		c.Cost = gpusim.DefaultCostModel()
+	if c.TauGlobal == 0 {
+		c.TauGlobal = 1
 	}
-	if c.Topo == (gpusim.Topology{}) {
-		c.Topo = gpusim.DefaultTopology(c.GPUs)
+	if c.Net == (gpusim.Interconnect{}) {
+		c.Net = gpusim.Ethernet10G()
 	}
 }
 
-// Engine executes SMA iterations on the simulated server.
+// Engine executes SMA iterations on the simulated servers, all sharing one
+// discrete-event clock. Each server runs the paper's two-tier
+// synchronisation (Figure 8); with more than one server, per-server network
+// streams add a third tier, the cross-server average tasks.
 type Engine struct {
 	cfg  Config
 	sim  *gpusim.Sim
+	topo gpusim.Topology
 	spec *nn.ModelSpec
 	plan *gpusim.LearningTaskPlan
 
+	servers []server
+	// netStreams[s] lives on server s's first device and plays the role of
+	// the NIC: staging DMA, the network collective, and the broadcast of
+	// the refreshed cluster average model. Empty on single-server runs.
+	netStreams []*gpusim.Stream
+	staged     []*gpusim.Event // [server], reused each cross-server round
+
+	iter       int
+	localSyncs int
+	modelElems int64
+}
+
+// server is one server's streams and per-iteration event tables.
+type server struct {
 	learnStreams [][]*gpusim.Stream // [gpu][learner]
 	syncStreams  []*gpusim.Stream   // [gpu]
 	copyStreams  []*gpusim.Stream   // [gpu] DMA engine
 
 	// globalSyncDone[g] is the event fired when GPU g's view of the
-	// central average model is consistent for the current iteration.
+	// server's average model is consistent for the current iteration; nil
+	// when the last iteration did not synchronise.
 	globalSyncDone []*gpusim.Event
 
 	// Per-iteration event tables, reused: localDone[g][m] is learner m's
@@ -79,42 +109,48 @@ type Engine struct {
 	aggDone    []*gpusim.Event
 	globalBufs [2][]*gpusim.Event
 
-	// gate, when set, delays the next read of the average model until the
-	// event fires — the hook the cluster plane uses to chain cross-server
-	// average tasks after this server's global synchronisation.
+	// gate, when set, delays the server's next read of its average model
+	// until the cross-server average that follows its global
+	// synchronisation completes.
 	gate *gpusim.Event
-
-	iter       int
-	modelElems int64
 }
 
 // New builds an engine for the configuration.
 func New(cfg Config) *Engine {
 	cfg.fillDefaults()
 	spec := nn.FullSpec(cfg.Model)
-	sim := cfg.Sim
-	if sim == nil {
-		sim = gpusim.NewSim(cfg.GPUs, cfg.Cost.SMsPerDevice)
-	}
 	e := &Engine{
 		cfg:        cfg,
-		sim:        sim,
+		sim:        gpusim.NewSim(cfg.Servers*cfg.GPUs, cost.SMsPerDevice),
+		topo:       gpusim.DefaultTopology(cfg.GPUs),
 		spec:       spec,
-		plan:       cfg.Cost.PlanLearningTask(spec, cfg.Batch),
+		plan:       cost.PlanLearningTask(spec, cfg.Batch),
+		servers:    make([]server, cfg.Servers),
 		modelElems: spec.ParamCount(),
-		aggDone:    make([]*gpusim.Event, cfg.GPUs),
-		globalBufs: [2][]*gpusim.Event{make([]*gpusim.Event, cfg.GPUs), make([]*gpusim.Event, cfg.GPUs)},
 	}
-	for g := 0; g < cfg.GPUs; g++ {
-		dev := e.sim.Device(cfg.DeviceOffset + g)
-		var ls []*gpusim.Stream
-		for m := 0; m < cfg.LearnersPerGPU; m++ {
-			ls = append(ls, dev.NewStream())
+	for s := range e.servers {
+		srv := &e.servers[s]
+		// One backing array holds aggDone and both globalBufs.
+		evs := make([]*gpusim.Event, 3*cfg.GPUs)
+		srv.aggDone = evs[:cfg.GPUs]
+		srv.globalBufs = [2][]*gpusim.Event{evs[cfg.GPUs : 2*cfg.GPUs], evs[2*cfg.GPUs:]}
+		for g := 0; g < cfg.GPUs; g++ {
+			dev := e.sim.Device(s*cfg.GPUs + g)
+			ls := make([]*gpusim.Stream, cfg.LearnersPerGPU)
+			for m := range ls {
+				ls[m] = dev.NewStream()
+			}
+			srv.learnStreams = append(srv.learnStreams, ls)
+			srv.syncStreams = append(srv.syncStreams, dev.NewStream())
+			srv.copyStreams = append(srv.copyStreams, dev.NewStream())
+			srv.localDone = append(srv.localDone, make([]*gpusim.Event, cfg.LearnersPerGPU))
 		}
-		e.learnStreams = append(e.learnStreams, ls)
-		e.syncStreams = append(e.syncStreams, dev.NewStream())
-		e.copyStreams = append(e.copyStreams, dev.NewStream())
-		e.localDone = append(e.localDone, make([]*gpusim.Event, cfg.LearnersPerGPU))
+	}
+	if cfg.Servers > 1 {
+		for s := 0; s < cfg.Servers; s++ {
+			e.netStreams = append(e.netStreams, e.sim.Device(s*cfg.GPUs).NewStream())
+		}
+		e.staged = make([]*gpusim.Event, cfg.Servers)
 	}
 	return e
 }
@@ -122,13 +158,65 @@ func New(cfg Config) *Engine {
 // Sim exposes the underlying simulator (for utilisation inspection).
 func (e *Engine) Sim() *gpusim.Sim { return e.sim }
 
-// K returns the total learner count.
-func (e *Engine) K() int { return e.cfg.GPUs * e.cfg.LearnersPerGPU }
+// K returns the total learner count n×g×m.
+func (e *Engine) K() int { return e.cfg.Servers * e.cfg.GPUs * e.cfg.LearnersPerGPU }
 
 // modelBytes returns the model size in bytes (float32).
 func (e *Engine) modelBytes() int64 { return e.modelElems * 4 }
 
-// ScheduleIteration wires one SMA iteration's tasks (Figure 8):
+// scheduleIteration wires one SMA iteration: every server schedules its own
+// iteration (scheduleServer); when that iteration carried an intra-server
+// global synchronisation and the τ_global period has elapsed, cross-server
+// average tasks follow — per server, the network stream waits for the
+// server's reference model to become consistent, stages it to the NIC,
+// joins the cross-server all-reduce, and broadcasts the refreshed cluster
+// average back; each server's next read of its average model gates on that
+// completion, so with Overlap the exchange hides behind the next
+// iteration's learning tasks.
+func (e *Engine) scheduleIteration() {
+	e.iter++
+	syncing := e.cfg.Tau != TauNever && e.iter%max(1, e.cfg.Tau) == 0
+	for s := range e.servers {
+		e.scheduleServer(&e.servers[s], syncing)
+	}
+	if !syncing || e.cfg.Servers == 1 {
+		return
+	}
+	e.localSyncs++
+	if e.localSyncs%max(1, e.cfg.TauGlobal) != 0 {
+		return
+	}
+
+	// Stage each server's reference model onto its NIC once the server's
+	// global synchronisation finished.
+	for s := range e.servers {
+		ns := e.netStreams[s]
+		for _, ev := range e.servers[s].globalSyncDone {
+			ns.Wait(ev)
+		}
+		ns.Kernel(1, cost.TransferUS(e.modelBytes())) // device-to-host server model
+		e.staged[s] = e.sim.NewEvent()
+		ns.Record(e.staged[s])
+	}
+	// The collective cannot start before every server staged its model.
+	xferUS := e.cfg.Net.AllReduceUS(e.modelBytes(), e.cfg.Servers)
+	for s := range e.servers {
+		ns := e.netStreams[s]
+		for _, ev := range e.staged {
+			ns.Wait(ev)
+		}
+		if xferUS > 0 {
+			ns.Kernel(1, xferUS) // cross-server all-reduce
+		}
+		ns.Kernel(1, cost.TransferUS(e.modelBytes()))   // host-to-device cluster average
+		ns.Kernel(2, cost.VectorKernelUS(e.modelElems)) // server average update
+		done := e.sim.NewEvent()
+		ns.Record(done)
+		e.servers[s].gate = done
+	}
+}
+
+// scheduleServer wires one server's share of an SMA iteration (Figure 8):
 //
 //   - per learner: input-batch DMA, then the learning task's kernels on the
 //     learner stream, then the local synchronisation task (difference with
@@ -140,35 +228,29 @@ func (e *Engine) modelBytes() int64 { return e.modelElems * 4 }
 //   - learning tasks of the next iteration start right after their
 //     learner's local sync (overlap), or after global sync when Overlap is
 //     off.
-//
-// It reports whether the iteration included global synchronisation, so an
-// outer plane (internal/cluster) can chain cross-server average tasks.
-func (e *Engine) ScheduleIteration() bool {
+func (e *Engine) scheduleServer(srv *server, syncing bool) {
 	cfg := e.cfg
-	e.iter++
-	syncing := cfg.Tau != TauNever && e.iter%max(1, cfg.Tau) == 0
-
-	prevGlobal := e.globalSyncDone
-	// The cluster gate is consumed by whichever tasks next read the average
-	// model: this iteration's learning tasks without overlap, this
+	prevGlobal := srv.globalSyncDone
+	// The cross-server gate is consumed by whichever tasks next read the
+	// average model: this iteration's learning tasks without overlap, this
 	// iteration's local synchronisation with overlap (non-sync iterations
 	// never read it, so the gate survives until the next sync).
-	gate := e.gate
+	gate := srv.gate
 	if !cfg.Overlap || syncing {
-		e.gate = nil
+		srv.gate = nil
 	}
 	batchBytes := e.spec.SampleBytes() * int64(cfg.Batch)
 
 	for g := 0; g < cfg.GPUs; g++ {
-		for m, st := range e.learnStreams[g] {
+		for m, st := range srv.learnStreams[g] {
 			// Input batch DMA on the copy engine, overlapped with compute
 			// (§2.2); the learning task waits for its own batch only.
 			inReady := e.sim.NewEvent()
-			e.copyStreams[g].Kernel(1, e.cfg.Cost.TransferUS(batchBytes)) // host-to-device batch
-			e.copyStreams[g].Record(inReady)
+			srv.copyStreams[g].Kernel(1, cost.TransferUS(batchBytes)) // host-to-device batch
+			srv.copyStreams[g].Record(inReady)
 
 			// Host-side dispatch cost of the task scheduler (§4.3).
-			st.Kernel(1, cfg.Cost.SchedulerOverheadUS)
+			st.Kernel(1, cost.SchedulerOverheadUS)
 			st.Wait(inReady)
 			if !cfg.Overlap {
 				if prevGlobal != nil {
@@ -193,68 +275,53 @@ func (e *Engine) ScheduleIteration() bool {
 						st.Wait(gate)
 					}
 				}
-				st.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems))         // difference with the local average
-				st.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems))         // replica update
-				st.Kernel(1, cfg.Cost.SyncPerOpUS*float64(e.spec.NumOps())) // host coordination
+				st.Kernel(2, cost.VectorKernelUS(e.modelElems))         // difference with the local average
+				st.Kernel(2, cost.VectorKernelUS(e.modelElems))         // replica update
+				st.Kernel(1, cost.SyncPerOpUS*float64(e.spec.NumOps())) // host coordination
 				done := e.sim.NewEvent()
 				st.Record(done)
-				e.localDone[g][m] = done
+				srv.localDone[g][m] = done
 			}
 		}
 	}
 
 	if !syncing {
-		e.globalSyncDone = nil
-		return false
+		srv.globalSyncDone = nil
+		return
 	}
 
 	// Global synchronisation tasks (Figure 8 c): per GPU, aggregate the
 	// local differences once all the GPU's local syncs are done, then the
 	// GPUs jointly all-reduce; each GPU's average model becomes consistent
 	// when its share of the ring completes.
-	newGlobal := e.globalBufs[e.iter%2]
+	newGlobal := srv.globalBufs[e.iter%2]
 	// The ring cannot start before every GPU finished local aggregation:
 	// collect per-GPU aggregation-done events and make every sync stream
 	// wait on all of them.
-	aggDone := e.aggDone
 	for g := 0; g < cfg.GPUs; g++ {
-		ss := e.syncStreams[g]
-		for _, ev := range e.localDone[g] {
+		ss := srv.syncStreams[g]
+		for _, ev := range srv.localDone[g] {
 			ss.Wait(ev)
 		}
-		ss.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems)) // intra-GPU reduce
-		aggDone[g] = e.sim.NewEvent()
-		ss.Record(aggDone[g])
+		ss.Kernel(2, cost.VectorKernelUS(e.modelElems)) // intra-GPU reduce
+		srv.aggDone[g] = e.sim.NewEvent()
+		ss.Record(srv.aggDone[g])
 	}
-	allReduce := e.cfg.Topo.AllReduceUS(e.modelBytes(), cfg.GPUs, cfg.Cost.TransferLatencyUS)
+	allReduce := e.topo.AllReduceUS(e.modelBytes(), cfg.GPUs, cost.TransferLatencyUS)
 	for g := 0; g < cfg.GPUs; g++ {
-		ss := e.syncStreams[g]
-		for _, ev := range aggDone {
+		ss := srv.syncStreams[g]
+		for _, ev := range srv.aggDone {
 			ss.Wait(ev)
 		}
 		if allReduce > 0 {
 			ss.Kernel(1, allReduce) // ring all-reduce
 		}
-		ss.Kernel(2, cfg.Cost.VectorKernelUS(e.modelElems)) // average model update
+		ss.Kernel(2, cost.VectorKernelUS(e.modelElems)) // average model update
 		newGlobal[g] = e.sim.NewEvent()
 		ss.Record(newGlobal[g])
 	}
-	e.globalSyncDone = newGlobal
-	return true
+	srv.globalSyncDone = newGlobal
 }
-
-// GlobalSyncDone returns the per-GPU events of the most recently scheduled
-// global synchronisation (nil when the last iteration did not synchronise).
-// Each event fires when that GPU's view of the server's average model is
-// consistent.
-func (e *Engine) GlobalSyncDone() []*gpusim.Event { return e.globalSyncDone }
-
-// Gate delays the next read of the average model — the next iteration's
-// learning tasks without overlap, its local synchronisation tasks with
-// overlap — until ev fires. The cluster plane gates each server on the
-// completion of the cross-server average, mirroring at the server tier how
-// learning tasks gate on the previous global synchronisation (Figure 8).
-func (e *Engine) Gate(ev *gpusim.Event) { e.gate = ev }
 
 // RunIterations schedules and executes n SMA iterations, returning the
 // virtual time in microseconds from the engine's current clock to
@@ -262,14 +329,14 @@ func (e *Engine) Gate(ev *gpusim.Event) { e.gate = ev }
 func (e *Engine) RunIterations(n int) float64 {
 	start := e.sim.Now()
 	for i := 0; i < n; i++ {
-		e.ScheduleIteration()
+		e.scheduleIteration()
 	}
 	e.sim.Run()
 	return e.sim.Now() - start
 }
 
 // Throughput runs n iterations and returns training throughput in images
-// per second.
+// per second across every server.
 func (e *Engine) Throughput(n int) float64 {
 	us := e.RunIterations(n)
 	if us <= 0 {

@@ -200,7 +200,7 @@ func BenchmarkFigure17_SyncOverhead(b *testing.B) {
 func BenchmarkAblation_Autotune(b *testing.B) {
 	var chosen int
 	for i := 0; i < b.N; i++ {
-		chosen = autotune.Tune(autotune.Config{Model: nn.ResNet32, GPUs: 1, Batch: 16}).Chosen
+		chosen = autotune.Tune(engine.Config{Model: nn.ResNet32, GPUs: 1, Batch: 16, Overlap: true}).Chosen
 	}
 	b.ReportMetric(float64(chosen), "chosen-m")
 }

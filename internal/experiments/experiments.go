@@ -93,9 +93,7 @@ func Figure2() []Fig2Row {
 	for _, b := range batches {
 		base := 0.0
 		for _, g := range gpus {
-			tp := engine.NewSSGD(engine.SSGDConfig{
-				Model: nn.ResNet32, GPUs: g, AggregateBatch: b,
-			}).Throughput(25)
+			tp := engine.NewSSGD(nn.ResNet32, g, b).Throughput(25)
 			if g == 1 {
 				base = tp
 			}

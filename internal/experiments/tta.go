@@ -45,9 +45,7 @@ func runSystem(model nn.ModelID, sys System, g, paperBatch, m, maxEpochs int, ta
 	}
 	// Hardware plane at paper scale.
 	if sys == SysTensorFlow {
-		run.ThroughputImgSec = engine.NewSSGD(engine.SSGDConfig{
-			Model: model, GPUs: g, AggregateBatch: paperBatch * g,
-		}).Throughput(25)
+		run.ThroughputImgSec = engine.NewSSGD(model, g, paperBatch*g).Throughput(25)
 	} else {
 		run.ThroughputImgSec = engine.New(engine.Config{
 			Model: model, GPUs: g, LearnersPerGPU: m, Batch: paperBatch, Overlap: true,

@@ -1,7 +1,8 @@
-// Package gpusim is a discrete-event simulator of a single-server
-// multi-GPU machine (DESIGN.md §1): devices with a fixed pool of streaming
-// multiprocessors (SMs), in-order streams, cross-stream events, DMA copy
-// transfers and a PCIe interconnect with ring all-reduce.
+// Package gpusim is a discrete-event simulator of multi-GPU servers
+// (DESIGN.md §1): devices with a fixed pool of streaming multiprocessors
+// (SMs), in-order streams, cross-stream events, DMA copy transfers, a PCIe
+// topology with ring all-reduce inside a server, and the Interconnect cost
+// model of the network between servers (DESIGN.md §4).
 //
 // It stands in for the CUDA substrate the paper runs on. The simulator
 // models the three quantities hardware efficiency depends on: occupancy

@@ -1,10 +1,9 @@
-package cluster
-
-import "math"
+package gpusim
 
 // Interconnect is the cost model of the cross-server network: a flat
-// latency/bandwidth link model plus the collective algorithm used for the
-// cross-server average.
+// latency/bandwidth link model under the bandwidth-optimal ring all-reduce
+// the cross-server average runs — the same collective the paper uses
+// across GPUs (§4.2), one tier up.
 type Interconnect struct {
 	// Name labels the preset (for reports).
 	Name string
@@ -12,10 +11,6 @@ type Interconnect struct {
 	LatencyUS float64
 	// BytesPerUS is effective point-to-point bandwidth per server NIC.
 	BytesPerUS float64
-	// Tree selects a binomial-tree reduce+broadcast instead of the default
-	// bandwidth-optimal ring all-reduce: fewer, larger steps — better on
-	// high-latency links with small models, worse on large models.
-	Tree bool
 }
 
 // Ethernet10G returns the commodity-cluster default: 10 Gb/s Ethernet
@@ -44,20 +39,12 @@ func Presets() []Interconnect {
 	return []Interconnect{Ethernet10G(), Ethernet25G(), InfiniBandEDR()}
 }
 
-// AllReduceUS returns the duration of all-reducing n bytes across servers
-// server nodes.
-//
-// Ring: 2(k−1) pipeline steps of n/k bytes each — the same collective the
-// paper uses across GPUs (§4.2), bandwidth-optimal but latency-heavy.
-// Tree: reduce then broadcast over a binomial tree, 2⌈log2 k⌉ steps of the
-// full n bytes.
+// AllReduceUS returns the duration of a ring all-reduce of n bytes across
+// servers server nodes: 2(k−1) pipeline steps of n/k bytes each,
+// bandwidth-optimal but latency-heavy.
 func (ic Interconnect) AllReduceUS(bytes int64, servers int) float64 {
 	if servers <= 1 || bytes <= 0 {
 		return 0
-	}
-	if ic.Tree {
-		steps := 2 * int(math.Ceil(math.Log2(float64(servers))))
-		return float64(steps) * (ic.LatencyUS + float64(bytes)/ic.BytesPerUS)
 	}
 	steps := 2 * (servers - 1)
 	chunk := float64(bytes) / float64(servers)

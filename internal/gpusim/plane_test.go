@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"crossbow/internal/autotune"
-	"crossbow/internal/cluster"
 	"crossbow/internal/engine"
 	"crossbow/internal/gpusim"
 	"crossbow/internal/nn"
@@ -42,8 +41,8 @@ func measurePlane(e throughputer, model nn.ModelID) planeBits {
 
 // goldenPlanes pins every simulated number of the hardware plane: the
 // configurations Train, the figures and the auto-tuner measure, plus the
-// wiring variants (no synchronisation, no overlap, the S-SGD baseline, a
-// cluster sharing one clock). A changed constant is a changed schedule —
+// wiring variants (no synchronisation, no overlap, the S-SGD baseline,
+// servers sharing one clock). A changed constant is a changed schedule —
 // a kernel that started at another instant or with another SM grant.
 var goldenPlanes = []struct {
 	name  string
@@ -61,10 +60,10 @@ var goldenPlanes = []struct {
 		return engine.New(engine.Config{Model: nn.LeNet, GPUs: 1, LearnersPerGPU: 4, Batch: 2, Tau: 1, Overlap: true})
 	}, planeBits{0x40b8c6c7590856a4, 0x4022eb4d9a87d613, []uint64{0x411fe59f6353f70a}}},
 	{"ssgd_8", nn.ResNet32, func() throughputer {
-		return engine.NewSSGD(engine.SSGDConfig{Model: nn.ResNet32, GPUs: 8, AggregateBatch: 8 * 64})
+		return engine.NewSSGD(nn.ResNet32, 8, 8*64)
 	}, planeBits{0x40db507e8637bed9, 0x3ffc9a230b45671f, rep(0x417462e276d902a9, 8)}},
 	{"cluster_2x2x2", nn.ResNet32, func() throughputer {
-		return cluster.New(cluster.Config{Model: nn.ResNet32, Servers: 2, GPUsPerServer: 2, LearnersPerGPU: 2, Batch: 4, TauLocal: 1, TauGlobal: 2, Overlap: true})
+		return engine.New(engine.Config{Model: nn.ResNet32, Servers: 2, GPUs: 2, LearnersPerGPU: 2, Batch: 4, Tau: 1, TauGlobal: 2, Overlap: true})
 	}, planeBits{0x409f983042dd774c, 0x4038ba37eabbcb9e, []uint64{0x414844d3bae974c8, 0x4147d29766c8b04b, 0x414844d3bae974c8, 0x4147d29766c8b04b}}},
 	{"tau_never_2x2", nn.ResNet32, func() throughputer {
 		return engine.New(engine.Config{Model: nn.ResNet32, GPUs: 2, LearnersPerGPU: 2, Batch: 4, Tau: engine.TauNever, Overlap: true})
@@ -72,6 +71,21 @@ var goldenPlanes = []struct {
 	{"no_overlap_2x3_tau2", nn.ResNet32, func() throughputer {
 		return engine.New(engine.Config{Model: nn.ResNet32, GPUs: 2, LearnersPerGPU: 3, Batch: 16, Tau: 2, Overlap: false})
 	}, planeBits{0x40b5abe00a1ba3f9, 0x40220661169b723d, rep(0x417100b5d6786687, 2)}},
+	{"lenet_1x1", nn.LeNet, func() throughputer {
+		return engine.New(engine.Config{Model: nn.LeNet, GPUs: 1, LearnersPerGPU: 1, Batch: 16, Tau: 1, Overlap: true})
+	}, planeBits{0x40b9a7701718fcd3, 0x4022459f8d658f0b, []uint64{0x412b78ed7a5ff4d2}}},
+	{"resnet32_2x2_b16", nn.ResNet32, func() throughputer {
+		return engine.New(engine.Config{Model: nn.ResNet32, GPUs: 2, LearnersPerGPU: 2, Batch: 16, Tau: 1, Overlap: true})
+	}, planeBits{0x40af998df555d575, 0x4028b92645d440db, rep(0x4165d5f8260b7b1f, 2)}},
+	{"resnet32_4x2_tau4", nn.ResNet32, func() throughputer {
+		return engine.New(engine.Config{Model: nn.ResNet32, GPUs: 4, LearnersPerGPU: 2, Batch: 16, Tau: 4, Overlap: true})
+	}, planeBits{0x40c23cc4173272e3, 0x4015954247333c03, rep(0x416558d33658c4dd, 4)}},
+	{"vgg16_2x1", nn.VGG16, func() throughputer {
+		return engine.New(engine.Config{Model: nn.VGG16, GPUs: 2, LearnersPerGPU: 1, Batch: 16, Tau: 1, Overlap: true})
+	}, planeBits{0x40860911dc4c3f77, 0x4051ba257524976f, rep(0x41763db97d650fc5, 2)}},
+	{"cluster_ib_2x2x2_tau2", nn.ResNet32, func() throughputer {
+		return engine.New(engine.Config{Model: nn.ResNet32, Servers: 2, GPUs: 2, LearnersPerGPU: 2, Batch: 16, Tau: 2, Overlap: true, Net: gpusim.InfiniBandEDR()})
+	}, planeBits{0x40c147040f91119d, 0x40169be7eee47ea7, []uint64{0x416588ee50f1331a, 0x416581c391d821d6, 0x416588ee50f1331a, 0x416581c391d821d6}}},
 }
 
 func TestGoldenHardwarePlane(t *testing.T) {
@@ -104,29 +118,43 @@ func equalBits(a, b []uint64) bool {
 	return true
 }
 
-// TestGoldenAutotune pins Algorithm 2's walk over the paper's 8-GPU server:
-// every decision's throughput bits and the chosen learner count.
+// TestGoldenAutotune pins Algorithm 2's walk over the paper's 8-GPU server,
+// alone and as each of two servers on the default interconnect: every
+// decision's throughput bits and the chosen learner count.
 func TestGoldenAutotune(t *testing.T) {
-	r := autotune.Tune(autotune.Config{Model: nn.ResNet32, GPUs: 8, Batch: 16})
 	type step struct {
 		m  int
 		tp uint64
 	}
-	want := []step{
-		{1, 0x40bfaccfe4ff1701}, {2, 0x40cf7be7e7a50f08}, {3, 0x40d5e3a703ae51b6},
-		{4, 0x40da0340ab0ba926}, {5, 0x40db3f2dc071b23c},
-	}
-	const wantChosen = 4
-	var got []step
-	for _, d := range r.History {
-		got = append(got, step{d.M, math.Float64bits(d.Throughput)})
-	}
-	if r.Chosen != wantChosen || len(got) != len(want) {
-		t.Fatalf("chosen %d, history %#v; want %d, %#v", r.Chosen, got, wantChosen, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("chosen %d, history %#v; want %d, %#v", r.Chosen, got, wantChosen, want)
+	for _, c := range []struct {
+		name       string
+		cfg        engine.Config
+		want       []step
+		wantChosen int
+	}{
+		{"1x8", engine.Config{Model: nn.ResNet32, GPUs: 8, Batch: 16, Overlap: true}, []step{
+			{1, 0x40bfaccfe4ff1701}, {2, 0x40cf7be7e7a50f08}, {3, 0x40d5e3a703ae51b6},
+			{4, 0x40da0340ab0ba926}, {5, 0x40db3f2dc071b23c},
+		}, 4},
+		{"2x8", engine.Config{Model: nn.ResNet32, Servers: 2, GPUs: 8, Batch: 16, Overlap: true}, []step{
+			{1, 0x40cf7b2b9abfa6c5}, {2, 0x40df4a95a91ec642}, {3, 0x40e5c3114c0e9b6e},
+			{4, 0x40ea0295faf30da6}, {5, 0x40ea5c0f87036267},
+		}, 4},
+	} {
+		r := autotune.Tune(c.cfg)
+		var got []step
+		for _, d := range r.History {
+			got = append(got, step{d.M, math.Float64bits(d.Throughput)})
+		}
+		if r.Chosen != c.wantChosen || len(got) != len(c.want) {
+			t.Errorf("%s: chosen %d, history %#v; want %d, %#v", c.name, r.Chosen, got, c.wantChosen, c.want)
+			continue
+		}
+		for i := range c.want {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: chosen %d, history %#v; want %d, %#v", c.name, r.Chosen, got, c.wantChosen, c.want)
+				break
+			}
 		}
 	}
 }

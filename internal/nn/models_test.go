@@ -97,22 +97,6 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestNumOperatorsCountsResidualInternals(t *testing.T) {
-	r := tensor.NewRNG(1)
-	plain := NewBuilder(2, []int{2, 4, 4}, 2, r).
-		Conv(2, 3, 1, 1).ReLU().GlobalAvgPool().Dense(2).Build()
-	if got := plain.NumOperators(); got != 5 {
-		t.Fatalf("plain ops = %d, want 5 (4 layers + loss)", got)
-	}
-	b := NewBuilder(2, []int{2, 4, 4}, 2, r)
-	b.BasicBlock(2, 1)
-	res := b.GlobalAvgPool().Dense(2).Build()
-	// Basic block: 5 branch ops + add/relu, plus gavg, dense, loss.
-	if got := res.NumOperators(); got != 9 {
-		t.Fatalf("residual ops = %d, want 9", got)
-	}
-}
-
 func TestFullSpecTable1Shape(t *testing.T) {
 	// The full-scale specs must reproduce the magnitude ordering of the
 	// paper's Table 1: ResNet-32 is the smallest model, ResNet-50 the

@@ -183,21 +183,6 @@ func (n *Network) ParamSize() int { return n.size }
 // Layers returns the layer list (read-only use).
 func (n *Network) Layers() []Layer { return n.layers }
 
-// NumOperators counts primitive operators, descending into residual blocks
-// and counting the block's sum+ReLU as one combined operator — the paper's
-// Table 1 "# Ops" counts dataflow operators the same way.
-func (n *Network) NumOperators() int {
-	count := 0
-	for _, l := range n.layers {
-		if r, ok := l.(*Residual); ok {
-			count += len(r.Operators()) + 1
-			continue
-		}
-		count++
-	}
-	return count + 1 // loss head
-}
-
 // Bind attaches parameter and gradient vectors to every layer. Both must
 // have length ParamSize.
 func (n *Network) Bind(w, g []float32) {

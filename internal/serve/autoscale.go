@@ -70,7 +70,7 @@ func newScaler(min, max int) *scaler {
 		min:   min,
 		max:   max,
 		cur:   min,
-		tuner: autotune.NewOnline(autotune.OnlineConfig{Start: min, Max: max}),
+		tuner: autotune.NewOnline(min, max, 1),
 	}
 }
 
@@ -123,11 +123,7 @@ func (s *scaler) step(rate, throughput float64) int {
 	// serving throughout).
 	if s.cur < s.max && rate > s.settledRate*driftFactor {
 		if s.driftRun++; s.driftRun >= stableWindows {
-			s.tuner = autotune.NewOnline(autotune.OnlineConfig{
-				Start:  s.cur,
-				Max:    s.max,
-				Warmup: 1,
-			})
+			s.tuner = autotune.NewOnline(s.cur, s.max, 0)
 			s.driftRun = 0
 		}
 		return s.cur

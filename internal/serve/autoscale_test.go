@@ -92,7 +92,19 @@ func TestScalerDriftRestart(t *testing.T) {
 	if !s.tuner.Settled() {
 		t.Fatal("single spike window re-opened the search")
 	}
-	// Sustained growth: restart and climb.
+	// Sustained growth: the search re-opens within stableWindows windows,
+	// and the first window after the restart is its baseline, so it
+	// already proposes one more replica.
+	for w := 0; s.tuner.Settled(); w++ {
+		if w == stableWindows {
+			t.Fatalf("no restart after %d windows of sustained growth", w)
+		}
+		scalerSim(s, 8000, 1000, 1)
+	}
+	if next := scalerSim(s, 8000, 1000, 1)[0]; next != low+1 {
+		t.Fatalf("first window after the restart moved %d → %d replicas, want %d", low, next, low+1)
+	}
+	// And the climb goes on.
 	counts := scalerSim(s, 8000, 1000, 25)
 	if final := counts[len(counts)-1]; final <= low {
 		t.Fatalf("sustained demand growth never scaled out: stayed at %d (history %v)", final, counts)

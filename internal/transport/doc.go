@@ -1,6 +1,6 @@
 // Package transport is the cluster plane's real network: N crossbow
 // processes exchanging the cross-server average model over TCP, where
-// internal/cluster only *simulates* the exchange on a discrete-event clock.
+// internal/engine only *simulates* the exchange on a discrete-event clock.
 // The simulated interconnect stays alive as the cost-model oracle this
 // package is validated against (DESIGN.md §12).
 //
@@ -28,8 +28,8 @@
 //     frames. View index c owns chunk c: every rank sends its slice of a
 //     chunk to the owner, the owner folds the slices in ascending rank
 //     order, ((b0+b1)+b2)+… as core.Loopback does, and sends the sum to
-//     every peer — the bytes of a ring, the cluster.Interconnect cost
-//     model's default, in two latency steps. The summed bytes are
+//     every peer — the bytes of the ring the gpusim.Interconnect cost
+//     model prices, in two latency steps. The summed bytes are
 //     identical on every participant and equal to the loopback's.
 //     Each chunk is split into pipelined segments so summation hides under
 //     transmission — one per 512 KiB of the chunk, 1 to 4, with nothing to

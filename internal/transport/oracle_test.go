@@ -4,18 +4,17 @@ import (
 	"testing"
 	"time"
 
-	"crossbow/internal/cluster"
+	"crossbow/internal/gpusim"
 )
 
 // TestPresetsCoverTopologies pins the contract the transport relies on: the
-// exported preset list is non-empty, each preset is named, and both
-// topologies of the cost model — the ring, whose bytes the transport's
-// collective sends, and the binomial tree the paper's simulated figures
-// can price — predict a positive cost.
+// exported preset list is non-empty, each preset is named, and the ring
+// cost model, whose bytes the transport's collective sends, predicts a
+// positive cost.
 func TestPresetsCoverTopologies(t *testing.T) {
-	presets := cluster.Presets()
+	presets := gpusim.Presets()
 	if len(presets) < 2 {
-		t.Fatalf("cluster.Presets() returned %d models", len(presets))
+		t.Fatalf("gpusim.Presets() returned %d models", len(presets))
 	}
 	seen := map[string]bool{}
 	for _, ic := range presets {
@@ -26,9 +25,7 @@ func TestPresetsCoverTopologies(t *testing.T) {
 			t.Errorf("duplicate preset name %q", ic.Name)
 		}
 		seen[ic.Name] = true
-		tree := ic
-		tree.Tree = true
-		if tree.AllReduceUS(1<<20, 4) <= 0 || ic.AllReduceUS(1<<20, 4) <= 0 {
+		if ic.AllReduceUS(1<<20, 4) <= 0 {
 			t.Errorf("%s: zero-cost all-reduce prediction", ic.Name)
 		}
 	}
@@ -81,7 +78,7 @@ func TestAllReduceAgainstCostOracle(t *testing.T) {
 		}
 
 		bytes := int64(dim * 4)
-		for _, ic := range cluster.Presets() {
+		for _, ic := range gpusim.Presets() {
 			predicted := time.Duration(ic.AllReduceUS(bytes, k) * float64(time.Microsecond))
 			if predicted <= 0 {
 				t.Fatalf("%s: no prediction for %d bytes x %d servers", ic.Name, bytes, k)

@@ -3,25 +3,25 @@ package crossbow
 import (
 	"fmt"
 
-	"crossbow/internal/cluster"
 	"crossbow/internal/core"
+	"crossbow/internal/gpusim"
 	"crossbow/internal/metrics"
 	"crossbow/internal/nn"
 )
 
-// Interconnect is the cross-server network cost model of the cluster plane
-// (latency + bandwidth + collective algorithm). The zero value selects
+// Interconnect is the cross-server network cost model of the hardware plane
+// (latency + bandwidth under a ring all-reduce). The zero value selects
 // 10 Gb/s Ethernet.
-type Interconnect = cluster.Interconnect
+type Interconnect = gpusim.Interconnect
 
 // Ethernet returns the commodity 10 Gb/s Ethernet interconnect.
-func Ethernet() Interconnect { return cluster.Ethernet10G() }
+func Ethernet() Interconnect { return gpusim.Ethernet10G() }
 
 // Ethernet25G returns a 25 Gb/s Ethernet interconnect.
-func Ethernet25G() Interconnect { return cluster.Ethernet25G() }
+func Ethernet25G() Interconnect { return gpusim.Ethernet25G() }
 
 // InfiniBand returns a 100 Gb/s EDR InfiniBand interconnect.
-func InfiniBand() Interconnect { return cluster.InfiniBandEDR() }
+func InfiniBand() Interconnect { return gpusim.InfiniBandEDR() }
 
 // ScalingPoint is one entry of a cluster scale-out sweep.
 type ScalingPoint = metrics.ScalingPoint
