@@ -53,14 +53,12 @@ type Checkpoint struct {
 	// BestAccuracy is the best test accuracy observed so far.
 	BestAccuracy float64
 	// Meta carries optional training context: cluster runs record
-	// "servers" and "interconnect". Empty for single-server checkpoints
-	// and files written by older versions.
+	// "servers" and "interconnect". Empty for single-server checkpoints.
 	Meta map[string]string
 	// SnapshotRound and SnapshotIter identify the published snapshot this
 	// checkpoint carries (see Snapshot): the synchronisation-round version
 	// of the central average model and the per-learner iteration count it
-	// represents. Zero for end-of-training checkpoints (SaveModel) and
-	// files written before format v3.
+	// represents. Zero for end-of-training checkpoints (SaveModel).
 	SnapshotRound int64
 	SnapshotIter  int64
 	// Params is the flat model vector.
@@ -68,8 +66,7 @@ type Checkpoint struct {
 }
 
 // LoadCheckpoint reads a checkpoint with its full metadata (including the
-// cluster context SaveModel records for multi-server runs). Checkpoints
-// written by older versions load with empty metadata.
+// cluster context SaveModel records for multi-server runs).
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	c, err := ckpt.Load(path)
 	if err != nil {

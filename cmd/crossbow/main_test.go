@@ -73,6 +73,19 @@ func TestDispatch(t *testing.T) {
 	}
 }
 
+// TestTrainUnknownAlgorithm: `train -algo` with a name outside the four
+// exits 1 with an error naming it, instead of panicking mid set-up.
+func TestTrainUnknownAlgorithm(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"train", "-model", "lenet", "-epochs", "1", "-algo", "bogus"}, &stdout, &stderr)
+	if code != 1 {
+		t.Errorf("exited %d, want 1 (stderr %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `"bogus"`) || strings.Contains(stderr.String(), "panic") {
+		t.Errorf("stderr %q, want an error naming the algorithm", stderr.String())
+	}
+}
+
 // TestSharedFlagsMeanOneThing: a flag name that several subcommands take
 // is one registration, so its help text is the same in each.
 func TestSharedFlagsMeanOneThing(t *testing.T) {

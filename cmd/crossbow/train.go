@@ -23,7 +23,7 @@ import (
 func trainCmd(fs *flag.FlagSet) runner {
 	var t training
 	t.register(fs, 1, 30, false)
-	algo := fs.String("algo", "sma", "algorithm: sma, sma-hier, ssgd, easgd, asgd")
+	algo := fs.String("algo", "sma", "algorithm: sma, sma-hier, ssgd, easgd")
 	lr := fs.Float64("lr", 0, "learning rate (0 = per-model default)")
 	momentum := fs.Float64("momentum", 0.9, "momentum")
 	sched := fs.String("sched", "lockstep", "task-runtime scheduler: lockstep (barriered oracle) or fcfs (barrier-free)")

@@ -73,7 +73,6 @@ const (
 	SMAHierarchical = core.AlgoSMAHier
 	SSGD            = core.AlgoSSGD
 	EASGD           = core.AlgoEASGD
-	ASGD            = core.AlgoASGD
 )
 
 // AutoTune, used as LearnersPerGPU, lets Algorithm 2 choose the learner
@@ -302,8 +301,12 @@ func (c *Config) fillDefaults() error {
 	if _, ok := nn.ScaledConfigs[c.Model]; !ok {
 		return fmt.Errorf("crossbow: unknown model %q", c.Model)
 	}
-	if c.Algo == "" {
+	switch c.Algo {
+	case "":
 		c.Algo = SMA
+	case SMA, SMAHierarchical, SSGD, EASGD:
+	default:
+		return fmt.Errorf("crossbow: unknown algorithm %q", c.Algo)
 	}
 	if c.Servers <= 0 {
 		c.Servers = 1

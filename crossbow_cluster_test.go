@@ -150,7 +150,7 @@ func TestClusterRejectsNonSMA(t *testing.T) {
 	if _, err := Throughput(Config{Model: LeNet, Servers: 2, Algo: EASGD}); err == nil {
 		t.Error("Throughput with EASGD on 2 servers should fail")
 	}
-	if _, err := ClusterSweep(Config{Model: LeNet, Algo: ASGD}, []int{1, 2}); err == nil {
-		t.Error("ClusterSweep with ASGD should fail")
+	if _, err := ClusterSweep(Config{Model: LeNet, Algo: SSGD}, []int{1, 2}); err == nil {
+		t.Error("ClusterSweep with SSGD should fail")
 	}
 }

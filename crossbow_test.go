@@ -2,6 +2,7 @@ package crossbow
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"crossbow/internal/engine"
@@ -59,6 +60,20 @@ func TestTrainRequiresModel(t *testing.T) {
 	}
 	if _, err := Train(Config{Model: Model("bogus")}); err == nil {
 		t.Fatal("expected error for unknown model")
+	}
+}
+
+// TestUnknownAlgorithmRejected: an algorithm outside the four is a Config
+// error from Train and Throughput, returned before any set-up (it used to
+// reach the optimiser factory and panic there). "asgd" is one of them.
+func TestUnknownAlgorithmRejected(t *testing.T) {
+	for _, algo := range []Algorithm{"bogus", "asgd"} {
+		if _, err := Train(Config{Model: LeNet, Algo: algo, MaxEpochs: 1}); err == nil || !strings.Contains(err.Error(), string(algo)) {
+			t.Errorf("Train with Algo %q: err %v, want one naming the algorithm", algo, err)
+		}
+		if _, err := Throughput(Config{Model: LeNet, Algo: algo}); err == nil || !strings.Contains(err.Error(), string(algo)) {
+			t.Errorf("Throughput with Algo %q: err %v, want one naming the algorithm", algo, err)
+		}
 	}
 }
 

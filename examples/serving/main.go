@@ -3,7 +3,9 @@
 // keep training while publishing consistent snapshots of the central
 // average model straight into the live service (hot swap, no dropped
 // requests), then persist the final snapshot and serve it back from the
-// checkpoint — the exact published model, version and all.
+// checkpoint — the exact published model, version and all. Both services
+// are one ServeConfig: the model source (Params or Checkpoint) is one of
+// its fields, which the engine resolves itself.
 package main
 
 import (
@@ -92,7 +94,8 @@ func main() {
 		total, st.BatchOccupancy, st.P50Ms, st.P99Ms)
 	fmt.Printf("service now at model version %d after %d hot swaps\n", p.Version(), st.ModelSwaps)
 
-	// 4. Persist the last snapshot and serve the exact published model back.
+	// 4. Persist the last snapshot and serve the exact published model back:
+	// the same config with Checkpoint as the model source, default batching.
 	dir, err := os.MkdirTemp("", "crossbow-serving")
 	if err != nil {
 		log.Fatal(err)
@@ -102,7 +105,7 @@ func main() {
 	if err := crossbow.SaveSnapshot(ckptPath, lastSnap); err != nil {
 		log.Fatal(err)
 	}
-	p2, err := crossbow.Serve(crossbow.ServeConfig{Checkpoint: ckptPath, MaxDelay: 0})
+	p2, err := crossbow.Serve(crossbow.ServeConfig{Checkpoint: ckptPath})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type ModelPublisher struct {
 // empty host binds all interfaces, port 0 picks one — read it back with
 // Addr).
 func NewModelPublisher(addr string) (*ModelPublisher, error) {
-	pub, err := transport.NewPublisher(transport.PublisherConfig{Addr: addr})
+	pub, err := transport.NewPublisher(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -15,11 +15,10 @@ import (
 // Magic identifies a Crossbow checkpoint file.
 const Magic = "CBOWCKPT"
 
-// Version is the current format version. Version 2 adds the Meta section
-// (the cluster plane's configuration context); version 3 adds the snapshot
-// section (SnapshotRound/SnapshotIter — the serving plane's model version,
-// DESIGN.md §11). Files written by older versions still load, with the
-// missing sections zero.
+// Version is the format version, the only one Read accepts: a file carries
+// the Meta section (the cluster plane's configuration context) and the
+// snapshot section (SnapshotRound/SnapshotIter — the serving plane's model
+// version, DESIGN.md §11).
 const Version = 3
 
 // Checkpoint is a model snapshot with its training context.
@@ -38,8 +37,7 @@ type Checkpoint struct {
 	// SnapshotRound is the synchronisation-round version of the central
 	// average model this checkpoint carries (core.Snapshot.Round), and
 	// SnapshotIter the per-learner iteration count the round represents.
-	// Both are zero for end-of-training checkpoints and for files written
-	// before format version 3. A serving process started from a snapshot
+	// Both are zero for end-of-training checkpoints. A serving process started from a snapshot
 	// checkpoint reports SnapshotRound as its model version, so a
 	// prediction can always be traced to the exact published model that
 	// produced it.
@@ -91,7 +89,7 @@ func Write(w io.Writer, c *Checkpoint) error {
 			return err
 		}
 	}
-	// Snapshot section (v3).
+	// Snapshot section.
 	if err := binary.Write(bw, binary.LittleEndian, uint64(c.SnapshotRound)); err != nil {
 		return err
 	}
@@ -130,7 +128,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, err
 	}
-	if version < 1 || version > Version {
+	if version != Version {
 		return nil, fmt.Errorf("ckpt: unsupported version %d", version)
 	}
 	nameLen, err := br.ReadByte()
@@ -150,40 +148,36 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if err := binary.Read(br, binary.LittleEndian, &c.BestAccuracy); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		var metaCount uint32
-		if err := binary.Read(br, binary.LittleEndian, &metaCount); err != nil {
-			return nil, err
-		}
-		const maxMeta = 1 << 16
-		if metaCount > maxMeta {
-			return nil, fmt.Errorf("ckpt: implausible metadata count %d", metaCount)
-		}
-		if metaCount > 0 {
-			c.Meta = make(map[string]string, metaCount)
-			for i := uint32(0); i < metaCount; i++ {
-				k, err := readString(br)
-				if err != nil {
-					return nil, fmt.Errorf("ckpt: reading metadata: %w", err)
-				}
-				v, err := readString(br)
-				if err != nil {
-					return nil, fmt.Errorf("ckpt: reading metadata: %w", err)
-				}
-				c.Meta[k] = v
+	var metaCount uint32
+	if err := binary.Read(br, binary.LittleEndian, &metaCount); err != nil {
+		return nil, err
+	}
+	const maxMeta = 1 << 16
+	if metaCount > maxMeta {
+		return nil, fmt.Errorf("ckpt: implausible metadata count %d", metaCount)
+	}
+	if metaCount > 0 {
+		c.Meta = make(map[string]string, metaCount)
+		for i := uint32(0); i < metaCount; i++ {
+			k, err := readString(br)
+			if err != nil {
+				return nil, fmt.Errorf("ckpt: reading metadata: %w", err)
 			}
+			v, err := readString(br)
+			if err != nil {
+				return nil, fmt.Errorf("ckpt: reading metadata: %w", err)
+			}
+			c.Meta[k] = v
 		}
 	}
-	if version >= 3 {
-		var round, iter uint64
-		if err := binary.Read(br, binary.LittleEndian, &round); err != nil {
-			return nil, fmt.Errorf("ckpt: reading snapshot section: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &iter); err != nil {
-			return nil, fmt.Errorf("ckpt: reading snapshot section: %w", err)
-		}
-		c.SnapshotRound, c.SnapshotIter = int64(round), int64(iter)
+	var round, iter uint64
+	if err := binary.Read(br, binary.LittleEndian, &round); err != nil {
+		return nil, fmt.Errorf("ckpt: reading snapshot section: %w", err)
 	}
+	if err := binary.Read(br, binary.LittleEndian, &iter); err != nil {
+		return nil, fmt.Errorf("ckpt: reading snapshot section: %w", err)
+	}
+	c.SnapshotRound, c.SnapshotIter = int64(round), int64(iter)
 	var n uint64
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 		return nil, err

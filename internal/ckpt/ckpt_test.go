@@ -3,10 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -176,107 +174,6 @@ func TestMetaWriteDeterministic(t *testing.T) {
 	}
 }
 
-// writeV1 serialises a checkpoint in the pre-cluster version-1 layout (no
-// metadata section), byte for byte as the old writer produced it.
-func writeV1(c *Checkpoint) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	binary.Write(&buf, binary.LittleEndian, uint32(1))
-	buf.WriteByte(byte(len(c.Model)))
-	buf.WriteString(c.Model)
-	binary.Write(&buf, binary.LittleEndian, uint64(c.Epoch))
-	binary.Write(&buf, binary.LittleEndian, c.BestAccuracy)
-	binary.Write(&buf, binary.LittleEndian, uint64(len(c.Params)))
-	crc := crc32.NewIEEE()
-	b4 := make([]byte, 4)
-	for _, v := range c.Params {
-		binary.LittleEndian.PutUint32(b4, floatBits(v))
-		buf.Write(b4)
-		crc.Write(b4)
-	}
-	binary.Write(&buf, binary.LittleEndian, crc.Sum32())
-	return buf.Bytes()
-}
-
-// TestLegacyV1Loads pins backward compatibility: checkpoints written
-// before the cluster config fields existed must still load.
-func TestLegacyV1Loads(t *testing.T) {
-	want := sample()
-	got, err := Read(bytes.NewReader(writeV1(want)))
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if got.Model != want.Model || got.Epoch != want.Epoch || got.BestAccuracy != want.BestAccuracy {
-		t.Fatalf("v1 metadata mismatch: %+v", got)
-	}
-	if got.Meta != nil {
-		t.Fatalf("v1 checkpoint has meta %v, want none", got.Meta)
-	}
-	if tensor.MaxAbsDiff(got.Params, want.Params) != 0 {
-		t.Fatalf("v1 params mismatch: %v", got.Params)
-	}
-}
-
-// writeV2 serialises a checkpoint in the pre-serving version-2 layout
-// (metadata section, no snapshot section), byte for byte as the old writer
-// produced it.
-func writeV2(c *Checkpoint) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	binary.Write(&buf, binary.LittleEndian, uint32(2))
-	buf.WriteByte(byte(len(c.Model)))
-	buf.WriteString(c.Model)
-	binary.Write(&buf, binary.LittleEndian, uint64(c.Epoch))
-	binary.Write(&buf, binary.LittleEndian, c.BestAccuracy)
-	keys := make([]string, 0, len(c.Meta))
-	for k := range c.Meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	binary.Write(&buf, binary.LittleEndian, uint32(len(keys)))
-	for _, k := range keys {
-		binary.Write(&buf, binary.LittleEndian, uint16(len(k)))
-		buf.WriteString(k)
-		binary.Write(&buf, binary.LittleEndian, uint16(len(c.Meta[k])))
-		buf.WriteString(c.Meta[k])
-	}
-	binary.Write(&buf, binary.LittleEndian, uint64(len(c.Params)))
-	crc := crc32.NewIEEE()
-	b4 := make([]byte, 4)
-	for _, v := range c.Params {
-		binary.LittleEndian.PutUint32(b4, floatBits(v))
-		buf.Write(b4)
-		crc.Write(b4)
-	}
-	binary.Write(&buf, binary.LittleEndian, crc.Sum32())
-	return buf.Bytes()
-}
-
-// TestLegacyV2Loads pins backward compatibility across the v3 snapshot
-// section: version-2 files (written before the serving plane existed) load
-// with a zero snapshot version.
-func TestLegacyV2Loads(t *testing.T) {
-	want := sample()
-	want.Meta = map[string]string{"servers": "4", "interconnect": "IB"}
-	got, err := Read(bytes.NewReader(writeV2(want)))
-	if err != nil {
-		t.Fatalf("v2 checkpoint rejected: %v", err)
-	}
-	if got.Model != want.Model || got.Epoch != want.Epoch || got.BestAccuracy != want.BestAccuracy {
-		t.Fatalf("v2 metadata mismatch: %+v", got)
-	}
-	if len(got.Meta) != 2 || got.Meta["servers"] != "4" {
-		t.Fatalf("v2 meta mismatch: %v", got.Meta)
-	}
-	if got.SnapshotRound != 0 || got.SnapshotIter != 0 {
-		t.Fatalf("v2 checkpoint carries snapshot version %d/%d, want 0/0",
-			got.SnapshotRound, got.SnapshotIter)
-	}
-	if tensor.MaxAbsDiff(got.Params, want.Params) != 0 {
-		t.Fatalf("v2 params mismatch: %v", got.Params)
-	}
-}
-
 // TestRoundTripSnapshotVersion pins the v3 snapshot section.
 func TestRoundTripSnapshotVersion(t *testing.T) {
 	c := sample()
@@ -294,11 +191,20 @@ func TestRoundTripSnapshotVersion(t *testing.T) {
 	}
 }
 
+// TestFutureVersionRejected: Read takes exactly format v3. The files of the
+// older layouts (v1 without the metadata section, v2 without the snapshot
+// section) and any later version are refused on the version field alone.
 func TestFutureVersionRejected(t *testing.T) {
-	data := writeV1(sample())
-	// Patch the version field (right after the magic) to a future version.
-	binary.LittleEndian.PutUint32(data[len(Magic):], Version+1)
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Fatal("future version accepted")
+	var buf bytes.Buffer
+	if err := Write(&buf, sample()); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{1, 2, Version + 1} {
+		data := append([]byte(nil), buf.Bytes()...)
+		// Patch the version field, right after the magic.
+		binary.LittleEndian.PutUint32(data[len(Magic):], v)
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("version %d accepted", v)
+		}
 	}
 }

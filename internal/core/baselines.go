@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"crossbow/internal/tensor"
 )
 
@@ -149,45 +147,3 @@ func (e *EASGD) Step(ws, gs [][]float32) {
 
 // SetLearnRate updates γ.
 func (e *EASGD) SetLearnRate(lr float32) { e.LearnRate = lr }
-
-// ASGD is asynchronous SGD (§2.3, Hogwild-style): each worker applies its
-// gradient — computed from a stale snapshot of the shared model — directly
-// to the shared model without waiting for the others. The staleness model
-// here is one iteration: all gradients in a Step were computed against the
-// model as it stood when the iteration began, and workers apply them
-// sequentially, each seeing the partial updates of earlier workers.
-// Included as the §6 comparison point; Crossbow itself is synchronous.
-type ASGD struct {
-	LearnRate float32
-	// StateRanges: see SSGD.StateRanges.
-	StateRanges [][2]int
-
-	w []float32
-}
-
-// NewASGD creates the optimiser from initial model w0.
-func NewASGD(lr float32, w0 []float32) *ASGD {
-	return &ASGD{LearnRate: lr, w: append([]float32(nil), w0...)}
-}
-
-// Average returns the shared model — the model A-SGD trains.
-func (a *ASGD) Average() []float32 { return a.w }
-
-// SetLearnRate updates γ.
-func (a *ASGD) SetLearnRate(lr float32) { a.LearnRate = lr }
-
-// Step applies each worker's (stale) gradient to the shared model in turn,
-// then refreshes every replica with the current shared model — the
-// snapshot the next iteration's gradients will be computed against.
-func (a *ASGD) Step(ws, gs [][]float32) {
-	if len(ws) != len(gs) {
-		panic(fmt.Sprintf("core: ASGD.Step with %d replicas, %d gradients", len(ws), len(gs)))
-	}
-	for _, g := range gs {
-		tensor.Axpy(-a.LearnRate, g, a.w)
-	}
-	carryState(a.StateRanges, a.w, ws)
-	for _, w := range ws {
-		tensor.Copy(w, a.w)
-	}
-}

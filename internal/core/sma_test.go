@@ -228,21 +228,6 @@ func TestSSGDMatchesEq3ByHand(t *testing.T) {
 	}
 }
 
-func TestASGDAppliesAllGradients(t *testing.T) {
-	a := NewASGD(1, []float32{0, 0})
-	ws := [][]float32{{0, 0}, {0, 0}}
-	gs := [][]float32{{1, 0}, {0, 2}}
-	a.Step(ws, gs)
-	if a.Average()[0] != -1 || a.Average()[1] != -2 {
-		t.Fatalf("model = %v", a.Average())
-	}
-	for _, w := range ws {
-		if tensor.MaxAbsDiff(w, a.Average()) != 0 {
-			t.Fatal("replicas must see the shared model")
-		}
-	}
-}
-
 // Property: hierarchical SMA with one learner per GPU equals flat SMA.
 func TestHierarchicalReducesToFlat(t *testing.T) {
 	f := func(seed uint64, gRaw uint8) bool {
@@ -316,14 +301,12 @@ func TestOptimisersConvergeOnQuadratic(t *testing.T) {
 			return NewEASGD(0.1, 0, 1, k, w0)
 		case "ssgd":
 			return NewSSGD(0.1, 0.5, w0)
-		case "asgd":
-			return NewASGD(0.1, w0)
 		case "hier":
 			return NewHierarchicalSMA(SMAConfig{LearnRate: 0.1}, w0, [][]int{{0, 1}, {2}})
 		}
 		panic("bad name")
 	}
-	for _, name := range []string{"sma", "easgd", "ssgd", "asgd", "hier"} {
+	for _, name := range []string{"sma", "easgd", "ssgd", "hier"} {
 		w0 := make([]float32, n)
 		opt := build(name, w0)
 		ws, gs := vecs(k, n, 23)

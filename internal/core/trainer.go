@@ -25,7 +25,6 @@ const (
 	AlgoSMACluster Algorithm = "sma-cluster" // cluster plane: intra-/inter-server SMA, one rank of it
 	AlgoSSGD       Algorithm = "ssgd"        // TensorFlow-style parallel S-SGD
 	AlgoEASGD      Algorithm = "easgd"       // elastic averaging SGD
-	AlgoASGD       Algorithm = "asgd"        // asynchronous SGD
 )
 
 // SchedulerMode selects the wall-clock task runtime's scheduling
@@ -530,10 +529,6 @@ func buildOpt(cfg *TrainConfig, w0 []float32, k int, stateRanges [][2]int) stepp
 		ea := NewEASGD(cfg.LearnRate, 0, cfg.Tau, k, w0)
 		ea.LocalMomentum = cfg.LocalMomentum
 		return ea
-	case AlgoASGD:
-		a := NewASGD(cfg.LearnRate, w0)
-		a.StateRanges = stateRanges
-		return a
 	}
 	panic(fmt.Sprintf("core: unknown algorithm %q", cfg.Algo))
 }

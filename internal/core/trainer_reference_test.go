@@ -159,7 +159,7 @@ func TestLockstepBitIdenticalToReference(t *testing.T) {
 // optimiser the lockstep runtime schedules, including the hierarchical and
 // cluster tiers.
 func TestLockstepReferencePinAllAlgorithms(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoSMAHier, AlgoSSGD, AlgoEASGD, AlgoASGD} {
+	for _, algo := range []Algorithm{AlgoSMAHier, AlgoSSGD, AlgoEASGD} {
 		cfg := determinismCfg()
 		cfg.Algo = algo
 		if algo == AlgoSMAHier {

@@ -65,7 +65,7 @@ func TestTrainSeedsChangeOutcome(t *testing.T) {
 }
 
 func TestTrainAllAlgorithms(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoSMA, AlgoSMAHier, AlgoSSGD, AlgoEASGD, AlgoASGD} {
+	for _, algo := range []Algorithm{AlgoSMA, AlgoSMAHier, AlgoSSGD, AlgoEASGD} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			res := Train(TrainConfig{
@@ -174,7 +174,6 @@ func TestCentralModelPerAlgorithm(t *testing.T) {
 		"SMA":              NewSMA(SMAConfig{LearnRate: 0.1}, w0, 1),
 		"SSGD":             NewSSGD(0.1, 0, w0),
 		"EASGD":            NewEASGD(0.1, 0, 1, 1, w0),
-		"ASGD":             NewASGD(0.1, w0),
 		"hierarchical SMA": NewHierarchicalSMA(SMAConfig{LearnRate: 0.1}, w0, [][]int{{0}}),
 		"cluster SMA":      NewDistClusterSMA(ClusterSMAConfig{}, w0, 1, nopExchanger{}),
 	} {

@@ -34,6 +34,11 @@
 //     forward — against its planned arena, and answers each request with
 //     its arg-max class and softmax confidence.
 //
+// Config is the one declaration of the serving options (crossbow.ServeConfig
+// is this type), and New resolves the model source itself: Params as given,
+// a checkpoint file (Config.Checkpoint), or a model feed (Config.Follow),
+// whose transport.Follower the engine starts, owns and closes.
+//
 // Snapshots version the model: UpdateModel hot-swaps all replicas onto a
 // newer published snapshot between batches, so a serving engine can trail a
 // live training run (core.Snapshot, Config.PublishEvery) without dropping

@@ -11,6 +11,7 @@ import (
 	"crossbow/internal/metrics"
 	"crossbow/internal/nn"
 	"crossbow/internal/tensor"
+	"crossbow/internal/transport"
 )
 
 // ErrClosed is returned by Predict once the engine has been closed.
@@ -24,17 +25,28 @@ var ErrClosed = errors.New("serve: engine closed")
 // the whole latency distribution down with it.
 var ErrOverloaded = errors.New("serve: overloaded, request shed")
 
-// Config configures a prediction engine.
+// Config configures a prediction engine; crossbow.ServeConfig is this type.
+// At least one model source must be set: Params (a training result or a
+// published snapshot), Checkpoint (a file written by crossbow.SaveModel or
+// SaveSnapshot), or Follow (a live model feed; combined with Params or
+// Checkpoint the latter becomes the feed's warm base).
 type Config struct {
-	// Model names the architecture Params belongs to. Required.
+	// Model names the architecture to serve. Required with Params;
+	// inferred from the file with Checkpoint and from the first snapshot
+	// with a cold Follow (and checked against either if set).
 	Model nn.ModelID
 	// Params is the model to serve — a published training snapshot
-	// (core.Snapshot.Params) or a loaded checkpoint. The engine takes
-	// ownership; do not modify after New. Required.
+	// (core.Snapshot.Params) or a training result. The engine takes
+	// ownership; do not modify after New.
 	Params []float32
-	// Version tags the initial model (the snapshot round); reported with
-	// every prediction and in Stats.
+	// Version tags Params (the snapshot round; zero is fine for
+	// end-of-training models); reported with every prediction and in
+	// Stats. Ignored with Checkpoint, which carries its own.
 	Version int64
+	// Checkpoint loads the model from a checkpoint file instead of Params:
+	// the engine then serves exactly the published model the file
+	// carries, reporting its recorded snapshot round as the model version.
+	Checkpoint string
 	// Replicas is the number of forward-only model replicas serving
 	// batches concurrently, each with its own planned inference arena
 	// (default 1). A free replica gathers its own batch from the queue,
@@ -51,7 +63,7 @@ type Config struct {
 	// request or an answer by less than one measured class-1 service time,
 	// and each next request arrives within one service time of the batch
 	// so far. A request to an idle engine ships at once. Zero — the
-	// default — never waits. The binaries default to 2ms.
+	// default — never waits; crossbow serve defaults to 2ms.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; Predict blocks while it is
 	// full — backpressure, not load shedding (default Replicas×MaxBatch×4).
@@ -85,17 +97,23 @@ type Config struct {
 	// budget, which the batches in flight divide between them as learning
 	// tasks do. Zero keeps the fixed Replicas count.
 	AutoScale int
+	// Follow subscribes the engine to a model feed (crossbow.ModelPublisher
+	// or crossbow.Config.PublishAddr) at this address: every published
+	// snapshot hot-swaps in as it arrives, shipped as a delta against the
+	// model the engine already holds. With a warm base (Params or
+	// Checkpoint) the feed resumes with deltas; with neither, New blocks
+	// until the first snapshot arrives (FollowTimeout).
+	Follow string
+	// FollowTimeout bounds the cold-start wait for the first snapshot on a
+	// Follow feed with no warm base (default 30s).
+	FollowTimeout time.Duration
 }
 
+// fillDefaults checks the options and fills the defaults. The model itself
+// is checked by checkModel, once its source has been resolved.
 func (c *Config) fillDefaults() error {
-	if c.Model == "" {
-		return errors.New("serve: Config.Model is required")
-	}
-	if _, ok := nn.ScaledConfigs[c.Model]; !ok {
-		return fmt.Errorf("serve: unknown model %q", c.Model)
-	}
-	if len(c.Params) == 0 {
-		return errors.New("serve: Config.Params is required (train a model or load a checkpoint)")
+	if c.Checkpoint != "" && c.Params != nil {
+		return errors.New("serve: Config.Params and Checkpoint are mutually exclusive")
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
@@ -112,11 +130,28 @@ func (c *Config) fillDefaults() error {
 	if c.ControlEvery <= 0 {
 		c.ControlEvery = 100 * time.Millisecond
 	}
+	if c.FollowTimeout <= 0 {
+		c.FollowTimeout = 30 * time.Second
+	}
 	if c.AutoScale > 0 && c.SLO <= 0 {
 		return errors.New("serve: AutoScale requires an SLO (the autoscaler is driven by the same measurement windows)")
 	}
 	if c.AutoScale > 0 && c.AutoScale < c.Replicas {
 		return fmt.Errorf("serve: AutoScale ceiling %d below Replicas %d", c.AutoScale, c.Replicas)
+	}
+	return nil
+}
+
+// checkModel requires a known model and its parameters.
+func (c *Config) checkModel() error {
+	if c.Model == "" {
+		return errors.New("serve: Config.Model is required")
+	}
+	if _, ok := nn.ScaledConfigs[c.Model]; !ok {
+		return fmt.Errorf("serve: unknown model %q", c.Model)
+	}
+	if len(c.Params) == 0 {
+		return errors.New("serve: Config.Params is required (train a model, load a checkpoint or follow a feed)")
 	}
 	return nil
 }
@@ -177,6 +212,7 @@ type replica struct {
 type Engine struct {
 	cfg   Config
 	model atomic.Pointer[modelState]
+	feed  *transport.Follower // non-nil with Config.Follow
 
 	queue    chan *request
 	freeReqs chan *request
@@ -241,12 +277,37 @@ type classMeter struct {
 	ewmaNs atomic.Int64
 }
 
-// New validates cfg, builds replica 0's class-1 slot (the one a lone first
-// request runs on) and starts the replica goroutines. Every
-// other slot is built the first time its class runs; once each class a load
-// visits is built, the hot path allocates nothing.
+// New validates cfg, resolves its model source (loading the checkpoint, or
+// starting the feed follower the engine then owns), builds replica 0's
+// class-1 slot (the one a lone first request runs on) and starts the
+// replica goroutines. Every other slot is built the first time its class
+// runs; once each class a load visits is built, the hot path allocates
+// nothing.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
+	fd, err := cfg.resolveModel()
+	if err != nil {
+		return nil, err
+	}
+	e, err := start(cfg)
+	if err != nil {
+		if fd != nil {
+			fd.f.Close()
+		}
+		return nil, err
+	}
+	if fd != nil {
+		e.feed = fd.f
+		fd.attach(e)
+	}
+	return e, nil
+}
+
+// start builds and starts the engine for a resolved model.
+func start(cfg Config) (*Engine, error) {
+	if err := cfg.checkModel(); err != nil {
 		return nil, err
 	}
 	probe := nn.BuildScaled(cfg.Model, 1, tensor.NewRNG(1))
@@ -451,11 +512,14 @@ func (e *Engine) Predict(sample []float32) (Prediction, error) {
 	return p, nil
 }
 
-// Close stops accepting requests, serves everything already queued, waits
-// for the replicas to finish, and returns. Safe to call
-// once; Predict calls racing Close either complete normally or return
-// ErrClosed.
+// Close unsubscribes from the model feed when following one, stops
+// accepting requests, serves everything already queued, waits for the
+// replicas to finish, and returns. Safe to call more than once; Predict
+// calls racing Close either complete normally or return ErrClosed.
 func (e *Engine) Close() {
+	if e.feed != nil {
+		e.feed.Close()
+	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -466,6 +530,16 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	close(e.stop)
 	e.wg.Wait()
+}
+
+// FeedStats reports model-feed traffic — snapshots received as deltas vs
+// fulls, their payload bytes, resyncs and redials — when the engine
+// follows a feed; the zero FeedStats otherwise.
+func (e *Engine) FeedStats() metrics.FeedStats {
+	if e.feed == nil {
+		return metrics.FeedStats{}
+	}
+	return e.feed.Stats()
 }
 
 // Stats returns a point-in-time snapshot of the runtime's behaviour.

@@ -58,4 +58,11 @@
 // round trip after the ask. Only silence (no answer, a lost frame, an
 // unparseable payload) keeps it waiting, re-asking at each membership
 // change, for at most its timeout.
+//
+// The package also carries the serving fleet's model feed (publish.go,
+// DESIGN.md §16): a Publisher streams published snapshots to Followers,
+// each as a delta against the round the follower holds. The feed takes no
+// options — NewPublisher(addr) and Follow(addr, round, params, onUpdate)
+// take what its users set; the history of 8 delta bases, the chunk size
+// and the write, drain, payload and dial bounds are constants.
 package transport

@@ -258,9 +258,12 @@ func (n *Node) WaitPeers(timeout time.Duration) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for {
-		alive := 0
+		alive, now := 0, time.Now()
 		for _, p := range n.peers {
-			if p != nil && p.alive {
+			// A peer under quarantine is not live even while its link's
+			// death is still in flight: the link is being cut and cannot
+			// re-form before the sentence lapses.
+			if p != nil && p.alive && !now.Before(p.quarUntil) {
 				alive++
 			}
 		}

@@ -189,6 +189,20 @@ func TestPeerDeathShrinksView(t *testing.T) {
 	}
 }
 
+// TestWaitPeersSkipsQuarantined: a peer this node has quarantined is not
+// live, even while its link's death is still in flight. Counting it let a
+// caller that waited for the mesh after a quarantine go on at once and run
+// its next round alone, while the peer's Ready arrived after that round
+// and waited for one that never came (TestCorruptingPeerQuarantined hung
+// that way about once in twenty runs).
+func TestWaitPeersSkipsQuarantined(t *testing.T) {
+	nodes := startCluster(t, 2, func(rank int, cfg *Config) { cfg.Quarantine = time.Hour })
+	nodes[0].quarantinePeer(nodes[0].peers[1], "test") // the link stays up
+	if got := nodes[0].WaitPeers(20 * time.Millisecond); got != 0 {
+		t.Fatalf("WaitPeers = %d with the only peer quarantined, want 0", got)
+	}
+}
+
 // TestLeaderFailover kills rank 0 — the round coordinator — and checks
 // that rank 1 takes over coordination and the cluster keeps assigning
 // monotone round numbers.

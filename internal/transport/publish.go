@@ -25,54 +25,32 @@ import (
 // acknowledgment CRC it cannot explain forces a full resync — so the fleet
 // is always byte-identical to some published round, never a patched hybrid.
 
-// PublisherConfig configures a snapshot feed's sending end.
-type PublisherConfig struct {
-	// Addr is the TCP listen address ("" with Listener set).
-	Addr string
-	// Listener optionally supplies a pre-bound listener (tests bind :0).
-	Listener net.Listener
-	// History is how many published rounds are retained as delta bases
-	// (default 8): a follower at most History-1 rounds behind still gets a
-	// delta, older ones get a full snapshot.
-	History int
-	// ChunkElems is the delta chunk granularity in float32 elements
-	// (default ckpt.DefaultChunkElems).
-	ChunkElems int
-	// WriteTimeout bounds one frame write per subscriber (default 10s); a
-	// follower that cannot drain an update within it is dropped and will
-	// redial.
-	WriteTimeout time.Duration
-	// MaxPayload bounds inbound frames (default 1 MiB — hello/ack frames
-	// carry no payload, so anything large is a protocol violation).
-	MaxPayload int
-	// DrainTimeout bounds Close's wait for followers to acknowledge
-	// in-flight updates (default 3s). Closing a connection with unread
-	// acks in the receive buffer resets it, which would discard snapshot
-	// frames the follower has written to it but not yet read — the drain
-	// guarantees a live follower ends a publisher shutdown holding the
-	// final published model.
-	DrainTimeout time.Duration
-	// Logf receives debug lines (nil: silent).
-	Logf func(format string, args ...any)
-}
-
-func (c *PublisherConfig) fillDefaults() {
-	if c.History <= 0 {
-		c.History = 8
-	}
-	if c.ChunkElems <= 0 {
-		c.ChunkElems = ckpt.DefaultChunkElems
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = 1 << 20
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 3 * time.Second
-	}
-}
+// The feed's fixed settings: its callers set only the addresses (and a
+// follower's warm base), so every publisher and follower runs with these.
+const (
+	// feedHistory is how many published rounds a publisher retains as delta
+	// bases: a follower at most feedHistory-1 rounds behind still gets a
+	// delta, an older one a full snapshot.
+	feedHistory = 8
+	// feedChunkElems is the delta chunk granularity in float32 elements.
+	feedChunkElems = ckpt.DefaultChunkElems
+	// feedWriteTimeout bounds one frame write per subscriber; a follower
+	// that cannot drain an update within it is dropped and will redial.
+	feedWriteTimeout = 10 * time.Second
+	// pubMaxPayload bounds a publisher's inbound frames: hello and ack
+	// frames carry no payload, so anything large is a protocol violation.
+	pubMaxPayload = 1 << 20
+	// followMaxPayload bounds a follower's inbound frame (one snapshot).
+	followMaxPayload = 256 << 20
+	// feedDrainTimeout bounds Close's wait for followers to acknowledge
+	// in-flight updates (Close says why it waits).
+	feedDrainTimeout = 3 * time.Second
+	// dialBackoff is a follower's initial redial delay, doubled (with
+	// jitter) per consecutive failure up to 64×; dialTimeout bounds one
+	// connection attempt.
+	dialBackoff = 50 * time.Millisecond
+	dialTimeout = 5 * time.Second
+)
 
 // pubModel is one published round held as a potential delta base. The
 // checkpoint and CRC are immutable; full/deltas are lazily-built encoding
@@ -114,8 +92,7 @@ type subState struct {
 
 // Publisher is the sending end of a snapshot feed.
 type Publisher struct {
-	cfg PublisherConfig
-	ln  net.Listener
+	ln net.Listener
 
 	mu     sync.Mutex // taken after any pubSub.mu; see pubSub
 	subs   map[int]*pubSub
@@ -134,18 +111,14 @@ type Publisher struct {
 	wg   sync.WaitGroup
 }
 
-// NewPublisher binds the feed's listener and starts accepting followers.
-func NewPublisher(cfg PublisherConfig) (*Publisher, error) {
-	cfg.fillDefaults()
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("transport: publisher listen %s: %w", cfg.Addr, err)
-		}
+// NewPublisher binds the feed's listener on addr (host:port; port 0 picks
+// one, read it back with Addr) and starts accepting followers.
+func NewPublisher(addr string) (*Publisher, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: publisher listen %s: %w", addr, err)
 	}
-	p := &Publisher{cfg: cfg, ln: ln, subs: make(map[int]*pubSub)}
+	p := &Publisher{ln: ln, subs: make(map[int]*pubSub)}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -181,8 +154,8 @@ func (p *Publisher) Publish(c *ckpt.Checkpoint) error {
 		}
 	}
 	p.hist = append(p.hist, &pubModel{c: c, crc: ckpt.ParamsCRC(c.Params)})
-	if len(p.hist) > p.cfg.History {
-		p.hist = p.hist[len(p.hist)-p.cfg.History:]
+	if len(p.hist) > feedHistory {
+		p.hist = p.hist[len(p.hist)-feedHistory:]
 	}
 	subs := p.subsLocked()
 	p.mu.Unlock()
@@ -197,7 +170,7 @@ func (p *Publisher) Publish(c *ckpt.Checkpoint) error {
 			defer s.mu.Unlock()
 			if s.helloed {
 				if err := p.sendCurrent(s); err != nil {
-					p.dropSub(s, err)
+					p.dropSub(s)
 				}
 			}
 		}(s)
@@ -277,7 +250,7 @@ func (p *Publisher) Close() {
 	// our receive buffer would reset the connection and discard any snapshot
 	// frame still in flight toward it — a follower must end a publisher
 	// shutdown holding the final published model, not the penultimate one.
-	deadline := time.Now().Add(p.cfg.DrainTimeout)
+	deadline := time.Now().Add(feedDrainTimeout)
 	for _, s := range subs {
 		for {
 			s.mu.Lock()
@@ -293,12 +266,6 @@ func (p *Publisher) Close() {
 		s.conn.Close()
 	}
 	p.wg.Wait()
-}
-
-func (p *Publisher) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf(format, args...)
-	}
 }
 
 func (p *Publisher) acceptLoop() {
@@ -327,9 +294,9 @@ func (p *Publisher) acceptLoop() {
 // announces its base, then acks after every applied update.
 func (p *Publisher) serveSub(s *pubSub) {
 	defer p.wg.Done()
-	defer p.dropSub(s, nil)
+	defer p.dropSub(s)
 	for {
-		h, payload, _, err := readFrame(s.conn, p.cfg.MaxPayload, &p.pool)
+		h, payload, _, err := readFrame(s.conn, pubMaxPayload, &p.pool)
 		if err != nil {
 			return
 		}
@@ -343,7 +310,7 @@ func (p *Publisher) serveSub(s *pubSub) {
 			err := p.sendCurrent(s)
 			s.mu.Unlock()
 			if err != nil {
-				p.dropSub(s, err)
+				p.dropSub(s)
 				return
 			}
 		case frameSubAck:
@@ -368,27 +335,21 @@ func (p *Publisher) serveSub(s *pubSub) {
 				s.pending = nil
 				if err := p.sendCurrent(s); err != nil {
 					s.mu.Unlock()
-					p.dropSub(s, err)
+					p.dropSub(s)
 					return
 				}
 			}
 			s.mu.Unlock()
-		default:
-			p.logf("feed: unexpected frame type %d from subscriber %d", h.Type, s.id)
 		}
 	}
 }
 
 // dropSub unregisters a follower and closes its connection.
-func (p *Publisher) dropSub(s *pubSub, err error) {
+func (p *Publisher) dropSub(s *pubSub) {
 	p.mu.Lock()
-	_, present := p.subs[s.id]
 	delete(p.subs, s.id)
 	p.mu.Unlock()
 	s.conn.Close()
-	if present && err != nil {
-		p.logf("feed: dropping subscriber %d: %v", s.id, err)
-	}
 }
 
 // sendCurrent transmits whatever brings the follower from its believed
@@ -400,7 +361,7 @@ func (p *Publisher) sendCurrent(s *pubSub) error {
 	if err != nil || typ == 0 {
 		return err
 	}
-	s.conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
+	s.conn.SetWriteDeadline(time.Now().Add(feedWriteTimeout))
 	if _, err := writeFrame(s.conn, &header{Type: typ, Sender: uint32(s.id)}, payload); err != nil {
 		return err
 	}
@@ -455,7 +416,7 @@ func (p *Publisher) preparePayload(fromRound int64, fromCRC uint32) (payload []b
 		enc, ok := latest.deltas[fromRound]
 		if !ok {
 			d, derr := ckpt.ComputeDelta(latest.c.Model, base.c.Params, latest.c.Params,
-				fromRound, latest.c.SnapshotRound, latest.c.SnapshotIter, p.cfg.ChunkElems)
+				fromRound, latest.c.SnapshotRound, latest.c.SnapshotIter, feedChunkElems)
 			if derr != nil {
 				return nil, 0, nil, derr
 			}
@@ -478,52 +439,13 @@ func (p *Publisher) preparePayload(fromRound int64, fromCRC uint32) (payload []b
 	return latest.full, frameSnapFull, latest, nil
 }
 
-// FollowerConfig configures a snapshot feed's receiving end.
-type FollowerConfig struct {
-	// Addr is the publisher's address. Required.
-	Addr string
-	// Round and Params optionally warm-start the follower: a replica that
-	// still holds a published model announces it and receives a delta
-	// instead of a full snapshot. Params ownership transfers.
-	Round  int64
-	Params []float32
-	// OnUpdate receives every applied model: a fresh copy the receiver
-	// owns, the round it represents, and whether it arrived as a full
-	// snapshot. Called on the follower's goroutine, in round order.
-	OnUpdate func(model string, params []float32, round, iter int64, full bool)
-	// DialBackoff is the initial redial delay, doubled (with jitter) per
-	// consecutive failure up to 64× (default 50ms).
-	DialBackoff time.Duration
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
-	// MaxPayload bounds one inbound frame (default 256 MiB).
-	MaxPayload int
-	// Logf receives debug lines (nil: silent).
-	Logf func(format string, args ...any)
-}
-
-func (c *FollowerConfig) fillDefaults() error {
-	if c.Addr == "" {
-		return errors.New("transport: FollowerConfig.Addr is required")
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = 50 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = 256 << 20
-	}
-	return nil
-}
-
 // Follower is the receiving end of a snapshot feed: it maintains a shadow
 // copy of the published model, applies deltas against it (rejecting any
 // whose base does not match bit-for-bit), and redials with backoff when the
 // feed drops.
 type Follower struct {
-	cfg FollowerConfig
+	addr     string
+	onUpdate func(model string, params []float32, round, iter int64, full bool)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -545,18 +467,26 @@ type Follower struct {
 	wg   sync.WaitGroup
 }
 
-// Follow starts a follower. It returns immediately; use WaitRound to block
-// until a model (of at least a given round) has been applied.
-func Follow(cfg FollowerConfig) (*Follower, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
+// Follow starts a follower of the publisher at addr. It returns
+// immediately; use WaitRound to block until a model (of at least a given
+// round) has been applied.
+//
+// round and params optionally warm-start the follower: a replica that still
+// holds a published model announces it and receives a delta instead of a
+// full snapshot. params ownership transfers. onUpdate (nil: none) receives
+// every applied model — a fresh copy the receiver owns, the round it
+// represents, and whether it arrived as a full snapshot — on the follower's
+// goroutine, in round order.
+func Follow(addr string, round int64, params []float32, onUpdate func(model string, params []float32, round, iter int64, full bool)) (*Follower, error) {
+	if addr == "" {
+		return nil, errors.New("transport: Follow needs the publisher's address")
 	}
-	f := &Follower{cfg: cfg, stop: make(chan struct{})}
+	f := &Follower{addr: addr, onUpdate: onUpdate, stop: make(chan struct{})}
 	f.cond = sync.NewCond(&f.mu)
-	if len(cfg.Params) > 0 {
-		f.params = cfg.Params
-		f.round = cfg.Round
-		f.crc = ckpt.ParamsCRC(cfg.Params)
+	if len(params) > 0 {
+		f.params = params
+		f.round = round
+		f.crc = ckpt.ParamsCRC(params)
 	}
 	f.wg.Add(1)
 	go f.run()
@@ -622,16 +552,10 @@ func (f *Follower) Close() {
 	f.wg.Wait()
 }
 
-func (f *Follower) logf(format string, args ...any) {
-	if f.cfg.Logf != nil {
-		f.cfg.Logf(format, args...)
-	}
-}
-
 // run is the dial/receive loop.
 func (f *Follower) run() {
 	defer f.wg.Done()
-	backoff := f.cfg.DialBackoff
+	backoff := dialBackoff
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for {
 		select {
@@ -639,11 +563,11 @@ func (f *Follower) run() {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", f.cfg.Addr, f.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", f.addr, dialTimeout)
 		if err != nil {
 			f.redials.Add(1)
 			wait := backoff + time.Duration(rng.Int63n(int64(backoff)/2+1))
-			if backoff < 64*f.cfg.DialBackoff {
+			if backoff < 64*dialBackoff {
 				backoff *= 2
 			}
 			select {
@@ -653,7 +577,7 @@ func (f *Follower) run() {
 			}
 			continue
 		}
-		backoff = f.cfg.DialBackoff
+		backoff = dialBackoff
 		f.serve(conn)
 		conn.Close()
 	}
@@ -679,13 +603,12 @@ func (f *Follower) serve(conn net.Conn) {
 		return
 	}
 	for {
-		h, payload, _, err := readFrame(conn, f.cfg.MaxPayload, &f.pool)
+		h, payload, _, err := readFrame(conn, followMaxPayload, &f.pool)
 		if err != nil {
 			select {
 			case <-f.stop:
 			default:
 				f.redials.Add(1)
-				f.logf("follower: feed lost: %v", err)
 			}
 			return
 		}
@@ -695,7 +618,6 @@ func (f *Follower) serve(conn net.Conn) {
 			c, cerr := ckpt.Read(bytes.NewReader(raw))
 			f.pool.Put(payload)
 			if cerr != nil {
-				f.logf("follower: bad full snapshot: %v", cerr)
 				return
 			}
 			f.fullRecv.Add(1)
@@ -705,7 +627,6 @@ func (f *Follower) serve(conn net.Conn) {
 			d, derr := ckpt.ReadDelta(bytes.NewReader(raw))
 			f.pool.Put(payload)
 			if derr != nil {
-				f.logf("follower: bad delta: %v", derr)
 				return
 			}
 			f.deltaRecv.Add(1)
@@ -718,19 +639,17 @@ func (f *Follower) serve(conn net.Conn) {
 				f.ack(conn) // our (0, 0) state tells the publisher to go full
 				continue
 			}
-			if aerr := d.Apply(shadow); aerr != nil {
+			if d.Apply(shadow) != nil {
 				// Base mismatch: we diverged from what the publisher
 				// believes. Re-announce our true state; the publisher
 				// answers with a full snapshot.
 				f.resyncs.Add(1)
-				f.logf("follower: delta rejected: %v", aerr)
 				f.ack(conn)
 				continue
 			}
 			f.apply(d.Model, shadow, d.ToRound, d.ToIter, d.FullCRC, false)
 		default:
 			f.pool.Put(payload)
-			f.logf("follower: unexpected frame type %d", h.Type)
 		}
 		if err := f.ack(conn); err != nil {
 			return
@@ -747,8 +666,8 @@ func (f *Follower) apply(model string, params []float32, round, iter int64, crc 
 	f.crc = crc
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	if f.cfg.OnUpdate != nil {
-		f.cfg.OnUpdate(model, append([]float32(nil), params...), round, iter, full)
+	if f.onUpdate != nil {
+		f.onUpdate(model, append([]float32(nil), params...), round, iter, full)
 	}
 }
 

@@ -107,15 +107,16 @@ func bitIdentical(t *testing.T, got, want []float32, ctx string) {
 
 // TestFeedConvergence is the happy path: two cold followers join a feed,
 // receive one full snapshot each, then track several published rounds via
-// deltas, ending bit-identical to the publisher's latest model.
+// deltas over a vector of 17 chunks (the last one partial), ending
+// bit-identical to the publisher's latest model.
 func TestFeedConvergence(t *testing.T) {
-	pub, err := NewPublisher(PublisherConfig{Addr: "127.0.0.1:0", ChunkElems: 512})
+	pub, err := NewPublisher("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 
-	const n = 4096 + 37
+	const n = 16*feedChunkElems + 37
 	cur := feedParams(n, 1)
 	if err := pub.Publish(snapAt(cur, 1)); err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestFeedConvergence(t *testing.T) {
 	sinks := [2]feedSink{}
 	fols := [2]*Follower{}
 	for i := range fols {
-		f, err := Follow(FollowerConfig{Addr: pub.Addr(), OnUpdate: sinks[i].onUpdate})
+		f, err := Follow(pub.Addr(), 0, nil, sinks[i].onUpdate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,20 +180,20 @@ func TestFeedConvergence(t *testing.T) {
 // comes back warm (still holding a published round) must be healed with a
 // delta; one that comes back cold (empty params) needs a full snapshot.
 func TestFeedRejoin(t *testing.T) {
-	pub, err := NewPublisher(PublisherConfig{Addr: "127.0.0.1:0", ChunkElems: 512, History: 4})
+	pub, err := NewPublisher("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 
-	const n = 2048
+	const n = 4 * feedChunkElems
 	cur := feedParams(n, 7)
 	if err := pub.Publish(snapAt(cur, 1)); err != nil {
 		t.Fatal(err)
 	}
 
 	var sink feedSink
-	f, err := Follow(FollowerConfig{Addr: pub.Addr(), OnUpdate: sink.onUpdate})
+	f, err := Follow(pub.Addr(), 0, nil, sink.onUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestFeedRejoin(t *testing.T) {
 	_, _, held := sink.await(t, 1)
 	f.Close() // the replica "dies", keeping its last model
 
-	// The fleet moves on while it is gone — but stays within History.
+	// The fleet moves on while it is gone — but stays within the history.
 	cur = mutated(cur, 100)
 	if err := pub.Publish(snapAt(append([]float32(nil), cur...), 2)); err != nil {
 		t.Fatal(err)
@@ -210,12 +211,7 @@ func TestFeedRejoin(t *testing.T) {
 
 	// Warm rejoin: announces round 1 + CRC, must be healed by delta alone.
 	var warm feedSink
-	f2, err := Follow(FollowerConfig{
-		Addr:     pub.Addr(),
-		Round:    1,
-		Params:   append([]float32(nil), held...),
-		OnUpdate: warm.onUpdate,
-	})
+	f2, err := Follow(pub.Addr(), 1, append([]float32(nil), held...), warm.onUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +227,7 @@ func TestFeedRejoin(t *testing.T) {
 
 	// Cold rejoin: no params at all, must get a full snapshot.
 	var cold feedSink
-	f3, err := Follow(FollowerConfig{Addr: pub.Addr(), OnUpdate: cold.onUpdate})
+	f3, err := Follow(pub.Addr(), 0, nil, cold.onUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +247,13 @@ func TestFeedRejoin(t *testing.T) {
 // force-fed a full snapshot, never a delta patched onto a bad base, and end
 // bit-identical anyway.
 func TestFeedDivergenceResync(t *testing.T) {
-	pub, err := NewPublisher(PublisherConfig{Addr: "127.0.0.1:0", ChunkElems: 512})
+	pub, err := NewPublisher("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 
-	const n = 2048
+	const n = 4 * feedChunkElems
 	cur := feedParams(n, 9)
 	if err := pub.Publish(snapAt(cur, 1)); err != nil {
 		t.Fatal(err)
@@ -267,12 +263,7 @@ func TestFeedDivergenceResync(t *testing.T) {
 	bad := append([]float32(nil), cur...)
 	bad[42] += 1
 	var sink feedSink
-	f, err := Follow(FollowerConfig{
-		Addr:     pub.Addr(),
-		Round:    1,
-		Params:   bad,
-		OnUpdate: sink.onUpdate,
-	})
+	f, err := Follow(pub.Addr(), 1, bad, sink.onUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,19 +289,20 @@ func TestFeedDivergenceResync(t *testing.T) {
 // TestFeedLapsedHistory: a follower too far behind (its round evicted from
 // the publisher's history ring) falls back to a full snapshot.
 func TestFeedLapsedHistory(t *testing.T) {
-	pub, err := NewPublisher(PublisherConfig{Addr: "127.0.0.1:0", ChunkElems: 512, History: 2})
+	pub, err := NewPublisher("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 
-	const n = 1024
+	// Two rounds more than the history holds: round 1 and 2 are evicted.
+	const n, last = 2 * feedChunkElems, feedHistory + 2
 	cur := feedParams(n, 13)
 	held := append([]float32(nil), cur...)
 	if err := pub.Publish(snapAt(cur, 1)); err != nil {
 		t.Fatal(err)
 	}
-	for round := int64(2); round <= 5; round++ {
+	for round := int64(2); round <= last; round++ {
 		cur = mutated(cur, round)
 		if err := pub.Publish(snapAt(append([]float32(nil), cur...), round)); err != nil {
 			t.Fatal(err)
@@ -318,20 +310,15 @@ func TestFeedLapsedHistory(t *testing.T) {
 	}
 
 	var sink feedSink
-	f, err := Follow(FollowerConfig{
-		Addr:     pub.Addr(),
-		Round:    1, // evicted: history only holds rounds 4 and 5
-		Params:   held,
-		OnUpdate: sink.onUpdate,
-	})
+	f, err := Follow(pub.Addr(), 1, held, sink.onUpdate) // round 1: evicted
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if !f.WaitRound(5, 5*time.Second) {
+	if !f.WaitRound(last, 5*time.Second) {
 		t.Fatal("lapsed follower never caught up")
 	}
-	fulls, deltas, params := sink.await(t, 5)
+	fulls, deltas, params := sink.await(t, last)
 	if fulls != 1 || deltas != 0 {
 		t.Errorf("lapsed follower got %d full / %d delta, want 1 / 0", fulls, deltas)
 	}
@@ -343,7 +330,7 @@ func TestFeedLapsedHistory(t *testing.T) {
 
 // TestFeedPublishValidation pins the publisher's input contract.
 func TestFeedPublishValidation(t *testing.T) {
-	pub, err := NewPublisher(PublisherConfig{Addr: "127.0.0.1:0"})
+	pub, err := NewPublisher("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,20 +366,16 @@ func TestFollowerRedial(t *testing.T) {
 	ln.Close()
 
 	var sink feedSink
-	f, err := Follow(FollowerConfig{Addr: addr, OnUpdate: sink.onUpdate, DialBackoff: 10 * time.Millisecond})
+	f, err := Follow(addr, 0, nil, sink.onUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	time.Sleep(50 * time.Millisecond) // let it fail a few dials
+	time.Sleep(2 * dialBackoff) // let it fail a dial or two
 
-	ln2, err := net.Listen("tcp", addr)
+	pub, err := NewPublisher(addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	pub, err := NewPublisher(PublisherConfig{Listener: ln2})
-	if err != nil {
-		t.Fatal(err)
 	}
 	defer pub.Close()
 	params := feedParams(512, 21)
@@ -417,8 +400,8 @@ func TestFollowerRedial(t *testing.T) {
 // parked each other for good. The deadline turns a relapse into a failure
 // with the goroutines' stacks instead of a suite timeout.
 func TestPublisherLockOrder(t *testing.T) {
-	const n, rounds = 2048, 60
-	pub, err := NewPublisher(PublisherConfig{Addr: "127.0.0.1:0", ChunkElems: 512})
+	const n, rounds = 4 * feedChunkElems, 60
+	pub, err := NewPublisher("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +419,7 @@ func TestPublisherLockOrder(t *testing.T) {
 		var sinks [2]feedSink
 		var fols [2]*Follower
 		for i := range fols {
-			f, err := Follow(FollowerConfig{Addr: pub.Addr(), OnUpdate: sinks[i].onUpdate})
+			f, err := Follow(pub.Addr(), 0, nil, sinks[i].onUpdate)
 			if err != nil {
 				t.Error(err)
 				return
@@ -456,7 +439,7 @@ func TestPublisherLockOrder(t *testing.T) {
 				defer wg.Done()
 				var pool bufPool
 				for {
-					_, payload, _, err := readFrame(conn, 256<<20, &pool)
+					_, payload, _, err := readFrame(conn, followMaxPayload, &pool)
 					if err != nil {
 						return
 					}
