@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"crossbow"
+	"crossbow/internal/transport"
 )
 
 // clusterCmd drives the scale-out plane: it sweeps the simulated cluster
@@ -118,8 +119,8 @@ func nodeArgs(launcher *flag.FlagSet, r int, peers []string) []string {
 // speak the same wire version. Node output is streamed with a [rank N]
 // prefix; the exit status is the worst of the ranks'.
 func runTCP(fs *flag.FlagSet, servers, basePort int, stdout, stderr io.Writer) int {
-	if servers < 1 || servers > 64 {
-		fmt.Fprintf(stderr, "crossbow cluster: -tcp needs 1..64 servers, got %d\n", servers)
+	if servers < 1 || servers > transport.MaxRanks {
+		fmt.Fprintf(stderr, "crossbow cluster: -tcp needs 1..%d servers, got %d\n", transport.MaxRanks, servers)
 		return 2
 	}
 	self, err := os.Executable()

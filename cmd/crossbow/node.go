@@ -32,12 +32,14 @@ func nodeCmd(fs *flag.FlagSet) runner {
 	peers := fs.String("peers", "", "comma-separated listen addresses, one per rank (required)")
 	testSamples := fs.Int("test-samples", 0, "override test samples (0: model default)")
 	save := fs.String("save", "", "write the final cluster average model to this checkpoint path")
-	hb := fs.Duration("heartbeat", 100*time.Millisecond, "heartbeat period")
+	// Every duration defaults to 0, which the transport reads as its own
+	// default (transport.Config.FillDefaults), so each value lives there once.
+	hb := fs.Duration("heartbeat", 0, "heartbeat period (0: 100ms)")
 	peerTimeout := fs.Duration("peer-timeout", 0, "declare a silent peer dead after this long (0: 10x heartbeat)")
 	roundTimeout := fs.Duration("round-timeout", 0, "abort a collective stalled this long by a live peer (0: 30s)")
 	quarantine := fs.Duration("quarantine", 0, "bar a corrupting/stalling peer from reconnecting this long (0: peer-timeout)")
-	bootstrap := fs.Duration("bootstrap", 10*time.Second, "wait this long for the full mesh before training")
-	warm := fs.Duration("warm-start", 2*time.Second, "longest wait on silent peers in the startup snapshot probe (rejoin seeding; a cold cluster answers in one round trip)")
+	bootstrap := fs.Duration("bootstrap", 0, "wait this long for the full mesh before training (0: 10s)")
+	warm := fs.Duration("warm-start", 0, "longest wait on silent peers in the startup snapshot probe (rejoin seeding; a cold cluster answers in one round trip; 0: 2s)")
 	quiet := fs.Bool("quiet", false, "suppress per-epoch output")
 
 	return func(stdout, stderr io.Writer) int {

@@ -353,6 +353,9 @@ func (c *Config) fillDefaults() error {
 		if c.Servers <= 1 && len(c.Node.Peers) > 0 {
 			c.Servers = len(c.Node.Peers)
 		}
+		if err := c.Node.FillDefaults(); err != nil {
+			return fmt.Errorf("crossbow: Node: %w", err)
+		}
 		if err := c.validateTCP(); err != nil {
 			return err
 		}

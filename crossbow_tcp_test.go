@@ -378,20 +378,31 @@ func TestLoopbackMatchesTCP(t *testing.T) {
 	}
 }
 
-// TestTrainTCPValidation pins the config errors of the TCP plane.
+// TestTrainTCPValidation pins the config errors of the TCP plane: each is
+// Train's own, reported before any set-up. The peer addresses are held by
+// the test, so a config that slipped through to the transport would fail
+// to listen instead, with a transport error.
 func TestTrainTCPValidation(t *testing.T) {
-	peers := []string{"127.0.0.1:7101", "127.0.0.1:7102"}
+	peers, lns := tcpPeers(t, 2)
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
+	hook := func() *ckpt.Checkpoint { return nil }
 	bad := []Config{
-		{Model: LeNet, Transport: TransportTCP},                                                  // no peers
-		{Model: LeNet, Transport: TransportTCP, Node: NodeConfig{Rank: 2, Peers: peers}},         // rank out of range
-		{Model: LeNet, Transport: TransportTCP, Servers: 3, Node: NodeConfig{Peers: peers}},      // servers != peers
-		{Model: LeNet, Transport: "carrier-pigeon"},                                              // unknown transport
-		{Model: LeNet, Transport: TransportTCP, Algo: SSGD, Node: NodeConfig{Peers: peers}},      // non-SMA
-		{Model: LeNet, Transport: TransportTCP, Scheduler: FCFS, Node: NodeConfig{Peers: peers}}, // FCFS is single-server
+		{Model: LeNet, Transport: TransportTCP},                                                     // no peers
+		{Model: LeNet, Transport: TransportTCP, Node: NodeConfig{Rank: 2, Peers: peers}},            // rank out of range
+		{Model: LeNet, Transport: TransportTCP, Servers: 3, Node: NodeConfig{Peers: peers}},         // servers != peers
+		{Model: LeNet, Transport: "carrier-pigeon"},                                                 // unknown transport
+		{Model: LeNet, Transport: TransportTCP, Algo: SSGD, Node: NodeConfig{Peers: peers}},         // non-SMA
+		{Model: LeNet, Transport: TransportTCP, Scheduler: FCFS, Node: NodeConfig{Peers: peers}},    // FCFS is single-server
+		{Model: LeNet, Transport: TransportTCP, Node: NodeConfig{Peers: peers[:1], Snapshot: hook}}, // Train owns Snapshot
+		{Model: LeNet, Transport: TransportTCP, Node: NodeConfig{Peers: make([]string, 65)}},        // over the rank bound
 	}
 	for i, cfg := range bad {
-		if _, err := Train(cfg); err == nil {
-			t.Errorf("config %d: Train accepted invalid TCP config %+v", i, cfg)
+		if _, err := Train(cfg); err == nil || !strings.HasPrefix(err.Error(), "crossbow: ") {
+			t.Errorf("config %d: Train(%+v) = %v, want a crossbow config error", i, cfg, err)
 		}
 	}
 }

@@ -2,11 +2,8 @@ package crossbow
 
 import (
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
-	"crossbow/internal/chaos"
 	"crossbow/internal/ckpt"
 	"crossbow/internal/core"
 	"crossbow/internal/transport"
@@ -33,55 +30,14 @@ const (
 )
 
 // NodeConfig describes this process's place in a TCP cluster
-// (Config.Transport: TransportTCP). A global round this process loses to a
-// fault is skipped, not retried, and the next round it joins re-aligns the
-// cluster average model (a Restart). The collectives derive their pipeline
-// segment count from each transfer's size; there is no setting for it.
-type NodeConfig struct {
-	// Rank is this process's index into Peers.
-	Rank int
-	// Peers lists every member's listen address, indexed by rank
-	// (Peers[Rank] is this process's own listen address).
-	Peers []string
-	// Listener optionally supplies a pre-bound listener for Peers[Rank]
-	// (tests bind :0 listeners first so ports are collision-free).
-	Listener net.Listener
-	// BootstrapWait bounds the wait for the full mesh to come up before
-	// training starts (default 10s). A partial mesh trains with whoever
-	// arrived; stragglers join at the next synchronisation round.
-	BootstrapWait time.Duration
-	// WarmStartWait bounds how long the snapshot probe at startup waits on
-	// silence (default 2s). A rejoining process pulls the latest published
-	// cluster model from a live peer and resumes from it. On a cold
-	// bootstrap every peer answers that it holds no snapshot, so the probe
-	// costs one round trip and every rank initialises from the shared seed;
-	// only peers that have not answered keep it waiting, up to this bound.
-	WarmStartWait time.Duration
-	// HeartbeatEvery / PeerTimeout / DialBackoff tune the failure
-	// detector (defaults 100ms / 10× / 25ms; see transport.Config).
-	HeartbeatEvery time.Duration
-	PeerTimeout    time.Duration
-	DialBackoff    time.Duration
-	// RoundTimeout is the collective watchdog: a peer that owes this node
-	// a chunk and stays silent this long — even with heartbeats flowing —
-	// is declared stalled; the round aborts and membership re-forms
-	// without it (default 30s; see transport.Config.RoundTimeout).
-	RoundTimeout time.Duration
-	// Quarantine bars a peer caught corrupting frames or stalling rounds
-	// from reconnecting for this long (default PeerTimeout).
-	Quarantine time.Duration
-	// OverlapGlobal launches each global exchange asynchronously at the
-	// τ_global boundary and folds the completed sum in one iteration
-	// later, hiding the network round-trip behind computation. The
-	// trajectory stays bit-identical to the synchronous default (see
-	// core.TrainConfig.OverlapGlobal).
-	OverlapGlobal bool
-	// Chaos, when set, interposes a deterministic fault injector on every
-	// frame this process sends (tests and soaks only).
-	Chaos *chaos.Injector
-	// Logf receives transport debug lines (nil: silent).
-	Logf func(format string, args ...any)
-}
+// (Config.Transport: TransportTCP): its rank and the peer list, the
+// bootstrap and warm-start waits, the failure detector and round watchdog,
+// and OverlapGlobal. It is the transport's own Config, declared, defaulted
+// and validated there once (transport.Config.FillDefaults); Train owns its
+// Snapshot hook. A global round this process loses to a fault is skipped,
+// not retried, and the next round it joins re-aligns the cluster average
+// model (a Restart).
+type NodeConfig = transport.Config
 
 // nodeExchanger adapts transport.Node to the core trainer's network
 // interface (core redeclares the round report so it never imports the
@@ -178,20 +134,17 @@ func shuffleSeedFor(seed uint64, rank int) uint64 {
 	return s
 }
 
-// validateTCP checks the TCP-plane knobs after fillDefaults.
+// validateTCP checks the rules that span Config and its Node, after
+// Node.FillDefaults has checked the node itself.
 func (c *Config) validateTCP() error {
-	n := len(c.Node.Peers)
-	if n < 1 || n > 64 {
-		return fmt.Errorf("crossbow: TransportTCP needs 1..64 Node.Peers, got %d", n)
-	}
-	if c.Node.Rank < 0 || c.Node.Rank >= n {
-		return fmt.Errorf("crossbow: Node.Rank %d outside peer list of %d", c.Node.Rank, n)
-	}
-	if c.Servers != n {
-		return fmt.Errorf("crossbow: Servers (%d) must equal len(Node.Peers) (%d) on a TCP run", c.Servers, n)
+	if c.Servers != len(c.Node.Peers) {
+		return fmt.Errorf("crossbow: Servers (%d) must equal len(Node.Peers) (%d) on a TCP run", c.Servers, len(c.Node.Peers))
 	}
 	if c.Scheduler != Lockstep {
 		return fmt.Errorf("crossbow: TransportTCP requires the Lockstep scheduler (got %q)", c.Scheduler)
+	}
+	if c.Node.Snapshot != nil {
+		return fmt.Errorf("crossbow: Node.Snapshot is set by Train, not by the caller")
 	}
 	return nil
 }
@@ -215,42 +168,22 @@ func trainNodeTCP(cfg Config, base Result) (*Result, error) {
 		cfg.PublishEvery = max(1, cfg.Tau) * max(1, cfg.TauGlobal)
 	}
 
-	node, err := transport.Listen(transport.Config{
-		Rank:           cfg.Node.Rank,
-		Peers:          cfg.Node.Peers,
-		Listener:       cfg.Node.Listener,
-		HeartbeatEvery: cfg.Node.HeartbeatEvery,
-		PeerTimeout:    cfg.Node.PeerTimeout,
-		DialBackoff:    cfg.Node.DialBackoff,
-		RoundTimeout:   cfg.Node.RoundTimeout,
-		Quarantine:     cfg.Node.Quarantine,
-		Chaos:          cfg.Node.Chaos,
-		Snapshot:       holder.checkpoint,
-		Logf:           cfg.Node.Logf,
-	})
+	cfg.Node.Snapshot = holder.checkpoint
+	node, err := transport.Listen(cfg.Node)
 	if err != nil {
 		return nil, err
 	}
 	defer node.Close()
-
-	bootstrap := cfg.Node.BootstrapWait
-	if bootstrap <= 0 {
-		bootstrap = 10 * time.Second
-	}
-	node.WaitPeers(bootstrap)
+	node.WaitPeers(cfg.Node.BootstrapWait)
 
 	// Warm start: a rejoining process resumes from the cluster's latest
 	// published model; its first (Restart-flagged) round re-aligns every
 	// participant bit-exactly. On a cold bootstrap every peer answers that
 	// it holds no snapshot, and the rank falls through to the shared-seed
 	// w0 one round trip later.
-	warmWait := cfg.Node.WarmStartWait
-	if warmWait <= 0 {
-		warmWait = 2 * time.Second
-	}
 	var initModel []float32
 	if len(cfg.Node.Peers) > 1 {
-		if snap, err := node.FetchSnapshot(warmWait); err == nil && snap != nil {
+		if snap, err := node.FetchSnapshot(cfg.Node.WarmStartWait); err == nil && snap != nil {
 			if snap.Model != string(cfg.Model) {
 				return nil, fmt.Errorf("crossbow: peer snapshot is for model %q, this run trains %q", snap.Model, cfg.Model)
 			}

@@ -98,11 +98,7 @@ func worker(rank int, peers []string) int {
 		Seed:           42, // identical on every rank: replicated initial model
 		TrainSamples:   512,
 		TestSamples:    256,
-		Node: crossbow.NodeConfig{
-			Rank:          rank,
-			Peers:         peers,
-			BootstrapWait: 10 * time.Second,
-		},
+		Node:           crossbow.NodeConfig{Rank: rank, Peers: peers},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rank %d: %v\n", rank, err)

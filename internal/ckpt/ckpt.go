@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 )
 
@@ -157,7 +159,13 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ckpt: implausible metadata count %d", metaCount)
 	}
 	if metaCount > 0 {
-		c.Meta = make(map[string]string, metaCount)
+		// An entry is at least its two string lengths; the snapshot
+		// section, the parameter count and the checksum follow.
+		hint, err := claim(br, r, uint64(metaCount), 4, 28)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: %d metadata entries: %w", metaCount, err)
+		}
+		c.Meta = make(map[string]string, hint)
 		for i := uint32(0); i < metaCount; i++ {
 			k, err := readString(br)
 			if err != nil {
@@ -186,15 +194,13 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if n > maxParams {
 		return nil, fmt.Errorf("ckpt: implausible parameter count %d", n)
 	}
-	c.Params = make([]float32, n)
+	hint, err := claim(br, r, n, 4, 4)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %d parameters: %w", n, err)
+	}
 	crc := crc32.NewIEEE()
-	buf := make([]byte, 4)
-	for i := range c.Params {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("ckpt: truncated parameters: %w", err)
-		}
-		crc.Write(buf)
-		c.Params[i] = floatFrom(binary.LittleEndian.Uint32(buf))
+	if c.Params, err = readFloats(br, n, hint, crc); err != nil {
+		return nil, fmt.Errorf("ckpt: truncated parameters: %w", err)
 	}
 	var sum uint32
 	if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
@@ -206,8 +212,10 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	return c, nil
 }
 
-// Save writes the checkpoint to path atomically (write to a temporary file
-// in the same directory, then rename).
+// Save writes the checkpoint to path atomically and durably: it writes a
+// temporary file in the same directory and syncs it, renames it over path,
+// then syncs the directory, so a crash leaves either the old file or the
+// whole new one, and a returned nil means the new one survives power loss.
 func Save(path string, c *Checkpoint) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
@@ -219,10 +227,25 @@ func Save(path string, c *Checkpoint) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	if runtime.GOOS == "windows" {
+		return nil // a directory handle cannot be synced there
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Load reads a checkpoint from path.
@@ -233,6 +256,42 @@ func Load(path string) (*Checkpoint, error) {
 	}
 	defer f.Close()
 	return Read(f)
+}
+
+// growStep is the most a decoder allocates ahead of the bytes for a count
+// read from its input when the input's length is unknown: a header's count
+// is a claim, so the slice grows past this only as the bytes arrive.
+const growStep = 1 << 10
+
+// claim checks a count n read from src (through br) against the bytes that
+// can still follow: n items of at least size bytes, then tail more. It
+// returns how many items to allocate up front: n when src can tell its
+// length (a bytes.Reader, as every frame decoder passes) and holds them,
+// else at most growStep. An input that cannot hold the claim is an error.
+func claim(br *bufio.Reader, src io.Reader, n uint64, size, tail int) (int, error) {
+	s, ok := src.(interface{ Len() int })
+	if !ok {
+		return int(min(n, growStep)), nil
+	}
+	if left := br.Buffered() + s.Len() - tail; left < 0 || n > uint64(left/size) {
+		return 0, fmt.Errorf("more than the %d bytes that follow", br.Buffered()+s.Len())
+	}
+	return int(n), nil
+}
+
+// readFloats reads n little-endian float32s into a slice allocated for hint
+// of them and grown by append as the bytes arrive, feeding crc.
+func readFloats(br *bufio.Reader, n uint64, hint int, crc hash.Hash32) ([]float32, error) {
+	out := make([]float32, 0, hint)
+	buf := make([]byte, 4)
+	for i := uint64(0); i < n; i++ {
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return nil, err
+		}
+		crc.Write(buf)
+		out = append(out, floatFrom(binary.LittleEndian.Uint32(buf)))
+	}
+	return out, nil
 }
 
 func writeString(w *bufio.Writer, s string) error {

@@ -276,10 +276,14 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	if int(nchunks) > maxChunks {
 		return nil, fmt.Errorf("ckpt: delta claims %d chunks, vector holds %d", nchunks, maxChunks)
 	}
+	// A chunk is at least its index and length; the checksum follows.
+	hint, err := claim(br, r, uint64(nchunks), 8, 4)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %d delta chunks: %w", nchunks, err)
+	}
 	crc := crc32.NewIEEE()
-	buf := make([]byte, 4)
-	d.Chunks = make([]DeltaChunk, nchunks)
-	for i := range d.Chunks {
+	d.Chunks = make([]DeltaChunk, 0, hint)
+	for i := uint32(0); i < nchunks; i++ {
 		var idx, elems uint32
 		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
 			return nil, fmt.Errorf("ckpt: truncated delta chunk header: %w", err)
@@ -290,15 +294,15 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 		if int(idx) >= maxChunks || int(elems) > d.ChunkElems {
 			return nil, fmt.Errorf("ckpt: delta chunk %d/%d elements out of range", idx, elems)
 		}
-		data := make([]float32, elems)
-		for j := range data {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("ckpt: truncated delta chunk data: %w", err)
-			}
-			crc.Write(buf)
-			data[j] = floatFrom(binary.LittleEndian.Uint32(buf))
+		hint, err := claim(br, r, uint64(elems), 4, 4)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: delta chunk of %d elements: %w", elems, err)
 		}
-		d.Chunks[i] = DeltaChunk{Index: int(idx), Data: data}
+		data, err := readFloats(br, uint64(elems), hint, crc)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: truncated delta chunk data: %w", err)
+		}
+		d.Chunks = append(d.Chunks, DeltaChunk{Index: int(idx), Data: data})
 	}
 	var sum uint32
 	if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {

@@ -48,7 +48,7 @@ func (n *Node) AllReduce(buf []float32) (Round, error) {
 	if err != nil {
 		return Round{}, err
 	}
-	var ranks [maxRanks]int
+	var ranks [MaxRanks]int
 	view := ranksOf(bm.view, &ranks)
 	r := Round{Seq: bm.round, Participants: len(view), Restart: bm.restart}
 	r.WaitNs = time.Since(start).Nanoseconds()
@@ -136,7 +136,7 @@ func (n *Node) barrier() (beginMsg, error) {
 			n.mu.Unlock()
 			// A failed send means the coordinator is dying; the failure
 			// detector will bump the epoch and we re-send to its successor.
-			p.send(n, h, nil, n.cfg.WriteTimeout)
+			p.send(n, h, nil, nodeWriteTimeout)
 			n.mu.Lock()
 			continue
 		}
@@ -218,7 +218,7 @@ func (n *Node) announceLocked(bm beginMsg) {
 	}
 	for r, p := range n.peers {
 		if p != nil && bm.view&(1<<uint(r)) != 0 {
-			p.send(n, h, nil, n.cfg.WriteTimeout)
+			p.send(n, h, nil, nodeWriteTimeout)
 		}
 	}
 }
@@ -248,7 +248,7 @@ func (n *Node) abortRoundPeers(round uint64, view []int, suspects uint64) {
 // round.
 func (n *Node) sendData(p *peer, round uint64, phase byte, seg, step int, chunk []float32) error {
 	h := &header{Type: frameData, Sender: uint32(n.rank), Round: round, Aux: dataAux(phase, seg, step)}
-	if err := p.send(n, h, f32Bytes(chunk), n.cfg.WriteTimeout); err != nil {
+	if err := p.send(n, h, f32Bytes(chunk), nodeWriteTimeout); err != nil {
 		return errAborted
 	}
 	return nil

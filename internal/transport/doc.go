@@ -10,6 +10,12 @@
 // until the mesh is up; the same dial loops re-establish connections after
 // a drop, so a restarted process rejoins without any central party.
 //
+// Config is the node's one options struct and also the public
+// crossbow.NodeConfig. Config.FillDefaults, which Listen and crossbow.Train
+// both call before any set-up, holds every default and the 1..MaxRanks
+// peer bound; the frame write timeout and payload bound are constants. The
+// two waits and OverlapGlobal are read by the trainer around the node.
+//
 // On the mesh the node runs three protocols:
 //
 //   - Membership: heartbeat frames flow on every connection; a peer whose

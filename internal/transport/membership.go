@@ -188,7 +188,7 @@ func (n *Node) handshakeAccept(conn net.Conn) {
 func (p *peer) sendOn(n *Node, conn net.Conn, h *header) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(nodeWriteTimeout))
 	if n.cfg.Chaos != nil {
 		fate := n.cfg.Chaos.Outgoing(n.rank, p.rank, chaos.Control, 0)
 		if fate.Delay > 0 {
@@ -330,7 +330,7 @@ func (n *Node) readLoop(p *peer, conn net.Conn, gen uint64) {
 	r := n.connReader(conn)
 	var hdr [headerSize]byte
 	for {
-		h, payload, bytes, err := readFrameInto(r, &hdr, n.cfg.MaxPayload, &n.pool)
+		h, payload, bytes, err := readFrameInto(r, &hdr, nodeMaxPayload, &n.pool)
 		if err != nil {
 			if errors.Is(err, errWire) {
 				// Definitive corruption (bad checksum, bad framing) — not
@@ -482,9 +482,9 @@ func (n *Node) aliveViewLocked() uint64 {
 
 // ranksOf expands a view bitmap into a sorted rank slice backed by the
 // caller's array (a stack array in AllReduce, so a round allocates no view).
-func ranksOf(view uint64, into *[maxRanks]int) []int {
+func ranksOf(view uint64, into *[MaxRanks]int) []int {
 	ranks := into[:0]
-	for r := 0; r < maxRanks; r++ {
+	for r := 0; r < MaxRanks; r++ {
 		if view&(1<<uint(r)) != 0 {
 			ranks = append(ranks, r)
 		}

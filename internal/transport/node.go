@@ -17,22 +17,42 @@ import (
 // ErrClosed is returned by Node methods after Close or Kill.
 var ErrClosed = errors.New("transport: node closed")
 
-// maxRanks bounds the cluster size: round views travel as 64-bit rank
+// MaxRanks bounds the cluster size: round views travel as 64-bit rank
 // bitmaps.
-const maxRanks = 64
+const MaxRanks = 64
 
-// Config describes one rank of a static cluster.
+// nodeWriteTimeout bounds one frame write; nodeMaxPayload bounds one
+// inbound frame's payload (a snapshot answer is the largest).
+const (
+	nodeWriteTimeout = 10 * time.Second
+	nodeMaxPayload   = 256 << 20
+)
+
+// Config describes one rank of a static cluster. It is also the public
+// crossbow.NodeConfig, so it carries the two waits and the overlap switch
+// that crossbow.Train reads around the node; FillDefaults is the one place
+// every default and the peer/rank bounds live.
 type Config struct {
 	// Rank is this node's index into Peers.
 	Rank int
 	// Peers lists every member's listen address, indexed by rank
 	// (Peers[Rank] is this node's own listen address). The list is the
-	// static membership universe; live membership within it is tracked by
-	// heartbeats.
+	// static membership universe of 1..MaxRanks; live membership within it
+	// is tracked by heartbeats.
 	Peers []string
 	// Listener optionally supplies a pre-bound listener for Peers[Rank]
 	// (tests bind :0 listeners first so addresses are collision-free).
 	Listener net.Listener
+	// BootstrapWait bounds the wait for the full mesh to come up before
+	// training starts (WaitPeers; default 10s). A partial mesh trains with
+	// whoever arrived; stragglers join at the next synchronisation round.
+	BootstrapWait time.Duration
+	// WarmStartWait bounds how long the startup snapshot probe
+	// (FetchSnapshot) waits on silent peers (default 2s). On a cold
+	// bootstrap every peer answers that it holds no snapshot, so the probe
+	// costs one round trip; only peers that have not answered keep it
+	// waiting, up to this bound.
+	WarmStartWait time.Duration
 	// HeartbeatEvery is the liveness beacon period (default 100ms).
 	HeartbeatEvery time.Duration
 	// PeerTimeout marks a peer dead when no traffic arrived for this long
@@ -41,8 +61,6 @@ type Config struct {
 	// DialBackoff is the initial redial delay, doubling per failure up to
 	// 32× (default 25ms).
 	DialBackoff time.Duration
-	// WriteTimeout bounds one frame write (default 10s).
-	WriteTimeout time.Duration
 	// RoundTimeout is the per-collective-step watchdog: a peer that owes
 	// this node a chunk and stays silent for this long — heartbeats
 	// notwithstanding — is declared stalled, quarantined, and the round is
@@ -54,8 +72,12 @@ type Config struct {
 	// round is barred from reconnecting (default PeerTimeout). Without it
 	// a sick peer rejoins instantly and wedges the very next round.
 	Quarantine time.Duration
-	// MaxPayload bounds one frame's payload (default 256 MiB).
-	MaxPayload int
+	// OverlapGlobal is read by crossbow.Train, not by the node: it launches
+	// each global exchange with BeginAllReduce at the τ_global boundary and
+	// folds the sum one iteration later (DESIGN.md §15), bit-identical to
+	// the synchronous default. It stays only until the overlap either shows
+	// its gain on the cluster benchmark or is deleted.
+	OverlapGlobal bool
 	// Chaos, when set, interposes a fault injector on every outgoing
 	// frame of this node (tests and soaks only; it is an in-process hook,
 	// so all ranks of a chaos run share one injector in one process).
@@ -65,18 +87,28 @@ type Config struct {
 	// average model, or nil when none exists yet. A nil is a definite
 	// answer: a probing rank that hears it from every peer it asked starts
 	// cold at once (FetchSnapshot). Unset, the node answers nil. Called on
-	// transport goroutines; must be quick (one model copy).
+	// transport goroutines; must be quick (one model copy). crossbow.Train
+	// owns this hook and rejects a caller's.
 	Snapshot func() *ckpt.Checkpoint
 	// Logf receives debug lines (nil: silent).
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) fillDefaults() error {
-	if len(c.Peers) < 1 || len(c.Peers) > maxRanks {
-		return fmt.Errorf("transport: need 1..%d peers, got %d", maxRanks, len(c.Peers))
+// FillDefaults checks the peer list and rank and fills every unset
+// duration with its default. Listen calls it, and so does crossbow.Train,
+// before any set-up; it is idempotent.
+func (c *Config) FillDefaults() error {
+	if len(c.Peers) < 1 || len(c.Peers) > MaxRanks {
+		return fmt.Errorf("transport: need 1..%d peers, got %d", MaxRanks, len(c.Peers))
 	}
 	if c.Rank < 0 || c.Rank >= len(c.Peers) {
 		return fmt.Errorf("transport: rank %d outside peer list of %d", c.Rank, len(c.Peers))
+	}
+	if c.BootstrapWait <= 0 {
+		c.BootstrapWait = 10 * time.Second
+	}
+	if c.WarmStartWait <= 0 {
+		c.WarmStartWait = 2 * time.Second
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 100 * time.Millisecond
@@ -87,17 +119,11 @@ func (c *Config) fillDefaults() error {
 	if c.DialBackoff <= 0 {
 		c.DialBackoff = 25 * time.Millisecond
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = 30 * time.Second
 	}
 	if c.Quarantine <= 0 {
 		c.Quarantine = c.PeerTimeout
-	}
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = 256 << 20
 	}
 	return nil
 }
@@ -202,7 +228,7 @@ type Node struct {
 // re-dialed automatically), and the heartbeat/failure-detector loop. It
 // returns immediately; use WaitPeers to barrier on the mesh coming up.
 func Listen(cfg Config) (*Node, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.FillDefaults(); err != nil {
 		return nil, err
 	}
 	ln := cfg.Listener
@@ -500,7 +526,7 @@ func (n *Node) serveSnapshot(p *peer) {
 			}
 		}
 	}
-	p.send(n, &header{Type: frameSnapResp, Sender: uint32(n.rank)}, payload, n.cfg.WriteTimeout)
+	p.send(n, &header{Type: frameSnapResp, Sender: uint32(n.rank)}, payload, nodeWriteTimeout)
 }
 
 // snapProbe is one FetchSnapshot call in flight. Its fields are guarded by
@@ -618,7 +644,7 @@ func (n *Node) askSnapshot(pr *snapProbe) (<-chan struct{}, error) {
 		if done {
 			continue
 		}
-		if err := p.send(n, &header{Type: frameSnapReq, Sender: uint32(n.rank)}, nil, n.cfg.WriteTimeout); err != nil && !asked {
+		if err := p.send(n, &header{Type: frameSnapReq, Sender: uint32(n.rank)}, nil, nodeWriteTimeout); err != nil && !asked {
 			n.snapMu.Lock()
 			pr.pending &^= bit
 			n.snapMu.Unlock()
