@@ -1,6 +1,7 @@
 package crossbow
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,14 +13,16 @@ import (
 // TestBenchCompatUnused: the names kept only because the frozen benchmark
 // module compiles against them — tensor.KernelMode/Deterministic/Fast,
 // Gemm{,TA,TB}Mode, FMAAvailable, SetActiveLearners,
-// (*nn.Network).SetKernelMode and crossbow.KernelMode/Deterministic/
-// Config.KernelMode — appear nowhere in the root module's non-test source
-// outside the two benchcompat.go files and crossbow.go's benchcompat block,
-// so the shims can be deleted, once the benchmark stops naming them, without
-// reading a caller. The
-// deleted ActiveLearners and SetParallelism may not come back either.
+// (*nn.Network).SetKernelMode and Config.KernelMode with its Deterministic
+// (core.Config's, which crossbow re-exports) — appear nowhere in the root
+// module's non-test source outside the two benchcompat.go files and one
+// marked benchcompat block, the one beside the Config type, so the shims can
+// be deleted, once the benchmark stops naming them, without reading a
+// caller. The deleted ActiveLearners and SetParallelism may not come back
+// either.
 func TestBenchCompatUnused(t *testing.T) {
 	shim := regexp.MustCompile(`KernelMode|tensor\.(Fast|Deterministic)\b|\bGemm(TA|TB)?Mode\b|\bFMAAvailable\b|ActiveLearners|\bSetParallelism\b`)
+	var blocks []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -41,8 +44,9 @@ func TestBenchCompatUnused(t *testing.T) {
 		inBlock := false
 		for i, line := range strings.Split(string(src), "\n") {
 			switch {
-			case path == "crossbow.go" && strings.Contains(line, "benchcompat:begin"):
+			case strings.Contains(line, "benchcompat:begin"):
 				inBlock = true
+				blocks = append(blocks, fmt.Sprintf("%s:%d", path, i+1))
 			case strings.Contains(line, "benchcompat:end"):
 				inBlock = false
 			case !inBlock && shim.MatchString(line):
@@ -53,6 +57,9 @@ func TestBenchCompatUnused(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(blocks) != 1 {
+		t.Errorf("%d benchcompat blocks (%v), want exactly one", len(blocks), blocks)
 	}
 }
 

@@ -67,26 +67,32 @@ func clusterCmd(fs *flag.FlagSet) runner {
 			return runTCP(fs, sizes[0], *basePort, stdout, stderr)
 		case *train:
 			cfg.Servers = sizes[0]
+			if !fillDefaults(&cfg, stderr) {
+				return 1
+			}
 			res, err := crossbow.Train(cfg)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
 			fmt.Fprintf(stdout, "model=%s servers=%d gpus=%d m=%d batch=%d net=%s\n",
-				t.model, res.Servers, t.gpus, res.LearnersPerGPU, t.batch, cfg.Interconnect.Name)
+				cfg.Model, res.Servers, cfg.GPUs, res.LearnersPerGPU, cfg.Batch, cfg.Interconnect.Name)
 			fmt.Fprintf(stdout, "simulated throughput: %.0f images/s, epoch: %.1f s\n",
 				res.ThroughputImgSec, res.EpochSeconds)
 			printSeries(stdout, res, cfg)
 			return 0
 		}
 
+		if !fillDefaults(&cfg, stderr) {
+			return 1
+		}
 		pts, err := crossbow.ClusterSweep(cfg, sizes)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "Scale-out sweep: %s, %d GPUs/server, m=%s, b=%d, %s, tau=%d/%d\n",
-			t.model, t.gpus, t.m, t.batch, cfg.Interconnect.Name, t.tau, t.tauGlobal)
+			cfg.Model, cfg.GPUs, t.m, cfg.Batch, cfg.Interconnect.Name, cfg.Tau, cfg.TauGlobal)
 		fmt.Fprintf(stdout, "%8s %14s %10s %12s\n", "servers", "images/s", "epoch(s)", "efficiency")
 		for _, p := range pts {
 			fmt.Fprintf(stdout, "%8d %14.0f %10.1f %11.0f%%\n",

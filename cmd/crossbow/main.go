@@ -122,19 +122,21 @@ func (t *training) register(fs *flag.FlagSet, gpus, epochs int, scaleOut bool) {
 	modelFlag(fs, &t.model, "resnet32")
 	gpusFlag(fs, &t.gpus, gpus)
 	fs.StringVar(&t.m, "m", "1", "learners per GPU, or 'auto' for Algorithm 2")
-	fs.IntVar(&t.batch, "batch", 16, "batch size per learner")
-	fs.IntVar(&t.tau, "tau", 1, "intra-server synchronisation period")
+	fs.IntVar(&t.batch, "batch", 0, "batch size per learner (0: the default)")
+	fs.IntVar(&t.tau, "tau", 0, "intra-server synchronisation period (0: the default)")
 	fs.IntVar(&t.epochs, "epochs", epochs, "maximum epochs")
 	fs.Float64Var(&t.target, "target", 0, "stop at this test accuracy (TTA target); 0 trains all epochs")
-	fs.Uint64Var(&t.seed, "seed", 1, "random seed (the same on every rank of a cluster)")
+	fs.Uint64Var(&t.seed, "seed", 0, "random seed, the same on every rank of a cluster (0: the default)")
 	if scaleOut {
-		fs.IntVar(&t.tauGlobal, "tau-global", 1, "cross-server averaging period (in intra-server syncs)")
+		fs.IntVar(&t.tauGlobal, "tau-global", 0, "cross-server averaging period in intra-server syncs (0: the default)")
 		fs.IntVar(&t.samples, "samples", 0, "override training samples per epoch (0: model default)")
 		fs.BoolVar(&t.overlap, "overlap", false, "overlap the global exchange with the next iteration's computation on a TCP node (bit-identical to synchronous)")
 	}
 }
 
-// config is the run the flags describe.
+// config is the run the flags describe. Flags that default to 0 leave the
+// option to crossbow.Config's default (Config.FillDefaults, the one place
+// each lives); fillDefaults resolves them before a command prints them.
 func (t *training) config() (crossbow.Config, error) {
 	m := crossbow.AutoTune
 	if t.m != "auto" {
@@ -155,6 +157,16 @@ func (t *training) config() (crossbow.Config, error) {
 		Seed:           t.seed,
 		TrainSamples:   t.samples,
 	}, nil
+}
+
+// fillDefaults resolves cfg's defaults, so what a command prints is what
+// the run uses, and reports an invalid configuration as Train would.
+func fillDefaults(cfg *crossbow.Config, stderr io.Writer) bool {
+	if err := cfg.FillDefaults(); err != nil {
+		fmt.Fprintf(stderr, "crossbow: %v\n", err)
+		return false
+	}
+	return true
 }
 
 // printSeries prints a run's per-epoch table and its best and TTA lines.

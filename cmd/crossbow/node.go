@@ -76,6 +76,9 @@ func nodeCmd(fs *flag.FlagSet) runner {
 			OverlapGlobal:  t.overlap,
 			Logf:           logf,
 		}
+		if !fillDefaults(&cfg, stderr) {
+			return 1
+		}
 		res, err := crossbow.Train(cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "crossbow node rank %d: %v\n", *rank, err)
@@ -86,7 +89,7 @@ func nodeCmd(fs *flag.FlagSet) runner {
 			fmt.Fprintf(stdout, "rank %d: warm-started from peer snapshot of round %d\n", *rank, res.WarmStartRound)
 		}
 		if !*quiet {
-			fmt.Fprintf(stdout, "rank %d/%d: model=%s m=%d batch=%d\n", *rank, len(addrs), t.model, res.LearnersPerGPU, t.batch)
+			fmt.Fprintf(stdout, "rank %d/%d: model=%s m=%d batch=%d\n", *rank, len(addrs), cfg.Model, res.LearnersPerGPU, cfg.Batch)
 			fmt.Fprintf(stdout, "%6s %10s %8s\n", "epoch", "loss", "acc(%)")
 			for _, p := range res.Series {
 				fmt.Fprintf(stdout, "%6d %10.4f %8.2f\n", p.Epoch, p.Loss, p.TestAcc*100)

@@ -119,6 +119,13 @@ func serveCmd(fs *flag.FlagSet) runner {
 	}
 }
 
+// maxPredictBody bounds a /v1/predict body; a larger one is answered 413
+// without being decoded. A JSON float takes at most ~16 bytes and a sample
+// of the largest scaled model 3×8×8 floats (≈ 3 KiB of JSON), so 4 MiB
+// carries over a thousand instances, while one request can no longer make
+// the server decode and hold whatever it is sent.
+const maxPredictBody = 4 << 20
+
 // predictRequest is the POST /v1/predict payload.
 type predictRequest struct {
 	// Instances are flat [C×H×W] samples (Predictor.SampleVol elements
@@ -162,7 +169,12 @@ func newMux(p *crossbow.Predictor) *http.ServeMux {
 			return
 		}
 		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				http.Error(w, fmt.Sprintf("body over %d bytes", maxPredictBody), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,6 +101,22 @@ func TestPredictEndpointRejectsBadInput(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("GET /v1/predict: status %d, want 405", resp.StatusCode)
 		}
+	}
+}
+
+// TestPredictEndpointRejectsOversizedBody: a body over maxPredictBody is
+// answered 413 before it is decoded, however well-formed it is.
+func TestPredictEndpointRejectsOversizedBody(t *testing.T) {
+	srv, _ := startTestServer(t)
+	zeros := strings.Repeat("0,", maxPredictBody/2)
+	body := `{"instances": [[` + zeros + `0]]}`
+	resp, err := http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413", len(body), resp.StatusCode)
 	}
 }
 

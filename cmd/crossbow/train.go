@@ -25,7 +25,7 @@ func trainCmd(fs *flag.FlagSet) runner {
 	t.register(fs, 1, 30, false)
 	algo := fs.String("algo", "sma", "algorithm: sma, sma-hier, ssgd, easgd")
 	lr := fs.Float64("lr", 0, "learning rate (0 = per-model default)")
-	momentum := fs.Float64("momentum", 0.9, "momentum")
+	momentum := fs.Float64("momentum", 0, "momentum (0: the default)")
 	sched := fs.String("sched", "lockstep", "task-runtime scheduler: lockstep (barriered oracle) or fcfs (barrier-free)")
 	prefetch := fs.Int("prefetch", 0, "staged batches per learner in the input pipeline, min 1 (0: double buffering)")
 	publish := fs.String("publish", "", "serve a model feed on this address while training (crossbow serve -follow subscribes)")
@@ -49,6 +49,9 @@ func trainCmd(fs *flag.FlagSet) runner {
 				cfg.PublishEvery = 100
 			}
 		}
+		if !fillDefaults(&cfg, stderr) {
+			return 1
+		}
 		res, err := crossbow.Train(cfg)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -62,7 +65,7 @@ func trainCmd(fs *flag.FlagSet) runner {
 			}
 		}
 		fmt.Fprintf(stdout, "model=%s algo=%s gpus=%d m=%d batch=%d sched=%s\n",
-			t.model, *algo, t.gpus, res.LearnersPerGPU, t.batch, res.Scheduler)
+			cfg.Model, cfg.Algo, cfg.GPUs, res.LearnersPerGPU, cfg.Batch, res.Scheduler)
 		fmt.Fprintf(stdout, "simulated throughput: %.0f images/s, epoch: %.1f s\n",
 			res.ThroughputImgSec, res.EpochSeconds)
 		if len(res.Wall) > 0 {

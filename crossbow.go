@@ -80,7 +80,7 @@ const (
 // count is probed on the hardware simulator before the run; with
 // Scheduler: FCFS the tuner runs online, adapting the learner count to
 // measured wall-clock throughput while training.
-const AutoTune = -1
+const AutoTune = core.AutoTune
 
 // Scheduler selects the task runtime's scheduling mode (§4.3).
 type Scheduler = core.SchedulerMode
@@ -96,136 +96,16 @@ const (
 	FCFS     = core.SchedFCFS
 )
 
-// Config configures a training run.
-type Config struct {
-	// Model is the benchmark to train. Required.
-	Model Model
-	// Algo defaults to SMA.
-	Algo Algorithm
-	// Servers is the number of multi-GPU servers (default 1). Above 1 the
-	// run is a cluster of Servers ranks training with the two-level cluster
-	// SMA, and the hardware plane schedules cross-server average tasks over
-	// Interconnect; Servers: 1 is exactly the paper's single-server system.
-	// Each rank holds GPUs×LearnersPerGPU learners and passes over the whole
-	// training set once per epoch on its own shuffle of it, so an epoch of
-	// a cluster run consumes Servers × the training set, and EpochSeconds
-	// (the time stamps of Series, TTASeconds) is scaled accordingly.
-	Servers int
-	// Interconnect is the cross-server network cost model (zero value:
-	// 10 Gb/s Ethernet). Only meaningful with Servers > 1. On a TCP run
-	// it is the cost-model oracle reported next to the measured transport
-	// statistics; it chooses nothing about the real collective, which is
-	// always the transport's one owner-based all-reduce.
-	Interconnect Interconnect
-	// Transport selects the cross-server exchange plane with Servers > 1:
-	// TransportSimulated (default) runs every server as a rank of this
-	// process, exchanging through memory, with time charged by the
-	// Interconnect cost model; TransportTCP runs one server per OS process,
-	// exchanging the average model over real sockets. The ranks are the
-	// same either way.
-	Transport Transport
-	// Node describes this process's rank and the cluster's address list
-	// with Transport: TransportTCP.
-	Node NodeConfig
-	// GPUs is the number of simulated GPUs g per server (default 1).
-	GPUs int
-	// LearnersPerGPU is m, the model replicas trained per GPU; AutoTune
-	// selects it with Algorithm 2 (default 1).
-	LearnersPerGPU int
-	// Batch is the per-learner batch size b (default 16).
-	Batch int
-	// LearnRate γ (default: per-model calibration), Momentum µ (default
-	// 0.9).
-	LearnRate float32
-	Momentum  float32
-	// Tau is the synchronisation period (default 1; see §5.5).
-	Tau int
-	// TauGlobal is the cross-server averaging period in units of
-	// intra-server synchronisations (default 1). Only meaningful with
-	// Servers > 1.
-	TauGlobal int
-	// TargetAccuracy stops training once the median test accuracy of the
-	// last 5 epochs reaches it (TTA's window). Zero trains MaxEpochs.
-	TargetAccuracy float64
-	// MaxEpochs bounds the run (default 30).
-	MaxEpochs int
-	// Seed makes the run reproducible (default 1).
-	Seed uint64
-	// Schedule optionally adapts the learning rate per epoch; Restart
-	// applies the §3.2 SMA restart on learning-rate changes.
-	Schedule core.Schedule
-	Restart  bool
-	// TrainSamples/TestSamples override the synthetic dataset sizes. Test
-	// accuracy is measured over the first ⌊TestSamples/128⌋·128 test
-	// samples: a remainder beyond the last multiple of 128 is never
-	// evaluated (a test set of fewer than 128 samples is evaluated whole).
-	TrainSamples, TestSamples int
-	// KernelThreads bounds the compute kernels' worker budget (process-
-	// wide; see tensor.SetWorkerBudget). Zero keeps the current setting —
-	// by default runtime.NumCPU(), overridable with CROSSBOW_PARALLELISM.
-	// The budget is shared by count: while n learning tasks and serving
-	// batches are in flight in the process, each kernel call gets
-	// max(1, budget/n) workers, so task- and kernel-level parallelism never
-	// oversubscribe it, and evaluation, with none in flight, gets all of
-	// it. Results are bit-identical at any value.
-	KernelThreads int
-	// Scheduler selects the task runtime's scheduling mode: Lockstep
-	// (default, bit-deterministic) or FCFS (barrier-free; SMA only,
-	// Servers == 1).
-	Scheduler Scheduler
-	// Prefetch is the staged-batch depth per learner in the input
-	// pipeline's circular buffer; minimum 1 (default 2, double buffering
-	// per §4.5).
-	Prefetch int
-	// MemoryBudget bounds the shared activation pool in bytes (§4.5):
-	// every learning task executes against a planned arena checked out of
-	// per-operator pools shared by all learners, and when granting another
-	// arena would exceed the budget, learners wait for one to come back
-	// instead of growing the footprint. One task is always admitted, so
-	// any budget makes progress. Zero selects the default — enough arenas
-	// to cover the kernel worker budget plus one — under which activation
-	// memory grows with actual task concurrency, not learner count.
-	MemoryBudget int64
-	// PublishEvery, with OnSnapshot set, publishes a versioned snapshot of
-	// the central average model every PublishEvery iterations, rounded up
-	// to the enclosing synchronisation round — the boundary at which the
-	// model is stable under both schedulers, so snapshots are never torn
-	// (DESIGN.md §11). Zero disables publishing.
-	PublishEvery int
-	// OnSnapshot receives each published snapshot while training runs.
-	// Typical consumers hand it to a Predictor's UpdateSnapshot (serving
-	// the freshest model) or to SaveSnapshot (durable export). The
-	// callback runs on runtime goroutines and must return quickly.
-	OnSnapshot func(Snapshot)
-	// PublishAddr, with PublishEvery set, additionally streams every
-	// published snapshot to serving replicas over TCP (DESIGN.md §16): Train
-	// runs a ModelPublisher on this address for the duration of the run, and
-	// Predictors started with ServeConfig.Follow (or crossbow serve -follow)
-	// receive each snapshot as a delta against the model they already hold.
-	// OnSnapshot may still be set; it runs after the feed send.
-	PublishAddr string
+// Config configures a training run: the model, the algorithm and its
+// hyper-parameters, the simulated hardware, the cluster and the runtime.
+// It is the trainer's own Config, declared, defaulted and validated there
+// once (FillDefaults, which Train, Throughput and ClusterSweep call); each
+// field's comment gives its default.
+type Config = core.Config
 
-	// benchcompat:begin — the three names the frozen benchmark module
-	// (benchmark/) still compiles against. There is one kernel contract, so
-	// the field selects nothing: it must be left at Deterministic, its zero
-	// value. Nothing else in the root module may name them
-	// (TestBenchCompatUnused), so the block goes once the benchmark stops
-	// naming them.
-	KernelMode KernelMode
-}
-
-type KernelMode = tensor.KernelMode
-
-const Deterministic = tensor.Deterministic
-
-func (c *Config) benchCompat() error {
-	if c.KernelMode != Deterministic {
-		return fmt.Errorf("crossbow: Config.KernelMode %d: Fast mode was deleted, leave the field unset", c.KernelMode)
-	}
-	return nil
-}
-
-// benchcompat:end
+// Deterministic is re-exported for the frozen benchmark module only (see
+// the benchcompat block of core.Config).
+const Deterministic = core.Deterministic
 
 // Snapshot is a versioned copy of the central average model cut at a
 // synchronisation-round boundary — the servable artefact of a training run.
@@ -294,90 +174,14 @@ type Result struct {
 	Mem metrics.MemoryStats
 }
 
-func (c *Config) fillDefaults() error {
-	if c.Model == "" {
-		return fmt.Errorf("crossbow: Config.Model is required")
+// fillDefaults fills cfg's defaults and, once it has passed every check,
+// moves the process-wide kernel worker budget to its KernelThreads.
+func fillDefaults(cfg *Config) error {
+	if err := cfg.FillDefaults(); err != nil {
+		return fmt.Errorf("crossbow: %w", err)
 	}
-	if _, ok := nn.ScaledConfigs[c.Model]; !ok {
-		return fmt.Errorf("crossbow: unknown model %q", c.Model)
-	}
-	switch c.Algo {
-	case "":
-		c.Algo = SMA
-	case SMA, SMAHierarchical, SSGD, EASGD:
-	default:
-		return fmt.Errorf("crossbow: unknown algorithm %q", c.Algo)
-	}
-	if c.Servers <= 0 {
-		c.Servers = 1
-	}
-	if c.GPUs <= 0 {
-		c.GPUs = 1
-	}
-	if c.Batch <= 0 {
-		c.Batch = 16
-	}
-	if c.Momentum == 0 {
-		c.Momentum = 0.9
-	}
-	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = 30
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if err := c.benchCompat(); err != nil {
-		return err
-	}
-	if c.PublishAddr != "" && c.PublishEvery <= 0 {
-		return fmt.Errorf("crossbow: PublishAddr requires PublishEvery")
-	}
-	switch c.Scheduler {
-	case "", Lockstep:
-		c.Scheduler = Lockstep
-	case FCFS:
-		if c.Algo != SMA {
-			return fmt.Errorf("crossbow: Scheduler FCFS requires Algo SMA (got %q)", c.Algo)
-		}
-		if c.Servers > 1 {
-			return fmt.Errorf("crossbow: Scheduler FCFS is single-server (got Servers %d)", c.Servers)
-		}
-	default:
-		return fmt.Errorf("crossbow: unknown scheduler %q", c.Scheduler)
-	}
-	switch c.Transport {
-	case "", TransportSimulated:
-		c.Transport = TransportSimulated
-	case TransportTCP:
-		// One process per server: Servers defaults to the peer count.
-		if c.Servers <= 1 && len(c.Node.Peers) > 0 {
-			c.Servers = len(c.Node.Peers)
-		}
-		if err := c.Node.FillDefaults(); err != nil {
-			return fmt.Errorf("crossbow: Node: %w", err)
-		}
-		if err := c.validateTCP(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("crossbow: unknown transport %q", c.Transport)
-	}
-	if c.Servers > 1 || c.Transport == TransportTCP {
-		// A cluster run trains with the two-level cluster SMA, whatever SMA
-		// flavour was asked for.
-		algo, err := clusterAlgo(c.Algo)
-		if err != nil {
-			return err
-		}
-		c.Algo = algo
-		if c.Interconnect == (Interconnect{}) {
-			c.Interconnect = Ethernet()
-		}
-	}
-	// The budget is process-wide: only a Config that passed every check
-	// may move it.
-	if c.KernelThreads > 0 {
-		tensor.SetWorkerBudget(c.KernelThreads)
+	if cfg.KernelThreads > 0 {
+		tensor.SetWorkerBudget(cfg.KernelThreads)
 	}
 	return nil
 }
@@ -386,8 +190,8 @@ func (c *Config) fillDefaults() error {
 // the FCFS runtime the statistical plane starts at one learner per GPU and
 // resizes against measured wall-clock throughput while training. Otherwise
 // the count is probed on the hardware simulator up front (resolveLearners).
-func (c *Config) tunesOnline() bool {
-	return c.LearnersPerGPU == AutoTune && c.Scheduler == FCFS
+func tunesOnline(cfg Config) bool {
+	return cfg.LearnersPerGPU == AutoTune && cfg.Scheduler == FCFS
 }
 
 // planeConfig is the hardware-plane shape of a run at m learners per GPU:
@@ -397,7 +201,7 @@ func planeConfig(cfg Config, m int) engine.Config {
 	return engine.Config{
 		Model: cfg.Model, Servers: cfg.Servers, GPUs: cfg.GPUs,
 		LearnersPerGPU: m, Batch: cfg.Batch,
-		Tau: max(1, cfg.Tau), TauGlobal: cfg.TauGlobal,
+		Tau: cfg.Tau, TauGlobal: cfg.TauGlobal,
 		Overlap: true, Net: cfg.Interconnect,
 	}
 }
@@ -408,12 +212,9 @@ func planeConfig(cfg Config, m int) engine.Config {
 // deterministic in that shape, so every rank of a cluster run resolves the
 // same m.
 func resolveLearners(cfg Config) (int, []autotune.Decision) {
-	switch {
-	case cfg.LearnersPerGPU == AutoTune:
+	if cfg.LearnersPerGPU == AutoTune {
 		tuned := autotune.Tune(planeConfig(cfg, 0))
 		return tuned.Chosen, tuned.History
-	case cfg.LearnersPerGPU <= 0:
-		return 1, nil
 	}
 	return cfg.LearnersPerGPU, nil
 }
@@ -436,7 +237,7 @@ func hardwareThroughput(cfg Config, m int) float64 {
 // efficiency — on this server, as Servers ranks in this process
 // (TransportSimulated), or as this process's rank of a TCP cluster.
 func Train(cfg Config) (*Result, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := fillDefaults(&cfg); err != nil {
 		return nil, err
 	}
 	if cfg.PublishAddr != "" {
@@ -464,7 +265,7 @@ func Train(cfg Config) (*Result, error) {
 	if cfg.Algo == core.AlgoSMACluster {
 		base.Interconnect = cfg.Interconnect
 	}
-	if !cfg.tunesOnline() { // else refined from the run's TuneHistory
+	if !tunesOnline(cfg) { // else refined from the run's TuneHistory
 		base.LearnersPerGPU, base.TuneHistory = resolveLearners(cfg)
 	}
 	base.ThroughputImgSec = hardwareThroughput(cfg, base.LearnersPerGPU)
@@ -480,53 +281,25 @@ func Train(cfg Config) (*Result, error) {
 	case cfg.Servers > 1:
 		return trainLoopback(cfg, base), nil
 	}
-	return trainRank(cfg, base, 0, nil, nil, cfg.OnSnapshot), nil
+	return trainRank(cfg, base, core.Inputs{}), nil
 }
 
 // trainRank runs the statistical plane — real training of the scaled model
 // on the task runtime — for one rank and fills in the run's Result from
 // base. A single-server run is rank 0 with no exchanger; a cluster rank
 // trains its own server's learners on a rank-derived batch stream and
-// averages with its peers through ex (see core.DistClusterSMA). initModel
-// warm-starts a rejoining rank; publish receives the rank's snapshots.
-func trainRank(cfg Config, base Result, rank int, ex core.GlobalExchanger, initModel []float32, publish func(Snapshot)) *Result {
+// averages with its peers through in.Exchange (see core.DistClusterSMA),
+// warm-started from in.InitModel when it rejoins. cfg.OnSnapshot receives
+// the rank's snapshots.
+func trainRank(cfg Config, base Result, in core.Inputs) *Result {
 	res := base
-	var shuffleSeed uint64 // zero: the trainer's default stream
-	if ex != nil {
-		shuffleSeed = shuffleSeedFor(cfg.Seed, rank)
+	online := tunesOnline(cfg)
+	if !online {
+		cfg.LearnersPerGPU = res.LearnersPerGPU
 	}
-	tr := core.Train(core.TrainConfig{
-		Model:           cfg.Model,
-		Algo:            cfg.Algo,
-		GPUs:            cfg.GPUs,
-		LearnersPerGPU:  res.LearnersPerGPU,
-		BatchPerLearner: cfg.Batch,
-		LearnRate:       cfg.LearnRate,
-		Momentum:        cfg.Momentum,
-		LocalMomentum:   cfg.Momentum, // solver momentum inside learners, as released
-
-		Tau:               cfg.Tau,
-		TauGlobal:         cfg.TauGlobal,
-		MaxEpochs:         cfg.MaxEpochs,
-		TargetAcc:         cfg.TargetAccuracy,
-		Seed:              cfg.Seed,
-		Schedule:          cfg.Schedule,
-		RestartOnLRChange: cfg.Restart,
-		EpochSeconds:      res.EpochSeconds,
-		TrainSamples:      cfg.TrainSamples,
-		TestSamples:       cfg.TestSamples,
-		Scheduler:         cfg.Scheduler,
-		Prefetch:          cfg.Prefetch,
-		AutoTuneLearners:  cfg.tunesOnline(),
-		MemoryBudget:      cfg.MemoryBudget,
-		PublishEvery:      cfg.PublishEvery,
-		OnSnapshot:        publish,
-
-		GlobalExchange: ex,
-		OverlapGlobal:  ex != nil && cfg.Node.OverlapGlobal,
-		InitModel:      initModel,
-		ShuffleSeed:    shuffleSeed,
-	})
+	in.EpochSeconds = res.EpochSeconds
+	in.LocalMomentum = cfg.Momentum // solver momentum inside learners, as released
+	tr := core.Train(cfg, in)
 	res.Series = tr.Series
 	res.EpochsToTarget = tr.EpochsToTarget
 	res.BestAccuracy = tr.FinalAccuracy
@@ -536,7 +309,7 @@ func trainRank(cfg Config, base Result, rank int, ex core.GlobalExchanger, initM
 	res.WallImagesPerSec = metrics.MeanImagesPerSec(tr.Wall)
 	res.RuntimeStats = tr.RuntimeStats
 	res.Mem = tr.Mem
-	if cfg.tunesOnline() {
+	if online {
 		res.LearnersPerGPU = max(1, tr.K/cfg.GPUs)
 		res.TuneHistory = tr.TuneHistory
 	}
@@ -566,11 +339,14 @@ func trainLoopback(cfg Config, base Result) *Result {
 			// A rank that is done (or panics) releases peers still waiting
 			// for it in a round.
 			defer hub.Close()
-			var publish func(Snapshot)
-			if rank == 0 {
-				publish = cfg.OnSnapshot
+			c := cfg
+			if rank != 0 {
+				c.OnSnapshot = nil
 			}
-			results[rank] = trainRank(cfg, base, rank, hub.Rank(rank), nil, publish)
+			results[rank] = trainRank(c, base, core.Inputs{
+				Exchange:    hub.Rank(rank),
+				ShuffleSeed: shuffleSeedFor(cfg.Seed, rank),
+			})
 		}(rank)
 	}
 	wg.Wait()
@@ -584,7 +360,7 @@ func trainLoopback(cfg Config, base Result) *Result {
 // Throughput measures simulated training throughput (images/s) for a
 // configuration without running the statistical plane.
 func Throughput(cfg Config) (float64, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := fillDefaults(&cfg); err != nil {
 		return 0, err
 	}
 	m, _ := resolveLearners(cfg)

@@ -415,6 +415,7 @@ type nodeReport struct {
 	ParamsHash     uint64  `json:"params_hash"`
 	ParamsFinite   bool    `json:"params_finite"`
 	Rounds         int64   `json:"rounds"`
+	Epochs         int     `json:"epochs"` // epochs this process trained
 	RestartRounds  int64   `json:"restart_rounds"`
 	SnapFetched    int64   `json:"snapshots_fetched"`
 	SnapServed     int64   `json:"snapshots_served"`
@@ -466,6 +467,7 @@ func tcpNodeMain() int {
 		ParamsHash:     h.Sum64(),
 		ParamsFinite:   finite,
 		Rounds:         res.TransportStats.Rounds,
+		Epochs:         len(res.Series),
 		RestartRounds:  res.TransportStats.RestartRounds,
 		SnapFetched:    res.TransportStats.SnapshotsFetched,
 		SnapServed:     res.TransportStats.SnapshotsServed,
@@ -590,5 +592,20 @@ func TestTCPKillRejoin(t *testing.T) {
 	}
 	if reports[0].SnapServed+reports[1].SnapServed < 1 {
 		t.Fatalf("no survivor served the rejoin snapshot: %+v %+v", reports[0], reports[1])
+	}
+
+	// It resumed the run where the snapshot left it instead of training
+	// every epoch again: its global rounds are at most the rounds the
+	// survivors ran after the snapshot's round, plus the one epoch the
+	// snapshot was cut in. With τ = τ_global = 1 every iteration is a
+	// global round, and an epoch is samples/(b·m) iterations (tcpNodeMain:
+	// b = 8, m = 2 on one GPU).
+	const roundsPerEpoch = samples / (8 * 2)
+	left := min(reports[0].Rounds, reports[1].Rounds) - int64(reb.WarmStartRound)
+	t.Logf("reborn rank 2: %d global rounds over %d epochs from round %d; survivors ran %d and %d",
+		reb.Rounds, reb.Epochs, reb.WarmStartRound, reports[0].Rounds, reports[1].Rounds)
+	if reb.Rounds > left+roundsPerEpoch {
+		t.Fatalf("reborn rank 2 ran %d global rounds over %d epochs after warm-starting at round %d; the survivors had %d rounds left (+%d for the epoch the snapshot was cut in)",
+			reb.Rounds, reb.Epochs, reb.WarmStartRound, left, roundsPerEpoch)
 	}
 }

@@ -101,7 +101,7 @@ func TestTrainAutoTune(t *testing.T) {
 // configured τ, over Tune's 20-iteration window.
 func TestAutoTuneMeasuresAtConfiguredTau(t *testing.T) {
 	cfg := Config{Model: ResNet32, GPUs: 8, LearnersPerGPU: AutoTune, Batch: 16, Tau: 3}
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.FillDefaults(); err != nil {
 		t.Fatal(err)
 	}
 	_, hist := resolveLearners(cfg)

@@ -10,23 +10,14 @@ import (
 )
 
 // Transport selects how the cross-server tier of a cluster run exchanges
-// the central average model.
-type Transport string
+// the central average model: TransportSimulated (the default) runs every
+// server as a rank of this process, exchanging through memory;
+// TransportTCP runs one server per process over real sockets.
+type Transport = core.Transport
 
 const (
-	// TransportSimulated (the default) runs every server of the cluster as
-	// a rank of this process: the ranks train concurrently, each exactly
-	// what a TCP node trains (own learners, own batch stream), and all-reduce
-	// their reference models through memory — the socket-free, bit-
-	// deterministic twin of TransportTCP. Time is simulated: the hardware
-	// plane charges the Interconnect cost model for each exchange.
-	TransportSimulated Transport = "simulated"
-	// TransportTCP runs ONE server per process: this process trains its
-	// local learners and all-reduces the server reference model with its
-	// peers over real TCP connections (Config.Node describes the mesh).
-	// Launch one process per entry of Node.Peers; every process must use
-	// the same Config apart from Node.Rank.
-	TransportTCP Transport = "tcp"
+	TransportSimulated = core.TransportSimulated
+	TransportTCP       = core.TransportTCP
 )
 
 // NodeConfig describes this process's place in a TCP cluster
@@ -134,21 +125,6 @@ func shuffleSeedFor(seed uint64, rank int) uint64 {
 	return s
 }
 
-// validateTCP checks the rules that span Config and its Node, after
-// Node.FillDefaults has checked the node itself.
-func (c *Config) validateTCP() error {
-	if c.Servers != len(c.Node.Peers) {
-		return fmt.Errorf("crossbow: Servers (%d) must equal len(Node.Peers) (%d) on a TCP run", c.Servers, len(c.Node.Peers))
-	}
-	if c.Scheduler != Lockstep {
-		return fmt.Errorf("crossbow: TransportTCP requires the Lockstep scheduler (got %q)", c.Scheduler)
-	}
-	if c.Node.Snapshot != nil {
-		return fmt.Errorf("crossbow: Node.Snapshot is set by Train, not by the caller")
-	}
-	return nil
-}
-
 // trainNodeTCP is Train's path for Transport: TransportTCP. It runs ONE
 // server of the cluster: bring up the transport mesh, warm-start from a
 // peer snapshot when one exists (a rejoin), then train this rank with the
@@ -165,11 +141,13 @@ func trainNodeTCP(cfg Config, base Result) (*Result, error) {
 	// rejoining peer always finds a fresh model to resume from.
 	holder := &snapshotHolder{next: cfg.OnSnapshot}
 	if cfg.PublishEvery <= 0 {
-		cfg.PublishEvery = max(1, cfg.Tau) * max(1, cfg.TauGlobal)
+		cfg.PublishEvery = cfg.Tau * cfg.TauGlobal
 	}
+	cfg.OnSnapshot = holder.onSnapshot
 
-	cfg.Node.Snapshot = holder.checkpoint
-	node, err := transport.Listen(cfg.Node)
+	nodeCfg := cfg.Node
+	nodeCfg.Snapshot = holder.checkpoint
+	node, err := transport.Listen(nodeCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -180,19 +158,21 @@ func trainNodeTCP(cfg Config, base Result) (*Result, error) {
 	// published model; its first (Restart-flagged) round re-aligns every
 	// participant bit-exactly. On a cold bootstrap every peer answers that
 	// it holds no snapshot, and the rank falls through to the shared-seed
-	// w0 one round trip later.
-	var initModel []float32
+	// w0 one round trip later. The rank resumes its epoch loop after the
+	// epochs the snapshot completed, so it trains the rounds the cluster
+	// has left, not the whole run again.
+	in := core.Inputs{Exchange: nodeExchanger{node}, ShuffleSeed: shuffleSeedFor(cfg.Seed, cfg.Node.Rank)}
 	if len(cfg.Node.Peers) > 1 {
 		if snap, err := node.FetchSnapshot(cfg.Node.WarmStartWait); err == nil && snap != nil {
 			if snap.Model != string(cfg.Model) {
 				return nil, fmt.Errorf("crossbow: peer snapshot is for model %q, this run trains %q", snap.Model, cfg.Model)
 			}
-			initModel = snap.Params
+			in.InitModel, in.StartEpoch = snap.Params, snap.Epoch
 			base.WarmStartRound = int(snap.SnapshotRound)
 		}
 	}
 
-	res := trainRank(cfg, base, cfg.Node.Rank, nodeExchanger{node}, initModel, holder.onSnapshot)
+	res := trainRank(cfg, base, in)
 
 	// A graceful leave: peers stop waiting for this rank at the next
 	// barrier instead of suffering a heartbeat timeout. Stats are cut

@@ -12,14 +12,14 @@ import (
 // quantity the paper's TTA sweeps and `go test -bench=.` replays bottom out
 // in. Keeping it as a benchmark lets kernel PRs demonstrate wall-clock wins
 // on the real training path rather than on isolated kernels.
-func benchTrain(b *testing.B, cfg TrainConfig) {
+func benchTrain(b *testing.B, cfg Config) {
 	b.Helper()
 	cfg.MaxEpochs = 1
 	cfg.Seed = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Train(cfg)
+		Train(cfg, Inputs{})
 	}
 }
 
@@ -27,14 +27,14 @@ func benchTrain(b *testing.B, cfg TrainConfig) {
 // ResNet-32 epoch with a single learner (128 iterations at b=16 over the
 // default 2048-sample synthetic training set).
 func BenchmarkEpochResNet32(b *testing.B) {
-	benchTrain(b, TrainConfig{Model: nn.ResNet32, Algo: AlgoSMA, Momentum: 0.9})
+	benchTrain(b, Config{Model: nn.ResNet32, Algo: AlgoSMA, Momentum: 0.9})
 }
 
 // BenchmarkEpochResNet32_K4 exercises the multi-learner path (4 replicas on
 // one simulated GPU), where learner goroutines and the kernel worker pool
 // share the machine.
 func BenchmarkEpochResNet32_K4(b *testing.B) {
-	benchTrain(b, TrainConfig{
+	benchTrain(b, Config{
 		Model: nn.ResNet32, Algo: AlgoSMA, Momentum: 0.9,
 		GPUs: 1, LearnersPerGPU: 4,
 	})
@@ -42,7 +42,7 @@ func BenchmarkEpochResNet32_K4(b *testing.B) {
 
 // BenchmarkEpochLeNet covers the conv+pool+dense mix.
 func BenchmarkEpochLeNet(b *testing.B) {
-	benchTrain(b, TrainConfig{Model: nn.LeNet, Algo: AlgoSMA, Momentum: 0.9})
+	benchTrain(b, Config{Model: nn.LeNet, Algo: AlgoSMA, Momentum: 0.9})
 }
 
 // The optimiser benchmarks below time one call on the benchmark's two

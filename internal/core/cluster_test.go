@@ -104,19 +104,20 @@ func TestClusterSMAStateCarriesServerMean(t *testing.T) {
 
 // trainRanks runs Train as n ranks of one cluster over a fresh Loopback,
 // the way the root package's simulated transport does.
-func trainRanks(n int, cfg TrainConfig, train func(TrainConfig) *Result) []*Result {
+func trainRanks(n int, cfg Config, train func(Config, Inputs) *Result) []*Result {
 	hub := NewLoopback(n)
 	results := make([]*Result, n)
+	cfg.Servers = n
 	var wg sync.WaitGroup
 	for r := range results {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			defer hub.Close()
-			c := cfg
-			c.GlobalExchange = hub.Rank(r)
-			c.ShuffleSeed = uint64(101 + r) // distinct batch streams
-			results[r] = train(c)
+			results[r] = train(cfg, Inputs{
+				Exchange:    hub.Rank(r),
+				ShuffleSeed: uint64(101 + r), // distinct batch streams
+			})
 		}(r)
 	}
 	wg.Wait()
@@ -126,9 +127,9 @@ func trainRanks(n int, cfg TrainConfig, train func(TrainConfig) *Result) []*Resu
 // TestTrainClusterSMA exercises the full trainer loop on the cluster
 // algorithm: it must learn, stay deterministic, and report the per-rank K.
 func TestTrainClusterSMA(t *testing.T) {
-	cfg := TrainConfig{
+	cfg := Config{
 		Model: nn.LeNet, Algo: AlgoSMACluster,
-		GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
+		GPUs: 1, LearnersPerGPU: 2, Batch: 8,
 		Momentum: 0.9, MaxEpochs: 4, Seed: 1,
 	}
 	res := trainRanks(2, cfg, Train)

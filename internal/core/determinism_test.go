@@ -11,11 +11,11 @@ import (
 
 // determinismCfg is a small but real multi-learner ResNet-32 run exercising
 // the batched conv kernels, the worker pool and the parallel SMA exchange.
-func determinismCfg() TrainConfig {
-	return TrainConfig{
+func determinismCfg() Config {
+	return Config{
 		Model: nn.ResNet32, Algo: AlgoSMA,
 		GPUs: 1, LearnersPerGPU: 2,
-		BatchPerLearner: 8, Momentum: 0.9,
+		Batch: 8, Momentum: 0.9,
 		MaxEpochs: 2, Seed: 42,
 		TrainSamples: 128, TestSamples: 64,
 	}
@@ -49,10 +49,10 @@ func TestTrainBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	defer tensor.SetWorkerBudget(prev)
 
 	tensor.SetWorkerBudget(1)
-	base := Train(determinismCfg())
+	base := Train(determinismCfg(), Inputs{})
 	for _, workers := range []int{2, 5, 16} {
 		tensor.SetWorkerBudget(workers)
-		res := Train(determinismCfg())
+		res := Train(determinismCfg(), Inputs{})
 		resultsBitIdentical(t, "workers", base, res)
 	}
 }
@@ -65,9 +65,9 @@ func TestTrainBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(prevP)
 
 	runtime.GOMAXPROCS(1)
-	one := Train(determinismCfg())
+	one := Train(determinismCfg(), Inputs{})
 	n := runtime.NumCPU() * 2 // oversubscribe even on single-core runners
 	runtime.GOMAXPROCS(n)
-	many := Train(determinismCfg())
+	many := Train(determinismCfg(), Inputs{})
 	resultsBitIdentical(t, "gomaxprocs", one, many)
 }

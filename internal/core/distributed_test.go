@@ -422,9 +422,9 @@ func TestDistClusterOverlapBitIdentical(t *testing.T) {
 // loopback: both must finish with the identical cluster average model and
 // learn above chance.
 func TestTrainDistCluster(t *testing.T) {
-	results := trainRanks(2, TrainConfig{
+	results := trainRanks(2, Config{
 		Model: nn.LeNet, Algo: AlgoSMACluster,
-		GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
+		GPUs: 1, LearnersPerGPU: 2, Batch: 8,
 		Momentum: 0.9, MaxEpochs: 3, Seed: 1,
 	}, Train)
 	for s, res := range results {

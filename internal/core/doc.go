@@ -12,10 +12,13 @@
 // All algorithms operate on flat model vectors (paper §4.4: weights and
 // gradients live in contiguous memory), so one package covers both the
 // scaled trainable models and any other contiguous parameterisation.
+// A run is configured by Config — the public crossbow.Config, declared,
+// defaulted and validated here once (Config.FillDefaults) — plus Inputs,
+// the values its caller derives and no user sets.
 // Train is a thin driver: scheduling belongs to internal/engine's Runtime,
 // task memory to internal/memplan, and the optimiser math lives here as
 // the closures the runtime's two modes need. Versioned snapshots of the
-// central average model (Snapshot, TrainConfig.PublishEvery) feed the
+// central average model (Snapshot, Config.PublishEvery) feed the
 // serving plane (internal/serve, DESIGN.md §11); ReplayFCFS re-executes a
 // barrier-free run bit-identically from its assignment log.
 package core

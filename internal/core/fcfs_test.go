@@ -9,7 +9,15 @@ import (
 	"crossbow/internal/tensor"
 )
 
-func fcfsCfg() TrainConfig {
+// capOnlineTuning lowers the online tuner's learners-per-GPU cap for one
+// test.
+func capOnlineTuning(t *testing.T, m int) {
+	prev := maxLearnersPerGPU
+	maxLearnersPerGPU = m
+	t.Cleanup(func() { maxLearnersPerGPU = prev })
+}
+
+func fcfsCfg() Config {
 	cfg := determinismCfg()
 	cfg.Scheduler = SchedFCFS
 	cfg.GPUs, cfg.LearnersPerGPU = 1, 3
@@ -24,12 +32,12 @@ func fcfsCfg() TrainConfig {
 // staged batches and synchronised without a barrier.
 func TestFCFSReplayBitIdentical(t *testing.T) {
 	cfg := fcfsCfg()
-	live := Train(cfg)
+	live := Train(cfg, Inputs{})
 
 	if len(live.SeqLog) != cfg.K() {
 		t.Fatalf("assignment log covers %d learners, want %d", len(live.SeqLog), cfg.K())
 	}
-	replay := ReplayFCFS(cfg, live.SeqLog)
+	replay := ReplayFCFS(cfg, Inputs{}, live.SeqLog)
 	resultsBitIdentical(t, "fcfs-replay", live, replay)
 }
 
@@ -37,7 +45,7 @@ func TestFCFSReplayBitIdentical(t *testing.T) {
 // to exactly one learner, and every learner runs the same iteration count.
 func TestFCFSConsumesEveryBatchOnce(t *testing.T) {
 	cfg := fcfsCfg()
-	res := Train(cfg)
+	res := Train(cfg, Inputs{})
 
 	iters := len(res.SeqLog[0])
 	seen := map[int]bool{}
@@ -64,10 +72,10 @@ func TestFCFSLearnsLikeLockstep(t *testing.T) {
 	cfg := determinismCfg()
 	cfg.GPUs, cfg.LearnersPerGPU = 1, 2
 	cfg.MaxEpochs = 4
-	lock := Train(cfg)
+	lock := Train(cfg, Inputs{})
 
 	cfg.Scheduler = SchedFCFS
-	fcfs := Train(cfg)
+	fcfs := Train(cfg, Inputs{})
 
 	if fcfs.FinalAccuracy < lock.FinalAccuracy-0.10 {
 		t.Fatalf("fcfs accuracy %.3f far below lockstep %.3f", fcfs.FinalAccuracy, lock.FinalAccuracy)
@@ -161,17 +169,17 @@ func contributeApplyMatchesExchange(t *testing.T, w0 []float32, state [][2]int) 
 }
 
 // TestFCFSReplayOfEarlyStoppedRun: a live FCFS run that stops on
-// TargetAcc leaves a shorter assignment log; replaying it must cover
+// TargetAccuracy leaves a shorter assignment log; replaying it must cover
 // exactly the epochs the log records and reproduce them bit for bit.
 func TestFCFSReplayOfEarlyStoppedRun(t *testing.T) {
 	cfg := fcfsCfg()
 	cfg.MaxEpochs = 6
-	cfg.TargetAcc = 0.01 // reached immediately: the run stops after epoch 1
-	live := Train(cfg)
+	cfg.TargetAccuracy = 0.01 // reached immediately: the run stops after epoch 1
+	live := Train(cfg, Inputs{})
 	if len(live.Series) >= cfg.MaxEpochs {
 		t.Fatalf("run did not stop early (%d epochs)", len(live.Series))
 	}
-	replay := ReplayFCFS(cfg, live.SeqLog)
+	replay := ReplayFCFS(cfg, Inputs{}, live.SeqLog)
 	resultsBitIdentical(t, "fcfs-replay-early-stop", live, replay)
 	if replay.EpochsToTarget != live.EpochsToTarget {
 		t.Fatalf("EpochsToTarget %d vs %d", replay.EpochsToTarget, live.EpochsToTarget)
@@ -184,14 +192,13 @@ func TestFCFSReplayOfEarlyStoppedRun(t *testing.T) {
 // rebuilt runtime (a dropped handoff deadlocks this test).
 func TestLockstepOnlineAutotuneResizes(t *testing.T) {
 	done := make(chan *Result, 1)
+	capOnlineTuning(t, 3)
 	go func() {
 		cfg := determinismCfg()
-		cfg.GPUs, cfg.LearnersPerGPU = 1, 1
+		cfg.GPUs, cfg.LearnersPerGPU = 1, AutoTune
 		cfg.Scheduler = SchedLockstep
-		cfg.AutoTuneLearners = true
-		cfg.MaxLearnersPerGPU = 3
 		cfg.MaxEpochs = 6
-		done <- Train(cfg)
+		done <- Train(cfg, Inputs{})
 	}()
 	select {
 	case res := <-done:
@@ -206,7 +213,7 @@ func TestLockstepOnlineAutotuneResizes(t *testing.T) {
 	}
 }
 
-// TestOnlineAutotuneRuns: an AutoTuneLearners run under FCFS resizes the
+// TestOnlineAutotuneRuns: an AutoTune run under FCFS resizes the
 // pool as Algorithm 2 decides and keeps training through every resize. The
 // tuner is shown a scripted throughput sequence instead of the measured
 // one, so the resizes — 1 → 2 → 3 learners, back to 2 and settled — fall on
@@ -216,16 +223,15 @@ func TestLockstepOnlineAutotuneResizes(t *testing.T) {
 // assignment order while the margins asserted here are tens of per cent.
 func TestOnlineAutotuneRuns(t *testing.T) {
 	cfg := determinismCfg()
-	cfg.GPUs, cfg.LearnersPerGPU = 1, 1
+	cfg.GPUs, cfg.LearnersPerGPU = 1, AutoTune
 	cfg.Scheduler = SchedFCFS
-	cfg.AutoTuneLearners = true
-	cfg.MaxLearnersPerGPU = 3
+	capOnlineTuning(t, 3)
 	cfg.MaxEpochs = 6
 	// Epoch 1 is the tuner's warm-up; then a baseline at one learner, a
 	// gain at two, none at three. Epochs 5 and 6 run at the settled two.
 	script := []float64{0, 100, 200, 205, 205}
 	epoch := 0
-	res := train(cfg, func(float64) float64 { epoch++; return script[epoch-1] })
+	res := train(cfg, Inputs{}, func(float64) float64 { epoch++; return script[epoch-1] })
 
 	if len(res.TuneHistory) != 3 || res.K != 2 {
 		t.Fatalf("tuner decisions %v ending at %d learners, want probes at 1, 2, 3 and 2 kept", res.TuneHistory, res.K)

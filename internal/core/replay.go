@@ -16,15 +16,14 @@ import (
 // folded in learner-index order, so replaying the same log reproduces the
 // live trajectory bit for bit (losses, accuracies and weights).
 //
-// cfg must be the live run's config (flat SMA, fixed learner count).
+// cfg and in must be the live run's (flat SMA, fixed learner count).
 // seqLog is the live run's Result.SeqLog; a log shorter than MaxEpochs —
-// a run that stopped early on TargetAcc — replays the epochs it covers,
-// and the replayed run stops at the same point by the same rule.
-func ReplayFCFS(cfg TrainConfig, seqLog [][]int) *Result {
-	cfg.fillDefaults()
+// a run that stopped early on TargetAccuracy — replays the epochs it
+// covers, and the replayed run stops at the same point by the same rule.
+func ReplayFCFS(cfg Config, in Inputs, seqLog [][]int) *Result {
 	cfg.Scheduler = SchedFCFS
-	cfg.validate()
-	if cfg.AutoTuneLearners {
+	prepare(&cfg, &in)
+	if cfg.LearnersPerGPU == AutoTune {
 		panic("core: ReplayFCFS requires a fixed learner count")
 	}
 	k := cfg.K()
@@ -34,8 +33,8 @@ func ReplayFCFS(cfg TrainConfig, seqLog [][]int) *Result {
 
 	// The run is rebuilt through the same constructor as the live one, so
 	// replica/eval RNG streams and build order cannot diverge.
-	e := newTrainEnv(&cfg, k)
-	sma := buildOpt(&cfg, e.w0, k, e.nets[0].StateRanges()).(*SMA)
+	e := newTrainEnv(&cfg, &in, k)
+	sma := buildOpt(&cfg, &in, e.w0, k, e.nets[0].StateRanges()).(*SMA)
 	corr := make([][]float32, k)
 	for j := range corr {
 		corr[j] = make([]float32, len(e.w0))
@@ -66,14 +65,14 @@ func ReplayFCFS(cfg TrainConfig, seqLog [][]int) *Result {
 			}
 		}
 	}
-	batcher := data.NewBatcher(e.train.Len(), cfg.BatchPerLearner, cfg.Seed+21)
+	batcher := data.NewBatcher(e.train.Len(), cfg.Batch, cfg.Seed+21)
 	batches := make([][]int, maxSeq+1)
 	for s := range batches {
 		batches[s] = append([]int(nil), batcher.Next()...)
 	}
 
-	x := tensor.New(append([]int{cfg.BatchPerLearner}, e.train.Shape...)...)
-	labels := make([]int, cfg.BatchPerLearner)
+	x := tensor.New(append([]int{cfg.Batch}, e.train.Shape...)...)
+	labels := make([]int, cfg.Batch)
 	losses := make([]float64, k)
 
 	// Replayed runs publish snapshots at the same round boundaries as the
@@ -90,12 +89,12 @@ func ReplayFCFS(cfg TrainConfig, seqLog [][]int) *Result {
 			if nlr != lr {
 				lr = nlr
 				sma.SetLearnRate(lr)
-				if cfg.RestartOnLRChange {
+				if cfg.Restart {
 					sma.Restart(e.ws)
 				}
 			}
 		}
-		pub.setEpoch(epoch)
+		pub.setEpoch(epoch, done+iterPerEpoch)
 		perLearner := make([]float64, k)
 		for t := 1; t <= iterPerEpoch; t++ {
 			i := done + t // lifetime iteration, uniform across learners
@@ -138,19 +137,19 @@ func ReplayFCFS(cfg TrainConfig, seqLog [][]int) *Result {
 		acc := e.accuracy(sma.Average())
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
-			TimeSec: float64(epoch) * cfg.EpochSeconds,
+			TimeSec: float64(epoch) * in.EpochSeconds,
 			TestAcc: acc,
 			Loss:    lossSum / float64(max(1, iterPerEpoch*k)),
 		})
-		if cfg.TargetAcc > 0 {
-			if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAcc); ok {
+		if cfg.TargetAccuracy > 0 {
+			if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAccuracy); ok {
 				res.EpochsToTarget = ep
 				break
 			}
 		}
 	}
-	if res.EpochsToTarget < 0 && cfg.TargetAcc > 0 {
-		if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAcc); ok {
+	if res.EpochsToTarget < 0 && cfg.TargetAccuracy > 0 {
+		if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAccuracy); ok {
 			res.EpochsToTarget = ep
 		}
 	}

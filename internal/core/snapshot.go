@@ -24,7 +24,10 @@ type Snapshot struct {
 	// Iter is the per-learner iteration count the round represents
 	// (Round × τ).
 	Iter int
-	// Epoch is the 1-based training epoch the snapshot was cut in.
+	// Epoch is the number of training epochs the snapshot has completed:
+	// the epoch it was cut in, less one unless the cut ended that epoch.
+	// It is the number a checkpoint records as Epoch, and the one a
+	// rejoining rank resumes after (Inputs.StartEpoch).
 	Epoch int
 	// Params is the copied central average model, owned by the receiver.
 	Params []float32
@@ -35,17 +38,19 @@ type Snapshot struct {
 // the pieces that survive an online-autotuning resize: the round base (the
 // runtime's round counter restarts per phase) and the consumer callback.
 type snapshotPublisher struct {
-	cfg       *TrainConfig
+	cfg       *Config
 	onSnap    func(Snapshot)
 	everyRnds int
 	roundBase int // rounds folded by completed runtime phases
-	epoch     int // current epoch; written between RunEpochs (quiescence)
+	// The current epoch (1-based) and the per-learner iteration count at
+	// which it ends; written between RunEpochs (quiescence).
+	epoch, epochEnd int
 }
 
 // newSnapshotPublisher resolves PublishEvery (iterations, rounded up to the
 // enclosing τ boundary — snapshots are only cut where the model is stable)
 // into a round period. Returns nil when publishing is off.
-func newSnapshotPublisher(cfg *TrainConfig) *snapshotPublisher {
+func newSnapshotPublisher(cfg *Config) *snapshotPublisher {
 	if cfg.PublishEvery <= 0 || cfg.OnSnapshot == nil {
 		return nil
 	}
@@ -84,7 +89,10 @@ func (sp *snapshotPublisher) publish(opt stepper, round int) {
 		Model: sp.cfg.Model,
 		Round: round,
 		Iter:  round * sp.cfg.Tau,
-		Epoch: sp.epoch,
+		Epoch: sp.epoch - 1,
+	}
+	if s.Iter >= sp.epochEnd {
+		s.Epoch = sp.epoch
 	}
 	if sma, ok := opt.(*SMA); ok {
 		s.Params = make([]float32, len(sma.Average()))
@@ -103,10 +111,11 @@ func (sp *snapshotPublisher) rebase(rounds int) {
 	}
 }
 
-// setEpoch records the epoch subsequent snapshots are tagged with. Call at
-// quiescence (between RunEpochs).
-func (sp *snapshotPublisher) setEpoch(e int) {
+// setEpoch records the epoch subsequent snapshots are cut in and the
+// iteration count that completes it. Call at quiescence (between
+// RunEpochs).
+func (sp *snapshotPublisher) setEpoch(e, endIter int) {
 	if sp != nil {
-		sp.epoch = e
+		sp.epoch, sp.epochEnd = e, endIter
 	}
 }

@@ -13,13 +13,13 @@ import (
 // snapshotCfg is a small multi-learner run with mid-epoch round boundaries
 // (iterations per epoch is a multiple of τ but snapshots land inside
 // epochs too).
-func snapshotCfg(sched SchedulerMode) TrainConfig {
+func snapshotCfg(sched SchedulerMode) Config {
 	cfg := determinismCfg() // ResNet-32, k=2, b=8, 128 samples ⇒ 8 iters/epoch
 	cfg.Scheduler = sched
 	return cfg
 }
 
-func collectSnapshots(cfg *TrainConfig, every int) *[]Snapshot {
+func collectSnapshots(cfg *Config, every int) *[]Snapshot {
 	snaps := new([]Snapshot)
 	cfg.PublishEvery = every
 	cfg.OnSnapshot = func(s Snapshot) { *snaps = append(*snaps, s) }
@@ -38,6 +38,25 @@ func modelsBitIdentical(t *testing.T, label string, a, b []float32) {
 	}
 }
 
+// TestSnapshotEpochCountsCompletedEpochs: a snapshot's Epoch is the number
+// of epochs it has completed — the number a checkpoint records and a
+// rejoining rank resumes after — so the round that ends an epoch counts it
+// and a round inside one does not.
+func TestSnapshotEpochCountsCompletedEpochs(t *testing.T) {
+	cfg := snapshotCfg(SchedLockstep)
+	snaps := collectSnapshots(&cfg, 1)
+	Train(cfg, Inputs{})
+	const itersPerEpoch = 8
+	if len(*snaps) != 16 {
+		t.Fatalf("cut %d snapshots, want 16", len(*snaps))
+	}
+	for _, s := range *snaps {
+		if want := s.Iter / itersPerEpoch; s.Epoch != want {
+			t.Errorf("snapshot of iteration %d has Epoch %d, want %d", s.Iter, s.Epoch, want)
+		}
+	}
+}
+
 // TestSnapshotConsistencyLockstep cross-checks two lockstep runs of the
 // same config publishing at different cadences: rounds published by both
 // must carry bit-identical models (lockstep is deterministic, so any
@@ -46,12 +65,12 @@ func modelsBitIdentical(t *testing.T, label string, a, b []float32) {
 func TestSnapshotConsistencyLockstep(t *testing.T) {
 	cfgA := snapshotCfg(SchedLockstep)
 	snapsP := collectSnapshots(&cfgA, 1) // every round
-	resA := Train(cfgA)
+	resA := Train(cfgA, Inputs{})
 	snapsA := *snapsP
 
 	cfgB := snapshotCfg(SchedLockstep)
 	snapsBP := collectSnapshots(&cfgB, 3) // every 3rd round, mid-epoch
-	Train(cfgB)
+	Train(cfgB, Inputs{})
 	snapsB := *snapsBP
 
 	if len(snapsA) != 16 { // 8 iters/epoch × 2 epochs at τ=1
@@ -80,12 +99,12 @@ func TestSnapshotConsistencyLockstep(t *testing.T) {
 func TestSnapshotConsistencyLockstepEpochBoundary(t *testing.T) {
 	cfg := snapshotCfg(SchedLockstep)
 	snapsP := collectSnapshots(&cfg, 1)
-	Train(cfg)
+	Train(cfg, Inputs{})
 	snaps := *snapsP
 
 	one := snapshotCfg(SchedLockstep)
 	one.MaxEpochs = 1
-	resOne := Train(one)
+	resOne := Train(one, Inputs{})
 
 	const epochRounds = 8 // 8 iterations per epoch at τ=1
 	var cut []float32
@@ -114,13 +133,13 @@ func TestSnapshotConsistencyFCFS(t *testing.T) {
 		cfg := snapshotCfg(SchedFCFS)
 		cfg.Tau = tau
 		liveP := collectSnapshots(&cfg, tau) // every round
-		res := Train(cfg)
+		res := Train(cfg, Inputs{})
 		live := *liveP
 
 		replayCfg := snapshotCfg(SchedFCFS)
 		replayCfg.Tau = tau
 		replayedP := collectSnapshots(&replayCfg, tau)
-		ReplayFCFS(replayCfg, res.SeqLog)
+		ReplayFCFS(replayCfg, Inputs{}, res.SeqLog)
 		replayed := *replayedP
 
 		if len(live) == 0 || len(live) != len(replayed) {
@@ -201,17 +220,18 @@ func (e errorString) Error() string { return string(e) }
 // its phase-local round counter) mid-run.
 func TestSnapshotVersionsMonotoneAcrossResize(t *testing.T) {
 	var rounds []int
-	cfg := TrainConfig{
+	capOnlineTuning(t, 2)
+	cfg := Config{
 		Model: snapshotCfg(SchedFCFS).Model, Algo: AlgoSMA,
-		GPUs: 1, BatchPerLearner: 8, Momentum: 0.9,
+		GPUs: 1, Batch: 8, Momentum: 0.9,
 		MaxEpochs: 3, Seed: 42,
 		TrainSamples: 128, TestSamples: 64,
-		Scheduler:        SchedFCFS,
-		AutoTuneLearners: true, MaxLearnersPerGPU: 2,
-		PublishEvery: 1,
-		OnSnapshot:   func(s Snapshot) { rounds = append(rounds, s.Round) },
+		Scheduler:      SchedFCFS,
+		LearnersPerGPU: AutoTune,
+		PublishEvery:   1,
+		OnSnapshot:     func(s Snapshot) { rounds = append(rounds, s.Round) },
 	}
-	Train(cfg)
+	Train(cfg, Inputs{})
 	if len(rounds) == 0 {
 		t.Fatal("no snapshots published")
 	}

@@ -89,169 +89,68 @@ func PeriodicDecay(factor float32, period int) Schedule {
 	}
 }
 
-// TrainConfig configures a statistical-efficiency training run.
-type TrainConfig struct {
-	Model           nn.ModelID
-	Algo            Algorithm
-	GPUs            int // g, per server
-	LearnersPerGPU  int // m
-	BatchPerLearner int // b
-	LearnRate       float32
-	Momentum        float32 // µ (SMA: on the average model; S-SGD: Eq. 3)
-	// LocalMomentum is momentum inside SMA/EA-SGD learners. Algorithm 1
-	// applies momentum to the central average model only, so the default
-	// is 0; the released system also supports momentum in the solver.
-	LocalMomentum float32
-	Tau           int // synchronisation period; 0 → 1
-	// TauGlobal is the cluster plane's inter-server averaging period in
-	// units of intra-server synchronisations (AlgoSMACluster only; 0 → 1).
-	TauGlobal int
-	MaxEpochs int
-	TargetAcc float64 // stop once the TTA window clears this; 0 → run MaxEpochs
-	Seed      uint64
-	Schedule  Schedule
-	// RestartOnLRChange applies the §3.2 SMA restart whenever the
-	// schedule changes the learning rate.
-	RestartOnLRChange bool
+// Inputs is what a training run takes beside its Config: values the
+// crossbow API or an experiment driver derives for the run, which no user
+// sets.
+type Inputs struct {
 	// EpochSeconds, if set, supplies the duration of one epoch (e.g. from
 	// the hardware simulator) so the result's time axis is hardware time;
 	// otherwise epochs are timestamped by index.
 	EpochSeconds float64
-	// TrainSamples/TestSamples override the benchmark dataset sizes
-	// (needed when the aggregate batch k×b approaches the default 2048-
-	// sample training set). Zero keeps the defaults. Test accuracy is
-	// measured over the first ⌊TestSamples/128⌋·128 test samples; a
-	// remainder beyond the last multiple of 128 is never evaluated (a test
-	// set of fewer than 128 samples is evaluated whole).
-	TrainSamples int
-	TestSamples  int
-	// Scheduler selects the task runtime's scheduling mode: SchedLockstep
-	// (default, bit-deterministic) or SchedFCFS (barrier-free; flat SMA on
-	// a single server only).
-	Scheduler SchedulerMode
-	// Prefetch is the staged-batch depth per learner in the input
-	// pipeline's circular buffer; minimum 1 (0 → 2, double buffering as
-	// in §4.5).
-	Prefetch int
-	// AutoTuneLearners runs Algorithm 2 online: the run starts with one
-	// learner per GPU and the learner count adapts to measured wall-clock
-	// throughput between epochs, resizing the replica pool with the §3.2
-	// restart semantics. Requires AlgoSMA on a single server;
-	// LearnersPerGPU is ignored.
-	AutoTuneLearners bool
-	// MaxLearnersPerGPU caps online tuning (0 → 4).
-	MaxLearnersPerGPU int
-	// MemoryBudget bounds the shared activation pool (§4.5) in bytes:
-	// learners block for task buffers when granting another planned arena
-	// would exceed it (one task is always admitted, so any budget makes
-	// progress — surplus learners trade waiting for footprint). Zero
-	// selects the default, (kernel worker budget + 1) planned arenas:
-	// demand beyond available compute parallelism is waste, so the pool
-	// never needs to grow past it.
-	MemoryBudget int64
-	// PublishEvery, with OnSnapshot set, publishes a versioned snapshot of
-	// the central model every PublishEvery iterations, rounded up to the
-	// enclosing synchronisation round — snapshots are cut only at round
-	// boundaries, where the model is stable in both scheduling modes (see
-	// Snapshot). Zero disables publishing.
-	PublishEvery int
-	// OnSnapshot receives each published snapshot. It runs inside the
-	// runtime's Publish window — under either scheduler on the goroutine of
-	// the learner that completed the round, with the other learners held
-	// back — so it must be quick and must not call back into the trainer;
-	// hand the snapshot off (e.g. to a serving engine's UpdateModel) and
-	// return.
-	OnSnapshot func(Snapshot)
-	// GlobalExchange is the inter-server tier of AlgoSMACluster, which
-	// requires it: this Train call runs ONE server's GPUs×LearnersPerGPU
-	// learners — one rank of the cluster — and every τ_global local
-	// synchronisations the server reference model is all-reduced with the
-	// other ranks through this exchanger (see DistClusterSMA): a Loopback
-	// rank when the cluster lives in one process, the TCP transport when
-	// it spans several.
-	GlobalExchange GlobalExchanger
-	// OverlapGlobal launches each global exchange asynchronously at the
-	// τ_global boundary and folds the completed sum in one iteration
-	// later, hiding the network round-trip behind the next iteration's
-	// forward/backward computation. The trajectory is bit-identical to
-	// the synchronous exchange (the fold happens before any state the
-	// exchange touches is read again; see DistClusterSMA.Drain). Requires
-	// GlobalExchange; exchangers without an asynchronous path fall back
-	// to the synchronous round.
-	OverlapGlobal bool
+	// LocalMomentum is momentum inside SMA/EA-SGD learners. Algorithm 1
+	// applies momentum to the central average model only, so Algorithm 1's
+	// runs leave it 0; the released system also runs momentum in the
+	// solver, and crossbow.Train passes Config.Momentum.
+	LocalMomentum float32
+
+	// Exchange is the inter-server tier of AlgoSMACluster, which requires
+	// it: this Train call runs ONE server's GPUs×LearnersPerGPU learners —
+	// one rank of the cluster — and every τ_global local synchronisations
+	// the server reference model is all-reduced with the other ranks
+	// through this exchanger (see DistClusterSMA): a Loopback rank when
+	// the cluster lives in one process, the TCP transport when it spans
+	// several. Config.Node.OverlapGlobal overlaps each exchange with the
+	// next iteration.
+	Exchange GlobalExchanger
 	// InitModel, if non-nil, overrides the seed-derived initial model w0
 	// (it must match the model's parameter count). A node rejoining a
-	// cluster warm-starts from a peer's snapshot this way.
-	InitModel []float32
+	// cluster warm-starts from a peer's snapshot this way, and StartEpoch
+	// is the number of epochs that snapshot had completed (Snapshot.Epoch):
+	// the run resumes its epoch loop, and its learning-rate schedule, at
+	// epoch StartEpoch+1.
+	InitModel  []float32
+	StartEpoch int
 	// ShuffleSeed, if non-zero, overrides the input pipeline's shuffle
-	// seed (default Seed+21). Distributed nodes derive it from their rank
-	// so every server trains on a differently-ordered batch stream while
+	// seed (default Seed+21). Cluster ranks derive it from their rank so
+	// every server trains on a differently-ordered batch stream while
 	// sharing the same model seed.
 	ShuffleSeed uint64
 }
 
-// K returns the run's learner count g×m (on a cluster run: this rank's).
-func (c TrainConfig) K() int { return c.GPUs * c.LearnersPerGPU }
+// maxLearnersPerGPU caps the online Algorithm 2's search; a variable only
+// so tests can shorten it.
+var maxLearnersPerGPU = 4
 
-func (c *TrainConfig) fillDefaults() {
-	if c.GPUs == 0 {
-		c.GPUs = 1
+// prepare fills cfg's defaults and checks in against it. The callers of
+// Train validate their Configs first (crossbow.Train returns the error), so
+// what fails here is a programming error and panics.
+func prepare(cfg *Config, in *Inputs) {
+	if err := cfg.FillDefaults(); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
-	if c.LearnersPerGPU == 0 {
-		c.LearnersPerGPU = 1
+	if in.EpochSeconds == 0 {
+		in.EpochSeconds = 1
 	}
-	if c.BatchPerLearner == 0 {
-		c.BatchPerLearner = 16
-	}
-	if c.LearnRate == 0 {
-		c.LearnRate = DefaultLearnRate(c.Model)
-	}
-	if c.Tau == 0 {
-		c.Tau = 1
-	}
-	if c.MaxEpochs == 0 {
-		c.MaxEpochs = 30
-	}
-	if c.Algo == "" {
-		c.Algo = AlgoSMA
-	}
-	if c.EpochSeconds == 0 {
-		c.EpochSeconds = 1
-	}
-	if c.Scheduler == "" {
-		c.Scheduler = SchedLockstep
-	}
-	if c.Prefetch < 1 {
-		c.Prefetch = 2
-	}
-	if c.MaxLearnersPerGPU < 1 {
-		c.MaxLearnersPerGPU = 4
-	}
-}
-
-// validate rejects scheduler/algorithm combinations the runtime cannot
-// honour. Called after fillDefaults.
-func (c *TrainConfig) validate() {
-	if c.Scheduler != SchedLockstep && c.Scheduler != SchedFCFS {
-		panic(fmt.Sprintf("core: unknown scheduler %q", c.Scheduler))
-	}
-	if c.Scheduler == SchedFCFS && c.Algo != AlgoSMA {
-		panic(fmt.Sprintf("core: the fcfs scheduler requires AlgoSMA (got %q)", c.Algo))
-	}
-	if c.AutoTuneLearners && c.Algo != AlgoSMA {
-		panic(fmt.Sprintf("core: online learner tuning requires AlgoSMA (got %q)", c.Algo))
+	if cfg.LearnersPerGPU == AutoTune && cfg.Algo != AlgoSMA {
+		panic(fmt.Sprintf("core: online learner tuning requires AlgoSMA (got %q)", cfg.Algo))
 	}
 	// The cluster algorithm and an exchanger come together: either both or
-	// neither. (FCFS and online tuning, requiring AlgoSMA, are thereby
-	// single-server.)
-	if (c.Algo == AlgoSMACluster) != (c.GlobalExchange != nil) {
-		panic(fmt.Sprintf("core: AlgoSMACluster and a GlobalExchange require each other (got %q, exchange set: %v)", c.Algo, c.GlobalExchange != nil))
+	// neither.
+	if (cfg.Algo == AlgoSMACluster) != (in.Exchange != nil) {
+		panic(fmt.Sprintf("core: AlgoSMACluster and an Exchange require each other (got %q, exchange set: %v)", cfg.Algo, in.Exchange != nil))
 	}
-	if c.InitModel != nil && c.GlobalExchange == nil {
-		panic("core: InitModel is only meaningful with a GlobalExchange (snapshot-seeded rejoin)")
-	}
-	if c.OverlapGlobal && c.GlobalExchange == nil {
-		panic("core: OverlapGlobal requires a GlobalExchange")
+	if (in.InitModel != nil || in.StartEpoch != 0) && in.Exchange == nil {
+		panic("core: InitModel and StartEpoch are only meaningful with an Exchange (snapshot-seeded rejoin)")
 	}
 }
 
@@ -278,7 +177,7 @@ type Result struct {
 	// trajectory is bit-reproducible given the log (see ReplayFCFS).
 	SeqLog [][]int
 	// TuneHistory lists the online Algorithm 2 decisions when
-	// AutoTuneLearners was set. Decision.M is learners per GPU, the same
+	// LearnersPerGPU was AutoTune. Decision.M is learners per GPU, the same
 	// unit the offline tuner reports.
 	TuneHistory []autotune.Decision
 	// Mem reports the live memory plane: the planned per-task arena, the
@@ -320,7 +219,8 @@ func drainExchange(s stepper) {
 // the input pipeline. The optimiser and task runtime are phase-scoped —
 // online tuning rebuilds them when the learner count changes.
 type trainEnv struct {
-	cfg       *TrainConfig
+	cfg       *Config
+	in        *Inputs
 	train     *data.Dataset
 	masterRNG *tensor.RNG
 	nets      []*nn.Network
@@ -341,7 +241,7 @@ type trainEnv struct {
 	arenaElems int
 
 	// pub cuts versioned model snapshots from the runtime's Publish
-	// window (nil when TrainConfig.PublishEvery is unset).
+	// window (nil when Config.PublishEvery is unset).
 	pub *snapshotPublisher
 }
 
@@ -361,7 +261,7 @@ type trainEnv struct {
 //     runs beside the first epoch.
 //
 // Each side's panic is raised again at its join, on the caller's goroutine.
-func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
+func newTrainEnv(cfg *Config, in *Inputs, k int) *trainEnv {
 	dataCfg := data.ForModel(cfg.Model, cfg.Seed, 0)
 	if cfg.TrainSamples > 0 {
 		dataCfg.Train = cfg.TrainSamples
@@ -369,7 +269,7 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 	if cfg.TestSamples > 0 {
 		dataCfg.Test = cfg.TestSamples
 	}
-	e := &trainEnv{cfg: cfg, masterRNG: tensor.NewRNG(cfg.Seed + 7)}
+	e := &trainEnv{cfg: cfg, in: in, masterRNG: tensor.NewRNG(cfg.Seed + 7)}
 	trainSide := goSide(func() {
 		synth := data.NewSynthesis(dataCfg)
 		e.testSide = goSide(func() { e.buildEval(synth.Test()) })
@@ -378,15 +278,15 @@ func newTrainEnv(cfg *TrainConfig, k int) *trainEnv {
 
 	// Learner networks and replicas (the replica pool).
 	for j := 0; j < k; j++ {
-		net := nn.BuildScaled(cfg.Model, cfg.BatchPerLearner, e.masterRNG.Split())
+		net := nn.BuildScaled(cfg.Model, cfg.Batch, e.masterRNG.Split())
 		e.nets = append(e.nets, net)
 	}
 	e.w0 = e.nets[0].Init(tensor.NewRNG(cfg.Seed + 13))
-	if cfg.InitModel != nil {
-		if len(cfg.InitModel) != len(e.w0) {
-			panic(fmt.Sprintf("core: InitModel has %d parameters, model needs %d", len(cfg.InitModel), len(e.w0)))
+	if in.InitModel != nil {
+		if len(in.InitModel) != len(e.w0) {
+			panic(fmt.Sprintf("core: InitModel has %d parameters, model needs %d", len(in.InitModel), len(e.w0)))
 		}
-		copy(e.w0, cfg.InitModel)
+		copy(e.w0, in.InitModel)
 	}
 	for j := 0; j < k; j++ {
 		e.ws = append(e.ws, append([]float32(nil), e.w0...))
@@ -481,7 +381,7 @@ func (e *trainEnv) poolBudget() int64 {
 // pool — resizing never replicates activation memory up front.
 func (e *trainEnv) growLearners(k int, model []float32) {
 	for j := len(e.nets); j < k; j++ {
-		net := nn.BuildScaled(e.cfg.Model, e.cfg.BatchPerLearner, e.masterRNG.Split())
+		net := nn.BuildScaled(e.cfg.Model, e.cfg.Batch, e.masterRNG.Split())
 		e.nets = append(e.nets, net)
 		e.ws = append(e.ws, append([]float32(nil), model...))
 		e.gs = append(e.gs, make([]float32, len(model)))
@@ -496,7 +396,7 @@ func (e *trainEnv) growLearners(k int, model []float32) {
 // iterPerEpoch returns the joined iterations per epoch at k learners (each
 // iteration consumes k batches).
 func (e *trainEnv) iterPerEpoch(k int) int {
-	it := (e.train.Len() / e.cfg.BatchPerLearner) / k
+	it := (e.train.Len() / e.cfg.Batch) / k
 	if it == 0 {
 		it = 1
 	}
@@ -504,10 +404,10 @@ func (e *trainEnv) iterPerEpoch(k int) int {
 }
 
 // buildOpt constructs the optimiser for k learners from initial model w0.
-func buildOpt(cfg *TrainConfig, w0 []float32, k int, stateRanges [][2]int) stepper {
+func buildOpt(cfg *Config, in *Inputs, w0 []float32, k int, stateRanges [][2]int) stepper {
 	smaCfg := SMAConfig{
 		LearnRate: cfg.LearnRate, Momentum: cfg.Momentum,
-		LocalMomentum: cfg.LocalMomentum, Tau: cfg.Tau,
+		LocalMomentum: in.LocalMomentum, Tau: cfg.Tau,
 		StateRanges: stateRanges,
 	}
 	switch cfg.Algo {
@@ -519,15 +419,15 @@ func buildOpt(cfg *TrainConfig, w0 []float32, k int, stateRanges [][2]int) stepp
 		// This run is one server of the cluster; the global tier runs over
 		// the exchanger.
 		return NewDistClusterSMA(ClusterSMAConfig{
-			SMAConfig: smaCfg, TauGlobal: cfg.TauGlobal, OverlapGlobal: cfg.OverlapGlobal,
-		}, w0, k, cfg.GlobalExchange)
+			SMAConfig: smaCfg, TauGlobal: cfg.TauGlobal, OverlapGlobal: cfg.Node.OverlapGlobal,
+		}, w0, k, in.Exchange)
 	case AlgoSSGD:
 		s := NewSSGD(cfg.LearnRate, cfg.Momentum, w0)
 		s.StateRanges = stateRanges
 		return s
 	case AlgoEASGD:
 		ea := NewEASGD(cfg.LearnRate, 0, cfg.Tau, k, w0)
-		ea.LocalMomentum = cfg.LocalMomentum
+		ea.LocalMomentum = in.LocalMomentum
 		return ea
 	}
 	panic(fmt.Sprintf("core: unknown algorithm %q", cfg.Algo))
@@ -566,7 +466,7 @@ func (e *trainEnv) buildRuntime(opt stepper, k, firstSeq int, held map[int]*data
 	}
 	switch e.cfg.Scheduler {
 	case SchedFCFS:
-		sma := opt.(*SMA) // validate() guarantees AlgoSMA
+		sma := opt.(*SMA) // FillDefaults guarantees AlgoSMA
 		corr := make([][]float32, k)
 		for j := range corr {
 			corr[j] = make([]float32, len(e.w0))
@@ -605,35 +505,35 @@ func (e *trainEnv) buildRuntime(opt stepper, k, firstSeq int, held map[int]*data
 // circular buffer, under the configured scheduling mode. With the default
 // lockstep scheduler the run is deterministic given the config, bit for
 // bit at any kernel worker count.
-func Train(cfg TrainConfig) *Result { return train(cfg, nil) }
+func Train(cfg Config, in Inputs) *Result { return train(cfg, in, nil) }
 
 // train is Train with the online tuner's input open to tests: observed, if
 // non-nil, maps each epoch's measured images/s to the figure Algorithm 2 is
 // shown, so a test can script the resizes instead of leaving them to the
 // machine's load.
-func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
-	cfg.fillDefaults()
-	cfg.validate()
+func train(cfg Config, in Inputs, observed func(measured float64) float64) *Result {
+	prepare(&cfg, &in)
 
 	k := cfg.K()
 	maxK := k
-	if cfg.AutoTuneLearners {
+	tunes := cfg.LearnersPerGPU == AutoTune
+	if tunes {
 		k = cfg.GPUs // Alg 2 line 1: start with one learner per GPU
-		maxK = cfg.GPUs * cfg.MaxLearnersPerGPU
+		maxK = cfg.GPUs * maxLearnersPerGPU
 	}
 
-	e := newTrainEnv(&cfg, k)
+	e := newTrainEnv(&cfg, &in, k)
 	e.pub = newSnapshotPublisher(&cfg)
-	opt := buildOpt(&cfg, e.w0, k, e.nets[0].StateRanges())
+	opt := buildOpt(&cfg, &in, e.w0, k, e.nets[0].StateRanges())
 
 	// Input pipeline: pre-processors stage shuffled batches into the
 	// circular buffer; sized for the largest pool the run may grow to.
 	shuffleSeed := cfg.Seed + 21
-	if cfg.ShuffleSeed != 0 {
-		shuffleSeed = cfg.ShuffleSeed
+	if in.ShuffleSeed != 0 {
+		shuffleSeed = in.ShuffleSeed
 	}
 	e.pipe = data.NewPipeline(e.train, data.PipelineConfig{
-		Batch:   cfg.BatchPerLearner,
+		Batch:   cfg.Batch,
 		Slots:   maxK * cfg.Prefetch,
 		Workers: min(4, max(1, maxK/2)),
 		Seed:    shuffleSeed,
@@ -647,8 +547,8 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 	// so its Decision history reads like the offline tuner's; the driver
 	// scales by GPUs to the pool size.
 	var tuner *autotune.Online
-	if cfg.AutoTuneLearners {
-		tuner = autotune.NewOnline(1, cfg.MaxLearnersPerGPU, 1)
+	if tunes {
+		tuner = autotune.NewOnline(1, maxLearnersPerGPU, 1)
 	}
 
 	res := &Result{K: k, EpochsToTarget: -1, Sched: cfg.Scheduler}
@@ -661,13 +561,13 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 	runtime.ReadMemStats(&memBefore)
 	totalIters := 0
 
-	for epoch := 1; epoch <= cfg.MaxEpochs; epoch++ {
+	for epoch := in.StartEpoch + 1; epoch <= cfg.MaxEpochs; epoch++ {
 		if cfg.Schedule != nil {
 			nlr := cfg.Schedule(epoch, cfg.LearnRate)
 			if nlr != lr {
 				lr = nlr
 				opt.SetLearnRate(lr)
-				if cfg.RestartOnLRChange {
+				if cfg.Restart {
 					restart(opt, e.ws[:k])
 				}
 			}
@@ -675,12 +575,12 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 
 		iters := e.iterPerEpoch(k)
 		totalIters += iters
-		e.pub.setEpoch(epoch)
+		e.pub.setEpoch(epoch, totalIters)
 		start := time.Now()
 		rt.RunEpoch(iters)
 		wall := time.Since(start).Seconds()
 		lossSum, lossCount := rt.TakeEpochLoss()
-		images := float64(iters * k * cfg.BatchPerLearner)
+		images := float64(iters * k * cfg.Batch)
 		wp := metrics.WallPoint{Epoch: epoch, Sec: wall}
 		if wall > 0 {
 			wp.ImagesPerSec = images / wall
@@ -696,12 +596,12 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 		acc := e.accuracy(opt.Average())
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
-			TimeSec: float64(epoch) * cfg.EpochSeconds,
+			TimeSec: float64(epoch) * in.EpochSeconds,
 			TestAcc: acc,
 			Loss:    lossSum / float64(max(1, lossCount)),
 		})
-		if cfg.TargetAcc > 0 {
-			if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAcc); ok {
+		if cfg.TargetAccuracy > 0 {
+			if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAccuracy); ok {
 				res.EpochsToTarget = ep
 				break
 			}
@@ -724,7 +624,7 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 					tensor.Copy(e.ws[j], z)
 				}
 				k = nextK
-				opt = buildOpt(&cfg, z, k, e.nets[0].StateRanges())
+				opt = buildOpt(&cfg, &in, z, k, e.nets[0].StateRanges())
 				if lr != cfg.LearnRate {
 					// buildOpt starts from the base rate; a schedule may
 					// already have moved it.
@@ -735,8 +635,8 @@ func train(cfg TrainConfig, observed func(measured float64) float64) *Result {
 		}
 	}
 
-	if res.EpochsToTarget < 0 && cfg.TargetAcc > 0 {
-		if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAcc); ok {
+	if res.EpochsToTarget < 0 && cfg.TargetAccuracy > 0 {
+		if ep, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAccuracy); ok {
 			res.EpochsToTarget = ep
 		}
 	}

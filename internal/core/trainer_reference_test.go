@@ -17,8 +17,8 @@ import (
 // threaded optimiser step. Any numerical divergence between Train (which
 // now drives the engine's task runtime and the staged-batch pipeline) and
 // this loop is a regression.
-func referenceTrain(cfg TrainConfig) *Result {
-	cfg.fillDefaults()
+func referenceTrain(cfg Config, in Inputs) *Result {
+	prepare(&cfg, &in)
 	k := cfg.K()
 
 	dataCfg := data.ForModel(cfg.Model, cfg.Seed, 0)
@@ -35,7 +35,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 	ws := make([][]float32, k)
 	gs := make([][]float32, k)
 	for j := 0; j < k; j++ {
-		nets[j] = nn.BuildScaled(cfg.Model, cfg.BatchPerLearner, masterRNG.Split())
+		nets[j] = nn.BuildScaled(cfg.Model, cfg.Batch, masterRNG.Split())
 	}
 	w0 := nets[0].Init(tensor.NewRNG(cfg.Seed + 13))
 	for j := 0; j < k; j++ {
@@ -44,7 +44,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 		nets[j].Bind(ws[j], gs[j])
 	}
 
-	opt := buildOpt(&cfg, w0, k, nets[0].StateRanges())
+	opt := buildOpt(&cfg, &in, w0, k, nets[0].StateRanges())
 
 	evalBatch := 128
 	if test.Len() < evalBatch {
@@ -56,17 +56,17 @@ func referenceTrain(cfg TrainConfig) *Result {
 	})
 
 	shuffleSeed := cfg.Seed + 21
-	if cfg.ShuffleSeed != 0 {
-		shuffleSeed = cfg.ShuffleSeed
+	if in.ShuffleSeed != 0 {
+		shuffleSeed = in.ShuffleSeed
 	}
-	batcher := data.NewBatcher(train.Len(), cfg.BatchPerLearner, shuffleSeed)
+	batcher := data.NewBatcher(train.Len(), cfg.Batch, shuffleSeed)
 	inputs := make([]*tensor.Tensor, k)
 	labels := make([][]int, k)
 	batchIdx := make([][]int, k)
 	for j := 0; j < k; j++ {
-		inputs[j] = tensor.New(append([]int{cfg.BatchPerLearner}, train.Shape...)...)
-		labels[j] = make([]int, cfg.BatchPerLearner)
-		batchIdx[j] = make([]int, cfg.BatchPerLearner)
+		inputs[j] = tensor.New(append([]int{cfg.Batch}, train.Shape...)...)
+		labels[j] = make([]int, cfg.Batch)
+		batchIdx[j] = make([]int, cfg.Batch)
 	}
 
 	res := &Result{K: k, EpochsToTarget: -1}
@@ -85,7 +85,7 @@ func referenceTrain(cfg TrainConfig) *Result {
 			if nlr != lr {
 				lr = nlr
 				opt.SetLearnRate(lr)
-				if cfg.RestartOnLRChange {
+				if cfg.Restart {
 					restart(opt, ws)
 				}
 			}
@@ -116,19 +116,19 @@ func referenceTrain(cfg TrainConfig) *Result {
 		acc := eval.accuracyLanes(opt.Average(), 1)
 		res.Series = append(res.Series, metrics.EpochPoint{
 			Epoch:   epoch,
-			TimeSec: float64(epoch) * cfg.EpochSeconds,
+			TimeSec: float64(epoch) * in.EpochSeconds,
 			TestAcc: acc,
 			Loss:    lossSum / float64(max(1, lossCount)),
 		})
-		if cfg.TargetAcc > 0 {
-			if e, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAcc); ok {
+		if cfg.TargetAccuracy > 0 {
+			if e, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAccuracy); ok {
 				res.EpochsToTarget = e
 				break
 			}
 		}
 	}
-	if res.EpochsToTarget < 0 && cfg.TargetAcc > 0 {
-		if e, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAcc); ok {
+	if res.EpochsToTarget < 0 && cfg.TargetAccuracy > 0 {
+		if e, ok := metrics.EpochsToAccuracy(res.Series, cfg.TargetAccuracy); ok {
 			res.EpochsToTarget = e
 		}
 	}
@@ -149,8 +149,8 @@ func TestLockstepBitIdenticalToReference(t *testing.T) {
 	cfg := determinismCfg()
 	for _, workers := range []int{1, 4, 16} {
 		tensor.SetWorkerBudget(workers)
-		ref := referenceTrain(cfg)
-		got := Train(cfg)
+		ref := referenceTrain(cfg, Inputs{})
+		got := Train(cfg, Inputs{})
 		resultsBitIdentical(t, "lockstep-vs-reference", ref, got)
 	}
 }
@@ -165,8 +165,8 @@ func TestLockstepReferencePinAllAlgorithms(t *testing.T) {
 		if algo == AlgoSMAHier {
 			cfg.GPUs, cfg.LearnersPerGPU = 2, 2
 		}
-		ref := referenceTrain(cfg)
-		got := Train(cfg)
+		ref := referenceTrain(cfg, Inputs{})
+		got := Train(cfg, Inputs{})
 		resultsBitIdentical(t, string(algo), ref, got)
 	}
 	// The cluster tier: the reference loop per rank against Train per rank,
@@ -187,8 +187,8 @@ func TestLockstepPinWithScheduleRestart(t *testing.T) {
 	cfg := determinismCfg()
 	cfg.MaxEpochs = 3
 	cfg.Schedule = StepDecay(0.1, 2)
-	cfg.RestartOnLRChange = true
-	ref := referenceTrain(cfg)
-	got := Train(cfg)
+	cfg.Restart = true
+	ref := referenceTrain(cfg, Inputs{})
+	got := Train(cfg, Inputs{})
 	resultsBitIdentical(t, "schedule-restart", ref, got)
 }

@@ -12,11 +12,11 @@ import (
 // parallel learners, optimiser steps, evaluation, schedules, restarts.
 
 func TestTrainLeNetConverges(t *testing.T) {
-	res := Train(TrainConfig{
+	res := Train(Config{
 		Model: nn.LeNet, Algo: AlgoSSGD,
-		GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 16,
+		GPUs: 1, LearnersPerGPU: 1, Batch: 16,
 		Momentum: 0.9, MaxEpochs: 8, Seed: 1,
-	})
+	}, Inputs{})
 	if len(res.Series) != 8 {
 		t.Fatalf("series has %d epochs, want 8", len(res.Series))
 	}
@@ -30,13 +30,13 @@ func TestTrainLeNetConverges(t *testing.T) {
 }
 
 func TestTrainDeterministic(t *testing.T) {
-	cfg := TrainConfig{
+	cfg := Config{
 		Model: nn.LeNet, Algo: AlgoSMA,
-		GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
+		GPUs: 1, LearnersPerGPU: 2, Batch: 8,
 		Momentum: 0.9, MaxEpochs: 3, Seed: 7,
 	}
-	a := Train(cfg)
-	b := Train(cfg)
+	a := Train(cfg, Inputs{})
+	b := Train(cfg, Inputs{})
 	if len(a.Series) != len(b.Series) {
 		t.Fatal("series lengths differ")
 	}
@@ -51,14 +51,14 @@ func TestTrainDeterministic(t *testing.T) {
 }
 
 func TestTrainSeedsChangeOutcome(t *testing.T) {
-	cfg := TrainConfig{
+	cfg := Config{
 		Model: nn.LeNet, Algo: AlgoSMA,
-		GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 8,
+		GPUs: 1, LearnersPerGPU: 1, Batch: 8,
 		Momentum: 0.9, MaxEpochs: 2, Seed: 1,
 	}
-	a := Train(cfg)
+	a := Train(cfg, Inputs{})
 	cfg.Seed = 2
-	b := Train(cfg)
+	b := Train(cfg, Inputs{})
 	if tensor.MaxAbsDiff(a.Model, b.Model) == 0 {
 		t.Fatal("different seeds should change the trained model")
 	}
@@ -68,11 +68,11 @@ func TestTrainAllAlgorithms(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoSMA, AlgoSMAHier, AlgoSSGD, AlgoEASGD} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
-			res := Train(TrainConfig{
+			res := Train(Config{
 				Model: nn.LeNet, Algo: algo,
-				GPUs: 2, LearnersPerGPU: 2, BatchPerLearner: 8,
+				GPUs: 2, LearnersPerGPU: 2, Batch: 8,
 				Momentum: 0.9, MaxEpochs: 4, Seed: 1,
-			})
+			}, Inputs{})
 			if res.K != 4 {
 				t.Fatalf("K = %d, want 4", res.K)
 			}
@@ -84,11 +84,11 @@ func TestTrainAllAlgorithms(t *testing.T) {
 }
 
 func TestTrainTargetStopsEarly(t *testing.T) {
-	res := Train(TrainConfig{
+	res := Train(Config{
 		Model: nn.LeNet, Algo: AlgoSSGD,
-		GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 16,
-		Momentum: 0.9, MaxEpochs: 40, TargetAcc: 0.30, Seed: 1,
-	})
+		GPUs: 1, LearnersPerGPU: 1, Batch: 16,
+		Momentum: 0.9, MaxEpochs: 40, TargetAccuracy: 0.30, Seed: 1,
+	}, Inputs{})
 	if res.EpochsToTarget <= 0 {
 		t.Fatal("target should be reached")
 	}
@@ -98,13 +98,13 @@ func TestTrainTargetStopsEarly(t *testing.T) {
 }
 
 func TestTrainScheduleAndRestart(t *testing.T) {
-	res := Train(TrainConfig{
+	res := Train(Config{
 		Model: nn.LeNet, Algo: AlgoSMA,
-		GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 8,
+		GPUs: 1, LearnersPerGPU: 2, Batch: 8,
 		Momentum: 0.9, MaxEpochs: 6, Seed: 1,
-		Schedule:          StepDecay(0.1, 3),
-		RestartOnLRChange: true,
-	})
+		Schedule: StepDecay(0.1, 3),
+		Restart:  true,
+	}, Inputs{})
 	// The run must survive the mid-training restart and keep learning.
 	if res.FinalAccuracy <= 0.12 {
 		t.Fatalf("accuracy %.3f after schedule+restart", res.FinalAccuracy)
@@ -112,11 +112,11 @@ func TestTrainScheduleAndRestart(t *testing.T) {
 }
 
 func TestTrainEpochSecondsStampsTime(t *testing.T) {
-	res := Train(TrainConfig{
+	res := Train(Config{
 		Model: nn.LeNet, Algo: AlgoSSGD,
-		GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 16,
-		Momentum: 0.9, MaxEpochs: 3, Seed: 1, EpochSeconds: 2.5,
-	})
+		GPUs: 1, LearnersPerGPU: 1, Batch: 16,
+		Momentum: 0.9, MaxEpochs: 3, Seed: 1,
+	}, Inputs{EpochSeconds: 2.5})
 	for i, p := range res.Series {
 		want := 2.5 * float64(i+1)
 		if p.TimeSec != want {
@@ -126,12 +126,12 @@ func TestTrainEpochSecondsStampsTime(t *testing.T) {
 }
 
 func TestTrainSampleOverride(t *testing.T) {
-	res := Train(TrainConfig{
+	res := Train(Config{
 		Model: nn.LeNet, Algo: AlgoSSGD,
-		GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 16,
+		GPUs: 1, LearnersPerGPU: 1, Batch: 16,
 		Momentum: 0.9, MaxEpochs: 1, Seed: 1,
 		TrainSamples: 512, TestSamples: 128,
-	})
+	}, Inputs{})
 	if len(res.Series) != 1 {
 		t.Fatal("expected one epoch")
 	}
@@ -187,11 +187,11 @@ func TestSSGDCarriesBatchNormState(t *testing.T) {
 	// Regression test: batch-norm running statistics live in the model
 	// vector but have zero gradient; S-SGD must carry them from replicas
 	// into the global model or evaluation normalises with initial stats.
-	res := Train(TrainConfig{
+	res := Train(Config{
 		Model: nn.ResNet50, Algo: AlgoSSGD,
-		GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 16,
+		GPUs: 1, LearnersPerGPU: 1, Batch: 16,
 		Momentum: 0.9, MaxEpochs: 4, Seed: 1,
-	})
+	}, Inputs{})
 	net := nn.BuildScaled(nn.ResNet50, 1, tensor.NewRNG(1))
 	ranges := net.StateRanges()
 	if len(ranges) == 0 {
@@ -226,14 +226,14 @@ func TestPoolFootprintFollowsConcurrency(t *testing.T) {
 		tensor.SetWorkerBudget(budget)
 		for _, sched := range []SchedulerMode{SchedLockstep, SchedFCFS} {
 			for _, m := range []int{1, 2, 4} {
-				cfg := TrainConfig{
+				cfg := Config{
 					Model: nn.LeNet, Algo: AlgoSMA,
-					GPUs: 1, LearnersPerGPU: m, BatchPerLearner: 4,
+					GPUs: 1, LearnersPerGPU: m, Batch: 4,
 					Momentum: 0.9, MaxEpochs: 1, Seed: 1,
 					TrainSamples: 256, TestSamples: 64,
 					Scheduler: sched,
 				}
-				free := Train(cfg)
+				free := Train(cfg, Inputs{})
 				arena := free.Mem.ArenaBytesPerTask
 				if arena <= 0 {
 					t.Fatalf("budget=%d %s m=%d: no planned arena reported: %+v", budget, sched, m, free.Mem)
@@ -244,7 +244,7 @@ func TestPoolFootprintFollowsConcurrency(t *testing.T) {
 				}
 
 				cfg.MemoryBudget = arena
-				tight := Train(cfg)
+				tight := Train(cfg, Inputs{})
 				if got := tight.Mem.PoolAllocatedBytes; got != arena {
 					t.Errorf("budget=%d %s m=%d: MemoryBudget of one arena allocated %d bytes, want exactly %d",
 						budget, sched, m, got, arena)
@@ -259,6 +259,20 @@ func TestPoolFootprintFollowsConcurrency(t *testing.T) {
 	}
 }
 
+// TestTrainEnvSetupPanicReachesCaller drives the set-up sides with a model
+// they cannot build. Train rejects an unknown model in FillDefaults, before
+// any side starts, so this calls the constructor itself; the test after it
+// runs a whole set-up, which a stray side panic would not survive.
+func TestTrainEnvSetupPanicReachesCaller(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("newTrainEnv with an unknown model returned; want a panic")
+		}
+	}()
+	cfg := Config{Model: "bogus", GPUs: 1, LearnersPerGPU: 1, Batch: 2, MaxEpochs: 1, Seed: 1}
+	newTrainEnv(&cfg, &Inputs{}, 1)
+}
+
 // TestTrainSetupPanicReachesCaller checks that a panic in set-up work done
 // off the caller's goroutine (dataset synthesis, the evaluation side) reaches
 // the caller as a panic it can recover, and that nothing of the failed call
@@ -271,15 +285,15 @@ func TestTrainSetupPanicReachesCaller(t *testing.T) {
 				t.Error("Train with an unknown model returned; want a panic")
 			}
 		}()
-		Train(TrainConfig{Model: "bogus", MaxEpochs: 1, Seed: 1})
+		Train(Config{Model: "bogus", MaxEpochs: 1, Seed: 1}, Inputs{})
 	}()
 	// A set-up call's worth of work after the recovered one: a side
 	// goroutine of the failed call that panicked on its own would end the
 	// test binary here.
-	res := Train(TrainConfig{
-		Model: nn.LeNet, GPUs: 1, LearnersPerGPU: 2, BatchPerLearner: 2,
+	res := Train(Config{
+		Model: nn.LeNet, GPUs: 1, LearnersPerGPU: 2, Batch: 2,
 		MaxEpochs: 1, TrainSamples: 4, TestSamples: 16, Seed: 1,
-	})
+	}, Inputs{})
 	if len(res.Series) != 1 {
 		t.Fatalf("series has %d epochs, want 1", len(res.Series))
 	}

@@ -48,14 +48,14 @@ func BenchmarkFigure2_HardwareEfficiency(b *testing.B) {
 }
 
 // statMicro runs a micro statistical experiment (few epochs) for benches.
-func statMicro(b *testing.B, cfg core.TrainConfig) *core.Result {
+func statMicro(b *testing.B, cfg core.Config) *core.Result {
 	b.Helper()
 	if cfg.MaxEpochs == 0 {
 		cfg.MaxEpochs = 4
 	}
 	cfg.Momentum = 0.9
 	cfg.Seed = 1
-	return core.Train(cfg)
+	return core.Train(cfg, core.Inputs{})
 }
 
 // BenchmarkFigure3_StatisticalEfficiency contrasts small-batch vs
@@ -64,8 +64,8 @@ func statMicro(b *testing.B, cfg core.TrainConfig) *core.Result {
 func BenchmarkFigure3_StatisticalEfficiency(b *testing.B) {
 	var small, large *core.Result
 	for i := 0; i < b.N; i++ {
-		small = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSSGD, BatchPerLearner: 16})
-		large = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSSGD, BatchPerLearner: 256})
+		small = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSSGD, Batch: 16})
+		large = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSSGD, Batch: 256})
 	}
 	b.ReportMetric(metrics.BestAccuracy(small.Series)*100, "acc-b16-%")
 	b.ReportMetric(metrics.BestAccuracy(large.Series)*100, "acc-b256-%")
@@ -78,7 +78,7 @@ func BenchmarkFigure9_BaselineConvergence(b *testing.B) {
 	accs := map[nn.ModelID]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, id := range nn.AllModels {
-			res := statMicro(b, core.TrainConfig{Model: id, Algo: core.AlgoSSGD, BatchPerLearner: 16, MaxEpochs: 3})
+			res := statMicro(b, core.Config{Model: id, Algo: core.AlgoSSGD, Batch: 16, MaxEpochs: 3})
 			accs[id] = metrics.BestAccuracy(res.Series)
 		}
 	}
@@ -158,8 +158,8 @@ func BenchmarkFigure14_LearnerSweep(b *testing.B) {
 func BenchmarkFigure15_SMAvsEASGD(b *testing.B) {
 	var sma, ea *core.Result
 	for i := 0; i < b.N; i++ {
-		sma = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, MaxEpochs: 5})
-		ea = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoEASGD, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, MaxEpochs: 5})
+		sma = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, Batch: 16, MaxEpochs: 5})
+		ea = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoEASGD, GPUs: 4, LearnersPerGPU: 2, Batch: 16, MaxEpochs: 5})
 	}
 	b.ReportMetric(metrics.BestAccuracy(sma.Series)*100, "sma-acc-%")
 	b.ReportMetric(metrics.BestAccuracy(ea.Series)*100, "easgd-acc-%")
@@ -170,8 +170,8 @@ func BenchmarkFigure15_SMAvsEASGD(b *testing.B) {
 func BenchmarkFigure16_SyncFrequencyTTA(b *testing.B) {
 	var t1, t4 *core.Result
 	for i := 0; i < b.N; i++ {
-		t1 = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, Tau: 1, MaxEpochs: 5})
-		t4 = statMicro(b, core.TrainConfig{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, BatchPerLearner: 16, Tau: 4, MaxEpochs: 5})
+		t1 = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, Batch: 16, Tau: 1, MaxEpochs: 5})
+		t4 = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, Batch: 16, Tau: 4, MaxEpochs: 5})
 	}
 	b.ReportMetric(metrics.BestAccuracy(t1.Series)*100, "tau1-acc-%")
 	b.ReportMetric(metrics.BestAccuracy(t4.Series)*100, "tau4-acc-%")

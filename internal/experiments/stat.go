@@ -33,11 +33,11 @@ func Figure3(quick bool) []Fig3Row {
 	var rows []Fig3Row
 	for _, b := range batches {
 		// One learner; aggregate batch = per-learner batch.
-		res := core.Train(core.TrainConfig{
+		res := core.Train(core.Config{
 			Model: nn.ResNet32, Algo: core.AlgoSSGD,
-			GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: b,
-			Momentum: 0.9, MaxEpochs: maxEpochs, TargetAcc: target, Seed: 1,
-		})
+			GPUs: 1, LearnersPerGPU: 1, Batch: b,
+			Momentum: 0.9, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
+		}, core.Inputs{})
 		rows = append(rows, Fig3Row{
 			ImagesPerUpdate: b,
 			Epochs:          epochsOr(res.EpochsToTarget, maxEpochs),
@@ -85,9 +85,9 @@ func Figure9(quick bool) []Fig9Curve {
 	}
 	var out []Fig9Curve
 	for _, id := range nn.AllModels {
-		cfg := core.TrainConfig{
+		cfg := core.Config{
 			Model: id, Algo: core.AlgoSSGD,
-			GPUs: 1, LearnersPerGPU: 1, BatchPerLearner: 16,
+			GPUs: 1, LearnersPerGPU: 1, Batch: 16,
 			Momentum: 0.9, MaxEpochs: epochs[id], Seed: 1,
 		}
 		// §5.1 schedules, scaled to our shorter runs: ResNet-32 drops the
@@ -98,7 +98,7 @@ func Figure9(quick bool) []Fig9Curve {
 		case nn.VGG16:
 			cfg.Schedule = core.PeriodicDecay(0.5, epochs[id]/3)
 		}
-		res := core.Train(cfg)
+		res := core.Train(cfg, core.Inputs{})
 		out = append(out, Fig9Curve{
 			Model:  id,
 			Target: AccuracyTargets[id],

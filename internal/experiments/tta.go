@@ -68,12 +68,14 @@ func runSystem(model nn.ModelID, sys System, g, paperBatch, m, maxEpochs int, ta
 			samples = 8192
 		}
 	}
-	res := core.Train(core.TrainConfig{
+	res := core.Train(core.Config{
 		Model: model, Algo: algo,
-		GPUs: g, LearnersPerGPU: m, BatchPerLearner: run.StatBatch,
-		Momentum: 0.9, LocalMomentum: 0.9, // the released system's solver momentum
-		MaxEpochs: maxEpochs, TargetAcc: target, Seed: 1,
-		TrainSamples: samples, EpochSeconds: run.EpochSeconds,
+		GPUs: g, LearnersPerGPU: m, Batch: run.StatBatch,
+		Momentum: 0.9, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
+		TrainSamples: samples,
+	}, core.Inputs{
+		EpochSeconds:  run.EpochSeconds,
+		LocalMomentum: 0.9, // the released system's solver momentum
 	})
 	run.Series = res.Series
 	run.Reached = res.EpochsToTarget > 0
@@ -339,12 +341,14 @@ func Figure15(quick bool) []Fig15Row {
 		}).EpochSeconds(nn.FullSpec(nn.ResNet32).TrainSamples, 25)
 		row := Fig15Row{GPUs: g, M: m}
 		for _, algo := range []core.Algorithm{core.AlgoSMA, core.AlgoEASGD} {
-			res := core.Train(core.TrainConfig{
+			res := core.Train(core.Config{
 				Model: nn.ResNet32, Algo: algo,
-				GPUs: g, LearnersPerGPU: m, BatchPerLearner: b,
-				Momentum: 0.9, LocalMomentum: 0, // isolate the z-momentum term
-				MaxEpochs: maxEpochs, TargetAcc: target, Seed: 1,
-				TrainSamples: samples, EpochSeconds: epochSec,
+				GPUs: g, LearnersPerGPU: m, Batch: b,
+				Momentum: 0.9, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
+				TrainSamples: samples,
+			}, core.Inputs{
+				EpochSeconds:  epochSec,
+				LocalMomentum: 0, // isolate the z-momentum term
 			})
 			e := epochsOr(res.EpochsToTarget, maxEpochs)
 			if algo == core.AlgoSMA {
@@ -398,13 +402,12 @@ func Figure16(quick bool) []Fig16Row {
 			Tau: tau, Overlap: true,
 		}).Throughput(30)
 		epochSec := float64(nn.FullSpec(nn.ResNet32).TrainSamples) / tp
-		res := core.Train(core.TrainConfig{
+		res := core.Train(core.Config{
 			Model: nn.ResNet32, Algo: core.AlgoSMA,
-			GPUs: 8, LearnersPerGPU: 2, BatchPerLearner: statBatch(64),
-			Momentum: 0.9, LocalMomentum: 0.9,
-			Tau: tau, MaxEpochs: maxEpochs, TargetAcc: target, Seed: 1,
-			TrainSamples: 4096, EpochSeconds: epochSec,
-		})
+			GPUs: 8, LearnersPerGPU: 2, Batch: statBatch(64),
+			Momentum: 0.9, Tau: tau, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
+			TrainSamples: 4096,
+		}, core.Inputs{EpochSeconds: epochSec, LocalMomentum: 0.9})
 		e := epochsOr(res.EpochsToTarget, maxEpochs)
 		rows = append(rows, Fig16Row{
 			Tau:              tau,

@@ -14,29 +14,21 @@ type EpochPoint struct {
 const TTAWindow = 5
 
 // TTA returns the time at which the median test accuracy over the trailing
-// TTAWindow epochs first reaches target, per the paper's TTA(x) definition.
-// Early epochs use the shorter prefix window. ok is false if the target was
-// never reached.
+// TTAWindow epochs first reaches target, per the paper's TTA(x) definition:
+// the time stamp of the epoch EpochsToAccuracy counts to. ok is false if
+// the target was never reached.
 func TTA(series []EpochPoint, target float64) (timeSec float64, ok bool) {
-	for i := range series {
-		lo := i - TTAWindow + 1
-		if lo < 0 {
-			lo = 0
-		}
-		accs := make([]float64, 0, TTAWindow)
-		for _, p := range series[lo : i+1] {
-			accs = append(accs, p.TestAcc)
-		}
-		if Median(accs) >= target {
-			return series[i].TimeSec, true
-		}
+	e, ok := EpochsToAccuracy(series, target)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return series[e-1].TimeSec, true
 }
 
 // EpochsToAccuracy returns the 1-based epoch count needed for the median-
 // windowed test accuracy to reach target (the statistical-efficiency metric
-// of Figures 3, 12b, 13b). ok is false if never reached.
+// of Figures 3, 12b, 13b). Early epochs use the shorter prefix window. ok
+// is false if never reached.
 func EpochsToAccuracy(series []EpochPoint, target float64) (epochs int, ok bool) {
 	for i := range series {
 		lo := i - TTAWindow + 1

@@ -256,3 +256,31 @@ func TestBufPool(t *testing.T) {
 		t.Fatalf("Get(200) returned len %d", len(c))
 	}
 }
+
+// FuzzReadFrame: whatever readFrameInto accepts from a byte stream,
+// writeFrame encodes back to the same header and payload bytes. The seeds
+// (testdata/fuzz/FuzzReadFrame) are writeFrame encodings of each frame
+// type; the payload limit is small, so a header claiming more is refused
+// before anything is allocated for it.
+func FuzzReadFrame(f *testing.F) {
+	const maxPayload = 256
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var hdr [headerSize]byte
+		var pool bufPool
+		h, buf, n, err := readFrameInto(bytes.NewReader(raw), &hdr, maxPayload, &pool)
+		if err != nil {
+			return
+		}
+		payload := f32Bytes(buf)[:h.Length]
+		if n != headerSize+len(payload) {
+			t.Fatalf("read %d bytes for a %d-byte payload", n, len(payload))
+		}
+		var out bytes.Buffer
+		if _, err := writeFrame(&out, &h, payload); err != nil {
+			t.Fatalf("writeFrame of an accepted frame: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), raw[:n]) {
+			t.Fatalf("re-encoding changed the frame:\n% x\n% x", raw[:n], out.Bytes())
+		}
+	})
+}

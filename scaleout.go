@@ -26,18 +26,6 @@ func InfiniBand() Interconnect { return gpusim.InfiniBandEDR() }
 // ScalingPoint is one entry of a cluster scale-out sweep.
 type ScalingPoint = metrics.ScalingPoint
 
-// clusterAlgo maps a user-facing algorithm to the cluster plane's
-// statistical algorithm, rejecting algorithms the cluster plane does not
-// synchronise hierarchically.
-func clusterAlgo(a Algorithm) (Algorithm, error) {
-	switch a {
-	case SMA, SMAHierarchical, core.AlgoSMACluster:
-		return core.AlgoSMACluster, nil
-	default:
-		return "", fmt.Errorf("crossbow: Servers > 1 requires an SMA algorithm (got %q)", a)
-	}
-}
-
 // ClusterSweep measures hardware-plane throughput for cfg at each cluster
 // size in servers (nil or empty selects 1, 2, 4, 8) and returns one point
 // per size with scaling efficiency derived from the smallest. cfg.Servers is
@@ -48,11 +36,11 @@ func clusterAlgo(a Algorithm) (Algorithm, error) {
 // once between its servers — the scaling curve's unit, not Train's
 // rank-parallel epoch (Config.Servers), which is Servers times that.
 func ClusterSweep(cfg Config, servers []int) ([]ScalingPoint, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := fillDefaults(&cfg); err != nil {
 		return nil, err
 	}
-	if _, err := clusterAlgo(cfg.Algo); err != nil {
-		return nil, err
+	if _, err := core.ClusterAlgo(cfg.Algo); err != nil {
+		return nil, fmt.Errorf("crossbow: %w", err)
 	}
 	if len(servers) == 0 {
 		servers = []int{1, 2, 4, 8}
