@@ -91,11 +91,18 @@ func SaveSnapshot(path string, s Snapshot) error {
 	if len(s.Params) == 0 {
 		return fmt.Errorf("crossbow: snapshot carries no parameters")
 	}
-	return ckpt.Save(path, &ckpt.Checkpoint{
+	return ckpt.Save(path, snapshotCheckpoint(s))
+}
+
+// snapshotCheckpoint is a published snapshot as a checkpoint-v3 document,
+// the one conversion SaveSnapshot, the rejoin protocol and the model feed
+// share. The checkpoint shares s.Params.
+func snapshotCheckpoint(s Snapshot) *ckpt.Checkpoint {
+	return &ckpt.Checkpoint{
 		Model:         string(s.Model),
 		Epoch:         s.Epoch,
 		SnapshotRound: int64(s.Round),
 		SnapshotIter:  int64(s.Iter),
 		Params:        s.Params,
-	})
+	}
 }

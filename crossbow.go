@@ -137,7 +137,8 @@ type Result struct {
 	WarmStartRound int
 	// ThroughputImgSec is the simulated training throughput: 30 iterations
 	// of the configuration on the simulated server or cluster, run afresh
-	// on every Train call.
+	// on every Train call. The simulator has an engine for SMA and one for
+	// the SSGD baseline; EASGD and SMAHierarchical are priced on SMA's.
 	ThroughputImgSec float64
 	// EpochSeconds is the simulated duration of one paper-scale epoch (on
 	// a cluster run: of every rank's pass over the set, see Config.Servers).
@@ -222,7 +223,8 @@ func resolveLearners(cfg Config) (int, []autotune.Decision) {
 // hardwareThroughput measures the hardware plane: simulated training
 // throughput (images/s, the whole cluster's) for cfg at m learners per GPU
 // — the S-SGD baseline, or the SMA engine with, above one server, its
-// cross-server average tasks over cfg.Interconnect.
+// cross-server average tasks over cfg.Interconnect. EASGD and
+// SMAHierarchical run on the SMA engine (TestComparatorsPricedOnSMAPlane).
 func hardwareThroughput(cfg Config, m int) float64 {
 	const iters = 30
 	if cfg.Algo == SSGD {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"crossbow/internal/ckpt"
+	"crossbow/internal/transport"
 )
 
 // TestMain doubles this test binary as the crossbow node process for the
@@ -375,6 +376,22 @@ func TestLoopbackMatchesTCP(t *testing.T) {
 				t.Fatalf("%s epoch %d: loopback %+v vs TCP %+v", name, i+1, p, q)
 			}
 		}
+	}
+}
+
+// TestNodeExchangerRefusalIsNilInterface: a round the node refuses must
+// reach the trainer as a nil core.PendingExchange, not as an interface
+// holding a nil *transport.PendingRound.
+func TestNodeExchangerRefusalIsNilInterface(t *testing.T) {
+	peers, lns := tcpPeers(t, 1)
+	node, err := transport.Listen(NodeConfig{Peers: peers, Listener: lns[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Close()
+	p, err := nodeExchanger{node}.BeginAllReduce(make([]float32, 4))
+	if err == nil || p != nil {
+		t.Fatalf("BeginAllReduce on a closed node = (%#v, %v), want (nil, an error)", p, err)
 	}
 }
 

@@ -132,6 +132,28 @@ func TestThroughputAPI(t *testing.T) {
 	}
 }
 
+// TestComparatorsPricedOnSMAPlane: the hardware plane simulates SMA and
+// the S-SGD baseline only, so EASGD and SMAHierarchical are priced on SMA's
+// plane (Result.ThroughputImgSec) and differ from it only in the
+// statistical plane.
+func TestComparatorsPricedOnSMAPlane(t *testing.T) {
+	tp := map[Algorithm]float64{}
+	for _, algo := range []Algorithm{SMA, SMAHierarchical, EASGD, SSGD} {
+		v, err := Throughput(Config{Model: ResNet32, Algo: algo, GPUs: 4, LearnersPerGPU: 2, Batch: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp[algo] = v
+	}
+	if tp[SMAHierarchical] != tp[SMA] || tp[EASGD] != tp[SMA] {
+		t.Fatalf("sma %v, sma-hier %v, easgd %v images/s: the comparators must be priced on SMA's plane",
+			tp[SMA], tp[SMAHierarchical], tp[EASGD])
+	}
+	if tp[SSGD] == tp[SMA] {
+		t.Fatalf("ssgd and sma both %v images/s: S-SGD has its own plane", tp[SSGD])
+	}
+}
+
 func TestTuneLearnersAPI(t *testing.T) {
 	m, hist := TuneLearners(ResNet32, 1, 16)
 	if m < 1 || len(hist) == 0 {

@@ -30,48 +30,19 @@ const (
 // model (a Restart).
 type NodeConfig = transport.Config
 
-// nodeExchanger adapts transport.Node to the core trainer's network
-// interface (core redeclares the round report so it never imports the
-// transport package). It satisfies core.AsyncGlobalExchanger, so the
-// trainer's OverlapGlobal mode can launch rounds without blocking.
-type nodeExchanger struct{ n *transport.Node }
-
-func coreRound(r transport.Round) core.ExchangeRound {
-	return core.ExchangeRound{
-		Seq:          r.Seq,
-		Participants: r.Participants,
-		Restart:      r.Restart,
-		Aborted:      r.Aborted,
-	}
-}
-
-func (e nodeExchanger) AllReduce(buf []float32) (core.ExchangeRound, error) {
-	r, err := e.n.AllReduce(buf)
-	if err != nil {
-		return core.ExchangeRound{}, err
-	}
-	return coreRound(r), nil
-}
+// nodeExchanger is the TCP node as the core trainer's network. A
+// *transport.Node already is a core.GlobalExchanger (core.ExchangeRound is
+// transport.Round); BeginAllReduce hands its *transport.PendingRound out as
+// a core.PendingExchange, so the trainer's OverlapGlobal mode can launch
+// rounds without blocking.
+type nodeExchanger struct{ *transport.Node }
 
 func (e nodeExchanger) BeginAllReduce(buf []float32) (core.PendingExchange, error) {
-	p, err := e.n.BeginAllReduce(buf)
+	p, err := e.Node.BeginAllReduce(buf)
 	if err != nil {
-		return nil, err
+		return nil, err // a nil interface, not a typed nil *PendingRound
 	}
-	return pendingRound{p}, nil
-}
-
-// pendingRound adapts transport.PendingRound to core.PendingExchange.
-type pendingRound struct{ p *transport.PendingRound }
-
-func (w pendingRound) Poll() bool { return w.p.Poll() }
-
-func (w pendingRound) Wait() (core.ExchangeRound, error) {
-	r, err := w.p.Wait()
-	if err != nil {
-		return core.ExchangeRound{}, err
-	}
-	return coreRound(r), nil
+	return p, nil
 }
 
 // snapshotHolder retains the latest published training snapshot and serves
@@ -104,13 +75,7 @@ func (h *snapshotHolder) checkpoint() *ckpt.Checkpoint {
 	if !h.valid {
 		return nil
 	}
-	return &ckpt.Checkpoint{
-		Model:         string(h.last.Model),
-		Epoch:         h.last.Epoch,
-		SnapshotRound: int64(h.last.Round),
-		SnapshotIter:  int64(h.last.Iter),
-		Params:        h.last.Params,
-	}
+	return snapshotCheckpoint(h.last)
 }
 
 // shuffleSeedFor derives a per-rank input-pipeline seed: every process must

@@ -3,7 +3,6 @@ package crossbow
 import (
 	"time"
 
-	"crossbow/internal/ckpt"
 	"crossbow/internal/metrics"
 	"crossbow/internal/transport"
 )
@@ -51,13 +50,9 @@ func (mp *ModelPublisher) Addr() string { return mp.pub.Addr() }
 // arrive in strictly increasing Round order (Config.OnSnapshot delivers them
 // that way). The snapshot's params are copied; the caller keeps ownership.
 func (mp *ModelPublisher) Publish(s Snapshot) error {
-	return mp.pub.Publish(&ckpt.Checkpoint{
-		Model:         string(s.Model),
-		Epoch:         s.Epoch,
-		SnapshotRound: int64(s.Round),
-		SnapshotIter:  int64(s.Iter),
-		Params:        append([]float32(nil), s.Params...),
-	})
+	c := snapshotCheckpoint(s)
+	c.Params = append([]float32(nil), s.Params...)
+	return mp.pub.Publish(c)
 }
 
 // WaitSubscribers blocks until at least n followers are connected or the

@@ -4,31 +4,20 @@ import (
 	"fmt"
 
 	"crossbow/internal/tensor"
+	"crossbow/internal/transport"
 )
 
-// ExchangeRound reports one global all-reduce from the cluster transport's
-// point of view (a subset of transport.Round, redeclared here so core does
-// not depend on the transport package).
-type ExchangeRound struct {
-	// Seq is the cluster-wide round number.
-	Seq uint64
-	// Participants is the number of servers whose reference models were
-	// summed.
-	Participants int
-	// Restart marks a round whose participant view differs from the
-	// previous round's (a server died, left, or rejoined since).
-	Restart bool
-	// Aborted marks a collective cut short by a membership change; the
-	// buffer contents are undefined and the exchange must be skipped.
-	Aborted bool
-}
+// ExchangeRound reports one global all-reduce: its round number, the
+// servers summed, and whether the participant view changed (Restart) or the
+// collective was cut short (Aborted). It is the transport's own report, so
+// a *transport.Node is a GlobalExchanger as it stands.
+type ExchangeRound = transport.Round
 
 // GlobalExchanger is the cluster plane's network: it sums a model vector
 // element-wise across every live server, in place, returning bit-identical
 // bytes on all participants (the collectives reduce in a fixed rank order
 // to guarantee exactly that). Two exchangers exist: Loopback between the
-// ranks of one process, and transport.Node over TCP through a one-line
-// adapter in the root package.
+// ranks of one process, and *transport.Node over TCP.
 type GlobalExchanger interface {
 	AllReduce(buf []float32) (ExchangeRound, error)
 }
@@ -44,7 +33,8 @@ type PendingExchange interface {
 
 // AsyncGlobalExchanger is implemented by exchangers that can run the
 // all-reduce in the background while the caller keeps computing — the
-// transport's non-blocking round API. A completed asynchronous round is
+// transport's non-blocking round API (the root package returns a
+// *transport.PendingRound through it). A completed asynchronous round is
 // byte-for-byte the synchronous round's result.
 type AsyncGlobalExchanger interface {
 	GlobalExchanger

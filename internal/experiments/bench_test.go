@@ -12,7 +12,6 @@ import (
 	"crossbow/internal/autotune"
 	"crossbow/internal/core"
 	"crossbow/internal/engine"
-	"crossbow/internal/metrics"
 	"crossbow/internal/nn"
 )
 
@@ -47,28 +46,17 @@ func BenchmarkFigure2_HardwareEfficiency(b *testing.B) {
 	}
 }
 
-// statMicro runs a micro statistical experiment (few epochs) for benches.
-func statMicro(b *testing.B, cfg core.Config) *core.Result {
-	b.Helper()
-	if cfg.MaxEpochs == 0 {
-		cfg.MaxEpochs = 4
-	}
-	cfg.Momentum = 0.9
-	cfg.Seed = 1
-	return core.Train(cfg, core.Inputs{})
-}
-
 // BenchmarkFigure3_StatisticalEfficiency contrasts small-batch vs
 // large-batch S-SGD convergence and reports the accuracy gap after the
 // epoch budget (the statistical-efficiency effect behind Figure 3).
 func BenchmarkFigure3_StatisticalEfficiency(b *testing.B) {
 	var small, large *core.Result
 	for i := 0; i < b.N; i++ {
-		small = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSSGD, Batch: 16})
-		large = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSSGD, Batch: 256})
+		small = core.Train(core.Config{Model: nn.ResNet32, Algo: core.AlgoSSGD, Batch: 16, MaxEpochs: 4}, core.Inputs{})
+		large = core.Train(core.Config{Model: nn.ResNet32, Algo: core.AlgoSSGD, Batch: 256, MaxEpochs: 4}, core.Inputs{})
 	}
-	b.ReportMetric(metrics.BestAccuracy(small.Series)*100, "acc-b16-%")
-	b.ReportMetric(metrics.BestAccuracy(large.Series)*100, "acc-b256-%")
+	b.ReportMetric(small.FinalAccuracy*100, "acc-b16-%")
+	b.ReportMetric(large.FinalAccuracy*100, "acc-b256-%")
 }
 
 // BenchmarkFigure9_BaselineConvergence runs one baseline epoch budget per
@@ -78,103 +66,89 @@ func BenchmarkFigure9_BaselineConvergence(b *testing.B) {
 	accs := map[nn.ModelID]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, id := range nn.AllModels {
-			res := statMicro(b, core.Config{Model: id, Algo: core.AlgoSSGD, Batch: 16, MaxEpochs: 3})
-			accs[id] = metrics.BestAccuracy(res.Series)
+			accs[id] = core.Train(core.Config{Model: id, Algo: core.AlgoSSGD, Batch: 16, MaxEpochs: 3}, core.Inputs{}).FinalAccuracy
 		}
 	}
 	b.ReportMetric(accs[nn.ResNet32]*100, "resnet32-acc-%")
 	b.ReportMetric(accs[nn.LeNet]*100, "lenet-acc-%")
 }
 
-// BenchmarkFigure10_TimeToAccuracy compares the three systems on ResNet-32
-// at g=8 (micro scale) and reports the TTA ratio baseline/crossbow.
-func BenchmarkFigure10_TimeToAccuracy(b *testing.B) {
-	var tf, cb SystemRun
-	for i := 0; i < b.N; i++ {
-		tf = runSystem(nn.ResNet32, SysTensorFlow, 8, 128, 1, 14, 0.78)
-		cb = runSystem(nn.ResNet32, SysCrossbowM1, 8, 64, 1, 14, 0.78)
-	}
-	if cb.TTASeconds > 0 {
-		b.ReportMetric(tf.TTASeconds/cb.TTASeconds, "tta-ratio-tf/cb")
-	}
-}
-
-// BenchmarkFigure11_Convergence regenerates accuracy-over-time curves for
-// ResNet-32 at g=8 (micro) and reports Crossbow's final accuracy.
-func BenchmarkFigure11_Convergence(b *testing.B) {
+// micro runs the figure rows picked by index through run, each capped at
+// maxEpochs: the figure's own composition at a fraction of its cost.
+func micro(b *testing.B, rows []row, maxEpochs int, pick ...int) []SystemRun {
+	b.Helper()
 	var runs []SystemRun
 	for i := 0; i < b.N; i++ {
-		runs = []SystemRun{
-			runSystem(nn.ResNet32, SysCrossbowM1, 8, 64, 1, 5, 0.99),
-			runSystem(nn.ResNet32, SysCrossbow, 8, 64, 2, 5, 0.99),
+		runs = runs[:0]
+		for _, j := range pick {
+			r := rows[j]
+			r.cfg.MaxEpochs = maxEpochs
+			runs = append(runs, run(r))
 		}
 	}
-	b.ReportMetric(metrics.BestAccuracy(runs[1].Series)*100, "cb-acc-%")
-	b.ReportMetric(runs[1].EpochSeconds, "epoch-sec")
+	return runs
 }
 
-// BenchmarkFigure12_Tradeoff1GPU sweeps m on one GPU (micro) and reports
-// the m=4 vs m=1 throughput gain — Figure 12a's hardware-efficiency effect.
+// BenchmarkFigure10_TimeToAccuracy runs Figure 10's ResNet-32 rows at g=8
+// (micro) and reports the TTA ratio baseline/crossbow (best m).
+func BenchmarkFigure10_TimeToAccuracy(b *testing.B) {
+	runs := micro(b, fig10Rows(nn.ResNet32, []int{8}, 0), 2, 0, 2)
+	b.ReportMetric(runs[0].TTASeconds/runs[1].TTASeconds, "tta-ratio-tf/cb")
+}
+
+// BenchmarkFigure11_Convergence runs Figure 11's Crossbow (best m) row for
+// ResNet-32 at g=8 (micro) and reports its best accuracy and epoch time.
+func BenchmarkFigure11_Convergence(b *testing.B) {
+	runs := micro(b, fig10Rows(nn.ResNet32, []int{8}, 0), 3, 2)
+	b.ReportMetric(runs[0].BestAccuracy*100, "cb-acc-%")
+	b.ReportMetric(runs[0].EpochSeconds, "epoch-sec")
+}
+
+// BenchmarkFigure12_Tradeoff1GPU runs Figure 12's m=1 and m=4 rows (micro)
+// and reports the throughput gain — Figure 12a's hardware-efficiency
+// effect.
 func BenchmarkFigure12_Tradeoff1GPU(b *testing.B) {
-	var t1, t4 float64
-	for i := 0; i < b.N; i++ {
-		t1 = engine.New(engine.Config{Model: nn.ResNet32, GPUs: 1, LearnersPerGPU: 1, Batch: 64, Overlap: true}).Throughput(20)
-		t4 = engine.New(engine.Config{Model: nn.ResNet32, GPUs: 1, LearnersPerGPU: 4, Batch: 64, Overlap: true}).Throughput(20)
-	}
-	b.ReportMetric(t4/t1, "throughput-gain-m4/m1")
+	runs := micro(b, fig1213Rows(1, 0), 1, 0, 2)
+	b.ReportMetric(runs[1].ThroughputImgSec/runs[0].ThroughputImgSec, "throughput-gain-m4/m1")
 }
 
-// BenchmarkFigure13_Tradeoff8GPU does the same at g=8 with the statistical
-// side at micro scale, reporting the m=2 epochs-to-target.
+// BenchmarkFigure13_Tradeoff8GPU runs Figure 13's m=2 row (micro) and
+// reports its epochs to target and throughput.
 func BenchmarkFigure13_Tradeoff8GPU(b *testing.B) {
-	var r SystemRun
-	for i := 0; i < b.N; i++ {
-		r = runSystem(nn.ResNet32, SysCrossbow, 8, 64, 2, 5, 0.70)
-	}
-	b.ReportMetric(float64(r.EpochsToTarget), "epochs-m2")
-	b.ReportMetric(r.ThroughputImgSec, "imgs/s")
+	runs := micro(b, fig1213Rows(8, 0), 3, 1)
+	b.ReportMetric(float64(runs[0].EpochsToTarget), "epochs-m2")
+	b.ReportMetric(runs[0].ThroughputImgSec, "imgs/s")
 }
 
-// BenchmarkFigure14_LearnerSweep sweeps m (hardware plane only — the TTA
-// side is covered by Figures 12/13) and reports where throughput peaks,
-// the quantity Algorithm 2 keys on.
+// BenchmarkFigure14_LearnerSweep runs Figure 14's m sweep (ResNet-32, g=1,
+// one epoch each) and reports where throughput peaks, the quantity
+// Algorithm 2 keys on.
 func BenchmarkFigure14_LearnerSweep(b *testing.B) {
-	bestM := 0
-	for i := 0; i < b.N; i++ {
-		best := 0.0
-		for m := 1; m <= 5; m++ {
-			tp := engine.New(engine.Config{Model: nn.ResNet32, GPUs: 1, LearnersPerGPU: m, Batch: 16, Overlap: true}).Throughput(20)
-			if tp > best {
-				best, bestM = tp, m
-			}
+	runs := micro(b, fig14Rows(nn.ResNet32, 1, 5, 0), 1, 0, 1, 2, 3, 4)
+	best := runs[0]
+	for _, r := range runs {
+		if r.ThroughputImgSec > best.ThroughputImgSec {
+			best = r
 		}
 	}
-	b.ReportMetric(float64(bestM), "throughput-peak-m")
+	b.ReportMetric(float64(best.Config.LearnersPerGPU), "throughput-peak-m")
 }
 
-// BenchmarkFigure15_SMAvsEASGD contrasts SMA with EA-SGD at micro scale
-// (8 learners) and reports the accuracy advantage of momentum on the
-// central average model.
+// BenchmarkFigure15_SMAvsEASGD runs Figure 15's SMA/EA-SGD pair at g=4
+// (micro) and reports the accuracy advantage of momentum on the central
+// average model.
 func BenchmarkFigure15_SMAvsEASGD(b *testing.B) {
-	var sma, ea *core.Result
-	for i := 0; i < b.N; i++ {
-		sma = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, Batch: 16, MaxEpochs: 5})
-		ea = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoEASGD, GPUs: 4, LearnersPerGPU: 2, Batch: 16, MaxEpochs: 5})
-	}
-	b.ReportMetric(metrics.BestAccuracy(sma.Series)*100, "sma-acc-%")
-	b.ReportMetric(metrics.BestAccuracy(ea.Series)*100, "easgd-acc-%")
+	runs := micro(b, fig15Rows([]int{4}, 0), 5, 0, 1)
+	b.ReportMetric(runs[0].BestAccuracy*100, "sma-acc-%")
+	b.ReportMetric(runs[1].BestAccuracy*100, "easgd-acc-%")
 }
 
-// BenchmarkFigure16_SyncFrequencyTTA contrasts τ=1 and τ=4 statistically
+// BenchmarkFigure16_SyncFrequencyTTA runs Figure 16's τ=1 and τ=4 rows
 // (micro) and reports the accuracy cost of infrequent synchronisation.
 func BenchmarkFigure16_SyncFrequencyTTA(b *testing.B) {
-	var t1, t4 *core.Result
-	for i := 0; i < b.N; i++ {
-		t1 = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, Batch: 16, Tau: 1, MaxEpochs: 5})
-		t4 = statMicro(b, core.Config{Model: nn.ResNet32, Algo: core.AlgoSMA, GPUs: 4, LearnersPerGPU: 2, Batch: 16, Tau: 4, MaxEpochs: 5})
-	}
-	b.ReportMetric(metrics.BestAccuracy(t1.Series)*100, "tau1-acc-%")
-	b.ReportMetric(metrics.BestAccuracy(t4.Series)*100, "tau4-acc-%")
+	runs := micro(b, fig16Rows(0), 2, 0, 3)
+	b.ReportMetric(runs[0].BestAccuracy*100, "tau1-acc-%")
+	b.ReportMetric(runs[1].BestAccuracy*100, "tau4-acc-%")
 }
 
 // BenchmarkFigure17_SyncOverhead regenerates the sync-overhead grid and

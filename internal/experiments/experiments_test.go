@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"crossbow/internal/core"
 	"crossbow/internal/nn"
 )
 
@@ -70,15 +73,15 @@ func TestFigure17Shape(t *testing.T) {
 }
 
 func TestRunSystemComposesPlanes(t *testing.T) {
-	r := runSystem(nn.LeNet, SysCrossbow, 1, 4, 2, 2, 0.99)
+	r := run(ttaRow(nn.LeNet, core.AlgoSMA, 1, 4, 2, 2, 0.99))
 	if r.ThroughputImgSec <= 0 || r.EpochSeconds <= 0 {
 		t.Fatal("hardware plane missing")
 	}
 	if len(r.Series) == 0 {
 		t.Fatal("statistical plane missing")
 	}
-	if r.StatBatch != 4 {
-		t.Fatalf("stat batch %d for paper batch 4", r.StatBatch)
+	if r.Config.Batch != 4 {
+		t.Fatalf("stat batch %d for paper batch 4", r.Config.Batch)
 	}
 	if r.TTASeconds != float64(r.EpochsToTarget)*r.EpochSeconds {
 		t.Fatal("TTA must compose epochs × epoch time")
@@ -113,6 +116,54 @@ func TestFig10ConfigsConsistent(t *testing.T) {
 			if bm[0] == 0 || bm[1] == 0 {
 				t.Fatalf("%s g=%d missing best-m config", id, g)
 			}
+		}
+	}
+}
+
+// TestRunMatchesParentCompositions pins run against the three compositions
+// it replaced: runSystem (Figures 10-14), Figure 15's loop and Figure 16's
+// loop. Each want row was recorded by running the replaced code, with these
+// LeNet micro parameters, in a throwaway copy of the tree before it was
+// deleted; every value is compared bit for bit.
+func TestRunMatchesParentCompositions(t *testing.T) {
+	tf := ttaRow(nn.LeNet, core.AlgoSSGD, 2, 16, 1, 2, 0.35) // runSystem's TensorFlow row
+	ea := ttaRow(nn.LeNet, core.AlgoEASGD, 1, 16, 2, 2, 0.99)
+	ea.solverMomentum = 0 // Figure 15's plain-SGD learners
+	tau := ttaRow(nn.LeNet, core.AlgoSMA, 1, 16, 2, 2, 0.99)
+	tau.cfg.Tau, tau.cfg.TrainSamples, tau.window = 2, 1024, 30 // Figure 16's row data
+	for _, c := range []struct {
+		name                      string
+		r                         row
+		tta, epochSec, throughput uint64
+		acc                       []uint64
+		reached                   bool
+	}{
+		{"tensorflow", tf, 0x401720f25a96a128, 0x401720f25a96a128, 0x40c4445c07d43699,
+			[]uint64{0x3fd7400000000000}, true},
+		{"easgd-plain-sgd", ea, 0x4023aa342c7610fc, 0x4013aa342c7610fc, 0x40c7d6418477fd73,
+			[]uint64{0x3fd9a00000000000, 0x3fe1a00000000000}, false},
+		{"sma-tau2", tau, 0x402219dff76084cc, 0x401219dff76084cc, 0x40c9e570e4c9a52e,
+			[]uint64{0x3fc9c00000000000, 0x3fc3000000000000}, false},
+	} {
+		got := run(c.r)
+		bits := func(v float64) uint64 { return math.Float64bits(v) }
+		if bits(got.TTASeconds) != c.tta || bits(got.EpochSeconds) != c.epochSec ||
+			bits(got.ThroughputImgSec) != c.throughput || got.Reached != c.reached {
+			t.Errorf("%s: TTA %v (%#x), epoch %v (%#x), throughput %v (%#x), reached %v; want %#x, %#x, %#x, %v",
+				c.name, got.TTASeconds, bits(got.TTASeconds), got.EpochSeconds, bits(got.EpochSeconds),
+				got.ThroughputImgSec, bits(got.ThroughputImgSec), got.Reached,
+				c.tta, c.epochSec, c.throughput, c.reached)
+		}
+		if len(got.Series) != len(c.acc) {
+			t.Fatalf("%s: %d epochs, want %d", c.name, len(got.Series), len(c.acc))
+		}
+		for e, p := range got.Series {
+			if bits(p.TestAcc) != c.acc[e] {
+				t.Errorf("%s: epoch %d accuracy %v (%#x), want %#x", c.name, e+1, p.TestAcc, bits(p.TestAcc), c.acc[e])
+			}
+		}
+		if bits(got.BestAccuracy) != slices.Max(c.acc) {
+			t.Errorf("%s: best accuracy %v is not the series' best", c.name, got.BestAccuracy)
 		}
 	}
 }

@@ -20,68 +20,99 @@ const (
 	SysCrossbow   System = "crossbow" // best m per GPU
 )
 
-// SystemRun is one (system, g) measurement composing both planes.
+// row is one time-to-accuracy measurement to make: the statistical plane's
+// run as a core.Config, and the three inputs only the harness has. ttaRow
+// fills in the harness's scale rules (doc.go); Figures 15 and 16 override
+// some of them, and that is row data, not a second composition.
+type row struct {
+	cfg            core.Config
+	paperBatch     int     // per-learner batch on the hardware plane (per GPU for S-SGD)
+	window         int     // hardware-plane iterations the throughput is measured over
+	solverMomentum float32 // momentum inside each learner's solver (core.Inputs.LocalMomentum)
+}
+
+// ttaRow is a row under the harness's scale rules: the statistical plane
+// trains at statBatch(paperBatch) on trainSamples(k, batch) samples with
+// seed 1, and the hardware plane is measured over 25 iterations with the
+// released system's solver momentum 0.9 in the learners.
+func ttaRow(model nn.ModelID, algo core.Algorithm, g, paperBatch, m, maxEpochs int, target float64) row {
+	b := statBatch(paperBatch)
+	return row{
+		cfg: core.Config{
+			Model: model, Algo: algo,
+			GPUs: g, LearnersPerGPU: m, Batch: b,
+			Momentum: 0.9, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
+			TrainSamples: trainSamples(g*m, b),
+		},
+		paperBatch: paperBatch, window: 25, solverMomentum: 0.9,
+	}
+}
+
+// trainSamples sizes the statistical plane's training set for k learners
+// at batch b: 2048 samples, or eight batches per learner when that is more,
+// up to 8192.
+func trainSamples(k, b int) int {
+	return min(max(2048, 8*k*b), 8192)
+}
+
+// SystemRun is one time-to-accuracy measurement: the statistical plane's
+// configuration and what the two planes made of it.
 type SystemRun struct {
-	System           System
-	Model            nn.ModelID
-	GPUs             int
-	PaperBatch       int // per-GPU/per-learner batch at paper scale (hardware plane)
-	StatBatch        int // per-learner batch in the statistical plane
-	M                int
+	Config           core.Config // the statistical plane's run (Batch = statBatch(PaperBatch))
+	PaperBatch       int         // per-learner batch on the hardware plane (per GPU for S-SGD)
 	ThroughputImgSec float64
-	EpochSeconds     float64
-	EpochsToTarget   int
+	EpochSeconds     float64 // FullSpec.TrainSamples / ThroughputImgSec
+	EpochsToTarget   int     // Config.MaxEpochs when the target was not reached
 	Reached          bool
-	TTASeconds       float64
+	TTASeconds       float64 // EpochsToTarget × EpochSeconds
+	BestAccuracy     float64
 	Series           []metrics.EpochPoint
 }
 
-// runSystem executes one system configuration end to end.
-func runSystem(model nn.ModelID, sys System, g, paperBatch, m, maxEpochs int, target float64) SystemRun {
-	spec := nn.FullSpec(model)
-	run := SystemRun{
-		System: sys, Model: model, GPUs: g,
-		PaperBatch: paperBatch, StatBatch: statBatch(paperBatch), M: m,
+// System names the configuration a run stands for in Figures 10 and 11.
+func (r SystemRun) System() System {
+	switch {
+	case r.Config.Algo == core.AlgoSSGD:
+		return SysTensorFlow
+	case r.Config.LearnersPerGPU == 1:
+		return SysCrossbowM1
 	}
-	// Hardware plane at paper scale.
-	if sys == SysTensorFlow {
-		run.ThroughputImgSec = engine.NewSSGD(model, g, paperBatch*g).Throughput(25)
-	} else {
-		run.ThroughputImgSec = engine.New(engine.Config{
-			Model: model, GPUs: g, LearnersPerGPU: m, Batch: paperBatch, Overlap: true,
-		}).Throughput(25)
-	}
-	if run.ThroughputImgSec > 0 {
-		run.EpochSeconds = float64(spec.TrainSamples) / run.ThroughputImgSec
-	}
+	return SysCrossbow
+}
 
-	// Statistical plane on the scaled model.
-	algo := core.AlgoSMA
-	if sys == SysTensorFlow {
-		algo = core.AlgoSSGD
+// run composes time-to-accuracy for one row: the hardware plane's epoch
+// seconds at paper scale times the statistical plane's epochs to the
+// target (capped at MaxEpochs when it is not reached).
+func run(r row) SystemRun {
+	cfg := r.cfg
+	out := SystemRun{Config: cfg, PaperBatch: r.paperBatch}
+	if cfg.Algo == core.AlgoSSGD {
+		out.ThroughputImgSec = engine.NewSSGD(cfg.Model, cfg.GPUs, r.paperBatch*cfg.GPUs).Throughput(r.window)
+	} else {
+		out.ThroughputImgSec = engine.New(engine.Config{
+			Model: cfg.Model, GPUs: cfg.GPUs, LearnersPerGPU: cfg.LearnersPerGPU,
+			Batch: r.paperBatch, Tau: cfg.Tau, Overlap: true,
+		}).Throughput(r.window)
 	}
-	k := g * m
-	samples := 2048
-	if need := 8 * k * run.StatBatch; need > samples {
-		samples = need
-		if samples > 8192 {
-			samples = 8192
-		}
+	if out.ThroughputImgSec > 0 {
+		out.EpochSeconds = float64(nn.FullSpec(cfg.Model).TrainSamples) / out.ThroughputImgSec
 	}
-	res := core.Train(core.Config{
-		Model: model, Algo: algo,
-		GPUs: g, LearnersPerGPU: m, Batch: run.StatBatch,
-		Momentum: 0.9, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
-		TrainSamples: samples,
-	}, core.Inputs{
-		EpochSeconds:  run.EpochSeconds,
-		LocalMomentum: 0.9, // the released system's solver momentum
-	})
-	run.Series = res.Series
-	run.Reached = res.EpochsToTarget > 0
-	run.EpochsToTarget = epochsOr(res.EpochsToTarget, maxEpochs)
-	run.TTASeconds = float64(run.EpochsToTarget) * run.EpochSeconds
-	return run
+	res := core.Train(cfg, core.Inputs{EpochSeconds: out.EpochSeconds, LocalMomentum: r.solverMomentum})
+	out.Series = res.Series
+	out.BestAccuracy = res.FinalAccuracy
+	out.Reached = res.EpochsToTarget > 0
+	out.EpochsToTarget = epochsOr(res.EpochsToTarget, cfg.MaxEpochs)
+	out.TTASeconds = float64(out.EpochsToTarget) * out.EpochSeconds
+	return out
+}
+
+// runAll runs rows in order.
+func runAll(rows []row) []SystemRun {
+	out := make([]SystemRun, len(rows))
+	for i, r := range rows {
+		out[i] = run(r)
+	}
+	return out
 }
 
 // fig10Config holds the per-model batch/m settings the paper annotates on
@@ -121,25 +152,32 @@ var fig10Configs = map[nn.ModelID]fig10Config{
 	},
 }
 
+// fig10Rows lists TensorFlow, Crossbow (m=1) and Crossbow (best m) at each
+// GPU count, with the paper's annotated batch sizes.
+func fig10Rows(model nn.ModelID, gpus []int, maxEpochs int) []row {
+	cfg := fig10Configs[model]
+	target := AccuracyTargets[model]
+	var rows []row
+	for _, g := range gpus {
+		bm := cfg.cbB[g]
+		rows = append(rows,
+			ttaRow(model, core.AlgoSSGD, g, cfg.tf[g], 1, maxEpochs, target),
+			ttaRow(model, core.AlgoSMA, g, cfg.cb1[g], 1, maxEpochs, target),
+			ttaRow(model, core.AlgoSMA, g, bm[0], bm[1], maxEpochs, target))
+	}
+	return rows
+}
+
 // Figure10 reproduces the headline time-to-accuracy comparison for one
 // benchmark model: TensorFlow vs Crossbow (m=1) vs Crossbow (best m) over
 // the GPU counts the paper evaluates, with the paper's annotated batch
 // sizes.
 func Figure10(model nn.ModelID, quick bool) []SystemRun {
-	cfg := fig10Configs[model]
 	maxEpochs := 60
 	if quick {
 		maxEpochs = 25
 	}
-	target := AccuracyTargets[model]
-	var out []SystemRun
-	for _, g := range cfg.gpus {
-		out = append(out, runSystem(model, SysTensorFlow, g, cfg.tf[g], 1, maxEpochs, target))
-		out = append(out, runSystem(model, SysCrossbowM1, g, cfg.cb1[g], 1, maxEpochs, target))
-		bm := cfg.cbB[g]
-		out = append(out, runSystem(model, SysCrossbow, g, bm[0], bm[1], maxEpochs, target))
-	}
-	return out
+	return runAll(fig10Rows(model, fig10Configs[model].gpus, maxEpochs))
 }
 
 // PrintFigure10 writes the TTA bars with the paper's annotations.
@@ -149,33 +187,26 @@ func PrintFigure10(w io.Writer, model nn.ModelID, runs []SystemRun) {
 		"gpus", "system", "batch", "m", "TTA(s)", "epochs", "imgs/s", "reached")
 	for _, r := range runs {
 		fmt.Fprintf(w, "%4d %-12s %6d %3d %10.1f %8d %12.0f %8v\n",
-			r.GPUs, r.System, r.PaperBatch, r.M, r.TTASeconds, r.EpochsToTarget,
-			r.ThroughputImgSec, r.Reached)
+			r.Config.GPUs, r.System(), r.PaperBatch, r.Config.LearnersPerGPU, r.TTASeconds,
+			r.EpochsToTarget, r.ThroughputImgSec, r.Reached)
 	}
 }
 
 // Figure11 reproduces the accuracy-over-time curves for a model at a given
 // GPU count: the three systems' convergence against simulated wall-clock.
 func Figure11(model nn.ModelID, gpus int, quick bool) []SystemRun {
-	cfg := fig10Configs[model]
 	maxEpochs := 40
 	if quick {
 		maxEpochs = 20
 	}
-	target := AccuracyTargets[model]
-	bm := cfg.cbB[gpus]
-	return []SystemRun{
-		runSystem(model, SysTensorFlow, gpus, cfg.tf[gpus], 1, maxEpochs, target),
-		runSystem(model, SysCrossbowM1, gpus, cfg.cb1[gpus], 1, maxEpochs, target),
-		runSystem(model, SysCrossbow, gpus, bm[0], bm[1], maxEpochs, target),
-	}
+	return runAll(fig10Rows(model, []int{gpus}, maxEpochs))
 }
 
 // PrintFigure11 writes accuracy-vs-time series.
 func PrintFigure11(w io.Writer, model nn.ModelID, gpus int, runs []SystemRun) {
 	fmt.Fprintf(w, "Figure 11 — test accuracy over time (%s, g=%d)\n", model, gpus)
 	for _, r := range runs {
-		fmt.Fprintf(w, "%-12s:", r.System)
+		fmt.Fprintf(w, "%-12s:", r.System())
 		for _, p := range r.Series {
 			fmt.Fprintf(w, " (%.0fs, %.2f)", p.TimeSec, p.TestAcc)
 		}
@@ -183,249 +214,160 @@ func PrintFigure11(w io.Writer, model nn.ModelID, gpus int, runs []SystemRun) {
 	}
 }
 
-// Fig1213Row is one bar group of Figures 12/13: hardware efficiency,
-// statistical efficiency and TTA for Crossbow m ∈ {1,2,4} and the baseline.
-type Fig1213Row struct {
-	Label            string
-	ThroughputImgSec float64
-	EpochsToTarget   int
-	TTASeconds       float64
-	Reached          bool
+// fig1213Rows lists Crossbow at m ∈ {1,2,4} and the baseline on ResNet-32
+// at the paper's b=64.
+func fig1213Rows(gpus, maxEpochs int) []row {
+	target := AccuracyTargets[nn.ResNet32]
+	var rows []row
+	for _, m := range []int{1, 2, 4} {
+		rows = append(rows, ttaRow(nn.ResNet32, core.AlgoSMA, gpus, 64, m, maxEpochs, target))
+	}
+	return append(rows, ttaRow(nn.ResNet32, core.AlgoSSGD, gpus, 64, 1, maxEpochs, target))
 }
 
 // Figure1213 reproduces the efficiency trade-off study on ResNet-32 with
 // the paper's b=64 (statistical plane: b=16): gpus=1 gives Figure 12,
-// gpus=8 Figure 13.
-func Figure1213(gpus int, quick bool) []Fig1213Row {
+// gpus=8 Figure 13. Each bar group shows hardware efficiency, statistical
+// efficiency and TTA.
+func Figure1213(gpus int, quick bool) []SystemRun {
 	maxEpochs := 50
 	if quick {
 		maxEpochs = 25
 	}
-	target := AccuracyTargets[nn.ResNet32]
-	var rows []Fig1213Row
-	for _, m := range []int{1, 2, 4} {
-		r := runSystem(nn.ResNet32, SysCrossbow, gpus, 64, m, maxEpochs, target)
-		rows = append(rows, Fig1213Row{
-			Label:            fmt.Sprintf("crossbow m=%d", m),
-			ThroughputImgSec: r.ThroughputImgSec,
-			EpochsToTarget:   r.EpochsToTarget,
-			TTASeconds:       r.TTASeconds,
-			Reached:          r.Reached,
-		})
-	}
-	tf := runSystem(nn.ResNet32, SysTensorFlow, gpus, 64, 1, maxEpochs, target)
-	rows = append(rows, Fig1213Row{
-		Label:            "tensorflow",
-		ThroughputImgSec: tf.ThroughputImgSec,
-		EpochsToTarget:   tf.EpochsToTarget,
-		TTASeconds:       tf.TTASeconds,
-		Reached:          tf.Reached,
-	})
-	return rows
+	return runAll(fig1213Rows(gpus, maxEpochs))
 }
 
 // PrintFigure1213 writes the three-panel summary.
-func PrintFigure1213(w io.Writer, gpus int, rows []Fig1213Row) {
+func PrintFigure1213(w io.Writer, gpus int, runs []SystemRun) {
 	fig := 12
 	if gpus == 8 {
 		fig = 13
 	}
 	fmt.Fprintf(w, "Figure %d — hardware vs statistical efficiency (ResNet-32, g=%d, b=64)\n", fig, gpus)
 	fmt.Fprintf(w, "%-14s %12s %8s %10s %8s\n", "config", "imgs/s", "epochs", "TTA(s)", "reached")
-	for _, r := range rows {
+	for _, r := range runs {
+		label := fmt.Sprintf("crossbow m=%d", r.Config.LearnersPerGPU)
+		if r.Config.Algo == core.AlgoSSGD {
+			label = "tensorflow"
+		}
 		fmt.Fprintf(w, "%-14s %12.0f %8d %10.1f %8v\n",
-			r.Label, r.ThroughputImgSec, r.EpochsToTarget, r.TTASeconds, r.Reached)
+			label, r.ThroughputImgSec, r.EpochsToTarget, r.TTASeconds, r.Reached)
 	}
 }
 
-// Fig14Row is one point of Figure 14: TTA and throughput improvement vs
-// the number of learners per GPU.
-type Fig14Row struct {
-	M                 int
-	ThroughputImgSec  float64
-	ThroughputGainPct float64 // vs m=1
-	TTASeconds        float64
-	EpochsToTarget    int
+// fig14Rows sweeps Crossbow's learners per GPU from 1 to maxM at the
+// paper's batch for the model (ResNet-32 b=64, VGG b=256).
+func fig14Rows(model nn.ModelID, gpus, maxM, maxEpochs int) []row {
+	paperBatch := 64
+	if model == nn.VGG16 {
+		paperBatch = 256
+	}
+	var rows []row
+	for m := 1; m <= maxM; m++ {
+		rows = append(rows, ttaRow(model, core.AlgoSMA, gpus, paperBatch, m, maxEpochs, AccuracyTargets[model]))
+	}
+	return rows
 }
 
 // Figure14 reproduces the learner-sweep validation of auto-tuning: TTA and
 // throughput improvement against m, showing the throughput plateau predicts
 // the TTA optimum. model is ResNet-32 (b=64) or VGG (b=256) in the paper.
-func Figure14(model nn.ModelID, gpus int, quick bool) []Fig14Row {
-	paperBatch := 64
-	if model == nn.VGG16 {
-		paperBatch = 256
-	}
-	maxM := 5
-	maxEpochs := 50
+func Figure14(model nn.ModelID, gpus int, quick bool) []SystemRun {
+	maxM, maxEpochs := 5, 50
 	if quick {
-		maxM = 4
-		maxEpochs = 25
+		maxM, maxEpochs = 4, 25
 	}
-	target := AccuracyTargets[model]
-	var rows []Fig14Row
-	var base float64
-	for m := 1; m <= maxM; m++ {
-		r := runSystem(model, SysCrossbow, gpus, paperBatch, m, maxEpochs, target)
-		if m == 1 {
-			base = r.ThroughputImgSec
-		}
-		rows = append(rows, Fig14Row{
-			M:                 m,
-			ThroughputImgSec:  r.ThroughputImgSec,
-			ThroughputGainPct: 100 * (r.ThroughputImgSec/base - 1),
-			TTASeconds:        r.TTASeconds,
-			EpochsToTarget:    r.EpochsToTarget,
-		})
-	}
-	return rows
+	return runAll(fig14Rows(model, gpus, maxM, maxEpochs))
 }
 
-// PrintFigure14 writes the m-sweep.
-func PrintFigure14(w io.Writer, model nn.ModelID, gpus int, rows []Fig14Row) {
+// PrintFigure14 writes the m-sweep; the gain is against the first (m=1)
+// run's throughput.
+func PrintFigure14(w io.Writer, model nn.ModelID, gpus int, runs []SystemRun) {
 	fmt.Fprintf(w, "Figure 14 — TTA and throughput vs learners per GPU (%s, g=%d)\n", model, gpus)
 	fmt.Fprintf(w, "%3s %12s %10s %10s %8s\n", "m", "imgs/s", "gain(%)", "TTA(s)", "epochs")
-	for _, r := range rows {
+	for _, r := range runs {
 		fmt.Fprintf(w, "%3d %12.0f %10.1f %10.1f %8d\n",
-			r.M, r.ThroughputImgSec, r.ThroughputGainPct, r.TTASeconds, r.EpochsToTarget)
+			r.Config.LearnersPerGPU, r.ThroughputImgSec, 100*(r.ThroughputImgSec/runs[0].ThroughputImgSec-1),
+			r.TTASeconds, r.EpochsToTarget)
 	}
 }
 
-// Fig15Row compares SMA against EA-SGD at one GPU count.
-type Fig15Row struct {
-	GPUs            int
-	M               int
-	SMATTASeconds   float64
-	EASGDTTASeconds float64
-	SMAEpochs       int
-	EASGDEpochs     int
-	SMABestAcc      float64
-	EASGDBestAcc    float64
+// fig15Rows pairs SMA with EA-SGD on ResNet-32 at b=64 and the paper's
+// best m per GPU count. Both run plain-SGD learners (solver momentum 0) to
+// isolate the momentum term on the central average model — the only
+// difference between the two algorithms; with solver momentum the effect is
+// masked on the smoother synthetic task. Plain-SGD learners converge more
+// slowly, so the target is a lower 65% that both can reach.
+func fig15Rows(gpus []int, maxEpochs int) []row {
+	bestM := map[int]int{1: 4, 2: 3, 4: 2, 8: 2}
+	var rows []row
+	for _, g := range gpus {
+		for _, algo := range []core.Algorithm{core.AlgoSMA, core.AlgoEASGD} {
+			r := ttaRow(nn.ResNet32, algo, g, 64, bestM[g], maxEpochs, 0.65)
+			r.solverMomentum = 0
+			rows = append(rows, r)
+		}
+	}
+	return rows
 }
 
 // Figure15 reproduces the synchronisation-model ablation: SMA vs EA-SGD on
 // ResNet-32 with the paper's best m per GPU count; the gap grows with the
 // number of learners because momentum on the central average model keeps it
-// moving as per-learner variance shrinks. To isolate that momentum term —
-// the only difference between the two algorithms — both run with plain-SGD
-// learners here (with solver momentum enabled the effect is masked on the
-// smoother synthetic task).
-func Figure15(quick bool) []Fig15Row {
-	gpus := []int{1, 2, 4, 8}
+// moving as per-learner variance shrinks. The runs come in (SMA, EA-SGD)
+// pairs per GPU count.
+func Figure15(quick bool) []SystemRun {
 	if quick {
-		gpus = []int{1, 8}
+		return runAll(fig15Rows([]int{1, 8}, 40))
 	}
-	bestM := map[int]int{1: 4, 2: 3, 4: 2, 8: 2}
-	maxEpochs := 60
-	if quick {
-		maxEpochs = 40
-	}
-	// Plain-SGD learners converge more slowly than the momentum-solver
-	// configuration of the other figures, so this ablation uses a lower
-	// target that both algorithms can reach within the epoch budget.
-	target := 0.65
-	var rows []Fig15Row
-	for _, g := range gpus {
-		m := bestM[g]
-		b := statBatch(64)
-		k := g * m
-		samples := 2048
-		if need := 8 * k * b; need > samples {
-			samples = need
-			if samples > 8192 {
-				samples = 8192
-			}
-		}
-		epochSec := engine.New(engine.Config{
-			Model: nn.ResNet32, GPUs: g, LearnersPerGPU: m, Batch: 64, Overlap: true,
-		}).EpochSeconds(nn.FullSpec(nn.ResNet32).TrainSamples, 25)
-		row := Fig15Row{GPUs: g, M: m}
-		for _, algo := range []core.Algorithm{core.AlgoSMA, core.AlgoEASGD} {
-			res := core.Train(core.Config{
-				Model: nn.ResNet32, Algo: algo,
-				GPUs: g, LearnersPerGPU: m, Batch: b,
-				Momentum: 0.9, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
-				TrainSamples: samples,
-			}, core.Inputs{
-				EpochSeconds:  epochSec,
-				LocalMomentum: 0, // isolate the z-momentum term
-			})
-			e := epochsOr(res.EpochsToTarget, maxEpochs)
-			if algo == core.AlgoSMA {
-				row.SMAEpochs, row.SMATTASeconds = e, float64(e)*epochSec
-				row.SMABestAcc = res.FinalAccuracy
-			} else {
-				row.EASGDEpochs, row.EASGDTTASeconds = e, float64(e)*epochSec
-				row.EASGDBestAcc = res.FinalAccuracy
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
+	return runAll(fig15Rows([]int{1, 2, 4, 8}, 60))
 }
 
 // PrintFigure15 writes the SMA/EA-SGD comparison.
-func PrintFigure15(w io.Writer, rows []Fig15Row) {
+func PrintFigure15(w io.Writer, runs []SystemRun) {
 	fmt.Fprintf(w, "Figure 15 — SMA vs EA-SGD (ResNet-32, plain-SGD learners)\n")
 	fmt.Fprintf(w, "%4s %3s %12s %12s %8s %8s %9s %9s\n",
 		"gpus", "m", "SMA TTA(s)", "EASGD TTA(s)", "SMA ep.", "EA ep.", "SMA best", "EA best")
-	for _, r := range rows {
+	for i := 0; i+1 < len(runs); i += 2 {
+		sma, ea := runs[i], runs[i+1]
 		fmt.Fprintf(w, "%4d %3d %12.1f %12.1f %8d %8d %8.1f%% %8.1f%%\n",
-			r.GPUs, r.M, r.SMATTASeconds, r.EASGDTTASeconds,
-			r.SMAEpochs, r.EASGDEpochs, r.SMABestAcc*100, r.EASGDBestAcc*100)
+			sma.Config.GPUs, sma.Config.LearnersPerGPU, sma.TTASeconds, ea.TTASeconds,
+			sma.EpochsToTarget, ea.EpochsToTarget, sma.BestAccuracy*100, ea.BestAccuracy*100)
 	}
 }
 
-// Fig16Row is one synchronisation-period measurement.
-type Fig16Row struct {
-	Tau              int
-	TTASeconds       float64
-	EpochsToTarget   int
-	ThroughputImgSec float64
-	Reached          bool
+// fig16Rows sweeps the synchronisation period τ on ResNet-32, g=8, m=2,
+// b=64. These rows measure the hardware plane over 30 iterations (Figure
+// 17's window) and train on a fixed 4096 samples.
+func fig16Rows(maxEpochs int) []row {
+	var rows []row
+	for _, tau := range []int{1, 2, 3, 4} {
+		r := ttaRow(nn.ResNet32, core.AlgoSMA, 8, 64, 2, maxEpochs, AccuracyTargets[nn.ResNet32])
+		r.cfg.Tau = tau
+		r.cfg.TrainSamples = 4096
+		r.window = 30
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 // Figure16 reproduces the synchronisation-frequency trade-off: ResNet-32,
 // g=8, m=2; larger τ raises throughput but hurts convergence, so TTA is
 // minimised at τ=1.
-func Figure16(quick bool) []Fig16Row {
-	taus := []int{1, 2, 3, 4}
+func Figure16(quick bool) []SystemRun {
 	maxEpochs := 50
 	if quick {
 		maxEpochs = 25
 	}
-	target := AccuracyTargets[nn.ResNet32]
-	var rows []Fig16Row
-	for _, tau := range taus {
-		tp := engine.New(engine.Config{
-			Model: nn.ResNet32, GPUs: 8, LearnersPerGPU: 2, Batch: 64,
-			Tau: tau, Overlap: true,
-		}).Throughput(30)
-		epochSec := float64(nn.FullSpec(nn.ResNet32).TrainSamples) / tp
-		res := core.Train(core.Config{
-			Model: nn.ResNet32, Algo: core.AlgoSMA,
-			GPUs: 8, LearnersPerGPU: 2, Batch: statBatch(64),
-			Momentum: 0.9, Tau: tau, MaxEpochs: maxEpochs, TargetAccuracy: target, Seed: 1,
-			TrainSamples: 4096,
-		}, core.Inputs{EpochSeconds: epochSec, LocalMomentum: 0.9})
-		e := epochsOr(res.EpochsToTarget, maxEpochs)
-		rows = append(rows, Fig16Row{
-			Tau:              tau,
-			TTASeconds:       float64(e) * epochSec,
-			EpochsToTarget:   e,
-			ThroughputImgSec: tp,
-			Reached:          res.EpochsToTarget > 0,
-		})
-	}
-	return rows
+	return runAll(fig16Rows(maxEpochs))
 }
 
 // PrintFigure16 writes the τ trade-off.
-func PrintFigure16(w io.Writer, rows []Fig16Row) {
+func PrintFigure16(w io.Writer, runs []SystemRun) {
 	fmt.Fprintf(w, "Figure 16 — TTA vs synchronisation period (ResNet-32, g=8, m=2)\n")
 	fmt.Fprintf(w, "%4s %10s %8s %12s %8s\n", "tau", "TTA(s)", "epochs", "imgs/s", "reached")
-	for _, r := range rows {
+	for _, r := range runs {
 		fmt.Fprintf(w, "%4d %10.1f %8d %12.0f %8v\n",
-			r.Tau, r.TTASeconds, r.EpochsToTarget, r.ThroughputImgSec, r.Reached)
+			r.Config.Tau, r.TTASeconds, r.EpochsToTarget, r.ThroughputImgSec, r.Reached)
 	}
 }
