@@ -114,6 +114,13 @@ func figuresCmd(fs *flag.FlagSet) runner {
 			fmt.Fprintf(stderr, "unknown model %q\n", model)
 			return 2
 		}
+		// Figure 11 runs Figure 10's rows, which the paper annotates only at
+		// some GPU counts.
+		fig11 := slices.ContainsFunc(selected, func(e experiment) bool { return e.name == "fig11" })
+		if gs := experiments.Figure10GPUs(p.model); fig11 && !slices.Contains(gs, p.gpus) {
+			fmt.Fprintf(stderr, "fig11: %s is configured at -gpus %v, not %d\n", p.model, gs, p.gpus)
+			return 2
+		}
 
 		if *threads > 0 {
 			tensor.SetWorkerBudget(*threads)

@@ -81,4 +81,25 @@ func TestUnknownNamesExitTwo(t *testing.T) {
 	if code := run([]string{"figures", "-exp", "table1", "-model", "alexnet"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown model exited %d, want 2", code)
 	}
+	// Figure 11 at a GPU count Figure 10 does not annotate for the model
+	// would train rows at batch 0: refused before anything runs, alone or
+	// under -exp all, naming the counts that are configured.
+	for _, args := range [][]string{
+		{"-exp", "fig11", "-model", "lenet", "-gpus", "8"},
+		{"-exp", "fig11", "-model", "resnet50", "-gpus", "4"},
+		{"-exp", "fig11", "-model", "resnet32", "-gpus", "3"},
+		{"-exp", "all", "-model", "lenet"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(append([]string{"figures"}, args...), &stdout, &stderr); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v printed to stdout: %s", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "configured at -gpus [") {
+			t.Errorf("%v: error does not name the configured GPU counts: %s", args, stderr.String())
+		}
+	}
 }

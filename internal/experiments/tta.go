@@ -152,14 +152,23 @@ var fig10Configs = map[nn.ModelID]fig10Config{
 	},
 }
 
+// Figure10GPUs returns the GPU counts the paper annotates Figure 10's bars
+// at for a model, nil for a model it does not show: the only counts
+// Figure11 accepts.
+func Figure10GPUs(model nn.ModelID) []int { return fig10Configs[model].gpus }
+
 // fig10Rows lists TensorFlow, Crossbow (m=1) and Crossbow (best m) at each
-// GPU count, with the paper's annotated batch sizes.
+// GPU count, with the paper's annotated batch sizes. A count without them
+// panics: its rows would train at batch 0 with no learners.
 func fig10Rows(model nn.ModelID, gpus []int, maxEpochs int) []row {
 	cfg := fig10Configs[model]
 	target := AccuracyTargets[model]
 	var rows []row
 	for _, g := range gpus {
-		bm := cfg.cbB[g]
+		bm, ok := cfg.cbB[g]
+		if !ok {
+			panic(fmt.Sprintf("experiments: Figures 10/11 have no %s configuration at g=%d (configured: %v)", model, g, cfg.gpus))
+		}
 		rows = append(rows,
 			ttaRow(model, core.AlgoSSGD, g, cfg.tf[g], 1, maxEpochs, target),
 			ttaRow(model, core.AlgoSMA, g, cfg.cb1[g], 1, maxEpochs, target),

@@ -155,6 +155,10 @@ type ServingStats struct {
 	Batches  int64 `json:"batches"`
 	Rejected int64 `json:"rejected"`
 	Shed     int64 `json:"shed"`
+	// HoldsExpired counts batches the straggler gate held open until
+	// MaxDelay ran out — arrivals kept coming within a service time but
+	// never filled the batch — rather than shipping when they stopped.
+	HoldsExpired int64 `json:"holds_expired"`
 	// BatchOccupancy is mean requests per dispatched batch — the dynamic
 	// batcher's efficiency, in (0, MaxBatch].
 	BatchOccupancy float64 `json:"batch_occupancy"`

@@ -8,7 +8,8 @@ import (
 )
 
 // refConv is the original per-sample Conv2D algorithm (one im2col + three
-// small GEMMs per sample), kept as the oracle for the batched lowering.
+// small GEMMs per sample, the lowering at batch 1), kept as the oracle for
+// the batched layer.
 type refConv struct {
 	g         tensor.ConvGeom
 	batch     int
@@ -37,7 +38,7 @@ func (r *refConv) forward(x []float32) {
 	g := r.g
 	s := g.ColCols()
 	for n := 0; n < r.batch; n++ {
-		tensor.Im2col(g, x[n*g.InVol():(n+1)*g.InVol()], r.col)
+		tensor.Im2colBatch(g, 1, x[n*g.InVol():(n+1)*g.InVol()], r.col, false)
 		out := r.y[n*g.OutVol() : (n+1)*g.OutVol()]
 		tensor.Gemm(1, r.w, g.OutC, g.ColRows(), r.col, s, 0, out)
 		for oc := 0; oc < g.OutC; oc++ {
@@ -53,9 +54,6 @@ func (r *refConv) forward(x []float32) {
 func (r *refConv) backward(x, dy []float32) {
 	g := r.g
 	s := g.ColCols()
-	for i := range r.dx {
-		r.dx[i] = 0
-	}
 	for n := 0; n < r.batch; n++ {
 		dout := dy[n*g.OutVol() : (n+1)*g.OutVol()]
 		for oc := 0; oc < g.OutC; oc++ {
@@ -66,10 +64,10 @@ func (r *refConv) backward(x, dy []float32) {
 			}
 			r.gb[oc] += sum
 		}
-		tensor.Im2col(g, x[n*g.InVol():(n+1)*g.InVol()], r.col)
+		tensor.Im2colBatch(g, 1, x[n*g.InVol():(n+1)*g.InVol()], r.col, false)
 		tensor.GemmTB(1, dout, g.OutC, s, r.col, g.ColRows(), 1, r.gw)
 		tensor.GemmTA(1, r.w, g.OutC, g.ColRows(), dout, s, 0, r.dcol)
-		tensor.Col2im(g, r.dcol, r.dx[n*g.InVol():(n+1)*g.InVol()])
+		tensor.Col2imBatch(g, 1, r.dcol, r.dx[n*g.InVol():(n+1)*g.InVol()])
 	}
 }
 

@@ -256,15 +256,17 @@ type Engine struct {
 	desiredReplicas atomic.Int64
 	resizes         atomic.Int64
 
-	// Stats. occupancy = requests/batches; queuePeak is a CAS-maxed gauge.
-	requests  atomic.Int64
-	nbatches  atomic.Int64
-	rejected  atomic.Int64
-	shed      atomic.Int64
-	swaps     atomic.Int64
-	queuePeak atomic.Int64
-	latency   metrics.LatencyRecorder
-	service   metrics.LatencyRecorder
+	// Stats. occupancy = requests/batches; queuePeak is a CAS-maxed gauge;
+	// holdsExpired counts gathers that held until MaxDelay.
+	requests     atomic.Int64
+	nbatches     atomic.Int64
+	rejected     atomic.Int64
+	shed         atomic.Int64
+	swaps        atomic.Int64
+	queuePeak    atomic.Int64
+	holdsExpired atomic.Int64
+	latency      metrics.LatencyRecorder
+	service      metrics.LatencyRecorder
 }
 
 // classMeter accumulates one batch class's service time over a control
@@ -550,6 +552,7 @@ func (e *Engine) Stats() metrics.ServingStats {
 		Batches:      bat,
 		Rejected:     e.rejected.Load(),
 		Shed:         e.shed.Load(),
+		HoldsExpired: e.holdsExpired.Load(),
 		QueueDepth:   len(e.queue),
 		QueuePeak:    int(e.queuePeak.Load()),
 		P50Ms:        metrics.Ms(e.latency.Quantile(0.50)),
@@ -629,7 +632,12 @@ func (e *Engine) gather(b []*request) []*request {
 			continue
 		default:
 		}
-		if now := time.Now(); !now.Before(shipAt) || !now.Before(seen.Add(e.svcEstimate(len(b)))) {
+		now := time.Now()
+		if shipAt.IsZero() || !now.Before(seen.Add(e.svcEstimate(len(b)))) {
+			break
+		}
+		if !now.Before(shipAt) {
+			e.holdsExpired.Add(1)
 			break
 		}
 		runtime.Gosched()

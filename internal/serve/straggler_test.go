@@ -192,7 +192,10 @@ func TestStragglerTrickleShipsAtOnce(t *testing.T) {
 
 // TestStragglerFewCallersNotHeld: three closed-loop callers can never fill
 // a batch of eight. Once the third has joined, no straggler comes within a
-// service time, so the batch ships instead of waiting out MaxDelay.
+// service time, so the batch ships instead of waiting out MaxDelay: no
+// gather may run its hold to the end. The count judges the gate itself, not
+// a latency a loaded machine can stretch on its own. Mutation-checked: a
+// gather that ignores the ŝ gap and always holds to MaxDelay fails it.
 func TestStragglerFewCallersNotHeld(t *testing.T) {
 	const (
 		callers = 3
@@ -215,8 +218,10 @@ func TestStragglerFewCallersNotHeld(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := e.Stats(); s.P99Ms >= 20 {
-		t.Fatalf("%d closed-loop callers, MaxBatch 8, MaxDelay 200ms: p99 %.1fms over %d batches of %.2f — non-full batches waited out MaxDelay",
-			callers, s.P99Ms, s.Batches, s.BatchOccupancy)
+	s := e.Stats()
+	if s.HoldsExpired != 0 {
+		t.Fatalf("%d closed-loop callers, MaxBatch 8, MaxDelay 200ms: %d of %d batches (%.2f requests each) waited out MaxDelay; p99 %.1fms",
+			callers, s.HoldsExpired, s.Batches, s.BatchOccupancy, s.P99Ms)
 	}
+	t.Logf("%d batches of %.2f, none held to MaxDelay; p99 %.1fms", s.Batches, s.BatchOccupancy, s.P99Ms)
 }

@@ -86,27 +86,13 @@ var convGeoms = []ConvGeom{
 	{InC: 32, InH: 2, InW: 2, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 }
 
-func BenchmarkIm2col(b *testing.B) {
-	for _, g := range convGeoms {
-		b.Run(fmt.Sprintf("c%dh%d", g.InC, g.InH), func(b *testing.B) {
-			r := NewRNG(1)
-			img := randSlice(r, g.InC*g.InH*g.InW)
-			col := make([]float32, g.ColRows()*g.ColCols())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Im2col(g, img, col)
-			}
-		})
-	}
-}
-
 // lowerCases are the batched-lowering benchmark points: the three stride-1
-// stage geometries at b=16 (the long-recorded rows) and at the benchmark
-// workload's real b=4, plus the stage transitions' strided 3×3 convs and 1×1
-// projections, which take the source-index path.
+// stage geometries at b=16 (the long-recorded rows), at the benchmark
+// workload's real b=4 and at b=1 (one sample), plus the stage transitions'
+// strided 3×3 convs and 1×1 projections, which take the source-index path
+// on the AVX2 level.
 var lowerCases = func() (cs []lowerCase) {
-	for _, batch := range []int{16, 4} {
+	for _, batch := range []int{16, 4, 1} {
 		for _, g := range convGeoms {
 			cs = append(cs, lowerCase{fmt.Sprintf("c%dh%db%d", g.InC, g.InH, batch), g, batch})
 		}
@@ -155,21 +141,6 @@ func BenchmarkCol2imBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Col2imBatch(g, batch, col, x)
-			}
-		})
-	}
-}
-
-func BenchmarkCol2im(b *testing.B) {
-	for _, g := range convGeoms {
-		b.Run(fmt.Sprintf("c%dh%d", g.InC, g.InH), func(b *testing.B) {
-			r := NewRNG(1)
-			col := randSlice(r, g.ColRows()*g.ColCols())
-			img := make([]float32, g.InC*g.InH*g.InW)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Col2im(g, col, img)
 			}
 		})
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Property tests pinning the blocked/parallel/SIMD kernels against the
-// scalar reference kernels (gemm_ref.go). The determinism contract they
+// scalar reference kernels (gemm_ref_test.go). The determinism contract they
 // verify, per DESIGN.md §8:
 //
 //   - Gemm and GemmTA are bit-identical to the reference for every alpha,
@@ -222,9 +222,9 @@ func TestParallelForPartition(t *testing.T) {
 	}
 }
 
-// TestIm2colBatchMatchesPerSample: the batched lowering is the per-sample
-// kernel at a column offset — bit-identical, also into a used buffer with
-// the (ignored) skipPad argument set.
+// TestIm2colBatchMatchesPerSample: the batched lowering is the textbook
+// lowering of each sample at a column offset — bit-identical, also into a
+// used buffer with the (ignored) skipPad argument set.
 func TestIm2colBatchMatchesPerSample(t *testing.T) {
 	geoms := []ConvGeom{
 		{InC: 3, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -243,7 +243,7 @@ func TestIm2colBatchMatchesPerSample(t *testing.T) {
 
 		want := make([]float32, g.ColRows()*s)
 		for n := 0; n < batch; n++ {
-			Im2col(g, x[n*g.InVol():(n+1)*g.InVol()], want)
+			im2colTextbook(g, x[n*g.InVol():(n+1)*g.InVol()], want)
 			for row := 0; row < g.ColRows(); row++ {
 				for i := 0; i < s; i++ {
 					got := col[row*batch*s+n*s+i]
@@ -283,10 +283,7 @@ func TestCol2imBatchMatchesPerSample(t *testing.T) {
 			for row := 0; row < g.ColRows(); row++ {
 				copy(sample[row*s:(row+1)*s], col[row*batch*s+n*s:row*batch*s+(n+1)*s])
 			}
-			for i := range want {
-				want[i] = 0
-			}
-			Col2im(g, sample, want)
+			col2imTextbook(g, sample, want)
 			got := x[n*g.InVol() : (n+1)*g.InVol()]
 			bitsEqual(t, "Col2imBatch", got, want)
 			_ = gi

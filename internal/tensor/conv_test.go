@@ -49,7 +49,7 @@ func TestIm2colGemmMatchesNaiveConv(t *testing.T) {
 		img := randSlice(r, g.InC*g.InH*g.InW)
 		filters := randSlice(r, g.OutC*g.InC*g.KH*g.KW)
 		col := make([]float32, g.ColRows()*g.ColCols())
-		Im2col(g, img, col)
+		Im2colBatch(g, 1, img, col, false)
 		got := make([]float32, g.OutC*g.ColCols())
 		Gemm(1, filters, g.OutC, g.ColRows(), col, g.ColCols(), 0, got)
 		want := naiveConv(g, img, filters)
@@ -61,9 +61,10 @@ func TestIm2colGemmMatchesNaiveConv(t *testing.T) {
 	}
 }
 
-// TestCol2imIsAdjoint verifies <Im2col(x), y> == <x, Col2im(y)> — the
-// defining property of an adjoint pair, which is exactly what gradient
-// propagation requires.
+// TestCol2imIsAdjoint verifies <im2col(x), y> == <x, col2im(y)> for the
+// textbook oracle — the defining property of an adjoint pair, which is
+// exactly what gradient propagation requires. An inner product cannot see
+// the order col2im sums its taps in; TestLoweringOracle pins that.
 func TestCol2imIsAdjoint(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 6, InW: 5, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}
 	r := NewRNG(37)
@@ -71,11 +72,11 @@ func TestCol2imIsAdjoint(t *testing.T) {
 	y := randSlice(r, g.ColRows()*g.ColCols())
 
 	colX := make([]float32, g.ColRows()*g.ColCols())
-	Im2col(g, x, colX)
+	im2colTextbook(g, x, colX)
 	lhs := Dot(colX, y)
 
 	imgY := make([]float32, g.InC*g.InH*g.InW)
-	Col2im(g, y, imgY)
+	col2imTextbook(g, y, imgY)
 	rhs := Dot(x, imgY)
 
 	if math.Abs(lhs-rhs) > 1e-3*math.Max(1, math.Abs(lhs)) {
@@ -83,7 +84,8 @@ func TestCol2imIsAdjoint(t *testing.T) {
 	}
 }
 
-// Property: the adjoint identity holds for random geometries.
+// Property: the adjoint identity holds for the batched kernels, at batch 1,
+// over random geometries.
 func TestCol2imAdjointProperty(t *testing.T) {
 	f := func(seed uint64, hc, wc, kc, sc uint8) bool {
 		g := ConvGeom{
@@ -99,9 +101,9 @@ func TestCol2imAdjointProperty(t *testing.T) {
 		x := randSlice(r, g.InC*g.InH*g.InW)
 		y := randSlice(r, g.ColRows()*g.ColCols())
 		colX := make([]float32, g.ColRows()*g.ColCols())
-		Im2col(g, x, colX)
+		Im2colBatch(g, 1, x, colX, false)
 		imgY := make([]float32, g.InC*g.InH*g.InW)
-		Col2im(g, y, imgY)
+		Col2imBatch(g, 1, y, imgY)
 		lhs, rhs := Dot(colX, y), Dot(x, imgY)
 		return math.Abs(lhs-rhs) <= 1e-2*math.Max(1, math.Abs(lhs))
 	}

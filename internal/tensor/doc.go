@@ -21,7 +21,9 @@
 // one C element per lane, k ascending), so results are bit-identical across
 // SIMD levels, machines, and worker counts. It has one tile per ISA level:
 // 8×16 on AVX-512 (gemmTileZ: a whole band per call, opmask edges, no edge
-// kernels), 4×8 on AVX2, and the Go kernels, which are also the oracle.
+// kernels), 4×8 on AVX2, and one Go tile kernel (gemmTileGo) for every
+// other host, which is also the tile oracle; the textbook GEMM loops of
+// gemm_ref_test.go pin all three.
 // Dispatch is CPUID-gated; CROSSBOW_NOAVX512 and CROSSBOW_NOSIMD each switch
 // one level off (gemm_kernel_amd64.go). Epilogue lets internal/nn fuse
 // bias/BN/ReLU into the GEMM's output blocks. The exact elementwise kernels
@@ -42,10 +44,11 @@
 // argmax bytes at every level; MaxPoolBwd is one Go clear-and-store loop.
 // The batched conv lowering
 // (Im2colBatch, Col2imBatch, Lowering; DESIGN.md §18) belongs to the same
-// family: with SIMD it replays per-geometry tables — masked plane shifts
-// for unit-stride same-grid convs, an index table otherwise — that
-// move or sum exactly the elements the span-walking scalar loops do, in
-// the same order, and write every element of their output; a Lowering
+// family: every level replays per-geometry tables — an index table for
+// every geometry, which is the one Go path, plus masked plane shifts for
+// unit-stride same-grid convs on the SIMD levels — that move or sum exactly
+// the elements the textbook im2col/col2im of lowering_test.go does, in the
+// same order, and write every element of their output; a Lowering
 // addresses input planes by (sample, channel) strides, so one set of
 // kernels reads the NCHW network input and internal/nn's channel-major
 // activations. On AVX-512 a pass covers a whole channel row of the batch

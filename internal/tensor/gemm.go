@@ -7,16 +7,20 @@ import "sync"
 // contiguous panels (B in NR-interleaved columns, A in MR-interleaved rows,
 // transposition absorbed by the packers) and a micro-kernel accumulates the
 // output tile in registers — 8×16 on AVX-512, 4×8 on AVX2 and in Go
-// (gemmTile; gemm_kernel_amd64.go has the ISA matrix). Work is fanned out
+// (gemmTile; gemm_kernel_amd64.go has the ISA matrix). The Go level is one
+// kernel, gemmTileGo, for every driver and edge: it reads A at element
+// strides, so a packed panel and a matrix read in place differ only in the
+// strides passed. Work is fanned out
 // over the shared bounded worker pool (parallel.go) by partitioning the
 // output into disjoint row or column bands.
 //
-// Determinism contract (verified by blocked_test.go):
+// Determinism contract (verified by blocked_test.go against the textbook
+// loops of gemm_ref_test.go — gemmRef, gemmTARef, gemmTBRef):
 //   - Every output element is accumulated in strictly ascending-p order with
 //     a float32 accumulator, independent of tile position, panel splits and
 //     worker count — results are bit-identical at any parallelism level.
 //   - Gemm and GemmTA preload the accumulator from C (beta applied up
-//     front), reproducing the reference kernels' association exactly: they
+//     front), reproducing the reference loops' association exactly: they
 //     are bit-identical to gemmRef/gemmTARef for all inputs.
 //   - beta == 0 is an entry of its own: C is never read and never cleared in
 //     a separate pass. The first k panel's accumulators start at +0 — the
@@ -192,11 +196,9 @@ func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, 
 	// Gemm/GemmTA fold alpha into the packed A panel and preload C into the
 	// accumulators; GemmTB keeps the raw product sum and applies alpha at
 	// the store, matching its reference association.
-	preload := kind != gemmTB
-	packAlpha := alpha
-	storeAlpha := float32(1)
+	mode, packAlpha := tilePreload, alpha
 	if kind == gemmTB {
-		packAlpha, storeAlpha = 1, alpha
+		mode, packAlpha = tileAccAlpha, 1
 	}
 	// Direct-B mode (gemmNN/gemmTA with an L2-resident row-major B) skips
 	// B panel packing and streams B rows from place.
@@ -225,9 +227,9 @@ func gemmBand(kind gemmKind, alpha float32, a []float32, m, k int, b []float32, 
 							zeroTile(cp, n, rows, cols)
 						}
 						if directB {
-							gemmPanelTile(kb, ap, b[pc*n+jc+j:], n, cp, n, rows, cols, storeAlpha, preload)
+							gemmPanelTile(kb, ap, b[pc*n+jc+j:], n, cp, n, rows, cols, mode, alpha)
 						} else {
-							gemmPanelTile(kb, ap, bufs.b[j*kb:j*kb+kb*nr], nr, cp, n, rows, cols, storeAlpha, preload)
+							gemmPanelTile(kb, ap, bufs.b[j*kb:j*kb+kb*nr], nr, cp, n, rows, cols, mode, alpha)
 						}
 					}
 				}
@@ -248,34 +250,33 @@ func zeroTile(c []float32, ldc, rows, cols int) {
 	}
 }
 
-// microEdgeDirect is the fully direct tile kernel in Go: A lanes at element
-// strides (ars, acs), B rows at stride ldb, alpha == 1; the accumulators
-// start at +0 (zero) or preload from C. It also covers partial tiles.
-func microEdgeDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, rows, cols int, zero bool) {
+// Tile modes: how a tile's accumulators start and how they are stored. Every
+// level's tile kernel takes them (gemmTileGo, gemmTileZ).
+const (
+	tilePreload  = iota // start from C, overwrite C
+	tileZero            // start from +0, overwrite C (the beta == 0 entry)
+	tileAccAlpha        // start from +0, C += alpha·acc (GemmTB's association)
+)
+
+// gemmTileGo is the Go tile kernel: one rows × cols output tile, at most
+// gemmMR × gemmNR, with A element (r, p) at a[r·ars + p·acs] — a packed
+// panel is (1, gemmMR), a matrix read in place its own strides — and B row p
+// at b[p·ldb:]. Each element is one float32 accumulator summed in ascending
+// p, which every assembly tile reproduces bit for bit. Rows past the tile
+// re-read its last A row, so A needs no padding; their sums are never
+// stored.
+func gemmTileGo(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, rows, cols, mode int, alpha float32) {
 	var acc [gemmMR][gemmNR]float32
-	if !zero {
+	if mode == tilePreload {
 		for r := 0; r < rows; r++ {
-			crow := c[r*ldc:]
-			for q := 0; q < cols; q++ {
-				acc[r][q] = crow[q]
-			}
+			copy(acc[r][:cols], c[r*ldc:])
 		}
 	}
-	for p := 0; p < kb; p++ {
-		var a0, a1, a2, a3 float32
-		base := p * acs
-		a0 = a[base]
-		if rows > 1 {
-			a1 = a[base+ars]
-		}
-		if rows > 2 {
-			a2 = a[base+2*ars]
-		}
-		if rows > 3 {
-			a3 = a[base+3*ars]
-		}
-		brow := b[p*ldb : p*ldb+cols]
-		for q, bv := range brow {
+	r1, r2, r3 := min(1, rows-1)*ars, min(2, rows-1)*ars, min(3, rows-1)*ars
+	for p, ai, bi := 0, 0, 0; p < kb; p, ai, bi = p+1, ai+acs, bi+ldb {
+		ap := a[ai:]
+		a0, a1, a2, a3 := ap[0], ap[r1], ap[r2], ap[r3]
+		for q, bv := range b[bi : bi+cols] {
 			acc[0][q] += a0 * bv
 			acc[1][q] += a1 * bv
 			acc[2][q] += a2 * bv
@@ -283,19 +284,27 @@ func microEdgeDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c 
 		}
 	}
 	for r := 0; r < rows; r++ {
-		crow := c[r*ldc:]
-		for q := 0; q < cols; q++ {
-			crow[q] = acc[r][q]
+		crow := c[r*ldc : r*ldc+cols]
+		if mode != tileAccAlpha {
+			copy(crow, acc[r][:cols])
+			continue
+		}
+		for q := range crow {
+			crow[q] += alpha * acc[r][q]
 		}
 	}
 }
 
 // gemmDirectGo is gemmDirect tile by tile in Go: the pure-Go path, the AVX2
-// level's edges, and the oracle the assembly kernels are tested against.
+// level's edges, and the oracle the AVX-512 tile is tested against.
 func gemmDirectGo(kb int, a []float32, ars, acs int, b []float32, ldb int, c []float32, ldc, m, n int, zero bool) {
+	mode := tilePreload
+	if zero {
+		mode = tileZero
+	}
 	for i := 0; i < m; i += gemmMR {
 		for j := 0; j < n; j += gemmNR {
-			microEdgeDirect(kb, a[i*ars:], ars, acs, b[j:], ldb, c[i*ldc+j:], ldc, min(gemmMR, m-i), min(gemmNR, n-j), zero)
+			gemmTileGo(kb, a[i*ars:], ars, acs, b[j:], ldb, c[i*ldc+j:], ldc, min(gemmMR, m-i), min(gemmNR, n-j), mode, 1)
 		}
 	}
 }
@@ -368,46 +377,6 @@ func packB(kind gemmKind, dst, b []float32, k, n, p0, kb, j0, nb, nr int) {
 		// k step.
 		for p := 0; p < kb; p++ {
 			copy(d[p*nr:p*nr+cols], b[(p0+p)*n+j0+j:])
-		}
-	}
-}
-
-// microGeneric computes one (possibly partial) gemmMR×gemmNR output tile in
-// pure Go from an interleaved A panel and B rows at stride ldb (a packed
-// panel, or the matrix itself). The A panel is zero-padded, so every valid
-// element's accumulation order is identical to the assembly kernels'
-// (ascending p, one float32 accumulator per element) — the pure-Go and SIMD
-// paths are bit-identical.
-func microGeneric(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, cols int, alpha float32, preload bool) {
-	var acc [gemmMR][gemmNR]float32
-	if preload {
-		for r := 0; r < rows; r++ {
-			crow := c[r*ldc:]
-			for q := 0; q < cols; q++ {
-				acc[r][q] = crow[q]
-			}
-		}
-	}
-	for p := 0; p < kb; p++ {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		ap = ap[gemmMR:]
-		for q, bv := range b[p*ldb : p*ldb+cols] {
-			acc[0][q] += a0 * bv
-			acc[1][q] += a1 * bv
-			acc[2][q] += a2 * bv
-			acc[3][q] += a3 * bv
-		}
-	}
-	for r := 0; r < rows; r++ {
-		crow := c[r*ldc:]
-		if preload {
-			for q := 0; q < cols; q++ {
-				crow[q] = acc[r][q]
-			}
-			continue
-		}
-		for q := 0; q < cols; q++ {
-			crow[q] += alpha * acc[r][q]
 		}
 	}
 }

@@ -129,8 +129,8 @@ label: \
 // of sixteen columns. Each block is the full k loop over its accumulators,
 // the last block under the opmask of the n mod 16 columns that exist, so
 // there is no edge kernel — a masked lane is never loaded, never stored, and
-// computes on zeros. Accumulators start from C (zPreload) or +0 (zZero,
-// zAccAlpha) and end as C (or, zAccAlpha, as C + alpha·acc).
+// computes on zeros. Accumulators start from C (tilePreload) or +0 (tileZero,
+// tileAccAlpha) and end as C (or, tileAccAlpha, as C + alpha·acc).
 TEXT ·gemmTileZ(SB), NOSPLIT, $80-8
 	MOVQ         t+0(FP), AX
 	MOVQ         zTile_ars(AX), R14
@@ -177,7 +177,7 @@ zmask:
 	MOVL  SI, tail-72(SP)
 
 	MOVQ zTile_ldc(AX), R8
-	CMPQ zTile_mode(AX), $const_zPreload
+	CMPQ zTile_mode(AX), $const_tilePreload
 	JNE  zzero
 	MOVQ rows-32(SP), CX
 	MOVQ cblk-56(SP), DI
@@ -249,7 +249,7 @@ zconv:
 zstore:
 	MOVQ t+0(FP), AX
 	MOVQ zTile_ldc(AX), R8
-	CMPQ zTile_mode(AX), $const_zAccAlpha
+	CMPQ zTile_mode(AX), $const_tileAccAlpha
 	JNE  zst
 	MOVQ rows-32(SP), CX
 	MOVQ cblk-56(SP), DI

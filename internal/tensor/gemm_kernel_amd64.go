@@ -6,7 +6,7 @@ import "os"
 
 // amd64 micro-kernel dispatch. The GEMM has one tile per ISA level: 8×16 on
 // AVX-512F (one ZMM per C row, gemm_avx512_amd64.s), 4×8 on AVX2 (one YMM
-// per C row, gemm_amd64.s), and the Go kernels of gemm.go everywhere else, a
+// per C row, gemm_amd64.s), and the Go tile of gemm.go everywhere else, a
 // pre-AVX2 amd64 CPU included. Every level uses vector MUL then ADD — never
 // FMA — with one C element per lane and k ascending, so each element is the
 // same serial chain of roundings whatever the register width, and all levels
@@ -127,13 +127,6 @@ func setGemmZ(on bool) bool {
 	return prev
 }
 
-// zTile modes: how a block's accumulators start and how they are stored.
-const (
-	zPreload  = iota // start from C, overwrite C
-	zZero            // start from +0, overwrite C (the beta == 0 entry)
-	zAccAlpha        // start from +0, C += alpha·acc (GemmTB's association)
-)
-
 // zTile is gemmTileZ's argument block; strides are in bytes. Row p of the
 // B operand is b + p·ldb for p < kb, the sixteen columns of a block read
 // under the block's column mask. With taps > 0 B is a conv input read in
@@ -147,9 +140,9 @@ type zTile struct {
 	kb       int
 	c        *float32
 	ldc      uintptr
-	m, n     int // both ≥ 1
-	mode     int
-	alpha    float32 // zAccAlpha only
+	m, n     int     // both ≥ 1
+	mode     int     // tilePreload, tileZero or tileAccAlpha
+	alpha    float32 // tileAccAlpha only
 
 	taps   int
 	shift  *int32
@@ -170,7 +163,7 @@ func gemmDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c []flo
 			c: &c[0], ldc: uintptr(ldc) * 4, m: m, n: n,
 		}
 		if zero {
-			t.mode = zZero
+			t.mode = tileZero
 		}
 		gemmTileZ(&t)
 		return
@@ -192,26 +185,22 @@ func gemmDirect(kb int, a []float32, ars, acs int, b []float32, ldb int, c []flo
 }
 
 // gemmPanelTile computes one rows × cols tile of the packed drivers: ap is
-// the tile's interleaved A panel (alpha folded in when preload), b its B
+// the tile's interleaved A panel (alpha folded in for tilePreload), b its B
 // rows at stride ldb — the packed panel or, direct-B, the matrix itself.
-// preload starts from C and overwrites it; otherwise the sum starts at +0
-// and C += alpha·Σ.
-func gemmPanelTile(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, cols int, alpha float32, preload bool) {
+// mode is tilePreload or tileAccAlpha (C += alpha·Σ).
+func gemmPanelTile(kb int, ap, b []float32, ldb int, c []float32, ldc, rows, cols, mode int, alpha float32) {
 	switch {
 	case zActive():
 		t := zTile{
 			a: &ap[0], ars: 4, acs: gemmMaxMR * 4,
 			b: &b[0], ldb: uintptr(ldb) * 4, kb: kb,
 			c: &c[0], ldc: uintptr(ldc) * 4, m: rows, n: cols,
-			mode: zAccAlpha, alpha: alpha,
-		}
-		if preload {
-			t.mode = zPreload
+			mode: mode, alpha: alpha,
 		}
 		gemmTileZ(&t)
 	case rows != gemmMR || cols != gemmNR || !elemActive():
-		microGeneric(kb, ap, b, ldb, c, ldc, rows, cols, alpha, preload)
-	case preload:
+		gemmTileGo(kb, ap, 1, gemmMR, b, ldb, c, ldc, rows, cols, mode, alpha)
+	case mode == tilePreload:
 		gemmMicroPreBSAVX2(kb, &ap[0], &b[0], ldb, &c[0], ldc)
 	default: // GemmTB always packs B
 		gemmMicroAccAVX2(kb, &ap[0], &b[0], &c[0], ldc, alpha)

@@ -1,10 +1,10 @@
 package tensor
 
-// Reference GEMM kernels: the original scalar, single-threaded loops the
-// blocked kernels in gemm.go replaced. They are kept as the in-package
-// oracle for the property tests in blocked_test.go, which pin down exactly
-// where the fast kernels are bit-identical to these and where summation
-// regrouping is unavoidable (see DESIGN.md §8).
+// Reference GEMM loops: the original scalar, single-threaded kernels the
+// blocked ones in gemm.go replaced, kept as the oracle for the property
+// tests in blocked_test.go, which pin down exactly where the fast kernels
+// are bit-identical to these and where summation regrouping is unavoidable
+// (see DESIGN.md §8).
 //
 // One deliberate change from the seed kernels: the seed's `if av == 0
 // { continue }` zero-skip in Gemm/GemmTA is dropped, so the oracle matches

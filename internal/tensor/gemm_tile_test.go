@@ -82,7 +82,8 @@ func TestGemmTileZPanelOracle(t *testing.T) {
 	for _, kb := range []int{1, 2, 9, 72} {
 		for rows := 1; rows <= gemmMaxMR; rows++ {
 			for cols := 1; cols <= gemmMaxNR; cols++ {
-				for _, preload := range []bool{true, false} {
+				for _, mode := range []int{tilePreload, tileAccAlpha} {
+					preload := mode == tilePreload
 					ldb := gemmMaxNR
 					if preload && cols%2 == 0 {
 						ldb = cols + 5 // direct-B
@@ -98,7 +99,7 @@ func TestGemmTileZPanelOracle(t *testing.T) {
 					}
 					got, want := gc[len(gc)-len(c0):], append([]float32(nil), c0...)
 					copy(got, c0)
-					gemmPanelTile(kb, ap, b, ldb, got, ldc, rows, cols, alpha, preload)
+					gemmPanelTile(kb, ap, b, ldb, got, ldc, rows, cols, mode, alpha)
 					for i := 0; i < rows; i++ {
 						for j := 0; j < cols; j++ {
 							var acc float32

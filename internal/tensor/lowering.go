@@ -6,15 +6,25 @@ import (
 )
 
 // Table-driven conv lowering. On the scaled models' 8×8, 4×4 and 2×2 planes
-// every in-bounds span of a patch row is 1–8 floats, so the span walkers in
-// conv.go spend their time on loop control, not on moving data. A Lowering
+// every in-bounds span of a patch row is 1–8 floats, so a loop that walks
+// spans spends its time on loop control, not on moving data. A Lowering
 // holds what is static about one geometry — which input element each column
 // position reads, and which positions are padding — as tables built once,
-// and the batched kernels replay them.
+// and every kernel replays them.
+//
+// Every geometry has a source-index table: src[tap·S+q] is the offset
+// inside the input plane that column position q of that tap reads, −1 for
+// padding. It is channel-independent, KH·KW × S entries. The Go kernels —
+// the one portable path, and the AVX2 level's for strided geometries —
+// replay it: im2col copies or writes a zero, col2im scatters each column
+// row into a plane that starts at +0, rows in ascending (c, kh, kw) and
+// positions ascending, so every input element receives its terms in
+// ascending tap order.
 //
 // Same-grid geometries (stride 1, OutH×OutW = InH×InW: every 3×3 pad-1,
-// 5×5 pad-2 and 1×1 pad-0 conv) need no indices at all. Column row
-// (c, kh, kw) is input plane c shifted by the constant
+// 5×5 pad-2 and 1×1 pad-0 conv) also get plane-shift tables, which the SIMD
+// levels replay instead of the indices. Column row (c, kh, kw) is input
+// plane c shifted by the constant
 //
 //	δ = (kh−PadH)·InW + (kw−PadW)
 //
@@ -27,34 +37,28 @@ import (
 //
 //	dx_c[p] = Σ_taps dcol[(c,tap)][p−δ_tap]   (masked lanes contribute +0).
 //
-// Accumulation order. The scatter in col2imStrided visits rows in ascending
-// (c, kh, kw) and adds each row's term into a plane that starts at +0, so
-// every dx element receives its terms in ascending tap order. The gather
-// adds the same terms in the same order into an accumulator that starts at
-// +0, plus a +0 for every tap whose read fell in the padding. Adding +0 is
-// exact unless the accumulator is −0, and a round-to-nearest sum that
-// started at +0 is never −0 (x+y = −0 only when both are −0). The results
-// are bit-identical; a NaN keeps being a NaN but, as in DESIGN.md §17, which
-// payload survives a sum of two different NaNs is not pinned.
-//
-// Every other geometry (strided convs and projections) replays a
-// source-index table: src[tap·S+q] is the offset inside the input plane that
-// column position q of that tap reads, −1 for padding. The tables are
-// channel-independent, KH·KW × S entries.
+// Accumulation order. The gather adds the index scatter's terms in the same
+// order into an accumulator that starts at +0, plus a +0 for every tap whose
+// read fell in the padding. Adding +0 is exact unless the accumulator is
+// −0, and a round-to-nearest sum that started at +0 is never −0 (x+y = −0
+// only when both are −0). The results are bit-identical; a NaN keeps being a
+// NaN but, as in DESIGN.md §17, which payload survives a sum of two
+// different NaNs is not pinned.
 //
 // Every kernel here writes every element of its output — padding positions
 // get explicit zeros — so col carries no state from one call to the next
 // and may be planned like any other buffer (internal/nn/memory.go).
 //
 // Dispatch is by ISA level. The AVX2 kernels (elemActive) handle one sample
-// a call, eight lanes a block, and replay the index table in Go. The AVX-512
-// kernels (zActive; zTables below) pass once over a whole channel row of the
-// batch wherever the samples' planes are contiguous — sixteen lanes a block
-// under opmask tables periodic in the plane — and gather through the index
-// table; GemmConv goes one step further and feeds a forward-only GEMM from x
-// through the same tables, with no column matrix at all. With SIMD off
-// (CROSSBOW_NOSIMD, a pre-AVX2 CPU, another architecture) both batched
-// kernels run the span walkers sample by sample.
+// a call, eight lanes a block, and leave strided geometries to the Go index
+// replay. The AVX-512 kernels (zActive; zTables below) pass once over a
+// whole channel row of the batch wherever the samples' planes are
+// contiguous — sixteen lanes a block under opmask tables periodic in the
+// plane — and gather through the index table; GemmConv goes one step
+// further and feeds a forward-only GEMM from x through the same tables,
+// with no column matrix at all. With SIMD off (CROSSBOW_NOSIMD, a pre-AVX2
+// CPU, another architecture) both batched kernels replay the index table in
+// Go, sample by sample.
 //
 // The image side is addressed by two strides, in elements: input plane
 // (sample n, channel c) starts at x[n·sn + c·sc]. An NCHW batch — the
@@ -71,7 +75,7 @@ type Lowering struct {
 	s, rows, plane int // ColCols, ColRows, InH·InW
 	// ParallelFor grains over the batch, in samples: a chunk is worth a
 	// goroutine from about 20 µs of work. That is 2^14 lowered elements for
-	// the span walkers and the index table (1–1.5 ns an element) and 2^17
+	// the index replay in Go (1–1.5 ns an element) and 2^17
 	// for the plane-shift kernels (0.15–0.2 ns an element, measured on the
 	// ResNet-32 stage geometries; splitting their b=16 calls in two was
 	// slower than running them on the caller).
@@ -87,7 +91,7 @@ type Lowering struct {
 	tail             [8]int32
 	blocks, rem      int
 
-	// Every other geometry: src[t·s+q], −1 for padding.
+	// Every geometry: src[t·s+q], −1 for padding.
 	src []int32
 
 	// The AVX-512 kernels' tables (lowering_amd64.go), periodic in the plane
@@ -137,12 +141,11 @@ func newLowering(g ConvGeom) *Lowering {
 	l.grain = 1 + (1<<14)/max(1, l.rows*l.s)
 	l.shiftGrain = 1 + (1<<17)/max(1, l.rows*l.s)
 	if l.rows <= 0 || l.s <= 0 {
-		return l // nothing to lower: no tables, the span walkers no-op
+		return l // nothing to lower: no tables, the Go kernels no-op
 	}
+	l.buildIndex()
 	if g.sameGrid() {
 		l.buildShift()
-	} else {
-		l.buildIndex()
 	}
 	l.buildZ()
 	return l
@@ -180,8 +183,7 @@ func (l *Lowering) buildShift() {
 	}
 }
 
-// buildIndex fills the source-index table of a geometry that is not
-// same-grid.
+// buildIndex fills the source-index table.
 func (l *Lowering) buildIndex() {
 	g := l.g
 	outW := g.OutW()
@@ -377,30 +379,23 @@ func (l *Lowering) batchGrain() int {
 	return l.grain
 }
 
-// tables reports whether the batched kernels replay the tables or, with
-// SIMD off, walk spans.
-func (l *Lowering) tables() bool { return elemActive() && (l.shift != nil || l.src != nil) }
-
 // im2colSamples lowers samples [lo, hi) of the batch into their column
-// blocks of col.
+// blocks of col. A geometry with nothing to lower has no tables and takes
+// the Go loop, which then writes nothing.
 func (l *Lowering) im2colSamples(lo, hi, batch int, x []float32, sn, sc int, col []float32) {
 	ld := batch * l.s
-	tables := l.tables()
-	if tables && zActive() {
+	if zActive() && l.src != nil {
 		l.lowerZ(false, lo, hi, x, sn, sc, col, ld)
 		return
 	}
 	for n := lo; n < hi; n++ {
 		img := x[n*sn:]
-		switch {
-		case !tables:
-			im2colStrided(l.g, img, sc, col, ld, n*l.s)
-		case l.shift != nil:
+		if l.shift != nil && elemActive() {
 			im2colShiftAVX2(&img[0], &col[n*l.s], &l.shift[0], &l.fwdMask[0], &l.tail[0],
 				l.g.InC, len(l.shift), l.blocks, l.rem, sc, ld)
-		default:
-			l.im2colIndexed(img, sc, col, ld, n*l.s)
+			continue
 		}
+		l.im2colIndexed(img, sc, col, ld, n*l.s)
 	}
 }
 
@@ -408,28 +403,18 @@ func (l *Lowering) im2colSamples(lo, hi, batch int, x []float32, sn, sc int, col
 // blocks of col, overwriting their planes of x.
 func (l *Lowering) col2imSamples(lo, hi, batch int, col, x []float32, sn, sc int) {
 	ld := batch * l.s
-	tables := l.tables()
-	if tables && zActive() {
+	if zActive() && l.src != nil {
 		l.lowerZ(true, lo, hi, x, sn, sc, col, ld)
 		return
 	}
 	for n := lo; n < hi; n++ {
 		img := x[n*sn:]
-		if !tables || l.shift == nil {
-			// The scatter kernels accumulate: start every plane at +0.
-			for c := 0; c < l.g.InC; c++ {
-				clear(img[c*sc : c*sc+l.plane])
-			}
-		}
-		switch {
-		case !tables:
-			col2imStrided(l.g, col, ld, n*l.s, img, sc)
-		case l.shift != nil:
+		if l.shift != nil && elemActive() {
 			col2imShiftAVX2(&col[n*l.s], &img[0], &l.shift[0], &l.adjMask[0], &l.tail[0],
 				l.g.InC, len(l.shift), l.blocks, l.rem, sc, ld)
-		default:
-			l.col2imIndexed(col, ld, n*l.s, img, sc)
+			continue
 		}
+		l.col2imIndexed(col, ld, n*l.s, img, sc)
 	}
 }
 
@@ -452,13 +437,14 @@ func (l *Lowering) im2colIndexed(img []float32, sc int, col []float32, ld, off i
 }
 
 // col2imIndexed scatters one sample's column block through the source-index
-// table, rows in ascending (c, kh, kw) and positions in ascending order like
-// col2imStrided, so every image element accumulates the same terms in the
-// same order.
+// table into its planes, which it starts at +0: rows in ascending
+// (c, kh, kw) and positions in ascending order, so every image element
+// accumulates its terms in ascending tap order.
 func (l *Lowering) col2imIndexed(col []float32, ld, off int, img []float32, sc int) {
 	taps := l.g.KH * l.g.KW
 	for c := 0; c < l.g.InC; c++ {
 		plane := img[c*sc : c*sc+l.plane]
+		clear(plane)
 		for t := 0; t < taps; t++ {
 			src := col[(c*taps+t)*ld+off:][:l.s]
 			for q, ix := range l.src[t*l.s:][:l.s] {

@@ -102,7 +102,7 @@ func (l *Lowering) gemmConvSamples(lo, hi, batch int, w, x []float32, sn, sc int
 	t := zTile{
 		a: &w[0], ars: uintptr(l.rows) * 4, acs: 4,
 		ldb: uintptr(sc) * 4, kb: l.g.InC,
-		ldc: uintptr(ns) * 4, m: l.g.OutC, mode: zZero,
+		ldc: uintptr(ns) * 4, m: l.g.OutC, mode: tileZero,
 		taps: l.g.KH * l.g.KW, shift: &l.shift[0], mask: &l.z.fwd[0], period: l.z.fwdPeriod,
 	}
 	run := l.zRun(lo, hi, sn)

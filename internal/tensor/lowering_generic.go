@@ -3,7 +3,7 @@
 package tensor
 
 // No lowering kernels off amd64: elemActive() and zActive() are false there,
-// so the batched lowering runs the span walkers and these are never
+// so the batched lowering replays its index table in Go and these are never
 // dispatched.
 
 func im2colShiftAVX2(x, col *float32, shift, mask, tail *int32, inC, taps, blocks, rem, sc, ld int) {

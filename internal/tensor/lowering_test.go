@@ -29,6 +29,59 @@ var loweringGeoms = []ConvGeom{
 	{InC: 2, InH: 6, InW: 5, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1},
 }
 
+// im2colTextbook is the lowering by its definition, one sample: column row
+// (c, kh, kw) at output position (oh, ow) holds input element
+// (c, oh·StrideH−PadH+kh, ow·StrideW−PadW+kw), or 0 where that falls in the
+// padding. img is InC×InH×InW, col ColRows×ColCols. It is the oracle every
+// level of the lowering is pinned to.
+func im2colTextbook(g ConvGeom, img, col []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				row := col[((c*g.KH+kh)*g.KW+kw)*outH*outW:]
+				for oh := 0; oh < outH; oh++ {
+					for ow := 0; ow < outW; ow++ {
+						ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+						var v float32
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							v = img[(c*g.InH+ih)*g.InW+iw]
+						}
+						row[oh*outW+ow] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+// col2imTextbook is the adjoint by its definition, one sample: input element
+// (c, ih, iw) is +0 plus, for each tap (kh, kw) in ascending order, the one
+// column element of that tap that read it, if any. img is overwritten.
+func col2imTextbook(g ConvGeom, col, img []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	for c := 0; c < g.InC; c++ {
+		for ih := 0; ih < g.InH; ih++ {
+			for iw := 0; iw < g.InW; iw++ {
+				var sum float32
+				for kh := 0; kh < g.KH; kh++ {
+					for kw := 0; kw < g.KW; kw++ {
+						dh, dw := ih+g.PadH-kh, iw+g.PadW-kw
+						if dh < 0 || dw < 0 || dh%g.StrideH != 0 || dw%g.StrideW != 0 {
+							continue
+						}
+						oh, ow := dh/g.StrideH, dw/g.StrideW
+						if oh < outH && ow < outW {
+							sum += col[((c*g.KH+kh)*g.KW+kw)*outH*outW+oh*outW+ow]
+						}
+					}
+				}
+				img[(c*g.InH+ih)*g.InW+iw] = sum
+			}
+		}
+	}
+}
+
 func nanFill(n int) []float32 {
 	s := make([]float32, n)
 	for i := range s {
@@ -37,11 +90,20 @@ func nanFill(n int) []float32 {
 	return s
 }
 
-// runLoweringOracle pins the batched kernels to the per-sample span walkers
-// bit for bit. Both outputs start full of NaN: a position the kernel failed
+// runLoweringOracle pins the batched kernels to the textbook lowering bit
+// for bit. Both outputs start full of NaN: a position the kernel failed
 // to write — im2col's padding zeros above all — fails the comparison, which
-// is what lets col be planned as an ordinary, dirty buffer.
+// is what lets col be planned as an ordinary, dirty buffer. It runs
+// serial and with the batch split across workers.
 func runLoweringOracle(t *testing.T) {
+	defer SetWorkerBudget(WorkerBudget())
+	for _, workers := range []int{1, 3} {
+		SetWorkerBudget(workers)
+		checkLoweringOracle(t)
+	}
+}
+
+func checkLoweringOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, g := range loweringGeoms {
 		s, rows, inVol := g.ColCols(), g.ColRows(), g.InVol()
@@ -52,7 +114,7 @@ func runLoweringOracle(t *testing.T) {
 			Im2colBatch(g, batch, x, col, batch%2 == 0)
 			want := make([]float32, rows*s)
 			for n := 0; n < batch; n++ {
-				Im2col(g, x[n*inVol:(n+1)*inVol], want)
+				im2colTextbook(g, x[n*inVol:(n+1)*inVol], want)
 				for row := 0; row < rows; row++ {
 					elemBitsEqual(t, fmt.Sprintf("Im2colBatch %s sample %d row %d", name, n, row), s,
 						col[row*batch*s+n*s:][:s], want[row*s:][:s])
@@ -68,8 +130,7 @@ func runLoweringOracle(t *testing.T) {
 				for row := 0; row < rows; row++ {
 					copy(sample[row*s:][:s], dcol[row*batch*s+n*s:][:s])
 				}
-				clear(img)
-				Col2im(g, sample, img)
+				col2imTextbook(g, sample, img)
 				smaBitsEqual(t, fmt.Sprintf("Col2imBatch %s sample %d", name, n), dx[n*inVol:(n+1)*inVol], img)
 			}
 
@@ -104,16 +165,13 @@ func loweringMustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestLoweringOracle: Im2colBatch/Col2imBatch ≡ per-sample Im2col/Col2im on
-// inputs dense in NaN, ±Inf, −0 and denormals, serial and with the batch
-// split across workers. Mutation-checked: summing col2im's taps in
-// descending order fails it.
+// TestLoweringOracle: Im2colBatch/Col2imBatch ≡ the textbook lowering of
+// each sample on inputs dense in NaN, ±Inf, −0 and denormals, serial and
+// with the batch split across workers. Mutation-checked: summing col2im's
+// taps in descending order — in a kernel or in the oracle — fails it, while
+// the inner-product test of the adjoint (TestCol2imIsAdjoint) passes.
 func TestLoweringOracle(t *testing.T) {
-	defer SetWorkerBudget(WorkerBudget())
-	for _, workers := range []int{1, 3} {
-		SetWorkerBudget(workers)
-		runLoweringOracle(t)
-	}
+	runLoweringOracle(t)
 }
 
 // TestLoweringOracleAVX2 re-runs the oracle one ISA level down — the AVX2
@@ -124,21 +182,23 @@ func TestLoweringOracleAVX2(t *testing.T) {
 	runLoweringOracle(t)
 }
 
-// TestLoweringOracleScalarFallback re-runs the oracle with SIMD off: what
-// CROSSBOW_NOSIMD=1 and non-amd64 builds execute.
+// TestLoweringOracleScalarFallback re-runs the oracle with SIMD off — the
+// Go index replay for every geometry: what CROSSBOW_NOSIMD=1 and non-amd64
+// builds execute.
 func TestLoweringOracleScalarFallback(t *testing.T) {
 	defer setGemmASM(setGemmASM(false))
 	runLoweringOracle(t)
 }
 
-// TestLoweringTables checks the two table kinds against the definition of
-// the lowering, position by position.
+// TestLoweringTables checks the tables against the definition of the
+// lowering, position by position: the source-index table every geometry
+// has, and the plane-shift tables only a same-grid one has.
 func TestLoweringTables(t *testing.T) {
 	for _, g := range loweringGeoms {
 		l := newLowering(g)
 		sameGrid := g.StrideH == 1 && g.StrideW == 1 && g.OutH() == g.InH && g.OutW() == g.InW
-		if (l.shift != nil) != sameGrid || (l.src != nil) == sameGrid {
-			t.Fatalf("%+v: same-grid %v, got shift %v src %v", g, sameGrid, l.shift != nil, l.src != nil)
+		if (l.shift != nil) != sameGrid || len(l.src) != g.KH*g.KW*l.s {
+			t.Fatalf("%+v: same-grid %v, got shift %v, %d index entries", g, sameGrid, l.shift != nil, len(l.src))
 		}
 		outW, taps := g.OutW(), g.KH*g.KW
 		for tap := 0; tap < taps; tap++ {
@@ -149,11 +209,14 @@ func TestLoweringTables(t *testing.T) {
 				if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
 					want = int32(ih*g.InW + iw)
 				}
+				if got := l.src[tap*l.s+q]; got != want {
+					t.Fatalf("%+v tap %d position %d: index reads %d, want %d", g, tap, q, got, want)
+				}
+				if !sameGrid {
+					continue
+				}
 				got := int32(-1)
-				switch {
-				case !sameGrid:
-					got = l.src[tap*l.s+q]
-				case l.fwdMask[tap*l.blocks*8+q] != 0:
+				if l.fwdMask[tap*l.blocks*8+q] != 0 {
 					got = int32(q) + l.shift[tap]
 					// The adjoint mask must name the same (tap, source) pair.
 					if l.adjMask[(int(got)/8*taps+tap)*8+int(got)%8] != -1 {
@@ -161,7 +224,7 @@ func TestLoweringTables(t *testing.T) {
 					}
 				}
 				if got != want {
-					t.Fatalf("%+v tap %d position %d: reads %d, want %d", g, tap, q, got, want)
+					t.Fatalf("%+v tap %d position %d: shift reads %d, want %d", g, tap, q, got, want)
 				}
 			}
 		}
@@ -211,8 +274,8 @@ func guardedCopy(t *testing.T, src []float32, front bool) []float32 {
 	return g
 }
 
-// TestLoweringZGuarded pins the AVX-512 lowering kernels to the per-sample
-// span walkers with every buffer they touch ending — and, in a second pass,
+// TestLoweringZGuarded pins the AVX-512 lowering kernels to the textbook
+// lowering with every buffer they touch ending — and, in a second pass,
 // starting — at an inaccessible page, so a lane the opmask tables should
 // have excluded faults instead of quietly reading a neighbour: tap 0 of a
 // padded geometry points before the first plane and the last tap past the
@@ -242,13 +305,12 @@ func TestLoweringZGuarded(t *testing.T) {
 			wantDx := make([]float32, batch*inVol)
 			sample, img := make([]float32, rows*s), make([]float32, inVol)
 			for n := 0; n < batch; n++ {
-				Im2col(g, x[n*inVol:(n+1)*inVol], sample)
+				im2colTextbook(g, x[n*inVol:(n+1)*inVol], sample)
 				for row := 0; row < rows; row++ {
 					copy(wantCol[row*batch*s+n*s:][:s], sample[row*s:][:s])
 					copy(sample[row*s:][:s], dcol[row*batch*s+n*s:][:s])
 				}
-				clear(img)
-				Col2im(g, sample, img)
+				col2imTextbook(g, sample, img)
 				copy(wantDx[n*inVol:], img)
 			}
 			for _, front := range []bool{false, true} {
